@@ -20,8 +20,8 @@ import numpy as np
 
 from . import detection, exports, hologram, schmidt
 from .config import ConfigError, RunConfig, load_config
-from .kernel import TpaKernel, build_multipeak
-from .optics import noncollinear_offset
+from .kernel import build_multipeak
+from .optics import noncollinear_offset, sigma_k_to_fwhm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,13 +188,9 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
 
     singles_s = detection.singles_scan(source, geom, "signal", zero_width=zero)
     singles_i = detection.singles_scan(source, geom, "idler", zero_width=zero)
-    if args.idler_center is not None:
-        center = args.idler_center
-    else:
-        inten = source.intensity() if isinstance(source, TpaKernel) else source
-        ki, mi = detection.marginal_kernel_axis(inten, "idler")
-        top = np.flatnonzero(mi == mi.max())
-        center = float(ki[top[np.argmin(np.abs(ki[top]))]])
+    center = args.idler_center
+    if center is None:
+        center = detection.idler_peak_center(source)
     coinc = detection.coincidence_scan(source, geom, center, "signal", zero_width=zero)
 
     paths = []
@@ -239,8 +235,7 @@ def _cmd_crosstalk(cfg: RunConfig, args, out_dir: str) -> List[str]:
     if params.n_peaks < 2:
         raise ValueError("crosstalk needs at least 2 pump peaks; set pump.peaks >= 2")
     grid_s, _ = cfg.grids()
-    widths = cfg.widths()
-    scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
+    scale = schmidt.analytic_double_gaussian(cfg.widths()).mode_scale
     centers = params.mode_offsets() + cfg.offset() / 2.0
     log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid_s)
     matrix = detection.crosstalk_matrix(log_modes, grid_s, log_input=True)
@@ -256,8 +251,8 @@ def _cmd_crosstalk(cfg: RunConfig, args, out_dir: str) -> List[str]:
 
 
 def _cmd_pump(cfg: RunConfig, args, out_dir: str) -> List[str]:
-    params = cfg.pump_profile_params()
-    span = 4.5 / params.sigma_pump
+    params = cfg.multipeak_params()
+    span = 4.5 / params.widths.sigma_pump
     x = np.linspace(-span, span, 4096)
     profile = hologram.pump_field(params, x)
     path = os.path.join(out_dir, "pump_field.csv")
@@ -270,7 +265,7 @@ def _cmd_pump(cfg: RunConfig, args, out_dir: str) -> List[str]:
 
 
 def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
-    params = cfg.pump_profile_params()
+    params = cfg.multipeak_params()
     hs = cfg.hologram
     x_slm = hologram.raster_coordinates(hs.width_px, hs.pixel_pitch_um)
     crystal = hologram.pump_field(params, x_slm / hs.magnification)
@@ -294,7 +289,7 @@ def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
         f"round-trip amplitude overlap = {overlap:.8f}",
         f"recovered envelope FWHM (SLM plane) = {env_slm:.10g} um",
         f"recovered envelope FWHM (crystal plane) = {env_slm / hs.magnification:.10g} um",
-        f"target envelope FWHM (crystal plane) = {params.envelope_fwhm_um():.10g} um",
+        f"target envelope FWHM (crystal plane) = {sigma_k_to_fwhm(params.widths.sigma_pump):.10g} um",
         f"wrote {path}",
     ]
     return lines

@@ -15,7 +15,6 @@ from typing import Callable, List, Optional, Tuple, Union
 import yaml
 
 from .detection import DetectionGeometry
-from .hologram import PumpProfileParams
 from .kernel import MultiPeakParams, TpaKernel, build_multipeak, default_grids
 from .optics import (
     PhaseMatchConfig,
@@ -215,14 +214,6 @@ class RunConfig:
     def build_kernel(self) -> TpaKernel:
         grid_s, grid_i = self.grids()
         return build_multipeak(self.multipeak_params(), grid_s, grid_i, self.branch())
-
-    def pump_profile_params(self) -> PumpProfileParams:
-        return PumpProfileParams(
-            n_peaks=self.n_peaks,
-            peak_spacing=self.peak_spacing,
-            sigma_pump=self.sigma_pump,
-            side_amplitude=self.side_amplitude,
-        )
 
     def index_model(self) -> Optional[Callable[[float], float]]:
         """Wavelength (um) to downconverted-wave index, when dispersion is known."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import curve_fit
 from scipy.special import logsumexp
 
 from .kernel import JointIntensity, TpaKernel, marginal_intensity
@@ -107,17 +106,8 @@ def singles_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeomet
                  zero_width: bool = False) -> ScanSpectrum:
     """Single-detector rate: partner integrated out, slit window applied."""
     inten = _as_intensity(source)
-    if which == "signal":
-        grid, axis = inten.grid_s, 1
-        partner_spacing = inten.grid_i.spacing
-    elif which == "idler":
-        grid, axis = inten.grid_i, 0
-        partner_spacing = inten.grid_s.spacing
-    else:
-        raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
-
-    k = grid.points()
-    marginal = inten.values.sum(axis=axis) * partner_spacing
+    k, marginal = marginal_intensity(inten, which)
+    grid = inten.grid_s if which == "signal" else inten.grid_i
     if positions is None:
         positions = k
     else:
@@ -259,6 +249,8 @@ def fwhm_of(spectrum: ScanSpectrum, method: str = "interp",
         raise ValueError("spectrum is empty; no width to measure")
 
     if method == "gauss_fit":
+        from scipy.optimize import curve_fit  # slow to import; nothing else needs it
+
         i0 = int(np.argmax(y))
         mean = x[i0]
         sig0 = max((x[-1] - x[0]) / 10.0, np.sqrt(np.sum(y * (x - mean) ** 2) / np.sum(y)))
@@ -293,27 +285,21 @@ def fedorov_ratio(kernel: Union[TpaKernel, JointIntensity], geom: DetectionGeome
                   zero_width: bool = False) -> float:
     """Width of the signal singles peak over the conditional peak width.
 
-    The partner slit parks on the idler marginal's maximum (ties broken
-    toward smaller \\|k\\|). With zero-width slits on a double-Gaussian
-    amplitude this ratio equals the Schmidt number.
+    The partner slit parks on :func:`idler_peak_center`. With zero-width
+    slits on a double-Gaussian amplitude this ratio equals the Schmidt number.
     """
     inten = _as_intensity(kernel)
-    ki, mi = marginal_kernel_axis(inten, "idler")
-    top = np.flatnonzero(mi == mi.max())
-    center = ki[top[np.argmin(np.abs(ki[top]))]]
-
+    center = idler_peak_center(inten)
     singles = singles_scan(inten, geom, "signal", zero_width=zero_width)
     coinc = coincidence_scan(inten, geom, center, "signal", zero_width=zero_width)
     return fwhm_of(singles) / fwhm_of(coinc)
 
 
-def marginal_kernel_axis(inten: JointIntensity, which: str) -> tuple:
-    """(k_points, marginal intensity) for one photon of a joint intensity."""
-    if which == "signal":
-        return inten.grid_s.points(), inten.values.sum(axis=1) * inten.grid_i.spacing
-    if which == "idler":
-        return inten.grid_i.points(), inten.values.sum(axis=0) * inten.grid_s.spacing
-    raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
+def idler_peak_center(source: Union[TpaKernel, JointIntensity]) -> float:
+    """Default idler slit center: the idler marginal's maximum, ties to the smaller |k|."""
+    ki, mi = marginal_intensity(_as_intensity(source), "idler")
+    top = np.flatnonzero(mi == mi.max())
+    return float(ki[top[np.argmin(np.abs(ki[top]))]])
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +453,10 @@ def crosstalk_matrix(modes: np.ndarray, grid: Optional[WavevectorGrid] = None,
     if log_input:
         logw = np.log(w)
         log_cross = np.empty((n, n))
+        # one row at a time: an (n, n, nk) broadcast costs n times the memory
         for m in range(n):
-            for p in range(m, n):
-                val = logsumexp(modes[m] + modes[p] + logw)
-                log_cross[m, p] = log_cross[p, m] = val
+            row = logsumexp(modes[m] + modes[m:] + logw, axis=1)
+            log_cross[m, m:] = log_cross[m:, m] = row
         diag = np.diag(log_cross)
         log_x = 2.0 * log_cross - diag[:, None] - diag[None, :]
         with np.errstate(under="ignore"):

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optics import GAUSSIAN_FWHM_FACTOR
+from .kernel import MultiPeakParams
 
 PHASE_LEVELS = 256
 MIN_GRATING_PERIOD_PX = 3
@@ -54,57 +54,17 @@ class FieldProfile1D:
         return FieldProfile1D(self.coordinates_um * factor, self.amplitude)
 
 
-@dataclass(frozen=True)
-class PumpProfileParams:
-    """Crystal-plane pump: Gaussian envelope times an equally spaced comb.
+def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> FieldProfile1D:
+    """Crystal-plane pump field, peak-normalized to max |E| = 1.
 
-    ``peak_spacing`` is the far-field distance between adjacent signal
-    peaks (1/um), matching the kernel builders; the field oscillates at
-    the pump peak positions, twice that spacing. ``sigma_pump`` is the
-    envelope's angular-spectrum width (1/um).
+    A Gaussian envelope of angular-spectrum width ``widths.sigma_pump`` times
+    a comb oscillating at the pump peaks' sum-coordinate centers.
     """
-
-    n_peaks: int
-    peak_spacing: float
-    sigma_pump: float
-    side_amplitude: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n_peaks < 1:
-            raise ValueError(f"need at least one peak, got {self.n_peaks}")
-        if self.n_peaks > 1 and self.peak_spacing <= 0:
-            raise ValueError(f"peak spacing must be positive, got {self.peak_spacing}")
-        if self.sigma_pump <= 0:
-            raise ValueError(f"sigma_pump must be positive, got {self.sigma_pump}")
-        if self.side_amplitude is not None:
-            if self.n_peaks != 3:
-                raise ValueError("side_amplitude only applies to 3-peak pumps")
-            if not (0.0 < self.side_amplitude <= 1.0):
-                raise ValueError(f"side_amplitude must be in (0, 1], got {self.side_amplitude}")
-
-    def envelope_fwhm_um(self) -> float:
-        return GAUSSIAN_FWHM_FACTOR / self.sigma_pump
-
-    def weights_and_frequencies(self) -> tuple:
-        """Field weights and spatial frequencies (1/um) of the comb terms."""
-        m = np.arange(self.n_peaks)
-        freqs = (self.n_peaks - 1 - 2 * m) * self.peak_spacing  # twice the mode offsets
-        if self.side_amplitude is not None:
-            a = self.side_amplitude / 2.0
-            weights = np.array([a, 0.5, a])
-        else:
-            weights = np.ones(self.n_peaks)
-        return weights, freqs
-
-
-def pump_field(params: PumpProfileParams, x_um: np.ndarray) -> FieldProfile1D:
-    """Crystal-plane pump field, peak-normalized to max |E| = 1."""
     x = np.asarray(x_um, dtype=float)
-    weights, freqs = params.weights_and_frequencies()
     comb = np.zeros(x.shape, dtype=complex)
-    for w, f in zip(weights, freqs):
+    for w, f in zip(params.weights(), params.pump_centers()):
         comb += w * np.exp(1j * f * x)
-    field = comb * np.exp(-(x ** 2) * params.sigma_pump ** 2 / 2.0)
+    field = comb * np.exp(-(x ** 2) * params.widths.sigma_pump ** 2 / 2.0)
     peak = np.abs(field).max()
     if peak == 0:
         raise ValueError("pump field vanished; check the parameters")
@@ -131,13 +91,9 @@ class HologramImage:
         if self.grating_period_px < 2:
             raise ValueError(f"grating period must be >= 2 px, got {self.grating_period_px}")
 
-    def pixel_coordinates(self) -> np.ndarray:
-        """Centered x coordinate (um) of every column."""
-        w = self.phase_levels.shape[1]
-        return (np.arange(w) - (w - 1) / 2.0) * self.pixel_pitch_um
-
 
 def raster_coordinates(width_px: int, pixel_pitch_um: float) -> np.ndarray:
+    """Centered x coordinate (um) of every pixel column."""
     return (np.arange(width_px) - (width_px - 1) / 2.0) * pixel_pitch_um
 
 
@@ -216,7 +172,7 @@ def first_order(phase: np.ndarray, pixel_pitch_um: float, grating_period_px: flo
     if phase.ndim != 1:
         raise ValueError("phase must be a 1D profile")
     n = phase.size
-    x = (np.arange(n) - (n - 1) / 2.0) * pixel_pitch_um
+    x = raster_coordinates(n, pixel_pitch_um)
     beam = np.ones(n) if input_beam is None else np.asarray(input_beam, dtype=complex)
     if beam.shape != (n,):
         raise ValueError(f"input beam must have shape ({n},), got {beam.shape}")

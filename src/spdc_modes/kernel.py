@@ -394,11 +394,10 @@ def build_from_pump(pump: PumpSpectrum, config: PhaseMatchConfig,
     return TpaKernel.from_array(grid_s, grid_i, pump_factor * match, warns)
 
 
-def marginal_intensity(kernel: TpaKernel, which: str = "signal") -> tuple:
+def marginal_intensity(inten: JointIntensity, which: str = "signal") -> tuple:
     """(k_points, intensity) of one photon with the partner integrated out."""
-    inten = np.abs(kernel.amplitude) ** 2
     if which == "signal":
-        return kernel.grid_s.points(), inten.sum(axis=1) * kernel.grid_i.spacing
+        return inten.grid_s.points(), inten.values.sum(axis=1) * inten.grid_i.spacing
     if which == "idler":
-        return kernel.grid_i.points(), inten.sum(axis=0) * kernel.grid_s.spacing
+        return inten.grid_i.points(), inten.values.sum(axis=0) * inten.grid_s.spacing
     raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")

@@ -28,7 +28,6 @@ from spdc_modes.detection import (
 )
 from spdc_modes.hologram import (
     FieldProfile1D,
-    PumpProfileParams,
     amplitude_overlap,
     encode_hologram,
     envelope_fwhm,
@@ -186,7 +185,7 @@ def test_hologram_round_trip_recovers_the_pump():
         pitch, period, mag = 8.0, 6.0, 20.0
         width = 1920
         sigma = GAUSSIAN_FWHM_FACTOR / 246.0
-        params = PumpProfileParams(3, 0.168, sigma, side_amplitude=0.63)
+        params = MultiPeakParams(3, 0.168, 0.0, PumpWidths(sigma, sigma), side_amplitude=0.63)
         x_slm = raster_coordinates(width, pitch)
         crystal = pump_field(params, x_slm / mag)
         target = FieldProfile1D(x_slm, crystal.amplitude)

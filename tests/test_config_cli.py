@@ -5,6 +5,8 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ import yaml
 
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
-from spdc_modes.detection import marginal_kernel_axis
 from spdc_modes.exports import read_csv
 from spdc_modes.hologram import parse_pgm
+from spdc_modes.kernel import marginal_intensity
 from spdc_modes.optics import noncollinear_offset, phase_matching_width
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -343,7 +345,7 @@ def test_cli_scan_three_modes(tmp_path, capsys):
     # zero-width singles are exactly the kernel's signal marginal
     cfg = dataclasses.replace(load_config(THREE), grid_points=320)
     kernel = cfg.build_kernel()
-    k, marg = marginal_kernel_axis(kernel.intensity(), "signal")
+    k, marg = marginal_intensity(kernel.intensity(), "signal")
     _, table = read_csv(str(out / "singles_signal.csv"))
     assert np.array_equal(table[:, 0], k)
     assert np.array_equal(table[:, 1], marg)
@@ -403,3 +405,26 @@ def test_cli_hologram(tmp_path, capsys):
     levels = parse_pgm((out / "hologram.pgm").read_bytes())
     assert levels.shape == (1080, 1920)
     assert "hologram.log" in stdout
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
+def test_cli_outputs_get_the_umask_mode(tmp_path, capsys, umask):
+    previous = os.umask(umask)
+    try:
+        assert main(["pump", "--config", THREE, "--out", str(tmp_path)]) == 0
+        assert main(["hologram", "--config", HOLOGRAM, "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    for name in ("pump_field.csv", "hologram.pgm", "hologram.log"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    import spdc_modes
+
+    src = os.path.dirname(os.path.dirname(spdc_modes.__file__))
+    code = "import sys, spdc_modes.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "False"

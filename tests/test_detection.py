@@ -17,7 +17,7 @@ from spdc_modes.detection import (
     find_peaks,
     fwhm_of,
     gaussian_mode_log_intensities,
-    marginal_kernel_axis,
+    idler_peak_center,
     ring_wavevector,
     singles_scan,
     wavelength_average,
@@ -28,6 +28,7 @@ from spdc_modes.kernel import (
     build_double_gaussian,
     build_multipeak,
     default_grids,
+    marginal_intensity,
 )
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
@@ -77,11 +78,11 @@ def test_geometry_validation():
 def test_zero_width_singles_equals_marginal():
     kernel = ratio_two_kernel(n=401)
     scan = singles_scan(kernel, GEOM, "signal", zero_width=True)
-    k, marg = marginal_kernel_axis(kernel.intensity(), "signal")
+    k, marg = marginal_intensity(kernel.intensity(), "signal")
     assert np.array_equal(scan.positions, k)
     assert np.array_equal(scan.rates, marg)
     scan_i = singles_scan(kernel, GEOM, "idler", zero_width=True)
-    _, marg_i = marginal_kernel_axis(kernel.intensity(), "idler")
+    _, marg_i = marginal_intensity(kernel.intensity(), "idler")
     assert np.array_equal(scan_i.rates, marg_i)
 
 
@@ -204,8 +205,9 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     values[np.abs(ks) <= 0.035, j_far] = 3.0    # 7 nodes high 3
     inten = JointIntensity(gs, gi, values)
 
-    ki, mi = marginal_kernel_axis(inten, "idler")
+    ki, mi = marginal_intensity(inten, "idler")
     assert mi[j_near] == mi[j_far] == mi.max()
+    assert idler_peak_center(inten) == ki[j_near]
 
     got = fedorov_ratio(inten, GEOM, zero_width=True)
     singles = fwhm_of(singles_scan(inten, GEOM, "signal", zero_width=True))
@@ -394,6 +396,7 @@ def test_crosstalk_gaussian_separation_law():
     # twice the separation costs four times the exponent
     assert x.log_values[0, 2] == pytest.approx(4.0 * x.log_values[0, 1], rel=1e-10)
     assert np.allclose(np.diag(x.log_values), 0.0, atol=1e-12)
+    assert np.array_equal(x.log_values, x.log_values.T)
     assert np.allclose(x.log10(), x.log_values / math.log(10.0), rtol=1e-15)
 
 

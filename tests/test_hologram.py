@@ -8,7 +8,6 @@ import pytest
 from spdc_modes.hologram import (
     FieldProfile1D,
     HologramImage,
-    PumpProfileParams,
     amplitude_overlap,
     encode_hologram,
     envelope_fwhm,
@@ -25,10 +24,16 @@ from spdc_modes.hologram import (
     raster_coordinates,
     simulate_first_order,
 )
-from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR
+from spdc_modes.kernel import MultiPeakParams
+from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR, PumpWidths
 
 PITCH = 8.0
 PERIOD = 6.0
+
+
+def comb_pump(n_peaks, spacing, sigma, side_amplitude=None):
+    """Collinear multi-peak pump; the hologram reads only the comb and sigma_pump."""
+    return MultiPeakParams(n_peaks, spacing, 0.0, PumpWidths(sigma, sigma), side_amplitude)
 
 
 def flat_target(width_um=20000.0, value=1.0):
@@ -146,7 +151,8 @@ def test_encode_raster_layout():
     holo = encode_hologram(flat_target(), shape=(4, 512))
     assert holo.phase_levels.shape == (4, 512)
     assert holo.phase_levels.dtype == np.uint8
-    assert holo.pixel_coordinates().sum() == pytest.approx(0.0, abs=1e-9)
+    x = raster_coordinates(holo.phase_levels.shape[1], holo.pixel_pitch_um)
+    assert x.sum() == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError, match="too small"):
         encode_hologram(flat_target(), shape=(0, 512))
     with pytest.raises(ValueError, match="too small"):
@@ -181,7 +187,7 @@ def test_envelope_fwhm_plain_gaussian():
 
 def test_envelope_fwhm_strips_comb_beating():
     sigma = GAUSSIAN_FWHM_FACTOR / 246.0
-    params = PumpProfileParams(3, 0.168, sigma, side_amplitude=0.63)
+    params = comb_pump(3, 0.168, sigma, side_amplitude=0.63)
     x = np.linspace(-4.5 / sigma, 4.5 / sigma, 4096)
     field = pump_field(params, x)
     got = envelope_fwhm(field, split_frequency=0.168)
@@ -201,11 +207,11 @@ def test_envelope_errors():
 def test_pump_field_profiles():
     sigma = 0.01
     x = np.linspace(-500.0, 500.0, 2001)
-    single = pump_field(PumpProfileParams(1, 0.0, sigma), x)
+    single = pump_field(comb_pump(1, 0.0, sigma), x)
     assert np.max(np.abs(np.abs(single.amplitude)
                          - np.exp(-(x ** 2) * sigma ** 2 / 2.0))) < 1e-12
 
-    comb = pump_field(PumpProfileParams(3, 0.168, sigma, side_amplitude=0.63), x)
+    comb = pump_field(comb_pump(3, 0.168, sigma, side_amplitude=0.63), x)
     assert np.abs(comb.amplitude).max() == pytest.approx(1.0)
     # check the sampled comb exactly on a node against the closed form
     i = int(np.argmin(np.abs(x - 9.5)))
@@ -217,7 +223,7 @@ def test_pump_field_profiles():
 
 def test_pump_field_spectral_weights():
     sigma = GAUSSIAN_FWHM_FACTOR / 246.0
-    params = PumpProfileParams(3, 0.168, sigma, side_amplitude=0.63)
+    params = comb_pump(3, 0.168, sigma, side_amplitude=0.63)
     # span chosen so the comb frequency 0.336 rad/um is exactly FFT bin 96
     n = 8192
     d = (2.0 * math.pi * 96.0 / 0.336) / n
@@ -231,19 +237,13 @@ def test_pump_field_spectral_weights():
 
 
 def test_pump_params_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        PumpProfileParams(0, 0.1, 0.01)
-    with pytest.raises(ValueError, match="spacing"):
-        PumpProfileParams(2, 0.0, 0.01)
+    # peak count, spacing and side amplitude are checked with MultiPeakParams
+    # in test_kernel; the envelope width is checked by PumpWidths
     with pytest.raises(ValueError, match="sigma_pump"):
-        PumpProfileParams(1, 0.0, -0.01)
-    with pytest.raises(ValueError, match="3-peak"):
-        PumpProfileParams(2, 0.1, 0.01, side_amplitude=0.5)
-    with pytest.raises(ValueError, match="side_amplitude"):
-        PumpProfileParams(3, 0.1, 0.01, side_amplitude=2.0)
+        comb_pump(1, 0.0, -0.01)
     x_far = np.linspace(1e6, 1e6 + 10.0, 32)
     with pytest.raises(ValueError, match="vanished"):
-        pump_field(PumpProfileParams(1, 0.0, 0.01), x_far)
+        pump_field(comb_pump(1, 0.0, 0.01), x_far)
 
 
 def test_magnified_scaling():

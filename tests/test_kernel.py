@@ -156,13 +156,13 @@ def test_from_array_validation():
 def test_marginal_intensity_integrates_to_one():
     widths = PumpWidths(SIGMA, 2 * SIGMA)
     kernel = build_double_gaussian(widths, centered(10 * SIGMA, 256))
-    k, m = marginal_intensity(kernel, "signal")
+    k, m = marginal_intensity(kernel.intensity(), "signal")
     assert np.sum(m) * kernel.grid_s.spacing == pytest.approx(1.0, abs=1e-12)
     # marginal of the double Gaussian is Gaussian with variance (a^2+b^2)/8
     var = np.sum(m * k ** 2) * kernel.grid_s.spacing
     assert var == pytest.approx((SIGMA ** 2 + 4 * SIGMA ** 2) / 8.0, rel=1e-9)
     with pytest.raises(ValueError, match="which"):
-        marginal_intensity(kernel, "pump")
+        marginal_intensity(kernel.intensity(), "pump")
 
 
 def test_sum_coordinate_grid_nodes():
