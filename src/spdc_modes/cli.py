@@ -20,7 +20,6 @@ import numpy as np
 
 from . import detection, exports, hologram, schmidt
 from .config import ConfigError, RunConfig, load_config
-from .kernel import build_multipeak
 from .optics import noncollinear_offset, sigma_k_to_fwhm
 
 EXIT_OK = 0
@@ -32,7 +31,7 @@ _EPILOG = """\
 exit codes:
   0  success
   2  configuration problem (bad file, unknown or invalid keys, inconsistent values)
-  3  computation failure (parameters outside a model's reach)
+  3  computation failure (parameters outside a model's reach, or out of memory)
   4  output I/O failure
 """
 
@@ -173,14 +172,8 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
 
     if args.wavelength_avg:
         grid_s, grid_i = cfg.grids()
-        params = cfg.multipeak_params()
-        branch = cfg.branch()
-
-        def builder(offset):
-            p = dataclasses.replace(params, noncollinear_offset=offset)
-            return build_multipeak(p, grid_s, grid_i, branch)
-
-        source = detection.wavelength_average(cfg.phase_match, geom, builder,
+        source = detection.wavelength_average(cfg.phase_match, geom, cfg.multipeak_params(),
+                                              grid_s, grid_i, cfg.branch(),
                                               index_model=cfg.index_model())
         lines.append("intensity averaged over the spectral filter passband (21 samples)")
     else:
@@ -330,6 +323,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError:
+        n = cfg.grid_points
+        print(f"computation error: out of memory with {n} x {n} grid points; "
+              "lower grid.points", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

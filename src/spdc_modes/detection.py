@@ -10,6 +10,7 @@ filter placed before the detectors.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -17,7 +18,14 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .kernel import JointIntensity, TpaKernel, marginal_intensity
+from .kernel import (
+    JointIntensity,
+    MultiPeakParams,
+    TpaKernel,
+    _matched_kernel,
+    _multipeak_pump,
+    marginal_intensity,
+)
 from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid, noncollinear_offset
 
 
@@ -353,16 +361,20 @@ def effective_offset(lambda_signal_um: float, config: PhaseMatchConfig,
 
 
 def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
-                       kernel_builder: Callable[[float], TpaKernel],
+                       params: MultiPeakParams, grid_s: WavevectorGrid,
+                       grid_i: WavevectorGrid, branch: str = "+",
                        n_samples: int = 21,
                        index_model: Optional[Callable[[float], float]] = None,
                        span_fwhm: float = 1.5) -> JointIntensity:
-    """Joint intensity averaged over the spectral filter's passband.
+    """Joint intensity of a multi-peak pump averaged over the filter passband.
 
-    ``kernel_builder`` maps an effective difference-coordinate offset to a
-    kernel on fixed grids; the passband is Gaussian, centered on the
-    geometry's filter, sampled uniformly over +-span_fwhm * FWHM, and the
-    sampled intensities are weight-averaged (incoherent sum).
+    Each spectral sample is :func:`~spdc_modes.kernel.build_multipeak` of
+    ``params`` on the given grids and branch, with the offset replaced by
+    the sample's effective difference-coordinate offset. The passband is
+    Gaussian, centered on the geometry's filter, sampled uniformly over
+    +-span_fwhm * FWHM, and the sampled intensities are weight-averaged
+    (incoherent sum). The pump factor does not depend on the offset and is
+    evaluated once; the warnings are those of the first sample's build.
     """
     if n_samples < 3:
         raise ValueError(f"need at least 3 spectral samples, got {n_samples}")
@@ -373,22 +385,17 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
 
-    total = None
-    grids = None
-    warns = []
-    for lam, w in zip(lams, weights):
-        kern = kernel_builder(effective_offset(lam, config, index_model))
-        if grids is None:
-            grids = (kern.grid_s, kern.grid_i)
-            total = np.zeros_like(kern.amplitude, dtype=float)
-            warns.extend(kern.warnings)
-        elif (kern.grid_s, kern.grid_i) != grids:
-            raise ValueError("kernel_builder must keep the grids fixed across wavelengths")
-        total += w * np.abs(kern.amplitude) ** 2
+    samples = [dataclasses.replace(params,
+                                   noncollinear_offset=effective_offset(lam, config, index_model))
+               for lam in lams]
+    pump, warns = _multipeak_pump(samples[0], grid_s, grid_i, branch)
+    total = np.zeros(pump.shape)
+    for p, w in zip(samples, weights):
+        total += w * np.abs(_matched_kernel(pump, p, grid_s, grid_i, branch).amplitude) ** 2
 
     # renormalize like a kernel intensity: unit integral
-    total /= total.sum() * grids[0].spacing * grids[1].spacing
-    return JointIntensity(grids[0], grids[1], total, tuple(warns))
+    total /= total.sum() * grid_s.spacing * grid_i.spacing
+    return JointIntensity(grid_s, grid_i, total, tuple(warns))
 
 
 # ---------------------------------------------------------------------------

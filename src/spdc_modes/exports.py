@@ -71,7 +71,7 @@ def write_kernel_csv(path: str, kernel) -> None:
     """
     amp = kernel.amplitude
     scale = np.abs(amp.real).max()
-    if scale == 0 or np.abs(amp.imag).max() > 1e-9 * scale:
+    if scale == 0 or (np.iscomplexobj(amp) and np.abs(amp.imag).max() > 1e-9 * scale):
         raise ValueError(
             "kernel amplitude is not real-valued; this table format cannot hold it"
         )

@@ -1,10 +1,12 @@
 """Joint two-photon amplitudes on transverse-wavevector grids.
 
-The central object is :class:`TpaKernel`: a complex amplitude F(ks, ki)
-sampled on a pair of 1D wavevector grids, with ks along axis 0 and ki
-along axis 1. Builders cover the plain double-Gaussian case, the
-structured multi-peak pump, and an arbitrary sampled pump spectrum
-combined with a gaussian or sinc phase-matching profile.
+The central object is :class:`TpaKernel`: an amplitude F(ks, ki) sampled
+on a pair of 1D wavevector grids, with ks along axis 0 and ki along
+axis 1. Builders cover the plain double-Gaussian case, the structured
+multi-peak pump, and an arbitrary sampled pump spectrum combined with a
+gaussian or sinc phase-matching profile. The amplitude is real (float64)
+unless the pump spectrum is complex: :func:`build_from_pump`, which takes
+a sampled, possibly complex spectrum, always builds a complex kernel.
 
 Normalization is always the Riemann quadrature
 sum |F|^2 dks dki = 1 on the kernel's own grids.
@@ -54,14 +56,20 @@ class TpaKernel:
     @classmethod
     def from_array(cls, grid_s: WavevectorGrid, grid_i: WavevectorGrid,
                    amplitude: np.ndarray, warnings: Sequence[str] = ()) -> "TpaKernel":
-        """Wrap and normalize an externally built amplitude array."""
-        amp = np.asarray(amplitude, dtype=complex)
+        """Wrap and normalize an externally built amplitude array.
+
+        A real input stays real (float64); a complex one stays complex128.
+        """
+        amp = np.asarray(amplitude)
+        amp = amp.astype(complex if np.iscomplexobj(amp) else float, copy=False)
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitude contains non-finite entries")
         norm = _norm(amp, grid_s, grid_i)
         if norm == 0.0:
             raise ValueError("amplitude is identically zero")
-        return cls(grid_s, grid_i, amp / norm, True, tuple(warnings))
+        # numpy divides complex by real as a multiply by the reciprocal, so
+        # this form gives a real input the same bits as its complex promotion
+        return cls(grid_s, grid_i, amp * (1.0 / norm), True, tuple(warnings))
 
     def intensity(self) -> "JointIntensity":
         return JointIntensity(self.grid_s, self.grid_i,
@@ -221,6 +229,17 @@ def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
     """
     if grid_i is None:
         grid_i = grid_s
+    pump, warns = _multipeak_pump(params, grid_s, grid_i, branch)
+    return _matched_kernel(pump, params, grid_s, grid_i, branch, warns)
+
+
+def _multipeak_pump(params: MultiPeakParams, grid_s: WavevectorGrid,
+                    grid_i: WavevectorGrid, branch: str) -> tuple:
+    """(pump factor over the joint grids, build warnings) of a multi-peak pump.
+
+    The pump factor does not depend on the offset, so callers that sweep
+    the offset evaluate it once and pass it to :func:`_matched_kernel`.
+    """
     widths = params.widths
     _check_resolution(grid_s, widths.narrowest, "signal")
     _check_resolution(grid_i, widths.narrowest, "idler")
@@ -247,13 +266,19 @@ def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
         lo_i, hi_i = lo_s, hi_s
     warns += _coverage_warnings(grid_s, grid_i, lo_s, hi_s, lo_i, hi_i)
 
-    ks = grid_s.points()[:, None]
-    ki = grid_i.points()[None, :]
-    total = ks + ki
+    total = grid_s.points()[:, None] + grid_i.points()[None, :]
     pump = np.zeros_like(total)
     for w, c in zip(params.weights(), params.pump_centers()):
         pump += w * np.exp(-((total - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
-    match = _branch_factor(ks - ki, params.noncollinear_offset, widths.sigma_match, branch)
+    return pump, warns
+
+
+def _matched_kernel(pump: np.ndarray, params: MultiPeakParams, grid_s: WavevectorGrid,
+                    grid_i: WavevectorGrid, branch: str,
+                    warns: Sequence[str] = ()) -> TpaKernel:
+    """Normalized kernel: a pump factor times the branch matching factor at params' offset."""
+    delta = grid_s.points()[:, None] - grid_i.points()[None, :]
+    match = _branch_factor(delta, params.noncollinear_offset, params.widths.sigma_match, branch)
     return TpaKernel.from_array(grid_s, grid_i, pump * match, warns)
 
 

@@ -174,8 +174,8 @@ def test_filter_bandwidth_broadens_the_singles():
                            window=window)
 
         mono = signal_fwhm(builder(offset))
-        w21 = signal_fwhm(wavelength_average(pm, geom, builder))
-        w42 = signal_fwhm(wavelength_average(pm, geom, builder, n_samples=42))
+        w21 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, "+"))
+        w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, "+", n_samples=42))
         assert w21 > mono
         assert abs(w42 / w21 - 1.0) < 0.01
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from spdc_modes import cli
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.exports import read_csv
@@ -287,6 +288,18 @@ def test_cli_bad_grid_points_is_exit_2(tmp_path, capsys):
 def test_cli_crosstalk_needs_multiple_peaks(tmp_path, capsys):
     assert main(["crosstalk", "--config", SINGLE, "--out", str(tmp_path)]) == 3
     assert "at least 2 pump peaks" in capsys.readouterr().err
+
+
+def test_cli_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, args, out_dir):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._HANDLERS, "tpa", exhausted)
+    assert main(["tpa", "--config", SINGLE, "--out", str(tmp_path),
+                 "--grid-points", "4096"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "4096 x 4096" in err and "lower grid.points" in err
 
 
 def test_cli_blocked_output_dir_is_exit_4(tmp_path, capsys):

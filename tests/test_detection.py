@@ -329,7 +329,7 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
     builder = make_builder(params, gs, gi)
 
     tiny = dataclasses.replace(GEOM, filter_fwhm_nm=1e-6)
-    avg = wavelength_average(cfg, tiny, builder, n_samples=5)
+    avg = wavelength_average(cfg, tiny, params, gs, gi, "+", n_samples=5)
     mono = builder(offset).intensity()
     assert np.max(np.abs(avg.values - mono.values)) <= 1e-8 * mono.values.max()
 
@@ -348,12 +348,12 @@ def test_wavelength_average_broadens_monotonically():
         return fwhm_of(scan, window=window)
 
     mono = signal_fwhm(builder(offset))
-    w10 = signal_fwhm(wavelength_average(cfg, GEOM, builder))
+    w10 = signal_fwhm(wavelength_average(cfg, GEOM, params, gs, gi, "+"))
     geom20 = dataclasses.replace(GEOM, filter_fwhm_nm=20.0)
-    w20 = signal_fwhm(wavelength_average(cfg, geom20, builder))
+    w20 = signal_fwhm(wavelength_average(cfg, geom20, params, gs, gi, "+"))
     assert mono < w10 < w20
 
-    avg = wavelength_average(cfg, GEOM, builder)
+    avg = wavelength_average(cfg, GEOM, params, gs, gi, "+")
     scan = singles_scan(avg, GEOM, "signal", zero_width=True)
     pos, _ = find_peaks(scan, min_height_frac=0.5)
     assert pos[int(np.argmax(np.abs(pos)))] == pytest.approx(offset / 2.0, abs=1e-3)
@@ -366,15 +366,33 @@ def test_wavelength_average_validation():
     params = MultiPeakParams(1, 0.0, offset, widths)
     gs, gi = default_grids(params, 512, 6.0, "+")
     with pytest.raises(ValueError, match="at least 3"):
-        wavelength_average(cfg, GEOM, make_builder(params, gs, gi), n_samples=2)
+        wavelength_average(cfg, GEOM, params, gs, gi, "+", n_samples=2)
 
-    def drifting(off):
-        p = dataclasses.replace(params, noncollinear_offset=off)
-        g_s, g_i = default_grids(p, 512, 6.0, "+")
-        return build_multipeak(p, g_s, g_i, "+")
 
-    with pytest.raises(ValueError, match="grids fixed"):
-        wavelength_average(cfg, GEOM, drifting)
+@pytest.mark.parametrize("branch", ["+", "both"])
+def test_wavelength_average_equals_one_build_per_sample(branch):
+    # reference: a full build_multipeak per spectral sample, summed incoherently
+    cfg = bbo_config()
+    offset = noncollinear_offset(cfg).offset_um_inv
+    params = MultiPeakParams(3, 0.6, offset, PumpWidths(0.16, 0.2), side_amplitude=0.63)
+    gs, gi = default_grids(params, 128, 4.0, branch)
+    lam_c = GEOM.central_wavelength_nm * 1e-3
+    fwhm = GEOM.filter_fwhm_nm * 1e-3
+    sigma = fwhm / GAUSSIAN_FWHM_FACTOR
+    lams = np.linspace(lam_c - 1.5 * fwhm, lam_c + 1.5 * fwhm, 21)
+    weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
+    weights /= weights.sum()
+    kernels = [build_multipeak(
+        dataclasses.replace(params, noncollinear_offset=effective_offset(lam, cfg)),
+        gs, gi, branch) for lam in lams]
+    total = np.zeros((128, 128))
+    for kern, w in zip(kernels, weights):
+        total += w * np.abs(kern.amplitude) ** 2
+    total /= total.sum() * gs.spacing * gi.spacing
+
+    avg = wavelength_average(cfg, GEOM, params, gs, gi, branch)
+    assert np.array_equal(avg.values, total)
+    assert avg.warnings == kernels[0].warnings
 
 
 def test_crosstalk_identical_modes():

@@ -20,6 +20,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 # (subcommand, config, flags) -> data files it writes
 RUNS = (
     ("tpa", "single_mode", (), ("kernel.csv", "kernel.meta.yaml")),
+    ("tpa", "three_modes", (), ("kernel.csv", "kernel.meta.yaml")),
     ("scan", "three_modes", ("--zero-width-slits",),
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("scan", "three_modes", ("--wavelength-avg",),
@@ -48,6 +49,10 @@ GOLDEN = {
             "9f6772f1a62870683589f0654c7707711078c2d383eb6b86e24c61edddaf35b5",
         "tpa single_mode kernel.meta.yaml":
             "3d0221f133b9ca5f8fd586813e20885c33d8ed1c599f97b0ed34371faaa1b981",
+        "tpa three_modes kernel.csv":
+            "985fe472c7be6bba99c3498ac5b61f9f62f51e90a736f180bfb57b71ba7d2a96",
+        "tpa three_modes kernel.meta.yaml":
+            "6f51c5bd0ecdcae3b04128e7e172377afb5b26edcfbe98a2f0de5d543e6ab247",
         "scan three_modes --zero-width-slits singles_signal.csv":
             "54830e0d6748d73fc3f4b4a7dca66c06307330b779996c25dfd11f81be768cb3",
         "scan three_modes --zero-width-slits singles_idler.csv":

@@ -153,6 +153,33 @@ def test_from_array_validation():
         TpaKernel(grid, grid, np.ones((32, 31)))
 
 
+def test_real_models_build_real_kernels():
+    widths = PumpWidths(SIGMA, 1.7 * SIGMA)
+    grid = centered(5 * 1.7 * SIGMA, 80)
+    assert build_double_gaussian(widths, grid).amplitude.dtype == np.float64
+    params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), side_amplitude=0.63)
+    gs, gi = default_grids(params, 256, 5.0, "+")
+    assert build_multipeak(params, gs, gi, "+").amplitude.dtype == np.float64
+
+    cfg = PhaseMatchConfig.from_lab_units(3.0, 405.0, 1.6614, 1.6614, regime="collinear")
+    tk = sum_coordinate_grid(grid, grid).points()
+    chirped = PumpSpectrum(tk, np.exp(-tk ** 2 / (2 * SIGMA ** 2) + 30j * tk))
+    kernel = build_from_pump(chirped, cfg, grid, grid, "gaussian", matching_width=1.7 * SIGMA)
+    assert kernel.amplitude.dtype == np.complex128
+    assert np.abs(kernel.amplitude.imag).max() > 0
+
+
+def test_from_array_real_input_matches_its_complex_promotion():
+    grid = centered(1.0, 48)
+    k = grid.points()
+    raw = np.exp(-(k[:, None] - 0.3 * k[None, :]) ** 2 / 0.1) * (1.0 + k[:, None])
+    real = TpaKernel.from_array(grid, grid, raw)
+    promoted = TpaKernel.from_array(grid, grid, raw.astype(complex))
+    assert real.amplitude.dtype == np.float64
+    assert np.array_equal(real.amplitude, promoted.amplitude.real)
+    assert np.array_equal(real.intensity().values, promoted.intensity().values)
+
+
 def test_marginal_intensity_integrates_to_one():
     widths = PumpWidths(SIGMA, 2 * SIGMA)
     kernel = build_double_gaussian(widths, centered(10 * SIGMA, 256))
