@@ -5,8 +5,9 @@ on a pair of 1D wavevector grids, with ks along axis 0 and ki along
 axis 1. Builders cover the plain double-Gaussian case, the structured
 multi-peak pump, and an arbitrary sampled pump spectrum combined with a
 gaussian or sinc phase-matching profile. The amplitude is real (float64)
-unless the pump spectrum is complex: :func:`build_from_pump`, which takes
-a sampled, possibly complex spectrum, always builds a complex kernel.
+unless the pump spectrum is complex: :func:`build_from_pump` builds a
+complex128 kernel from a complex sampled spectrum and a float64 one from
+a real spectrum.
 
 Normalization is always the Riemann quadrature
 sum |F|^2 dks dki = 1 on the kernel's own grids.
@@ -391,9 +392,10 @@ def build_from_pump(pump: PumpSpectrum, config: PhaseMatchConfig,
             f"sum coordinate range [{total.min():.4g}, {total.max():.4g}] extends past "
             f"the sampled pump spectrum [{lo:.4g}, {hi:.4g}]; treated as zero outside"
         )
-    pump_re = np.interp(total, pump.k_points, pump.values.real, left=0.0, right=0.0)
-    pump_im = np.interp(total, pump.k_points, pump.values.imag, left=0.0, right=0.0)
-    pump_factor = pump_re + 1j * pump_im
+    pump_factor = np.interp(total, pump.k_points, pump.values.real, left=0.0, right=0.0)
+    if np.iscomplexobj(pump.values):
+        pump_factor = pump_factor + 1j * np.interp(total, pump.k_points, pump.values.imag,
+                                                   left=0.0, right=0.0)
 
     if config.regime == "noncollinear":
         offset = noncollinear_offset(config).offset_um_inv

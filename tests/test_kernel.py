@@ -1,5 +1,6 @@
 """Joint-amplitude builders: normalization, structure, pump plumbing."""
 
+import copy
 import math
 
 import numpy as np
@@ -167,6 +168,22 @@ def test_real_models_build_real_kernels():
     kernel = build_from_pump(chirped, cfg, grid, grid, "gaussian", matching_width=1.7 * SIGMA)
     assert kernel.amplitude.dtype == np.complex128
     assert np.abs(kernel.amplitude.imag).max() > 0
+
+
+@pytest.mark.parametrize("model", ["gaussian", "sinc"])
+def test_real_pump_spectrum_builds_a_real_kernel(model):
+    cfg = PhaseMatchConfig.from_lab_units(3.0, 405.0, 1.6614, 1.6614, regime="collinear")
+    grid = centered(5 * 1.7 * SIGMA, 80)
+    tk = sum_coordinate_grid(grid, grid).points()
+    real = PumpSpectrum(tk, np.exp(-tk ** 2 / (2 * SIGMA ** 2)))
+    # the same samples held as complex, so the builder takes its complex path
+    promoted = copy.copy(real)
+    object.__setattr__(promoted, "values", real.values.astype(complex))
+    kernel = build_from_pump(real, cfg, grid, grid, model, matching_width=1.7 * SIGMA)
+    reference = build_from_pump(promoted, cfg, grid, grid, model, matching_width=1.7 * SIGMA)
+    assert kernel.amplitude.dtype == np.float64
+    assert reference.amplitude.dtype == np.complex128
+    assert np.array_equal(kernel.amplitude, reference.amplitude.real)
 
 
 def test_from_array_real_input_matches_its_complex_promotion():

@@ -1,13 +1,27 @@
 """Mode decomposition against the closed-form double-Gaussian answer."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import yaml
 
-from spdc_modes.kernel import MultiPeakParams, TpaKernel, build_double_gaussian, build_multipeak, default_grids
-from spdc_modes.optics import PumpWidths, WavevectorGrid
+from spdc_modes import schmidt
+from spdc_modes.config import load_config, parse_config
+from spdc_modes.kernel import (
+    MultiPeakParams,
+    PumpSpectrum,
+    TpaKernel,
+    build_double_gaussian,
+    build_from_pump,
+    build_multipeak,
+    default_grids,
+    sum_coordinate_grid,
+)
+from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
 from spdc_modes.schmidt import (
+    SV_FLOOR,
     analytic_double_gaussian,
     hermite_gauss,
     reconstruct_kernel,
@@ -141,6 +155,18 @@ def test_truncation_argument_validation():
         schmidt_decompose(kernel, truncation=1.5)
     with pytest.raises(TypeError, match="truncation"):
         schmidt_decompose(kernel, truncation="3")
+    with pytest.raises(TypeError, match="truncation"):
+        schmidt_decompose(kernel, truncation=True)
+
+
+def test_numpy_integer_truncation_equals_int():
+    kernel = double_gaussian_kernel()
+    dec = schmidt_decompose(kernel, truncation=np.int64(3))
+    ref = schmidt_decompose(kernel, truncation=3)
+    assert dec.n_modes == 3
+    assert np.array_equal(dec.coefficients, ref.coefficients)
+    assert np.array_equal(dec.signal_modes, ref.signal_modes)
+    assert np.array_equal(dec.idler_modes, ref.idler_modes)
 
 
 def test_rejects_unnormalized_kernel():
@@ -216,3 +242,120 @@ def test_real_kernel_decomposes_like_its_complex_copy(build):
     # pair, so compare what the modes rebuild rather than the modes themselves
     diff = reconstruct_kernel(dec_real) - reconstruct_kernel(dec_complex)
     assert np.abs(diff).max() <= 1e-9 * np.abs(real.amplitude).max()
+
+
+# ---------------------------------------------------------------------------
+# the sketched decomposition against the dense SVD
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def dense_triplets(a, truncation):
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > SV_FLOOR * s[0]
+    return u[:, keep], s[keep], vh[keep, :]
+
+
+def dense_decompose(kernel, monkeypatch, truncation=None):
+    with monkeypatch.context() as patch:
+        patch.setattr(schmidt, "_leading_triplets", dense_triplets)
+        return schmidt_decompose(kernel, truncation)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to numpy.linalg.svd, in call order."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+def shipped_kernel(name):
+    return load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")).build_kernel()
+
+
+def chirped_kernel():
+    """Complex kernel: a quadratic pump chirp that does not factor in ks, ki."""
+    widths = PumpWidths(1.0, 2.0)
+    grid = grid_for(widths, n=256, span=6.0)
+    tk = sum_coordinate_grid(grid, grid).points()
+    pump = PumpSpectrum(tk, np.exp(-tk ** 2 / 2.0 + 0.3j * tk ** 2))
+    cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672, regime="collinear")
+    kernel = build_from_pump(pump, cfg, grid, grid, "gaussian", matching_width=2.0)
+    assert kernel.amplitude.dtype == np.complex128
+    return kernel
+
+
+@pytest.mark.parametrize("build", [
+    lambda: shipped_kernel("single_mode"),
+    lambda: shipped_kernel("three_modes"),
+    lambda: shipped_kernel("crosstalk"),
+    lambda: shipped_kernel("hologram"),
+    chirped_kernel,
+], ids=["single_mode", "three_modes", "crosstalk", "hologram", "chirped"])
+def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
+    kernel = build()
+    dec = schmidt_decompose(kernel)
+    # only blocks at most half the kernel's size were decomposed
+    assert svd_shapes and all(shape[0] <= min(kernel.amplitude.shape) / 2 for shape in svd_shapes)
+    ref = dense_decompose(kernel, monkeypatch)
+    assert dec.n_modes == ref.n_modes
+    assert np.allclose(dec.coefficients, ref.coefficients, rtol=1e-9, atol=0.0)
+    diff = reconstruct_kernel(dec) - reconstruct_kernel(ref)
+    assert np.abs(diff).max() <= 1e-9 * np.abs(kernel.amplitude).max()
+    assert dec.discarded_weight == pytest.approx(ref.discarded_weight, abs=1e-12)
+    assert dec.warnings == ref.warnings
+
+    again = schmidt_decompose(kernel)
+    assert np.array_equal(again.coefficients, dec.coefficients)
+    assert np.array_equal(again.signal_modes, dec.signal_modes)
+    assert np.array_equal(again.idler_modes, dec.idler_modes)
+
+
+def test_high_rank_kernel_falls_back_to_dense(monkeypatch, svd_shapes):
+    grid = WavevectorGrid.centered(0.0, 1.0, 64)
+    noise = np.random.default_rng(0).standard_normal((64, 64))
+    kernel = TpaKernel.from_array(grid, grid, noise)
+    dec = schmidt_decompose(kernel)
+    assert svd_shapes[-1] == (64, 64)
+    ref = dense_decompose(kernel, monkeypatch)
+    assert np.array_equal(dec.coefficients, ref.coefficients)
+    assert np.array_equal(dec.signal_modes, ref.signal_modes)
+    # one kept mode leaves room in a 32-wide block, but the weight the block
+    # misses is far above that mode's weight
+    svd_shapes.clear()
+    one = schmidt_decompose(kernel, truncation=1)
+    assert svd_shapes[-1] == (64, 64)
+    assert np.array_equal(one.coefficients, ref.coefficients[:1])
+
+
+def test_full_weight_target_runs_the_dense_svd(monkeypatch, svd_shapes):
+    kernel = double_gaussian_kernel()
+    dec = schmidt_decompose(kernel, truncation=1.0)
+    assert svd_shapes == [(321, 321)]
+    ref = dense_decompose(kernel, monkeypatch, truncation=1.0)
+    assert np.array_equal(dec.coefficients, ref.coefficients)
+    assert np.array_equal(dec.signal_modes, ref.signal_modes)
+
+
+def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
+    """K ~ 10 keeps all 64 capped modes; the sketch alone must resolve them."""
+    with open(os.path.join(CONFIG_DIR, "single_mode.yaml"), "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["pump"].update(envelope_fwhm_um=246.0, matching_width=0.19)
+    # the coarsest grid whose step the kernel builder accepts for this pump
+    data["grid"]["points"] = 795
+    cfg = parse_config(data)
+    dec = schmidt_decompose(cfg.build_kernel())
+    assert svd_shapes and all(shape[0] <= 795 / 2 for shape in svd_shapes)
+    analytic = analytic_double_gaussian(cfg.widths(), m_max=64)
+    assert analytic.schmidt_number == pytest.approx(10.0, rel=0.05)
+    assert dec.n_modes == 64
+    assert np.abs(dec.coefficients ** 2 - analytic.eigenvalues).max() <= 1e-9
