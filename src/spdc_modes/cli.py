@@ -20,7 +20,7 @@ import numpy as np
 
 from . import detection, exports, hologram, schmidt
 from .config import ConfigError, RunConfig, load_config
-from .optics import noncollinear_offset, sigma_k_to_fwhm
+from .optics import sigma_k_to_fwhm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,53 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def common(p):
-        p.add_argument("--config", required=True, metavar="PATH",
-                       help="YAML run configuration")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="output directory (overrides output.directory)")
-        p.add_argument("--grid-points", type=int, default=None, metavar="N",
-                       help="override grid.points")
-        p.add_argument("--both-branches", action="store_true",
-                       help="include both emission branches (overrides grid.both_branches)")
-
-    p = sub.add_parser("tpa", help="build the joint amplitude and export it",
-                       epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("schmidt", help="mode decomposition: coefficients and profiles",
-                       epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("scan", help="slit-scanned singles and coincidence spectra",
-                       epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-    p.add_argument("--idler-center", type=float, default=None, metavar="K",
-                   help="fixed idler slit center in 1/um (default: idler marginal peak)")
-    p.add_argument("--wavelength-avg", action="store_true",
-                   help="average the intensity over the spectral filter passband")
-    p.add_argument("--zero-width-slits", action="store_true",
-                   help="ideal zero-width slits (exact marginal / conditional slice)")
-
-    p = sub.add_parser("fedorov", help="unconditional/conditional width ratio",
-                       epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-    p.add_argument("--zero-width-slits", action="store_true",
-                   help="ideal zero-width slits (exact marginal / conditional slice)")
-
-    p = sub.add_parser("crosstalk", help="pairwise mode intensity-overlap matrix",
-                       epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("pump", help="crystal-plane structured pump field",
-                       epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
-    p = sub.add_parser("hologram", help="encode the pump into an SLM phase raster",
-                       epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
-
+    for name, (help_text, _handler, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, epilog=_EPILOG,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for flag, options in _COMMON_ARGUMENTS + extra:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -104,7 +62,7 @@ def _apply_overrides(cfg: RunConfig, args) -> tuple:
         changes["grid_points"] = args.grid_points
         notes.append(f"cli override: grid.points = {args.grid_points}")
     if args.both_branches:
-        changes["both_branches"] = True
+        changes["branch"] = "both"
         notes.append("cli override: grid.both_branches = true")
     if args.out is not None:
         changes["output_dir"] = args.out
@@ -115,14 +73,15 @@ def _apply_overrides(cfg: RunConfig, args) -> tuple:
 
 
 def _constants_lines(cfg: RunConfig) -> List[str]:
+    pump = cfg.pump
     lines = [
-        f"derived: pump angular-spectrum width sigma = {cfg.sigma_pump:.10g} 1/um",
-        f"derived: phase-matching width sigma' = {cfg.matching_width():.10g} 1/um",
-        f"derived: branch offset = {cfg.offset():.10g} 1/um",
+        f"derived: pump angular-spectrum width sigma = {pump.widths.sigma_pump:.10g} 1/um",
+        f"derived: phase-matching width sigma' = {pump.widths.sigma_match:.10g} 1/um",
+        f"derived: branch offset = {pump.noncollinear_offset:.10g} 1/um",
     ]
-    if cfg.phase_match.regime == "noncollinear" and cfg.offset_override is None:
-        angle = noncollinear_offset(cfg.phase_match).signal_angle_rad
-        lines.append(f"derived: internal emission angle = {math.degrees(angle):.6g} deg")
+    if cfg.emission_angle_rad is not None:
+        lines.append("derived: internal emission angle = "
+                     f"{math.degrees(cfg.emission_angle_rad):.6g} deg")
     return lines
 
 
@@ -130,15 +89,15 @@ def _cmd_tpa(cfg: RunConfig, args, out_dir: str) -> List[str]:
     kernel = cfg.build_kernel()
     path = os.path.join(out_dir, "kernel.csv")
     exports.write_kernel_csv(path, kernel)
-    lines = _constants_lines(cfg)
-    lines.append(f"signal grid: [{kernel.grid_s.k_min:.10g}, {kernel.grid_s.k_max:.10g}] "
-                 f"x {kernel.grid_s.n_points}")
-    lines.append(f"idler grid: [{kernel.grid_i.k_min:.10g}, {kernel.grid_i.k_max:.10g}] "
-                 f"x {kernel.grid_i.n_points}")
-    lines.append(f"norm check: {kernel.norm():.12f}")
-    lines += [f"warning: {w}" for w in kernel.warnings]
-    lines.append(f"wrote {path}")
-    return lines
+    return [
+        f"signal grid: [{kernel.grid_s.k_min:.10g}, {kernel.grid_s.k_max:.10g}] "
+        f"x {kernel.grid_s.n_points}",
+        f"idler grid: [{kernel.grid_i.k_min:.10g}, {kernel.grid_i.k_max:.10g}] "
+        f"x {kernel.grid_i.n_points}",
+        f"norm check: {kernel.norm():.12f}",
+        *[f"warning: {w}" for w in kernel.warnings],
+        f"wrote {path}",
+    ]
 
 
 def _cmd_schmidt(cfg: RunConfig, args, out_dir: str) -> List[str]:
@@ -151,8 +110,7 @@ def _cmd_schmidt(cfg: RunConfig, args, out_dir: str) -> List[str]:
     imodes_path = os.path.join(out_dir, "idler_modes.csv")
     exports.write_modes_csv(smodes_path, dec.grid_s.points(), dec.signal_modes)
     exports.write_modes_csv(imodes_path, dec.grid_i.points(), dec.idler_modes)
-    lines = _constants_lines(cfg)
-    lines += [
+    lines = [
         f"modes kept: {dec.n_modes}",
         f"leading coefficient c1 = {dec.coefficients[0]:.12f} (weight {dec.coefficients[0] ** 2:.12f})",
         f"mode count (participation) = {metrics.schmidt_number:.10f}",
@@ -168,12 +126,12 @@ def _cmd_schmidt(cfg: RunConfig, args, out_dir: str) -> List[str]:
 def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
     geom = cfg.geometry
     zero = args.zero_width_slits
-    lines = _constants_lines(cfg)
+    lines = []
 
     if args.wavelength_avg:
         grid_s, grid_i = cfg.grids()
-        source = detection.wavelength_average(cfg.phase_match, geom, cfg.multipeak_params(),
-                                              grid_s, grid_i, cfg.branch(),
+        source = detection.wavelength_average(cfg.phase_match, geom, cfg.pump,
+                                              grid_s, grid_i, cfg.branch,
                                               index_model=cfg.index_model())
         lines.append("intensity averaged over the spectral filter passband (21 samples)")
     else:
@@ -218,47 +176,41 @@ def _cmd_fedorov(cfg: RunConfig, args, out_dir: str) -> List[str]:
     kernel = cfg.build_kernel()
     ratio = detection.fedorov_ratio(kernel, cfg.geometry,
                                     zero_width=args.zero_width_slits)
-    lines = _constants_lines(cfg)
-    lines.append(f"width ratio (unconditional / conditional) = {ratio:.10f}")
-    return lines
+    return [f"width ratio (unconditional / conditional) = {ratio:.10f}"]
 
 
 def _cmd_crosstalk(cfg: RunConfig, args, out_dir: str) -> List[str]:
-    params = cfg.multipeak_params()
+    params = cfg.pump
     if params.n_peaks < 2:
         raise ValueError("crosstalk needs at least 2 pump peaks; set pump.peaks >= 2")
     grid_s, _ = cfg.grids()
-    scale = schmidt.analytic_double_gaussian(cfg.widths()).mode_scale
-    centers = params.mode_offsets() + cfg.offset() / 2.0
+    scale = schmidt.analytic_double_gaussian(params.widths).mode_scale
+    centers = params.mode_offsets() + params.noncollinear_offset / 2.0
     log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid_s)
     matrix = detection.crosstalk_matrix(log_modes, grid_s, log_input=True)
     path = os.path.join(out_dir, "crosstalk.csv")
     exports.write_crosstalk_csv(path, matrix)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)
-    lines = _constants_lines(cfg)
-    lines.append(f"mode centers (1/um): " + ", ".join(f"{c:.6g}" for c in centers))
-    lines.append(f"fundamental mode scale = {scale:.10g} 1/um")
-    lines.append(f"largest off-diagonal log10 = {matrix.log10()[off].max():.6g}")
-    lines.append(f"wrote {path}")
-    return lines
+    return ["mode centers (1/um): " + ", ".join(f"{c:.6g}" for c in centers),
+            f"fundamental mode scale = {scale:.10g} 1/um",
+            f"largest off-diagonal log10 = {matrix.log10()[off].max():.6g}",
+            f"wrote {path}"]
 
 
 def _cmd_pump(cfg: RunConfig, args, out_dir: str) -> List[str]:
-    params = cfg.multipeak_params()
+    params = cfg.pump
     span = 4.5 / params.widths.sigma_pump
     x = np.linspace(-span, span, 4096)
     profile = hologram.pump_field(params, x)
     path = os.path.join(out_dir, "pump_field.csv")
     exports.write_field_csv(path, profile)
-    lines = _constants_lines(cfg)
     split = params.peak_spacing if params.n_peaks > 1 else None
-    lines.append(f"envelope FWHM = {hologram.envelope_fwhm(profile, split):.10g} um")
-    lines.append(f"wrote {path}")
-    return lines
+    return [f"envelope FWHM = {hologram.envelope_fwhm(profile, split):.10g} um",
+            f"wrote {path}"]
 
 
 def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
-    params = cfg.multipeak_params()
+    params = cfg.pump
     hs = cfg.hologram
     x_slm = hologram.raster_coordinates(hs.width_px, hs.pixel_pitch_um)
     crystal = hologram.pump_field(params, x_slm / hs.magnification)
@@ -274,8 +226,7 @@ def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
     # onto the SLM the first one lands at 2*spacing/mag, so split halfway below it
     split = params.peak_spacing / hs.magnification if params.n_peaks > 1 else None
     env_slm = hologram.envelope_fwhm(recovered, split)
-    lines = _constants_lines(cfg)
-    lines += [
+    return [
         f"raster: {hs.width_px} x {hs.height_px} px at {hs.pixel_pitch_um} um pitch, "
         f"grating period {hs.grating_period_px} px",
         f"magnification crystal->SLM = {hs.magnification}",
@@ -285,17 +236,35 @@ def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
         f"target envelope FWHM (crystal plane) = {sigma_k_to_fwhm(params.widths.sigma_pump):.10g} um",
         f"wrote {path}",
     ]
-    return lines
 
 
-_HANDLERS = {
-    "tpa": _cmd_tpa,
-    "schmidt": _cmd_schmidt,
-    "scan": _cmd_scan,
-    "fedorov": _cmd_fedorov,
-    "crosstalk": _cmd_crosstalk,
-    "pump": _cmd_pump,
-    "hologram": _cmd_hologram,
+_ZERO_WIDTH = ("--zero-width-slits", dict(
+    action="store_true", help="ideal zero-width slits (exact marginal / conditional slice)"))
+_COMMON_ARGUMENTS = (
+    ("--config", dict(required=True, metavar="PATH", help="YAML run configuration")),
+    ("--out", dict(metavar="DIR", default=None,
+                   help="output directory (overrides output.directory)")),
+    ("--grid-points", dict(type=int, default=None, metavar="N", help="override grid.points")),
+    ("--both-branches", dict(
+        action="store_true",
+        help="include both emission branches (overrides grid.both_branches)")),
+)
+# name: (help line, handler, arguments beyond the common ones)
+_COMMANDS = {
+    "tpa": ("build the joint amplitude and export it", _cmd_tpa, ()),
+    "schmidt": ("mode decomposition: coefficients and profiles", _cmd_schmidt, ()),
+    "scan": ("slit-scanned singles and coincidence spectra", _cmd_scan, (
+        ("--idler-center", dict(
+            type=float, default=None, metavar="K",
+            help="fixed idler slit center in 1/um (default: idler marginal peak)")),
+        ("--wavelength-avg", dict(
+            action="store_true", help="average the intensity over the spectral filter passband")),
+        _ZERO_WIDTH,
+    )),
+    "fedorov": ("unconditional/conditional width ratio", _cmd_fedorov, (_ZERO_WIDTH,)),
+    "crosstalk": ("pairwise mode intensity-overlap matrix", _cmd_crosstalk, ()),
+    "pump": ("crystal-plane structured pump field", _cmd_pump, ()),
+    "hologram": ("encode the pump into an SLM phase raster", _cmd_hologram, ()),
 }
 
 
@@ -317,12 +286,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_IO
 
     try:
-        result_lines = _HANDLERS[args.command](cfg, args, out_dir)
+        result_lines = _constants_lines(cfg) + _COMMANDS[args.command][1](cfg, args, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except ArithmeticError as exc:
+        print(f"computation error: {type(exc).__name__} {exc}; "
+              "the parameters are outside the model's numerical range", file=sys.stderr)
         return EXIT_COMPUTE
     except MemoryError:
         n = cfg.grid_points

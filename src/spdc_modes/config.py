@@ -9,8 +9,9 @@ path, and every accepted value is recorded with its origin ("user" or
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import yaml
 
@@ -44,6 +45,8 @@ def _coerce(value, kind, path):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # nan, inf, or an int past float range
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -86,7 +89,8 @@ class _Section:
             raise ConfigError(f"missing required key: {path}")
         else:
             value, source = default, "default"
-        if value is not None and kind is not None:
+        # an explicit null stands only for a key whose default is null
+        if kind is not None and not (value is None and default is None):
             value = _coerce(value, kind, path)
         self._prov.append((path, value, source))
         return value
@@ -157,63 +161,31 @@ class HologramSettings:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Fully validated run parameters in canonical units."""
+    """Fully validated run parameters in canonical units.
+
+    ``pump`` is resolved at parse time: its offset and both Gaussian widths
+    are final. ``emission_angle_rad`` is the internal emission angle when
+    the offset was derived from a noncollinear geometry, else None.
+    """
 
     phase_match: PhaseMatchConfig
     sellmeier: Optional[SellmeierCoefficients]
-    cut_angle_rad: Optional[float]
-    offset_override: Optional[float]
-    n_peaks: int
-    sigma_pump: float
-    peak_spacing: float
-    side_amplitude: Optional[float]
-    matching_width_mode: Union[str, float]
+    pump: MultiPeakParams
+    emission_angle_rad: Optional[float]
     grid_points: int
     span_sigmas: float
-    both_branches: bool
+    branch: str
     geometry: DetectionGeometry
     hologram: HologramSettings
     output_dir: str
     provenance: Tuple[tuple, ...] = field(default_factory=tuple)
 
-    # -- derived quantities ------------------------------------------------
-
-    def branch(self) -> str:
-        return "both" if self.both_branches else "+"
-
-    def offset(self) -> float:
-        if self.offset_override is not None:
-            return self.offset_override
-        if self.phase_match.regime == "collinear":
-            return 0.0
-        return noncollinear_offset(self.phase_match).offset_um_inv
-
-    def matching_width(self) -> float:
-        if self.matching_width_mode == "equal":
-            return self.sigma_pump
-        if self.matching_width_mode == "derived":
-            return phase_matching_width(self.phase_match)
-        return float(self.matching_width_mode)
-
-    def widths(self) -> PumpWidths:
-        return PumpWidths(self.sigma_pump, self.matching_width())
-
-    def multipeak_params(self) -> MultiPeakParams:
-        return MultiPeakParams(
-            n_peaks=self.n_peaks,
-            peak_spacing=self.peak_spacing,
-            noncollinear_offset=self.offset(),
-            widths=self.widths(),
-            side_amplitude=self.side_amplitude,
-        )
-
     def grids(self) -> tuple:
-        return default_grids(self.multipeak_params(), self.grid_points,
-                             self.span_sigmas, self.branch())
+        return default_grids(self.pump, self.grid_points, self.span_sigmas, self.branch)
 
     def build_kernel(self) -> TpaKernel:
         grid_s, grid_i = self.grids()
-        return build_multipeak(self.multipeak_params(), grid_s, grid_i, self.branch())
+        return build_multipeak(self.pump, grid_s, grid_i, self.branch)
 
     def index_model(self) -> Optional[Callable[[float], float]]:
         """Wavelength (um) to downconverted-wave index, when dispersion is known."""
@@ -264,7 +236,6 @@ def parse_config(data: dict) -> RunConfig:
         )
 
     sellmeier = None
-    cut_angle_rad = None
     declared_external = None
     if has_indices:
         idx = pm.section("indices", required=True)
@@ -276,20 +247,19 @@ def parse_config(data: dict) -> RunConfig:
         ordinary = _parse_sellmeier_axis(sm.section("ordinary", required=True))
         extraordinary = _parse_sellmeier_axis(sm.section("extraordinary", required=True))
         valid = sm.take("valid_range_um", default=[0.2, 1.1])
-        if (not isinstance(valid, (list, tuple)) or len(valid) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in valid)):
+        if not isinstance(valid, (list, tuple)) or len(valid) != 2:
             raise ConfigError("phase_match.sellmeier.valid_range_um must be [low, high]")
-        sellmeier = SellmeierCoefficients(ordinary, extraordinary,
-                                          (float(valid[0]), float(valid[1])))
+        valid = tuple(_coerce(v, float, "phase_match.sellmeier.valid_range_um") for v in valid)
+        sellmeier = SellmeierCoefficients(ordinary, extraordinary, valid)
         cut_angle_rad = math.radians(sm.take("cut_angle_deg", kind=float))
         declared_external = sm.take("external_signal_angle_deg", default=None, kind=float)
         sm.finish()
-        signal_lam_nm = 2.0 * pump_um * 1e3
-        n_signal, _ = refractive_indices(sellmeier, signal_lam_nm)
-        _, n_pump = refractive_indices(sellmeier, pump_um * 1e3, cut_angle_rad)
     pm.finish()
 
     try:
+        if sellmeier is not None:
+            n_signal, _ = refractive_indices(sellmeier, 2.0 * pump_um * 1e3)
+            _, n_pump = refractive_indices(sellmeier, pump_um * 1e3, cut_angle_rad)
         phase_match = PhaseMatchConfig(
             crystal_length_um=crystal_um,
             pump_wavelength_um=pump_um,
@@ -297,17 +267,16 @@ def parse_config(data: dict) -> RunConfig:
             n_pump=n_pump,
             regime=regime,
         )
+        if declared_external is not None:
+            derived = math.degrees(external_signal_angle(phase_match))
+            if abs(derived - declared_external) > ANGLE_CHECK_RTOL * abs(declared_external):
+                raise ConfigError(
+                    f"dispersion data yields an external emission angle of {derived:.3f} deg, "
+                    f"but the config declares {declared_external:.3f} deg; "
+                    "fix the cut angle or the declared angle"
+                )
     except ValueError as exc:
         raise ConfigError(f"phase_match: {exc}") from exc
-
-    if declared_external is not None:
-        derived = math.degrees(external_signal_angle(phase_match))
-        if abs(derived - declared_external) > ANGLE_CHECK_RTOL * abs(declared_external):
-            raise ConfigError(
-                f"dispersion data yields an external emission angle of {derived:.3f} deg, "
-                f"but the config declares {declared_external:.3f} deg; "
-                "fix the cut angle or the declared angle"
-            )
 
     pump_sec = root.section("pump", required=True)
     n_peaks = pump_sec.take("peaks", default=1, kind=int)
@@ -340,7 +309,7 @@ def parse_config(data: dict) -> RunConfig:
     elif isinstance(matching, bool) or not isinstance(matching, (int, float)):
         raise ConfigError(f"pump.matching_width must be a mode name or a number, got {matching!r}")
     else:
-        matching = float(matching)
+        matching = _coerce(matching, float, "pump.matching_width")
         if matching <= 0:
             raise ConfigError(f"explicit pump.matching_width must be positive, got {matching}")
     pump_sec.finish()
@@ -348,7 +317,7 @@ def parse_config(data: dict) -> RunConfig:
     grid = root.section("grid")
     grid_points = grid.take("points", default=512, kind=int)
     span_sigmas = grid.take("span_sigmas", default=5.0, kind=float)
-    both_branches = grid.take("both_branches", default=False, kind=bool)
+    branch = "both" if grid.take("both_branches", default=False, kind=bool) else "+"
     grid.finish()
     if grid_points < 16:
         raise ConfigError(f"grid.points must be at least 16, got {grid_points}")
@@ -387,30 +356,40 @@ def parse_config(data: dict) -> RunConfig:
 
     root.finish()
 
-    cfg = RunConfig(
+    # resolve the pump last, so it fails fast on parameter combinations the
+    # builders would reject only after every key has been checked
+    try:
+        angle = None
+        if offset_override is not None:
+            offset = offset_override
+        elif regime == "collinear":
+            offset = 0.0
+        else:
+            offset, angle = noncollinear_offset(phase_match)
+        if matching == "equal":
+            sigma_match = sigma_pump
+        elif matching == "derived":
+            sigma_match = phase_matching_width(phase_match)
+        else:
+            sigma_match = matching
+        pump = MultiPeakParams(n_peaks, peak_spacing, offset,
+                               PumpWidths(sigma_pump, sigma_match), side_amplitude)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    return RunConfig(
         phase_match=phase_match,
         sellmeier=sellmeier,
-        cut_angle_rad=cut_angle_rad,
-        offset_override=offset_override,
-        n_peaks=n_peaks,
-        sigma_pump=sigma_pump,
-        peak_spacing=peak_spacing,
-        side_amplitude=side_amplitude,
-        matching_width_mode=matching,
+        pump=pump,
+        emission_angle_rad=angle,
         grid_points=grid_points,
         span_sigmas=span_sigmas,
-        both_branches=both_branches,
+        branch=branch,
         geometry=geometry,
         hologram=hologram,
         output_dir=output_dir,
         provenance=tuple(prov),
     )
-    # fail fast on parameter combinations the builders would reject anyway
-    try:
-        cfg.multipeak_params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -63,8 +63,7 @@ class DetectionGeometry:
             w = self.slit_width_idler_mm
         else:
             raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
-        lam_um = (wavelength_nm or self.central_wavelength_nm) * 1e-3
-        return 2.0 * math.pi * self.medium_index / lam_um * (w / self.focal_length_mm)
+        return self.position_to_wavevector(w, wavelength_nm)
 
 
 @dataclass(frozen=True, eq=False)

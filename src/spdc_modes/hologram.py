@@ -68,6 +68,8 @@ def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> FieldProfile1D:
     peak = np.abs(field).max()
     if peak == 0:
         raise ValueError("pump field vanished; check the parameters")
+    if not np.isfinite(peak):
+        raise ValueError("pump field is not finite; check the parameters")
     return FieldProfile1D(x, field / peak)
 
 

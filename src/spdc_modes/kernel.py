@@ -100,23 +100,16 @@ def _check_resolution(grid: WavevectorGrid, narrowest: float, label: str) -> Non
         raise ValueError(
             f"{label} grid step {grid.spacing:.4g} cannot resolve the narrowest "
             f"width {narrowest:.4g}; need step <= {MAX_STEP_FRACTION * narrowest:.4g} "
-            f"(>= {int(math.ceil((grid.k_max - grid.k_min) / (MAX_STEP_FRACTION * narrowest))) + 1} points)"
+            f"(>= {np.ceil((grid.k_max - grid.k_min) / (MAX_STEP_FRACTION * narrowest)) + 1:.0f} points)"
         )
 
 
-def _coverage_warnings(grid_s, grid_i, lo_s, hi_s, lo_i, hi_i) -> list:
-    out = []
-    if not grid_s.covers(lo_s, hi_s):
-        out.append(
-            f"signal grid [{grid_s.k_min:.4g}, {grid_s.k_max:.4g}] clips the amplitude "
-            f"support [{lo_s:.4g}, {hi_s:.4g}]; tails are truncated"
-        )
-    if not grid_i.covers(lo_i, hi_i):
-        out.append(
-            f"idler grid [{grid_i.k_min:.4g}, {grid_i.k_max:.4g}] clips the amplitude "
-            f"support [{lo_i:.4g}, {hi_i:.4g}]; tails are truncated"
-        )
-    return out
+def _coverage_warnings(grid_s, grid_i, cover_s, cover_i) -> list:
+    """One warning per grid that does not span its cover (the amplitude support)."""
+    return [f"{label} grid [{grid.k_min:.4g}, {grid.k_max:.4g}] clips the amplitude "
+            f"support [{cover.k_min:.4g}, {cover.k_max:.4g}]; tails are truncated"
+            for label, grid, cover in (("signal", grid_s, cover_s), ("idler", grid_i, cover_i))
+            if not grid.covers(cover.k_min, cover.k_max)]
 
 
 def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
@@ -130,8 +123,8 @@ def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
         grid_i = grid_s
     _check_resolution(grid_s, widths.narrowest, "signal")
     _check_resolution(grid_i, widths.narrowest, "idler")
-    half = MIN_COVER_SIGMAS * widths.widest
-    warns = _coverage_warnings(grid_s, grid_i, -half, half, -half, half)
+    cover = WavevectorGrid.centered(0.0, MIN_COVER_SIGMAS * widths.widest, grid_s.n_points)
+    warns = _coverage_warnings(grid_s, grid_i, cover, cover)
 
     ks = grid_s.points()[:, None]
     ki = grid_i.points()[None, :]
@@ -253,19 +246,8 @@ def _multipeak_pump(params: MultiPeakParams, grid_s: WavevectorGrid,
             "per-peak factorization is invalid"
         )
 
-    k0_half = params.noncollinear_offset / 2.0
-    extent = float(np.max(np.abs(params.mode_offsets())))
-    half = extent + MIN_COVER_SIGMAS * widths.widest
-    if branch == "+":
-        lo_s, hi_s = k0_half - half, k0_half + half
-        lo_i, hi_i = -k0_half - half, -k0_half + half
-    elif branch == "-":
-        lo_s, hi_s = -k0_half - half, -k0_half + half
-        lo_i, hi_i = k0_half - half, k0_half + half
-    else:
-        lo_s, hi_s = -k0_half - half, k0_half + half
-        lo_i, hi_i = lo_s, hi_s
-    warns += _coverage_warnings(grid_s, grid_i, lo_s, hi_s, lo_i, hi_i)
+    warns += _coverage_warnings(grid_s, grid_i, *default_grids(
+        params, grid_s.n_points, MIN_COVER_SIGMAS, branch))
 
     total = grid_s.points()[:, None] + grid_i.points()[None, :]
     pump = np.zeros_like(total)

@@ -63,8 +63,6 @@ class PhaseMatchConfig:
     pump_wavelength_um: float
     n_signal: float
     n_pump: float
-    sinc_sq_fit: float = SINC_SQ_GAUSSIAN_FIT
-    sinc_fit: float = SINC_GAUSSIAN_FIT
     regime: str = "noncollinear"
 
     def __post_init__(self):
@@ -74,8 +72,6 @@ class PhaseMatchConfig:
             raise ValueError(f"pump wavelength must be positive, got {self.pump_wavelength_um} um")
         if self.n_signal <= 0 or self.n_pump <= 0:
             raise ValueError("refractive indices must be positive")
-        if self.sinc_sq_fit <= 0 or self.sinc_fit <= 0:
-            raise ValueError("sinc fit coefficients must be positive")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.regime == "noncollinear" and self.n_signal <= self.n_pump:
@@ -120,10 +116,10 @@ def phase_matching_width(config: PhaseMatchConfig) -> float:
     """
     length = config.crystal_length_um
     if config.regime == "collinear":
-        return math.sqrt(4.0 * config.pump_wavevector / (config.sinc_sq_fit * length))
+        return math.sqrt(4.0 * config.pump_wavevector / (SINC_SQ_GAUSSIAN_FIT * length))
     dn = config.n_signal - config.n_pump
     # __post_init__ already guarantees dn > 0 for the noncollinear regime
-    return math.sqrt(config.n_signal) / (length * math.sqrt(dn * config.sinc_fit))
+    return math.sqrt(config.n_signal) / (length * math.sqrt(dn * SINC_GAUSSIAN_FIT))
 
 
 class OffsetAngle(NamedTuple):
@@ -235,6 +231,8 @@ class WavevectorGrid:
             raise ValueError(f"need at least 16 grid points, got {self.n_points}")
         if not self.k_max > self.k_min:
             raise ValueError(f"empty grid: k_min={self.k_min}, k_max={self.k_max}")
+        if not math.isfinite(self.k_max - self.k_min):
+            raise ValueError(f"grid span [{self.k_min}, {self.k_max}] is not finite")
 
     @classmethod
     def centered(cls, center: float, half_span: float, n_points: int) -> "WavevectorGrid":

@@ -95,10 +95,13 @@ def schmidt_decompose(kernel: TpaKernel,
     signal = (u[:, :n] / math.sqrt(dks)).T.copy()
     idler = vh[:n, :] / math.sqrt(dki)
 
-    # fix the SVD's arbitrary per-pair phase: largest-|value| sample of each
-    # signal mode is made real positive, idler flipped in step
+    # fix the SVD's arbitrary per-pair phase: the first (smallest-k) sample of
+    # each signal mode reaching half its largest |value| is made real positive,
+    # idler flipped in step; the largest |value| itself can tie between mirror
+    # samples +-k to rounding, and a threshold well below it does not
     for m in range(n):
-        j = int(np.argmax(np.abs(signal[m])))
+        mag = np.abs(signal[m])
+        j = int(np.argmax(mag >= 0.5 * mag.max()))
         pivot = signal[m, j]
         if pivot != 0:
             phase = pivot / abs(pivot)

@@ -128,17 +128,17 @@ def test_three_peak_spectrum_and_slit_selection():
             coinc = coincidence_scan(kernel, cfg.geometry, p, "signal", zero_width=True)
             cpos, _ = find_peaks(coinc, min_height_frac=0.05)
             assert cpos.size == 1
-            assert cpos[0] == pytest.approx(p + cfg.offset(), abs=2.0 * step)
+            assert cpos[0] == pytest.approx(p + cfg.pump.noncollinear_offset, abs=2.0 * step)
 
 
 def test_crosstalk_is_negligible_and_log_safe():
     with criterion("mode-crosstalk-bound"):
         cfg = load_config(CROSSTALK)
-        params = cfg.multipeak_params()
+        params = cfg.pump
         grid_s, _ = cfg.grids()
-        widths = cfg.widths()
+        widths = params.widths
         scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
-        centers = params.mode_offsets() + cfg.offset() / 2.0
+        centers = params.mode_offsets() + params.noncollinear_offset / 2.0
         logs = gaussian_mode_log_intensities(centers, scale, grid_s)
         matrix = crosstalk_matrix(logs, grid_s, log_input=True)
         off = ~np.eye(matrix.values.shape[0], dtype=bool)

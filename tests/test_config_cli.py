@@ -1,16 +1,22 @@
 """Config parsing contract and end-to-end command-line runs."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdc_modes import cli
 from spdc_modes.cli import build_parser, main
@@ -45,16 +51,16 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config(minimal())
     assert cfg.grid_points == 512
     assert cfg.span_sigmas == 5.0
-    assert cfg.branch() == "+"
+    assert cfg.branch == "+"
     assert cfg.output_dir == "out"
-    assert cfg.n_peaks == 1
-    assert cfg.peak_spacing == 0.0
-    assert cfg.side_amplitude is None
-    assert cfg.matching_width_mode == "derived"
+    assert cfg.pump.n_peaks == 1
+    assert cfg.pump.peak_spacing == 0.0
+    assert cfg.pump.side_amplitude is None
+    assert cfg.pump.widths.sigma_match == phase_matching_width(cfg.phase_match)  # derived
     assert cfg.geometry.central_wavelength_nm == pytest.approx(810.0)
     assert cfg.geometry.filter_fwhm_nm == 10.0
     assert cfg.hologram.width_px == 1920
-    assert cfg.sigma_pump == pytest.approx(0.009419280180123796, rel=1e-14)
+    assert cfg.pump.widths.sigma_pump == pytest.approx(0.009419280180123796, rel=1e-14)
     assert cfg.sellmeier is None
     assert cfg.index_model() is None
 
@@ -118,11 +124,12 @@ def test_sellmeier_config_derivations():
     cfg = load_config(THREE)
     assert cfg.phase_match.n_signal == pytest.approx(N_SIGNAL, rel=1e-14)
     assert cfg.phase_match.n_pump == pytest.approx(N_PUMP, rel=1e-14)
-    assert cfg.offset() == pytest.approx(1.3469921957226902, rel=1e-12)
+    assert cfg.pump.noncollinear_offset == pytest.approx(1.3469921957226902, rel=1e-12)
     ns, np_ = N_SIGNAL, N_PUMP
     expected_width = math.sqrt(ns) / (3000.0 * math.sqrt((ns - np_) * 0.195))
-    assert cfg.matching_width() == pytest.approx(expected_width, rel=1e-12)
-    assert cfg.matching_width() == pytest.approx(phase_matching_width(cfg.phase_match), rel=0)
+    sigma_match = cfg.pump.widths.sigma_match
+    assert sigma_match == pytest.approx(expected_width, rel=1e-12)
+    assert sigma_match == pytest.approx(phase_matching_width(cfg.phase_match), rel=0)
 
     model = cfg.index_model()
     assert model is not None
@@ -131,7 +138,7 @@ def test_sellmeier_config_derivations():
         model(2.0)
 
     single = load_config(SINGLE)
-    widths = single.widths()
+    widths = single.pump.widths
     assert widths.sigma_match == widths.sigma_pump  # matching_width: equal
 
 
@@ -150,8 +157,7 @@ def test_normalized_round_trips_to_a_fixed_point():
     tree = cfg.normalized()
     cfg2 = parse_config(tree)
     assert cfg2.normalized() == tree
-    assert cfg2.offset() == cfg.offset()
-    assert cfg2.sigma_pump == cfg.sigma_pump
+    assert cfg2.pump == cfg.pump
     assert cfg2.grid_points == cfg.grid_points
     assert any("[default]" in line for line in cfg.provenance_lines())
     assert any("[user]" in line for line in cfg.provenance_lines())
@@ -180,7 +186,8 @@ def test_offset_override_wins():
     data = minimal()
     data["phase_match"]["offset_override_um_inv"] = 2.0
     cfg = parse_config(data)
-    assert cfg.offset() == 2.0
+    assert cfg.pump.noncollinear_offset == 2.0
+    assert cfg.emission_angle_rad is None
 
 
 def test_grid_and_width_bounds():
@@ -201,7 +208,7 @@ def test_grid_and_width_bounds():
 def test_matching_width_forms():
     data = minimal()
     data["pump"]["matching_width"] = 0.0211
-    assert parse_config(data).matching_width() == pytest.approx(0.0211)
+    assert parse_config(data).pump.widths.sigma_match == pytest.approx(0.0211)
     data["pump"]["matching_width"] = "auto"
     with pytest.raises(ConfigError, match="matching_width"):
         parse_config(data)
@@ -254,6 +261,96 @@ def test_load_config_errors(tmp_path):
         load_config(str(listy))
 
 
+def shipped(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+def run_config(tmp_path, data, *argv):
+    """main() on ``data`` written to a file: (exit code, stdout, stderr)."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"valid_range_um": [0.2, 0.5]}, "validity window"),
+    ({"ordinary": {"a": 2.7359, "b": 0.01878, "c": 0.9, "d": 0.01354}}, "resonance pole"),
+    ({"ordinary": {"a": -5.0, "b": 0.01878, "c": 0.01822, "d": 0.01354}}, "n\\^2 = "),
+    ({"cut_angle_deg": 89.0}, "critical angle"),
+], ids=["window", "pole", "negative-n2", "past-critical-angle"])
+def test_dispersion_failures_are_config_errors(tmp_path, patch, message):
+    data = shipped(SINGLE)
+    data["phase_match"]["sellmeier"].update(patch)
+    code, out, err = run_config(tmp_path, data, "tpa")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert re.match(f"configuration error: phase_match: .*{message}", err)
+
+
+@pytest.mark.parametrize("section, key, kind", [
+    ("grid", "points", "an integer"),
+    ("pump", "envelope_fwhm_um", "a number"),
+    ("phase_match", "crystal_length_mm", "a number"),
+    ("detection", "focal_length_mm", "a number"),
+    ("hologram", "magnification", "a number"),
+])
+def test_explicit_null_is_rejected_unless_the_default_is_null(tmp_path, section, key, kind):
+    data = shipped(SINGLE)
+    data.setdefault(section, {})[key] = None
+    code, out, err = run_config(tmp_path, data, "pump")
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {section}.{key} must be {kind}, got None\n"
+
+
+@pytest.mark.parametrize("path, value", [
+    ("phase_match.crystal_length_mm", 10 ** 400),
+    ("pump.matching_width", 10 ** 400),
+    ("phase_match.sellmeier.valid_range_um", [0.2, 10 ** 400]),
+    ("pump.envelope_fwhm_um", math.nan),
+    ("grid.span_sigmas", math.inf),
+], ids=["huge-int", "huge-int-width", "huge-int-range", "nan", "inf"])
+def test_non_finite_numbers_are_config_errors(tmp_path, path, value):
+    data = shipped(THREE)
+    *sections, key = path.split(".")
+    node = data
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    code, out, err = run_config(tmp_path, data, "tpa")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: {path} must be a finite number")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("tpa", "grid", "span_sigmas", 1e308),
+    ("tpa", "pump", "envelope_fwhm_um", 2.5e-298),  # sigma^2 overflows a float
+    ("pump", "pump", "envelope_fwhm_um", 2.5e302),  # x^2 overflows: a NaN field
+], ids=["grid-span", "narrow-pump", "wide-pump"])
+def test_overflows_are_computation_errors(tmp_path, command, section, key, value):
+    data = shipped(SINGLE)
+    data[section][key] = value
+    code, out, err = run_config(tmp_path, data, command)
+    assert (code, out) == (3, "")
+    assert err.startswith("computation error: ") and err.count("\n") == 1
+
+
+def test_explicit_null_stands_for_a_null_default():
+    data = minimal()
+    data["phase_match"]["offset_override_um_inv"] = None
+    data["pump"]["side_amplitude"] = None
+    cfg = parse_config(data)
+    assert cfg.pump.side_amplitude is None
+    assert cfg.emission_angle_rad is not None  # offset derived, not overridden
+    assert parse_config(cfg.normalized()).normalized() == cfg.normalized()
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -263,6 +360,138 @@ def test_cli_help_lists_commands_and_exit_codes():
     assert "exit codes" in text
     for name in ("tpa", "schmidt", "scan", "fedorov", "crosstalk", "pump", "hologram"):
         assert name in text
+
+
+# every help page at 80 columns, so the subcommand table cannot drift
+HELP_EPILOG = """
+exit codes:
+  0  success
+  2  configuration problem (bad file, unknown or invalid keys, inconsistent values)
+  3  computation failure (parameters outside a model's reach, or out of memory)
+  4  output I/O failure
+"""
+HELP_PAGES = {
+    "top": """\
+usage: spdc-modes [-h] SUBCOMMAND ...
+
+Biphoton angular-spectrum toolkit: kernels, mode decompositions, slit scans, and pump holograms.
+
+positional arguments:
+  SUBCOMMAND
+    tpa       build the joint amplitude and export it
+    schmidt   mode decomposition: coefficients and profiles
+    scan      slit-scanned singles and coincidence spectra
+    fedorov   unconditional/conditional width ratio
+    crosstalk
+              pairwise mode intensity-overlap matrix
+    pump      crystal-plane structured pump field
+    hologram  encode the pump into an SLM phase raster
+
+options:
+  -h, --help  show this help message and exit
+""" + HELP_EPILOG,
+    "tpa": """\
+usage: spdc-modes tpa [-h] --config PATH [--out DIR] [--grid-points N]
+                      [--both-branches]
+
+options:
+  -h, --help       show this help message and exit
+  --config PATH    YAML run configuration
+  --out DIR        output directory (overrides output.directory)
+  --grid-points N  override grid.points
+  --both-branches  include both emission branches (overrides
+                   grid.both_branches)
+""" + HELP_EPILOG,
+    "schmidt": """\
+usage: spdc-modes schmidt [-h] --config PATH [--out DIR] [--grid-points N]
+                          [--both-branches]
+
+options:
+  -h, --help       show this help message and exit
+  --config PATH    YAML run configuration
+  --out DIR        output directory (overrides output.directory)
+  --grid-points N  override grid.points
+  --both-branches  include both emission branches (overrides
+                   grid.both_branches)
+""" + HELP_EPILOG,
+    "scan": """\
+usage: spdc-modes scan [-h] --config PATH [--out DIR] [--grid-points N]
+                       [--both-branches] [--idler-center K] [--wavelength-avg]
+                       [--zero-width-slits]
+
+options:
+  -h, --help          show this help message and exit
+  --config PATH       YAML run configuration
+  --out DIR           output directory (overrides output.directory)
+  --grid-points N     override grid.points
+  --both-branches     include both emission branches (overrides
+                      grid.both_branches)
+  --idler-center K    fixed idler slit center in 1/um (default: idler marginal
+                      peak)
+  --wavelength-avg    average the intensity over the spectral filter passband
+  --zero-width-slits  ideal zero-width slits (exact marginal / conditional
+                      slice)
+""" + HELP_EPILOG,
+    "fedorov": """\
+usage: spdc-modes fedorov [-h] --config PATH [--out DIR] [--grid-points N]
+                          [--both-branches] [--zero-width-slits]
+
+options:
+  -h, --help          show this help message and exit
+  --config PATH       YAML run configuration
+  --out DIR           output directory (overrides output.directory)
+  --grid-points N     override grid.points
+  --both-branches     include both emission branches (overrides
+                      grid.both_branches)
+  --zero-width-slits  ideal zero-width slits (exact marginal / conditional
+                      slice)
+""" + HELP_EPILOG,
+    "crosstalk": """\
+usage: spdc-modes crosstalk [-h] --config PATH [--out DIR] [--grid-points N]
+                            [--both-branches]
+
+options:
+  -h, --help       show this help message and exit
+  --config PATH    YAML run configuration
+  --out DIR        output directory (overrides output.directory)
+  --grid-points N  override grid.points
+  --both-branches  include both emission branches (overrides
+                   grid.both_branches)
+""" + HELP_EPILOG,
+    "pump": """\
+usage: spdc-modes pump [-h] --config PATH [--out DIR] [--grid-points N]
+                       [--both-branches]
+
+options:
+  -h, --help       show this help message and exit
+  --config PATH    YAML run configuration
+  --out DIR        output directory (overrides output.directory)
+  --grid-points N  override grid.points
+  --both-branches  include both emission branches (overrides
+                   grid.both_branches)
+""" + HELP_EPILOG,
+    "hologram": """\
+usage: spdc-modes hologram [-h] --config PATH [--out DIR] [--grid-points N]
+                           [--both-branches]
+
+options:
+  -h, --help       show this help message and exit
+  --config PATH    YAML run configuration
+  --out DIR        output directory (overrides output.directory)
+  --grid-points N  override grid.points
+  --both-branches  include both emission branches (overrides
+                   grid.both_branches)
+""" + HELP_EPILOG,
+}
+
+
+@pytest.mark.parametrize("page", sorted(HELP_PAGES))
+def test_cli_help_pages_are_pinned(page, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(["--help"] if page == "top" else [page, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == HELP_PAGES[page]
 
 
 def test_cli_missing_config_is_exit_2(tmp_path, capsys):
@@ -294,7 +523,8 @@ def test_cli_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     def exhausted(cfg, args, out_dir):
         raise MemoryError()
 
-    monkeypatch.setitem(cli._HANDLERS, "tpa", exhausted)
+    help_text, _handler, extra = cli._COMMANDS["tpa"]
+    monkeypatch.setitem(cli._COMMANDS, "tpa", (help_text, exhausted, extra))
     assert main(["tpa", "--config", SINGLE, "--out", str(tmp_path),
                  "--grid-points", "4096"]) == 3
     err = capsys.readouterr().err
@@ -441,3 +671,102 @@ def test_cli_import_leaves_scipy_optimize_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: perturbed shipped configs through the whole command line
+# ---------------------------------------------------------------------------
+
+SHIPPED = {os.path.basename(p): shipped(p) for p in (SINGLE, THREE, CROSSTALK, HOLOGRAM)}
+# ceilings on the sizes that set memory use and run time, so no case allocates much
+MAX_GRID_POINTS = 256
+MAX_RASTER_SIDE = 2048
+MAX_PEAKS = 64
+
+EDGE_VALUES = (None, True, False, 0, -1, 1, 2 ** 63, 10 ** 400, 0.0, -0.0, 1e-320, 1e308,
+               math.nan, math.inf, -math.inf, "", "derived", "equal", "+", [], [0.2], {})
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _perturb(data, draw):
+    """Delete, rescale, replace or add keys of a shipped config."""
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(_key_paths(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(("delete", "scale", "scale", "replace", "replace", "add")))
+        value = parent.get(key)
+        if action == "delete":
+            parent.pop(key, None)
+        elif (action == "scale" and type(value) in (int, float)
+              and abs(value) <= sys.float_info.max):
+            factor = draw(st.sampled_from((-1.0, 0.0, 1e-300, 1e-3, 0.5, 0.98, 1.02, 2.0, 1e3,
+                                           1e300)))
+            scaled = value * factor
+            parent[key] = int(scaled) if type(value) is int and math.isfinite(scaled) else scaled
+        else:
+            # a copy, so later edits cannot change the shared EDGE_VALUES
+            new_value = copy.deepcopy(draw(FUZZ_VALUES))
+            if action == "add":
+                key = draw(st.sampled_from(("extra", key + "_um", "peaks", "points")))
+            parent[key] = new_value
+
+
+def _capped(data):
+    for section, key, ceiling in (("grid", "points", MAX_GRID_POINTS),
+                                  ("hologram", "width_px", MAX_RASTER_SIDE),
+                                  ("hologram", "height_px", MAX_RASTER_SIDE),
+                                  ("pump", "peaks", MAX_PEAKS)):
+        node = data.get(section)
+        if isinstance(node, dict) and type(node.get(key)) is int and node[key] > ceiling:
+            node[key] = ceiling
+    grid = data.get("grid")
+    if isinstance(grid, dict) and "points" not in grid:
+        grid["points"] = MAX_GRID_POINTS
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_configs_fail_with_one_line(data):
+    name = data.draw(st.sampled_from(sorted(SHIPPED)))
+    config = copy.deepcopy(SHIPPED[name])
+    _perturb(config, data.draw)
+    _capped(config)
+    command = data.draw(st.sampled_from(tuple(cli._COMMANDS)))
+    argv = [command]
+    if data.draw(st.booleans()):
+        argv.append(f"--grid-points={data.draw(st.integers(-4, MAX_GRID_POINTS))}")
+    if data.draw(st.booleans()):
+        argv.append("--both-branches")
+    if command in ("scan", "fedorov") and data.draw(st.booleans()):
+        argv.append("--zero-width-slits")
+    if command == "scan":
+        if data.draw(st.booleans()):
+            argv.append("--wavelength-avg")
+        if data.draw(st.booleans()):
+            argv.append(f"--idler-center={data.draw(st.floats())!r}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = pathlib.Path(tmp)
+        code, _out, err = run_config(tmp_path, config, *argv)
+        leftovers = [f for _, _, files in os.walk(tmp) for f in files if f.startswith(".tmp-")]
+    assert code in (0, 2, 3, 4), (code, err)
+    if code != 0:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert leftovers == []

@@ -345,17 +345,34 @@ def test_full_weight_target_runs_the_dense_svd(monkeypatch, svd_shapes):
     assert np.array_equal(dec.signal_modes, ref.signal_modes)
 
 
-def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
-    """K ~ 10 keeps all 64 capped modes; the sketch alone must resolve them."""
+def many_mode_config():
+    """K ~ 10 double Gaussian: 64 capped modes on the coarsest grid the builder accepts."""
     with open(os.path.join(CONFIG_DIR, "single_mode.yaml"), "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     data["pump"].update(envelope_fwhm_um=246.0, matching_width=0.19)
-    # the coarsest grid whose step the kernel builder accepts for this pump
     data["grid"]["points"] = 795
-    cfg = parse_config(data)
+    return parse_config(data)
+
+
+def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
+    """K ~ 10 keeps all 64 capped modes; the sketch alone must resolve them."""
+    cfg = many_mode_config()
     dec = schmidt_decompose(cfg.build_kernel())
     assert svd_shapes and all(shape[0] <= 795 / 2 for shape in svd_shapes)
-    analytic = analytic_double_gaussian(cfg.widths(), m_max=64)
+    analytic = analytic_double_gaussian(cfg.pump.widths, m_max=64)
     assert analytic.schmidt_number == pytest.approx(10.0, rel=0.05)
     assert dec.n_modes == 64
     assert np.abs(dec.coefficients ** 2 - analytic.eigenvalues).max() <= 1e-9
+
+
+def test_mode_signs_agree_between_sketch_and_dense_svd(monkeypatch):
+    """Odd modes peak at mirror samples +-k that tie to rounding; the phase
+    pivot must not choose between them, or signs ride on last-bit noise."""
+    kernel = many_mode_config().build_kernel()
+    sketch = schmidt_decompose(kernel)
+    dense = dense_decompose(kernel, monkeypatch)
+    assert sketch.n_modes == dense.n_modes == 64
+    for a, b, grid in ((sketch.signal_modes, dense.signal_modes, kernel.grid_s),
+                       (sketch.idler_modes, dense.idler_modes, kernel.grid_i)):
+        overlaps = np.sum(a * b, axis=1) * grid.spacing
+        assert np.all(overlaps > 0), np.flatnonzero(overlaps <= 0)
