@@ -2,134 +2,7 @@
 
 Canonical units everywhere: lengths in um, transverse wavevectors in 1/um.
 All Gaussian widths follow the field convention exp(-k^2 / (2 sigma^2)).
+The API lives in the submodules: import from ``spdc_modes.kernel`` and so on.
 """
 
-from .optics import (
-    GAUSSIAN_FWHM_FACTOR,
-    PhaseMatchConfig,
-    PumpWidths,
-    SellmeierAxis,
-    SellmeierCoefficients,
-    WavevectorGrid,
-    external_signal_angle,
-    fwhm_to_sigma_k,
-    noncollinear_offset,
-    phase_matching_width,
-    refractive_indices,
-    sigma_k_to_fwhm,
-)
-from .kernel import (
-    JointIntensity,
-    MultiPeakParams,
-    PumpSpectrum,
-    TpaKernel,
-    build_double_gaussian,
-    build_from_pump,
-    build_multipeak,
-    default_grids,
-    marginal_intensity,
-    pump_spectrum_from_field,
-    sum_coordinate_grid,
-)
-from .schmidt import (
-    AnalyticModes,
-    ModeMetrics,
-    SchmidtDecomposition,
-    analytic_double_gaussian,
-    hermite_gauss,
-    reconstruct_kernel,
-    schmidt_decompose,
-    schmidt_number,
-)
-from .detection import (
-    CrosstalkMatrix,
-    DetectionGeometry,
-    ScanSpectrum,
-    coincidence_scan,
-    crosstalk_matrix,
-    effective_offset,
-    fedorov_ratio,
-    find_peaks,
-    fwhm_of,
-    gaussian_mode_log_intensities,
-    ring_wavevector,
-    singles_scan,
-    wavelength_average,
-)
-from .hologram import (
-    FieldProfile1D,
-    HologramImage,
-    amplitude_overlap,
-    encode_hologram,
-    envelope_fwhm,
-    export_pgm,
-    inverse_sinc,
-    load_pgm,
-    pump_field,
-    simulate_first_order,
-)
-from .config import ConfigError, RunConfig, load_config, parse_config
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GAUSSIAN_FWHM_FACTOR",
-    "PhaseMatchConfig",
-    "PumpWidths",
-    "SellmeierAxis",
-    "SellmeierCoefficients",
-    "WavevectorGrid",
-    "external_signal_angle",
-    "fwhm_to_sigma_k",
-    "noncollinear_offset",
-    "phase_matching_width",
-    "refractive_indices",
-    "sigma_k_to_fwhm",
-    "JointIntensity",
-    "MultiPeakParams",
-    "PumpSpectrum",
-    "TpaKernel",
-    "build_double_gaussian",
-    "build_from_pump",
-    "build_multipeak",
-    "default_grids",
-    "marginal_intensity",
-    "pump_spectrum_from_field",
-    "sum_coordinate_grid",
-    "AnalyticModes",
-    "ModeMetrics",
-    "SchmidtDecomposition",
-    "analytic_double_gaussian",
-    "hermite_gauss",
-    "reconstruct_kernel",
-    "schmidt_decompose",
-    "schmidt_number",
-    "CrosstalkMatrix",
-    "DetectionGeometry",
-    "ScanSpectrum",
-    "coincidence_scan",
-    "crosstalk_matrix",
-    "effective_offset",
-    "fedorov_ratio",
-    "find_peaks",
-    "fwhm_of",
-    "gaussian_mode_log_intensities",
-    "ring_wavevector",
-    "singles_scan",
-    "wavelength_average",
-    "FieldProfile1D",
-    "HologramImage",
-    "amplitude_overlap",
-    "encode_hologram",
-    "envelope_fwhm",
-    "export_pgm",
-    "inverse_sinc",
-    "load_pgm",
-    "pump_field",
-    "simulate_first_order",
-    "ConfigError",
-    "RunConfig",
-    "load_config",
-    "parse_config",
-    "__version__",
-]

@@ -14,6 +14,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -133,7 +134,8 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
         source = detection.wavelength_average(cfg.phase_match, geom, cfg.pump,
                                               grid_s, grid_i, cfg.branch,
                                               index_model=cfg.index_model())
-        lines.append("intensity averaged over the spectral filter passband (21 samples)")
+        lines.append("intensity averaged over the spectral filter passband "
+                     f"({detection.FILTER_SAMPLES} samples)")
     else:
         source = cfg.build_kernel()
 
@@ -285,8 +287,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"output error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    # numpy floating-point warnings would reach stderr ahead of the one-line
+    # error; record them instead, and report them as result lines on success
     try:
-        result_lines = _constants_lines(cfg) + _COMMANDS[args.command][1](cfg, args, out_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            result_lines = _constants_lines(cfg) + _COMMANDS[args.command][1](cfg, args, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -305,6 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
+    result_lines += [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)]
 
     log_lines = [f"command: {args.command}", f"config: {args.config}"]
     log_lines += override_notes

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import yaml
 
 from .detection import DetectionGeometry
+from .hologram import MIN_GRATING_PERIOD_PX
 from .kernel import MultiPeakParams, TpaKernel, build_multipeak, default_grids
 from .optics import (
     PhaseMatchConfig,
@@ -32,7 +33,6 @@ from .optics import (
 _MISSING = object()
 
 MATCHING_WIDTH_MODES = ("derived", "equal")
-INPUT_BEAMS = ("flat",)
 # derived external angle may differ from a declared one by this relative much
 ANGLE_CHECK_RTOL = 0.01
 
@@ -146,17 +146,19 @@ class HologramSettings:
     pixel_pitch_um: float = 8.0
     grating_period_px: float = 6.0
     magnification: float = 20.0
-    input_beam: str = "flat"
 
     def __post_init__(self):
         if self.width_px < 16 or self.height_px < 1:
             raise ConfigError(f"raster {self.width_px}x{self.height_px} is too small")
         if self.pixel_pitch_um <= 0:
             raise ConfigError(f"pixel pitch must be positive, got {self.pixel_pitch_um}")
+        if self.grating_period_px < MIN_GRATING_PERIOD_PX:
+            raise ConfigError(
+                f"grating period {self.grating_period_px} px is below {MIN_GRATING_PERIOD_PX} px; "
+                "the first order would alias into its neighbours"
+            )
         if self.magnification <= 0:
             raise ConfigError(f"magnification must be positive, got {self.magnification}")
-        if self.input_beam not in INPUT_BEAMS:
-            raise ConfigError(f"input_beam must be one of {INPUT_BEAMS}, got {self.input_beam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +348,6 @@ def parse_config(data: dict) -> RunConfig:
         pixel_pitch_um=holo_sec.take("pixel_pitch_um", default=8.0, kind=float),
         grating_period_px=holo_sec.take("grating_period_px", default=6.0, kind=float),
         magnification=holo_sec.take("magnification", default=20.0, kind=float),
-        input_beam=holo_sec.take("input_beam", default="flat", kind=str),
     )
     holo_sec.finish()
 

@@ -48,14 +48,12 @@ class DetectionGeometry:
         if self.medium_index < 1.0:
             raise ValueError(f"medium index must be >= 1, got {self.medium_index}")
 
-    def position_to_wavevector(self, x_mm: float,
-                               wavelength_nm: Optional[float] = None) -> float:
+    def position_to_wavevector(self, x_mm: float) -> float:
         """Transverse wavevector (1/um) sampled at focal-plane position x."""
-        lam_um = (wavelength_nm or self.central_wavelength_nm) * 1e-3
+        lam_um = self.central_wavelength_nm * 1e-3
         return 2.0 * math.pi * self.medium_index / lam_um * (x_mm / self.focal_length_mm)
 
-    def slit_acceptance(self, which: str = "signal",
-                        wavelength_nm: Optional[float] = None) -> float:
+    def slit_acceptance(self, which: str = "signal") -> float:
         """Wavevector window (1/um) admitted by one slit."""
         if which == "signal":
             w = self.slit_width_signal_mm
@@ -63,7 +61,7 @@ class DetectionGeometry:
             w = self.slit_width_idler_mm
         else:
             raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
-        return self.position_to_wavevector(w, wavelength_nm)
+        return self.position_to_wavevector(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,44 +95,22 @@ def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
     return upper - lower
 
 
-def _filter_positions(positions: np.ndarray, grid: WavevectorGrid, label: str):
-    inside = (positions >= grid.k_min) & (positions <= grid.k_max)
-    warns = []
-    if not inside.all():
-        warns.append(
-            f"{int((~inside).sum())} {label} scan positions fall outside the grid "
-            f"[{grid.k_min:.4g}, {grid.k_max:.4g}] and were dropped"
-        )
-    return positions[inside], warns
-
-
 def singles_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeometry,
-                 which: str = "signal", positions: Optional[np.ndarray] = None,
-                 zero_width: bool = False) -> ScanSpectrum:
-    """Single-detector rate: partner integrated out, slit window applied."""
+                 which: str = "signal", zero_width: bool = False) -> ScanSpectrum:
+    """Single-detector rate at every grid node: partner integrated out, slit window applied."""
     inten = _as_intensity(source)
     k, marginal = marginal_intensity(inten, which)
-    grid = inten.grid_s if which == "signal" else inten.grid_i
-    if positions is None:
-        positions = k
-    else:
-        positions = np.asarray(positions, dtype=float)
-    positions, warns = _filter_positions(positions, grid, which)
-    if positions.size == 0:
-        raise ValueError("no scan positions left inside the grid")
-
     if zero_width:
-        rates = np.interp(positions, k, marginal)
+        rates = np.interp(k, k, marginal)
     else:
-        rates = _box_integral(k, marginal, positions, geom.slit_acceptance(which))
-    return ScanSpectrum(positions, rates, "singles", tuple(inten.warnings) + tuple(warns))
+        rates = _box_integral(k, marginal, k, geom.slit_acceptance(which))
+    return ScanSpectrum(k, rates, "singles", tuple(inten.warnings))
 
 
 def coincidence_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeometry,
                      fixed_center: float, scan: str = "signal",
-                     positions: Optional[np.ndarray] = None,
                      zero_width: bool = False) -> ScanSpectrum:
-    """Two-detector rate with the partner slit parked at ``fixed_center``."""
+    """Two-detector rate at every scan-grid node, partner slit parked at ``fixed_center``."""
     inten = _as_intensity(source)
     if scan == "signal":
         scan_grid, fixed_grid = inten.grid_s, inten.grid_i
@@ -169,20 +145,11 @@ def coincidence_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGe
         conditional = _row_interp(cum, hi) - _row_interp(cum, lo)
 
     ks = scan_grid.points()
-    if positions is None:
-        positions = ks
-    else:
-        positions = np.asarray(positions, dtype=float)
-    positions, warns = _filter_positions(positions, scan_grid, scan)
-    if positions.size == 0:
-        raise ValueError("no scan positions left inside the grid")
-
     if zero_width:
-        rates = np.interp(positions, ks, conditional)
+        rates = np.interp(ks, ks, conditional)
     else:
-        rates = _box_integral(ks, conditional, positions, geom.slit_acceptance(scan))
-    return ScanSpectrum(positions, rates, "coincidence",
-                        tuple(inten.warnings) + tuple(warns))
+        rates = _box_integral(ks, conditional, ks, geom.slit_acceptance(scan))
+    return ScanSpectrum(ks, rates, "coincidence", tuple(inten.warnings))
 
 
 def _row_interp(arr: np.ndarray, frac_index: float) -> np.ndarray:
@@ -234,14 +201,12 @@ def find_peaks(spectrum: ScanSpectrum, min_height_frac: float = 0.2) -> tuple:
     return np.array(pos), np.array(height)
 
 
-def fwhm_of(spectrum: ScanSpectrum, method: str = "interp",
-            window: Optional[tuple] = None) -> float:
+def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
     """Full width at half maximum of a single-peaked scan.
 
-    ``window=(lo, hi)`` restricts the analysis first. ``method='interp'``
-    walks the half-max crossings with linear interpolation and insists the
-    above-half region is contiguous; ``method='gauss_fit'`` fits a single
-    Gaussian and converts its width.
+    ``window=(lo, hi)`` restricts the analysis first. The half-max crossings
+    are walked with linear interpolation, and the above-half region must be
+    contiguous.
     """
     x, y = spectrum.positions, spectrum.rates
     if window is not None:
@@ -254,22 +219,6 @@ def fwhm_of(spectrum: ScanSpectrum, method: str = "interp",
     peak = y.max()
     if peak <= 0:
         raise ValueError("spectrum is empty; no width to measure")
-
-    if method == "gauss_fit":
-        from scipy.optimize import curve_fit  # slow to import; nothing else needs it
-
-        i0 = int(np.argmax(y))
-        mean = x[i0]
-        sig0 = max((x[-1] - x[0]) / 10.0, np.sqrt(np.sum(y * (x - mean) ** 2) / np.sum(y)))
-
-        def model(k, amp, c, s):
-            return amp * np.exp(-((k - c) ** 2) / (2.0 * s * s))
-
-        params, _ = curve_fit(model, x, y, p0=(peak, mean, sig0))
-        return GAUSSIAN_FWHM_FACTOR * abs(params[2])
-
-    if method != "interp":
-        raise ValueError(f"method must be 'interp' or 'gauss_fit', got {method!r}")
 
     half = peak / 2.0
     above = y >= half
@@ -312,6 +261,10 @@ def idler_peak_center(source: Union[TpaKernel, JointIntensity]) -> float:
 # ---------------------------------------------------------------------------
 # finite filter bandwidth
 # ---------------------------------------------------------------------------
+
+# spectral samples across the filter passband in :func:`wavelength_average`
+FILTER_SAMPLES = 21
+
 
 def ring_wavevector(lambda_signal_um: float, config: PhaseMatchConfig,
                     index_model: Optional[Callable[[float], float]] = None) -> float:
@@ -362,7 +315,7 @@ def effective_offset(lambda_signal_um: float, config: PhaseMatchConfig,
 def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
                        params: MultiPeakParams, grid_s: WavevectorGrid,
                        grid_i: WavevectorGrid, branch: str = "+",
-                       n_samples: int = 21,
+                       n_samples: int = FILTER_SAMPLES,
                        index_model: Optional[Callable[[float], float]] = None,
                        span_fwhm: float = 1.5) -> JointIntensity:
     """Joint intensity of a multi-peak pump averaged over the filter passband.

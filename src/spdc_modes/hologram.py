@@ -155,11 +155,10 @@ def encode_hologram(target: FieldProfile1D, shape: tuple = (1080, 1920),
 # ---------------------------------------------------------------------------
 
 def first_order(phase: np.ndarray, pixel_pitch_um: float, grating_period_px: float,
-                input_beam: Optional[np.ndarray] = None,
                 order_center: float = 1.0) -> FieldProfile1D:
     """Demodulated first diffraction order of a 1D phase profile (radians).
 
-    The phase drives a unit (or supplied) input beam; the spectral window
+    The phase drives a flat unit input beam; the spectral window
     spans half a grating frequency either side of the carrier, and the
     carrier is divided out so the result sits at baseband, comparable to
     the encoding target. ``order_center`` picks a different diffraction
@@ -175,11 +174,7 @@ def first_order(phase: np.ndarray, pixel_pitch_um: float, grating_period_px: flo
         raise ValueError("phase must be a 1D profile")
     n = phase.size
     x = raster_coordinates(n, pixel_pitch_um)
-    beam = np.ones(n) if input_beam is None else np.asarray(input_beam, dtype=complex)
-    if beam.shape != (n,):
-        raise ValueError(f"input beam must have shape ({n},), got {beam.shape}")
-
-    spectrum = np.fft.fft(beam * np.exp(1j * phase))
+    spectrum = np.fft.fft(np.exp(1j * phase))
     freqs = np.fft.fftfreq(n, d=pixel_pitch_um)
     grating_freq = 1.0 / (grating_period_px * pixel_pitch_um)
     center = order_center * grating_freq
@@ -188,12 +183,10 @@ def first_order(phase: np.ndarray, pixel_pitch_um: float, grating_period_px: flo
     return FieldProfile1D(x, field * np.exp(-2j * math.pi * center * x))
 
 
-def simulate_first_order(holo: HologramImage, input_beam: Optional[np.ndarray] = None,
-                         row: int = 0, order_center: float = 1.0) -> FieldProfile1D:
-    """Field diffracted into the first order of one raster row."""
-    phase = holo.phase_levels[row].astype(float) * (2.0 * math.pi / PHASE_LEVELS)
-    return first_order(phase, holo.pixel_pitch_um, holo.grating_period_px,
-                       input_beam, order_center)
+def simulate_first_order(holo: HologramImage, order_center: float = 1.0) -> FieldProfile1D:
+    """Field diffracted into the first order of the raster's first row."""
+    phase = holo.phase_levels[0].astype(float) * (2.0 * math.pi / PHASE_LEVELS)
+    return first_order(phase, holo.pixel_pitch_um, holo.grating_period_px, order_center)
 
 
 def amplitude_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:
@@ -262,17 +255,6 @@ def export_pgm(holo: HologramImage, path: str) -> None:
         atomic_write_bytes(path, pgm_bytes(holo))
     except OSError as exc:
         raise OSError(f"writing hologram to {path}: {exc}") from exc
-
-
-def load_pgm(path: str, pixel_pitch_um: float = 8.0,
-             grating_period_px: float = 6.0) -> HologramImage:
-    """Read a PGM raster back; physical constants are not stored in PGM."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise OSError(f"reading hologram from {path}: {exc}") from exc
-    return HologramImage(parse_pgm(data), pixel_pitch_um, grating_period_px)
 
 
 def parse_pgm(data: bytes) -> np.ndarray:

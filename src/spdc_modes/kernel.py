@@ -34,7 +34,7 @@ MAX_STEP_FRACTION = 0.25
 # grids must cover the amplitude support out to this many widths
 MIN_COVER_SIGMAS = 4.0
 
-BRANCHES = ("+", "-", "both")
+BRANCHES = ("+", "both")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,27 +112,6 @@ def _coverage_warnings(grid_s, grid_i, cover_s, cover_i) -> list:
             if not grid.covers(cover.k_min, cover.k_max)]
 
 
-def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
-                          grid_i: Optional[WavevectorGrid] = None) -> TpaKernel:
-    """Gaussian-pump, gaussian-phase-matching joint amplitude around k = 0.
-
-    F(ks, ki) = exp(-(ks+ki)^2 / (2 sigma_pump^2))
-              * exp(-(ks-ki)^2 / (2 sigma_match^2)), normalized.
-    """
-    if grid_i is None:
-        grid_i = grid_s
-    _check_resolution(grid_s, widths.narrowest, "signal")
-    _check_resolution(grid_i, widths.narrowest, "idler")
-    cover = WavevectorGrid.centered(0.0, MIN_COVER_SIGMAS * widths.widest, grid_s.n_points)
-    warns = _coverage_warnings(grid_s, grid_i, cover, cover)
-
-    ks = grid_s.points()[:, None]
-    ki = grid_i.points()[None, :]
-    amp = np.exp(-((ks + ki) ** 2) / (2.0 * widths.sigma_pump ** 2)
-                 - ((ks - ki) ** 2) / (2.0 * widths.sigma_match ** 2))
-    return TpaKernel.from_array(grid_s, grid_i, amp, warns)
-
-
 @dataclass(frozen=True)
 class MultiPeakParams:
     """Structured pump made of equally spaced Gaussian peaks in the far field.
@@ -182,8 +161,6 @@ class MultiPeakParams:
 def _branch_factor(delta: np.ndarray, offset: float, sigma: float, branch: str) -> np.ndarray:
     if branch == "+":
         return np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
-    if branch == "-":
-        return np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2))
     if branch == "both":
         return (np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
                 + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
@@ -192,11 +169,12 @@ def _branch_factor(delta: np.ndarray, offset: float, sigma: float, branch: str) 
 
 def default_grids(params: MultiPeakParams, n_points: int = 512,
                   span_sigmas: float = 5.0, branch: str = "+") -> tuple:
-    """(signal, idler) grids centered on the chosen emission branch.
+    """(signal, idler) grids centered on the emission branch.
 
     Spans cover every pump peak plus ``span_sigmas`` of the widest Gaussian
-    on each side. ``branch='both'`` centers both grids at zero and widens
-    the span to reach both rings.
+    on each side. ``branch='+'`` centers the signal grid at +offset/2 and
+    the idler grid at -offset/2; ``branch='both'`` centers both grids at
+    zero and widens the span to reach both rings.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -207,9 +185,8 @@ def default_grids(params: MultiPeakParams, n_points: int = 512,
         half += k0
         return (WavevectorGrid.centered(0.0, half, n_points),
                 WavevectorGrid.centered(0.0, half, n_points))
-    sign = 1.0 if branch == "+" else -1.0
-    return (WavevectorGrid.centered(sign * k0, half, n_points),
-            WavevectorGrid.centered(-sign * k0, half, n_points))
+    return (WavevectorGrid.centered(k0, half, n_points),
+            WavevectorGrid.centered(-k0, half, n_points))
 
 
 def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
@@ -225,6 +202,17 @@ def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
         grid_i = grid_s
     pump, warns = _multipeak_pump(params, grid_s, grid_i, branch)
     return _matched_kernel(pump, params, grid_s, grid_i, branch, warns)
+
+
+def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
+                          grid_i: Optional[WavevectorGrid] = None) -> TpaKernel:
+    """Gaussian-pump, gaussian-phase-matching joint amplitude around k = 0.
+
+    F(ks, ki) = exp(-(ks+ki)^2 / (2 sigma_pump^2))
+              * exp(-(ks-ki)^2 / (2 sigma_match^2)), normalized: the
+    single-peak, zero-offset case of :func:`build_multipeak`.
+    """
+    return build_multipeak(MultiPeakParams(1, 0.0, 0.0, widths), grid_s, grid_i)
 
 
 def _multipeak_pump(params: MultiPeakParams, grid_s: WavevectorGrid,
@@ -350,10 +338,11 @@ def build_from_pump(pump: PumpSpectrum, config: PhaseMatchConfig,
     outside the sampled range). ``phasematch_model`` picks the
     difference-coordinate profile:
 
-    * ``"gaussian"``: exp(-(delta -+ K)^2 / (2 sigma_match^2)),
+    * ``"gaussian"``: exp(-(delta - K)^2 / (2 sigma_match^2)), plus its
+      mirror at -K for ``branch='both'``,
     * ``"sinc"``: the longitudinal mismatch profile itself,
-      sinc[(L/4) (delta^2 - K^2) / (2 k_s)] per branch (noncollinear) or
-      sinc[(L/4) delta^2 / (2 k_p)] (collinear).
+      sinc[(L/4) (delta^2 - K^2) / (2 k_s)] (noncollinear; delta >= 0 only
+      for ``branch='+'``) or sinc[(L/4) delta^2 / (2 k_p)] (collinear).
     """
     if grid_i is None:
         grid_i = grid_s
@@ -397,8 +386,6 @@ def build_from_pump(pump: PumpSpectrum, config: PhaseMatchConfig,
             match = np.sinc(arg / math.pi)
             if branch == "+":
                 match = np.where(delta >= 0, match, 0.0)
-            elif branch == "-":
-                match = np.where(delta <= 0, match, 0.0)
 
     return TpaKernel.from_array(grid_s, grid_i, pump_factor * match, warns)
 

@@ -8,7 +8,7 @@ Internal conventions, used everywhere past the config boundary:
   ``exp(-k^2 / (2 sigma^2))``.
 
 Millimetre and nanometre values that appear in lab-style configs are
-converted once, on parse (see :meth:`PhaseMatchConfig.from_lab_units`).
+converted once, on parse (see :mod:`spdc_modes.config`).
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def sigma_k_to_fwhm(sigma_k_um_inv: float) -> float:
 class PhaseMatchConfig:
     """Crystal and pump constants that fix the phase-matching geometry.
 
-    All lengths are canonical (um); use :meth:`from_lab_units` for mm/nm
-    input. ``n_signal`` is the index seen by the (degenerate) signal and
-    idler waves, ``n_pump`` the index seen by the pump.
+    All lengths are canonical (um). ``n_signal`` is the index seen by the
+    (degenerate) signal and idler waves, ``n_pump`` the index seen by the
+    pump.
     """
 
     crystal_length_um: float
@@ -80,17 +80,6 @@ class PhaseMatchConfig:
                 "2*n_signal*(n_signal - n_pump) must be positive "
                 f"(got n_signal={self.n_signal}, n_pump={self.n_pump})"
             )
-
-    @classmethod
-    def from_lab_units(cls, crystal_length_mm, pump_wavelength_nm, n_signal, n_pump,
-                       regime: str = "noncollinear") -> "PhaseMatchConfig":
-        return cls(
-            crystal_length_um=float(crystal_length_mm) * 1e3,
-            pump_wavelength_um=float(pump_wavelength_nm) * 1e-3,
-            n_signal=float(n_signal),
-            n_pump=float(n_pump),
-            regime=regime,
-        )
 
     @property
     def pump_wavevector(self) -> float:
@@ -241,10 +230,6 @@ class WavevectorGrid:
     @property
     def spacing(self) -> float:
         return (self.k_max - self.k_min) / (self.n_points - 1)
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.k_min + self.k_max)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.k_min, self.k_max, self.n_points)

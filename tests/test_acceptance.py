@@ -155,8 +155,7 @@ def test_crosstalk_is_negligible_and_log_safe():
 
 def test_filter_bandwidth_broadens_the_singles():
     with criterion("filter-bandwidth-broadening"):
-        pm = PhaseMatchConfig.from_lab_units(3.0, 405.0,
-                                             1.6602583173171748, 1.6579880614409859)
+        pm = PhaseMatchConfig(3000.0, 0.405, 1.6602583173171748, 1.6579880614409859)
         offset = noncollinear_offset(pm).offset_um_inv
         widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(pm))
         params = MultiPeakParams(1, 0.0, offset, widths)

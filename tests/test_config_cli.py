@@ -24,7 +24,7 @@ from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.exports import read_csv
 from spdc_modes.hologram import parse_pgm
 from spdc_modes.kernel import marginal_intensity
-from spdc_modes.optics import noncollinear_offset, phase_matching_width
+from spdc_modes.optics import phase_matching_width
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SINGLE = os.path.join(CONFIG_DIR, "single_mode.yaml")
@@ -89,6 +89,15 @@ def test_length_spellings_are_exclusive():
     del data["phase_match"]["crystal_length_mm"]
     with pytest.raises(ConfigError, match="crystal_length"):
         parse_config(data)
+
+
+def test_length_spellings_give_one_config():
+    lab = minimal()
+    canonical = minimal()
+    pm = canonical["phase_match"]
+    del pm["crystal_length_mm"], pm["pump_wavelength_nm"]
+    pm.update(crystal_length_um=3000.0, pump_wavelength_um=0.405)
+    assert parse_config(lab).phase_match == parse_config(canonical).phase_match
 
 
 def test_pump_width_spellings_are_exclusive():
@@ -234,7 +243,8 @@ def test_side_amplitude_needs_three_peaks():
 def test_hologram_settings_validation():
     for patch, message in (
         ({"width_px": 2}, "too small"),
-        ({"input_beam": "vortex"}, "input_beam"),
+        ({"grating_period_px": 2.5}, "grating period 2.5 px is below 3 px"),
+        ({"input_beam": "flat"}, r"unknown keys: hologram\.input_beam"),
         ({"magnification": -1.0}, "magnification"),
         ({"pixel_pitch_um": 0.0}, "pitch"),
     ):
@@ -328,17 +338,56 @@ def test_non_finite_numbers_are_config_errors(tmp_path, path, value):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, section, key, value", [
+OVERFLOWS = pytest.mark.parametrize("command, section, key, value", [
     ("tpa", "grid", "span_sigmas", 1e308),
     ("tpa", "pump", "envelope_fwhm_um", 2.5e-298),  # sigma^2 overflows a float
     ("pump", "pump", "envelope_fwhm_um", 2.5e302),  # x^2 overflows: a NaN field
 ], ids=["grid-span", "narrow-pump", "wide-pump"])
+
+
+@OVERFLOWS
 def test_overflows_are_computation_errors(tmp_path, command, section, key, value):
     data = shipped(SINGLE)
     data[section][key] = value
     code, out, err = run_config(tmp_path, data, command)
     assert (code, out) == (3, "")
     assert err.startswith("computation error: ") and err.count("\n") == 1
+
+
+@OVERFLOWS
+def test_overflow_warnings_stay_off_stderr(tmp_path, command, section, key, value):
+    # pytest captures warnings in-process, so only a separate process shows
+    # whether numpy's floating-point warnings reach stderr
+    import spdc_modes
+
+    data = shipped(SINGLE)
+    data[section][key] = value
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    src = os.path.dirname(os.path.dirname(spdc_modes.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdc_modes.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("computation error: ") and proc.stderr.count("\n") == 1, \
+        proc.stderr
+
+
+def test_cli_reports_each_distinct_warning_once(tmp_path, capsys, monkeypatch):
+    def noisy(cfg, args, out_dir):
+        for _ in range(2):
+            np.exp(np.array([1e3]))
+        return ["done"]
+
+    help_text, _handler, extra = cli._COMMANDS["tpa"]
+    monkeypatch.setitem(cli._COMMANDS, "tpa", (help_text, noisy, extra))
+    assert main(["tpa", "--config", SINGLE, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = "done\nwarning: overflow encountered in exp\n"
+    assert expected in captured.out
+    assert expected in (tmp_path / "tpa.log").read_text()
 
 
 def test_explicit_null_stands_for_a_null_default():
@@ -512,6 +561,15 @@ def test_cli_bad_grid_points_is_exit_2(tmp_path, capsys):
     assert main(["tpa", "--config", SINGLE, "--out", str(tmp_path),
                  "--grid-points", "8"]) == 2
     assert "at least 16" in capsys.readouterr().err
+
+
+def test_cli_grating_period_below_the_minimum_is_exit_2(tmp_path):
+    data = shipped(HOLOGRAM)
+    data["hologram"]["grating_period_px"] = 2.5
+    code, out, err = run_config(tmp_path, data, "hologram")
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: grating period 2.5 px is below 3 px; "
+                   "the first order would alias into its neighbours\n")
 
 
 def test_cli_crosstalk_needs_multiple_peaks(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Golden outputs: SHA-256 of every deterministic data file from the shipped configs.
 
-Refactors must leave these files byte-identical. Floating-point results
+The stdout of each run is hashed too, with its output directory replaced
+by ``<out>``, so summary numbers that reach no data file (the Fedorov
+ratio, peak positions, widths) are pinned as well. Refactors must leave
+all of these byte-identical. Floating-point results
 depend on the numpy build and on the SIMD kernels it dispatches to, so the
 recorded hashes are keyed to both; on any other build the test skips and
 says why. Schmidt outputs come from an SVD and are compared with tolerances
@@ -19,6 +22,8 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 # (subcommand, config, flags) -> data files it writes
 RUNS = (
+    ("fedorov", "single_mode", (), ()),
+    ("fedorov", "single_mode", ("--zero-width-slits",), ()),
     ("tpa", "single_mode", (), ("kernel.csv", "kernel.meta.yaml")),
     ("tpa", "three_modes", (), ("kernel.csv", "kernel.meta.yaml")),
     ("scan", "three_modes", ("--zero-width-slits",),
@@ -71,6 +76,24 @@ GOLDEN = {
             "9a0357a79140dd49b53d49625279fd8518b35d362b6d33db0ddec0256992c313",
         "hologram hologram hologram.pgm":
             "04254b45d96656a01a334be209a892556cb11d1d3fcd04106db4675763d50335",
+        "fedorov single_mode stdout":
+            "17bb9065c70457254c2a3cc35640e3e1d2c2db0b8c4448797ee47ae52acdafe4",
+        "fedorov single_mode --zero-width-slits stdout":
+            "17bb9065c70457254c2a3cc35640e3e1d2c2db0b8c4448797ee47ae52acdafe4",
+        "tpa single_mode stdout":
+            "a151d682cf093bb6047ca7c4b3fab7a8f6b2fae0a11047aae6c0a45e4494f27c",
+        "tpa three_modes stdout":
+            "665d29238a4a08a7e1fe46706c8589bcc8eef43f73ac552b8556290fccd1b199",
+        "scan three_modes --zero-width-slits stdout":
+            "e63691de6e92dbaf4c68bb35ed2bbbb517179d55284c51aa0794a031269c6c1f",
+        "scan three_modes --wavelength-avg stdout":
+            "99fb1dd843321928540fbdec996ec613dbc6a53b7d1b1c5479f42fec527ce8e2",
+        "pump three_modes stdout":
+            "ef801ff0ff052ca1ec17ab6a934d8dc0a9c2a23ecab2c756016127164c68a3bd",
+        "crosstalk crosstalk stdout":
+            "b835cedc05c235009e9097834322a3ee12319909e0c7c110021e681c6890631c",
+        "hologram hologram stdout":
+            "e9a12cc5816971486c4a1442881e311435f7f00ba6f9e2e925a81aa363248691",
     },
 }
 
@@ -89,7 +112,9 @@ def test_shipped_outputs_match_golden_hashes(tmp_path, capsys, command, config, 
     out = tmp_path / "out"
     cfg = os.path.join(CONFIG_DIR, f"{config}.yaml")
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
-    capsys.readouterr()
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
     for name in files:
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == expected[_run_key(command, config, flags, name)], name
+    digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    assert digest == expected[_run_key(command, config, flags, "stdout")], stdout
