@@ -132,8 +132,7 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
     if args.wavelength_avg:
         grid_s, grid_i = cfg.grids()
         source = detection.wavelength_average(cfg.phase_match, geom, cfg.pump,
-                                              grid_s, grid_i, cfg.branch,
-                                              index_model=cfg.index_model())
+                                              grid_s, grid_i, cfg.branch)
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
@@ -168,8 +167,7 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
             lines.append(f"coincidence FWHM = {detection.fwhm_of(coinc):.10g} 1/um")
         except ValueError as exc:
             lines.append(f"width extraction skipped: {exc}")
-    for spectrum in (singles_s, singles_i, coinc):
-        lines += [f"warning: {w}" for w in spectrum.warnings]
+    lines += [f"warning: {w}" for w in source.warnings]
     lines += [f"wrote {p}" for p in paths]
     return lines
 
@@ -178,7 +176,8 @@ def _cmd_fedorov(cfg: RunConfig, args, out_dir: str) -> List[str]:
     kernel = cfg.build_kernel()
     ratio = detection.fedorov_ratio(kernel, cfg.geometry,
                                     zero_width=args.zero_width_slits)
-    return [f"width ratio (unconditional / conditional) = {ratio:.10f}"]
+    return [f"width ratio (unconditional / conditional) = {ratio:.10f}",
+            *[f"warning: {w}" for w in kernel.warnings]]
 
 
 def _cmd_crosstalk(cfg: RunConfig, args, out_dir: str) -> List[str]:
@@ -214,11 +213,10 @@ def _cmd_pump(cfg: RunConfig, args, out_dir: str) -> List[str]:
 def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
     params = cfg.pump
     hs = cfg.hologram
-    x_slm = hologram.raster_coordinates(hs.width_px, hs.pixel_pitch_um)
+    x_slm = hs.pixel_coordinates()
     crystal = hologram.pump_field(params, x_slm / hs.magnification)
     target = hologram.FieldProfile1D(x_slm, crystal.amplitude)
-    holo = hologram.encode_hologram(target, (hs.height_px, hs.width_px),
-                                    hs.pixel_pitch_um, hs.grating_period_px)
+    holo = hologram.encode_hologram(target, hs)
     path = os.path.join(out_dir, "hologram.pgm")
     hologram.export_pgm(holo, path)
 

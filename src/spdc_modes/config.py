@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import List, Optional, Tuple, get_type_hints
 
 import yaml
 
 from .detection import DetectionGeometry
-from .hologram import MIN_GRATING_PERIOD_PX
+from .hologram import HologramSettings
 from .kernel import MultiPeakParams, TpaKernel, build_multipeak, default_grids
 from .optics import (
     PhaseMatchConfig,
@@ -30,10 +30,8 @@ from .optics import (
     refractive_indices,
 )
 
-_MISSING = object()
-
 MATCHING_WIDTH_MODES = ("derived", "equal")
-# derived external angle may differ from a declared one by this relative much
+# largest relative difference allowed between the derived and a declared external angle
 ANGLE_CHECK_RTOL = 0.01
 
 
@@ -81,11 +79,11 @@ class _Section:
     def has(self, key: str) -> bool:
         return key in self._data
 
-    def take(self, key: str, default=_MISSING, kind=None):
+    def take(self, key: str, default=MISSING, kind=None):
         path = self._child_path(key)
         if key in self._data:
             value, source = self._data.pop(key), "user"
-        elif default is _MISSING:
+        elif default is MISSING:
             raise ConfigError(f"missing required key: {path}")
         else:
             value, source = default, "default"
@@ -128,37 +126,17 @@ def _exclusive_length(sec: _Section, base: str, unit_scales: dict,
     return sec.take(key, kind=float) * unit_scales[key]
 
 
-def _parse_sellmeier_axis(sec: _Section) -> SellmeierAxis:
-    axis = SellmeierAxis(
-        a=sec.take("a", kind=float),
-        b=sec.take("b", kind=float),
-        c=sec.take("c", kind=float),
-        d=sec.take("d", kind=float),
-    )
+def _take_fields(sec: _Section, cls, **defaults):
+    """``cls`` built from one key per dataclass field, then the section closed.
+
+    Each key takes its field's type and default; ``defaults`` overrides a
+    field's default, and a field with neither is required.
+    """
+    kinds = get_type_hints(cls)
+    obj = cls(**{f.name: sec.take(f.name, defaults.get(f.name, f.default), kind=kinds[f.name])
+                 for f in fields(cls)})
     sec.finish()
-    return axis
-
-
-@dataclass(frozen=True)
-class HologramSettings:
-    width_px: int = 1920
-    height_px: int = 1080
-    pixel_pitch_um: float = 8.0
-    grating_period_px: float = 6.0
-    magnification: float = 20.0
-
-    def __post_init__(self):
-        if self.width_px < 16 or self.height_px < 1:
-            raise ConfigError(f"raster {self.width_px}x{self.height_px} is too small")
-        if self.pixel_pitch_um <= 0:
-            raise ConfigError(f"pixel pitch must be positive, got {self.pixel_pitch_um}")
-        if self.grating_period_px < MIN_GRATING_PERIOD_PX:
-            raise ConfigError(
-                f"grating period {self.grating_period_px} px is below {MIN_GRATING_PERIOD_PX} px; "
-                "the first order would alias into its neighbours"
-            )
-        if self.magnification <= 0:
-            raise ConfigError(f"magnification must be positive, got {self.magnification}")
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +149,6 @@ class RunConfig:
     """
 
     phase_match: PhaseMatchConfig
-    sellmeier: Optional[SellmeierCoefficients]
     pump: MultiPeakParams
     emission_angle_rad: Optional[float]
     grid_points: int
@@ -188,19 +165,6 @@ class RunConfig:
     def build_kernel(self) -> TpaKernel:
         grid_s, grid_i = self.grids()
         return build_multipeak(self.pump, grid_s, grid_i, self.branch)
-
-    def index_model(self) -> Optional[Callable[[float], float]]:
-        """Wavelength (um) to downconverted-wave index, when dispersion is known."""
-        if self.sellmeier is None:
-            return None
-        ordinary = self.sellmeier.ordinary
-        window = self.sellmeier
-
-        def model(lam_um: float) -> float:
-            window.check_wavelength(lam_um)
-            return ordinary.index(lam_um)
-
-        return model
 
     def normalized(self) -> dict:
         """Nested dict of every accepted key with its resolved value."""
@@ -246,8 +210,8 @@ def parse_config(data: dict) -> RunConfig:
         idx.finish()
     else:
         sm = pm.section("sellmeier", required=True)
-        ordinary = _parse_sellmeier_axis(sm.section("ordinary", required=True))
-        extraordinary = _parse_sellmeier_axis(sm.section("extraordinary", required=True))
+        ordinary = _take_fields(sm.section("ordinary", required=True), SellmeierAxis)
+        extraordinary = _take_fields(sm.section("extraordinary", required=True), SellmeierAxis)
         valid = sm.take("valid_range_um", default=[0.2, 1.1])
         if not isinstance(valid, (list, tuple)) or len(valid) != 2:
             raise ConfigError("phase_match.sellmeier.valid_range_um must be [low, high]")
@@ -268,6 +232,7 @@ def parse_config(data: dict) -> RunConfig:
             n_signal=n_signal,
             n_pump=n_pump,
             regime=regime,
+            dispersion=sellmeier,
         )
         if declared_external is not None:
             derived = math.degrees(external_signal_angle(phase_match))
@@ -326,30 +291,16 @@ def parse_config(data: dict) -> RunConfig:
     if span_sigmas <= 0:
         raise ConfigError(f"grid.span_sigmas must be positive, got {span_sigmas}")
 
-    det = root.section("detection")
     try:
-        geometry = DetectionGeometry(
-            focal_length_mm=det.take("focal_length_mm", default=100.0, kind=float),
-            slit_width_signal_mm=det.take("slit_width_signal_mm", default=0.2, kind=float),
-            slit_width_idler_mm=det.take("slit_width_idler_mm", default=0.4, kind=float),
-            central_wavelength_nm=det.take("central_wavelength_nm",
-                                           default=2.0 * pump_um * 1e3, kind=float),
-            filter_fwhm_nm=det.take("filter_fwhm_nm", default=10.0, kind=float),
-            medium_index=det.take("medium_index", default=1.0, kind=float),
-        )
+        # the filter sits on the degenerate wavelength unless the config says otherwise
+        geometry = _take_fields(root.section("detection"), DetectionGeometry,
+                                central_wavelength_nm=2.0 * pump_um * 1e3)
     except ValueError as exc:
         raise ConfigError(f"detection: {exc}") from exc
-    det.finish()
-
-    holo_sec = root.section("hologram")
-    hologram = HologramSettings(
-        width_px=holo_sec.take("width_px", default=1920, kind=int),
-        height_px=holo_sec.take("height_px", default=1080, kind=int),
-        pixel_pitch_um=holo_sec.take("pixel_pitch_um", default=8.0, kind=float),
-        grating_period_px=holo_sec.take("grating_period_px", default=6.0, kind=float),
-        magnification=holo_sec.take("magnification", default=20.0, kind=float),
-    )
-    holo_sec.finish()
+    try:
+        hologram = _take_fields(root.section("hologram"), HologramSettings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     out = root.section("output")
     output_dir = out.take("directory", default="out", kind=str)
@@ -380,7 +331,6 @@ def parse_config(data: dict) -> RunConfig:
 
     return RunConfig(
         phase_match=phase_match,
-        sellmeier=sellmeier,
         pump=pump,
         emission_angle_rad=angle,
         grid_points=grid_points,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -70,8 +70,6 @@ class ScanSpectrum:
 
     positions: np.ndarray
     rates: np.ndarray
-    kind: str = "singles"
-    warnings: tuple = ()
 
 
 def _as_intensity(obj: Union[TpaKernel, JointIntensity]) -> JointIntensity:
@@ -101,10 +99,10 @@ def singles_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeomet
     inten = _as_intensity(source)
     k, marginal = marginal_intensity(inten, which)
     if zero_width:
-        rates = np.interp(k, k, marginal)
+        rates = marginal
     else:
         rates = _box_integral(k, marginal, k, geom.slit_acceptance(which))
-    return ScanSpectrum(k, rates, "singles", tuple(inten.warnings))
+    return ScanSpectrum(k, rates)
 
 
 def coincidence_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeometry,
@@ -146,10 +144,10 @@ def coincidence_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGe
 
     ks = scan_grid.points()
     if zero_width:
-        rates = np.interp(ks, ks, conditional)
+        rates = conditional
     else:
         rates = _box_integral(ks, conditional, ks, geom.slit_acceptance(scan))
-    return ScanSpectrum(ks, rates, "coincidence", tuple(inten.warnings))
+    return ScanSpectrum(ks, rates)
 
 
 def _row_interp(arr: np.ndarray, frac_index: float) -> np.ndarray:
@@ -266,15 +264,13 @@ def idler_peak_center(source: Union[TpaKernel, JointIntensity]) -> float:
 FILTER_SAMPLES = 21
 
 
-def ring_wavevector(lambda_signal_um: float, config: PhaseMatchConfig,
-                    index_model: Optional[Callable[[float], float]] = None) -> float:
+def ring_wavevector(lambda_signal_um: float, config: PhaseMatchConfig) -> float:
     """Exact transverse ring wavevector (1/um) at a given signal wavelength.
 
     Energy conservation fixes the idler wavelength; equal-and-opposite
     transverse wavevectors plus longitudinal momentum conservation give
-    K_ring^2 = k_i^2 - ((k_p^2 + k_i^2 - k_s^2) / (2 k_p))^2.
-    ``index_model`` maps wavelength (um) to the index seen by the downconverted
-    waves; by default both use the constant config.n_signal.
+    K_ring^2 = k_i^2 - ((k_p^2 + k_i^2 - k_s^2) / (2 k_p))^2, with both
+    downconverted indices from :meth:`PhaseMatchConfig.downconverted_index`.
     """
     lam_p = config.pump_wavelength_um
     if lambda_signal_um <= lam_p:
@@ -282,7 +278,7 @@ def ring_wavevector(lambda_signal_um: float, config: PhaseMatchConfig,
             f"signal wavelength {lambda_signal_um} um must exceed the pump's {lam_p} um"
         )
     lam_i = 1.0 / (1.0 / lam_p - 1.0 / lambda_signal_um)
-    n = index_model or (lambda _lam: config.n_signal)
+    n = config.downconverted_index
     k_s = 2.0 * math.pi * n(lambda_signal_um) / lambda_signal_um
     k_i = 2.0 * math.pi * n(lam_i) / lam_i
     k_p = config.pump_wavevector
@@ -296,8 +292,7 @@ def ring_wavevector(lambda_signal_um: float, config: PhaseMatchConfig,
     return math.sqrt(radicand)
 
 
-def effective_offset(lambda_signal_um: float, config: PhaseMatchConfig,
-                     index_model: Optional[Callable[[float], float]] = None) -> float:
+def effective_offset(lambda_signal_um: float, config: PhaseMatchConfig) -> float:
     """Apparent difference-coordinate offset for an off-degenerate signal photon.
 
     Detectors are parameterized in degenerate-wavelength wavevector units,
@@ -307,8 +302,7 @@ def effective_offset(lambda_signal_um: float, config: PhaseMatchConfig,
     """
     lam_deg = config.signal_wavelength_um
     anchor = noncollinear_offset(config).offset_um_inv
-    ratio = (ring_wavevector(lambda_signal_um, config, index_model)
-             / ring_wavevector(lam_deg, config, index_model))
+    ratio = ring_wavevector(lambda_signal_um, config) / ring_wavevector(lam_deg, config)
     return anchor * (lambda_signal_um / lam_deg) * ratio
 
 
@@ -316,7 +310,6 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
                        params: MultiPeakParams, grid_s: WavevectorGrid,
                        grid_i: WavevectorGrid, branch: str = "+",
                        n_samples: int = FILTER_SAMPLES,
-                       index_model: Optional[Callable[[float], float]] = None,
                        span_fwhm: float = 1.5) -> JointIntensity:
     """Joint intensity of a multi-peak pump averaged over the filter passband.
 
@@ -326,7 +319,8 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     Gaussian, centered on the geometry's filter, sampled uniformly over
     +-span_fwhm * FWHM, and the sampled intensities are weight-averaged
     (incoherent sum). The pump factor does not depend on the offset and is
-    evaluated once; the warnings are those of the first sample's build.
+    evaluated once; the coverage warnings are against the union of the
+    samples' supports.
     """
     if n_samples < 3:
         raise ValueError(f"need at least 3 spectral samples, got {n_samples}")
@@ -337,10 +331,9 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
 
-    samples = [dataclasses.replace(params,
-                                   noncollinear_offset=effective_offset(lam, config, index_model))
+    samples = [dataclasses.replace(params, noncollinear_offset=effective_offset(lam, config))
                for lam in lams]
-    pump, warns = _multipeak_pump(samples[0], grid_s, grid_i, branch)
+    pump, warns = _multipeak_pump(samples, grid_s, grid_i, branch)
     total = np.zeros(pump.shape)
     for p, w in zip(samples, weights):
         total += w * np.abs(_matched_kernel(pump, p, grid_s, grid_i, branch).amplitude) ** 2

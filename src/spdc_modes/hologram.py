@@ -47,12 +47,6 @@ class FieldProfile1D:
         if self.coordinates_um.ndim != 1 or self.coordinates_um.shape != self.amplitude.shape:
             raise ValueError("coordinates and amplitude must be matching 1D arrays")
 
-    def magnified(self, factor: float) -> "FieldProfile1D":
-        """Same field imaged with transverse magnification ``factor``."""
-        if factor <= 0:
-            raise ValueError(f"magnification must be positive, got {factor}")
-        return FieldProfile1D(self.coordinates_um * factor, self.amplitude)
-
 
 def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> FieldProfile1D:
     """Crystal-plane pump field, peak-normalized to max |E| = 1.
@@ -77,40 +71,54 @@ def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> FieldProfile1D:
 # encoding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class HologramImage:
-    """8-bit phase raster plus the physical constants needed to replay it."""
+@dataclass(frozen=True)
+class HologramSettings:
+    """SLM raster, its blazed carrier, and the crystal-to-SLM magnification."""
 
-    phase_levels: np.ndarray   # uint8, shape (height, width)
-    pixel_pitch_um: float
-    grating_period_px: float
+    width_px: int = 1920
+    height_px: int = 1080
+    pixel_pitch_um: float = 8.0
+    grating_period_px: float = 6.0
+    magnification: float = 20.0
 
     def __post_init__(self):
-        if self.phase_levels.dtype != np.uint8 or self.phase_levels.ndim != 2:
-            raise ValueError("phase_levels must be a 2D uint8 array")
+        if self.width_px < 16 or self.height_px < 1:
+            raise ValueError(f"raster {self.width_px}x{self.height_px} is too small")
         if self.pixel_pitch_um <= 0:
             raise ValueError(f"pixel pitch must be positive, got {self.pixel_pitch_um}")
-        if self.grating_period_px < 2:
-            raise ValueError(f"grating period must be >= 2 px, got {self.grating_period_px}")
+        if self.grating_period_px < MIN_GRATING_PERIOD_PX:
+            raise ValueError(
+                f"grating period {self.grating_period_px} px is below {MIN_GRATING_PERIOD_PX} px; "
+                "the first order would alias into its neighbours"
+            )
+        if self.magnification <= 0:
+            raise ValueError(f"magnification must be positive, got {self.magnification}")
+
+    def pixel_coordinates(self) -> np.ndarray:
+        """Centered x coordinate (um) of every pixel column."""
+        return (np.arange(self.width_px) - (self.width_px - 1) / 2.0) * self.pixel_pitch_um
 
 
-def raster_coordinates(width_px: int, pixel_pitch_um: float) -> np.ndarray:
-    """Centered x coordinate (um) of every pixel column."""
-    return (np.arange(width_px) - (width_px - 1) / 2.0) * pixel_pitch_um
+@dataclass(frozen=True, eq=False)
+class HologramImage:
+    """8-bit phase raster plus the SLM settings needed to replay it."""
+
+    phase_levels: np.ndarray   # uint8, shape (height_px, width_px)
+    settings: HologramSettings
+
+    def __post_init__(self):
+        shape = (self.settings.height_px, self.settings.width_px)
+        if self.phase_levels.dtype != np.uint8 or self.phase_levels.shape != shape:
+            raise ValueError(f"phase_levels must be a uint8 array of the raster shape {shape}")
 
 
-def phase_map(target: FieldProfile1D, x_um: np.ndarray,
-              pixel_pitch_um: float, grating_period_px: float) -> np.ndarray:
-    """Continuous encoding phase (radians in [0, 2 pi)) at the given pixels.
+def phase_map(target: FieldProfile1D, settings: HologramSettings) -> np.ndarray:
+    """Continuous encoding phase (radians in [0, 2 pi)) at every pixel column.
 
     The target is resampled onto the pixel grid (complex-linear, zero
     outside its support) and peak-normalized before encoding.
     """
-    if grating_period_px < MIN_GRATING_PERIOD_PX:
-        raise ValueError(
-            f"grating period {grating_period_px} px is below {MIN_GRATING_PERIOD_PX} px; "
-            "the first order would alias into its neighbours"
-        )
+    x_um = settings.pixel_coordinates()
     xt = target.coordinates_um
     if np.any(np.diff(xt) <= 0):
         raise ValueError("target coordinates must be strictly increasing")
@@ -123,7 +131,7 @@ def phase_map(target: FieldProfile1D, x_um: np.ndarray,
         raise ValueError("target field is zero over the raster")
     amp = mag / peak
     depth = 1.0 + inverse_sinc(amp) / math.pi
-    ramp = np.mod(2.0 * math.pi * x_um / (grating_period_px * pixel_pitch_um)
+    ramp = np.mod(2.0 * math.pi * x_um / (settings.grating_period_px * settings.pixel_pitch_um)
                   + np.angle(field), 2.0 * math.pi)
     return depth * ramp
 
@@ -134,29 +142,23 @@ def quantize_phase(phase: np.ndarray) -> np.ndarray:
     return (levels.astype(np.int64) % PHASE_LEVELS).astype(np.uint8)
 
 
-def encode_hologram(target: FieldProfile1D, shape: tuple = (1080, 1920),
-                    pixel_pitch_um: float = 8.0,
-                    grating_period_px: float = 6.0) -> HologramImage:
+def encode_hologram(target: FieldProfile1D, settings: HologramSettings) -> HologramImage:
     """Raster a 1D target field into a full-frame phase hologram.
 
     The profile runs along the width; every row repeats it.
     """
-    height, width = shape
-    if height < 1 or width < MIN_GRATING_PERIOD_PX:
-        raise ValueError(f"raster shape {shape} is too small")
-    x = raster_coordinates(width, pixel_pitch_um)
-    row = quantize_phase(phase_map(target, x, pixel_pitch_um, grating_period_px))
-    levels = np.broadcast_to(row, (height, width)).copy()
-    return HologramImage(levels, pixel_pitch_um, grating_period_px)
+    row = quantize_phase(phase_map(target, settings))
+    levels = np.broadcast_to(row, (settings.height_px, settings.width_px)).copy()
+    return HologramImage(levels, settings)
 
 
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
 
-def first_order(phase: np.ndarray, pixel_pitch_um: float, grating_period_px: float,
+def first_order(phase: np.ndarray, settings: HologramSettings,
                 order_center: float = 1.0) -> FieldProfile1D:
-    """Demodulated first diffraction order of a 1D phase profile (radians).
+    """Demodulated first diffraction order of one raster row's phase (radians).
 
     The phase drives a flat unit input beam; the spectral window
     spans half a grating frequency either side of the carrier, and the
@@ -164,19 +166,14 @@ def first_order(phase: np.ndarray, pixel_pitch_um: float, grating_period_px: flo
     the encoding target. ``order_center`` picks a different diffraction
     order (0 gives the undiffracted light) for negative controls.
     """
-    if grating_period_px < MIN_GRATING_PERIOD_PX:
-        raise ValueError(
-            f"grating period {grating_period_px} px is below {MIN_GRATING_PERIOD_PX} px; "
-            "the first order aliases into its neighbours"
-        )
     phase = np.asarray(phase, dtype=float)
     if phase.ndim != 1:
         raise ValueError("phase must be a 1D profile")
-    n = phase.size
-    x = raster_coordinates(n, pixel_pitch_um)
+    pitch = settings.pixel_pitch_um
+    x = settings.pixel_coordinates()
     spectrum = np.fft.fft(np.exp(1j * phase))
-    freqs = np.fft.fftfreq(n, d=pixel_pitch_um)
-    grating_freq = 1.0 / (grating_period_px * pixel_pitch_um)
+    freqs = np.fft.fftfreq(phase.size, d=pitch)
+    grating_freq = 1.0 / (settings.grating_period_px * pitch)
     center = order_center * grating_freq
     window = (freqs > center - 0.5 * grating_freq) & (freqs < center + 0.5 * grating_freq)
     field = np.fft.ifft(spectrum * window)
@@ -186,7 +183,7 @@ def first_order(phase: np.ndarray, pixel_pitch_um: float, grating_period_px: flo
 def simulate_first_order(holo: HologramImage, order_center: float = 1.0) -> FieldProfile1D:
     """Field diffracted into the first order of the raster's first row."""
     phase = holo.phase_levels[0].astype(float) * (2.0 * math.pi / PHASE_LEVELS)
-    return first_order(phase, holo.pixel_pitch_um, holo.grating_period_px, order_center)
+    return first_order(phase, holo.settings, order_center)
 
 
 def amplitude_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:

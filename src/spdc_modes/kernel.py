@@ -200,7 +200,7 @@ def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
     """
     if grid_i is None:
         grid_i = grid_s
-    pump, warns = _multipeak_pump(params, grid_s, grid_i, branch)
+    pump, warns = _multipeak_pump([params], grid_s, grid_i, branch)
     return _matched_kernel(pump, params, grid_s, grid_i, branch, warns)
 
 
@@ -215,13 +215,16 @@ def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
     return build_multipeak(MultiPeakParams(1, 0.0, 0.0, widths), grid_s, grid_i)
 
 
-def _multipeak_pump(params: MultiPeakParams, grid_s: WavevectorGrid,
+def _multipeak_pump(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,
                     grid_i: WavevectorGrid, branch: str) -> tuple:
-    """(pump factor over the joint grids, build warnings) of a multi-peak pump.
+    """(pump factor over the joint grids, build warnings) of multi-peak pumps.
 
-    The pump factor does not depend on the offset, so callers that sweep
-    the offset evaluate it once and pass it to :func:`_matched_kernel`.
+    The samples differ only in their offset, which the pump factor does not
+    depend on, so callers that sweep the offset evaluate it once and pass it
+    to :func:`_matched_kernel`. Each grid is checked against the union of
+    the samples' amplitude supports.
     """
+    params = samples[0]
     widths = params.widths
     _check_resolution(grid_s, widths.narrowest, "signal")
     _check_resolution(grid_i, widths.narrowest, "idler")
@@ -234,8 +237,10 @@ def _multipeak_pump(params: MultiPeakParams, grid_s: WavevectorGrid,
             "per-peak factorization is invalid"
         )
 
-    warns += _coverage_warnings(grid_s, grid_i, *default_grids(
-        params, grid_s.n_points, MIN_COVER_SIGMAS, branch))
+    covers = [default_grids(p, grid_s.n_points, MIN_COVER_SIGMAS, branch) for p in samples]
+    warns += _coverage_warnings(grid_s, grid_i, *(
+        WavevectorGrid(min(c.k_min for c in axis), max(c.k_max for c in axis), grid_s.n_points)
+        for axis in zip(*covers)))
 
     total = grid_s.points()[:, None] + grid_i.points()[None, :]
     pump = np.zeros_like(total)

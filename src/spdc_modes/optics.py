@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +56,8 @@ class PhaseMatchConfig:
 
     All lengths are canonical (um). ``n_signal`` is the index seen by the
     (degenerate) signal and idler waves, ``n_pump`` the index seen by the
-    pump.
+    pump. ``dispersion``, when known, gives the downconverted waves' index
+    away from degeneracy (:meth:`downconverted_index`).
     """
 
     crystal_length_um: float
@@ -64,6 +65,7 @@ class PhaseMatchConfig:
     n_signal: float
     n_pump: float
     regime: str = "noncollinear"
+    dispersion: Optional[SellmeierCoefficients] = None
 
     def __post_init__(self):
         if self.crystal_length_um <= 0:
@@ -95,6 +97,17 @@ class PhaseMatchConfig:
     def signal_wavevector(self) -> float:
         """2 pi n_signal / lambda_signal at degeneracy, in 1/um."""
         return 2.0 * math.pi * self.n_signal / self.signal_wavelength_um
+
+    def downconverted_index(self, wavelength_um: float) -> float:
+        """Index seen by a signal or idler wave at a vacuum wavelength (um).
+
+        The ordinary Sellmeier axis, inside its validity window, when the
+        dispersion is known; else the constant ``n_signal``.
+        """
+        if self.dispersion is None:
+            return self.n_signal
+        self.dispersion.check_wavelength(wavelength_um)
+        return self.dispersion.ordinary.index(wavelength_um)
 
 
 def phase_matching_width(config: PhaseMatchConfig) -> float:

@@ -28,11 +28,11 @@ from spdc_modes.detection import (
 )
 from spdc_modes.hologram import (
     FieldProfile1D,
+    HologramSettings,
     amplitude_overlap,
     encode_hologram,
     envelope_fwhm,
     pump_field,
-    raster_coordinates,
     simulate_first_order,
 )
 from spdc_modes.kernel import MultiPeakParams, build_double_gaussian, build_multipeak, default_grids
@@ -181,21 +181,22 @@ def test_filter_bandwidth_broadens_the_singles():
 
 def test_hologram_round_trip_recovers_the_pump():
     with criterion("hologram-round-trip"):
-        pitch, period, mag = 8.0, 6.0, 20.0
+        mag = 20.0
         width = 1920
+        slm = HologramSettings(width, 8, 8.0, 6.0, mag)
         sigma = GAUSSIAN_FWHM_FACTOR / 246.0
         params = MultiPeakParams(3, 0.168, 0.0, PumpWidths(sigma, sigma), side_amplitude=0.63)
-        x_slm = raster_coordinates(width, pitch)
+        x_slm = slm.pixel_coordinates()
         crystal = pump_field(params, x_slm / mag)
         target = FieldProfile1D(x_slm, crystal.amplitude)
-        holo = encode_hologram(target, (8, width), pitch, period)
+        holo = encode_hologram(target, slm)
         replay = simulate_first_order(holo)
         assert amplitude_overlap(replay, target) > 0.99
         recovered = envelope_fwhm(replay, split_frequency=0.168 / mag) / mag
         assert recovered == pytest.approx(246.0, rel=0.02)
 
         flat = FieldProfile1D(x_slm, np.ones(width, dtype=complex))
-        levels = encode_hologram(flat, (4, width), pitch, period).phase_levels
+        levels = encode_hologram(flat, HologramSettings(width, 4, 8.0, 6.0)).phase_levels
         assert np.array_equal(levels[:, 6:], levels[:, :-6])
 
 

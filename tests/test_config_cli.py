@@ -61,8 +61,8 @@ def test_minimal_config_fills_defaults():
     assert cfg.geometry.filter_fwhm_nm == 10.0
     assert cfg.hologram.width_px == 1920
     assert cfg.pump.widths.sigma_pump == pytest.approx(0.009419280180123796, rel=1e-14)
-    assert cfg.sellmeier is None
-    assert cfg.index_model() is None
+    assert cfg.phase_match.dispersion is None
+    assert cfg.phase_match.downconverted_index(1.0) == cfg.phase_match.n_signal
 
 
 def test_unknown_keys_rejected_with_dotted_paths():
@@ -140,11 +140,10 @@ def test_sellmeier_config_derivations():
     assert sigma_match == pytest.approx(expected_width, rel=1e-12)
     assert sigma_match == pytest.approx(phase_matching_width(cfg.phase_match), rel=0)
 
-    model = cfg.index_model()
-    assert model is not None
-    assert model(0.810) == pytest.approx(N_SIGNAL, rel=1e-14)
+    index = cfg.phase_match.downconverted_index
+    assert index(0.810) == pytest.approx(N_SIGNAL, rel=1e-14)
     with pytest.raises(ValueError, match="window"):
-        model(2.0)
+        index(2.0)
 
     single = load_config(SINGLE)
     widths = single.pump.widths
@@ -170,6 +169,76 @@ def test_normalized_round_trips_to_a_fixed_point():
     assert cfg2.grid_points == cfg.grid_points
     assert any("[default]" in line for line in cfg.provenance_lines())
     assert any("[user]" in line for line in cfg.provenance_lines())
+
+
+# provenance of the shipped configs: key order, values and [user]/[default] tags
+SHIPPED_PHASE_MATCH = """\
+phase_match.crystal_length_mm = 3.0  [user]
+phase_match.pump_wavelength_nm = 405.0  [user]
+phase_match.regime = 'noncollinear'  [user]
+phase_match.offset_override_um_inv = None  [default]
+phase_match.sellmeier.ordinary.a = 2.7359  [user]
+phase_match.sellmeier.ordinary.b = 0.01878  [user]
+phase_match.sellmeier.ordinary.c = 0.01822  [user]
+phase_match.sellmeier.ordinary.d = 0.01354  [user]
+phase_match.sellmeier.extraordinary.a = 2.3753  [user]
+phase_match.sellmeier.extraordinary.b = 0.01224  [user]
+phase_match.sellmeier.extraordinary.c = 0.01667  [user]
+phase_match.sellmeier.extraordinary.d = 0.01516  [user]
+phase_match.sellmeier.valid_range_um = [0.2, 1.1]  [user]
+phase_match.sellmeier.cut_angle_deg = 29.967519622236345  [user]
+phase_match.sellmeier.external_signal_angle_deg = 10.0  [user]
+"""
+THREE_PEAK_PUMP = """\
+pump.peaks = 3  [user]
+pump.envelope_fwhm_um = 246.0  [user]
+pump.peak_spacing_um_inv = 0.168  [user]
+pump.side_amplitude = 0.63  [user]
+pump.matching_width = 'derived'  [user]
+grid.points = 512  [user]
+grid.span_sigmas = 8.0  [user]
+grid.both_branches = False  [default]
+"""
+SHIPPED_BENCH = {source: f"""\
+detection.focal_length_mm = 100.0  [{source}]
+detection.slit_width_signal_mm = 0.2  [{source}]
+detection.slit_width_idler_mm = 0.4  [{source}]
+detection.central_wavelength_nm = 810.0  [{source}]
+detection.filter_fwhm_nm = 10.0  [{source}]
+detection.medium_index = 1.0  [default]
+""" for source in ("user", "default")}
+SHIPPED_SLM = {source: f"""\
+hologram.width_px = 1920  [{source}]
+hologram.height_px = 1080  [{source}]
+hologram.pixel_pitch_um = 8.0  [{source}]
+hologram.grating_period_px = 6.0  [{source}]
+hologram.magnification = 20.0  [{source}]
+""" for source in ("user", "default")}
+SHIPPED_PROVENANCE = {
+    SINGLE: SHIPPED_PHASE_MATCH + """\
+pump.peaks = 1  [user]
+pump.envelope_fwhm_um = 250.0  [user]
+pump.peak_spacing_um_inv = 0.0  [default]
+pump.side_amplitude = None  [default]
+pump.matching_width = 'equal'  [user]
+grid.points = 512  [user]
+grid.span_sigmas = 5.0  [user]
+grid.both_branches = False  [default]
+""" + SHIPPED_BENCH["user"] + SHIPPED_SLM["default"]
+    + "output.directory = 'out/single_mode'  [user]\n",
+    THREE: SHIPPED_PHASE_MATCH + THREE_PEAK_PUMP + SHIPPED_BENCH["user"]
+    + SHIPPED_SLM["default"] + "output.directory = 'out/three_modes'  [user]\n",
+    CROSSTALK: SHIPPED_PHASE_MATCH + THREE_PEAK_PUMP + SHIPPED_BENCH["user"]
+    + SHIPPED_SLM["default"] + "output.directory = 'out/crosstalk'  [user]\n",
+    HOLOGRAM: SHIPPED_PHASE_MATCH + THREE_PEAK_PUMP + SHIPPED_BENCH["default"]
+    + SHIPPED_SLM["user"] + "output.directory = 'out/hologram'  [user]\n",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_PROVENANCE), ids=os.path.basename)
+def test_shipped_provenance_is_pinned(path):
+    lines = load_config(path).provenance_lines()
+    assert "\n".join(lines) + "\n" == SHIPPED_PROVENANCE[path]
 
 
 def test_type_coercion_errors():
@@ -661,6 +730,29 @@ def test_cli_scan_wavelength_average(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "averaged over the spectral filter" in stdout
     assert (out / "singles_signal.csv").exists()
+
+
+def test_filter_average_warns_against_the_union_of_the_sample_supports(tmp_path):
+    # single_mode's 795 nm sample clips the grid's lower edge, its 825 nm one the upper
+    code, out, err = run_config(tmp_path, shipped(SINGLE), "scan", "--wavelength-avg")
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("warning:")] == [
+        "warning: signal grid [0.6264, 0.7206] clips the amplitude support "
+        "[0.6245, 0.7248]; tails are truncated",
+        "warning: idler grid [-0.7206, -0.6264] clips the amplitude support "
+        "[-0.7248, -0.6245]; tails are truncated",
+    ]
+
+
+def test_scan_and_fedorov_report_each_build_warning_once(tmp_path):
+    data = shipped(THREE)
+    data["grid"]["span_sigmas"] = 3.0  # the grid clips both axes' supports
+    for command in ("scan", "fedorov"):
+        code, out, err = run_config(tmp_path, data, command)
+        assert (code, err) == (0, "")
+        warned = [line.split(" grid ")[0] for line in out.splitlines()
+                  if line.startswith("warning:")]
+        assert warned == ["warning: signal", "warning: idler"], command
 
 
 def test_cli_fedorov_single_mode(tmp_path, capsys):

@@ -22,6 +22,7 @@ from spdc_modes.detection import (
     wavelength_average,
 )
 from spdc_modes.kernel import (
+    MIN_COVER_SIGMAS,
     JointIntensity,
     MultiPeakParams,
     build_double_gaussian,
@@ -33,6 +34,8 @@ from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
     PhaseMatchConfig,
     PumpWidths,
+    SellmeierAxis,
+    SellmeierCoefficients,
     WavevectorGrid,
     fwhm_to_sigma_k,
     noncollinear_offset,
@@ -287,9 +290,12 @@ def test_ring_wavevector_against_offset():
     assert ring / (anchor / 2.0) == pytest.approx(expected_ratio, rel=1e-12)
     with pytest.raises(ValueError, match="exceed the pump"):
         ring_wavevector(0.4, cfg)
-    # at 0.68 um the partner sits past 1 um; a tiny index there starves k_i
+    # at 0.68 um the partner sits at 1.0015 um, where this axis gives n = 0.499
+    # (1.660 at 0.68 um): the idler wavevector is too short to close the triangle
+    starved = SellmeierCoefficients(SellmeierAxis(4.9, 0.0, 0.0, 4.637),
+                                    SellmeierAxis(4.9, 0.0, 0.0, 4.637), (0.2, 1.1))
     with pytest.raises(ValueError, match="no transverse phase match"):
-        ring_wavevector(0.68, cfg, index_model=lambda lam: 0.5 if lam > 1.0 else N_SIGNAL)
+        ring_wavevector(0.68, dataclasses.replace(cfg, dispersion=starved))
 
 
 def test_effective_offset_anchored_at_design_wavelength():
@@ -369,17 +375,26 @@ def test_wavelength_average_equals_one_build_per_sample(branch):
     lams = np.linspace(lam_c - 1.5 * fwhm, lam_c + 1.5 * fwhm, 21)
     weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
-    kernels = [build_multipeak(
-        dataclasses.replace(params, noncollinear_offset=effective_offset(lam, cfg)),
-        gs, gi, branch) for lam in lams]
+    samples = [dataclasses.replace(params, noncollinear_offset=effective_offset(lam, cfg))
+               for lam in lams]
+    kernels = [build_multipeak(p, gs, gi, branch) for p in samples]
     total = np.zeros((128, 128))
     for kern, w in zip(kernels, weights):
         total += w * np.abs(kern.amplitude) ** 2
     total /= total.sum() * gs.spacing * gi.spacing
+    # one clip warning per axis, against the union of the samples' supports
+    covers = [default_grids(p, 128, MIN_COVER_SIGMAS, branch) for p in samples]
+    clips = []
+    for axis, (label, grid) in enumerate((("signal", gs), ("idler", gi))):
+        lo, hi = min(c[axis].k_min for c in covers), max(c[axis].k_max for c in covers)
+        if not grid.covers(lo, hi):
+            clips.append(f"{label} grid [{grid.k_min:.4g}, {grid.k_max:.4g}] clips the amplitude "
+                         f"support [{lo:.4g}, {hi:.4g}]; tails are truncated")
 
     avg = wavelength_average(cfg, GEOM, params, gs, gi, branch)
     assert np.array_equal(avg.values, total)
-    assert avg.warnings == kernels[0].warnings
+    assert len(clips) == 2
+    assert avg.warnings == tuple(w for w in kernels[0].warnings if "clips" not in w) + tuple(clips)
 
 
 def test_crosstalk_identical_modes():

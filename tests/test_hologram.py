@@ -8,6 +8,7 @@ import pytest
 from spdc_modes.hologram import (
     FieldProfile1D,
     HologramImage,
+    HologramSettings,
     amplitude_overlap,
     encode_hologram,
     envelope_fwhm,
@@ -20,7 +21,6 @@ from spdc_modes.hologram import (
     phase_map,
     pump_field,
     quantize_phase,
-    raster_coordinates,
     simulate_first_order,
 )
 from spdc_modes.kernel import MultiPeakParams
@@ -28,6 +28,10 @@ from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR, PumpWidths
 
 PITCH = 8.0
 PERIOD = 6.0
+
+
+def slm(width, height=1, period=PERIOD):
+    return HologramSettings(width, height, PITCH, period)
 
 
 def comb_pump(n_peaks, spacing, sigma, side_amplitude=None):
@@ -67,8 +71,7 @@ def test_depth_rises_monotonically_with_amplitude():
 
 
 def test_flat_target_is_periodic_at_the_grating_period():
-    holo = encode_hologram(flat_target(), shape=(4, 240), pixel_pitch_um=PITCH,
-                           grating_period_px=PERIOD)
+    holo = encode_hologram(flat_target(), slm(240, 4))
     levels = holo.phase_levels
     assert np.array_equal(levels[:, 6:], levels[:, :-6])
     assert not np.array_equal(levels[:, 3:], levels[:, :-3])
@@ -79,19 +82,19 @@ def test_zero_amplitude_regions_encode_level_zero():
     x = np.linspace(-1000.0, 1000.0, 2001)
     amp = np.where(x < 0.0, 1.0, 0.0).astype(complex)
     target = FieldProfile1D(x, amp)
-    raster_x = raster_coordinates(200, PITCH)
-    phase = phase_map(target, raster_x, PITCH, PERIOD)
+    raster_x = slm(200).pixel_coordinates()
+    phase = phase_map(target, slm(200))
     assert np.all(phase[raster_x > 0.0] == 0.0)
     assert np.any(phase[raster_x < -PITCH] > 0.0)
 
     far = FieldProfile1D(x + 1e6, amp)
     with pytest.raises(ValueError, match="zero over the raster"):
-        phase_map(far, raster_x, PITCH, PERIOD)
+        phase_map(far, slm(200))
 
 
 def test_pi_phase_flip_shifts_128_levels():
-    plus = encode_hologram(flat_target(value=1.0), shape=(1, 240))
-    minus = encode_hologram(flat_target(value=-1.0), shape=(1, 240))
+    plus = encode_hologram(flat_target(value=1.0), slm(240))
+    minus = encode_hologram(flat_target(value=-1.0), slm(240))
     diff = (minus.phase_levels.astype(int) - plus.phase_levels.astype(int)) % 256
     assert np.all(diff == 128)
 
@@ -102,65 +105,51 @@ def test_quantize_phase_wraps():
 
 
 def test_gaussian_target_round_trip():
-    width = 1920
-    x = raster_coordinates(width, PITCH)
-    target = gaussian_target(x, 4920.0)
-    holo = encode_hologram(target, shape=(8, width), pixel_pitch_um=PITCH,
-                           grating_period_px=PERIOD)
+    settings = slm(1920, 8)
+    target = gaussian_target(settings.pixel_coordinates(), 4920.0)
+    holo = encode_hologram(target, settings)
     replay = simulate_first_order(holo)
     assert amplitude_overlap(replay, target) > 0.995
 
 
 def test_quantization_penalty_is_tiny():
-    width = 1920
-    x = raster_coordinates(width, PITCH)
-    target = gaussian_target(x, 4920.0)
-    phase = phase_map(target, x, PITCH, PERIOD)
-    continuous = first_order(phase, PITCH, PERIOD)
-    quantized = simulate_first_order(encode_hologram(target, (1, width), PITCH, PERIOD))
+    settings = slm(1920)
+    target = gaussian_target(settings.pixel_coordinates(), 4920.0)
+    continuous = first_order(phase_map(target, settings), settings)
+    quantized = simulate_first_order(encode_hologram(target, settings))
     ov_cont = amplitude_overlap(continuous, target)
     ov_quant = amplitude_overlap(quantized, target)
     assert abs(ov_cont - ov_quant) < 1e-3
 
 
 def test_zero_order_is_not_the_target():
-    width = 1920
-    x = raster_coordinates(width, PITCH)
-    target = gaussian_target(x, 4920.0)
-    holo = encode_hologram(target, shape=(1, width), pixel_pitch_um=PITCH,
-                           grating_period_px=PERIOD)
-    zero = simulate_first_order(holo, order_center=0.0)
+    settings = slm(1920)
+    target = gaussian_target(settings.pixel_coordinates(), 4920.0)
+    zero = simulate_first_order(encode_hologram(target, settings), order_center=0.0)
     assert amplitude_overlap(zero, target) < 0.9
 
 
 def test_encode_raster_layout():
-    holo = encode_hologram(flat_target(), shape=(4, 512))
+    holo = encode_hologram(flat_target(), slm(512, 4))
     assert holo.phase_levels.shape == (4, 512)
     assert holo.phase_levels.dtype == np.uint8
-    x = raster_coordinates(holo.phase_levels.shape[1], holo.pixel_pitch_um)
-    assert x.sum() == pytest.approx(0.0, abs=1e-9)
+    assert holo.settings.pixel_coordinates().sum() == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError, match="too small"):
-        encode_hologram(flat_target(), shape=(0, 512))
+        slm(512, 0)
     with pytest.raises(ValueError, match="too small"):
-        encode_hologram(flat_target(), shape=(4, 2))
+        slm(15, 4)
 
 
 def test_aliasing_guards():
-    x = raster_coordinates(64, PITCH)
-    with pytest.raises(ValueError, match="alias"):
-        phase_map(flat_target(), x, PITCH, 2.9)
-    with pytest.raises(ValueError, match="alias"):
-        first_order(np.zeros(64), PITCH, 2.0)
-    # the container allows period 2 rasters, replay refuses them
-    holo = HologramImage(np.zeros((2, 64), dtype=np.uint8), PITCH, 2.5)
-    with pytest.raises(ValueError, match="alias"):
-        simulate_first_order(holo)
-    with pytest.raises(ValueError, match=">= 2"):
-        HologramImage(np.zeros((2, 64), dtype=np.uint8), PITCH, 1.5)
+    assert slm(64, period=3.0).grating_period_px == 3.0
+    with pytest.raises(ValueError, match="below 3 px; the first order would alias"):
+        slm(64, period=2.9)
     with pytest.raises(ValueError, match="uint8"):
-        HologramImage(np.zeros((2, 64)), PITCH, 6.0)
+        HologramImage(np.zeros((2, 64)), slm(64, 2))
+    with pytest.raises(ValueError, match="raster shape"):
+        HologramImage(np.zeros((2, 63), dtype=np.uint8), slm(64, 2))
     with pytest.raises(ValueError, match="1D"):
-        first_order(np.zeros((2, 64)), PITCH, 6.0)
+        first_order(np.zeros((2, 64)), slm(64))
 
 
 def test_envelope_fwhm_plain_gaussian():
@@ -186,6 +175,8 @@ def test_envelope_errors():
     uneven = FieldProfile1D(np.cumsum(np.linspace(1.0, 2.0, 64)), np.ones(64, dtype=complex))
     with pytest.raises(ValueError, match="uniform coordinate grid"):
         envelope_of(uneven, 1.0)
+    with pytest.raises(ValueError, match="matching 1D"):
+        FieldProfile1D(x, np.ones(511, dtype=complex))
 
 
 def test_pump_field_profiles():
@@ -230,21 +221,16 @@ def test_pump_params_validation():
         pump_field(comb_pump(1, 0.0, 0.01), x_far)
 
 
-def test_magnified_scaling():
-    x = np.linspace(-10.0, 10.0, 64)
-    field = FieldProfile1D(x, np.ones(64, dtype=complex))
-    big = field.magnified(20.0)
-    assert np.allclose(big.coordinates_um, 20.0 * x)
-    assert np.array_equal(big.amplitude, field.amplitude)
+def test_slm_settings_validation():
     with pytest.raises(ValueError, match="magnification"):
-        field.magnified(0.0)
-    with pytest.raises(ValueError, match="matching 1D"):
-        FieldProfile1D(x, np.ones(63, dtype=complex))
+        HologramSettings(magnification=0.0)
+    with pytest.raises(ValueError, match="pitch"):
+        HologramSettings(pixel_pitch_um=0.0)
 
 
 def test_pgm_bytes_and_parse():
     levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-    holo = HologramImage(levels, PITCH, PERIOD)
+    holo = HologramImage(levels, slm(16, 16))
     data = pgm_bytes(holo)
     assert data.startswith(b"P5 16 16 255\n")
     assert np.array_equal(parse_pgm(data), levels)
@@ -258,7 +244,7 @@ def test_pgm_bytes_and_parse():
 
 def test_pgm_file_round_trip(tmp_path):
     levels = np.random.default_rng(7).integers(0, 256, size=(32, 48)).astype(np.uint8)
-    holo = HologramImage(levels, PITCH, PERIOD)
+    holo = HologramImage(levels, slm(48, 32))
     path = tmp_path / "raster.pgm"
     export_pgm(holo, str(path))
     assert np.array_equal(parse_pgm(path.read_bytes()), levels)
