@@ -10,7 +10,6 @@ into the data files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -52,25 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in _COMMON_ARGUMENTS + extra:
             p.add_argument(flag, **options)
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args) -> tuple:
-    notes = []
-    changes = {}
-    if args.grid_points is not None:
-        if args.grid_points < 16:
-            raise ConfigError(f"--grid-points must be at least 16, got {args.grid_points}")
-        changes["grid_points"] = args.grid_points
-        notes.append(f"cli override: grid.points = {args.grid_points}")
-    if args.both_branches:
-        changes["branch"] = "both"
-        notes.append("cli override: grid.both_branches = true")
-    if args.out is not None:
-        changes["output_dir"] = args.out
-        notes.append(f"cli override: output.directory = {args.out}")
-    if changes:
-        cfg = dataclasses.replace(cfg, **changes)
-    return cfg, notes
 
 
 def _constants_lines(cfg: RunConfig) -> List[str]:
@@ -221,7 +201,6 @@ def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
     hologram.export_pgm(holo, path)
 
     recovered = hologram.simulate_first_order(holo)
-    overlap = hologram.amplitude_overlap(target, recovered)
     # comb lines sit at multiples of 2*spacing in the crystal plane; demagnified
     # onto the SLM the first one lands at 2*spacing/mag, so split halfway below it
     split = params.peak_spacing / hs.magnification if params.n_peaks > 1 else None
@@ -230,7 +209,8 @@ def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
         f"raster: {hs.width_px} x {hs.height_px} px at {hs.pixel_pitch_um} um pitch, "
         f"grating period {hs.grating_period_px} px",
         f"magnification crystal->SLM = {hs.magnification}",
-        f"round-trip amplitude overlap = {overlap:.8f}",
+        f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered):.8f}",
+        f"complex field overlap = {hologram.field_overlap(target, recovered):.8f}",
         f"recovered envelope FWHM (SLM plane) = {env_slm:.10g} um",
         f"recovered envelope FWHM (crystal plane) = {env_slm / hs.magnification:.10g} um",
         f"target envelope FWHM (crystal plane) = {sigma_k_to_fwhm(params.widths.sigma_pump):.10g} um",
@@ -246,9 +226,12 @@ _COMMON_ARGUMENTS = (
                    help="output directory (overrides output.directory)")),
     ("--grid-points", dict(type=int, default=None, metavar="N", help="override grid.points")),
     ("--both-branches", dict(
-        action="store_true",
+        action="store_true", default=None,
         help="include both emission branches (overrides grid.both_branches)")),
 )
+# flag destination -> the config key it sets; a flag left at None leaves the key to the file
+_FLAG_KEYS = {"grid_points": "grid.points", "both_branches": "grid.both_branches",
+              "out": "output.directory"}
 # name: (help line, handler, arguments beyond the common ones)
 _COMMANDS = {
     "tpa": ("build the joint amplitude and export it", _cmd_tpa, ()),
@@ -271,9 +254,10 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    overrides = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
+                 if getattr(args, dest) is not None}
     try:
-        cfg = load_config(args.config)
-        cfg, override_notes = _apply_overrides(cfg, args)
+        cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -311,7 +295,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     result_lines += [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)]
 
     log_lines = [f"command: {args.command}", f"config: {args.config}"]
-    log_lines += override_notes
+    log_lines += [f"cli override: {key} = {'true' if value is True else value}"
+                  for key, value in overrides.items()]
     log_lines.append("-- parameters (provenance) --")
     log_lines += cfg.provenance_lines()
     log_lines.append("-- results --")

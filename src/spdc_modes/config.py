@@ -19,6 +19,7 @@ from .detection import DetectionGeometry
 from .hologram import HologramSettings
 from .kernel import MultiPeakParams, TpaKernel, build_multipeak, default_grids
 from .optics import (
+    MIN_GRID_POINTS,
     PhaseMatchConfig,
     PumpWidths,
     SellmeierAxis,
@@ -286,8 +287,8 @@ def parse_config(data: dict) -> RunConfig:
     span_sigmas = grid.take("span_sigmas", default=5.0, kind=float)
     branch = "both" if grid.take("both_branches", default=False, kind=bool) else "+"
     grid.finish()
-    if grid_points < 16:
-        raise ConfigError(f"grid.points must be at least 16, got {grid_points}")
+    if grid_points < MIN_GRID_POINTS:
+        raise ConfigError(f"grid.points must be at least {MIN_GRID_POINTS}, got {grid_points}")
     if span_sigmas <= 0:
         raise ConfigError(f"grid.span_sigmas must be positive, got {span_sigmas}")
 
@@ -343,7 +344,9 @@ def parse_config(data: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
+    """Parse the YAML file at ``path`` after writing ``overrides`` ({"grid.points": 64})
+    over its keys, so each override gets its key's checks and provenance."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -355,4 +358,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config {path} is empty")
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a mapping at top level")
+    for key, value in (overrides or {}).items():
+        section, name = key.split(".")
+        node = data.get(section)
+        if node is None or isinstance(node, dict):
+            data[section] = {**(node or {}), name: value}
     return parse_config(data)

@@ -164,8 +164,6 @@ def _row_interp(arr: np.ndarray, frac_index: float) -> np.ndarray:
 
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple:
     """Vertex of the parabola through points i-1, i, i+1 (uniform grids only)."""
-    if i == 0 or i == y.size - 1:
-        return x[i], y[i]
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
     if denom >= 0:
         return x[i], y[i]
@@ -228,7 +226,7 @@ def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
         )
     i_lo, i_hi = idx[0], idx[-1]
     if i_lo == 0 or i_hi == y.size - 1:
-        raise ValueError("peak is cut off by the scan range; widen the scan")
+        raise ValueError("peak is cut off by the sampled range")
     # linear crossing on each flank
     left = x[i_lo - 1] + (half - y[i_lo - 1]) / (y[i_lo] - y[i_lo - 1]) * (x[i_lo] - x[i_lo - 1])
     right = x[i_hi] + (half - y[i_hi]) / (y[i_hi + 1] - y[i_hi]) * (x[i_hi + 1] - x[i_hi])

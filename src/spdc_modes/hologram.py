@@ -1,14 +1,15 @@
 """Phase-only holograms that carve a structured pump out of a flat beam.
 
-The encoding writes a blazed grating whose local modulation depth sets the
-diffracted amplitude and whose local offset sets the phase:
+The encoding writes a blazed grating whose local modulation depth M sets the
+diffracted amplitude and whose local offset sets the phase (Bolduc et al.,
+Opt. Lett. 38, 3546 (2013)):
 
-    phase(x) = depth(A) * mod(2 pi x / period + arg(E), 2 pi)
-    depth(A) = 1 + asinc(A) / pi,   sinc(asinc(A)) = A,  asinc: [0,1] -> [-pi, 0]
+    phase(x) = M * mod(2 pi x / period + arg(E) - pi M, 2 pi)
+    M = 1 + asinc(A) / pi,   sinc(asinc(A)) = A,  asinc: [0,1] -> [-pi, 0]
 
-First diffraction order of that profile carries amplitude A exactly (with a
-known residual phase asinc(A), which is why round-trip fidelity below is an
-amplitude metric). Rasters are 8-bit phase levels on a fixed pixel pitch.
+The first diffraction order carries amplitude A and phase arg(E): the -pi M
+term cancels the order's amplitude-dependent phase pi M. Rasters are 8-bit
+phase levels on a fixed pixel pitch.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .detection import ScanSpectrum, fwhm_of
 from .kernel import MultiPeakParams
 
 PHASE_LEVELS = 256
@@ -112,6 +114,13 @@ class HologramImage:
             raise ValueError(f"phase_levels must be a uint8 array of the raster shape {shape}")
 
 
+def _resample(field: FieldProfile1D, x_um: np.ndarray) -> np.ndarray:
+    """Complex-linear interpolation of ``field`` at ``x_um``, zero outside its support."""
+    xf = field.coordinates_um
+    return (np.interp(x_um, xf, field.amplitude.real, left=0.0, right=0.0)
+            + 1j * np.interp(x_um, xf, field.amplitude.imag, left=0.0, right=0.0))
+
+
 def phase_map(target: FieldProfile1D, settings: HologramSettings) -> np.ndarray:
     """Continuous encoding phase (radians in [0, 2 pi)) at every pixel column.
 
@@ -119,12 +128,9 @@ def phase_map(target: FieldProfile1D, settings: HologramSettings) -> np.ndarray:
     outside its support) and peak-normalized before encoding.
     """
     x_um = settings.pixel_coordinates()
-    xt = target.coordinates_um
-    if np.any(np.diff(xt) <= 0):
+    if np.any(np.diff(target.coordinates_um) <= 0):
         raise ValueError("target coordinates must be strictly increasing")
-    re_part = np.interp(x_um, xt, target.amplitude.real, left=0.0, right=0.0)
-    im_part = np.interp(x_um, xt, target.amplitude.imag, left=0.0, right=0.0)
-    field = re_part + 1j * im_part
+    field = _resample(target, x_um)
     mag = np.abs(field)
     peak = mag.max()
     if peak == 0:
@@ -132,7 +138,7 @@ def phase_map(target: FieldProfile1D, settings: HologramSettings) -> np.ndarray:
     amp = mag / peak
     depth = 1.0 + inverse_sinc(amp) / math.pi
     ramp = np.mod(2.0 * math.pi * x_um / (settings.grating_period_px * settings.pixel_pitch_um)
-                  + np.angle(field), 2.0 * math.pi)
+                  + np.angle(field) - math.pi * depth, 2.0 * math.pi)
     return depth * ramp
 
 
@@ -186,15 +192,18 @@ def simulate_first_order(holo: HologramImage, order_center: float = 1.0) -> Fiel
     return first_order(phase, holo.settings, order_center)
 
 
-def amplitude_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:
-    """Normalized overlap of |E| profiles on a's coordinate grid, in [0, 1]."""
-    xa = a.coordinates_um
-    mb = np.interp(xa, b.coordinates_um, np.abs(b.amplitude), left=0.0, right=0.0)
-    ma = np.abs(a.amplitude)
-    na, nb = np.linalg.norm(ma), np.linalg.norm(mb)
+def field_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:
+    """Normalized complex overlap |<a|b>| on a's coordinate grid, in [0, 1]."""
+    eb = _resample(b, a.coordinates_um)
+    na, nb = np.linalg.norm(a.amplitude), np.linalg.norm(eb)
     if na == 0 or nb == 0:
         return 0.0
-    return float(np.dot(ma, mb) / (na * nb))
+    return float(abs(np.vdot(a.amplitude, eb)) / (na * nb))
+
+
+def amplitude_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:
+    """:func:`field_overlap` of the |E| profiles, blind to phase."""
+    return field_overlap(*(FieldProfile1D(f.coordinates_um, np.abs(f.amplitude)) for f in (a, b)))
 
 
 def envelope_of(field: FieldProfile1D, split_frequency: float) -> FieldProfile1D:
@@ -220,18 +229,7 @@ def envelope_of(field: FieldProfile1D, split_frequency: float) -> FieldProfile1D
 def envelope_fwhm(field: FieldProfile1D, split_frequency: Optional[float] = None) -> float:
     """FWHM (um) of the magnitude envelope of a (possibly modulated) field."""
     env = envelope_of(field, split_frequency) if split_frequency else field
-    y = np.abs(env.amplitude)
-    x = env.coordinates_um
-    half = y.max() / 2.0
-    if half <= 0:
-        raise ValueError("field is empty")
-    above = np.flatnonzero(y >= half)
-    if above[0] == 0 or above[-1] == y.size - 1:
-        raise ValueError("envelope is cut off by the coordinate range")
-    i, j = above[0], above[-1]
-    left = x[i - 1] + (half - y[i - 1]) / (y[i] - y[i - 1]) * (x[i] - x[i - 1])
-    right = x[j] + (half - y[j]) / (y[j + 1] - y[j]) * (x[j + 1] - x[j])
-    return right - left
+    return fwhm_of(ScanSpectrum(env.coordinates_um, np.abs(env.amplitude)))
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,8 @@ class MultiPeakParams:
 def _branch_factor(delta: np.ndarray, offset: float, sigma: float, branch: str) -> np.ndarray:
     if branch == "+":
         return np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
-    if branch == "both":
-        return (np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
-                + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
-    raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    return (np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
+            + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
 
 
 def default_grids(params: MultiPeakParams, n_points: int = 512,

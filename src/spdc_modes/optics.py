@@ -29,6 +29,7 @@ SINC_SQ_GAUSSIAN_FIT = 0.249
 SINC_GAUSSIAN_FIT = 0.195
 
 REGIMES = ("collinear", "noncollinear")
+MIN_GRID_POINTS = 16  # fewest samples on a wavevector grid axis
 
 
 def fwhm_to_sigma_k(fwhm_field_um: float) -> float:
@@ -229,8 +230,8 @@ class WavevectorGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 16:
-            raise ValueError(f"need at least 16 grid points, got {self.n_points}")
+        if self.n_points < MIN_GRID_POINTS:
+            raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got {self.n_points}")
         if not self.k_max > self.k_min:
             raise ValueError(f"empty grid: k_min={self.k_min}, k_max={self.k_max}")
         if not math.isfinite(self.k_max - self.k_min):

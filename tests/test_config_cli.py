@@ -632,6 +632,43 @@ def test_cli_bad_grid_points_is_exit_2(tmp_path, capsys):
     assert "at least 16" in capsys.readouterr().err
 
 
+def test_grid_points_flag_and_key_fail_with_one_line(tmp_path):
+    data = shipped(SINGLE)
+    flagged = run_config(tmp_path, data, "tpa", "--grid-points", "8")
+    data["grid"]["points"] = 8
+    assert flagged == run_config(tmp_path, data, "tpa") == (
+        2, "", "configuration error: grid.points must be at least 16, got 8\n")
+
+
+def test_flags_are_recorded_as_the_values_used(tmp_path, monkeypatch):
+    used = []
+    help_text, _handler, extra = cli._COMMANDS["tpa"]
+    monkeypatch.setitem(cli._COMMANDS, "tpa", (
+        help_text, lambda cfg, args, out_dir: used.append(cfg) or [], extra))
+    out = tmp_path / "D"
+    assert main(["tpa", "--config", THREE, "--grid-points", "64", "--both-branches",
+                 "--out", str(out)]) == 0
+    (cfg,) = used
+    assert (cfg.grid_points, cfg.branch, cfg.output_dir) == (64, "both", str(out))
+    tree = cfg.normalized()
+    assert (tree["grid"]["points"], tree["grid"]["both_branches"]) == (64, True)
+    assert tree["output"]["directory"] == str(out)
+    log = (out / "tpa.log").read_text().splitlines()
+    assert {"grid.points = 64  [user]", "grid.both_branches = True  [user]",
+            f"output.directory = '{out}'  [user]"} <= set(log)
+
+    # a null or missing section takes the flag; one that is no mapping is still refused
+    monkeypatch.undo()
+    data = shipped(SINGLE)
+    data["grid"] = None
+    del data["output"]
+    code, stdout, _err = run_config(tmp_path, data, "tpa", "--grid-points", "64")
+    assert code == 0 and "signal grid: " in stdout and stdout.count(" x 64\n") == 2
+    data["grid"] = [512]
+    assert run_config(tmp_path, data, "tpa", "--grid-points", "64") == (
+        2, "", "configuration error: grid must be a mapping, got list\n")
+
+
 def test_cli_grating_period_below_the_minimum_is_exit_2(tmp_path):
     data = shipped(HOLOGRAM)
     data["hologram"]["grating_period_px"] = 2.5

@@ -30,6 +30,8 @@ RUNS = (
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("scan", "three_modes", ("--wavelength-avg",),
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
+    ("scan", "three_modes", ("--grid-points", "841", "--both-branches", "--zero-width-slits"),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("pump", "three_modes", (), ("pump_field.csv",)),
     ("crosstalk", "crosstalk", (), ("crosstalk.csv",)),
     ("hologram", "hologram", (), ("hologram.pgm",)),
@@ -70,12 +72,21 @@ GOLDEN = {
             "fd8799a50f9e50ad3b75fe9b5c123c17c123fb6105143e9a25b69719cf959968",
         "scan three_modes --wavelength-avg coincidence_signal.csv":
             "64a793aae67875a464436d007ef483edd823074bf5a4aae64ee6c5f11e15c74e",
+        "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
+        "singles_signal.csv":
+            "83af02e929005ad3d0b4c75fc90e34c8c64c4dbb087c6c1879edb76c17873ab6",
+        "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
+        "singles_idler.csv":
+            "ca718790df48d74e831b48e8d08c95d33334144ab07a92c21e3510ff56a109f3",
+        "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
+        "coincidence_signal.csv":
+            "ca835de1c3d8b5e93160881f059adbce87db3cc5d1e2e9aa651169b3ccc0ec9c",
         "pump three_modes pump_field.csv":
             "b67de4444d1c07a4a2a0e33bca851d8827bf5ca1b3fbdf6a48e0f9f88917cd94",
         "crosstalk crosstalk crosstalk.csv":
             "9a0357a79140dd49b53d49625279fd8518b35d362b6d33db0ddec0256992c313",
         "hologram hologram hologram.pgm":
-            "04254b45d96656a01a334be209a892556cb11d1d3fcd04106db4675763d50335",
+            "e027f7e1e16d1216945385b0944fd92692d48977c41910dda207de6b6558254e",
         "fedorov single_mode stdout":
             "17bb9065c70457254c2a3cc35640e3e1d2c2db0b8c4448797ee47ae52acdafe4",
         "fedorov single_mode --zero-width-slits stdout":
@@ -88,12 +99,14 @@ GOLDEN = {
             "e63691de6e92dbaf4c68bb35ed2bbbb517179d55284c51aa0794a031269c6c1f",
         "scan three_modes --wavelength-avg stdout":
             "99fb1dd843321928540fbdec996ec613dbc6a53b7d1b1c5479f42fec527ce8e2",
+        "scan three_modes --grid-points 841 --both-branches --zero-width-slits stdout":
+            "37c2d2e2b713dbab6763ab124b2d3db169c76453a3cbe877016731c622618c96",
         "pump three_modes stdout":
             "ef801ff0ff052ca1ec17ab6a934d8dc0a9c2a23ecab2c756016127164c68a3bd",
         "crosstalk crosstalk stdout":
             "b835cedc05c235009e9097834322a3ee12319909e0c7c110021e681c6890631c",
         "hologram hologram stdout":
-            "e9a12cc5816971486c4a1442881e311435f7f00ba6f9e2e925a81aa363248691",
+            "9acff8fe3c4466c1613c1a4ecb701b6ff8831740520cdb3b5367ad89a9c6c37d",
     },
 }
 

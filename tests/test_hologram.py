@@ -1,10 +1,12 @@
 """Phase-hologram encoding, replay, envelopes, and PGM round-trips."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from spdc_modes.config import load_config
 from spdc_modes.hologram import (
     FieldProfile1D,
     HologramImage,
@@ -14,6 +16,7 @@ from spdc_modes.hologram import (
     envelope_fwhm,
     envelope_of,
     export_pgm,
+    field_overlap,
     first_order,
     inverse_sinc,
     parse_pgm,
@@ -26,6 +29,7 @@ from spdc_modes.hologram import (
 from spdc_modes.kernel import MultiPeakParams
 from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR, PumpWidths
 
+HOLOGRAM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hologram.yaml")
 PITCH = 8.0
 PERIOD = 6.0
 
@@ -127,6 +131,17 @@ def test_zero_order_is_not_the_target():
     target = gaussian_target(settings.pixel_coordinates(), 4920.0)
     zero = simulate_first_order(encode_hologram(target, settings), order_center=0.0)
     assert amplitude_overlap(zero, target) < 0.9
+
+
+def test_replay_carries_the_target_phase():
+    # the first order's phase follows arg E only if the encoder subtracts pi * depth
+    settings = slm(1920)
+    single = gaussian_target(settings.pixel_coordinates(), 4920.0)
+    assert field_overlap(single, simulate_first_order(encode_hologram(single, settings))) >= 0.99
+    cfg = load_config(HOLOGRAM)
+    x = cfg.hologram.pixel_coordinates()
+    comb = FieldProfile1D(x, pump_field(cfg.pump, x / cfg.hologram.magnification).amplitude)
+    assert field_overlap(comb, simulate_first_order(encode_hologram(comb, cfg.hologram))) >= 0.98
 
 
 def test_encode_raster_layout():
