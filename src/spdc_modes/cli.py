@@ -110,20 +110,19 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
     lines = []
 
     if args.wavelength_avg:
-        grid_s, grid_i = cfg.grids()
-        source = detection.wavelength_average(cfg.phase_match, geom, cfg.pump,
-                                              grid_s, grid_i, cfg.branch)
+        inten = detection.wavelength_average(cfg.phase_match, geom, cfg.pump,
+                                             *cfg.grids(), cfg.branch)
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
-        source = cfg.build_kernel()
+        inten = cfg.build_kernel().intensity()
 
-    singles_s = detection.singles_scan(source, geom, "signal", zero_width=zero)
-    singles_i = detection.singles_scan(source, geom, "idler", zero_width=zero)
+    singles_s = detection.singles_scan(inten, geom, "signal", zero_width=zero)
+    singles_i = detection.singles_scan(inten, geom, "idler", zero_width=zero)
     center = args.idler_center
     if center is None:
-        center = detection.idler_peak_center(source)
-    coinc = detection.coincidence_scan(source, geom, center, "signal", zero_width=zero)
+        center = detection.idler_peak_center(inten)
+    coinc = detection.coincidence_scan(inten, geom, center, zero_width=zero)
 
     paths = []
     for name, spectrum in (("singles_signal", singles_s), ("singles_idler", singles_i),
@@ -147,17 +146,16 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
             lines.append(f"coincidence FWHM = {detection.fwhm_of(coinc):.10g} 1/um")
         except ValueError as exc:
             lines.append(f"width extraction skipped: {exc}")
-    lines += [f"warning: {w}" for w in source.warnings]
+    lines += [f"warning: {w}" for w in inten.warnings]
     lines += [f"wrote {p}" for p in paths]
     return lines
 
 
 def _cmd_fedorov(cfg: RunConfig, args, out_dir: str) -> List[str]:
-    kernel = cfg.build_kernel()
-    ratio = detection.fedorov_ratio(kernel, cfg.geometry,
-                                    zero_width=args.zero_width_slits)
+    inten = cfg.build_kernel().intensity()
+    ratio = detection.fedorov_ratio(inten, cfg.geometry, zero_width=args.zero_width_slits)
     return [f"width ratio (unconditional / conditional) = {ratio:.10f}",
-            *[f"warning: {w}" for w in kernel.warnings]]
+            *[f"warning: {w}" for w in inten.warnings]]
 
 
 def _cmd_crosstalk(cfg: RunConfig, args, out_dir: str) -> List[str]:

@@ -108,9 +108,8 @@ class _Section:
             raise ConfigError(f"unknown keys: {keys}")
 
 
-def _exclusive_length(sec: _Section, base: str, unit_scales: dict,
-                      required: bool = True) -> Optional[float]:
-    """One canonical value from alternative unit spellings of the same key."""
+def _exclusive_length(sec: _Section, base: str, unit_scales: dict) -> float:
+    """One canonical value from alternative unit spellings of the same required key."""
     present = [k for k in unit_scales if sec.has(k)]
     if len(present) > 1:
         raise ConfigError(
@@ -118,11 +117,9 @@ def _exclusive_length(sec: _Section, base: str, unit_scales: dict,
             f"({' or '.join(sec._child_path(k) for k in unit_scales)}), not several"
         )
     if not present:
-        if required:
-            raise ConfigError(
-                f"one of {' or '.join(sec._child_path(k) for k in unit_scales)} is required"
-            )
-        return None
+        raise ConfigError(
+            f"one of {' or '.join(sec._child_path(k) for k in unit_scales)} is required"
+        )
     key = present[0]
     return sec.take(key, kind=float) * unit_scales[key]
 

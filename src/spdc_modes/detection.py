@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -21,12 +21,11 @@ from scipy.special import logsumexp
 from .kernel import (
     JointIntensity,
     MultiPeakParams,
-    TpaKernel,
     _matched_kernel,
     _multipeak_pump,
     marginal_intensity,
 )
-from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid, noncollinear_offset
+from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,6 @@ class ScanSpectrum:
     rates: np.ndarray
 
 
-def _as_intensity(obj: Union[TpaKernel, JointIntensity]) -> JointIntensity:
-    if isinstance(obj, TpaKernel):
-        return obj.intensity()
-    if isinstance(obj, JointIntensity):
-        return obj
-    raise TypeError(f"expected TpaKernel or JointIntensity, got {type(obj)}")
-
-
 def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
                   width: float) -> np.ndarray:
     """Integral of y over [c - width/2, c + width/2] for each center.
@@ -93,10 +84,9 @@ def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
     return upper - lower
 
 
-def singles_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeometry,
+def singles_scan(inten: JointIntensity, geom: DetectionGeometry,
                  which: str = "signal", zero_width: bool = False) -> ScanSpectrum:
     """Single-detector rate at every grid node: partner integrated out, slit window applied."""
-    inten = _as_intensity(source)
     k, marginal = marginal_intensity(inten, which)
     if zero_width:
         rates = marginal
@@ -105,49 +95,32 @@ def singles_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeomet
     return ScanSpectrum(k, rates)
 
 
-def coincidence_scan(source: Union[TpaKernel, JointIntensity], geom: DetectionGeometry,
-                     fixed_center: float, scan: str = "signal",
-                     zero_width: bool = False) -> ScanSpectrum:
-    """Two-detector rate at every scan-grid node, partner slit parked at ``fixed_center``."""
-    inten = _as_intensity(source)
-    if scan == "signal":
-        scan_grid, fixed_grid = inten.grid_s, inten.grid_i
-        values = inten.values
-        fixed_label = "idler"
-    elif scan == "idler":
-        scan_grid, fixed_grid = inten.grid_i, inten.grid_s
-        values = inten.values.T
-        fixed_label = "signal"
-    else:
-        raise ValueError(f"scan must be 'signal' or 'idler', got {scan!r}")
-
-    kf = fixed_grid.points()
+def coincidence_scan(inten: JointIntensity, geom: DetectionGeometry,
+                     fixed_center: float, zero_width: bool = False) -> ScanSpectrum:
+    """Two-detector rate at every signal-grid node, idler slit parked at ``fixed_center``."""
+    values = inten.values
+    kf = inten.grid_i.points()
     if not (kf[0] <= fixed_center <= kf[-1]):
         raise ValueError(
-            f"fixed {fixed_label} slit center {fixed_center:.4g} lies outside the grid "
+            f"fixed idler slit center {fixed_center:.4g} lies outside the grid "
             f"[{kf[0]:.4g}, {kf[-1]:.4g}]"
         )
 
+    ks = inten.grid_s.points()
     if zero_width:
         # exact slice: interpolate along the fixed axis
         j = np.searchsorted(kf, fixed_center)
         j = min(max(j, 1), kf.size - 1)
         t = (fixed_center - kf[j - 1]) / (kf[j] - kf[j - 1])
-        conditional = (1.0 - t) * values[:, j - 1] + t * values[:, j]
-    else:
-        width = geom.slit_acceptance(fixed_label)
-        seg = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(kf)
-        cum = np.concatenate((np.zeros((values.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
-        hi = np.interp(fixed_center + width / 2.0, kf, np.arange(kf.size, dtype=float))
-        lo = np.interp(fixed_center - width / 2.0, kf, np.arange(kf.size, dtype=float))
-        conditional = _row_interp(cum, hi) - _row_interp(cum, lo)
+        return ScanSpectrum(ks, (1.0 - t) * values[:, j - 1] + t * values[:, j])
 
-    ks = scan_grid.points()
-    if zero_width:
-        rates = conditional
-    else:
-        rates = _box_integral(ks, conditional, ks, geom.slit_acceptance(scan))
-    return ScanSpectrum(ks, rates)
+    width = geom.slit_acceptance("idler")
+    seg = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(kf)
+    cum = np.concatenate((np.zeros((values.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
+    hi = np.interp(fixed_center + width / 2.0, kf, np.arange(kf.size, dtype=float))
+    lo = np.interp(fixed_center - width / 2.0, kf, np.arange(kf.size, dtype=float))
+    conditional = _row_interp(cum, hi) - _row_interp(cum, lo)
+    return ScanSpectrum(ks, _box_integral(ks, conditional, ks, geom.slit_acceptance("signal")))
 
 
 def _row_interp(arr: np.ndarray, frac_index: float) -> np.ndarray:
@@ -233,23 +206,22 @@ def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
     return right - left
 
 
-def fedorov_ratio(kernel: Union[TpaKernel, JointIntensity], geom: DetectionGeometry,
+def fedorov_ratio(inten: JointIntensity, geom: DetectionGeometry,
                   zero_width: bool = False) -> float:
     """Width of the signal singles peak over the conditional peak width.
 
     The partner slit parks on :func:`idler_peak_center`. With zero-width
     slits on a double-Gaussian amplitude this ratio equals the Schmidt number.
     """
-    inten = _as_intensity(kernel)
     center = idler_peak_center(inten)
     singles = singles_scan(inten, geom, "signal", zero_width=zero_width)
-    coinc = coincidence_scan(inten, geom, center, "signal", zero_width=zero_width)
+    coinc = coincidence_scan(inten, geom, center, zero_width=zero_width)
     return fwhm_of(singles) / fwhm_of(coinc)
 
 
-def idler_peak_center(source: Union[TpaKernel, JointIntensity]) -> float:
+def idler_peak_center(inten: JointIntensity) -> float:
     """Default idler slit center: the idler marginal's maximum, ties to the smaller |k|."""
-    ki, mi = marginal_intensity(_as_intensity(source), "idler")
+    ki, mi = marginal_intensity(inten, "idler")
     top = np.flatnonzero(mi == mi.max())
     return float(ki[top[np.argmin(np.abs(ki[top]))]])
 
@@ -258,8 +230,10 @@ def idler_peak_center(source: Union[TpaKernel, JointIntensity]) -> float:
 # finite filter bandwidth
 # ---------------------------------------------------------------------------
 
-# spectral samples across the filter passband in :func:`wavelength_average`
+# spectral samples across the filter passband in :func:`wavelength_average`,
+# spread uniformly over +-FILTER_SPAN_FWHM filter FWHMs
 FILTER_SAMPLES = 21
+FILTER_SPAN_FWHM = 1.5
 
 
 def ring_wavevector(lambda_signal_um: float, config: PhaseMatchConfig) -> float:
@@ -290,32 +264,35 @@ def ring_wavevector(lambda_signal_um: float, config: PhaseMatchConfig) -> float:
     return math.sqrt(radicand)
 
 
-def effective_offset(lambda_signal_um: float, config: PhaseMatchConfig) -> float:
+def effective_offset(lambda_signal_um: float, offset: float,
+                     config: PhaseMatchConfig) -> float:
     """Apparent difference-coordinate offset for an off-degenerate signal photon.
 
-    Detectors are parameterized in degenerate-wavelength wavevector units,
-    so a photon at lambda_s appears at its true angle times 2 pi / lambda_deg:
-    the offset picks up the factor (lambda_s / lambda_deg) and the ring's own
-    dispersion enters as a ratio anchored at the design offset.
+    ``offset`` is the run's offset at the degenerate wavelength. Detectors
+    are parameterized in degenerate-wavelength wavevector units, so a photon
+    at lambda_s appears at its true angle times 2 pi / lambda_deg: the offset
+    picks up the factor (lambda_s / lambda_deg) and the ring's own dispersion
+    enters as a ratio anchored at ``offset``. A zero offset has no ring to
+    move and stays zero.
     """
+    if offset == 0.0:
+        return 0.0
     lam_deg = config.signal_wavelength_um
-    anchor = noncollinear_offset(config).offset_um_inv
     ratio = ring_wavevector(lambda_signal_um, config) / ring_wavevector(lam_deg, config)
-    return anchor * (lambda_signal_um / lam_deg) * ratio
+    return offset * (lambda_signal_um / lam_deg) * ratio
 
 
 def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
                        params: MultiPeakParams, grid_s: WavevectorGrid,
                        grid_i: WavevectorGrid, branch: str = "+",
-                       n_samples: int = FILTER_SAMPLES,
-                       span_fwhm: float = 1.5) -> JointIntensity:
+                       n_samples: int = FILTER_SAMPLES) -> JointIntensity:
     """Joint intensity of a multi-peak pump averaged over the filter passband.
 
     Each spectral sample is :func:`~spdc_modes.kernel.build_multipeak` of
-    ``params`` on the given grids and branch, with the offset replaced by
-    the sample's effective difference-coordinate offset. The passband is
-    Gaussian, centered on the geometry's filter, sampled uniformly over
-    +-span_fwhm * FWHM, and the sampled intensities are weight-averaged
+    ``params`` on the given grids and branch, with its offset replaced by
+    the sample's :func:`effective_offset`. The passband is Gaussian,
+    centered on the geometry's filter, sampled uniformly over
+    +-FILTER_SPAN_FWHM * FWHM, and the sampled intensities are weight-averaged
     (incoherent sum). The pump factor does not depend on the offset and is
     evaluated once; the coverage warnings are against the union of the
     samples' supports.
@@ -325,12 +302,14 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
-    lams = np.linspace(lam_c - span_fwhm * fwhm, lam_c + span_fwhm * fwhm, n_samples)
+    lams = np.linspace(lam_c - FILTER_SPAN_FWHM * fwhm, lam_c + FILTER_SPAN_FWHM * fwhm,
+                       n_samples)
     weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
 
-    samples = [dataclasses.replace(params, noncollinear_offset=effective_offset(lam, config))
-               for lam in lams]
+    samples = [dataclasses.replace(
+        params, noncollinear_offset=effective_offset(lam, params.noncollinear_offset, config))
+        for lam in lams]
     pump, warns = _multipeak_pump(samples, grid_s, grid_i, branch)
     total = np.zeros(pump.shape)
     for p, w in zip(samples, weights):
@@ -375,21 +354,20 @@ def gaussian_mode_log_intensities(centers: Sequence[float], scale: float,
 
 
 def crosstalk_matrix(modes: np.ndarray, grid: Optional[WavevectorGrid] = None,
-                     log_input: bool = False, amplitude: bool = False) -> CrosstalkMatrix:
-    """Normalized squared intensity overlaps X_mn between mode profiles.
+                     log_input: bool = False) -> CrosstalkMatrix:
+    """Normalized squared overlaps X_mn between mode profiles.
 
-    X_mn = (integral I_m I_n)^2 / (integral I_m^2 * integral I_n^2), so
-    X_mm = 1 and X is symmetric. ``log_input`` treats rows as natural-log
-    intensities and works entirely in the log domain, which keeps
-    vanishing overlaps meaningful far below float underflow.
-    ``amplitude`` treats rows as (possibly complex) amplitudes and uses
-    |integral u_m* u_n|^2 instead.
+    X_mn = |<u_m|u_n>|^2 / (<u_m|u_m> <u_n|u_n>) with <u|v> the integral of
+    u* v, so X_mm = 1 and X is symmetric. Rows of intensities give the
+    intensity overlap (integral I_m I_n)^2 / (integral I_m^2 integral I_n^2);
+    rows of (possibly complex) amplitudes give the amplitude overlap.
+    ``log_input`` treats rows as natural-log intensities and works entirely
+    in the log domain, which keeps vanishing overlaps meaningful far below
+    float underflow.
     """
     modes = np.asarray(modes)
     if modes.ndim != 2:
         raise ValueError(f"modes must be 2D (n_modes, n_k), got shape {modes.shape}")
-    if log_input and amplitude:
-        raise ValueError("log_input and amplitude are mutually exclusive")
     n, nk = modes.shape
     if grid is not None:
         if grid.n_points != nk:
@@ -413,19 +391,11 @@ def crosstalk_matrix(modes: np.ndarray, grid: Optional[WavevectorGrid] = None,
             values = np.exp(log_x)
         return CrosstalkMatrix(values, log_x)
 
-    if amplitude:
-        gram = (modes.conj() * w) @ modes.T
-        overlap_sq = np.abs(gram) ** 2
-        diag = np.real(np.diag(gram))
-    else:
-        if np.any(modes < 0):
-            raise ValueError("intensity modes must be nonnegative (amplitude=False)")
-        gram = (modes * w) @ modes.T
-        overlap_sq = gram ** 2
-        diag = np.diag(gram)
+    gram = (modes.conj() * w) @ modes.T
+    diag = np.real(np.diag(gram))
     if np.any(diag <= 0):
         raise ValueError("every mode needs positive norm")
-    x = overlap_sq / (diag[:, None] * diag[None, :])
+    x = np.abs(gram) ** 2 / (diag[:, None] * diag[None, :])
     with np.errstate(divide="ignore"):
         log_x = np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
     return CrosstalkMatrix(x, log_x)

@@ -21,13 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optics import (
-    PhaseMatchConfig,
-    PumpWidths,
-    WavevectorGrid,
-    noncollinear_offset,
-    phase_matching_width,
-)
+from .optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
 
 # grids must resolve the narrowest feature; refuse anything coarser
 MAX_STEP_FRACTION = 0.25
@@ -330,16 +324,16 @@ def pump_spectrum_from_field(x_um: np.ndarray, field: np.ndarray,
     return PumpSpectrum(k, vals)
 
 
-def build_from_pump(pump: PumpSpectrum, config: PhaseMatchConfig,
+def build_from_pump(pump: PumpSpectrum, params: MultiPeakParams, config: PhaseMatchConfig,
                     grid_s: WavevectorGrid, grid_i: Optional[WavevectorGrid] = None,
-                    phasematch_model: str = "gaussian",
-                    matching_width: Optional[float] = None,
-                    branch: str = "+") -> TpaKernel:
+                    phasematch_model: str = "gaussian", branch: str = "+") -> TpaKernel:
     """Joint amplitude from a sampled pump spectrum and a matching profile.
 
     The pump factor is looked up at ks + ki (linear interpolation, zero
-    outside the sampled range). ``phasematch_model`` picks the
-    difference-coordinate profile:
+    outside the sampled range). The offset K and the matching width
+    sigma_match are the run's resolved ones, read from ``params``; ``config``
+    supplies only the crystal constants of the sinc profile.
+    ``phasematch_model`` picks the difference-coordinate profile:
 
     * ``"gaussian"``: exp(-(delta - K)^2 / (2 sigma_match^2)), plus its
       mirror at -K for ``branch='both'``,
@@ -371,14 +365,9 @@ def build_from_pump(pump: PumpSpectrum, config: PhaseMatchConfig,
         pump_factor = pump_factor + 1j * np.interp(total, pump.k_points, pump.values.imag,
                                                    left=0.0, right=0.0)
 
-    if config.regime == "noncollinear":
-        offset = noncollinear_offset(config).offset_um_inv
-    else:
-        offset = 0.0
-
+    offset = params.noncollinear_offset
     if phasematch_model == "gaussian":
-        sigma = matching_width if matching_width is not None else phase_matching_width(config)
-        match = _branch_factor(delta, offset, sigma, branch)
+        match = _branch_factor(delta, offset, params.widths.sigma_match, branch)
     else:
         length = config.crystal_length_um
         if config.regime == "collinear":

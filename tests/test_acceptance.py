@@ -6,16 +6,18 @@ Tolerances are fixed here on purpose; loosening them is a contract change.
 """
 
 import contextlib
+import copy
 import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_modes.config import load_config
+from spdc_modes.config import load_config, parse_config
 from spdc_modes.detection import (
     coincidence_scan,
     crosstalk_matrix,
@@ -90,7 +92,7 @@ def test_matched_widths_give_a_single_mode():
         dec = schmidt_decompose(kernel)
         assert dec.coefficients[0] ** 2 >= 0.9999
         # finite slits from the config, not the zero-width idealization
-        assert fedorov_ratio(kernel, cfg.geometry) == pytest.approx(1.0, abs=0.02)
+        assert fedorov_ratio(kernel.intensity(), cfg.geometry) == pytest.approx(1.0, abs=0.02)
 
 
 def test_modes_are_hermite_gauss():
@@ -111,9 +113,9 @@ def test_modes_are_hermite_gauss():
 def test_three_peak_spectrum_and_slit_selection():
     with criterion("three-peak-correlations"):
         cfg = load_config(THREE)
-        kernel = cfg.build_kernel()
-        step = kernel.grid_s.spacing
-        singles = singles_scan(kernel, cfg.geometry, "signal", zero_width=True)
+        inten = cfg.build_kernel().intensity()
+        step = inten.grid_s.spacing
+        singles = singles_scan(inten, cfg.geometry, "signal", zero_width=True)
         pos, height = find_peaks(singles, min_height_frac=0.05)
         assert pos.size == 3
         assert np.allclose(np.diff(np.sort(pos)), 0.168, atol=step)
@@ -121,11 +123,11 @@ def test_three_peak_spectrum_and_slit_selection():
         # center field 1, side fields 0.63, heights are squared fields
         assert height[order[0]] / height[order[1]] == pytest.approx((1.0 / 0.63) ** 2, rel=0.05)
 
-        idler = singles_scan(kernel, cfg.geometry, "idler", zero_width=True)
+        idler = singles_scan(inten, cfg.geometry, "idler", zero_width=True)
         ipos, _ = find_peaks(idler, min_height_frac=0.05)
         assert ipos.size == 3
         for p in ipos:
-            coinc = coincidence_scan(kernel, cfg.geometry, p, "signal", zero_width=True)
+            coinc = coincidence_scan(inten, cfg.geometry, p, zero_width=True)
             cpos, _ = find_peaks(coinc, min_height_frac=0.05)
             assert cpos.size == 1
             assert cpos[0] == pytest.approx(p + cfg.pump.noncollinear_offset, abs=2.0 * step)
@@ -153,6 +155,27 @@ def test_crosstalk_is_negligible_and_log_safe():
         assert via_log.values[0, 1] == pytest.approx(direct.values[0, 1], rel=1e-10)
 
 
+def test_crosstalk_matches_the_closed_form_gaussian_law():
+    # unit-norm HG0 intensities exp(-(k - c)^2 / s^2) overlap as
+    # X_mn = exp(-(c_m - c_n)^2 / s^2), on the shipped comb and a 64-peak one
+    with criterion("crosstalk-closed-form"):
+        with open(CROSSTALK, "r", encoding="utf-8") as fh:
+            shipped = yaml.safe_load(fh)
+        comb = copy.deepcopy(shipped)
+        comb["pump"] = {"peaks": 64, "peak_spacing_um_inv": 0.12,
+                        "envelope_fwhm_um": 100.0, "matching_width": "derived"}
+        comb["grid"] = {"points": 2048, "span_sigmas": 8.0}
+        for data in (shipped, comb):
+            cfg = parse_config(data)
+            grid_s, _ = cfg.grids()
+            scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
+            centers = cfg.pump.mode_offsets() + cfg.pump.noncollinear_offset / 2.0
+            logs = gaussian_mode_log_intensities(centers, scale, grid_s)
+            matrix = crosstalk_matrix(logs, grid_s, log_input=True)
+            oracle = -((centers[:, None] - centers[None, :]) / scale) ** 2
+            np.testing.assert_allclose(matrix.log_values, oracle, rtol=1e-12, atol=0.0)
+
+
 def test_filter_bandwidth_broadens_the_singles():
     with criterion("filter-bandwidth-broadening"):
         pm = PhaseMatchConfig(3000.0, 0.405, 1.6602583173171748, 1.6579880614409859)
@@ -172,7 +195,7 @@ def test_filter_bandwidth_broadens_the_singles():
             return fwhm_of(singles_scan(source, geom, "signal", zero_width=True),
                            window=window)
 
-        mono = signal_fwhm(builder(offset))
+        mono = signal_fwhm(builder(offset).intensity())
         w21 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, "+"))
         w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, "+", n_samples=42))
         assert w21 > mono

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_modes import cli
+from spdc_modes import cli, detection
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.exports import read_csv
@@ -779,6 +779,44 @@ def test_filter_average_warns_against_the_union_of_the_sample_supports(tmp_path)
         "warning: idler grid [-0.7206, -0.6264] clips the amplitude support "
         "[-0.7248, -0.6245]; tails are truncated",
     ]
+
+
+def test_filter_average_sits_on_the_override_ring(tmp_path):
+    data = shipped(THREE)
+    data["phase_match"]["offset_override_um_inv"] = 1.2
+    code, out, err = run_config(tmp_path, data, "scan", "--wavelength-avg")
+    assert (code, err) == (0, "")
+    peaks_line = next(l for l in out.splitlines() if l.startswith("signal singles peaks"))
+    peaks = [float(v) for v in peaks_line.split(":")[1].split(",")]
+    assert peaks == pytest.approx([0.432, 0.600, 0.768], abs=1e-3)
+    assert "clips" not in out
+
+
+COLLINEAR = {
+    "sellmeier": {},
+    "indices-equal": {"indices": {"signal": 1.6614, "pump": 1.6614}},
+    "indices-contrast": {"indices": {"signal": 1.6, "pump": 1.65}},
+}
+
+
+@pytest.mark.parametrize("patch", COLLINEAR.values(), ids=COLLINEAR.keys())
+def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch):
+    # no ring to move: every spectral sample keeps the zero offset
+    data = shipped(SINGLE)
+    pm = data["phase_match"]
+    pm["regime"] = "collinear"
+    del pm["sellmeier"]["external_signal_angle_deg"]
+    if patch:
+        del pm["sellmeier"]
+        pm.update(patch)
+    code, _, err = run_config(tmp_path, data, "scan", "--wavelength-avg")
+    assert (code, err) == (0, "")
+
+    cfg = parse_config(data)
+    avg = detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump,
+                                       *cfg.grids(), cfg.branch)
+    mono = cfg.build_kernel().intensity().values
+    assert np.max(np.abs(avg.values - mono)) <= 1e-12 * mono.max()
 
 
 def test_scan_and_fedorov_report_each_build_warning_once(tmp_path):

@@ -26,6 +26,11 @@ RUNS = (
     ("fedorov", "single_mode", ("--zero-width-slits",), ()),
     ("tpa", "single_mode", (), ("kernel.csv", "kernel.meta.yaml")),
     ("tpa", "three_modes", (), ("kernel.csv", "kernel.meta.yaml")),
+    ("fedorov", "three_modes", (), ()),
+    ("scan", "three_modes", (),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
+    ("scan", "single_mode", ("--wavelength-avg",),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("scan", "three_modes", ("--zero-width-slits",),
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("scan", "three_modes", ("--wavelength-avg",),
@@ -60,6 +65,18 @@ GOLDEN = {
             "985fe472c7be6bba99c3498ac5b61f9f62f51e90a736f180bfb57b71ba7d2a96",
         "tpa three_modes kernel.meta.yaml":
             "6f51c5bd0ecdcae3b04128e7e172377afb5b26edcfbe98a2f0de5d543e6ab247",
+        "scan three_modes singles_signal.csv":
+            "2409185096986b43e2bd28bd69c44ce384f5b70c2b1f3af992c7970ad32a102f",
+        "scan three_modes singles_idler.csv":
+            "dda1c4a50ef5f89846c715b46e59f3ac6e10b624cefff1783375f51478849b95",
+        "scan three_modes coincidence_signal.csv":
+            "67593ac213bc17ab18bf79699821dacae5d5e3aca3b677855a23dd6fffbadbf8",
+        "scan single_mode --wavelength-avg singles_signal.csv":
+            "4ead399012aa7fa2966177f96e88e129db39d611f5d5f505632526515f3f879b",
+        "scan single_mode --wavelength-avg singles_idler.csv":
+            "356c9f506f31fcdf99b98cbc18a1e5a51f4c8f489dedafecadcf11d0a8d774b0",
+        "scan single_mode --wavelength-avg coincidence_signal.csv":
+            "1782dcf9c9a53f8f750dda15065bc58f73641dfa9c06a9a42d09215aea0dad53",
         "scan three_modes --zero-width-slits singles_signal.csv":
             "54830e0d6748d73fc3f4b4a7dca66c06307330b779996c25dfd11f81be768cb3",
         "scan three_modes --zero-width-slits singles_idler.csv":
@@ -91,6 +108,12 @@ GOLDEN = {
             "17bb9065c70457254c2a3cc35640e3e1d2c2db0b8c4448797ee47ae52acdafe4",
         "fedorov single_mode --zero-width-slits stdout":
             "17bb9065c70457254c2a3cc35640e3e1d2c2db0b8c4448797ee47ae52acdafe4",
+        "fedorov three_modes stdout":
+            "2147d90221f9517756a4301ff5757f0c5a0d3f130e6fe2c53a0ebc589c78dda1",
+        "scan three_modes stdout":
+            "75fa1fca02bd7badcfb816ebcd95de8d41282985d087d311c60c8f7f0d4a39d1",
+        "scan single_mode --wavelength-avg stdout":
+            "80342ede2b113a334acefc7cbbd190a7dc4f777a79059a7e4581cc5ede5c6d13",
         "tpa single_mode stdout":
             "a151d682cf093bb6047ca7c4b3fab7a8f6b2fae0a11047aae6c0a45e4494f27c",
         "tpa three_modes stdout":

@@ -18,7 +18,13 @@ from spdc_modes.kernel import (
     pump_spectrum_from_field,
     sum_coordinate_grid,
 )
-from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
+from spdc_modes.optics import (
+    PhaseMatchConfig,
+    PumpWidths,
+    WavevectorGrid,
+    noncollinear_offset,
+    phase_matching_width,
+)
 
 SIGMA = 0.009419280180123796  # 250 um envelope
 
@@ -158,7 +164,8 @@ def test_real_models_build_real_kernels():
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
     tk = sum_coordinate_grid(grid, grid).points()
     chirped = PumpSpectrum(tk, np.exp(-tk ** 2 / (2 * SIGMA ** 2) + 30j * tk))
-    kernel = build_from_pump(chirped, cfg, grid, grid, "gaussian", matching_width=1.7 * SIGMA)
+    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
+    kernel = build_from_pump(chirped, resolved, cfg, grid, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     assert np.abs(kernel.amplitude.imag).max() > 0
 
@@ -172,8 +179,9 @@ def test_real_pump_spectrum_builds_a_real_kernel(model):
     # the same samples held as complex, so the builder takes its complex path
     promoted = copy.copy(real)
     object.__setattr__(promoted, "values", real.values.astype(complex))
-    kernel = build_from_pump(real, cfg, grid, grid, model, matching_width=1.7 * SIGMA)
-    reference = build_from_pump(promoted, cfg, grid, grid, model, matching_width=1.7 * SIGMA)
+    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
+    kernel = build_from_pump(real, resolved, cfg, grid, grid, model)
+    reference = build_from_pump(promoted, resolved, cfg, grid, grid, model)
     assert kernel.amplitude.dtype == np.float64
     assert reference.amplitude.dtype == np.complex128
     assert np.array_equal(kernel.amplitude, reference.amplitude.real)
@@ -245,8 +253,9 @@ def test_build_from_pump_matches_multipeak():
     for w, c in zip(params.weights(), params.pump_centers()):
         vals += w * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
     pump = PumpSpectrum(tk, vals)
-    rebuilt = build_from_pump(pump, cfg, gs, gi, "gaussian",
-                              matching_width=widths.sigma_match, branch="+")
+    resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
+                               PumpWidths(SIGMA, widths.sigma_match))
+    rebuilt = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian", branch="+")
     assert np.max(np.abs(rebuilt.amplitude - direct.amplitude)) < 1e-10 * np.abs(direct.amplitude).max()
 
 
@@ -278,8 +287,8 @@ def test_build_from_pump_coverage_warning():
     grid = centered(5 * SIGMA, 64)
     narrow = PumpSpectrum(np.linspace(-SIGMA, SIGMA, 64),
                           np.exp(-np.linspace(-1, 1, 64) ** 2))
-    kernel = build_from_pump(narrow, cfg, grid, grid, "gaussian",
-                             matching_width=SIGMA)
+    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, SIGMA))
+    kernel = build_from_pump(narrow, resolved, cfg, grid, grid, "gaussian")
     assert any("pump spectrum" in w for w in kernel.warnings)
 
 
@@ -312,8 +321,10 @@ def test_sinc_vs_gaussian_noncollinear_fwhm():
         right = np.interp(half_max, prof[j + 1:j - 1:-1], delta[j + 1:j - 1:-1])
         return right - left
 
-    gauss = build_from_pump(pump, cfg, gs, gi, "gaussian", branch="+")
-    sinc = build_from_pump(pump, cfg, gs, gi, "sinc", branch="+")
+    resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
+                               PumpWidths(0.01, phase_matching_width(cfg)))
+    gauss = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian", branch="+")
+    sinc = build_from_pump(pump, resolved, cfg, gs, gi, "sinc", branch="+")
     ratio = antidiag_fwhm(sinc) / antidiag_fwhm(gauss)
 
     slope = cfg.crystal_length_um * offset / (4.0 * cfg.signal_wavevector)
@@ -333,8 +344,9 @@ def test_sinc_collinear_matches_gaussian_fit_width():
     tk = np.linspace(-6.0, 6.0, 801)
     pump = PumpSpectrum(tk, np.exp(-(tk ** 2) / 2.0))
 
-    gauss = build_from_pump(pump, cfg, grid, grid, "gaussian", branch="both")
-    sinc = build_from_pump(pump, cfg, grid, grid, "sinc", branch="both")
+    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)))
+    gauss = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian", branch="both")
+    sinc = build_from_pump(pump, resolved, cfg, grid, grid, "sinc", branch="both")
 
     def antidiag_fwhm(kernel):
         prof = np.abs(np.diagonal(kernel.amplitude[:, ::-1])) ** 2
@@ -354,5 +366,7 @@ def test_build_from_pump_rejects_bad_model():
     grid = centered(1.0, 32)
     pump = PumpSpectrum(np.linspace(-3, 3, 64), np.exp(-np.linspace(-3, 3, 64) ** 2))
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
+    resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
+                               PumpWidths(1.0, phase_matching_width(cfg)))
     with pytest.raises(ValueError, match="model"):
-        build_from_pump(pump, cfg, grid, grid, "cosine")
+        build_from_pump(pump, resolved, cfg, grid, grid, "cosine")

@@ -288,7 +288,8 @@ def chirped_kernel():
     tk = sum_coordinate_grid(grid, grid).points()
     pump = PumpSpectrum(tk, np.exp(-tk ** 2 / 2.0 + 0.3j * tk ** 2))
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672, regime="collinear")
-    kernel = build_from_pump(pump, cfg, grid, grid, "gaussian", matching_width=2.0)
+    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, 2.0))
+    kernel = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     return kernel
 
