@@ -16,14 +16,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
 from .kernel import (
     JointIntensity,
     MultiPeakParams,
-    _matched_kernel,
-    _multipeak_pump,
+    check_grids,
     marginal_intensity,
+    sum_coordinate_grid,
 )
 from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid
 
@@ -288,17 +289,25 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
                        n_samples: int = FILTER_SAMPLES) -> JointIntensity:
     """Joint intensity of a multi-peak pump averaged over the filter passband.
 
-    Each spectral sample is :func:`~spdc_modes.kernel.build_multipeak` of
-    ``params`` on the given grids and branch, with its offset replaced by
-    the sample's :func:`effective_offset`. The passband is Gaussian,
-    centered on the geometry's filter, sampled uniformly over
-    +-FILTER_SPAN_FWHM * FWHM, and the sampled intensities are weight-averaged
-    (incoherent sum). The pump factor does not depend on the offset and is
-    evaluated once; the coverage warnings are against the union of the
-    samples' supports.
+    Each spectral sample is the normalized intensity of
+    :func:`~spdc_modes.kernel.build_multipeak` of ``params`` with its offset
+    replaced by the sample's :func:`effective_offset`. The passband is
+    Gaussian, sampled uniformly over +-FILTER_SPAN_FWHM * FWHM, and the
+    samples are weight-averaged (incoherent sum). The coverage warnings are
+    against the union of the samples' supports.
+
+    No kernel is built. On grids of one spacing h (others are refused) a
+    sample's intensity is P^2[i + j] M^2[i - j] / n: the pump comb P takes
+    one value per sum ks + ki (a Hankel index), the sample's matching factor
+    M one per difference ks - ki (a Toeplitz index), and the norm
+    n = h^2 sum_d M^2[d] D[d], where D[d] sums P^2 along the diagonal
+    i - j = d. The average is then P^2[i + j] g[i - j] with the 1D
+    g = sum of (weight / n) M^2, one product of two strided views: the
+    output is the only array of the joint grids' size.
     """
     if n_samples < 3:
         raise ValueError(f"need at least 3 spectral samples, got {n_samples}")
+    sums = sum_coordinate_grid(grid_s, grid_i).points()
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
@@ -310,14 +319,39 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     samples = [dataclasses.replace(
         params, noncollinear_offset=effective_offset(lam, params.noncollinear_offset, config))
         for lam in lams]
-    pump, warns = _multipeak_pump(samples, grid_s, grid_i, branch)
-    total = np.zeros(pump.shape)
-    for p, w in zip(samples, weights):
-        total += w * np.abs(_matched_kernel(pump, p, grid_s, grid_i, branch).amplitude) ** 2
+    warns = check_grids(samples, grid_s, grid_i, branch)
+
+    # sum node m holds i + j = m; shifted by the idler's k_min + k_max it is
+    # the difference ks - ki at i - j = m - (n_i - 1)
+    n_s, n_i = grid_s.n_points, grid_i.n_points
+    delta = sums - (grid_i.k_min + grid_i.k_max)
+    pump = params.pump_factor(sums)
+    match = np.array([p.matching_factor(delta, branch) for p in samples])
+    if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
+        raise ValueError("amplitude contains non-finite entries")
+    pump2 = pump * pump
+    match2 = match * match
+
+    # the diagonal i - j = e runs over i + j = |e|, |e| + 2, ..., hi, and
+    # prefix[m + 2] sums pump2 over the indices <= m of m's parity
+    prefix = np.zeros(sums.size + 2)
+    prefix[2::2] = np.cumsum(pump2[0::2])
+    prefix[3::2] = np.cumsum(pump2[1::2])
+    e = np.arange(sums.size) - (n_i - 1)
+    hi = np.minimum(2 * (n_i - 1) + e, 2 * (n_s - 1) - e)
+    diagonal = prefix[hi + 2] - prefix[np.abs(e)]
+
+    area = grid_s.spacing * grid_i.spacing
+    norms = (match2 @ diagonal) * area
+    if np.any(norms == 0.0):
+        raise ValueError("amplitude is identically zero")
+    g = (weights / norms) @ match2
+    # [i, j] -> pump2[i + j] and g[i - j + n_i - 1]
+    avg = sliding_window_view(pump2, n_i) * sliding_window_view(g, n_i)[:, ::-1]
 
     # renormalize like a kernel intensity: unit integral
-    total /= total.sum() * grid_s.spacing * grid_i.spacing
-    return JointIntensity(grid_s, grid_i, total, tuple(warns))
+    avg /= avg.sum() * area
+    return JointIntensity(grid_s, grid_i, avg, tuple(warns))
 
 
 # ---------------------------------------------------------------------------

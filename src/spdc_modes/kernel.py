@@ -151,12 +151,24 @@ class MultiPeakParams:
             return np.array([a, 0.5, a])
         return np.ones(self.n_peaks)
 
+    def pump_factor(self, total: np.ndarray) -> np.ndarray:
+        """Pump comb at sum coordinates ks + ki: a Gaussian at each of
+        :meth:`pump_centers`, scaled by :meth:`weights`."""
+        pump = np.zeros_like(total)
+        for w, c in zip(self.weights(), self.pump_centers()):
+            pump += w * np.exp(-((total - c) ** 2) / (2.0 * self.widths.sigma_pump ** 2))
+        return pump
 
-def _branch_factor(delta: np.ndarray, offset: float, sigma: float, branch: str) -> np.ndarray:
-    if branch == "+":
-        return np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
-    return (np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
-            + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
+    def matching_factor(self, delta: np.ndarray, branch: str) -> np.ndarray:
+        """Gaussian phase matching at differences ks - ki, centred at the offset.
+
+        ``branch='both'`` adds the mirror Gaussian at minus the offset.
+        """
+        offset, sigma = self.noncollinear_offset, self.widths.sigma_match
+        if branch == "+":
+            return np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
+        return (np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
+                + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
 
 
 def default_grids(params: MultiPeakParams, n_points: int = 512,
@@ -192,8 +204,11 @@ def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
     """
     if grid_i is None:
         grid_i = grid_s
-    pump, warns = _multipeak_pump([params], grid_s, grid_i, branch)
-    return _matched_kernel(pump, params, grid_s, grid_i, branch, warns)
+    warns = check_grids([params], grid_s, grid_i, branch)
+    ks = grid_s.points()[:, None]
+    ki = grid_i.points()[None, :]
+    amp = params.pump_factor(ks + ki) * params.matching_factor(ks - ki, branch)
+    return TpaKernel.from_array(grid_s, grid_i, amp, warns)
 
 
 def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
@@ -207,14 +222,13 @@ def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
     return build_multipeak(MultiPeakParams(1, 0.0, 0.0, widths), grid_s, grid_i)
 
 
-def _multipeak_pump(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,
-                    grid_i: WavevectorGrid, branch: str) -> tuple:
-    """(pump factor over the joint grids, build warnings) of multi-peak pumps.
+def check_grids(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,
+                grid_i: WavevectorGrid, branch: str) -> list:
+    """Build warnings of multi-peak pumps on the joint grids.
 
-    The samples differ only in their offset, which the pump factor does not
-    depend on, so callers that sweep the offset evaluate it once and pass it
-    to :func:`_matched_kernel`. Each grid is checked against the union of
-    the samples' amplitude supports.
+    Raises ValueError when a grid cannot resolve the narrowest width. The
+    samples differ only in their offset; each grid is checked against the
+    union of the samples' amplitude supports.
     """
     params = samples[0]
     widths = params.widths
@@ -233,21 +247,7 @@ def _multipeak_pump(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,
     warns += _coverage_warnings(grid_s, grid_i, *(
         WavevectorGrid(min(c.k_min for c in axis), max(c.k_max for c in axis), grid_s.n_points)
         for axis in zip(*covers)))
-
-    total = grid_s.points()[:, None] + grid_i.points()[None, :]
-    pump = np.zeros_like(total)
-    for w, c in zip(params.weights(), params.pump_centers()):
-        pump += w * np.exp(-((total - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
-    return pump, warns
-
-
-def _matched_kernel(pump: np.ndarray, params: MultiPeakParams, grid_s: WavevectorGrid,
-                    grid_i: WavevectorGrid, branch: str,
-                    warns: Sequence[str] = ()) -> TpaKernel:
-    """Normalized kernel: a pump factor times the branch matching factor at params' offset."""
-    delta = grid_s.points()[:, None] - grid_i.points()[None, :]
-    match = _branch_factor(delta, params.noncollinear_offset, params.widths.sigma_match, branch)
-    return TpaKernel.from_array(grid_s, grid_i, pump * match, warns)
+    return warns
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,8 @@ def build_from_pump(pump: PumpSpectrum, params: MultiPeakParams, config: PhaseMa
       mirror at -K for ``branch='both'``,
     * ``"sinc"``: the longitudinal mismatch profile itself,
       sinc[(L/4) (delta^2 - K^2) / (2 k_s)] (noncollinear; delta >= 0 only
-      for ``branch='+'``) or sinc[(L/4) delta^2 / (2 k_p)] (collinear).
+      for ``branch='+'``) or sinc[(L/4) delta^2 / (2 k_p)] (collinear; a
+      non-zero resolved offset is refused, as this profile peaks at 0).
     """
     if grid_i is None:
         grid_i = grid_s
@@ -347,6 +348,10 @@ def build_from_pump(pump: PumpSpectrum, params: MultiPeakParams, config: PhaseMa
         raise ValueError(f"unknown phase-matching model {phasematch_model!r}")
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    offset = params.noncollinear_offset
+    if phasematch_model == "sinc" and config.regime == "collinear" and offset != 0.0:
+        raise ValueError(f"the collinear sinc profile is centred at ks - ki = 0 and cannot "
+                         f"sit on the resolved offset {offset:.4g} 1/um")
 
     ks = grid_s.points()[:, None]
     ki = grid_i.points()[None, :]
@@ -365,9 +370,8 @@ def build_from_pump(pump: PumpSpectrum, params: MultiPeakParams, config: PhaseMa
         pump_factor = pump_factor + 1j * np.interp(total, pump.k_points, pump.values.imag,
                                                    left=0.0, right=0.0)
 
-    offset = params.noncollinear_offset
     if phasematch_model == "gaussian":
-        match = _branch_factor(delta, offset, params.widths.sigma_match, branch)
+        match = params.matching_factor(delta, branch)
     else:
         length = config.crystal_length_um
         if config.regime == "collinear":

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spdc_modes.config import load_config
 from spdc_modes.detection import (
     DetectionGeometry,
     ScanSpectrum,
@@ -44,6 +47,7 @@ from spdc_modes.optics import (
 from spdc_modes.schmidt import hermite_gauss
 
 GEOM = DetectionGeometry()
+THREE_MODES = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "three_modes.yaml")
 
 # degenerate type-I cut, frozen from the Sellmeier data used in the configs
 N_SIGNAL = 1.6602583173171748
@@ -360,30 +364,58 @@ def test_wavelength_average_validation():
     gs, gi = default_grids(params, 512, 6.0, "+")
     with pytest.raises(ValueError, match="at least 3"):
         wavelength_average(cfg, GEOM, params, gs, gi, "+", n_samples=2)
+    coarse_s, coarse_i = default_grids(params, 64, 6.0, "+")
+    with pytest.raises(ValueError, match="signal grid step .* cannot resolve"):
+        wavelength_average(cfg, GEOM, params, coarse_s, coarse_i, "+")
+    # the pump comb underflows on every sum ks + ki of grids far off its peak
+    far_s, far_i = (WavevectorGrid(g.k_min + 50.0, g.k_max + 50.0, g.n_points) for g in (gs, gi))
+    with pytest.raises(ValueError, match="amplitude is identically zero"):
+        wavelength_average(cfg, GEOM, params, far_s, far_i, "+")
 
 
-@pytest.mark.parametrize("branch", ["+", "both"])
-def test_wavelength_average_equals_one_build_per_sample(branch):
-    # reference: a full build_multipeak per spectral sample, summed incoherently
+def three_peak_case(branch, n_points=128, span_sigmas=4.0, idler_drop=0):
+    # a coarse grid that clips the union of the samples' supports on both axes
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     params = MultiPeakParams(3, 0.6, offset, PumpWidths(0.16, 0.2), side_amplitude=0.63)
-    gs, gi = default_grids(params, 128, 4.0, branch)
-    lam_c = GEOM.central_wavelength_nm * 1e-3
-    fwhm = GEOM.filter_fwhm_nm * 1e-3
+    gs, gi = default_grids(params, n_points, span_sigmas, branch)
+    # the same spacing on fewer idler points
+    gi = WavevectorGrid(gi.k_min, gi.k_max - idler_drop * gi.spacing, n_points - idler_drop)
+    return (cfg, GEOM, params, gs, gi, branch), 2
+
+
+def shipped_three_modes_case():
+    run = load_config(THREE_MODES)
+    return (run.phase_match, run.geometry, run.pump, *run.grids(), run.branch), 0
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: three_peak_case("+"), id="+"),
+    pytest.param(lambda: three_peak_case("both"), id="both"),
+    # the amplitude is still 1e-3 of its peak at the corners, so every
+    # diagonal of the joint grids counts
+    pytest.param(lambda: three_peak_case("+", 64, 1.5, idler_drop=8), id="tight"),
+    pytest.param(shipped_three_modes_case, id="three_modes"),
+])
+def test_wavelength_average_equals_one_build_per_sample(case):
+    # reference: a full build_multipeak per spectral sample, summed incoherently
+    (cfg, geom, params, gs, gi, branch), n_clips = case()
+    lam_c = geom.central_wavelength_nm * 1e-3
+    fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
     lams = np.linspace(lam_c - 1.5 * fwhm, lam_c + 1.5 * fwhm, 21)
     weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
+    offset = params.noncollinear_offset
     samples = [dataclasses.replace(params, noncollinear_offset=effective_offset(lam, offset, cfg))
                for lam in lams]
     kernels = [build_multipeak(p, gs, gi, branch) for p in samples]
-    total = np.zeros((128, 128))
+    total = np.zeros((gs.n_points, gi.n_points))
     for kern, w in zip(kernels, weights):
         total += w * np.abs(kern.amplitude) ** 2
     total /= total.sum() * gs.spacing * gi.spacing
     # one clip warning per axis, against the union of the samples' supports
-    covers = [default_grids(p, 128, MIN_COVER_SIGMAS, branch) for p in samples]
+    covers = [default_grids(p, gs.n_points, MIN_COVER_SIGMAS, branch) for p in samples]
     clips = []
     for axis, (label, grid) in enumerate((("signal", gs), ("idler", gi))):
         lo, hi = min(c[axis].k_min for c in covers), max(c[axis].k_max for c in covers)
@@ -391,10 +423,35 @@ def test_wavelength_average_equals_one_build_per_sample(branch):
             clips.append(f"{label} grid [{grid.k_min:.4g}, {grid.k_max:.4g}] clips the amplitude "
                          f"support [{lo:.4g}, {hi:.4g}]; tails are truncated")
 
-    avg = wavelength_average(cfg, GEOM, params, gs, gi, branch)
-    assert np.array_equal(avg.values, total)
-    assert len(clips) == 2
+    avg = wavelength_average(cfg, geom, params, gs, gi, branch)
+    # the average sums in another order than the loop: equal to rounding
+    assert np.max(np.abs(avg.values - total)) <= 1e-12 * total.max()
+    assert len(clips) == n_clips
     assert avg.warnings == tuple(w for w in kernels[0].warnings if "clips" not in w) + tuple(clips)
+
+
+def test_wavelength_average_needs_one_grid_spacing():
+    cfg = bbo_config()
+    offset = noncollinear_offset(cfg).offset_um_inv
+    params = MultiPeakParams(1, 0.0, offset, PumpWidths(0.16, 0.2))
+    gs, gi = default_grids(params, 128, 4.0, "+")
+    wider = WavevectorGrid(gi.k_min - 0.01, gi.k_max, gi.n_points)
+    with pytest.raises(ValueError, match="spacings differ"):
+        wavelength_average(cfg, GEOM, params, gs, wider, "+")
+
+
+def test_wavelength_average_holds_one_joint_array():
+    # a loop over per-sample kernels holds six joint-grid arrays at its peak
+    run = load_config(THREE_MODES)
+    gs, gi = run.grids()
+    tracemalloc.start()
+    try:
+        wavelength_average(run.phase_match, run.geometry, run.pump, gs, gi, run.branch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gs.n_points == 512
+    assert peak <= 2 * gs.n_points * gi.n_points * 8
 
 
 def test_crosstalk_identical_modes():

@@ -72,11 +72,11 @@ GOLDEN = {
         "scan three_modes coincidence_signal.csv":
             "67593ac213bc17ab18bf79699821dacae5d5e3aca3b677855a23dd6fffbadbf8",
         "scan single_mode --wavelength-avg singles_signal.csv":
-            "4ead399012aa7fa2966177f96e88e129db39d611f5d5f505632526515f3f879b",
+            "3b09fcac870646a062c1321651c0db8b7d7e947051703e1dd5eded97fb4ce25b",
         "scan single_mode --wavelength-avg singles_idler.csv":
-            "356c9f506f31fcdf99b98cbc18a1e5a51f4c8f489dedafecadcf11d0a8d774b0",
+            "8dcf82c2225d83d552119b444aac873c16d2ca948647eb4603ef1d566b96d88a",
         "scan single_mode --wavelength-avg coincidence_signal.csv":
-            "1782dcf9c9a53f8f750dda15065bc58f73641dfa9c06a9a42d09215aea0dad53",
+            "06d757931d74265b2b76e91a798ef2235b060cc499c84c036a0d68a4d8b3095c",
         "scan three_modes --zero-width-slits singles_signal.csv":
             "54830e0d6748d73fc3f4b4a7dca66c06307330b779996c25dfd11f81be768cb3",
         "scan three_modes --zero-width-slits singles_idler.csv":
@@ -84,11 +84,11 @@ GOLDEN = {
         "scan three_modes --zero-width-slits coincidence_signal.csv":
             "1d06c33895569e56ddf5fbe4c847e8ae5769f88970c5829e4ba51fb5561c53bf",
         "scan three_modes --wavelength-avg singles_signal.csv":
-            "1f6388d77408baf6a94cb4f3466fe64674efda6c1e0bfc5b0aa99e4a226d2886",
+            "e5021cd80c89ff7051e5938411f61824db6261e2040b1f5f88395bc7d456d633",
         "scan three_modes --wavelength-avg singles_idler.csv":
-            "fd8799a50f9e50ad3b75fe9b5c123c17c123fb6105143e9a25b69719cf959968",
+            "7524e4197f34ccaacb568050a09f71672c3759e4e6a48965a7819358bea34448",
         "scan three_modes --wavelength-avg coincidence_signal.csv":
-            "64a793aae67875a464436d007ef483edd823074bf5a4aae64ee6c5f11e15c74e",
+            "283ab8a1635df2a94ebc566e6ed2d844fee42a3989a58917a4c28105d38ebc70",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
         "singles_signal.csv":
             "83af02e929005ad3d0b4c75fc90e34c8c64c4dbb087c6c1879edb76c17873ab6",

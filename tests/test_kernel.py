@@ -2,10 +2,12 @@
 
 import copy
 import math
+import os
 
 import numpy as np
 import pytest
 
+from spdc_modes.config import load_config
 from spdc_modes.kernel import (
     MultiPeakParams,
     PumpSpectrum,
@@ -27,6 +29,7 @@ from spdc_modes.optics import (
 )
 
 SIGMA = 0.009419280180123796  # 250 um envelope
+SINGLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "single_mode.yaml")
 
 
 def centered(half, n=256):
@@ -360,6 +363,21 @@ def test_sinc_collinear_matches_gaussian_fit_width():
 
     # the 0.249 fit was chosen to equalize intensity FWHMs, so ratio ~ 1
     assert antidiag_fwhm(sinc) / antidiag_fwhm(gauss) == pytest.approx(1.0, abs=1e-2)
+
+
+def test_collinear_sinc_refuses_an_offset_ring():
+    # the collinear sinc peaks at ks - ki = 0; on the override ring it put the
+    # kernel on a side lobe, at 1.182 where the Gaussian model peaks at 1.2
+    run = load_config(SINGLE, {"phase_match.regime": "collinear",
+                               "phase_match.offset_override_um_inv": 1.2})
+    gs, gi = run.grids()
+    tk = sum_coordinate_grid(gs, gi).points()
+    pump = PumpSpectrum(tk, np.exp(-(tk ** 2) / (2.0 * run.pump.widths.sigma_pump ** 2)))
+    gauss = build_from_pump(pump, run.pump, run.phase_match, gs, gi, "gaussian")
+    i, j = np.unravel_index(np.argmax(np.abs(gauss.amplitude)), gauss.amplitude.shape)
+    assert gs.points()[i] - gi.points()[j] == pytest.approx(1.2, abs=2 * gs.spacing)
+    with pytest.raises(ValueError, match="collinear sinc profile .* offset 1.2 1/um"):
+        build_from_pump(pump, run.pump, run.phase_match, gs, gi, "sinc")
 
 
 def test_build_from_pump_rejects_bad_model():
