@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import warnings
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,31 +66,39 @@ def _constants_lines(cfg: RunConfig) -> List[str]:
     return lines
 
 
-def _cmd_tpa(cfg: RunConfig, args, out_dir: str) -> List[str]:
+def _widths(lines: Iterable[str]) -> List[str]:
+    """The lines ``lines`` yields, ended by a skip line at the first width
+    that cannot be read: a width summarises the data, it is not the data."""
+    kept = []
+    try:
+        for line in lines:
+            kept.append(line)
+    except ValueError as exc:
+        kept.append(f"width extraction skipped: {exc}")
+    return kept
+
+
+# Each handler computes and returns (result lines, the computed object's
+# warnings, {file name: (writer, *data)}); main writes the files in order,
+# and only once the handler has returned.
+Outcome = Tuple[List[str], Sequence[str], Dict[str, tuple]]
+
+
+def _cmd_tpa(cfg: RunConfig, args) -> Outcome:
     kernel = cfg.build_kernel()
-    path = os.path.join(out_dir, "kernel.csv")
-    exports.write_kernel_csv(path, kernel)
     return [
         f"signal grid: [{kernel.grid_s.k_min:.10g}, {kernel.grid_s.k_max:.10g}] "
         f"x {kernel.grid_s.n_points}",
         f"idler grid: [{kernel.grid_i.k_min:.10g}, {kernel.grid_i.k_max:.10g}] "
         f"x {kernel.grid_i.n_points}",
         f"norm check: {kernel.norm():.12f}",
-        *[f"warning: {w}" for w in kernel.warnings],
-        f"wrote {path}",
-    ]
+    ], kernel.warnings, {"kernel.csv": (exports.write_kernel_csv, kernel)}
 
 
-def _cmd_schmidt(cfg: RunConfig, args, out_dir: str) -> List[str]:
+def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
     kernel = cfg.build_kernel()
     dec = schmidt.schmidt_decompose(kernel)
     metrics = schmidt.schmidt_number(dec)
-    coeff_path = os.path.join(out_dir, "schmidt_coefficients.csv")
-    exports.write_coefficients_csv(coeff_path, dec)
-    smodes_path = os.path.join(out_dir, "signal_modes.csv")
-    imodes_path = os.path.join(out_dir, "idler_modes.csv")
-    exports.write_modes_csv(smodes_path, dec.grid_s.points(), dec.signal_modes)
-    exports.write_modes_csv(imodes_path, dec.grid_i.points(), dec.idler_modes)
     lines = [
         f"modes kept: {dec.n_modes}",
         f"leading coefficient c1 = {dec.coefficients[0]:.12f} (weight {dec.coefficients[0] ** 2:.12f})",
@@ -99,12 +107,21 @@ def _cmd_schmidt(cfg: RunConfig, args, out_dir: str) -> List[str]:
         f"entropy = {metrics.entropy_bits:.10f} bits",
         f"discarded weight = {dec.discarded_weight:.3e}",
     ]
-    lines += [f"warning: {w}" for w in dec.warnings]
-    lines += [f"wrote {p}" for p in (coeff_path, smodes_path, imodes_path)]
-    return lines
+    params = cfg.pump
+    if params.n_peaks > 1:
+        centers = params.signal_centers()
+        if cfg.branch == "both":
+            centers = np.concatenate([centers, centers - params.noncollinear_offset])
+        leak = schmidt.largest_window_leak(dec, centers, params.peak_spacing)
+        lines.append(f"largest mode share outside its peak window = {leak:.3e}")
+    return lines, dec.warnings, {
+        "schmidt_coefficients.csv": (exports.write_coefficients_csv, dec),
+        "signal_modes.csv": (exports.write_modes_csv, dec.grid_s.points(), dec.signal_modes),
+        "idler_modes.csv": (exports.write_modes_csv, dec.grid_i.points(), dec.idler_modes),
+    }
 
 
-def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
+def _cmd_scan(cfg: RunConfig, args) -> Outcome:
     geom = cfg.geometry
     zero = args.zero_width_slits
     lines = []
@@ -124,13 +141,6 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
         center = detection.idler_peak_center(inten)
     coinc = detection.coincidence_scan(inten, geom, center, zero_width=zero)
 
-    paths = []
-    for name, spectrum in (("singles_signal", singles_s), ("singles_idler", singles_i),
-                           ("coincidence_signal", coinc)):
-        path = os.path.join(out_dir, f"{name}.csv")
-        exports.write_scan_csv(path, spectrum)
-        paths.append(path)
-
     lines.append(f"idler slit center = {center:.10g} 1/um")
     peaks, heights = detection.find_peaks(singles_s)
     lines.append("signal singles peaks (1/um): "
@@ -141,79 +151,75 @@ def _cmd_scan(cfg: RunConfig, args, out_dir: str) -> List[str]:
         order = np.argsort(heights)[::-1]
         lines.append(f"height ratio brightest/second = {heights[order[0]] / heights[order[1]]:.6g}")
     else:
-        try:
-            lines.append(f"signal singles FWHM = {detection.fwhm_of(singles_s):.10g} 1/um")
-            lines.append(f"coincidence FWHM = {detection.fwhm_of(coinc):.10g} 1/um")
-        except ValueError as exc:
-            lines.append(f"width extraction skipped: {exc}")
-    lines += [f"warning: {w}" for w in inten.warnings]
-    lines += [f"wrote {p}" for p in paths]
-    return lines
+        lines += _widths(f"{label} FWHM = {detection.fwhm_of(scan):.10g} 1/um"
+                         for label, scan in (("signal singles", singles_s), ("coincidence", coinc)))
+    return lines, inten.warnings, {
+        f"{name}.csv": (exports.write_scan_csv, spectrum)
+        for name, spectrum in (("singles_signal", singles_s), ("singles_idler", singles_i),
+                               ("coincidence_signal", coinc))
+    }
 
 
-def _cmd_fedorov(cfg: RunConfig, args, out_dir: str) -> List[str]:
+def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
     inten = cfg.build_kernel().intensity()
     ratio = detection.fedorov_ratio(inten, cfg.geometry, zero_width=args.zero_width_slits)
-    return [f"width ratio (unconditional / conditional) = {ratio:.10f}",
-            *[f"warning: {w}" for w in inten.warnings]]
+    return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], inten.warnings, {}
 
 
-def _cmd_crosstalk(cfg: RunConfig, args, out_dir: str) -> List[str]:
+def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
     if params.n_peaks < 2:
         raise ValueError("crosstalk needs at least 2 pump peaks; set pump.peaks >= 2")
     grid_s, _ = cfg.grids()
     scale = schmidt.analytic_double_gaussian(params.widths).mode_scale
-    centers = params.mode_offsets() + params.noncollinear_offset / 2.0
+    centers = params.signal_centers()
     log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid_s)
     matrix = detection.crosstalk_matrix(log_modes, grid_s, log_input=True)
-    path = os.path.join(out_dir, "crosstalk.csv")
-    exports.write_crosstalk_csv(path, matrix)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)
     return ["mode centers (1/um): " + ", ".join(f"{c:.6g}" for c in centers),
             f"fundamental mode scale = {scale:.10g} 1/um",
             f"largest off-diagonal log10 = {matrix.log10()[off].max():.6g}",
-            f"wrote {path}"]
+            ], (), {"crosstalk.csv": (exports.write_crosstalk_csv, matrix)}
 
 
-def _cmd_pump(cfg: RunConfig, args, out_dir: str) -> List[str]:
+def _cmd_pump(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
     span = 4.5 / params.widths.sigma_pump
     x = np.linspace(-span, span, 4096)
     profile = hologram.pump_field(params, x)
-    path = os.path.join(out_dir, "pump_field.csv")
-    exports.write_field_csv(path, profile)
     split = params.peak_spacing if params.n_peaks > 1 else None
-    return [f"envelope FWHM = {hologram.envelope_fwhm(profile, split):.10g} um",
-            f"wrote {path}"]
+    lines = _widths(f"envelope FWHM = {hologram.envelope_fwhm(field, split):.10g} um"
+                    for field in (profile,))
+    return lines, (), {"pump_field.csv": (exports.write_field_csv, profile)}
 
 
-def _cmd_hologram(cfg: RunConfig, args, out_dir: str) -> List[str]:
+def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
     hs = cfg.hologram
     x_slm = hs.pixel_coordinates()
     crystal = hologram.pump_field(params, x_slm / hs.magnification)
     target = hologram.FieldProfile1D(x_slm, crystal.amplitude)
     holo = hologram.encode_hologram(target, hs)
-    path = os.path.join(out_dir, "hologram.pgm")
-    hologram.export_pgm(holo, path)
 
     recovered = hologram.simulate_first_order(holo)
     # comb lines sit at multiples of 2*spacing in the crystal plane; demagnified
     # onto the SLM the first one lands at 2*spacing/mag, so split halfway below it
     split = params.peak_spacing / hs.magnification if params.n_peaks > 1 else None
-    env_slm = hologram.envelope_fwhm(recovered, split)
+
+    def recovered_widths():
+        env_slm = hologram.envelope_fwhm(recovered, split)
+        yield f"recovered envelope FWHM (SLM plane) = {env_slm:.10g} um"
+        yield f"recovered envelope FWHM (crystal plane) = {env_slm / hs.magnification:.10g} um"
+
     return [
         f"raster: {hs.width_px} x {hs.height_px} px at {hs.pixel_pitch_um} um pitch, "
         f"grating period {hs.grating_period_px} px",
         f"magnification crystal->SLM = {hs.magnification}",
         f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered):.8f}",
         f"complex field overlap = {hologram.field_overlap(target, recovered):.8f}",
-        f"recovered envelope FWHM (SLM plane) = {env_slm:.10g} um",
-        f"recovered envelope FWHM (crystal plane) = {env_slm / hs.magnification:.10g} um",
+        *_widths(recovered_widths()),
         f"target envelope FWHM (crystal plane) = {sigma_k_to_fwhm(params.widths.sigma_pump):.10g} um",
-        f"wrote {path}",
-    ]
+    ], (), {"hologram.pgm": (hologram.export_pgm, holo)}
 
 
 _ZERO_WIDTH = ("--zero-width-slits", dict(
@@ -271,10 +277,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     # error; record them instead, and report them as result lines on success
     try:
         with warnings.catch_warnings(record=True) as caught:
-            result_lines = _constants_lines(cfg) + _COMMANDS[args.command][1](cfg, args, out_dir)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            lines, warns, outputs = _COMMANDS[args.command][1](cfg, args)
+            paths = [os.path.join(out_dir, name) for name in outputs]
+            for path, (writer, *data) in zip(paths, outputs.values()):
+                writer(path, *data)
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -290,7 +296,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
-    result_lines += [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)]
+    result_lines = (_constants_lines(cfg) + lines
+                    + [f"warning: {w}" for w in warns]
+                    + [f"wrote {p}" for p in paths]
+                    + [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)])
 
     log_lines = [f"command: {args.command}", f"config: {args.config}"]
     log_lines += [f"cli override: {key} = {'true' if value is True else value}"

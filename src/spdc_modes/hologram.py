@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import exports
 from .detection import ScanSpectrum, fwhm_of
 from .kernel import MultiPeakParams
 
@@ -243,11 +244,10 @@ def pgm_bytes(holo: HologramImage) -> bytes:
     return header + holo.phase_levels.tobytes()
 
 
-def export_pgm(holo: HologramImage, path: str) -> None:
+def export_pgm(path: str, holo: HologramImage) -> None:
     """Write the raster as binary PGM, atomically."""
-    from .exports import atomic_write_bytes
     try:
-        atomic_write_bytes(path, pgm_bytes(holo))
+        exports.atomic_write_bytes(path, pgm_bytes(holo))
     except OSError as exc:
         raise OSError(f"writing hologram to {path}: {exc}") from exc
 

@@ -140,6 +140,10 @@ class MultiPeakParams:
         m = np.arange(self.n_peaks)
         return (self.n_peaks - 1 - 2 * m) * self.peak_spacing / 2.0
 
+    def signal_centers(self) -> np.ndarray:
+        """Signal-mode centers on the emission ring: the offsets shifted by half the ring offset."""
+        return self.mode_offsets() + self.noncollinear_offset / 2.0
+
     def pump_centers(self) -> np.ndarray:
         """Sum-coordinate (ks + ki) centers of the pump peaks: twice the offsets."""
         return 2.0 * self.mode_offsets()

@@ -44,6 +44,9 @@ DISCARD_WARN = 1e-3
 SKETCH_BLOCK = 16
 SKETCH_OVERSAMPLE = 16
 SKETCH_RESIDUAL = 1e-3
+# coefficients within this relative distance of a cluster's first form one
+# degenerate cluster, whose modes the SVD leaves free to rotate among themselves
+DEGENERATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +97,7 @@ def schmidt_decompose(kernel: TpaKernel,
     coeffs = s[:n]
     signal = (u[:, :n] / math.sqrt(dks)).T.copy()
     idler = vh[:n, :] / math.sqrt(dki)
+    _localise_degenerate(coeffs, signal, idler, kernel.grid_s)
 
     # fix the SVD's arbitrary per-pair phase: the first (smallest-k) sample of
     # each signal mode reaching half its largest |value| is made real positive,
@@ -117,6 +121,29 @@ def schmidt_decompose(kernel: TpaKernel,
         )
     return SchmidtDecomposition(coeffs, signal, idler, kernel.grid_s, kernel.grid_i,
                                 discarded, tuple(warns))
+
+
+def _localise_degenerate(coeffs: np.ndarray, signal: np.ndarray, idler: np.ndarray,
+                         grid_s: WavevectorGrid) -> None:
+    """Rotate each degenerate cluster onto the eigenvectors of signal position, in place.
+
+    Any rotation of a cluster is an equally valid SVD output. The one that
+    diagonalises Q = <u_m|k|u_n> gives modes of definite position, so modes
+    on separate pump peaks come out separated, ordered by position. The
+    idler takes the inverse rotation, which leaves F unchanged up to the
+    coefficients' spread within the cluster (at most DEGENERATE_RTOL).
+    """
+    start = 0
+    for end in range(1, coeffs.size + 1):
+        if end < coeffs.size and coeffs[start] - coeffs[end] <= DEGENERATE_RTOL * coeffs[start]:
+            continue
+        if end - start > 1:
+            block = signal[start:end]
+            q = (block.conj() * grid_s.points()) @ block.T * grid_s.spacing
+            r = np.linalg.eigh(q)[1]
+            signal[start:end] = r.T @ block
+            idler[start:end] = r.conj().T @ idler[start:end]
+        start = end
 
 
 def _mode_count(s: np.ndarray, truncation: Union[None, int, float]) -> int:
@@ -188,6 +215,19 @@ def schmidt_number(dec: SchmidtDecomposition) -> ModeMetrics:
     nz = lam[lam > 0]
     entropy = float(-np.sum(nz * np.log2(nz))) + 0.0  # avoid -0.0 for a pure state
     return ModeMetrics(k, inv_participation, entropy)
+
+
+def largest_window_leak(dec: SchmidtDecomposition, centers: np.ndarray, width: float) -> float:
+    """Largest share of any signal mode's intensity outside its own window.
+
+    The windows are ``width`` wide around ``centers``; a mode's own window
+    is the one that holds most of its intensity.
+    """
+    k = dec.grid_s.points()
+    outside = np.abs(k - np.asarray(centers)[:, None]) > width / 2.0
+    intensity = np.abs(dec.signal_modes) ** 2
+    shares = (intensity @ outside.T) / intensity.sum(axis=1)[:, None]
+    return float(shares.min(axis=1).max())
 
 
 def reconstruct_kernel(dec: SchmidtDecomposition) -> np.ndarray:

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_modes import cli, detection
+from spdc_modes import cli, detection, hologram
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.exports import read_csv
@@ -444,10 +444,10 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, command, section, key, valu
 
 
 def test_cli_reports_each_distinct_warning_once(tmp_path, capsys, monkeypatch):
-    def noisy(cfg, args, out_dir):
+    def noisy(cfg, args):
         for _ in range(2):
             np.exp(np.array([1e3]))
-        return ["done"]
+        return ["done"], (), {}
 
     help_text, _handler, extra = cli._COMMANDS["tpa"]
     monkeypatch.setitem(cli._COMMANDS, "tpa", (help_text, noisy, extra))
@@ -644,7 +644,7 @@ def test_flags_are_recorded_as_the_values_used(tmp_path, monkeypatch):
     used = []
     help_text, _handler, extra = cli._COMMANDS["tpa"]
     monkeypatch.setitem(cli._COMMANDS, "tpa", (
-        help_text, lambda cfg, args, out_dir: used.append(cfg) or [], extra))
+        help_text, lambda cfg, args: used.append(cfg) or ([], (), {}), extra))
     out = tmp_path / "D"
     assert main(["tpa", "--config", THREE, "--grid-points", "64", "--both-branches",
                  "--out", str(out)]) == 0
@@ -684,7 +684,7 @@ def test_cli_crosstalk_needs_multiple_peaks(tmp_path, capsys):
 
 
 def test_cli_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
-    def exhausted(cfg, args, out_dir):
+    def exhausted(cfg, args):
         raise MemoryError()
 
     help_text, _handler, extra = cli._COMMANDS["tpa"]
@@ -873,6 +873,42 @@ def test_cli_hologram(tmp_path, capsys):
     levels = parse_pgm((out / "hologram.pgm").read_bytes())
     assert levels.shape == (1080, 1920)
     assert "hologram.log" in stdout
+
+
+@pytest.mark.parametrize("command, config, spacing, data_file, reason", [
+    ("pump", THREE, 0.004, "pump_field.csv", "peak is cut off by the sampled range"),
+    ("hologram", HOLOGRAM, 0.45, "hologram.pgm", "multiple disjoint regions sit above half"),
+], ids=["pump", "hologram"])
+def test_width_failures_are_skipped(tmp_path, command, config, spacing, data_file, reason):
+    """A width is a summary: when it cannot be read the command still succeeds."""
+    data = shipped(config)
+    data["pump"]["peak_spacing_um_inv"] = spacing
+    code, stdout, err = run_config(tmp_path, data, command)
+    assert (code, err) == (0, "")
+    assert f"width extraction skipped: {reason}" in stdout
+    assert (tmp_path / "out" / data_file).exists()
+    if command == "hologram":
+        assert "round-trip amplitude overlap = 0.98420761\n" in stdout
+
+
+def test_a_command_failing_after_its_computation_writes_no_data_file(tmp_path, monkeypatch):
+    def broken(a, b):
+        raise ValueError("overlap failed")
+
+    monkeypatch.setattr(hologram, "field_overlap", broken)
+    code, stdout, err = run_config(tmp_path, shipped(HOLOGRAM), "hologram")
+    assert (code, stdout, err) == (3, "", "computation error: overlap failed\n")
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_cli_schmidt_reports_the_window_leak_of_a_multi_peak_pump(tmp_path, capsys):
+    assert main(["schmidt", "--config", THREE, "--out", str(tmp_path)]) == 0
+    match = re.search(r"\nlargest mode share outside its peak window = (\S+)\n",
+                      capsys.readouterr().out)
+    assert match is not None and float(match.group(1)) <= 1e-12
+    assert match.group(0)[1:] in (tmp_path / "schmidt.log").read_text()
+    assert main(["schmidt", "--config", SINGLE, "--out", str(tmp_path)]) == 0
+    assert "peak window" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])

@@ -261,5 +261,5 @@ def test_pgm_file_round_trip(tmp_path):
     levels = np.random.default_rng(7).integers(0, 256, size=(32, 48)).astype(np.uint8)
     holo = HologramImage(levels, slm(48, 32))
     path = tmp_path / "raster.pgm"
-    export_pgm(holo, str(path))
+    export_pgm(str(path), holo)
     assert np.array_equal(parse_pgm(path.read_bytes()), levels)

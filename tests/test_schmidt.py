@@ -196,14 +196,12 @@ def test_three_peak_modes_stay_in_their_windows():
     assert dec.coefficients[1] == pytest.approx(dec.coefficients[2], rel=1e-9)
 
     k = gs.points()
-    center_win = np.abs(k) <= spacing / 2.0
-    side_win = ~center_win
     energy = np.abs(dec.signal_modes) ** 2 * gs.spacing
-    # the leading mode lives on the center peak; the degenerate side pair
-    # may mix, so only their union window is pinned down
-    assert energy[0][center_win].sum() >= 1.0 - 1e-9
-    assert energy[1][side_win].sum() >= 1.0 - 1e-9
-    assert energy[2][side_win].sum() >= 1.0 - 1e-9
+    # the leading mode lives on the center peak; the degenerate side pair is
+    # localised, lower side first
+    assert energy[0][np.abs(k) <= spacing / 2.0].sum() >= 1.0 - 1e-9
+    assert energy[1][k < -spacing / 2.0].sum() >= 1.0 - 1e-9
+    assert energy[2][k > spacing / 2.0].sum() >= 1.0 - 1e-9
 
 
 def test_scale_invariant_spectrum():
@@ -313,6 +311,11 @@ def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
     assert np.abs(diff).max() <= 1e-9 * np.abs(kernel.amplitude).max()
     assert dec.discarded_weight == pytest.approx(ref.discarded_weight, abs=1e-12)
     assert dec.warnings == ref.warnings
+    # mode by mode, degenerate clusters included
+    for a, b, grid in ((dec.signal_modes, ref.signal_modes, kernel.grid_s),
+                       (dec.idler_modes, ref.idler_modes, kernel.grid_i)):
+        overlaps = np.sum(a.conj() * b, axis=1).real * grid.spacing
+        assert np.all(overlaps >= 1.0 - 1e-12), np.flatnonzero(overlaps < 1.0 - 1e-12)
 
     again = schmidt_decompose(kernel)
     assert np.array_equal(again.coefficients, dec.coefficients)
@@ -377,3 +380,65 @@ def test_mode_signs_agree_between_sketch_and_dense_svd(monkeypatch):
                        (sketch.idler_modes, dense.idler_modes, kernel.grid_i)):
         overlaps = np.sum(a * b, axis=1) * grid.spacing
         assert np.all(overlaps > 0), np.flatnonzero(overlaps <= 0)
+
+
+# ---------------------------------------------------------------------------
+# separated modes of a multi-peak pump
+# ---------------------------------------------------------------------------
+
+def test_three_modes_follow_the_per_peak_closed_form():
+    """Peaks far apart against their widths: the Schmidt spectrum is the union
+    of per-peak double-Gaussian laws, weights (w_p^2 / sum w^2)(1 - mu) mu^m,
+    and each mode is the Hermite-Gauss function of its order on its own peak.
+    Equal side peaks make degenerate pairs, which come out ordered by position."""
+    cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
+    params = cfg.pump
+    dec = schmidt_decompose(cfg.build_kernel())
+    analytic = analytic_double_gaussian(params.widths)
+    shares = params.weights() ** 2 / np.sum(params.weights() ** 2)
+    # (weight, signal center, order), heaviest first; the side peaks' weights
+    # are bitwise equal, so ties sort by position
+    expected = sorted(((share * lam, center, m)
+                       for share, center in zip(shares, params.signal_centers())
+                       for m, lam in enumerate(analytic.eigenvalues)),
+                      key=lambda t: (-t[0], t[1]))[:dec.n_modes]
+    assert dec.n_modes == 21
+    assert np.abs(dec.coefficients ** 2 - [w for w, _c, _m in expected]).max() <= 1e-12
+    for j, (_w, center, m) in enumerate(expected):
+        # the idler partner sits one ring offset below its signal mode
+        for modes, grid, c in ((dec.signal_modes, dec.grid_s, center),
+                               (dec.idler_modes, dec.grid_i, center - params.noncollinear_offset)):
+            hg = hermite_gauss(m, analytic.mode_scale, grid, center=c)
+            assert abs(np.sum(modes[j] * hg) * grid.spacing) >= 1.0 - 1e-12, (j, m, c)
+
+
+def own_window_leaks(dec, centers, width, n):
+    """Per mode, the intensity share outside the window that holds most of it."""
+    k = dec.grid_s.points()
+    energy = np.abs(dec.signal_modes[:n]) ** 2 * dec.grid_s.spacing
+    outside = np.array([[e[np.abs(k - c) > width / 2.0].sum() for c in centers] for e in energy])
+    return outside.min(axis=1)
+
+
+@pytest.mark.parametrize("truncation", [None, 1.0], ids=["sketch", "dense"])
+def test_three_modes_stay_in_their_own_peak_windows(truncation):
+    cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
+    params = cfg.pump
+    dec = schmidt_decompose(cfg.build_kernel(), truncation)
+    leaks = own_window_leaks(dec, params.signal_centers(), params.peak_spacing, 21)
+    assert np.all(leaks <= 1e-12), leaks
+    if truncation is None:
+        assert schmidt.largest_window_leak(
+            dec, params.signal_centers(), params.peak_spacing) == pytest.approx(
+                leaks.max(), abs=1e-15)
+
+
+def test_window_leak_of_a_mode_split_between_two_windows():
+    grid = WavevectorGrid.centered(0.0, 4.0, 801)
+    hg = hermite_gauss(0, 0.1, grid, center=-1.0)
+    split = (hg + hermite_gauss(0, 0.1, grid, center=1.0)) / math.sqrt(2.0)
+    modes = np.stack([hg, split])
+    dec = schmidt.SchmidtDecomposition(np.array([0.8, 0.6]), modes, modes, grid, grid, 0.0)
+    assert schmidt.largest_window_leak(dec, [-1.0, 1.0], 2.0) == pytest.approx(0.5, rel=1e-12)
+    one = schmidt.SchmidtDecomposition(np.array([1.0]), modes[:1], modes[:1], grid, grid, 0.0)
+    assert schmidt.largest_window_leak(one, [-1.0, 1.0], 2.0) <= 1e-15
