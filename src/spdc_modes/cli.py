@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -79,8 +81,8 @@ def _widths(lines: Iterable[str]) -> List[str]:
 
 
 # Each handler computes and returns (result lines, the computed object's
-# warnings, {file name: (writer, *data)}); main writes the files in order,
-# and only once the handler has returned.
+# warnings, {file name: (writer, *data)}); main writes the files, all or
+# none, and only once the handler has returned.
 Outcome = Tuple[List[str], Sequence[str], Dict[str, tuple]]
 
 
@@ -255,6 +257,18 @@ _COMMANDS = {
 }
 
 
+def _move_into_place(stage: str, out_dir: str) -> None:
+    """Rename every staged file into ``out_dir``; a target that is a
+    directory is refused before the first rename."""
+    moves = [(os.path.join(stage, name), os.path.join(out_dir, name))
+             for name in sorted(os.listdir(stage))]
+    for _, target in moves:
+        if os.path.isdir(target):
+            raise IsADirectoryError(f"cannot write {target}: it is a directory")
+    for source, target in moves:
+        os.replace(source, target)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -274,13 +288,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_IO
 
     # numpy floating-point warnings would reach stderr ahead of the one-line
-    # error; record them instead, and report them as result lines on success
+    # error; record them instead, and report them as result lines on success.
+    # Every file is written into a stage directory first and moved into place
+    # only once all of them are written, so a failed command leaves none.
+    stage = None
     try:
         with warnings.catch_warnings(record=True) as caught:
             lines, warns, outputs = _COMMANDS[args.command][1](cfg, args)
-            paths = [os.path.join(out_dir, name) for name in outputs]
-            for path, (writer, *data) in zip(paths, outputs.values()):
-                writer(path, *data)
+            stage = tempfile.mkdtemp(dir=out_dir, prefix=".stage-")
+            for name, (writer, *data) in outputs.items():
+                writer(os.path.join(stage, name), *data)
+        result_lines = (_constants_lines(cfg) + lines
+                        + [f"warning: {w}" for w in warns]
+                        + [f"wrote {os.path.join(out_dir, name)}" for name in outputs]
+                        + [f"warning: {m}"
+                           for m in dict.fromkeys(str(w.message) for w in caught)])
+        log_lines = [f"command: {args.command}", f"config: {args.config}",
+                     *(f"cli override: {key} = {'true' if value is True else value}"
+                       for key, value in overrides.items()),
+                     "-- parameters (provenance) --", *cfg.provenance_lines(),
+                     "-- results --", *result_lines, ""]
+        exports.atomic_write_text(os.path.join(stage, f"{args.command}.log"),
+                                  "\n".join(log_lines))
+        _move_into_place(stage, out_dir)
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -294,30 +324,15 @@ def main(argv: Optional[List[str]] = None) -> int:
               "lower grid.points", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        print(f"output error: {str(exc).replace(stage or out_dir, out_dir)}", file=sys.stderr)
         return EXIT_IO
-    result_lines = (_constants_lines(cfg) + lines
-                    + [f"warning: {w}" for w in warns]
-                    + [f"wrote {p}" for p in paths]
-                    + [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)])
-
-    log_lines = [f"command: {args.command}", f"config: {args.config}"]
-    log_lines += [f"cli override: {key} = {'true' if value is True else value}"
-                  for key, value in overrides.items()]
-    log_lines.append("-- parameters (provenance) --")
-    log_lines += cfg.provenance_lines()
-    log_lines.append("-- results --")
-    log_lines += result_lines
-    log_path = os.path.join(out_dir, f"{args.command}.log")
-    try:
-        exports.atomic_write_text(log_path, "\n".join(log_lines) + "\n")
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
     for line in result_lines:
         print(line)
-    print(f"log: {log_path}")
+    print(f"log: {os.path.join(out_dir, f'{args.command}.log')}")
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
 from .kernel import (
@@ -24,7 +23,8 @@ from .kernel import (
     MultiPeakParams,
     check_grids,
     marginal_intensity,
-    sum_coordinate_grid,
+    sum_difference_nodes,
+    sum_difference_product,
 )
 from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid
 
@@ -302,12 +302,13 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     M one per difference ks - ki (a Toeplitz index), and the norm
     n = h^2 sum_d M^2[d] D[d], where D[d] sums P^2 along the diagonal
     i - j = d. The average is then P^2[i + j] g[i - j] with the 1D
-    g = sum of (weight / n) M^2, one product of two strided views: the
-    output is the only array of the joint grids' size.
+    g = sum of (weight / n) M^2, formed by
+    :func:`~spdc_modes.kernel.sum_difference_product`: the output is the
+    only array of the joint grids' size.
     """
     if n_samples < 3:
         raise ValueError(f"need at least 3 spectral samples, got {n_samples}")
-    sums = sum_coordinate_grid(grid_s, grid_i).points()
+    sums, delta = sum_difference_nodes(grid_s, grid_i)
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
@@ -321,10 +322,7 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
         for lam in lams]
     warns = check_grids(samples, grid_s, grid_i, branch)
 
-    # sum node m holds i + j = m; shifted by the idler's k_min + k_max it is
-    # the difference ks - ki at i - j = m - (n_i - 1)
     n_s, n_i = grid_s.n_points, grid_i.n_points
-    delta = sums - (grid_i.k_min + grid_i.k_max)
     pump = params.pump_factor(sums)
     match = np.array([p.matching_factor(delta, branch) for p in samples])
     if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
@@ -346,8 +344,7 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     if np.any(norms == 0.0):
         raise ValueError("amplitude is identically zero")
     g = (weights / norms) @ match2
-    # [i, j] -> pump2[i + j] and g[i - j + n_i - 1]
-    avg = sliding_window_view(pump2, n_i) * sliding_window_view(g, n_i)[:, ::-1]
+    avg = sum_difference_product(pump2, g, n_i)
 
     # renormalize like a kernel intensity: unit integral
     avg /= avg.sum() * area

@@ -88,7 +88,7 @@ def write_kernel_csv(path: str, kernel) -> None:
         "idler_grid": {"k_min": float(kernel.grid_i.k_min),
                        "k_max": float(kernel.grid_i.k_max),
                        "n_points": int(kernel.grid_i.n_points)},
-        "normalized": bool(kernel.normalized),
+        "normalized": True,
         "warnings": list(kernel.warnings),
     }
     atomic_write_text(_sidecar_path(path), yaml.safe_dump(meta, sort_keys=True))

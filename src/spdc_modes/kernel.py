@@ -3,11 +3,11 @@
 The central object is :class:`TpaKernel`: an amplitude F(ks, ki) sampled
 on a pair of 1D wavevector grids, with ks along axis 0 and ki along
 axis 1. Builders cover the plain double-Gaussian case, the structured
-multi-peak pump, and an arbitrary sampled pump spectrum combined with a
-gaussian or sinc phase-matching profile. The amplitude is real (float64)
-unless the pump spectrum is complex: :func:`build_from_pump` builds a
-complex128 kernel from a complex sampled spectrum and a float64 one from
-a real spectrum.
+multi-peak pump, and a pump spectrum sampled on :func:`sum_coordinate_grid`
+combined with a gaussian or sinc phase-matching profile. The amplitude is
+real (float64) unless the pump spectrum is complex: :func:`build_from_pump`
+builds a complex128 kernel from a complex sampled spectrum and a float64
+one from a real spectrum.
 
 Normalization is always the Riemann quadrature
 sum |F|^2 dks dki = 1 on the kernel's own grids.
@@ -16,10 +16,11 @@ sum |F|^2 dks dki = 1 on the kernel's own grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
 
@@ -38,7 +39,6 @@ class TpaKernel:
     grid_s: WavevectorGrid
     grid_i: WavevectorGrid
     amplitude: np.ndarray
-    normalized: bool = True
     warnings: tuple = ()
 
     def __post_init__(self):
@@ -64,7 +64,7 @@ class TpaKernel:
             raise ValueError("amplitude is identically zero")
         # numpy divides complex by real as a multiply by the reciprocal, so
         # this form gives a real input the same bits as its complex promotion
-        return cls(grid_s, grid_i, amp * (1.0 / norm), True, tuple(warnings))
+        return cls(grid_s, grid_i, amp * (1.0 / norm), tuple(warnings))
 
     def intensity(self) -> "JointIntensity":
         return JointIntensity(self.grid_s, self.grid_i,
@@ -258,39 +258,11 @@ def check_grids(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,
 # arbitrary sampled pump
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PumpSpectrum:
-    """Pump angular spectrum sampled on a sum-coordinate grid (1/um).
-
-    Construction normalizes to unit intensity integral (trapezoid rule),
-    so every spectrum carries the same overall scale.
-    """
-
-    k_points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.k_points.ndim != 1 or self.k_points.shape != self.values.shape:
-            raise ValueError("k_points and values must be matching 1D arrays")
-        if self.k_points.size < 2:
-            raise ValueError("need at least 2 samples")
-        d = np.diff(self.k_points)
-        if not np.all(d > 0):
-            raise ValueError("k_points must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectrum contains non-finite entries")
-        power = np.trapezoid(np.abs(self.values) ** 2, self.k_points)
-        if power <= 0:
-            raise ValueError("spectrum carries no power")
-        object.__setattr__(self, "values", self.values / math.sqrt(power))
-
-
 def sum_coordinate_grid(grid_s: WavevectorGrid, grid_i: WavevectorGrid) -> WavevectorGrid:
     """Grid of all ks + ki sums, aligned with the joint grids' nodes.
 
     For equal spacings the sums land exactly on this grid's nodes, so a
-    pump spectrum sampled here feeds the kernel builder without
-    interpolation error.
+    profile sampled here is read at ks + ki without interpolation error.
     """
     if not math.isclose(grid_s.spacing, grid_i.spacing, rel_tol=1e-12):
         raise ValueError(
@@ -302,13 +274,29 @@ def sum_coordinate_grid(grid_s: WavevectorGrid, grid_i: WavevectorGrid) -> Wavev
                           grid_s.n_points + grid_i.n_points - 1)
 
 
-def pump_spectrum_from_field(x_um: np.ndarray, field: np.ndarray,
-                             k_grid: WavevectorGrid) -> PumpSpectrum:
-    """Fourier transform a crystal-plane field onto a wavevector grid.
+def sum_difference_nodes(grid_s: WavevectorGrid, grid_i: WavevectorGrid) -> tuple:
+    """The (ks + ki, ks - ki) values that :func:`sum_difference_product` reads:
+    node m of :func:`sum_coordinate_grid` is the sum at i + j = m and, shifted
+    by the idler's k_min + k_max, the difference at i - j = m - (n_i - 1)."""
+    sums = sum_coordinate_grid(grid_s, grid_i).points()
+    return sums, sums - (grid_i.k_min + grid_i.k_max)
 
-    Direct Riemann sum of E(x) exp(-i k x) dx at the requested nodes; slow
-    but free of FFT gridding constraints, fine for the ~1e3-point profiles
-    this package deals in.
+
+def sum_difference_product(at_sums: np.ndarray, at_differences: np.ndarray,
+                           n_i: int) -> np.ndarray:
+    """Joint array [i, j] -> at_sums[i + j] * at_differences[i - j + n_i - 1],
+    with both sampled at :func:`sum_difference_nodes`."""
+    return (sliding_window_view(at_sums, n_i)
+            * sliding_window_view(at_differences, n_i)[:, ::-1])
+
+
+def pump_spectrum_from_field(x_um: np.ndarray, field: np.ndarray,
+                             k_grid: WavevectorGrid) -> np.ndarray:
+    """Fourier transform of a crystal-plane field at ``k_grid``'s nodes.
+
+    Direct Riemann sum of E(x) exp(-i k x) dx (complex128); slow but free
+    of FFT gridding constraints, fine for the ~1e3-point profiles this
+    package deals in.
     """
     x = np.asarray(x_um, dtype=float)
     e = np.asarray(field, dtype=complex)
@@ -317,27 +305,25 @@ def pump_spectrum_from_field(x_um: np.ndarray, field: np.ndarray,
     dx = np.diff(x)
     if not np.all(dx > 0):
         raise ValueError("x_um must be strictly increasing")
-    k = k_grid.points()
-    phase = np.exp(-1j * np.outer(k, x))
+    phase = np.exp(-1j * np.outer(k_grid.points(), x))
     # trapezoid weights keep the endpoints from being double-counted
     w = np.empty_like(x)
     w[1:-1] = 0.5 * (dx[:-1] + dx[1:])
     w[0] = 0.5 * dx[0]
     w[-1] = 0.5 * dx[-1]
-    vals = phase @ (e * w)
-    return PumpSpectrum(k, vals)
+    return phase @ (e * w)
 
 
-def build_from_pump(pump: PumpSpectrum, params: MultiPeakParams, config: PhaseMatchConfig,
+def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: PhaseMatchConfig,
                     grid_s: WavevectorGrid, grid_i: Optional[WavevectorGrid] = None,
                     phasematch_model: str = "gaussian", branch: str = "+") -> TpaKernel:
     """Joint amplitude from a sampled pump spectrum and a matching profile.
 
-    The pump factor is looked up at ks + ki (linear interpolation, zero
-    outside the sampled range). The offset K and the matching width
-    sigma_match are the run's resolved ones, read from ``params``; ``config``
-    supplies only the crystal constants of the sinc profile.
-    ``phasematch_model`` picks the difference-coordinate profile:
+    ``spectrum`` holds the pump at the nodes of ``sum_coordinate_grid(grid_s,
+    grid_i)``. The offset K and the matching width sigma_match are the
+    run's resolved ones, read from ``params``; ``config`` supplies only the
+    crystal constants of the sinc profile. ``phasematch_model`` picks the
+    profile at the differences ks - ki:
 
     * ``"gaussian"``: exp(-(delta - K)^2 / (2 sigma_match^2)), plus its
       mirror at -K for ``branch='both'``,
@@ -356,23 +342,10 @@ def build_from_pump(pump: PumpSpectrum, params: MultiPeakParams, config: PhaseMa
     if phasematch_model == "sinc" and config.regime == "collinear" and offset != 0.0:
         raise ValueError(f"the collinear sinc profile is centred at ks - ki = 0 and cannot "
                          f"sit on the resolved offset {offset:.4g} 1/um")
-
-    ks = grid_s.points()[:, None]
-    ki = grid_i.points()[None, :]
-    total = ks + ki
-    delta = ks - ki
-
-    warns = []
-    lo, hi = pump.k_points[0], pump.k_points[-1]
-    if total.min() < lo or total.max() > hi:
-        warns.append(
-            f"sum coordinate range [{total.min():.4g}, {total.max():.4g}] extends past "
-            f"the sampled pump spectrum [{lo:.4g}, {hi:.4g}]; treated as zero outside"
-        )
-    pump_factor = np.interp(total, pump.k_points, pump.values.real, left=0.0, right=0.0)
-    if np.iscomplexobj(pump.values):
-        pump_factor = pump_factor + 1j * np.interp(total, pump.k_points, pump.values.imag,
-                                                   left=0.0, right=0.0)
+    sums, delta = sum_difference_nodes(grid_s, grid_i)
+    if np.shape(spectrum) != sums.shape:
+        raise ValueError(f"pump spectrum has shape {np.shape(spectrum)}; need {sums.size} "
+                         "samples at the nodes of sum_coordinate_grid(grid_s, grid_i)")
 
     if phasematch_model == "gaussian":
         match = params.matching_factor(delta, branch)
@@ -380,14 +353,14 @@ def build_from_pump(pump: PumpSpectrum, params: MultiPeakParams, config: PhaseMa
         length = config.crystal_length_um
         if config.regime == "collinear":
             arg = (length / 4.0) * delta ** 2 / (2.0 * config.pump_wavevector)
-            match = np.sinc(arg / math.pi)
         else:
             arg = (length / 4.0) * (delta ** 2 - offset ** 2) / (2.0 * config.signal_wavevector)
-            match = np.sinc(arg / math.pi)
-            if branch == "+":
-                match = np.where(delta >= 0, match, 0.0)
+        match = np.sinc(arg / math.pi)
+        if config.regime != "collinear" and branch == "+":
+            match[delta < 0] = 0.0
 
-    return TpaKernel.from_array(grid_s, grid_i, pump_factor * match, warns)
+    amp = sum_difference_product(spectrum, match, grid_i.n_points)
+    return TpaKernel.from_array(grid_s, grid_i, amp)
 
 
 def marginal_intensity(inten: JointIntensity, which: str = "signal") -> tuple:

@@ -83,8 +83,6 @@ def schmidt_decompose(kernel: TpaKernel,
             raise ValueError(f"energy target must be in (0, 1], got {truncation}")
     elif truncation is not None:
         raise TypeError(f"truncation must be None, int, or float, got {type(truncation)}")
-    if not kernel.normalized:
-        raise ValueError("kernel must be normalized before decomposition")
     norm = kernel.norm()
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"kernel norm is {norm:.6g}, expected 1 within {NORM_TOLERANCE}")

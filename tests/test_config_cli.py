@@ -704,6 +704,35 @@ def test_cli_blocked_output_dir_is_exit_4(tmp_path, capsys):
     assert "output error" in capsys.readouterr().err
 
 
+def test_a_blocked_output_file_leaves_no_file_of_the_command(tmp_path, capsys):
+    # the later signal_modes.csv cannot be written, so neither may the
+    # coefficients that come before it; no stage directory is left behind
+    (tmp_path / "signal_modes.csv").mkdir()
+    argv = ["schmidt", "--config", SINGLE, "--out", str(tmp_path), "--grid-points", "128"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == f"output error: cannot write {tmp_path / 'signal_modes.csv'}: it is a directory\n"
+    assert os.listdir(tmp_path) == ["signal_modes.csv"]
+    (tmp_path / "signal_modes.csv").rmdir()
+    assert main(argv) == 0
+    assert sorted(os.listdir(tmp_path)) == ["idler_modes.csv", "schmidt.log",
+                                            "schmidt_coefficients.csv", "signal_modes.csv"]
+
+
+def test_a_failed_write_is_reported_at_the_final_path(tmp_path, capsys, monkeypatch):
+    # the writer fails inside the stage directory; the error line names the
+    # file the user asked for, and nothing is left behind
+    def full_disk(path, *data):
+        raise OSError(28, "No space left on device", path)
+    monkeypatch.setattr(cli.exports, "write_modes_csv", full_disk)
+    argv = ["schmidt", "--config", SINGLE, "--out", str(tmp_path), "--grid-points", "128"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == (f"output error: [Errno 28] No space left on device: "
+                   f"'{tmp_path / 'signal_modes.csv'}'\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_tpa_outputs_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

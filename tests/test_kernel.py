@@ -1,16 +1,15 @@
 """Joint-amplitude builders: normalization, structure, pump plumbing."""
 
-import copy
 import math
 import os
 
 import numpy as np
 import pytest
 
+from spdc_modes import hologram
 from spdc_modes.config import load_config
 from spdc_modes.kernel import (
     MultiPeakParams,
-    PumpSpectrum,
     TpaKernel,
     build_double_gaussian,
     build_from_pump,
@@ -30,6 +29,7 @@ from spdc_modes.optics import (
 
 SIGMA = 0.009419280180123796  # 250 um envelope
 SINGLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "single_mode.yaml")
+THREE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "three_modes.yaml")
 
 
 def centered(half, n=256):
@@ -166,7 +166,7 @@ def test_real_models_build_real_kernels():
 
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
     tk = sum_coordinate_grid(grid, grid).points()
-    chirped = PumpSpectrum(tk, np.exp(-tk ** 2 / (2 * SIGMA ** 2) + 30j * tk))
+    chirped = np.exp(-tk ** 2 / (2 * SIGMA ** 2) + 30j * tk)
     resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
     kernel = build_from_pump(chirped, resolved, cfg, grid, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
@@ -178,10 +178,9 @@ def test_real_pump_spectrum_builds_a_real_kernel(model):
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
     grid = centered(5 * 1.7 * SIGMA, 80)
     tk = sum_coordinate_grid(grid, grid).points()
-    real = PumpSpectrum(tk, np.exp(-tk ** 2 / (2 * SIGMA ** 2)))
+    real = np.exp(-tk ** 2 / (2 * SIGMA ** 2))
     # the same samples held as complex, so the builder takes its complex path
-    promoted = copy.copy(real)
-    object.__setattr__(promoted, "values", real.values.astype(complex))
+    promoted = real.astype(complex)
     resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
     kernel = build_from_pump(real, resolved, cfg, grid, grid, model)
     reference = build_from_pump(promoted, resolved, cfg, grid, grid, model)
@@ -230,18 +229,6 @@ def test_sum_coordinate_grid_nodes():
         sum_coordinate_grid(gs, WavevectorGrid(-0.4, -0.1, 26))
 
 
-def test_pump_spectrum_validation():
-    k = np.linspace(-1, 1, 64)
-    with pytest.raises(ValueError, match="increasing"):
-        PumpSpectrum(k[::-1], np.ones(64))
-    with pytest.raises(ValueError, match="finite"):
-        PumpSpectrum(k, np.full(64, np.inf))
-    with pytest.raises(ValueError, match="power"):
-        PumpSpectrum(k, np.zeros(64))
-    spec = PumpSpectrum(k, np.exp(-k ** 2))
-    assert np.trapezoid(np.abs(spec.values) ** 2, k) == pytest.approx(1.0, rel=1e-12)
-
-
 def test_build_from_pump_matches_multipeak():
     widths = PumpWidths(SIGMA, 0.0031701009425325415)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
@@ -250,12 +237,10 @@ def test_build_from_pump_matches_multipeak():
     gs, gi = default_grids(params, 640, 5.0, "+")
     direct = build_multipeak(params, gs, gi, "+")
 
-    total = sum_coordinate_grid(gs, gi)
-    tk = total.points()
-    vals = np.zeros_like(tk)
+    tk = sum_coordinate_grid(gs, gi).points()
+    pump = np.zeros_like(tk)
     for w, c in zip(params.weights(), params.pump_centers()):
-        vals += w * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
-    pump = PumpSpectrum(tk, vals)
+        pump += w * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
     resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(SIGMA, widths.sigma_match))
     rebuilt = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian", branch="+")
@@ -269,11 +254,12 @@ def test_pump_spectrum_from_field_gaussian():
     grid = WavevectorGrid.centered(0.0, 4 * sigma_k, 161)
     spec = pump_spectrum_from_field(x, field, grid)
     k = grid.points()
-    expected = np.exp(-(k ** 2) / (2.0 * sigma_k ** 2))
-    expected /= math.sqrt(np.trapezoid(expected ** 2, k))
+    expected = math.sqrt(2.0 * math.pi) / sigma_k * np.exp(-(k ** 2) / (2.0 * sigma_k ** 2))
     # transform is real up to roundoff and matches the analytic Gaussian
-    assert np.max(np.abs(spec.values.imag)) < 1e-9
-    assert np.max(np.abs(spec.values.real - expected)) < 1e-6
+    assert spec.dtype == np.complex128 and spec.shape == k.shape
+    unit = spec / math.sqrt(np.trapezoid(np.abs(spec) ** 2, k))
+    assert np.max(np.abs(unit.imag)) < 1e-9
+    assert np.max(np.abs(spec.real - expected)) < 1e-7 * expected.max()
 
 
 def test_pump_spectrum_from_field_validation():
@@ -285,14 +271,22 @@ def test_pump_spectrum_from_field_validation():
         pump_spectrum_from_field(x[::-1], np.ones(64), grid)
 
 
-def test_build_from_pump_coverage_warning():
-    cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672, regime="collinear")
-    grid = centered(5 * SIGMA, 64)
-    narrow = PumpSpectrum(np.linspace(-SIGMA, SIGMA, 64),
-                          np.exp(-np.linspace(-1, 1, 64) ** 2))
-    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, SIGMA))
-    kernel = build_from_pump(narrow, resolved, cfg, grid, grid, "gaussian")
-    assert any("pump spectrum" in w for w in kernel.warnings)
+def test_pump_field_spectrum_rebuilds_the_kernel():
+    # crystal-plane field -> spectrum on the sum nodes -> kernel, against the
+    # closed-form multi-peak build of the same run
+    cfg = load_config(THREE)
+    span = 4.5 / cfg.pump.widths.sigma_pump
+    field = hologram.pump_field(cfg.pump, np.linspace(-span, span, 4096))
+    gs, gi = cfg.grids()
+    spectrum = pump_spectrum_from_field(field.coordinates_um, field.amplitude,
+                                        sum_coordinate_grid(gs, gi))
+    kernel = build_from_pump(spectrum, cfg.pump, cfg.phase_match, gs, gi, "gaussian", cfg.branch)
+    direct = cfg.build_kernel()
+    overlap = abs(np.vdot(kernel.amplitude, direct.amplitude)) * gs.spacing * gi.spacing
+    assert overlap >= 1.0 - 1e-9
+    short = spectrum[1:]
+    with pytest.raises(ValueError, match=rf"shape \({short.size},\); need {spectrum.size} samples"):
+        build_from_pump(short, cfg.pump, cfg.phase_match, gs, gi)
 
 
 def test_sinc_vs_gaussian_noncollinear_fwhm():
@@ -311,8 +305,8 @@ def test_sinc_vs_gaussian_noncollinear_fwhm():
     gs = WavevectorGrid.centered(offset / 2.0, half, n)
     gi = WavevectorGrid.centered(-offset / 2.0, half, n)
 
-    tk = np.linspace(-0.2, 0.2, 801)
-    pump = PumpSpectrum(tk, np.exp(-(tk ** 2) / (2.0 * 0.01 ** 2)))
+    tk = sum_coordinate_grid(gs, gi).points()
+    pump = np.exp(-(tk ** 2) / (2.0 * 0.01 ** 2))
 
     def antidiag_fwhm(kernel):
         prof = np.abs(np.diagonal(kernel.amplitude[:, ::-1])) ** 2
@@ -344,8 +338,8 @@ def test_sinc_collinear_matches_gaussian_fit_width():
 
     n = 1201
     grid = WavevectorGrid.centered(0.0, 4.0 * sigma_match, n)
-    tk = np.linspace(-6.0, 6.0, 801)
-    pump = PumpSpectrum(tk, np.exp(-(tk ** 2) / 2.0))
+    tk = sum_coordinate_grid(grid, grid).points()
+    pump = np.exp(-(tk ** 2) / 2.0)
 
     resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)))
     gauss = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian", branch="both")
@@ -372,7 +366,7 @@ def test_collinear_sinc_refuses_an_offset_ring():
                                "phase_match.offset_override_um_inv": 1.2})
     gs, gi = run.grids()
     tk = sum_coordinate_grid(gs, gi).points()
-    pump = PumpSpectrum(tk, np.exp(-(tk ** 2) / (2.0 * run.pump.widths.sigma_pump ** 2)))
+    pump = np.exp(-(tk ** 2) / (2.0 * run.pump.widths.sigma_pump ** 2))
     gauss = build_from_pump(pump, run.pump, run.phase_match, gs, gi, "gaussian")
     i, j = np.unravel_index(np.argmax(np.abs(gauss.amplitude)), gauss.amplitude.shape)
     assert gs.points()[i] - gi.points()[j] == pytest.approx(1.2, abs=2 * gs.spacing)
@@ -382,7 +376,7 @@ def test_collinear_sinc_refuses_an_offset_ring():
 
 def test_build_from_pump_rejects_bad_model():
     grid = centered(1.0, 32)
-    pump = PumpSpectrum(np.linspace(-3, 3, 64), np.exp(-np.linspace(-3, 3, 64) ** 2))
+    pump = np.exp(-sum_coordinate_grid(grid, grid).points() ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
     resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(1.0, phase_matching_width(cfg)))

@@ -11,7 +11,6 @@ from spdc_modes import schmidt
 from spdc_modes.config import load_config, parse_config
 from spdc_modes.kernel import (
     MultiPeakParams,
-    PumpSpectrum,
     TpaKernel,
     build_double_gaussian,
     build_from_pump,
@@ -173,11 +172,11 @@ def test_rejects_unnormalized_kernel():
     grid = WavevectorGrid.centered(0.0, 5.0, 64)
     k = grid.points()
     amp = np.exp(-np.add.outer(k ** 2, k ** 2))
-    raw = TpaKernel(grid, grid, amp.astype(complex), normalized=False)
-    with pytest.raises(ValueError, match="must be normalized"):
+    raw = TpaKernel(grid, grid, amp.astype(complex))
+    with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(raw)
     good = TpaKernel.from_array(grid, grid, amp)
-    bad = TpaKernel(grid, grid, good.amplitude * 2.0, normalized=True)
+    bad = TpaKernel(grid, grid, good.amplitude * 2.0)
     with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(bad)
 
@@ -284,7 +283,7 @@ def chirped_kernel():
     widths = PumpWidths(1.0, 2.0)
     grid = grid_for(widths, n=256, span=6.0)
     tk = sum_coordinate_grid(grid, grid).points()
-    pump = PumpSpectrum(tk, np.exp(-tk ** 2 / 2.0 + 0.3j * tk ** 2))
+    pump = np.exp(-tk ** 2 / 2.0 + 0.3j * tk ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672, regime="collinear")
     resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, 2.0))
     kernel = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian")
