@@ -111,10 +111,7 @@ def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
     ]
     params = cfg.pump
     if params.n_peaks > 1:
-        centers = params.signal_centers()
-        if cfg.branch == "both":
-            centers = np.concatenate([centers, centers - params.noncollinear_offset])
-        leak = schmidt.largest_window_leak(dec, centers, params.peak_spacing)
+        leak = schmidt.largest_window_leak(dec, params.signal_centers(), params.peak_spacing)
         lines.append(f"largest mode share outside its peak window = {leak:.3e}")
     return lines, dec.warnings, {
         "schmidt_coefficients.csv": (exports.write_coefficients_csv, dec),
@@ -129,8 +126,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
     lines = []
 
     if args.wavelength_avg:
-        inten = detection.wavelength_average(cfg.phase_match, geom, cfg.pump,
-                                             *cfg.grids(), cfg.branch)
+        inten = detection.wavelength_average(cfg.phase_match, geom, cfg.pump, *cfg.grids())
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
@@ -164,7 +160,8 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
 
 def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
     inten = cfg.build_kernel().intensity()
-    ratio = detection.fedorov_ratio(inten, cfg.geometry, zero_width=args.zero_width_slits)
+    ratio = detection.fedorov_ratio(inten, cfg.geometry, cfg.pump.signal_centers(),
+                                    zero_width=args.zero_width_slits)
     return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], inten.warnings, {}
 
 

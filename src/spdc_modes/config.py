@@ -141,9 +141,10 @@ def _take_fields(sec: _Section, cls, **defaults):
 class RunConfig:
     """Fully validated run parameters in canonical units.
 
-    ``pump`` is resolved at parse time: its offset and both Gaussian widths
-    are final. ``emission_angle_rad`` is the internal emission angle when
-    the offset was derived from a noncollinear geometry, else None.
+    ``pump`` is resolved at parse time: its offset, both Gaussian widths
+    and its emission branch are final. ``emission_angle_rad`` is the
+    internal emission angle when the offset was derived from a noncollinear
+    geometry, else None.
     """
 
     phase_match: PhaseMatchConfig
@@ -151,18 +152,17 @@ class RunConfig:
     emission_angle_rad: Optional[float]
     grid_points: int
     span_sigmas: float
-    branch: str
     geometry: DetectionGeometry
     hologram: HologramSettings
     output_dir: str
     provenance: Tuple[tuple, ...] = field(default_factory=tuple)
 
     def grids(self) -> tuple:
-        return default_grids(self.pump, self.grid_points, self.span_sigmas, self.branch)
+        return default_grids(self.pump, self.grid_points, self.span_sigmas)
 
     def build_kernel(self) -> TpaKernel:
         grid_s, grid_i = self.grids()
-        return build_multipeak(self.pump, grid_s, grid_i, self.branch)
+        return build_multipeak(self.pump, grid_s, grid_i)
 
     def normalized(self) -> dict:
         """Nested dict of every accepted key with its resolved value."""
@@ -323,7 +323,7 @@ def parse_config(data: dict) -> RunConfig:
         else:
             sigma_match = matching
         pump = MultiPeakParams(n_peaks, peak_spacing, offset,
-                               PumpWidths(sigma_pump, sigma_match), side_amplitude)
+                               PumpWidths(sigma_pump, sigma_match), side_amplitude, branch)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -333,7 +333,6 @@ def parse_config(data: dict) -> RunConfig:
         emission_angle_rad=angle,
         grid_points=grid_points,
         span_sigmas=span_sigmas,
-        branch=branch,
         geometry=geometry,
         hologram=hologram,
         output_dir=output_dir,

@@ -171,6 +171,11 @@ def find_peaks(spectrum: ScanSpectrum, min_height_frac: float = 0.2) -> tuple:
     return np.array(pos), np.array(height)
 
 
+def _splits_at_half_max(y: np.ndarray) -> bool:
+    """Whether the samples at or above half the maximum form more than one run."""
+    return bool(np.any(np.diff(np.flatnonzero(y >= y.max() / 2.0)) > 1))
+
+
 def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
     """Full width at half maximum of a single-peaked scan.
 
@@ -190,14 +195,13 @@ def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
     if peak <= 0:
         raise ValueError("spectrum is empty; no width to measure")
 
-    half = peak / 2.0
-    above = y >= half
-    idx = np.flatnonzero(above)
-    if np.any(np.diff(idx) > 1):
+    if _splits_at_half_max(y):
         raise ValueError(
             "multiple disjoint regions sit above half maximum; pass a window "
             "around one peak to measure it alone"
         )
+    half = peak / 2.0
+    idx = np.flatnonzero(y >= half)
     i_lo, i_hi = idx[0], idx[-1]
     if i_lo == 0 or i_hi == y.size - 1:
         raise ValueError("peak is cut off by the sampled range")
@@ -207,17 +211,27 @@ def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
     return right - left
 
 
-def fedorov_ratio(inten: JointIntensity, geom: DetectionGeometry,
+def fedorov_ratio(inten: JointIntensity, geom: DetectionGeometry, centers: Sequence[float],
                   zero_width: bool = False) -> float:
     """Width of the signal singles peak over the conditional peak width.
 
-    The partner slit parks on :func:`idler_peak_center`. With zero-width
-    slits on a double-Gaussian amplitude this ratio equals the Schmidt number.
+    The partner slit parks on :func:`idler_peak_center`. When the singles
+    scan splits into separate peaks above half height and the run has two
+    or more distinct signal-mode ``centers``, both widths are read within
+    half the smallest center spacing of the coincidence peak, so they are
+    the widths of that one mode. With zero-width slits on a double-Gaussian
+    amplitude this ratio equals the Schmidt number.
     """
     center = idler_peak_center(inten)
     singles = singles_scan(inten, geom, "signal", zero_width=zero_width)
     coinc = coincidence_scan(inten, geom, center, zero_width=zero_width)
-    return fwhm_of(singles) / fwhm_of(coinc)
+    spacings = np.diff(np.unique(centers))
+    window = None
+    if spacings.size and _splits_at_half_max(singles.rates):
+        half = spacings.min() / 2.0
+        peak = coinc.positions[np.argmax(coinc.rates)]
+        window = (peak - half, peak + half)
+    return fwhm_of(singles, window) / fwhm_of(coinc, window)
 
 
 def idler_peak_center(inten: JointIntensity) -> float:
@@ -284,8 +298,7 @@ def effective_offset(lambda_signal_um: float, offset: float,
 
 
 def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
-                       params: MultiPeakParams, grid_s: WavevectorGrid,
-                       grid_i: WavevectorGrid, branch: str = "+",
+                       params: MultiPeakParams, grid_s: WavevectorGrid, grid_i: WavevectorGrid,
                        n_samples: int = FILTER_SAMPLES) -> JointIntensity:
     """Joint intensity of a multi-peak pump averaged over the filter passband.
 
@@ -320,11 +333,11 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     samples = [dataclasses.replace(
         params, noncollinear_offset=effective_offset(lam, params.noncollinear_offset, config))
         for lam in lams]
-    warns = check_grids(samples, grid_s, grid_i, branch)
+    warns = check_grids(samples, grid_s, grid_i)
 
     n_s, n_i = grid_s.n_points, grid_i.n_points
     pump = params.pump_factor(sums)
-    match = np.array([p.matching_factor(delta, branch) for p in samples])
+    match = np.array([p.matching_factor(delta) for p in samples])
     if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
         raise ValueError("amplitude contains non-finite entries")
     pump2 = pump * pump

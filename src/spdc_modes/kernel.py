@@ -113,7 +113,9 @@ class MultiPeakParams:
     ``peak_spacing`` is the far-field distance between adjacent signal
     peaks (1/um); pump sum-coordinate centers sit at twice the far-field
     mode offsets. ``side_amplitude`` scales the outer peaks of a 3-peak
-    pump relative to the central one (field units).
+    pump relative to the central one (field units). ``branch`` picks the
+    emission rings: ``"+"`` holds the ring at +offset, ``"both"`` adds its
+    mirror at -offset.
     """
 
     n_peaks: int
@@ -121,6 +123,7 @@ class MultiPeakParams:
     noncollinear_offset: float
     widths: PumpWidths
     side_amplitude: Optional[float] = None
+    branch: str = "+"
 
     def __post_init__(self):
         if self.n_peaks < 1:
@@ -128,7 +131,9 @@ class MultiPeakParams:
         if self.n_peaks > 1 and self.peak_spacing <= 0:
             raise ValueError(f"peak spacing must be positive, got {self.peak_spacing}")
         if self.noncollinear_offset < 0:
-            raise ValueError("offset must be >= 0; the branch sign is chosen at build time")
+            raise ValueError("offset must be >= 0; the branch sign comes from branch")
+        if self.branch not in BRANCHES:
+            raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
         if self.side_amplitude is not None:
             if self.n_peaks != 3:
                 raise ValueError("side_amplitude only applies to 3-peak pumps")
@@ -141,8 +146,13 @@ class MultiPeakParams:
         return (self.n_peaks - 1 - 2 * m) * self.peak_spacing / 2.0
 
     def signal_centers(self) -> np.ndarray:
-        """Signal-mode centers on the emission ring: the offsets shifted by half the ring offset."""
-        return self.mode_offsets() + self.noncollinear_offset / 2.0
+        """Signal-mode centers: the offsets shifted by half the ring offset, then,
+        for ``branch='both'`` off a nonzero offset, the same centers on the
+        mirror ring (at zero offset the two rings coincide)."""
+        centers = self.mode_offsets() + self.noncollinear_offset / 2.0
+        if self.branch == "both" and self.noncollinear_offset > 0:
+            centers = np.concatenate([centers, centers - self.noncollinear_offset])
+        return centers
 
     def pump_centers(self) -> np.ndarray:
         """Sum-coordinate (ks + ki) centers of the pump peaks: twice the offsets."""
@@ -163,20 +173,20 @@ class MultiPeakParams:
             pump += w * np.exp(-((total - c) ** 2) / (2.0 * self.widths.sigma_pump ** 2))
         return pump
 
-    def matching_factor(self, delta: np.ndarray, branch: str) -> np.ndarray:
+    def matching_factor(self, delta: np.ndarray) -> np.ndarray:
         """Gaussian phase matching at differences ks - ki, centred at the offset.
 
         ``branch='both'`` adds the mirror Gaussian at minus the offset.
         """
         offset, sigma = self.noncollinear_offset, self.widths.sigma_match
-        if branch == "+":
+        if self.branch == "+":
             return np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
         return (np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
                 + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
 
 
 def default_grids(params: MultiPeakParams, n_points: int = 512,
-                  span_sigmas: float = 5.0, branch: str = "+") -> tuple:
+                  span_sigmas: float = 5.0) -> tuple:
     """(signal, idler) grids centered on the emission branch.
 
     Spans cover every pump peak plus ``span_sigmas`` of the widest Gaussian
@@ -184,12 +194,10 @@ def default_grids(params: MultiPeakParams, n_points: int = 512,
     the idler grid at -offset/2; ``branch='both'`` centers both grids at
     zero and widens the span to reach both rings.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     extent = float(np.max(np.abs(params.mode_offsets()))) if params.n_peaks > 1 else 0.0
     half = extent + span_sigmas * params.widths.widest
     k0 = params.noncollinear_offset / 2.0
-    if branch == "both":
+    if params.branch == "both":
         half += k0
         return (WavevectorGrid.centered(0.0, half, n_points),
                 WavevectorGrid.centered(0.0, half, n_points))
@@ -198,8 +206,7 @@ def default_grids(params: MultiPeakParams, n_points: int = 512,
 
 
 def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
-                    grid_i: Optional[WavevectorGrid] = None,
-                    branch: str = "+") -> TpaKernel:
+                    grid_i: Optional[WavevectorGrid] = None) -> TpaKernel:
     """Joint amplitude of a multi-peak pump with Gaussian phase matching.
 
     Pump factor: sum of Gaussians in (ks + ki) at :meth:`pump_centers`.
@@ -208,10 +215,10 @@ def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
     """
     if grid_i is None:
         grid_i = grid_s
-    warns = check_grids([params], grid_s, grid_i, branch)
+    warns = check_grids([params], grid_s, grid_i)
     ks = grid_s.points()[:, None]
     ki = grid_i.points()[None, :]
-    amp = params.pump_factor(ks + ki) * params.matching_factor(ks - ki, branch)
+    amp = params.pump_factor(ks + ki) * params.matching_factor(ks - ki)
     return TpaKernel.from_array(grid_s, grid_i, amp, warns)
 
 
@@ -227,7 +234,7 @@ def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
 
 
 def check_grids(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,
-                grid_i: WavevectorGrid, branch: str) -> list:
+                grid_i: WavevectorGrid) -> list:
     """Build warnings of multi-peak pumps on the joint grids.
 
     Raises ValueError when a grid cannot resolve the narrowest width. The
@@ -247,7 +254,7 @@ def check_grids(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,
             "per-peak factorization is invalid"
         )
 
-    covers = [default_grids(p, grid_s.n_points, MIN_COVER_SIGMAS, branch) for p in samples]
+    covers = [default_grids(p, grid_s.n_points, MIN_COVER_SIGMAS) for p in samples]
     warns += _coverage_warnings(grid_s, grid_i, *(
         WavevectorGrid(min(c.k_min for c in axis), max(c.k_max for c in axis), grid_s.n_points)
         for axis in zip(*covers)))
@@ -316,14 +323,14 @@ def pump_spectrum_from_field(x_um: np.ndarray, field: np.ndarray,
 
 def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: PhaseMatchConfig,
                     grid_s: WavevectorGrid, grid_i: Optional[WavevectorGrid] = None,
-                    phasematch_model: str = "gaussian", branch: str = "+") -> TpaKernel:
+                    phasematch_model: str = "gaussian") -> TpaKernel:
     """Joint amplitude from a sampled pump spectrum and a matching profile.
 
     ``spectrum`` holds the pump at the nodes of ``sum_coordinate_grid(grid_s,
-    grid_i)``. The offset K and the matching width sigma_match are the
-    run's resolved ones, read from ``params``; ``config`` supplies only the
-    crystal constants of the sinc profile. ``phasematch_model`` picks the
-    profile at the differences ks - ki:
+    grid_i)``. The offset K, the matching width sigma_match and the branch
+    are the run's resolved ones, read from ``params``; ``config`` supplies
+    only the crystal constants of the sinc profile. ``phasematch_model``
+    picks the profile at the differences ks - ki:
 
     * ``"gaussian"``: exp(-(delta - K)^2 / (2 sigma_match^2)), plus its
       mirror at -K for ``branch='both'``,
@@ -336,8 +343,6 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
         grid_i = grid_s
     if phasematch_model not in ("gaussian", "sinc"):
         raise ValueError(f"unknown phase-matching model {phasematch_model!r}")
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     offset = params.noncollinear_offset
     if phasematch_model == "sinc" and config.regime == "collinear" and offset != 0.0:
         raise ValueError(f"the collinear sinc profile is centred at ks - ki = 0 and cannot "
@@ -348,7 +353,7 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
                          "samples at the nodes of sum_coordinate_grid(grid_s, grid_i)")
 
     if phasematch_model == "gaussian":
-        match = params.matching_factor(delta, branch)
+        match = params.matching_factor(delta)
     else:
         length = config.crystal_length_um
         if config.regime == "collinear":
@@ -356,7 +361,7 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
         else:
             arg = (length / 4.0) * (delta ** 2 - offset ** 2) / (2.0 * config.signal_wavevector)
         match = np.sinc(arg / math.pi)
-        if config.regime != "collinear" and branch == "+":
+        if config.regime != "collinear" and params.branch == "+":
             match[delta < 0] = 0.0
 
     amp = sum_difference_product(spectrum, match, grid_i.n_points)

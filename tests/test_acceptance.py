@@ -92,7 +92,8 @@ def test_matched_widths_give_a_single_mode():
         dec = schmidt_decompose(kernel)
         assert dec.coefficients[0] ** 2 >= 0.9999
         # finite slits from the config, not the zero-width idealization
-        assert fedorov_ratio(kernel.intensity(), cfg.geometry) == pytest.approx(1.0, abs=0.02)
+        assert fedorov_ratio(kernel.intensity(), cfg.geometry,
+                             cfg.pump.signal_centers()) == pytest.approx(1.0, abs=0.02)
 
 
 def test_modes_are_hermite_gauss():
@@ -182,11 +183,11 @@ def test_filter_bandwidth_broadens_the_singles():
         offset = noncollinear_offset(pm).offset_um_inv
         widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(pm))
         params = MultiPeakParams(1, 0.0, offset, widths)
-        gs, gi = default_grids(params, 512, 6.0, "+")
+        gs, gi = default_grids(params, 512, 6.0)
 
         def builder(off):
             return build_multipeak(dataclasses.replace(params, noncollinear_offset=off),
-                                   gs, gi, "+")
+                                   gs, gi)
 
         geom = load_config(SINGLE).geometry
         window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
@@ -196,8 +197,8 @@ def test_filter_bandwidth_broadens_the_singles():
                            window=window)
 
         mono = signal_fwhm(builder(offset).intensity())
-        w21 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, "+"))
-        w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, "+", n_samples=42))
+        w21 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi))
+        w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, n_samples=42))
         assert w21 > mono
         assert abs(w42 / w21 - 1.0) < 0.01
 

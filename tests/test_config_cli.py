@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_modes import cli, detection, hologram
+from spdc_modes import cli, detection, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.exports import read_csv
@@ -51,7 +51,7 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config(minimal())
     assert cfg.grid_points == 512
     assert cfg.span_sigmas == 5.0
-    assert cfg.branch == "+"
+    assert cfg.pump.branch == "+"
     assert cfg.output_dir == "out"
     assert cfg.pump.n_peaks == 1
     assert cfg.pump.peak_spacing == 0.0
@@ -649,7 +649,7 @@ def test_flags_are_recorded_as_the_values_used(tmp_path, monkeypatch):
     assert main(["tpa", "--config", THREE, "--grid-points", "64", "--both-branches",
                  "--out", str(out)]) == 0
     (cfg,) = used
-    assert (cfg.grid_points, cfg.branch, cfg.output_dir) == (64, "both", str(out))
+    assert (cfg.grid_points, cfg.pump.branch, cfg.output_dir) == (64, "both", str(out))
     tree = cfg.normalized()
     assert (tree["grid"]["points"], tree["grid"]["both_branches"]) == (64, True)
     assert tree["output"]["directory"] == str(out)
@@ -842,8 +842,7 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
     assert (code, err) == (0, "")
 
     cfg = parse_config(data)
-    avg = detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump,
-                                       *cfg.grids(), cfg.branch)
+    avg = detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump, *cfg.grids())
     mono = cfg.build_kernel().intensity().values
     assert np.max(np.abs(avg.values - mono)) <= 1e-12 * mono.max()
 
@@ -865,6 +864,86 @@ def test_cli_fedorov_single_mode(tmp_path, capsys):
                  "--zero-width-slits"]) == 0
     stdout = capsys.readouterr().out
     assert "width ratio (unconditional / conditional) = 1.0000000000" in stdout
+
+
+# the shipped three_modes Fedorov ratios, as printed (finite slits, zero-width slits)
+THREE_MODES_FEDOROV = {False: 1.0294775023, True: 1.3022338411}
+
+
+@pytest.mark.parametrize("zero_width", [False, True], ids=["slits", "zero-width"])
+@pytest.mark.parametrize("config, pump, flags, rel", [
+    (SINGLE, {}, ("--grid-points", "614", "--both-branches"), 0.0),
+    (THREE, {}, ("--grid-points", "841", "--both-branches"), 1e-2),
+    (THREE, {"peaks": 2, "side_amplitude": None}, (), 1e-2),
+    # the side amplitude weights the outer peaks, not the central mode's widths
+    (THREE, {"side_amplitude": 0.8}, (), 0.0),
+], ids=["single_mode-both", "three_modes-both", "two-peaks", "side-amplitude-0.8"])
+def test_cli_fedorov_measures_one_mode_of_a_multi_mode_run(tmp_path, config, pump, flags, rel,
+                                                           zero_width):
+    # each run has two or more singles peaks above half height
+    data = shipped(config)
+    data["pump"].update(pump)
+    argv = ["fedorov", *flags] + (["--zero-width-slits"] if zero_width else [])
+    code, out, err = run_config(tmp_path, data, *argv)
+    assert (code, err) == (0, "")
+    ratio = float(re.search(r"width ratio \(unconditional / conditional\) = (\S+)", out)[1])
+    expected = 1.0 if config == SINGLE else THREE_MODES_FEDOROV[zero_width]
+    assert ratio == pytest.approx(expected, rel=rel)
+    if config == THREE and zero_width:
+        # ideal slits: the ratio of the per-peak double Gaussian is its Schmidt number
+        widths = load_config(THREE).pump.widths
+        assert ratio == pytest.approx(
+            schmidt.analytic_double_gaussian(widths).schmidt_number, rel=1e-2)
+
+
+def collinear(config):
+    """A shipped config moved to the collinear regime: one ring, at zero offset."""
+    data = shipped(config)
+    data["phase_match"]["regime"] = "collinear"
+    del data["phase_match"]["sellmeier"]["external_signal_angle_deg"]
+    return data
+
+
+def test_cli_fedorov_on_coincident_rings(tmp_path):
+    # both branches at zero offset are one ring: one singles peak, measured whole
+    code, out, err = run_config(tmp_path, collinear(SINGLE), "fedorov", "--grid-points", "614",
+                                "--both-branches")
+    assert (code, err) == (0, "")
+    assert "width ratio (unconditional / conditional) = 1.0000000000" in out
+
+
+def test_cli_crosstalk_on_coincident_rings_lists_each_mode_once(tmp_path):
+    runs = [run_config(tmp_path, collinear(THREE), "crosstalk", "--grid-points", "841", *flag)
+            for flag in ((), ("--both-branches",))]
+    assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+    (_, plus, _), (_, both, _) = runs
+    assert both == plus
+    assert "mode centers (1/um): 0.168, 0, -0.168\n" in both
+
+
+# every analysis command on both emission rings, at the shipped configs' smallest
+# grid that resolves them; crosstalk refuses a single peak, and the Fedorov runs
+# of three_modes and single_mode are measured above
+BOTH_BRANCH_RUNS = [(config, points, command)
+                    for config, points in ((THREE, 841), (CROSSTALK, 841), (HOLOGRAM, 841),
+                                           (SINGLE, 614))
+                    for command in ("schmidt", "scan", "fedorov", "crosstalk")
+                    if (config, command) not in ((SINGLE, "crosstalk"), (SINGLE, "fedorov"),
+                                                 (THREE, "fedorov"))]
+
+
+@pytest.mark.parametrize("config, points, command", BOTH_BRANCH_RUNS, ids=[
+    f"{command}-{os.path.basename(config)[:-5]}" for config, _, command in BOTH_BRANCH_RUNS])
+def test_cli_both_branches_runs_every_command(tmp_path, capsys, config, points, command):
+    assert main([command, "--config", config, "--out", str(tmp_path),
+                 "--grid-points", str(points), "--both-branches"]) == 0
+    stdout = capsys.readouterr().out
+    if command == "crosstalk":
+        # one mode per peak on each ring; the rings sit far apart but stay finite in log10
+        line = next(l for l in stdout.splitlines() if l.startswith("mode centers"))
+        assert len(line.split(":")[1].split(",")) == 6
+        _header, table = read_csv(str(tmp_path / "crosstalk.csv"))
+        assert table.shape[0] == 36 and np.all(np.isfinite(table[:, 3]))
 
 
 def test_cli_crosstalk_three_modes(tmp_path, capsys):

@@ -178,7 +178,7 @@ def test_conditional_narrower_and_fedorov_matches_schmidt_number():
     singles = singles_scan(inten, GEOM, "signal", zero_width=True)
     coinc = coincidence_scan(inten, GEOM, 0.0, zero_width=True)
     assert fwhm_of(coinc) < fwhm_of(singles)
-    assert fedorov_ratio(inten, GEOM, zero_width=True) == pytest.approx(1.25, abs=2e-4)
+    assert fedorov_ratio(inten, GEOM, [0.0], zero_width=True) == pytest.approx(1.25, abs=2e-4)
 
 
 def test_fedorov_matched_widths_is_unity_with_real_slits():
@@ -186,8 +186,19 @@ def test_fedorov_matched_widths_is_unity_with_real_slits():
     grid = WavevectorGrid.centered(0.0, 6.0, 1001)
     inten = build_double_gaussian(widths, grid).intensity()
     # separable amplitude: conditioning cannot change the scanned profile
-    assert fedorov_ratio(inten, GEOM) == pytest.approx(1.0, abs=1e-10)
-    assert fedorov_ratio(inten, GEOM, zero_width=True) == pytest.approx(1.0, abs=1e-10)
+    assert fedorov_ratio(inten, GEOM, [0.0]) == pytest.approx(1.0, abs=1e-10)
+    assert fedorov_ratio(inten, GEOM, [0.0], zero_width=True) == pytest.approx(1.0, abs=1e-10)
+    # the same mode on both rings: two singles peaks, one measured
+    params = MultiPeakParams(1, 0.0, 20.0, widths, branch="both")
+    both = build_multipeak(params, *default_grids(params, 801, 6.0)).intensity()
+    for zero_width in (False, True):
+        ratio = fedorov_ratio(both, GEOM, params.signal_centers(), zero_width=zero_width)
+        assert ratio == pytest.approx(1.0, abs=1e-10)
+    # rings too close to split the singles peak: the merged peak is measured whole
+    near = dataclasses.replace(params, noncollinear_offset=1.0)
+    merged = build_multipeak(near, *default_grids(near, 801, 6.0)).intensity()
+    assert near.signal_centers().size == 2 and fwhm_of(singles_scan(merged, GEOM, "signal")) > 1.0
+    assert fedorov_ratio(merged, GEOM, near.signal_centers()) == fedorov_ratio(merged, GEOM, [0.5])
 
 
 def test_fedorov_tie_breaks_toward_smaller_k():
@@ -206,7 +217,7 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     assert mi[j_near] == mi[j_far] == mi.max()
     assert idler_peak_center(inten) == ki[j_near]
 
-    got = fedorov_ratio(inten, GEOM, zero_width=True)
+    got = fedorov_ratio(inten, GEOM, [0.0], zero_width=True)
     singles = fwhm_of(singles_scan(inten, GEOM, "signal", zero_width=True))
     near = fwhm_of(coincidence_scan(inten, GEOM, 0.3, zero_width=True))
     far = fwhm_of(coincidence_scan(inten, GEOM, 0.6, zero_width=True))
@@ -239,8 +250,8 @@ def three_peak_kernel():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(3, 0.168, offset, widths, side_amplitude=0.63)
-    gs, gi = default_grids(params, 768, 6.0, "+")
-    return build_multipeak(params, gs, gi, "+"), params, cfg
+    gs, gi = default_grids(params, 768, 6.0)
+    return build_multipeak(params, gs, gi), params, cfg
 
 
 def test_fixed_idler_slit_selects_one_mode():
@@ -262,8 +273,8 @@ def test_idler_between_two_modes_sees_both():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(2, 0.168, offset, widths)
-    gs, gi = default_grids(params, 769, 6.0, "+")
-    kernel = build_multipeak(params, gs, gi, "+")
+    gs, gi = default_grids(params, 769, 6.0)
+    kernel = build_multipeak(params, gs, gi)
     coinc = coincidence_scan(kernel.intensity(), GEOM, -offset / 2.0, zero_width=True)
     pos, height = find_peaks(coinc, min_height_frac=0.2)
     assert pos.size == 2
@@ -313,7 +324,7 @@ def test_effective_offset_anchored_at_design_wavelength():
 def make_builder(params, gs, gi):
     def build(offset):
         return build_multipeak(dataclasses.replace(params, noncollinear_offset=offset),
-                               gs, gi, "+")
+                               gs, gi)
     return build
 
 
@@ -322,11 +333,11 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(1, 0.0, offset, widths)
-    gs, gi = default_grids(params, 512, 6.0, "+")
+    gs, gi = default_grids(params, 512, 6.0)
     builder = make_builder(params, gs, gi)
 
     tiny = dataclasses.replace(GEOM, filter_fwhm_nm=1e-6)
-    avg = wavelength_average(cfg, tiny, params, gs, gi, "+", n_samples=5)
+    avg = wavelength_average(cfg, tiny, params, gs, gi, n_samples=5)
     mono = builder(offset).intensity()
     assert np.max(np.abs(avg.values - mono.values)) <= 1e-8 * mono.values.max()
 
@@ -336,7 +347,7 @@ def test_wavelength_average_broadens_monotonically():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(1, 0.0, offset, widths)
-    gs, gi = default_grids(params, 512, 6.0, "+")
+    gs, gi = default_grids(params, 512, 6.0)
     builder = make_builder(params, gs, gi)
     window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
 
@@ -345,12 +356,12 @@ def test_wavelength_average_broadens_monotonically():
         return fwhm_of(scan, window=window)
 
     mono = signal_fwhm(builder(offset).intensity())
-    w10 = signal_fwhm(wavelength_average(cfg, GEOM, params, gs, gi, "+"))
+    w10 = signal_fwhm(wavelength_average(cfg, GEOM, params, gs, gi))
     geom20 = dataclasses.replace(GEOM, filter_fwhm_nm=20.0)
-    w20 = signal_fwhm(wavelength_average(cfg, geom20, params, gs, gi, "+"))
+    w20 = signal_fwhm(wavelength_average(cfg, geom20, params, gs, gi))
     assert mono < w10 < w20
 
-    avg = wavelength_average(cfg, GEOM, params, gs, gi, "+")
+    avg = wavelength_average(cfg, GEOM, params, gs, gi)
     scan = singles_scan(avg, GEOM, "signal", zero_width=True)
     pos, _ = find_peaks(scan, min_height_frac=0.5)
     assert pos[int(np.argmax(np.abs(pos)))] == pytest.approx(offset / 2.0, abs=1e-3)
@@ -361,32 +372,33 @@ def test_wavelength_average_validation():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(1, 0.0, offset, widths)
-    gs, gi = default_grids(params, 512, 6.0, "+")
+    gs, gi = default_grids(params, 512, 6.0)
     with pytest.raises(ValueError, match="at least 3"):
-        wavelength_average(cfg, GEOM, params, gs, gi, "+", n_samples=2)
-    coarse_s, coarse_i = default_grids(params, 64, 6.0, "+")
+        wavelength_average(cfg, GEOM, params, gs, gi, n_samples=2)
+    coarse_s, coarse_i = default_grids(params, 64, 6.0)
     with pytest.raises(ValueError, match="signal grid step .* cannot resolve"):
-        wavelength_average(cfg, GEOM, params, coarse_s, coarse_i, "+")
+        wavelength_average(cfg, GEOM, params, coarse_s, coarse_i)
     # the pump comb underflows on every sum ks + ki of grids far off its peak
     far_s, far_i = (WavevectorGrid(g.k_min + 50.0, g.k_max + 50.0, g.n_points) for g in (gs, gi))
     with pytest.raises(ValueError, match="amplitude is identically zero"):
-        wavelength_average(cfg, GEOM, params, far_s, far_i, "+")
+        wavelength_average(cfg, GEOM, params, far_s, far_i)
 
 
 def three_peak_case(branch, n_points=128, span_sigmas=4.0, idler_drop=0):
     # a coarse grid that clips the union of the samples' supports on both axes
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    params = MultiPeakParams(3, 0.6, offset, PumpWidths(0.16, 0.2), side_amplitude=0.63)
-    gs, gi = default_grids(params, n_points, span_sigmas, branch)
+    params = MultiPeakParams(3, 0.6, offset, PumpWidths(0.16, 0.2), side_amplitude=0.63,
+                             branch=branch)
+    gs, gi = default_grids(params, n_points, span_sigmas)
     # the same spacing on fewer idler points
     gi = WavevectorGrid(gi.k_min, gi.k_max - idler_drop * gi.spacing, n_points - idler_drop)
-    return (cfg, GEOM, params, gs, gi, branch), 2
+    return (cfg, GEOM, params, gs, gi), 2
 
 
 def shipped_three_modes_case():
     run = load_config(THREE_MODES)
-    return (run.phase_match, run.geometry, run.pump, *run.grids(), run.branch), 0
+    return (run.phase_match, run.geometry, run.pump, *run.grids()), 0
 
 
 @pytest.mark.parametrize("case", [
@@ -399,7 +411,7 @@ def shipped_three_modes_case():
 ])
 def test_wavelength_average_equals_one_build_per_sample(case):
     # reference: a full build_multipeak per spectral sample, summed incoherently
-    (cfg, geom, params, gs, gi, branch), n_clips = case()
+    (cfg, geom, params, gs, gi), n_clips = case()
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
@@ -409,13 +421,13 @@ def test_wavelength_average_equals_one_build_per_sample(case):
     offset = params.noncollinear_offset
     samples = [dataclasses.replace(params, noncollinear_offset=effective_offset(lam, offset, cfg))
                for lam in lams]
-    kernels = [build_multipeak(p, gs, gi, branch) for p in samples]
+    kernels = [build_multipeak(p, gs, gi) for p in samples]
     total = np.zeros((gs.n_points, gi.n_points))
     for kern, w in zip(kernels, weights):
         total += w * np.abs(kern.amplitude) ** 2
     total /= total.sum() * gs.spacing * gi.spacing
     # one clip warning per axis, against the union of the samples' supports
-    covers = [default_grids(p, gs.n_points, MIN_COVER_SIGMAS, branch) for p in samples]
+    covers = [default_grids(p, gs.n_points, MIN_COVER_SIGMAS) for p in samples]
     clips = []
     for axis, (label, grid) in enumerate((("signal", gs), ("idler", gi))):
         lo, hi = min(c[axis].k_min for c in covers), max(c[axis].k_max for c in covers)
@@ -423,7 +435,7 @@ def test_wavelength_average_equals_one_build_per_sample(case):
             clips.append(f"{label} grid [{grid.k_min:.4g}, {grid.k_max:.4g}] clips the amplitude "
                          f"support [{lo:.4g}, {hi:.4g}]; tails are truncated")
 
-    avg = wavelength_average(cfg, geom, params, gs, gi, branch)
+    avg = wavelength_average(cfg, geom, params, gs, gi)
     # the average sums in another order than the loop: equal to rounding
     assert np.max(np.abs(avg.values - total)) <= 1e-12 * total.max()
     assert len(clips) == n_clips
@@ -434,10 +446,10 @@ def test_wavelength_average_needs_one_grid_spacing():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     params = MultiPeakParams(1, 0.0, offset, PumpWidths(0.16, 0.2))
-    gs, gi = default_grids(params, 128, 4.0, "+")
+    gs, gi = default_grids(params, 128, 4.0)
     wider = WavevectorGrid(gi.k_min - 0.01, gi.k_max, gi.n_points)
     with pytest.raises(ValueError, match="spacings differ"):
-        wavelength_average(cfg, GEOM, params, gs, wider, "+")
+        wavelength_average(cfg, GEOM, params, gs, wider)
 
 
 def test_wavelength_average_holds_one_joint_array():
@@ -446,7 +458,7 @@ def test_wavelength_average_holds_one_joint_array():
     gs, gi = run.grids()
     tracemalloc.start()
     try:
-        wavelength_average(run.phase_match, run.geometry, run.pump, gs, gi, run.branch)
+        wavelength_average(run.phase_match, run.geometry, run.pump, gs, gi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -37,6 +37,10 @@ RUNS = (
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("scan", "three_modes", ("--grid-points", "841", "--both-branches", "--zero-width-slits"),
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
+    ("scan", "single_mode", ("--grid-points", "614", "--both-branches"),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
+    ("scan", "three_modes", ("--grid-points", "841", "--both-branches", "--wavelength-avg"),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("pump", "three_modes", (), ("pump_field.csv",)),
     ("crosstalk", "crosstalk", (), ("crosstalk.csv",)),
     ("hologram", "hologram", (), ("hologram.pgm",)),
@@ -98,6 +102,21 @@ GOLDEN = {
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
         "coincidence_signal.csv":
             "ca835de1c3d8b5e93160881f059adbce87db3cc5d1e2e9aa651169b3ccc0ec9c",
+        "scan single_mode --grid-points 614 --both-branches singles_signal.csv":
+            "e82d0c87fbcccdad0b1207138266ecda07c66fd85989b437a752b5e60c0c187b",
+        "scan single_mode --grid-points 614 --both-branches singles_idler.csv":
+            "b563aeef77dc04727825487017e5e5da623cb0d7ce2f1162e35105855d5be51a",
+        "scan single_mode --grid-points 614 --both-branches coincidence_signal.csv":
+            "9deb53c37f19a78220de7060c8e5b9cf270fc1dddea823af4c8b7b47a0222604",
+        "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
+        "singles_signal.csv":
+            "8b659a69087ec3c69a37895325f76cfa6f5e6730d170a40634243882d833efda",
+        "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
+        "singles_idler.csv":
+            "dd97b59bbe6b85c6c253a471c747b80f691c31fd87fc0cbde552a866da4b3819",
+        "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
+        "coincidence_signal.csv":
+            "a374d39267fb11fda868a0120a100298b9775814b8709c0c6acbfd8cec233854",
         "pump three_modes pump_field.csv":
             "b67de4444d1c07a4a2a0e33bca851d8827bf5ca1b3fbdf6a48e0f9f88917cd94",
         "crosstalk crosstalk crosstalk.csv":
@@ -124,6 +143,10 @@ GOLDEN = {
             "99fb1dd843321928540fbdec996ec613dbc6a53b7d1b1c5479f42fec527ce8e2",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits stdout":
             "37c2d2e2b713dbab6763ab124b2d3db169c76453a3cbe877016731c622618c96",
+        "scan single_mode --grid-points 614 --both-branches stdout":
+            "fd159738c240f1a11f534a78f25d5da7c791377a6a8a682216ec46d6e8d9fc4c",
+        "scan three_modes --grid-points 841 --both-branches --wavelength-avg stdout":
+            "de60ec36391635e413f5d69bcb106e86d66542ac2eb9ebba0e0f4adb2b3c150a",
         "pump three_modes stdout":
             "ef801ff0ff052ca1ec17ab6a934d8dc0a9c2a23ecab2c756016127164c68a3bd",
         "crosstalk crosstalk stdout":

@@ -1,5 +1,6 @@
 """Joint-amplitude builders: normalization, structure, pump plumbing."""
 
+import dataclasses
 import math
 import os
 
@@ -118,30 +119,34 @@ def test_default_grids_center_on_branch():
         return 0.5 * (grid.k_min + grid.k_max)
 
     params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
-    gs, gi = default_grids(params, 128, 5.0, "+")
+    gs, gi = default_grids(params, 128, 5.0)
     assert center(gs) == pytest.approx(1.347 / 2)
     assert center(gi) == pytest.approx(-1.347 / 2)
     assert gs.covers(1.347 / 2 - 0.168, 1.347 / 2 + 0.168)
-    gs_b, gi_b = default_grids(params, 128, 5.0, "both")
+    both = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), branch="both")
+    gs_b, gi_b = default_grids(both, 128, 5.0)
     assert center(gs_b) == 0.0 and center(gi_b) == 0.0
     assert gs_b.covers(-1.347 / 2, 1.347 / 2)
+    # one mode set per ring; at zero offset the rings coincide and hold one set
+    assert both.signal_centers() == pytest.approx(
+        [1.347 / 2 + 0.168, 1.347 / 2, 1.347 / 2 - 0.168,
+         -1.347 / 2 + 0.168, -1.347 / 2, -1.347 / 2 - 0.168])
+    collinear = dataclasses.replace(both, noncollinear_offset=0.0)
+    assert collinear.signal_centers() == pytest.approx([0.168, 0.0, -0.168])
 
 
 def test_both_branches_point_symmetric():
     widths = PumpWidths(SIGMA, SIGMA)
-    params = MultiPeakParams(1, 0.0, 0.2, widths)
-    gs, gi = default_grids(params, 129, 5.0, "both")
-    kernel = build_multipeak(params, gs, gi, "both")
+    params = MultiPeakParams(1, 0.0, 0.2, widths, branch="both")
+    gs, gi = default_grids(params, 129, 5.0)
+    kernel = build_multipeak(params, gs, gi)
     assert np.allclose(kernel.amplitude, kernel.amplitude[::-1, ::-1], rtol=1e-12, atol=0.0)
 
 
 def test_bad_branch_rejected():
-    params = MultiPeakParams(1, 0.0, 0.2, PumpWidths(SIGMA, SIGMA))
-    gs, gi = default_grids(params, 64)
-    with pytest.raises(ValueError, match="branch"):
-        build_multipeak(params, gs, gi, "x")
-    with pytest.raises(ValueError, match="branch"):
-        default_grids(params, 64, 5.0, "x")
+    # the pump is the one place that checks its branch; the builders read it from there
+    with pytest.raises(ValueError, match=r"^branch must be one of \('\+', 'both'\), got 'x'$"):
+        MultiPeakParams(1, 0.0, 0.2, PumpWidths(SIGMA, SIGMA), branch="x")
 
 
 def test_from_array_validation():
@@ -161,8 +166,8 @@ def test_real_models_build_real_kernels():
     grid = centered(5 * 1.7 * SIGMA, 80)
     assert build_double_gaussian(widths, grid).amplitude.dtype == np.float64
     params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), side_amplitude=0.63)
-    gs, gi = default_grids(params, 256, 5.0, "+")
-    assert build_multipeak(params, gs, gi, "+").amplitude.dtype == np.float64
+    gs, gi = default_grids(params, 256, 5.0)
+    assert build_multipeak(params, gs, gi).amplitude.dtype == np.float64
 
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
     tk = sum_coordinate_grid(grid, grid).points()
@@ -234,8 +239,8 @@ def test_build_from_pump_matches_multipeak():
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
     offset = 8.679653687096893
     params = MultiPeakParams(3, 0.168, offset, widths, side_amplitude=0.63)
-    gs, gi = default_grids(params, 640, 5.0, "+")
-    direct = build_multipeak(params, gs, gi, "+")
+    gs, gi = default_grids(params, 640, 5.0)
+    direct = build_multipeak(params, gs, gi)
 
     tk = sum_coordinate_grid(gs, gi).points()
     pump = np.zeros_like(tk)
@@ -243,7 +248,7 @@ def test_build_from_pump_matches_multipeak():
         pump += w * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
     resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(SIGMA, widths.sigma_match))
-    rebuilt = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian", branch="+")
+    rebuilt = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian")
     assert np.max(np.abs(rebuilt.amplitude - direct.amplitude)) < 1e-10 * np.abs(direct.amplitude).max()
 
 
@@ -280,7 +285,7 @@ def test_pump_field_spectrum_rebuilds_the_kernel():
     gs, gi = cfg.grids()
     spectrum = pump_spectrum_from_field(field.coordinates_um, field.amplitude,
                                         sum_coordinate_grid(gs, gi))
-    kernel = build_from_pump(spectrum, cfg.pump, cfg.phase_match, gs, gi, "gaussian", cfg.branch)
+    kernel = build_from_pump(spectrum, cfg.pump, cfg.phase_match, gs, gi, "gaussian")
     direct = cfg.build_kernel()
     overlap = abs(np.vdot(kernel.amplitude, direct.amplitude)) * gs.spacing * gi.spacing
     assert overlap >= 1.0 - 1e-9
@@ -320,8 +325,8 @@ def test_sinc_vs_gaussian_noncollinear_fwhm():
 
     resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(0.01, phase_matching_width(cfg)))
-    gauss = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian", branch="+")
-    sinc = build_from_pump(pump, resolved, cfg, gs, gi, "sinc", branch="+")
+    gauss = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian")
+    sinc = build_from_pump(pump, resolved, cfg, gs, gi, "sinc")
     ratio = antidiag_fwhm(sinc) / antidiag_fwhm(gauss)
 
     slope = cfg.crystal_length_um * offset / (4.0 * cfg.signal_wavevector)
@@ -341,9 +346,10 @@ def test_sinc_collinear_matches_gaussian_fit_width():
     tk = sum_coordinate_grid(grid, grid).points()
     pump = np.exp(-(tk ** 2) / 2.0)
 
-    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)))
-    gauss = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian", branch="both")
-    sinc = build_from_pump(pump, resolved, cfg, grid, grid, "sinc", branch="both")
+    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)),
+                               branch="both")
+    gauss = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian")
+    sinc = build_from_pump(pump, resolved, cfg, grid, grid, "sinc")
 
     def antidiag_fwhm(kernel):
         prof = np.abs(np.diagonal(kernel.amplitude[:, ::-1])) ** 2

@@ -184,9 +184,10 @@ def test_rejects_unnormalized_kernel():
 def test_three_peak_modes_stay_in_their_windows():
     sigma = 0.009419280180123796
     spacing = 0.168
-    params = MultiPeakParams(3, spacing, 0.0, PumpWidths(sigma, sigma), side_amplitude=0.63)
-    gs, gi = default_grids(params, 512, 6.0, "both")
-    kernel = build_multipeak(params, gs, gi, "both")
+    params = MultiPeakParams(3, spacing, 0.0, PumpWidths(sigma, sigma), side_amplitude=0.63,
+                             branch="both")
+    gs, gi = default_grids(params, 512, 6.0)
+    kernel = build_multipeak(params, gs, gi)
     dec = schmidt_decompose(kernel, truncation=3)
 
     # separable per-peak factors: coefficients track the pump weights
@@ -217,8 +218,8 @@ def three_mode_kernel():
     sigma_pump, sigma_match = 0.009572439207442883, 0.02041323652329383
     params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(sigma_pump, sigma_match),
                              side_amplitude=0.63)
-    gs, gi = default_grids(params, 512, 6.0, "+")
-    return build_multipeak(params, gs, gi, "+")
+    gs, gi = default_grids(params, 512, 6.0)
+    return build_multipeak(params, gs, gi)
 
 
 def double_gaussian_kernel():
