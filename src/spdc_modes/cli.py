@@ -109,9 +109,11 @@ def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
         f"entropy = {metrics.entropy_bits:.10f} bits",
         f"discarded weight = {dec.discarded_weight:.3e}",
     ]
-    params = cfg.pump
-    if params.n_peaks > 1:
-        leak = schmidt.largest_window_leak(dec, params.signal_centers(), params.peak_spacing)
+    # each mode's window is as wide as the closest spacing of two mode centers
+    centers = cfg.pump.signal_centers()
+    spacings = np.diff(np.unique(centers))
+    if spacings.size:
+        leak = schmidt.largest_window_leak(dec, centers, spacings.min())
         lines.append(f"largest mode share outside its peak window = {leak:.3e}")
     return lines, dec.warnings, {
         "schmidt_coefficients.csv": (exports.write_coefficients_csv, dec),
@@ -130,7 +132,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
-        inten = cfg.build_kernel().intensity()
+        inten = cfg.intensity()
 
     singles_s = detection.singles_scan(inten, geom, "signal", zero_width=zero)
     singles_i = detection.singles_scan(inten, geom, "idler", zero_width=zero)
@@ -159,7 +161,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
 
 
 def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
-    inten = cfg.build_kernel().intensity()
+    inten = cfg.intensity()
     ratio = detection.fedorov_ratio(inten, cfg.geometry, cfg.pump.signal_centers(),
                                     zero_width=args.zero_width_slits)
     return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], inten.warnings, {}
@@ -167,11 +169,12 @@ def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
 
 def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
-    if params.n_peaks < 2:
-        raise ValueError("crosstalk needs at least 2 pump peaks; set pump.peaks >= 2")
+    centers = params.signal_centers()
+    if centers.size < 2:
+        raise ValueError("crosstalk needs at least 2 modes; set pump.peaks >= 2 "
+                         "or grid.both_branches on a noncollinear ring")
     grid_s, _ = cfg.grids()
     scale = schmidt.analytic_double_gaussian(params.widths).mode_scale
-    centers = params.signal_centers()
     log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid_s)
     matrix = detection.crosstalk_matrix(log_modes, grid_s, log_input=True)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)

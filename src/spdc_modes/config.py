@@ -17,7 +17,14 @@ import yaml
 
 from .detection import DetectionGeometry
 from .hologram import HologramSettings
-from .kernel import MultiPeakParams, TpaKernel, build_multipeak, default_grids
+from .kernel import (
+    JointIntensity,
+    MultiPeakParams,
+    TpaKernel,
+    build_multipeak,
+    default_grids,
+    multipeak_intensity,
+)
 from .optics import (
     MIN_GRID_POINTS,
     PhaseMatchConfig,
@@ -163,6 +170,11 @@ class RunConfig:
     def build_kernel(self) -> TpaKernel:
         grid_s, grid_i = self.grids()
         return build_multipeak(self.pump, grid_s, grid_i)
+
+    def intensity(self) -> JointIntensity:
+        """|F|^2 of :meth:`build_kernel`, without the joint array."""
+        grid_s, grid_i = self.grids()
+        return multipeak_intensity(self.pump, grid_s, grid_i)
 
     def normalized(self) -> dict:
         """Nested dict of every accepted key with its resolved value."""

@@ -22,9 +22,9 @@ from .kernel import (
     JointIntensity,
     MultiPeakParams,
     check_grids,
+    diagonal_sums,
     marginal_intensity,
     sum_difference_nodes,
-    sum_difference_product,
 )
 from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid
 
@@ -98,8 +98,11 @@ def singles_scan(inten: JointIntensity, geom: DetectionGeometry,
 
 def coincidence_scan(inten: JointIntensity, geom: DetectionGeometry,
                      fixed_center: float, zero_width: bool = False) -> ScanSpectrum:
-    """Two-detector rate at every signal-grid node, idler slit parked at ``fixed_center``."""
-    values = inten.values
+    """Two-detector rate at every signal-grid node, idler slit parked at ``fixed_center``.
+
+    Only the idler columns the slit reaches are read, each off the two
+    profiles of ``inten``.
+    """
     kf = inten.grid_i.points()
     if not (kf[0] <= fixed_center <= kf[-1]):
         raise ValueError(
@@ -113,23 +116,28 @@ def coincidence_scan(inten: JointIntensity, geom: DetectionGeometry,
         j = np.searchsorted(kf, fixed_center)
         j = min(max(j, 1), kf.size - 1)
         t = (fixed_center - kf[j - 1]) / (kf[j] - kf[j - 1])
-        return ScanSpectrum(ks, (1.0 - t) * values[:, j - 1] + t * values[:, j])
+        return ScanSpectrum(ks, inten.weighted_columns(j - 1, np.array([1.0 - t, t])))
 
+    # the slit integral is the cumulative trapezoid along the idler axis,
+    # interpolated linearly at the slit's fractional column edges lo and hi:
+    # segment k counts in full between them, and in part at either end
     width = geom.slit_acceptance("idler")
-    seg = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(kf)
-    cum = np.concatenate((np.zeros((values.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
-    hi = np.interp(fixed_center + width / 2.0, kf, np.arange(kf.size, dtype=float))
-    lo = np.interp(fixed_center - width / 2.0, kf, np.arange(kf.size, dtype=float))
-    conditional = _row_interp(cum, hi) - _row_interp(cum, lo)
+    columns = np.arange(kf.size, dtype=float)
+    j_lo, t_lo = _fractional_column(np.interp(fixed_center - width / 2.0, kf, columns), kf.size)
+    j_hi, t_hi = _fractional_column(np.interp(fixed_center + width / 2.0, kf, columns), kf.size)
+    k = np.arange(j_hi - j_lo + 1)
+    fraction = (k < j_hi - j_lo) + t_hi * (k == j_hi - j_lo) - t_lo * (k == 0)
+    half = 0.5 * fraction * np.diff(kf[j_lo:j_hi + 2])
+    # segment k weighs its two end columns k and k + 1 by half its share
+    weights = np.convolve(half, [1.0, 1.0])
+    conditional = inten.weighted_columns(j_lo, weights)
     return ScanSpectrum(ks, _box_integral(ks, conditional, ks, geom.slit_acceptance("signal")))
 
 
-def _row_interp(arr: np.ndarray, frac_index: float) -> np.ndarray:
-    """Linear interpolation of each row of arr at a fractional column index."""
-    j = int(math.floor(frac_index))
-    j = min(max(j, 0), arr.shape[1] - 2)
-    t = frac_index - j
-    return (1.0 - t) * arr[:, j] + t * arr[:, j + 1]
+def _fractional_column(frac_index: float, n: int) -> tuple:
+    """(j, t) with frac_index = j + t and j clamped to a segment start, 0..n - 2."""
+    j = min(max(int(math.floor(frac_index)), 0), n - 2)
+    return j, frac_index - j
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +319,11 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
 
     No kernel is built. On grids of one spacing h (others are refused) a
     sample's intensity is P^2[i + j] M^2[i - j] / n: the pump comb P takes
-    one value per sum ks + ki (a Hankel index), the sample's matching factor
-    M one per difference ks - ki (a Toeplitz index), and the norm
-    n = h^2 sum_d M^2[d] D[d], where D[d] sums P^2 along the diagonal
-    i - j = d. The average is then P^2[i + j] g[i - j] with the 1D
-    g = sum of (weight / n) M^2, formed by
-    :func:`~spdc_modes.kernel.sum_difference_product`: the output is the
-    only array of the joint grids' size.
+    one value per sum ks + ki, the sample's matching factor M one per
+    difference ks - ki, and the norm n = h^2 sum_d M^2[d] D[d], where D is
+    the :func:`~spdc_modes.kernel.diagonal_sums` of P^2. The average is then
+    P^2[i + j] g[i - j] with the 1D g = sum of (weight / n) M^2, and the
+    result holds the pair (P^2, g).
     """
     if n_samples < 3:
         raise ValueError(f"need at least 3 spectral samples, got {n_samples}")
@@ -335,33 +341,22 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
         for lam in lams]
     warns = check_grids(samples, grid_s, grid_i)
 
-    n_s, n_i = grid_s.n_points, grid_i.n_points
     pump = params.pump_factor(sums)
     match = np.array([p.matching_factor(delta) for p in samples])
     if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
         raise ValueError("amplitude contains non-finite entries")
     pump2 = pump * pump
     match2 = match * match
-
-    # the diagonal i - j = e runs over i + j = |e|, |e| + 2, ..., hi, and
-    # prefix[m + 2] sums pump2 over the indices <= m of m's parity
-    prefix = np.zeros(sums.size + 2)
-    prefix[2::2] = np.cumsum(pump2[0::2])
-    prefix[3::2] = np.cumsum(pump2[1::2])
-    e = np.arange(sums.size) - (n_i - 1)
-    hi = np.minimum(2 * (n_i - 1) + e, 2 * (n_s - 1) - e)
-    diagonal = prefix[hi + 2] - prefix[np.abs(e)]
+    diagonal = diagonal_sums(pump2, grid_s.n_points, grid_i.n_points)
 
     area = grid_s.spacing * grid_i.spacing
     norms = (match2 @ diagonal) * area
     if np.any(norms == 0.0):
         raise ValueError("amplitude is identically zero")
     g = (weights / norms) @ match2
-    avg = sum_difference_product(pump2, g, n_i)
-
     # renormalize like a kernel intensity: unit integral
-    avg /= avg.sum() * area
-    return JointIntensity(grid_s, grid_i, avg, tuple(warns))
+    g /= (g @ diagonal) * area
+    return JointIntensity(grid_s, grid_i, pump2, g, tuple(warns))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Joint two-photon amplitudes on transverse-wavevector grids.
 
-The central object is :class:`TpaKernel`: an amplitude F(ks, ki) sampled
-on a pair of 1D wavevector grids, with ks along axis 0 and ki along
-axis 1. Builders cover the plain double-Gaussian case, the structured
-multi-peak pump, and a pump spectrum sampled on :func:`sum_coordinate_grid`
-combined with a gaussian or sinc phase-matching profile. The amplitude is
-real (float64) unless the pump spectrum is complex: :func:`build_from_pump`
-builds a complex128 kernel from a complex sampled spectrum and a float64
-one from a real spectrum.
+Every model here has the form F(ks, ki) = P(ks + ki) M(ks - ki): a pump
+profile P at the sums and a phase-matching profile M at the differences.
+On grids of one spacing both are 1D arrays on the nodes of
+:func:`sum_difference_nodes`, and every joint quantity is read off that
+pair. :class:`TpaKernel` holds F itself, sampled with ks along axis 0 and
+ki along axis 1, for the Schmidt decomposition and the kernel table;
+:class:`JointIntensity` holds the pair |P|^2, |M|^2 for the slit scans,
+which never form the joint array. Builders cover the plain
+double-Gaussian case, the structured multi-peak pump, and a pump spectrum
+sampled on :func:`sum_coordinate_grid` combined with a gaussian or sinc
+phase-matching profile. The amplitude is real (float64) unless the pump
+spectrum is complex: :func:`build_from_pump` builds a complex128 kernel
+from a complex sampled spectrum and a float64 one from a real spectrum.
 
 Normalization is always the Riemann quadrature
 sum |F|^2 dks dki = 1 on the kernel's own grids.
@@ -49,44 +54,98 @@ class TpaKernel:
             )
 
     @classmethod
-    def from_array(cls, grid_s: WavevectorGrid, grid_i: WavevectorGrid,
-                   amplitude: np.ndarray, warnings: Sequence[str] = ()) -> "TpaKernel":
-        """Wrap and normalize an externally built amplitude array.
+    def from_profiles(cls, grid_s: WavevectorGrid, grid_i: WavevectorGrid,
+                      at_sums: np.ndarray, at_differences: np.ndarray,
+                      warnings: Sequence[str] = ()) -> "TpaKernel":
+        """The normalized kernel P[i + j] M[i - j + n_i - 1] of a profile pair.
 
-        A real input stays real (float64); a complex one stays complex128.
+        A real pair gives a float64 kernel, a complex one complex128.
         """
-        amp = np.asarray(amplitude)
-        amp = amp.astype(complex if np.iscomplexobj(amp) else float, copy=False)
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitude contains non-finite entries")
-        norm = _norm(amp, grid_s, grid_i)
-        if norm == 0.0:
-            raise ValueError("amplitude is identically zero")
-        # numpy divides complex by real as a multiply by the reciprocal, so
-        # this form gives a real input the same bits as its complex promotion
-        return cls(grid_s, grid_i, amp * (1.0 / norm), tuple(warnings))
-
-    def intensity(self) -> "JointIntensity":
-        return JointIntensity(self.grid_s, self.grid_i,
-                              np.abs(self.amplitude) ** 2, self.warnings)
+        pump, match = _unit_profiles(at_sums, at_differences, grid_s, grid_i)
+        return cls(grid_s, grid_i, sum_difference_product(pump, match, grid_i.n_points),
+                   tuple(warnings))
 
     def norm(self) -> float:
-        return _norm(self.amplitude, self.grid_s, self.grid_i)
+        amp = self.amplitude
+        return math.sqrt(np.vdot(amp, amp).real * self.grid_s.spacing * self.grid_i.spacing)
 
 
 @dataclass(frozen=True, eq=False)
 class JointIntensity:
-    """|F|^2 on the same grid layout as the kernel it came from."""
+    """|F|^2 of a kernel F = P M, held as its two 1D profiles.
+
+    ``at_sums`` is |P|^2 and ``at_differences`` |M|^2, both on the nodes
+    of :func:`sum_difference_nodes`, so the intensity at joint node (i, j)
+    is at_sums[i + j] * at_differences[i - j + n_i - 1] and integrates to 1.
+    """
 
     grid_s: WavevectorGrid
     grid_i: WavevectorGrid
-    values: np.ndarray
+    at_sums: np.ndarray
+    at_differences: np.ndarray
     warnings: tuple = ()
 
+    @classmethod
+    def from_profiles(cls, grid_s: WavevectorGrid, grid_i: WavevectorGrid,
+                      at_sums: np.ndarray, at_differences: np.ndarray,
+                      warnings: Sequence[str] = ()) -> "JointIntensity":
+        """The intensity of :meth:`TpaKernel.from_profiles` of the same pair."""
+        pump, match = _unit_profiles(at_sums, at_differences, grid_s, grid_i)
+        return cls(grid_s, grid_i, np.abs(pump) ** 2, np.abs(match) ** 2, tuple(warnings))
 
-def _norm(amp: np.ndarray, grid_s: WavevectorGrid, grid_i: WavevectorGrid) -> float:
-    total = np.sum(np.abs(amp) ** 2) * grid_s.spacing * grid_i.spacing
-    return math.sqrt(total)
+    def weighted_columns(self, start: int, weights: np.ndarray) -> np.ndarray:
+        """sum_c weights[c] |F|^2[:, start + c], one value per signal node.
+
+        The columns are read off the two profiles through sliding windows,
+        so no block of the joint array is formed.
+        """
+        n_s, n_i, width = self.grid_s.n_points, self.grid_i.n_points, len(weights)
+        pump = sliding_window_view(self.at_sums[start:start + n_s + width - 1], width)
+        match = sliding_window_view(
+            self.at_differences[n_i - start - width:n_i - start + n_s - 1], width)[:, ::-1]
+        return np.einsum("ic,ic,c->i", pump, match, weights)
+
+
+def diagonal_sums(at_sums: np.ndarray, n_s: int, n_i: int) -> np.ndarray:
+    """D[m]: the sum of at_sums[i + j] over the joint nodes on the diagonal
+    i - j = m - (n_i - 1), for every difference node m.
+
+    The diagonal i - j = e runs over i + j = |e|, |e| + 2, ..., hi, and
+    prefix[m + 2] sums at_sums over the indices <= m of m's parity.
+    """
+    prefix = np.zeros(at_sums.size + 2)
+    prefix[2::2] = np.cumsum(at_sums[0::2])
+    prefix[3::2] = np.cumsum(at_sums[1::2])
+    e = np.arange(at_sums.size) - (n_i - 1)
+    hi = np.minimum(2 * (n_i - 1) + e, 2 * (n_s - 1) - e)
+    return prefix[hi + 2] - prefix[np.abs(e)]
+
+
+def _unit_profiles(at_sums: np.ndarray, at_differences: np.ndarray,
+                   grid_s: WavevectorGrid, grid_i: WavevectorGrid) -> tuple:
+    """(P, M) rescaled so that P[i + j] M[i - j + n_i - 1] has unit norm.
+
+    The squared norm is h^2 sum_m |M[m]|^2 D[m], with D the
+    :func:`diagonal_sums` of |P|^2. Each profile is first scaled to a unit
+    peak, so no square overflows and every product stays finite.
+    """
+    pump = np.asarray(at_sums)
+    match = np.asarray(at_differences)
+    if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
+        raise ValueError("amplitude contains non-finite entries")
+    peaks = np.abs(pump).max(), np.abs(match).max()
+    if min(peaks) == 0.0:
+        raise ValueError("amplitude is identically zero")
+    # numpy divides complex by real as a multiply by the reciprocal, so this
+    # form gives a real profile the same bits as its complex promotion
+    pump = pump * (1.0 / peaks[0])
+    match = match * (1.0 / peaks[1])
+    norm2 = (np.abs(match) ** 2 @ diagonal_sums(np.abs(pump) ** 2, grid_s.n_points,
+                                                 grid_i.n_points)
+             * grid_s.spacing * grid_i.spacing)
+    if norm2 == 0.0:
+        raise ValueError("amplitude is identically zero")
+    return pump, match * (1.0 / math.sqrt(norm2))
 
 
 def _check_resolution(grid: WavevectorGrid, narrowest: float, label: str) -> None:
@@ -205,21 +264,36 @@ def default_grids(params: MultiPeakParams, n_points: int = 512,
             WavevectorGrid.centered(-k0, half, n_points))
 
 
-def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
-                    grid_i: Optional[WavevectorGrid] = None) -> TpaKernel:
-    """Joint amplitude of a multi-peak pump with Gaussian phase matching.
+def multipeak_profiles(params: MultiPeakParams, grid_s: WavevectorGrid,
+                       grid_i: WavevectorGrid) -> tuple:
+    """(pump factor, matching factor, build warnings) of a multi-peak pump.
 
     Pump factor: sum of Gaussians in (ks + ki) at :meth:`pump_centers`.
     Matching factor: Gaussian in (ks - ki) centered at the offset on the
-    chosen branch (or the sum of both branches).
+    chosen branch (or the sum of both branches). Both are sampled at
+    :func:`sum_difference_nodes`, unnormalized; the grids are checked first.
     """
+    warns = check_grids([params], grid_s, grid_i)
+    sums, delta = sum_difference_nodes(grid_s, grid_i)
+    return params.pump_factor(sums), params.matching_factor(delta), warns
+
+
+def build_multipeak(params: MultiPeakParams, grid_s: WavevectorGrid,
+                    grid_i: Optional[WavevectorGrid] = None) -> TpaKernel:
+    """Joint amplitude of a multi-peak pump with Gaussian phase matching:
+    the kernel of :func:`multipeak_profiles`."""
     if grid_i is None:
         grid_i = grid_s
-    warns = check_grids([params], grid_s, grid_i)
-    ks = grid_s.points()[:, None]
-    ki = grid_i.points()[None, :]
-    amp = params.pump_factor(ks + ki) * params.matching_factor(ks - ki)
-    return TpaKernel.from_array(grid_s, grid_i, amp, warns)
+    return TpaKernel.from_profiles(grid_s, grid_i, *multipeak_profiles(params, grid_s, grid_i))
+
+
+def multipeak_intensity(params: MultiPeakParams, grid_s: WavevectorGrid,
+                        grid_i: Optional[WavevectorGrid] = None) -> JointIntensity:
+    """|F|^2 of :func:`build_multipeak`, with no joint array formed."""
+    if grid_i is None:
+        grid_i = grid_s
+    return JointIntensity.from_profiles(grid_s, grid_i,
+                                        *multipeak_profiles(params, grid_s, grid_i))
 
 
 def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
@@ -364,14 +438,21 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
         if config.regime != "collinear" and params.branch == "+":
             match[delta < 0] = 0.0
 
-    amp = sum_difference_product(spectrum, match, grid_i.n_points)
-    return TpaKernel.from_array(grid_s, grid_i, amp)
+    return TpaKernel.from_profiles(grid_s, grid_i, spectrum, match)
 
 
 def marginal_intensity(inten: JointIntensity, which: str = "signal") -> tuple:
-    """(k_points, intensity) of one photon with the partner integrated out."""
-    if which == "signal":
-        return inten.grid_s.points(), inten.values.sum(axis=1) * inten.grid_i.spacing
+    """(k_points, intensity) of one photon with the partner integrated out.
+
+    The signal marginal at node i is the band sum over the idler nodes j of
+    at_sums[i + j] * at_differences[i - j + n_i - 1]; only pairs whose
+    partner lies on its grid count, as on the joint array.
+    """
     if which == "idler":
-        return inten.grid_i.points(), inten.values.sum(axis=0) * inten.grid_s.spacing
-    raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
+        # the transpose: ki - ks = -(ks - ki) reverses the difference nodes
+        inten = JointIntensity(inten.grid_i, inten.grid_s, inten.at_sums,
+                               inten.at_differences[::-1])
+    elif which != "signal":
+        raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
+    band = inten.weighted_columns(0, np.ones(inten.grid_i.n_points))
+    return inten.grid_s.points(), band * inten.grid_i.spacing

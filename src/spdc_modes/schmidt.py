@@ -4,7 +4,8 @@ The discrete decomposition is an SVD of the amplitude matrix scaled by
 sqrt(dks * dki): singular values then coincide with the Schmidt
 coefficients (sum of squares = 1) and the singular vectors divided by
 sqrt(dk) are unit-norm mode functions under the same Riemann quadrature
-the kernels use.
+the kernels use. The scale is applied to the singular values, so the
+amplitude is decomposed in place, never copied.
 
 Only the leading modes are ever kept, so the triplets come from a
 randomized range finder: a fixed-seed Gaussian sketch, one subspace
@@ -89,7 +90,7 @@ def schmidt_decompose(kernel: TpaKernel,
 
     dks = kernel.grid_s.spacing
     dki = kernel.grid_i.spacing
-    u, s, vh = _leading_triplets(kernel.amplitude * math.sqrt(dks * dki), truncation)
+    u, s, vh = _leading_triplets(kernel.amplitude, truncation, math.sqrt(dks * dki))
     n = _mode_count(s, truncation)
 
     coeffs = s[:n]
@@ -161,8 +162,9 @@ def _floored(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> tuple:
     return u[:, keep], s[keep], vh[keep, :]
 
 
-def _leading_triplets(a: np.ndarray, truncation: Union[None, int, float]) -> tuple:
-    """Singular triplets of ``a`` above the floor, as many as ``truncation`` keeps.
+def _leading_triplets(a: np.ndarray, truncation: Union[None, int, float],
+                      scale: float) -> tuple:
+    """Singular triplets of ``scale * a`` above the floor, as many as ``truncation`` keeps.
 
     A randomized range finder with one subspace iteration (Halko, Martinsson
     & Tropp, SIAM Rev. 53, 217 (2011)) sketches ``a`` with a fixed-seed
@@ -173,9 +175,10 @@ def _leading_triplets(a: np.ndarray, truncation: Union[None, int, float]) -> tup
     that weight bounds the error of every kept weight. Otherwise the block
     doubles, restarting from the same seed, and past half the matrix size,
     or when every mode above the floor is asked for (truncation 1.0), the
-    dense SVD runs instead.
+    dense SVD runs instead. ``scale`` multiplies the singular values only,
+    before the energy target reads them.
     """
-    total = float(np.vdot(a, a).real)
+    total = float(np.vdot(a, a).real) * scale * scale
     block = SKETCH_BLOCK
     exhaustive = isinstance(truncation, float) and truncation == 1.0
     while not exhaustive and block <= min(a.shape) / 2:
@@ -185,13 +188,15 @@ def _leading_triplets(a: np.ndarray, truncation: Union[None, int, float]) -> tup
         q = np.linalg.qr((q.conj().T @ a).conj().T)[0]
         q = np.linalg.qr(a @ q)[0]
         ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
+        s *= scale
         residual = total - float(np.sum(s ** 2))
         u, s, vh = _floored(q @ ub, s, vh)
         n = _mode_count(s, truncation)
         if n + SKETCH_OVERSAMPLE <= block and residual <= SKETCH_RESIDUAL * s[n - 1] ** 2:
             return u, s, vh
         block *= 2
-    return _floored(*np.linalg.svd(a, full_matrices=False))
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return _floored(u, s * scale, vh)
 
 
 @dataclass(frozen=True)

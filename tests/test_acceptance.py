@@ -37,7 +37,12 @@ from spdc_modes.hologram import (
     pump_field,
     simulate_first_order,
 )
-from spdc_modes.kernel import MultiPeakParams, build_double_gaussian, build_multipeak, default_grids
+from spdc_modes.kernel import (
+    MultiPeakParams,
+    build_double_gaussian,
+    default_grids,
+    multipeak_intensity,
+)
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
     PhaseMatchConfig,
@@ -92,7 +97,7 @@ def test_matched_widths_give_a_single_mode():
         dec = schmidt_decompose(kernel)
         assert dec.coefficients[0] ** 2 >= 0.9999
         # finite slits from the config, not the zero-width idealization
-        assert fedorov_ratio(kernel.intensity(), cfg.geometry,
+        assert fedorov_ratio(cfg.intensity(), cfg.geometry,
                              cfg.pump.signal_centers()) == pytest.approx(1.0, abs=0.02)
 
 
@@ -114,7 +119,7 @@ def test_modes_are_hermite_gauss():
 def test_three_peak_spectrum_and_slit_selection():
     with criterion("three-peak-correlations"):
         cfg = load_config(THREE)
-        inten = cfg.build_kernel().intensity()
+        inten = cfg.intensity()
         step = inten.grid_s.spacing
         singles = singles_scan(inten, cfg.geometry, "signal", zero_width=True)
         pos, height = find_peaks(singles, min_height_frac=0.05)
@@ -186,8 +191,8 @@ def test_filter_bandwidth_broadens_the_singles():
         gs, gi = default_grids(params, 512, 6.0)
 
         def builder(off):
-            return build_multipeak(dataclasses.replace(params, noncollinear_offset=off),
-                                   gs, gi)
+            return multipeak_intensity(dataclasses.replace(params, noncollinear_offset=off),
+                                       gs, gi)
 
         geom = load_config(SINGLE).geometry
         window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
@@ -196,7 +201,7 @@ def test_filter_bandwidth_broadens_the_singles():
             return fwhm_of(singles_scan(source, geom, "signal", zero_width=True),
                            window=window)
 
-        mono = signal_fwhm(builder(offset).intensity())
+        mono = signal_fwhm(builder(offset))
         w21 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi))
         w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, n_samples=42))
         assert w21 > mono

@@ -23,7 +23,7 @@ from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.exports import read_csv
 from spdc_modes.hologram import parse_pgm
-from spdc_modes.kernel import marginal_intensity
+from spdc_modes.kernel import marginal_intensity, sum_difference_product
 from spdc_modes.optics import phase_matching_width
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -680,7 +680,24 @@ def test_cli_grating_period_below_the_minimum_is_exit_2(tmp_path):
 
 def test_cli_crosstalk_needs_multiple_peaks(tmp_path, capsys):
     assert main(["crosstalk", "--config", SINGLE, "--out", str(tmp_path)]) == 3
-    assert "at least 2 pump peaks" in capsys.readouterr().err
+    assert "crosstalk needs at least 2 modes" in capsys.readouterr().err
+
+
+def test_cli_crosstalk_takes_the_modes_of_both_rings(tmp_path, capsys):
+    # one pump peak, two rings: one mode per ring, a full offset apart
+    assert main(["crosstalk", "--config", SINGLE, "--out", str(tmp_path),
+                 "--grid-points", "614", "--both-branches"]) == 0
+    capsys.readouterr()
+    cfg = load_config(SINGLE, {"grid.points": 614, "grid.both_branches": True})
+    centers = cfg.pump.signal_centers()
+    assert centers == pytest.approx([0.6735, -0.6735], abs=1e-4)
+    scale = schmidt.analytic_double_gaussian(cfg.pump.widths).mode_scale
+    header, table = read_csv(str(tmp_path / "crosstalk.csv"))
+    log10 = table[:, header.index("log10_value")].reshape(2, 2)
+    # Gaussian intensity modes exp(-(k - c)^2 / s^2): log X = -(c1 - c2)^2 / s^2
+    closed = -((centers[0] - centers[1]) / scale) ** 2 / math.log(10.0)
+    assert log10[0, 1] == log10[1, 0] == pytest.approx(closed, rel=1e-10)
+    assert log10[0, 0] == log10[1, 1] == 0.0
 
 
 def test_cli_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
@@ -780,8 +797,7 @@ def test_cli_scan_three_modes(tmp_path, capsys):
 
     # zero-width singles are exactly the kernel's signal marginal
     cfg = dataclasses.replace(load_config(THREE), grid_points=320)
-    kernel = cfg.build_kernel()
-    k, marg = marginal_intensity(kernel.intensity(), "signal")
+    k, marg = marginal_intensity(cfg.intensity(), "signal")
     _, table = read_csv(str(out / "singles_signal.csv"))
     assert np.array_equal(table[:, 0], k)
     assert np.array_equal(table[:, 1], marg)
@@ -842,9 +858,12 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
     assert (code, err) == (0, "")
 
     cfg = parse_config(data)
-    avg = detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump, *cfg.grids())
-    mono = cfg.build_kernel().intensity().values
-    assert np.max(np.abs(avg.values - mono)) <= 1e-12 * mono.max()
+    avg, mono = (sum_difference_product(inten.at_sums, inten.at_differences,
+                                        inten.grid_i.n_points)
+                 for inten in (detection.wavelength_average(cfg.phase_match, cfg.geometry,
+                                                            cfg.pump, *cfg.grids()),
+                               cfg.intensity()))
+    assert np.max(np.abs(avg - mono)) <= 1e-12 * mono.max()
 
 
 def test_scan_and_fedorov_report_each_build_warning_once(tmp_path):
@@ -1017,6 +1036,16 @@ def test_cli_schmidt_reports_the_window_leak_of_a_multi_peak_pump(tmp_path, caps
     assert match.group(0)[1:] in (tmp_path / "schmidt.log").read_text()
     assert main(["schmidt", "--config", SINGLE, "--out", str(tmp_path)]) == 0
     assert "peak window" not in capsys.readouterr().out
+
+
+def test_cli_schmidt_reports_the_window_leak_of_modes_on_two_rings(tmp_path, capsys):
+    # one pump peak on both rings: two modes 1.347 1/um apart, each window that wide
+    assert main(["schmidt", "--config", SINGLE, "--out", str(tmp_path),
+                 "--grid-points", "614", "--both-branches"]) == 0
+    out = capsys.readouterr().out
+    assert "modes kept: 2\n" in out
+    match = re.search(r"\nlargest mode share outside its peak window = (\S+)\n", out)
+    assert match is not None and float(match.group(1)) <= 1e-12
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])

@@ -28,10 +28,10 @@ from spdc_modes.kernel import (
     MIN_COVER_SIGMAS,
     JointIntensity,
     MultiPeakParams,
-    build_double_gaussian,
-    build_multipeak,
     default_grids,
     marginal_intensity,
+    multipeak_intensity,
+    sum_difference_product,
 )
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
@@ -57,7 +57,12 @@ N_PUMP = 1.6579880614409859
 def ratio_two_intensity(n=2001, span=6.0):
     widths = PumpWidths(1.0, 2.0)
     grid = WavevectorGrid.centered(0.0, span * 2.0, n)
-    return build_double_gaussian(widths, grid).intensity()
+    return multipeak_intensity(MultiPeakParams(1, 0.0, 0.0, widths), grid)
+
+
+def joint(inten):
+    """The joint array |F|^2[i, j] that the two profiles of ``inten`` stand for."""
+    return sum_difference_product(inten.at_sums, inten.at_differences, inten.grid_i.n_points)
 
 
 def test_slit_acceptance_matches_geometry():
@@ -91,21 +96,22 @@ def test_zero_width_singles_equals_marginal():
 
 
 def test_finite_slit_tophat_gives_trapezoid():
-    # top-hat marginal of width 0.4 scanned with an r-wide slit
-    gs = WavevectorGrid.centered(0.0, 1.0, 2001)
-    gi = WavevectorGrid.centered(0.0, 1.0, 201)
-    ks = gs.points()[:, None]
-    ki = gi.points()[None, :]
+    # top-hat marginal of width 0.4 scanned with an r-wide slit: the matching
+    # profile holds only ks - ki = 0, so the signal marginal at node i is the
+    # pump at the sum node 2i, a top-hat over |ks| <= 0.2
+    gs = gi = WavevectorGrid.centered(0.0, 1.0, 2001)
     w = 0.4
-    values = np.where(np.abs(ks) <= w / 2.0, 1.0, 0.0) * np.exp(-ki ** 2 / 0.02)
-    inten = JointIntensity(gs, gi, values)
+    pump = np.where(np.abs(np.arange(4001) - 2000) <= 400, 1.0, 0.0)
+    match = np.zeros(4001)
+    match[gi.n_points - 1] = 1.0
+    inten = JointIntensity(gs, gi, pump, match)
 
     geom = DetectionGeometry(slit_width_signal_mm=1.0)
     r = geom.slit_acceptance("signal")
     assert r < w
     scan = singles_scan(inten, geom, "signal")
     x = scan.positions
-    height = np.exp(-gi.points() ** 2 / 0.02).sum() * gi.spacing
+    height = gi.spacing
     oracle = height * r * np.clip((w / 2.0 + r / 2.0 - np.abs(x)) / r, 0.0, 1.0)
     assert np.max(np.abs(scan.rates - oracle)) < height * gs.spacing
     assert fwhm_of(scan) == pytest.approx(w, abs=2.0 * gs.spacing)
@@ -184,42 +190,53 @@ def test_conditional_narrower_and_fedorov_matches_schmidt_number():
 def test_fedorov_matched_widths_is_unity_with_real_slits():
     widths = PumpWidths(1.0, 1.0)
     grid = WavevectorGrid.centered(0.0, 6.0, 1001)
-    inten = build_double_gaussian(widths, grid).intensity()
+    inten = multipeak_intensity(MultiPeakParams(1, 0.0, 0.0, widths), grid)
     # separable amplitude: conditioning cannot change the scanned profile
     assert fedorov_ratio(inten, GEOM, [0.0]) == pytest.approx(1.0, abs=1e-10)
     assert fedorov_ratio(inten, GEOM, [0.0], zero_width=True) == pytest.approx(1.0, abs=1e-10)
     # the same mode on both rings: two singles peaks, one measured
     params = MultiPeakParams(1, 0.0, 20.0, widths, branch="both")
-    both = build_multipeak(params, *default_grids(params, 801, 6.0)).intensity()
+    both = multipeak_intensity(params, *default_grids(params, 801, 6.0))
     for zero_width in (False, True):
         ratio = fedorov_ratio(both, GEOM, params.signal_centers(), zero_width=zero_width)
         assert ratio == pytest.approx(1.0, abs=1e-10)
     # rings too close to split the singles peak: the merged peak is measured whole
     near = dataclasses.replace(params, noncollinear_offset=1.0)
-    merged = build_multipeak(near, *default_grids(near, 801, 6.0)).intensity()
+    merged = multipeak_intensity(near, *default_grids(near, 801, 6.0))
     assert near.signal_centers().size == 2 and fwhm_of(singles_scan(merged, GEOM, "signal")) > 1.0
     assert fedorov_ratio(merged, GEOM, near.signal_centers()) == fedorov_ratio(merged, GEOM, [0.5])
 
 
 def test_fedorov_tie_breaks_toward_smaller_k():
-    # two idler rows with exactly equal marginals but 3x different widths
+    # two idler columns with exactly equal marginals but 3x different widths.
+    # The pump holds a block of 21 sums (1, with 2 at its centre) and one of 7
+    # (3, with 4 at its centre); the matching holds the 21 differences
+    # ks - ki in [0.1, 0.3]. Idler column j then sees the sums 2j + 10 .. 2j + 30:
+    # column 30 holds the first block whole, columns 57..63 the second, and
+    # no column reaches both; small integers keep the tie exact
     gs = WavevectorGrid.centered(0.0, 0.5, 101)
     gi = WavevectorGrid(0.0, 0.9, 91)
-    values = np.zeros((101, 91))
-    ks = gs.points()
-    j_near = 30   # ki = 0.3
-    j_far = 60    # ki = 0.6
-    values[np.abs(ks) <= 0.105, j_near] = 1.0   # 21 nodes high 1
-    values[np.abs(ks) <= 0.035, j_far] = 3.0    # 7 nodes high 3
-    inten = JointIntensity(gs, gi, values)
+    pump = np.zeros(191)
+    pump[70:91] = 1.0
+    pump[80] = 2.0
+    pump[137:144] = 3.0
+    pump[140] = 4.0
+    match = np.zeros(191)
+    match[100:121] = 1.0
+    inten = JointIntensity(gs, gi, pump, match)
+    j_near = 30   # ki = 0.3: 21 nodes around ks = 0
+    j_far = 60    # ki = 0.6: 7 nodes around ks = 0.3
 
     ki, mi = marginal_intensity(inten, "idler")
     assert mi[j_near] == mi[j_far] == mi.max()
     assert idler_peak_center(inten) == ki[j_near]
 
-    got = fedorov_ratio(inten, GEOM, [0.0], zero_width=True)
-    singles = fwhm_of(singles_scan(inten, GEOM, "signal", zero_width=True))
-    near = fwhm_of(coincidence_scan(inten, GEOM, 0.3, zero_width=True))
+    # the singles hold one peak per block, so the widths are read within
+    # half the spacing of the two blocks' centres
+    got = fedorov_ratio(inten, GEOM, [0.0, 0.3], zero_width=True)
+    window = (-0.15, 0.15)
+    singles = fwhm_of(singles_scan(inten, GEOM, "signal", zero_width=True), window)
+    near = fwhm_of(coincidence_scan(inten, GEOM, 0.3, zero_width=True), window)
     far = fwhm_of(coincidence_scan(inten, GEOM, 0.6, zero_width=True))
     assert got == pytest.approx(singles / near, rel=1e-12)
     assert abs(got - singles / far) > 0.5
@@ -245,19 +262,19 @@ def bbo_config():
     return PhaseMatchConfig(3000.0, 0.405, N_SIGNAL, N_PUMP)
 
 
-def three_peak_kernel():
+def three_peak_intensity():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(3, 0.168, offset, widths, side_amplitude=0.63)
     gs, gi = default_grids(params, 768, 6.0)
-    return build_multipeak(params, gs, gi), params, cfg
+    return multipeak_intensity(params, gs, gi), params, cfg
 
 
 def test_fixed_idler_slit_selects_one_mode():
-    kernel, params, cfg = three_peak_kernel()
+    inten, params, cfg = three_peak_intensity()
     offset = params.noncollinear_offset
-    coinc = coincidence_scan(kernel.intensity(), GEOM, -offset / 2.0, zero_width=True)
+    coinc = coincidence_scan(inten, GEOM, -offset / 2.0, zero_width=True)
     peak = coinc.rates.max()
     k = coinc.positions
     for other in (offset / 2.0 + 0.168, offset / 2.0 - 0.168):
@@ -265,7 +282,7 @@ def test_fixed_idler_slit_selects_one_mode():
         assert coinc.rates[i] <= 1e-30 * peak
     pos, _ = find_peaks(coinc, min_height_frac=0.05)
     assert pos.size == 1
-    assert pos[0] == pytest.approx(offset / 2.0, abs=kernel.grid_s.spacing)
+    assert pos[0] == pytest.approx(offset / 2.0, abs=inten.grid_s.spacing)
 
 
 def test_idler_between_two_modes_sees_both():
@@ -274,8 +291,8 @@ def test_idler_between_two_modes_sees_both():
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(2, 0.168, offset, widths)
     gs, gi = default_grids(params, 769, 6.0)
-    kernel = build_multipeak(params, gs, gi)
-    coinc = coincidence_scan(kernel.intensity(), GEOM, -offset / 2.0, zero_width=True)
+    coinc = coincidence_scan(multipeak_intensity(params, gs, gi), GEOM, -offset / 2.0,
+                             zero_width=True)
     pos, height = find_peaks(coinc, min_height_frac=0.2)
     assert pos.size == 2
     assert height[0] == pytest.approx(height[1], rel=1e-6)
@@ -286,7 +303,7 @@ def test_idler_between_two_modes_sees_both():
     sm2 = widths.sigma_match ** 2
     shift = 0.168 * sm2 / (sp2 + sm2)
     assert np.allclose(sorted(pos), [offset / 2.0 - shift, offset / 2.0 + shift],
-                       atol=kernel.grid_s.spacing)
+                       atol=gs.spacing)
 
 
 def test_ring_wavevector_against_offset():
@@ -323,8 +340,8 @@ def test_effective_offset_anchored_at_design_wavelength():
 
 def make_builder(params, gs, gi):
     def build(offset):
-        return build_multipeak(dataclasses.replace(params, noncollinear_offset=offset),
-                               gs, gi)
+        return multipeak_intensity(dataclasses.replace(params, noncollinear_offset=offset),
+                                   gs, gi)
     return build
 
 
@@ -338,8 +355,8 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
 
     tiny = dataclasses.replace(GEOM, filter_fwhm_nm=1e-6)
     avg = wavelength_average(cfg, tiny, params, gs, gi, n_samples=5)
-    mono = builder(offset).intensity()
-    assert np.max(np.abs(avg.values - mono.values)) <= 1e-8 * mono.values.max()
+    mono = joint(builder(offset))
+    assert np.max(np.abs(joint(avg) - mono)) <= 1e-8 * mono.max()
 
 
 def test_wavelength_average_broadens_monotonically():
@@ -355,7 +372,7 @@ def test_wavelength_average_broadens_monotonically():
         scan = singles_scan(source, GEOM, "signal", zero_width=True)
         return fwhm_of(scan, window=window)
 
-    mono = signal_fwhm(builder(offset).intensity())
+    mono = signal_fwhm(builder(offset))
     w10 = signal_fwhm(wavelength_average(cfg, GEOM, params, gs, gi))
     geom20 = dataclasses.replace(GEOM, filter_fwhm_nm=20.0)
     w20 = signal_fwhm(wavelength_average(cfg, geom20, params, gs, gi))
@@ -410,7 +427,8 @@ def shipped_three_modes_case():
     pytest.param(shipped_three_modes_case, id="three_modes"),
 ])
 def test_wavelength_average_equals_one_build_per_sample(case):
-    # reference: a full build_multipeak per spectral sample, summed incoherently
+    # reference: the joint intensity of each spectral sample formed on the
+    # joint grids, normalized, and summed incoherently
     (cfg, geom, params, gs, gi), n_clips = case()
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
@@ -421,10 +439,12 @@ def test_wavelength_average_equals_one_build_per_sample(case):
     offset = params.noncollinear_offset
     samples = [dataclasses.replace(params, noncollinear_offset=effective_offset(lam, offset, cfg))
                for lam in lams]
-    kernels = [build_multipeak(p, gs, gi) for p in samples]
+    ks = gs.points()[:, None]
+    ki = gi.points()[None, :]
     total = np.zeros((gs.n_points, gi.n_points))
-    for kern, w in zip(kernels, weights):
-        total += w * np.abs(kern.amplitude) ** 2
+    for p, w in zip(samples, weights):
+        sample = (p.pump_factor(ks + ki) * p.matching_factor(ks - ki)) ** 2
+        total += w * sample / sample.sum()
     total /= total.sum() * gs.spacing * gi.spacing
     # one clip warning per axis, against the union of the samples' supports
     covers = [default_grids(p, gs.n_points, MIN_COVER_SIGMAS) for p in samples]
@@ -437,9 +457,10 @@ def test_wavelength_average_equals_one_build_per_sample(case):
 
     avg = wavelength_average(cfg, geom, params, gs, gi)
     # the average sums in another order than the loop: equal to rounding
-    assert np.max(np.abs(avg.values - total)) <= 1e-12 * total.max()
+    assert np.max(np.abs(joint(avg) - total)) <= 1e-12 * total.max()
     assert len(clips) == n_clips
-    assert avg.warnings == tuple(w for w in kernels[0].warnings if "clips" not in w) + tuple(clips)
+    first = multipeak_intensity(samples[0], gs, gi).warnings
+    assert avg.warnings == tuple(w for w in first if "clips" not in w) + tuple(clips)
 
 
 def test_wavelength_average_needs_one_grid_spacing():

@@ -62,61 +62,61 @@ def numpy_build_key() -> str:
 GOLDEN = {
     "numpy 2.4.6; baseline X86_V2; dispatch X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
         "tpa single_mode kernel.csv":
-            "9f6772f1a62870683589f0654c7707711078c2d383eb6b86e24c61edddaf35b5",
+            "9d5e968c6edc0eb6c4543ec04041da60943cd666b4bf2858ca87e803b4fa3258",
         "tpa single_mode kernel.meta.yaml":
             "3d0221f133b9ca5f8fd586813e20885c33d8ed1c599f97b0ed34371faaa1b981",
         "tpa three_modes kernel.csv":
-            "985fe472c7be6bba99c3498ac5b61f9f62f51e90a736f180bfb57b71ba7d2a96",
+            "858eab8b13eca83d536474b7dc316cb593317a3525bc5084d36bc76344857a43",
         "tpa three_modes kernel.meta.yaml":
             "6f51c5bd0ecdcae3b04128e7e172377afb5b26edcfbe98a2f0de5d543e6ab247",
         "scan three_modes singles_signal.csv":
-            "2409185096986b43e2bd28bd69c44ce384f5b70c2b1f3af992c7970ad32a102f",
+            "cd32b144f8dcbc78b5c7b9b649f76ca1752163c9b3a65a920a868dee50a22ae5",
         "scan three_modes singles_idler.csv":
-            "dda1c4a50ef5f89846c715b46e59f3ac6e10b624cefff1783375f51478849b95",
+            "a45efbc1e03ff944f53c1d55800074eb599469b5c80ff977babde20577cc5075",
         "scan three_modes coincidence_signal.csv":
-            "67593ac213bc17ab18bf79699821dacae5d5e3aca3b677855a23dd6fffbadbf8",
+            "b8f450d52079a2fae75593cf424a64337fb4c2273da9e328444c8fde881f6038",
         "scan single_mode --wavelength-avg singles_signal.csv":
-            "3b09fcac870646a062c1321651c0db8b7d7e947051703e1dd5eded97fb4ce25b",
+            "ebc137ce29376e7f63ae504ae3fc294dd40741a994d5b88a7b119b36dce3ead2",
         "scan single_mode --wavelength-avg singles_idler.csv":
-            "8dcf82c2225d83d552119b444aac873c16d2ca948647eb4603ef1d566b96d88a",
+            "06ca953f6c8a6ffa7b1b4976d57e12d6a0452956bce7b37ba4c079a47692a212",
         "scan single_mode --wavelength-avg coincidence_signal.csv":
-            "06d757931d74265b2b76e91a798ef2235b060cc499c84c036a0d68a4d8b3095c",
+            "80e8b6cd089499bd01115d78a9bec3450ac123d5e73cd888a109597e994aede4",
         "scan three_modes --zero-width-slits singles_signal.csv":
-            "54830e0d6748d73fc3f4b4a7dca66c06307330b779996c25dfd11f81be768cb3",
+            "151278faf4a35c22ab61d3fd966a6584124e028839a9036af77d0881836dc711",
         "scan three_modes --zero-width-slits singles_idler.csv":
-            "e01011000835db00b9f3f873678f4f2003034ea27a30a7f7f83160133cf6071b",
+            "d21d1ec4ba13e563c97fc01463c8a2d9bd7e06b1c92930bfc5444166c3436e57",
         "scan three_modes --zero-width-slits coincidence_signal.csv":
-            "1d06c33895569e56ddf5fbe4c847e8ae5769f88970c5829e4ba51fb5561c53bf",
+            "ff4d5b1e9a5780286575623ea414b9e27d34ae19747a41c69ffc9cfa8eca5faf",
         "scan three_modes --wavelength-avg singles_signal.csv":
-            "e5021cd80c89ff7051e5938411f61824db6261e2040b1f5f88395bc7d456d633",
+            "4f6c663c555b3e267cf3a5b905b7508d430c3341854e9eaf863c2cbe977c2862",
         "scan three_modes --wavelength-avg singles_idler.csv":
-            "7524e4197f34ccaacb568050a09f71672c3759e4e6a48965a7819358bea34448",
+            "4e506bbc2f1968dd7242aac71283aba3295d2e32fbbf0b305aafba2e38c5bebf",
         "scan three_modes --wavelength-avg coincidence_signal.csv":
-            "283ab8a1635df2a94ebc566e6ed2d844fee42a3989a58917a4c28105d38ebc70",
+            "393decc5b3d9ccab0d9fa80ed5b2b4e3d6dddfa74c92e3f12958db2efc1f6358",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
         "singles_signal.csv":
-            "83af02e929005ad3d0b4c75fc90e34c8c64c4dbb087c6c1879edb76c17873ab6",
+            "9056ba00dfe2c6ca895b3fbf9340ee0df391c1c21abae4e2ff92a4173a43f1ea",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
         "singles_idler.csv":
-            "ca718790df48d74e831b48e8d08c95d33334144ab07a92c21e3510ff56a109f3",
+            "e806307574d41bf9ce56ccd73ba0a1ef39a9238672b8c20104d3e8df79053c5b",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
         "coincidence_signal.csv":
-            "ca835de1c3d8b5e93160881f059adbce87db3cc5d1e2e9aa651169b3ccc0ec9c",
+            "3d37fd844cf206fdff4318856f56106330acdf8a8c77fea09418ba58d3a52d93",
         "scan single_mode --grid-points 614 --both-branches singles_signal.csv":
-            "e82d0c87fbcccdad0b1207138266ecda07c66fd85989b437a752b5e60c0c187b",
+            "20c367383101dfbd638677b9ae6a7656a869036ae7e7846ef68fa0dd60033ba9",
         "scan single_mode --grid-points 614 --both-branches singles_idler.csv":
-            "b563aeef77dc04727825487017e5e5da623cb0d7ce2f1162e35105855d5be51a",
+            "f074f6c8ce8d8f0a042c7eca4089916dc3f4ffb5f324c00ea7dc3a7fc6890a16",
         "scan single_mode --grid-points 614 --both-branches coincidence_signal.csv":
-            "9deb53c37f19a78220de7060c8e5b9cf270fc1dddea823af4c8b7b47a0222604",
+            "ae3dc30f0421803e5bdeb06eec7d83db5a3a67b31744fa563d5779510210adf7",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
         "singles_signal.csv":
-            "8b659a69087ec3c69a37895325f76cfa6f5e6730d170a40634243882d833efda",
+            "05f82a92394137e8a26976aa518d7903a488c52c475f9c94d6772130dd115b0a",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
         "singles_idler.csv":
-            "dd97b59bbe6b85c6c253a471c747b80f691c31fd87fc0cbde552a866da4b3819",
+            "8e45cf8b077e7377f2a8ef80df007ec94cad1583c20215e4285f72cb54426ec5",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
         "coincidence_signal.csv":
-            "a374d39267fb11fda868a0120a100298b9775814b8709c0c6acbfd8cec233854",
+            "dfde8eb79d4408e4346610012e3924aa7b835fe7b2824efd4eb16415841137db",
         "pump three_modes pump_field.csv":
             "b67de4444d1c07a4a2a0e33bca851d8827bf5ca1b3fbdf6a48e0f9f88917cd94",
         "crosstalk crosstalk crosstalk.csv":
@@ -130,7 +130,7 @@ GOLDEN = {
         "fedorov three_modes stdout":
             "2147d90221f9517756a4301ff5757f0c5a0d3f130e6fe2c53a0ebc589c78dda1",
         "scan three_modes stdout":
-            "75fa1fca02bd7badcfb816ebcd95de8d41282985d087d311c60c8f7f0d4a39d1",
+            "6bb1eb0041b651c98ef82b84e2f7298c4b521e3c37f1dbd779e9ecd04140cd67",
         "scan single_mode --wavelength-avg stdout":
             "80342ede2b113a334acefc7cbbd190a7dc4f777a79059a7e4581cc5ede5c6d13",
         "tpa single_mode stdout":
@@ -138,13 +138,13 @@ GOLDEN = {
         "tpa three_modes stdout":
             "665d29238a4a08a7e1fe46706c8589bcc8eef43f73ac552b8556290fccd1b199",
         "scan three_modes --zero-width-slits stdout":
-            "e63691de6e92dbaf4c68bb35ed2bbbb517179d55284c51aa0794a031269c6c1f",
+            "e1464ea69884e80e9c1b01f062f5c5162e0b393f19e8f63ba2cb808b91ca138f",
         "scan three_modes --wavelength-avg stdout":
             "99fb1dd843321928540fbdec996ec613dbc6a53b7d1b1c5479f42fec527ce8e2",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits stdout":
-            "37c2d2e2b713dbab6763ab124b2d3db169c76453a3cbe877016731c622618c96",
+            "2ba9dfdede2f6257eaa82c3b4cf352e1352bd0b0c97fc106eaa6072fbc6d9254",
         "scan single_mode --grid-points 614 --both-branches stdout":
-            "fd159738c240f1a11f534a78f25d5da7c791377a6a8a682216ec46d6e8d9fc4c",
+            "e5aff850f99b19e879a65b65af7244a636b290aa192dcccfa101d4b8959d8612",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg stdout":
             "de60ec36391635e413f5d69bcb106e86d66542ac2eb9ebba0e0f4adb2b3c150a",
         "pump three_modes stdout":

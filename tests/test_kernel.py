@@ -10,6 +10,7 @@ import pytest
 from spdc_modes import hologram
 from spdc_modes.config import load_config
 from spdc_modes.kernel import (
+    JointIntensity,
     MultiPeakParams,
     TpaKernel,
     build_double_gaussian,
@@ -17,6 +18,7 @@ from spdc_modes.kernel import (
     build_multipeak,
     default_grids,
     marginal_intensity,
+    multipeak_intensity,
     pump_spectrum_from_field,
     sum_coordinate_grid,
 )
@@ -149,16 +151,38 @@ def test_bad_branch_rejected():
         MultiPeakParams(1, 0.0, 0.2, PumpWidths(SIGMA, SIGMA), branch="x")
 
 
-def test_from_array_validation():
+def test_from_profiles_validation():
     grid = centered(1.0, 32)
-    amp = np.ones((32, 32))
-    amp[3, 3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        TpaKernel.from_array(grid, grid, amp)
-    with pytest.raises(ValueError, match="zero"):
-        TpaKernel.from_array(grid, grid, np.zeros((32, 32)))
+    ones = np.ones(63)
+    bad = ones.copy()
+    bad[3] = np.nan
+    for build in (TpaKernel.from_profiles, JointIntensity.from_profiles):
+        with pytest.raises(ValueError, match="finite"):
+            build(grid, grid, bad, ones)
+        with pytest.raises(ValueError, match="finite"):
+            build(grid, grid, ones, bad)
+        with pytest.raises(ValueError, match="identically zero"):
+            build(grid, grid, np.zeros(63), ones)
+        # the pump only at ks + ki = its lowest node, the matching only at the
+        # lowest ks - ki: no joint node holds both, so every product is zero
+        pump, match = np.zeros(63), np.zeros(63)
+        pump[0] = match[0] = 1.0
+        with pytest.raises(ValueError, match="identically zero"):
+            build(grid, grid, pump, match)
     with pytest.raises(ValueError, match="shape"):
         TpaKernel(grid, grid, np.ones((32, 31)))
+
+
+def test_profiles_of_extreme_magnitude_normalize():
+    # squares of these would overflow or underflow; the unit-peak scaling keeps them
+    grid = centered(1.0, 32)
+    k = sum_coordinate_grid(grid, grid).points()
+    shape = np.exp(-k ** 2)
+    reference = TpaKernel.from_profiles(grid, grid, shape, shape)
+    for scale in (1e200, 1e-200):
+        kernel = TpaKernel.from_profiles(grid, grid, scale * shape, scale * shape)
+        assert kernel.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(kernel.amplitude, reference.amplitude, rtol=1e-14, atol=0.0)
 
 
 def test_real_models_build_real_kernels():
@@ -194,27 +218,32 @@ def test_real_pump_spectrum_builds_a_real_kernel(model):
     assert np.array_equal(kernel.amplitude, reference.amplitude.real)
 
 
-def test_from_array_real_input_matches_its_complex_promotion():
+def test_from_profiles_real_input_matches_its_complex_promotion():
     grid = centered(1.0, 48)
-    k = grid.points()
-    raw = np.exp(-(k[:, None] - 0.3 * k[None, :]) ** 2 / 0.1) * (1.0 + k[:, None])
-    real = TpaKernel.from_array(grid, grid, raw)
-    promoted = TpaKernel.from_array(grid, grid, raw.astype(complex))
+    k = sum_coordinate_grid(grid, grid).points()
+    pump = np.exp(-k ** 2 / 0.1) * (1.0 + k)
+    match = np.exp(-(k - 0.2) ** 2 / 0.3)
+    real = TpaKernel.from_profiles(grid, grid, pump, match)
+    promoted = TpaKernel.from_profiles(grid, grid, pump.astype(complex), match)
     assert real.amplitude.dtype == np.float64
     assert np.array_equal(real.amplitude, promoted.amplitude.real)
-    assert np.array_equal(real.intensity().values, promoted.intensity().values)
+    real_i = JointIntensity.from_profiles(grid, grid, pump, match)
+    promoted_i = JointIntensity.from_profiles(grid, grid, pump.astype(complex), match)
+    assert np.array_equal(real_i.at_sums, promoted_i.at_sums)
+    assert np.array_equal(real_i.at_differences, promoted_i.at_differences)
 
 
 def test_marginal_intensity_integrates_to_one():
     widths = PumpWidths(SIGMA, 2 * SIGMA)
-    kernel = build_double_gaussian(widths, centered(10 * SIGMA, 256))
-    k, m = marginal_intensity(kernel.intensity(), "signal")
-    assert np.sum(m) * kernel.grid_s.spacing == pytest.approx(1.0, abs=1e-12)
+    grid = centered(10 * SIGMA, 256)
+    inten = multipeak_intensity(MultiPeakParams(1, 0.0, 0.0, widths), grid)
+    k, m = marginal_intensity(inten, "signal")
+    assert np.sum(m) * grid.spacing == pytest.approx(1.0, abs=1e-12)
     # marginal of the double Gaussian is Gaussian with variance (a^2+b^2)/8
-    var = np.sum(m * k ** 2) * kernel.grid_s.spacing
+    var = np.sum(m * k ** 2) * grid.spacing
     assert var == pytest.approx((SIGMA ** 2 + 4 * SIGMA ** 2) / 8.0, rel=1e-9)
     with pytest.raises(ValueError, match="which"):
-        marginal_intensity(kernel.intensity(), "pump")
+        marginal_intensity(inten, "pump")
 
 
 def test_sum_coordinate_grid_nodes():

@@ -175,7 +175,8 @@ def test_rejects_unnormalized_kernel():
     raw = TpaKernel(grid, grid, amp.astype(complex))
     with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(raw)
-    good = TpaKernel.from_array(grid, grid, amp)
+    good = TpaKernel(grid, grid, amp / (math.sqrt(np.sum(amp ** 2)) * grid.spacing))
+    schmidt_decompose(good)
     bad = TpaKernel(grid, grid, good.amplitude * 2.0)
     with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(bad)
@@ -249,8 +250,9 @@ def test_real_kernel_decomposes_like_its_complex_copy(build):
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def dense_triplets(a, truncation):
+def dense_triplets(a, truncation, scale):
     u, s, vh = np.linalg.svd(a, full_matrices=False)
+    s = s * scale
     keep = s > SV_FLOOR * s[0]
     return u[:, keep], s[keep], vh[keep, :]
 
@@ -326,7 +328,7 @@ def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
 def test_high_rank_kernel_falls_back_to_dense(monkeypatch, svd_shapes):
     grid = WavevectorGrid.centered(0.0, 1.0, 64)
     noise = np.random.default_rng(0).standard_normal((64, 64))
-    kernel = TpaKernel.from_array(grid, grid, noise)
+    kernel = TpaKernel(grid, grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
     dec = schmidt_decompose(kernel)
     assert svd_shapes[-1] == (64, 64)
     ref = dense_decompose(kernel, monkeypatch)
