@@ -3,7 +3,10 @@
 Every key is checked; unknown keys are rejected with their full dotted
 path, and every accepted value is recorded with its origin ("user" or
 "default") so runs can echo exactly what they used. Lab-unit spellings
-(mm, nm) are converted here, once; everything downstream is um / 1/um.
+(mm, nm) of the crystal and pump are converted here, once, to um / 1/um.
+The ``detection`` keys stay in mm and nm: :class:`DetectionGeometry` keeps
+them and converts them in ``position_to_wavevector``, and
+``detection.wavelength_average`` converts the filter's nm to um itself.
 """
 
 from __future__ import annotations

@@ -242,11 +242,21 @@ def fedorov_ratio(inten: JointIntensity, geom: DetectionGeometry, centers: Seque
     return fwhm_of(singles, window) / fwhm_of(coinc, window)
 
 
+# marginal values within this relative distance of the maximum tie, and so
+# do the |k| of mirror nodes, which a grid centred on zero holds to rounding
+PEAK_TIE_RTOL = 1e-12
+
+
 def idler_peak_center(inten: JointIntensity) -> float:
-    """Default idler slit center: the idler marginal's maximum, ties to the smaller |k|."""
+    """Default idler slit center: the node of the idler marginal's maximum.
+
+    Nodes within a relative PEAK_TIE_RTOL of the maximum tie, since their
+    order is rounding noise. Ties go to the smaller |k|, then to the
+    negative k, which is the idler side of the ``+`` ring.
+    """
     ki, mi = marginal_intensity(inten, "idler")
-    top = np.flatnonzero(mi == mi.max())
-    return float(ki[top[np.argmin(np.abs(ki[top]))]])
+    top = ki[mi >= (1.0 - PEAK_TIE_RTOL) * mi.max()]
+    return float(top[np.abs(top) <= (1.0 + PEAK_TIE_RTOL) * np.abs(top).min()].min())
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +315,17 @@ def effective_offset(lambda_signal_um: float, offset: float,
     return offset * (lambda_signal_um / lam_deg) * ratio
 
 
-def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
-                       params: MultiPeakParams, grid_s: WavevectorGrid, grid_i: WavevectorGrid,
-                       n_samples: int = FILTER_SAMPLES) -> JointIntensity:
+def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params: MultiPeakParams,
+                       grid_s: WavevectorGrid, grid_i: WavevectorGrid) -> JointIntensity:
     """Joint intensity of a multi-peak pump averaged over the filter passband.
 
     Each spectral sample is the normalized intensity of
     :func:`~spdc_modes.kernel.build_multipeak` of ``params`` with its offset
     replaced by the sample's :func:`effective_offset`. The passband is
-    Gaussian, sampled uniformly over +-FILTER_SPAN_FWHM * FWHM, and the
-    samples are weight-averaged (incoherent sum). The coverage warnings are
-    against the union of the samples' supports.
+    Gaussian, sampled at FILTER_SAMPLES wavelengths uniformly over
+    +-FILTER_SPAN_FWHM * FWHM, and the samples are weight-averaged
+    (incoherent sum). The coverage warnings are against the union of the
+    samples' supports.
 
     No kernel is built. On grids of one spacing h (others are refused) a
     sample's intensity is P^2[i + j] M^2[i - j] / n: the pump comb P takes
@@ -325,14 +335,12 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry,
     P^2[i + j] g[i - j] with the 1D g = sum of (weight / n) M^2, and the
     result holds the pair (P^2, g).
     """
-    if n_samples < 3:
-        raise ValueError(f"need at least 3 spectral samples, got {n_samples}")
     sums, delta = sum_difference_nodes(grid_s, grid_i)
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
     lams = np.linspace(lam_c - FILTER_SPAN_FWHM * fwhm, lam_c + FILTER_SPAN_FWHM * fwhm,
-                       n_samples)
+                       FILTER_SAMPLES)
     weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
 
@@ -392,7 +400,7 @@ def gaussian_mode_log_intensities(centers: Sequence[float], scale: float,
     return -((k - c) ** 2) / (scale * scale) - 0.5 * math.log(math.pi * scale * scale)
 
 
-def crosstalk_matrix(modes: np.ndarray, grid: Optional[WavevectorGrid] = None,
+def crosstalk_matrix(modes: np.ndarray, grid: WavevectorGrid,
                      log_input: bool = False) -> CrosstalkMatrix:
     """Normalized squared overlaps X_mn between mode profiles.
 
@@ -408,14 +416,10 @@ def crosstalk_matrix(modes: np.ndarray, grid: Optional[WavevectorGrid] = None,
     if modes.ndim != 2:
         raise ValueError(f"modes must be 2D (n_modes, n_k), got shape {modes.shape}")
     n, nk = modes.shape
-    if grid is not None:
-        if grid.n_points != nk:
-            raise ValueError(f"grid has {grid.n_points} points but modes have {nk}")
-        dx = grid.spacing
-    else:
-        dx = 1.0
-    w = np.full(nk, dx)
-    w[0] = w[-1] = dx / 2.0
+    if grid.n_points != nk:
+        raise ValueError(f"grid has {grid.n_points} points but modes have {nk}")
+    w = np.full(nk, grid.spacing)
+    w[0] = w[-1] = grid.spacing / 2.0
 
     if log_input:
         logw = np.log(w)

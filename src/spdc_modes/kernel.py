@@ -153,7 +153,7 @@ def _check_resolution(grid: WavevectorGrid, narrowest: float, label: str) -> Non
         raise ValueError(
             f"{label} grid step {grid.spacing:.4g} cannot resolve the narrowest "
             f"width {narrowest:.4g}; need step <= {MAX_STEP_FRACTION * narrowest:.4g} "
-            f"(>= {np.ceil((grid.k_max - grid.k_min) / (MAX_STEP_FRACTION * narrowest)) + 1:.0f} points)"
+            f"(>= {np.ceil((grid.k_max - grid.k_min) / (MAX_STEP_FRACTION * narrowest)) + 1:.6g} points)"
         )
 
 
@@ -244,8 +244,7 @@ class MultiPeakParams:
                 + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
 
 
-def default_grids(params: MultiPeakParams, n_points: int = 512,
-                  span_sigmas: float = 5.0) -> tuple:
+def default_grids(params: MultiPeakParams, n_points: int, span_sigmas: float) -> tuple:
     """(signal, idler) grids centered on the emission branch.
 
     Spans cover every pump peak plus ``span_sigmas`` of the widest Gaussian

@@ -7,8 +7,11 @@ Internal conventions, used everywhere past the config boundary:
 * every Gaussian width follows the amplitude convention
   ``exp(-k^2 / (2 sigma^2))``.
 
-Millimetre and nanometre values that appear in lab-style configs are
-converted once, on parse (see :mod:`spdc_modes.config`).
+Millimetre and nanometre values of the crystal and pump are converted
+once, on parse (see :mod:`spdc_modes.config`). The detection bench is the
+exception: :class:`~spdc_modes.detection.DetectionGeometry` keeps mm and nm
+and converts them in ``position_to_wavevector``, and
+``detection.wavelength_average`` converts the filter's nm to um itself.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ randomized range finder: a fixed-seed Gaussian sketch, one subspace
 iteration and Rayleigh-Ritz on the block, grown until the weight the
 block misses bounds every kept weight's error far below that weight. The
 dense SVD remains for a kernel whose kept modes do not fit a block of
-half its size, and for a weight target of exactly 1. The fixed seed keeps reruns
-byte-identical.
+half its size. The fixed seed keeps reruns byte-identical.
 
 For the double-Gaussian amplitude the decomposition is known in closed
 form (Gaussian kernel diagonalized by Hermite-Gauss functions);
@@ -23,19 +22,18 @@ form (Gaussian kernel diagonalized by Hermite-Gauss functions);
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .kernel import TpaKernel
 from .optics import PumpWidths, WavevectorGrid
 
-# default truncation: keep modes until this much squared weight is captured
-DEFAULT_ENERGY = 1.0 - 1e-6
-DEFAULT_MAX_MODES = 64
+# keep modes until this much squared weight is captured, at most MAX_MODES
+ENERGY = 1.0 - 1e-6
+MAX_MODES = 64
 # singular values below this fraction of the largest are numerical noise
 SV_FLOOR = 1e-12
 NORM_TOLERANCE = 1e-8
@@ -67,31 +65,19 @@ class SchmidtDecomposition:
         return self.coefficients.size
 
 
-def schmidt_decompose(kernel: TpaKernel,
-                      truncation: Union[None, int, float] = None) -> SchmidtDecomposition:
+def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
     """Decompose a normalized kernel into its Schmidt modes.
 
-    truncation=None keeps modes up to cumulative weight 1 - 1e-6, capped
-    at 64; an int keeps exactly that many; a float in (0, 1] keeps modes
-    until that cumulative squared weight, uncapped.
+    Modes are kept up to cumulative weight ENERGY, at most MAX_MODES.
     """
-    if isinstance(truncation, numbers.Integral) and not isinstance(truncation, bool):
-        if truncation < 1:
-            raise ValueError(f"mode count must be >= 1, got {truncation}")
-        truncation = int(truncation)
-    elif isinstance(truncation, float):
-        if not (0.0 < truncation <= 1.0):
-            raise ValueError(f"energy target must be in (0, 1], got {truncation}")
-    elif truncation is not None:
-        raise TypeError(f"truncation must be None, int, or float, got {type(truncation)}")
     norm = kernel.norm()
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"kernel norm is {norm:.6g}, expected 1 within {NORM_TOLERANCE}")
 
     dks = kernel.grid_s.spacing
     dki = kernel.grid_i.spacing
-    u, s, vh = _leading_triplets(kernel.amplitude, truncation, math.sqrt(dks * dki))
-    n = _mode_count(s, truncation)
+    u, s, vh = _leading_triplets(kernel.amplitude, math.sqrt(dks * dki))
+    n = _mode_count(s)
 
     coeffs = s[:n]
     signal = (u[:, :n] / math.sqrt(dks)).T.copy()
@@ -116,7 +102,7 @@ def schmidt_decompose(kernel: TpaKernel,
     if discarded > DISCARD_WARN:
         warns.append(
             f"truncation to {n} modes discards squared weight {discarded:.3e}; "
-            "raise the mode budget for faithful reconstruction"
+            "the kept modes do not rebuild the kernel faithfully"
         )
     return SchmidtDecomposition(coeffs, signal, idler, kernel.grid_s, kernel.grid_i,
                                 discarded, tuple(warns))
@@ -145,16 +131,10 @@ def _localise_degenerate(coeffs: np.ndarray, signal: np.ndarray, idler: np.ndarr
         start = end
 
 
-def _mode_count(s: np.ndarray, truncation: Union[None, int, float]) -> int:
-    """Modes kept from descending, floored singular values under a valid truncation."""
-    if isinstance(truncation, int):
-        return min(truncation, s.size)
-    cumulative = np.cumsum(s ** 2)
-    if truncation is None:
-        n = int(np.searchsorted(cumulative, DEFAULT_ENERGY) + 1)
-        return min(n, DEFAULT_MAX_MODES, s.size)
-    n = int(np.searchsorted(cumulative, truncation) + 1)
-    return min(n, s.size)
+def _mode_count(s: np.ndarray) -> int:
+    """Modes kept from descending, floored singular values."""
+    n = int(np.searchsorted(np.cumsum(s ** 2), ENERGY) + 1)
+    return min(n, MAX_MODES, s.size)
 
 
 def _floored(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> tuple:
@@ -162,9 +142,8 @@ def _floored(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> tuple:
     return u[:, keep], s[keep], vh[keep, :]
 
 
-def _leading_triplets(a: np.ndarray, truncation: Union[None, int, float],
-                      scale: float) -> tuple:
-    """Singular triplets of ``scale * a`` above the floor, as many as ``truncation`` keeps.
+def _leading_triplets(a: np.ndarray, scale: float) -> tuple:
+    """Singular triplets of ``scale * a`` above the floor, as many as :func:`_mode_count` keeps.
 
     A randomized range finder with one subspace iteration (Halko, Martinsson
     & Tropp, SIAM Rev. 53, 217 (2011)) sketches ``a`` with a fixed-seed
@@ -173,15 +152,13 @@ def _leading_triplets(a: np.ndarray, truncation: Union[None, int, float],
     kept and the weight it misses, ||a||^2 - ||Q^H a||^2, is at most
     SKETCH_RESIDUAL times the smallest kept weight; by Weyl's inequality
     that weight bounds the error of every kept weight. Otherwise the block
-    doubles, restarting from the same seed, and past half the matrix size,
-    or when every mode above the floor is asked for (truncation 1.0), the
-    dense SVD runs instead. ``scale`` multiplies the singular values only,
-    before the energy target reads them.
+    doubles, restarting from the same seed, and past half the matrix size
+    the dense SVD runs instead. ``scale`` multiplies the singular values
+    only, before the energy target reads them.
     """
     total = float(np.vdot(a, a).real) * scale * scale
     block = SKETCH_BLOCK
-    exhaustive = isinstance(truncation, float) and truncation == 1.0
-    while not exhaustive and block <= min(a.shape) / 2:
+    while block <= min(a.shape) / 2:
         omega = np.random.default_rng(0).standard_normal((a.shape[1], block))
         q = np.linalg.qr(a @ omega)[0]
         # a^H q, formed as (q^H a)^H so a complex a is never conjugated whole
@@ -191,7 +168,7 @@ def _leading_triplets(a: np.ndarray, truncation: Union[None, int, float],
         s *= scale
         residual = total - float(np.sum(s ** 2))
         u, s, vh = _floored(q @ ub, s, vh)
-        n = _mode_count(s, truncation)
+        n = _mode_count(s)
         if n + SKETCH_OVERSAMPLE <= block and residual <= SKETCH_RESIDUAL * s[n - 1] ** 2:
             return u, s, vh
         block *= 2

@@ -17,6 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdc_modes import detection
 from spdc_modes.config import load_config, parse_config
 from spdc_modes.detection import (
     coincidence_scan,
@@ -79,7 +80,7 @@ def test_schmidt_number_and_spectrum_match_closed_form():
             a, b = SIGMA, ratio * SIGMA
             widths = PumpWidths(a, b)
             grid = WavevectorGrid.centered(0.0, 5.0 * max(a, b), 512)
-            dec = schmidt_decompose(build_double_gaussian(widths, grid), truncation=1.0)
+            dec = schmidt_decompose(build_double_gaussian(widths, grid))
             got_k = schmidt_number(dec).schmidt_number
             expected_k = (a * a + b * b) / (2.0 * a * b)
             assert got_k == pytest.approx(expected_k, rel=1e-3)
@@ -182,7 +183,7 @@ def test_crosstalk_matches_the_closed_form_gaussian_law():
             np.testing.assert_allclose(matrix.log_values, oracle, rtol=1e-12, atol=0.0)
 
 
-def test_filter_bandwidth_broadens_the_singles():
+def test_filter_bandwidth_broadens_the_singles(monkeypatch):
     with criterion("filter-bandwidth-broadening"):
         pm = PhaseMatchConfig(3000.0, 0.405, 1.6602583173171748, 1.6579880614409859)
         offset = noncollinear_offset(pm).offset_um_inv
@@ -203,7 +204,8 @@ def test_filter_bandwidth_broadens_the_singles():
 
         mono = signal_fwhm(builder(offset))
         w21 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi))
-        w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi, n_samples=42))
+        monkeypatch.setattr(detection, "FILTER_SAMPLES", 42)
+        w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi))
         assert w21 > mono
         assert abs(w42 / w21 - 1.0) < 0.01
 
@@ -244,23 +246,24 @@ def _norm_and_orthogonality(a, ratio):
     kernel, grid, norm = solve(256)
     assert abs(norm - 1.0) < 1e-10
 
-    dec = schmidt_decompose(kernel, truncation=1.0)
+    dec = schmidt_decompose(kernel)
     n_check = min(8, dec.n_modes)
     for modes in (dec.signal_modes, dec.idler_modes):
         block = modes[:n_check].real
         gram = block @ block.T * grid.spacing
         assert np.max(np.abs(gram - np.eye(n_check))) < 1e-8
 
-    err = np.sqrt(np.sum(np.abs(reconstruct_kernel(dec) - kernel.amplitude) ** 2)
-                  * grid.spacing ** 2)
-    assert err < 1e-6
+    # the kept modes rebuild the kernel up to exactly the weight they discard
+    err2 = np.sum(np.abs(reconstruct_kernel(dec) - kernel.amplitude) ** 2) * grid.spacing ** 2
+    assert err2 == pytest.approx(dec.discarded_weight, abs=1e-12)
 
-    kernel_fine, _, _ = solve(384)
+    kernel_fine, grid_fine, _ = solve(384)
     k_coarse = schmidt_number(schmidt_decompose(kernel)).schmidt_number
     k_fine = schmidt_number(schmidt_decompose(kernel_fine)).schmidt_number
     assert abs(k_coarse - k_fine) < 1e-4
     c = dec.coefficients[:5]
-    c_fine = schmidt_decompose(kernel_fine, truncation=1.0).coefficients[:5]
+    # the fine grid's leading singular values, however many modes it keeps
+    c_fine = np.linalg.svd(kernel_fine.amplitude, compute_uv=False)[:c.size] * grid_fine.spacing
     assert np.max(np.abs(c - c_fine)) < 1e-4
 
 

@@ -423,6 +423,17 @@ def test_overflows_are_computation_errors(tmp_path, command, section, key, value
     assert err.startswith("computation error: ") and err.count("\n") == 1
 
 
+def test_resolution_refusal_reads_the_point_count_in_six_digits(tmp_path):
+    data = shipped(THREE)
+    data["pump"]["envelope_fwhm_um"] = 1.0e-300
+    code, out, err = run_config(tmp_path, data, "tpa")
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert re.search(r"\(>= 7\.38288e\+303 points\)$", err), err
+    # counts below 10^6 read in full
+    code, _out, err = run_config(tmp_path, shipped(THREE), "tpa", "--both-branches")
+    assert code == 3 and err.endswith("(>= 841 points)\n"), err
+
+
 @OVERFLOWS
 def test_overflow_warnings_stay_off_stderr(tmp_path, command, section, key, value):
     # pytest captures warnings in-process, so only a separate process shows

@@ -207,13 +207,16 @@ def test_fedorov_matched_widths_is_unity_with_real_slits():
     assert fedorov_ratio(merged, GEOM, near.signal_centers()) == fedorov_ratio(merged, GEOM, [0.5])
 
 
-def test_fedorov_tie_breaks_toward_smaller_k():
-    # two idler columns with exactly equal marginals but 3x different widths.
-    # The pump holds a block of 21 sums (1, with 2 at its centre) and one of 7
-    # (3, with 4 at its centre); the matching holds the 21 differences
-    # ks - ki in [0.1, 0.3]. Idler column j then sees the sums 2j + 10 .. 2j + 30:
-    # column 30 holds the first block whole, columns 57..63 the second, and
-    # no column reaches both; small integers keep the tie exact
+def two_block_intensity(far_scale=1.0):
+    """Two idler columns with equal marginals but 3x different widths.
+
+    The pump holds a block of 21 sums (1, with 2 at its centre) and one of 7
+    (3, with 4 at its centre, times ``far_scale``); the matching holds the 21
+    differences ks - ki in [0.1, 0.3]. Idler column j then sees the sums
+    2j + 10 .. 2j + 30: column 30 (ki = 0.3) holds the first block whole,
+    columns 57..63 the second, and no column reaches both; small integers
+    keep the tie exact.
+    """
     gs = WavevectorGrid.centered(0.0, 0.5, 101)
     gi = WavevectorGrid(0.0, 0.9, 91)
     pump = np.zeros(191)
@@ -221,9 +224,14 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     pump[80] = 2.0
     pump[137:144] = 3.0
     pump[140] = 4.0
+    pump[137:144] *= far_scale
     match = np.zeros(191)
     match[100:121] = 1.0
-    inten = JointIntensity(gs, gi, pump, match)
+    return JointIntensity(gs, gi, pump, match)
+
+
+def test_fedorov_tie_breaks_toward_smaller_k():
+    inten = two_block_intensity()
     j_near = 30   # ki = 0.3: 21 nodes around ks = 0
     j_far = 60    # ki = 0.6: 7 nodes around ks = 0.3
 
@@ -240,6 +248,25 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     far = fwhm_of(coincidence_scan(inten, GEOM, 0.6, zero_width=True))
     assert got == pytest.approx(singles / near, rel=1e-12)
     assert abs(got - singles / far) > 0.5
+
+
+def test_idler_tie_within_rounding_breaks_toward_smaller_k():
+    # the far block a relative 2^-50 up: a last-bit lead must not move the slit
+    inten = two_block_intensity(far_scale=1.0 + 2.0 ** -50)
+    ki, mi = marginal_intensity(inten, "idler")
+    assert mi[60] > mi[30] and mi[60] == mi.max()
+    assert idler_peak_center(inten) == ki[30]
+
+
+def test_mirror_ring_tie_parks_the_slit_on_the_negative_node():
+    # the two rings of a grid centred on zero tie in exact arithmetic; in
+    # floating point either node can lead by a relative 1e-15
+    run = load_config(THREE_MODES, {"grid.points": 841, "grid.both_branches": True})
+    inten = run.intensity()
+    ki, mi = marginal_intensity(inten, "idler")
+    ring = [int(np.argmin(np.abs(ki - k))) for k in (-0.6746527647, 0.6746527647)]
+    assert np.all(mi[ring] >= (1.0 - 1e-12) * mi.max())
+    assert idler_peak_center(inten) == ki[ring[0]]
 
 
 def test_scan_position_filtering():
@@ -354,7 +381,7 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
     builder = make_builder(params, gs, gi)
 
     tiny = dataclasses.replace(GEOM, filter_fwhm_nm=1e-6)
-    avg = wavelength_average(cfg, tiny, params, gs, gi, n_samples=5)
+    avg = wavelength_average(cfg, tiny, params, gs, gi)
     mono = joint(builder(offset))
     assert np.max(np.abs(joint(avg) - mono)) <= 1e-8 * mono.max()
 
@@ -390,8 +417,6 @@ def test_wavelength_average_validation():
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams(1, 0.0, offset, widths)
     gs, gi = default_grids(params, 512, 6.0)
-    with pytest.raises(ValueError, match="at least 3"):
-        wavelength_average(cfg, GEOM, params, gs, gi, n_samples=2)
     coarse_s, coarse_i = default_grids(params, 64, 6.0)
     with pytest.raises(ValueError, match="signal grid step .* cannot resolve"):
         wavelength_average(cfg, GEOM, params, coarse_s, coarse_i)
@@ -538,6 +563,6 @@ def test_crosstalk_validation():
     with pytest.raises(ValueError, match="64"):
         crosstalk_matrix(np.ones((2, 32)), grid)
     with pytest.raises(ValueError, match="positive norm"):
-        crosstalk_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        crosstalk_matrix(np.stack([np.zeros(64), np.ones(64)]), grid)
     with pytest.raises(ValueError, match="scale"):
         gaussian_mode_log_intensities([0.0], -1.0, grid)

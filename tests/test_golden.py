@@ -101,7 +101,7 @@ GOLDEN = {
             "e806307574d41bf9ce56ccd73ba0a1ef39a9238672b8c20104d3e8df79053c5b",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits "
         "coincidence_signal.csv":
-            "3d37fd844cf206fdff4318856f56106330acdf8a8c77fea09418ba58d3a52d93",
+            "01c19b60cda9fde1336811febaaa3e89483c3becfaee9c1311ad2b163014b954",
         "scan single_mode --grid-points 614 --both-branches singles_signal.csv":
             "20c367383101dfbd638677b9ae6a7656a869036ae7e7846ef68fa0dd60033ba9",
         "scan single_mode --grid-points 614 --both-branches singles_idler.csv":
@@ -116,7 +116,7 @@ GOLDEN = {
             "8e45cf8b077e7377f2a8ef80df007ec94cad1583c20215e4285f72cb54426ec5",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
         "coincidence_signal.csv":
-            "dfde8eb79d4408e4346610012e3924aa7b835fe7b2824efd4eb16415841137db",
+            "60b716e6d00e035a561066a654f814ce4f11407169b349ddb4043443344ee2d4",
         "pump three_modes pump_field.csv":
             "b67de4444d1c07a4a2a0e33bca851d8827bf5ca1b3fbdf6a48e0f9f88917cd94",
         "crosstalk crosstalk crosstalk.csv":
@@ -142,11 +142,11 @@ GOLDEN = {
         "scan three_modes --wavelength-avg stdout":
             "99fb1dd843321928540fbdec996ec613dbc6a53b7d1b1c5479f42fec527ce8e2",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits stdout":
-            "2ba9dfdede2f6257eaa82c3b4cf352e1352bd0b0c97fc106eaa6072fbc6d9254",
+            "37c2d2e2b713dbab6763ab124b2d3db169c76453a3cbe877016731c622618c96",
         "scan single_mode --grid-points 614 --both-branches stdout":
             "e5aff850f99b19e879a65b65af7244a636b290aa192dcccfa101d4b8959d8612",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg stdout":
-            "de60ec36391635e413f5d69bcb106e86d66542ac2eb9ebba0e0f4adb2b3c150a",
+            "ea9cad4b845052d8ca8acedd0b493510472151ffa26deaf2e7108fe0f9c3e8b1",
         "pump three_modes stdout":
             "ef801ff0ff052ca1ec17ab6a934d8dc0a9c2a23ecab2c756016127164c68a3bd",
         "crosstalk crosstalk stdout":

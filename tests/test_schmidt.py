@@ -59,11 +59,12 @@ def test_width_ratio_two_matches_closed_form():
     expected = (1.0 - mu) * mu ** np.arange(6)
     lam = dec.coefficients[:6] ** 2
     assert np.allclose(lam, expected, atol=1e-8)
-    # default truncation clips a ~1e-6 tail, shifting K by a few 1e-7
+    # the truncation policy clips a ~1e-6 tail, shifting K by a few 1e-7
     metrics = schmidt_number(dec)
     assert metrics.schmidt_number == pytest.approx(1.25, rel=1e-6)
-    full = schmidt_number(schmidt_decompose(kernel, truncation=1.0))
-    assert full.schmidt_number == pytest.approx(1.25, rel=1e-12)
+    # every mode: K from all singular values of the kernel
+    lam_all = (np.linalg.svd(kernel.amplitude, compute_uv=False) * kernel.grid_s.spacing) ** 2
+    assert lam_all.sum() ** 2 / np.sum(lam_all ** 2) == pytest.approx(1.25, rel=1e-12)
     analytic = analytic_double_gaussian(widths)
     assert analytic.schmidt_number == pytest.approx(1.25, rel=1e-15)
     assert np.allclose(analytic.eigenvalues[:6], expected, rtol=1e-13)
@@ -126,46 +127,37 @@ def test_modes_match_hermite_gauss_pairs():
         assert s * i > 0.998
 
 
+def reconstruction_error_squared(dec, kernel):
+    diff = reconstruct_kernel(dec) - kernel.amplitude
+    return float(np.sum(np.abs(diff) ** 2) * kernel.grid_s.spacing * kernel.grid_i.spacing)
+
+
 def test_reconstruction_matches_kernel():
     widths = PumpWidths(1.0, 2.0)
     kernel = build_double_gaussian(widths, grid_for(widths, n=321, span=6.0))
-    dec = schmidt_decompose(kernel, truncation=1.0)
-    rebuilt = reconstruct_kernel(dec)
-    err = np.sqrt(np.sum(np.abs(rebuilt - kernel.amplitude) ** 2)
-                  * kernel.grid_s.spacing * kernel.grid_i.spacing)
-    assert err < 1e-8
+    dec = schmidt_decompose(kernel)
+    # the kept modes rebuild the kernel up to exactly the weight they discard
+    assert dec.discarded_weight <= 1e-6
+    assert reconstruction_error_squared(dec, kernel) == pytest.approx(
+        dec.discarded_weight, abs=1e-12)
 
 
-def test_int_truncation_reports_discarded_weight():
-    widths = PumpWidths(1.0, 2.0)
-    kernel = build_double_gaussian(widths, grid_for(widths, n=321, span=6.0))
-    dec = schmidt_decompose(kernel, truncation=1)
-    assert dec.n_modes == 1
-    assert dec.discarded_weight == pytest.approx(1.0 / 9.0, abs=1e-8)
-    assert any("discards" in w for w in dec.warnings)
-
-
-def test_truncation_argument_validation():
-    widths = PumpWidths(1.0, 1.0)
-    kernel = build_double_gaussian(widths, grid_for(widths))
-    with pytest.raises(ValueError, match="mode count"):
-        schmidt_decompose(kernel, truncation=0)
-    with pytest.raises(ValueError, match="energy target"):
-        schmidt_decompose(kernel, truncation=1.5)
-    with pytest.raises(TypeError, match="truncation"):
-        schmidt_decompose(kernel, truncation="3")
-    with pytest.raises(TypeError, match="truncation"):
-        schmidt_decompose(kernel, truncation=True)
-
-
-def test_numpy_integer_truncation_equals_int():
-    kernel = double_gaussian_kernel()
-    dec = schmidt_decompose(kernel, truncation=np.int64(3))
-    ref = schmidt_decompose(kernel, truncation=3)
-    assert dec.n_modes == 3
-    assert np.array_equal(dec.coefficients, ref.coefficients)
-    assert np.array_equal(dec.signal_modes, ref.signal_modes)
-    assert np.array_equal(dec.idler_modes, ref.idler_modes)
+def test_mode_cap_reports_discarded_weight(svd_shapes):
+    # a noise kernel spreads its weight over every mode: the 64-mode cap
+    # binds, and the kept modes do not fit a sketch block of half its size
+    grid = WavevectorGrid.centered(0.0, 1.0, 160)
+    noise = np.random.default_rng(0).standard_normal((160, 160))
+    kernel = TpaKernel(grid, grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
+    dec = schmidt_decompose(kernel)
+    assert svd_shapes[-1] == (160, 160)
+    assert dec.n_modes == 64
+    s = np.linalg.svd(kernel.amplitude, compute_uv=False) * grid.spacing
+    assert dec.discarded_weight == pytest.approx(1.0 - np.sum(s[:64] ** 2), abs=1e-15)
+    assert dec.discarded_weight == pytest.approx(0.18078, abs=1e-5)
+    assert reconstruction_error_squared(dec, kernel) == pytest.approx(
+        dec.discarded_weight, abs=1e-12)
+    warned = [w for w in dec.warnings if "discards" in w]
+    assert len(warned) == 1 and "budget" not in warned[0]
 
 
 def test_rejects_unnormalized_kernel():
@@ -189,7 +181,8 @@ def test_three_peak_modes_stay_in_their_windows():
                              branch="both")
     gs, gi = default_grids(params, 512, 6.0)
     kernel = build_multipeak(params, gs, gi)
-    dec = schmidt_decompose(kernel, truncation=3)
+    dec = schmidt_decompose(kernel)
+    assert dec.n_modes == 3
 
     # separable per-peak factors: coefficients track the pump weights
     assert dec.coefficients[0] ** 2 / dec.coefficients[1] ** 2 == pytest.approx(
@@ -250,17 +243,17 @@ def test_real_kernel_decomposes_like_its_complex_copy(build):
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def dense_triplets(a, truncation, scale):
+def dense_triplets(a, scale):
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     s = s * scale
     keep = s > SV_FLOOR * s[0]
     return u[:, keep], s[keep], vh[keep, :]
 
 
-def dense_decompose(kernel, monkeypatch, truncation=None):
+def dense_decompose(kernel, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(schmidt, "_leading_triplets", dense_triplets)
-        return schmidt_decompose(kernel, truncation)
+        return schmidt_decompose(kernel)
 
 
 @pytest.fixture
@@ -334,21 +327,13 @@ def test_high_rank_kernel_falls_back_to_dense(monkeypatch, svd_shapes):
     ref = dense_decompose(kernel, monkeypatch)
     assert np.array_equal(dec.coefficients, ref.coefficients)
     assert np.array_equal(dec.signal_modes, ref.signal_modes)
-    # one kept mode leaves room in a 32-wide block, but the weight the block
-    # misses is far above that mode's weight
+    # under a cap of one mode, that mode leaves room in a 32-wide block, but
+    # the weight the block misses is far above that mode's weight
     svd_shapes.clear()
-    one = schmidt_decompose(kernel, truncation=1)
+    monkeypatch.setattr(schmidt, "MAX_MODES", 1)
+    one = schmidt_decompose(kernel)
     assert svd_shapes[-1] == (64, 64)
     assert np.array_equal(one.coefficients, ref.coefficients[:1])
-
-
-def test_full_weight_target_runs_the_dense_svd(monkeypatch, svd_shapes):
-    kernel = double_gaussian_kernel()
-    dec = schmidt_decompose(kernel, truncation=1.0)
-    assert svd_shapes == [(321, 321)]
-    ref = dense_decompose(kernel, monkeypatch, truncation=1.0)
-    assert np.array_equal(dec.coefficients, ref.coefficients)
-    assert np.array_equal(dec.signal_modes, ref.signal_modes)
 
 
 def many_mode_config():
@@ -422,14 +407,15 @@ def own_window_leaks(dec, centers, width, n):
     return outside.min(axis=1)
 
 
-@pytest.mark.parametrize("truncation", [None, 1.0], ids=["sketch", "dense"])
-def test_three_modes_stay_in_their_own_peak_windows(truncation):
+@pytest.mark.parametrize("dense", [False, True], ids=["sketch", "dense"])
+def test_three_modes_stay_in_their_own_peak_windows(dense, monkeypatch):
     cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
     params = cfg.pump
-    dec = schmidt_decompose(cfg.build_kernel(), truncation)
+    kernel = cfg.build_kernel()
+    dec = dense_decompose(kernel, monkeypatch) if dense else schmidt_decompose(kernel)
     leaks = own_window_leaks(dec, params.signal_centers(), params.peak_spacing, 21)
-    assert np.all(leaks <= 1e-12), leaks
-    if truncation is None:
+    assert dec.n_modes == 21 and np.all(leaks <= 1e-12), leaks
+    if not dense:
         assert schmidt.largest_window_leak(
             dec, params.signal_centers(), params.peak_spacing) == pytest.approx(
                 leaks.max(), abs=1e-15)
