@@ -3,36 +3,47 @@
 Every writer goes through a temp file in the destination directory plus
 os.replace, so a crashed run never leaves a half-written table behind.
 Floats are printed with 17 significant digits (lossless for float64).
+Tables are formatted and written ROWS_PER_CHUNK rows at a time, so an
+export never holds the whole file's text in memory.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 import yaml
 
 FLOAT_FMT = "%.16e"
+ROWS_PER_CHUNK = 4096
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: Union[bytes, Iterable[bytes]]) -> None:
+    """Write ``data`` (bytes, or an iterable of byte chunks) to ``path``.
+
+    The chunks go into a temp file that replaces ``path`` only once all of
+    them are written; on any failure the temp file is removed, and an OS
+    error that names no file is reported at ``path``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in (data,) if isinstance(data, bytes) else data:
+                fh.write(chunk)
         # mkstemp creates 0600; give the file the mode open() would
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -40,25 +51,24 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _table_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    arr = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    buf = io.StringIO()
-    np.savetxt(buf, arr, fmt=FLOAT_FMT, delimiter=",",
-               header=",".join(header), comments="")
-    return buf.getvalue()
+def _table_chunks(header: Sequence[str],
+                  columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """The CSV bytes np.savetxt(fmt=FLOAT_FMT, delimiter=",") would write,
+    in blocks of ROWS_PER_CHUNK rows, each formatted with one ``%``."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("table columns differ in length")
+    yield (",".join(header) + "\n").encode("utf-8")
+    row_fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
+    for start in range(0, cols[0].size, ROWS_PER_CHUNK):
+        block = np.column_stack([c[start:start + ROWS_PER_CHUNK] for c in cols])
+        text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
+        yield text.encode("utf-8")
 
 
 def write_table_csv(path: str, header: Sequence[str],
                     columns: Sequence[np.ndarray]) -> None:
-    atomic_write_text(path, _table_text(header, columns))
-
-
-def read_csv(path: str) -> Tuple[List[str], np.ndarray]:
-    """(header names, 2D float array) from a CSV written by this module."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
+    atomic_write_bytes(path, _table_chunks(header, columns))
 
 
 def write_kernel_csv(path: str, kernel) -> None:

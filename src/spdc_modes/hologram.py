@@ -15,7 +15,6 @@ phase levels on a fixed pixel pitch.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -246,21 +245,5 @@ def pgm_bytes(holo: HologramImage) -> bytes:
 
 def export_pgm(path: str, holo: HologramImage) -> None:
     """Write the raster as binary PGM, atomically."""
-    try:
-        exports.atomic_write_bytes(path, pgm_bytes(holo))
-    except OSError as exc:
-        raise OSError(f"writing hologram to {path}: {exc}") from exc
+    exports.atomic_write_bytes(path, pgm_bytes(holo))
 
-
-def parse_pgm(data: bytes) -> np.ndarray:
-    """Levels array from a binary PGM produced by :func:`pgm_bytes`."""
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
-    if not m:
-        raise ValueError("not a binary PGM header")
-    w, h, maxval = (int(g) for g in m.groups())
-    if maxval != 255:
-        raise ValueError(f"expected maxval 255, got {maxval}")
-    payload = data[m.end():]
-    if len(payload) != w * h:
-        raise ValueError(f"payload holds {len(payload)} bytes, expected {w * h}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from spdc_modes import cli, detection, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
-from spdc_modes.exports import read_csv
-from spdc_modes.hologram import parse_pgm
 from spdc_modes.kernel import marginal_intensity, sum_difference_product
 from spdc_modes.optics import phase_matching_width
+
+from oracles import parse_pgm, read_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SINGLE = os.path.join(CONFIG_DIR, "single_mode.yaml")

@@ -1,0 +1,138 @@
+"""The chunked table writer: its bytes, its memory and its failure path."""
+
+import io
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from spdc_modes import exports
+from spdc_modes.cli import main
+from spdc_modes.exports import FLOAT_FMT, ROWS_PER_CHUNK, write_table_csv
+
+SINGLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "single_mode.yaml")
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7e308, -1.7e308,
+           1.0, -1.0 / 3.0, 2.0 ** -1074 * 3, 6.02214076e23, 1e-300]
+
+
+def savetxt_bytes(header, columns) -> bytes:
+    """The writer this module replaced, kept as the oracle of its bytes."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([np.asarray(c, dtype=float) for c in columns]),
+               fmt=FLOAT_FMT, delimiter=",", header=",".join(header), comments="")
+    return buf.getvalue().encode("utf-8")
+
+
+def table(rows: int, n_cols: int, seed: int):
+    rng = np.random.default_rng(seed)
+    columns = []
+    for j in range(n_cols):
+        col = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        specials = rng.random(rows) < 0.3
+        col[specials] = rng.choice(SPECIAL, specials.sum())
+        columns.append(col)
+    return [f"c{j}" for j in range(n_cols)], columns
+
+
+@pytest.mark.parametrize("rows", [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK,
+                                  ROWS_PER_CHUNK + 1, 2 * ROWS_PER_CHUNK + 7])
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_table_bytes_match_savetxt(tmp_path, rows, n_cols):
+    header, columns = table(rows, n_cols, seed=rows + n_cols)
+    path = tmp_path / "t.csv"
+    write_table_csv(str(path), header, columns)
+    assert path.read_bytes() == savetxt_bytes(header, columns)
+
+
+def test_special_values_and_a_wide_table_match_savetxt(tmp_path):
+    # the many-modes mode tables are 129 columns wide; -0.0 must stay
+    # distinct from 0.0, and int columns are written as floats
+    header, columns = table(ROWS_PER_CHUNK + 1, 129, seed=7)
+    columns[0] = np.resize(np.array(SPECIAL), ROWS_PER_CHUNK + 1)
+    columns[1] = np.arange(ROWS_PER_CHUNK + 1)
+    path = tmp_path / "wide.csv"
+    write_table_csv(str(path), header, columns)
+    data = path.read_bytes()
+    assert data == savetxt_bytes(header, columns)
+    assert b"\n-0.0000000000000000e+00," in data and b"\nnan," in data
+    assert b"\n4.9406564584124654e-324," in data and b"\n-inf," in data
+
+
+def test_ragged_columns_are_refused_and_leave_no_file(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_table_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.zeros(3), np.zeros(4)])
+    assert os.listdir(tmp_path) == []
+
+
+def _peak_bytes(path, header, columns) -> int:
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    write_table_csv(path, header, columns)
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_writer_peak_memory_does_not_grow_with_rows(tmp_path):
+    # one kernel-shaped table at 4 and at 16 chunks: the formatted text of
+    # one chunk is the most the writer holds, whatever the row count (a
+    # whole-table writer holds the rows, the text and its bytes: ~3x the file)
+    small = table(4 * ROWS_PER_CHUNK, 3, seed=1)
+    large = table(16 * ROWS_PER_CHUNK, 3, seed=2)
+    tracemalloc.start()
+    try:
+        peak_small = _peak_bytes(str(tmp_path / "small.csv"), *small)
+        peak_large = _peak_bytes(str(tmp_path / "large.csv"), *large)
+    finally:
+        tracemalloc.stop()
+    size_large = os.path.getsize(tmp_path / "large.csv")
+    assert peak_large < 1.25 * peak_small
+    assert peak_large < 0.5 * size_large
+
+
+class FullDiskAfterFirstChunk:
+    """A temp file whose second write fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes == 2:
+            # the first chunk is on disk when the write fails
+            self.fh.flush()
+            assert os.fstat(self.fh.fileno()).st_size > 0
+            raise OSError(28, "No space left on device")
+        return self.fh.write(chunk)
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(exports.os, "fdopen",
+                        lambda fd, mode: FullDiskAfterFirstChunk(real_fdopen(fd, mode)))
+
+
+def test_a_write_failing_mid_table_leaves_neither_temp_nor_target(tmp_path, full_disk):
+    header, columns = table(3 * ROWS_PER_CHUNK, 3, seed=3)
+    target = tmp_path / "t.csv"
+    with pytest.raises(OSError) as info:
+        write_table_csv(str(target), header, columns)
+    assert info.value.errno == 28 and info.value.filename == str(target)
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_disk_filling_mid_table_is_reported_at_the_final_path(tmp_path, capsys, full_disk):
+    # kernel.csv at 128 points is 4 chunks, written first into the stage
+    # directory; the disk fills after its first chunk
+    argv = ["tpa", "--config", SINGLE, "--out", str(tmp_path), "--grid-points", "128"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == (f"output error: [Errno 28] No space left on device: "
+                   f"'{tmp_path / 'kernel.csv'}'\n")
+    assert os.listdir(tmp_path) == []

@@ -19,7 +19,6 @@ from spdc_modes.hologram import (
     field_overlap,
     first_order,
     inverse_sinc,
-    parse_pgm,
     pgm_bytes,
     phase_map,
     pump_field,
@@ -28,6 +27,8 @@ from spdc_modes.hologram import (
 )
 from spdc_modes.kernel import MultiPeakParams
 from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR, PumpWidths
+
+from oracles import parse_pgm
 
 HOLOGRAM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hologram.yaml")
 PITCH = 8.0
