@@ -319,9 +319,13 @@ def main(argv: Optional[List[str]] = None) -> int:
               "the parameters are outside the model's numerical range", file=sys.stderr)
         return EXIT_COMPUTE
     except MemoryError:
-        n = cfg.grid_points
-        print(f"computation error: out of memory with {n} x {n} grid points; "
-              "lower grid.points", file=sys.stderr)
+        if args.command == "hologram":  # the raster, not the grid, is what grows
+            hs = cfg.hologram
+            need = (f"a {hs.width_px} x {hs.height_px} px raster; "
+                    "lower hologram.width_px or hologram.height_px")
+        else:
+            need = f"{cfg.grid_points} x {cfg.grid_points} grid points; lower grid.points"
+        print(f"computation error: out of memory with {need}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"output error: {str(exc).replace(stage or out_dir, out_dir)}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Run configuration: strict YAML parsing into canonical internal units.
 
 Every key is checked; unknown keys are rejected with their full dotted
-path, and every accepted value is recorded with its origin ("user" or
-"default") so runs can echo exactly what they used. Lab-unit spellings
-(mm, nm) of the crystal and pump are converted here, once, to um / 1/um.
-The ``detection`` keys stay in mm and nm: :class:`DetectionGeometry` keeps
-them and converts them in ``position_to_wavevector``, and
+path, a key repeated within one mapping is refused with its path and line,
+and every accepted value is recorded with its origin ("user" or "default")
+so runs can echo exactly what they used. Each quantity has exactly one key.
+The crystal length (mm) and pump wavelength (nm) are converted here, once,
+to um, the pump envelope's real-space FWHM to its k-space sigma, and
+``pump.peaks`` with ``pump.side_amplitude`` to one field amplitude per
+peak. The ``detection`` keys stay in mm and nm: :class:`DetectionGeometry`
+keeps them and converts them in ``position_to_wavevector``, and
 ``detection.wavelength_average`` converts the filter's nm to um itself.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Hashable
 from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional, Tuple, get_type_hints
 
@@ -118,20 +122,32 @@ class _Section:
             raise ConfigError(f"unknown keys: {keys}")
 
 
-def _exclusive_length(sec: _Section, base: str, unit_scales: dict) -> float:
-    """One canonical value from alternative unit spellings of the same required key."""
-    present = [k for k in unit_scales if sec.has(k)]
-    if len(present) > 1:
-        raise ConfigError(
-            f"give exactly one spelling of {base} "
-            f"({' or '.join(sec._child_path(k) for k in unit_scales)}), not several"
-        )
-    if not present:
-        raise ConfigError(
-            f"one of {' or '.join(sec._child_path(k) for k in unit_scales)} is required"
-        )
-    key = present[0]
-    return sec.take(key, kind=float) * unit_scales[key]
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` whose mappings refuse a repeated key.
+
+    ``safe_load`` keeps the last of two equal keys without a word. Each
+    mapping records its values' dotted paths, so a nested mapping, built
+    after its parent, names the full path of a key it repeats.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._paths: dict = {}
+
+    def construct_mapping(self, node, deep=False):
+        prefix = self._paths.get(node, "")
+        seen = set()
+        for key_node, value_node in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a merge key (<<) brings defaults that the keys beside it override
+            key = self.construct_object(key_node, deep=True)
+            path = f"{prefix}.{key}" if prefix else str(key)
+            if isinstance(key, Hashable):
+                if key in seen:
+                    raise ConfigError(f"repeated key: {path} (line {key_node.start_mark.line + 1})")
+                seen.add(key)
+            self._paths[value_node] = path
+        return super().construct_mapping(node, deep)
 
 
 def _take_fields(sec: _Section, cls, **defaults):
@@ -151,10 +167,10 @@ def _take_fields(sec: _Section, cls, **defaults):
 class RunConfig:
     """Fully validated run parameters in canonical units.
 
-    ``pump`` is resolved at parse time: its offset, both Gaussian widths
-    and its emission branch are final. ``emission_angle_rad`` is the
-    internal emission angle when the offset was derived from a noncollinear
-    geometry, else None.
+    ``pump`` is resolved at parse time: its peak amplitudes, offset, both
+    Gaussian widths and emission branch are final. ``emission_angle_rad``
+    is the internal emission angle when the offset was derived from a
+    noncollinear geometry, else None.
     """
 
     phase_match: PhaseMatchConfig
@@ -200,10 +216,8 @@ def parse_config(data: dict) -> RunConfig:
     root = _Section(data, "", prov)
 
     pm = root.section("phase_match", required=True)
-    crystal_um = _exclusive_length(
-        pm, "crystal length", {"crystal_length_mm": 1e3, "crystal_length_um": 1.0})
-    pump_um = _exclusive_length(
-        pm, "pump wavelength", {"pump_wavelength_nm": 1e-3, "pump_wavelength_um": 1.0})
+    crystal_um = pm.take("crystal_length_mm", kind=float) * 1e3
+    pump_um = pm.take("pump_wavelength_nm", kind=float) * 1e-3
     regime = pm.take("regime", default="noncollinear", kind=str)
     offset_override = pm.take("offset_override_um_inv", default=None, kind=float)
 
@@ -260,25 +274,23 @@ def parse_config(data: dict) -> RunConfig:
 
     pump_sec = root.section("pump", required=True)
     n_peaks = pump_sec.take("peaks", default=1, kind=int)
-    present = [k for k in ("envelope_fwhm_um", "sigma_k_um_inv") if pump_sec.has(k)]
-    if len(present) != 1:
-        raise ConfigError(
-            "pump needs exactly one of pump.envelope_fwhm_um or pump.sigma_k_um_inv"
-        )
-    if present[0] == "envelope_fwhm_um":
-        fwhm = pump_sec.take("envelope_fwhm_um", kind=float)
-        if fwhm <= 0:
-            raise ConfigError(f"pump.envelope_fwhm_um must be positive, got {fwhm}")
-        sigma_pump = fwhm_to_sigma_k(fwhm)
-    else:
-        sigma_pump = pump_sec.take("sigma_k_um_inv", kind=float)
-        if sigma_pump <= 0:
-            raise ConfigError(f"pump.sigma_k_um_inv must be positive, got {sigma_pump}")
+    fwhm = pump_sec.take("envelope_fwhm_um", kind=float)
+    if fwhm <= 0:
+        raise ConfigError(f"pump.envelope_fwhm_um must be positive, got {fwhm}")
+    sigma_pump = fwhm_to_sigma_k(fwhm)
     peak_spacing = pump_sec.take("peak_spacing_um_inv",
                                  default=None if n_peaks > 1 else 0.0, kind=float)
     if peak_spacing is None:
         raise ConfigError("pump.peak_spacing_um_inv is required when pump.peaks > 1")
-    side_amplitude = pump_sec.take("side_amplitude", default=None, kind=float)
+    side = pump_sec.take("side_amplitude", default=None, kind=float)
+    if side is not None and n_peaks != 3:
+        raise ConfigError("side_amplitude only applies to 3-peak pumps")
+    if side is not None and not 0.0 < side <= 1.0:
+        raise ConfigError(f"side_amplitude must be in (0, 1], got {side}")
+    try:
+        amplitudes = (1.0,) * n_peaks if side is None else (side, 1.0, side)
+    except (OverflowError, MemoryError):
+        raise ConfigError(f"pump.peaks = {n_peaks} is too many to hold") from None
     matching = pump_sec.take("matching_width", default="derived")
     if isinstance(matching, str):
         if matching not in MATCHING_WIDTH_MODES:
@@ -337,8 +349,8 @@ def parse_config(data: dict) -> RunConfig:
             sigma_match = phase_matching_width(phase_match)
         else:
             sigma_match = matching
-        pump = MultiPeakParams(n_peaks, peak_spacing, offset,
-                               PumpWidths(sigma_pump, sigma_match), side_amplitude, branch)
+        pump = MultiPeakParams(amplitudes, peak_spacing, offset,
+                               PumpWidths(sigma_pump, sigma_match), branch)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -360,7 +372,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     over its keys, so each override gets its key's checks and provenance."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -58,8 +58,8 @@ def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> FieldProfile1D:
     """
     x = np.asarray(x_um, dtype=float)
     comb = np.zeros(x.shape, dtype=complex)
-    for w, f in zip(params.weights(), params.pump_centers()):
-        comb += w * np.exp(1j * f * x)
+    for a, f in zip(params.amplitudes, params.pump_centers()):
+        comb += a * np.exp(1j * f * x)
     field = comb * np.exp(-(x ** 2) * params.widths.sigma_pump ** 2 / 2.0)
     peak = np.abs(field).max()
     if peak == 0:

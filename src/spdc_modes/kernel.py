@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -169,35 +169,31 @@ def _coverage_warnings(grid_s, grid_i, cover_s, cover_i) -> list:
 class MultiPeakParams:
     """Structured pump made of equally spaced Gaussian peaks in the far field.
 
-    ``peak_spacing`` is the far-field distance between adjacent signal
-    peaks (1/um); pump sum-coordinate centers sit at twice the far-field
-    mode offsets. ``side_amplitude`` scales the outer peaks of a 3-peak
-    pump relative to the central one (field units). ``branch`` picks the
-    emission rings: ``"+"`` holds the ring at +offset, ``"both"`` adds its
-    mirror at -offset.
+    ``amplitudes`` holds each peak's field amplitude, in :meth:`mode_offsets`
+    order; ``peak_spacing`` is the far-field distance between adjacent
+    signal peaks (1/um). ``branch`` picks the emission rings: ``"+"`` holds
+    the ring at +offset, ``"both"`` adds its mirror at -offset.
     """
 
-    n_peaks: int
+    amplitudes: Tuple[float, ...]
     peak_spacing: float
     noncollinear_offset: float
     widths: PumpWidths
-    side_amplitude: Optional[float] = None
     branch: str = "+"
 
     def __post_init__(self):
-        if self.n_peaks < 1:
-            raise ValueError(f"need at least one peak, got {self.n_peaks}")
+        if not self.amplitudes:
+            raise ValueError("need at least one peak")
         if self.n_peaks > 1 and self.peak_spacing <= 0:
             raise ValueError(f"peak spacing must be positive, got {self.peak_spacing}")
         if self.noncollinear_offset < 0:
             raise ValueError("offset must be >= 0; the branch sign comes from branch")
         if self.branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
-        if self.side_amplitude is not None:
-            if self.n_peaks != 3:
-                raise ValueError("side_amplitude only applies to 3-peak pumps")
-            if not (0.0 < self.side_amplitude <= 1.0):
-                raise ValueError(f"side_amplitude must be in (0, 1], got {self.side_amplitude}")
+
+    @property
+    def n_peaks(self) -> int:
+        return len(self.amplitudes)
 
     def mode_offsets(self) -> np.ndarray:
         """Far-field signal-mode centers, symmetric around 0, spaced by peak_spacing."""
@@ -217,19 +213,12 @@ class MultiPeakParams:
         """Sum-coordinate (ks + ki) centers of the pump peaks: twice the offsets."""
         return 2.0 * self.mode_offsets()
 
-    def weights(self) -> np.ndarray:
-        """Field weights per peak; uniform unless side_amplitude is set."""
-        if self.side_amplitude is not None:
-            a = self.side_amplitude / 2.0
-            return np.array([a, 0.5, a])
-        return np.ones(self.n_peaks)
-
     def pump_factor(self, total: np.ndarray) -> np.ndarray:
         """Pump comb at sum coordinates ks + ki: a Gaussian at each of
-        :meth:`pump_centers`, scaled by :meth:`weights`."""
+        :meth:`pump_centers`, scaled by its amplitude."""
         pump = np.zeros_like(total)
-        for w, c in zip(self.weights(), self.pump_centers()):
-            pump += w * np.exp(-((total - c) ** 2) / (2.0 * self.widths.sigma_pump ** 2))
+        for a, c in zip(self.amplitudes, self.pump_centers()):
+            pump += a * np.exp(-((total - c) ** 2) / (2.0 * self.widths.sigma_pump ** 2))
         return pump
 
     def matching_factor(self, delta: np.ndarray) -> np.ndarray:
@@ -303,7 +292,7 @@ def build_double_gaussian(widths: PumpWidths, grid_s: WavevectorGrid,
               * exp(-(ks-ki)^2 / (2 sigma_match^2)), normalized: the
     single-peak, zero-offset case of :func:`build_multipeak`.
     """
-    return build_multipeak(MultiPeakParams(1, 0.0, 0.0, widths), grid_s, grid_i)
+    return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid_s, grid_i)
 
 
 def check_grids(samples: Sequence[MultiPeakParams], grid_s: WavevectorGrid,

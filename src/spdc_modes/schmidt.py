@@ -16,15 +16,14 @@ half its size. The fixed seed keeps reruns byte-identical.
 
 For the double-Gaussian amplitude the decomposition is known in closed
 form (Gaussian kernel diagonalized by Hermite-Gauss functions);
-:func:`analytic_double_gaussian` provides it as an independent oracle.
+:func:`analytic_double_gaussian` gives its weights, Schmidt number and
+mode scale.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -210,67 +209,14 @@ def largest_window_leak(dec: SchmidtDecomposition, centers: np.ndarray, width: f
     return float(shares.min(axis=1).max())
 
 
-def reconstruct_kernel(dec: SchmidtDecomposition) -> np.ndarray:
-    """Sum the truncated expansion back into an amplitude array."""
-    return (dec.signal_modes.T * dec.coefficients) @ dec.idler_modes
-
-
-# ---------------------------------------------------------------------------
-# Hermite-Gauss machinery and the closed-form double-Gaussian answer
-# ---------------------------------------------------------------------------
-
-# warn when the grid holds less than this much of a mode's continuum energy
-GRID_ENERGY_FLOOR = 1.0 - 1e-6
-
-
-def hermite_gauss(order: int, scale: float, grid: WavevectorGrid,
-                  center: float = 0.0) -> np.ndarray:
-    """Unit-quadrature-norm Hermite-Gauss function on a grid.
-
-    Continuum form: psi_n(k) = N_n H_n(xi) exp(-xi^2/2), xi = (k-center)/scale.
-    Built by the stable normalized recurrence; a grid that captures less
-    than 1 - 1e-6 of the continuum mode energy triggers a warning. The
-    returned samples are renormalized to exactly unit quadrature norm.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    xi = (grid.points() - center) / scale
-    psi_prev = np.pi ** -0.25 * np.exp(-0.5 * xi ** 2)
-    if order == 0:
-        psi = psi_prev
-    else:
-        psi = math.sqrt(2.0) * xi * psi_prev
-        for n in range(2, order + 1):
-            psi, psi_prev = (math.sqrt(2.0 / n) * xi * psi
-                             - math.sqrt((n - 1) / n) * psi_prev), psi
-    # psi is unit-norm in xi over the real line, so the quadrature sum
-    # measures how much of the mode the grid actually holds
-    captured = np.sum(psi ** 2) * grid.spacing / scale
-    if captured < GRID_ENERGY_FLOOR:
-        warnings.warn(
-            f"grid holds only {captured:.8f} of Hermite-Gauss order {order}'s energy; "
-            "widen or refine it",
-            stacklevel=2,
-        )
-    norm = math.sqrt(np.sum(psi ** 2) * grid.spacing)
-    if norm == 0:
-        raise ValueError("mode vanished on this grid; widen it")
-    return psi / norm
-
-
 @dataclass(frozen=True, eq=False)
 class AnalyticModes:
     schmidt_number: float
     eigenvalues: np.ndarray       # squared coefficients, descending
     mode_scale: float             # Hermite-Gauss scale in 1/um
-    signal_modes: Optional[np.ndarray] = None
-    idler_modes: Optional[np.ndarray] = None
 
 
-def analytic_double_gaussian(widths: PumpWidths, m_max: int = 32,
-                             grid: Optional[WavevectorGrid] = None) -> AnalyticModes:
+def analytic_double_gaussian(widths: PumpWidths, m_max: int = 32) -> AnalyticModes:
     """Closed-form Schmidt data for the centered double-Gaussian amplitude.
 
     With a = sigma_pump, b = sigma_match:
@@ -281,18 +227,5 @@ def analytic_double_gaussian(widths: PumpWidths, m_max: int = 32,
     a, b = widths.sigma_pump, widths.sigma_match
     root = (b - a) / (b + a)
     mu = root * root
-    m = np.arange(m_max)
-    eigenvalues = (1.0 - mu) * mu ** m
-    k = (a * a + b * b) / (2.0 * a * b)
-    scale = math.sqrt(a * b / 2.0)
-
-    if grid is None:
-        return AnalyticModes(k, eigenvalues, scale)
-
-    signal = np.stack([hermite_gauss(n, scale, grid) for n in range(m_max)])
-    # pair signs follow the sign of the Mehler parameter (a-b)/(a+b): for
-    # sigma_match > sigma_pump the idler set is the mirror image,
-    # psi_n(-k) = (-1)^n psi_n(k); otherwise it matches the signal set
-    signs = (-1.0) ** m if b > a else np.ones(m_max)
-    idler = signal * signs[:, None]
-    return AnalyticModes(k, eigenvalues, scale, signal, idler)
+    eigenvalues = (1.0 - mu) * mu ** np.arange(m_max)
+    return AnalyticModes((a * a + b * b) / (2.0 * a * b), eigenvalues, math.sqrt(a * b / 2.0))

@@ -1,13 +1,24 @@
-"""Readers of the program's output files, used by the tests only.
+"""Oracles used by the tests only.
 
-They parse what :mod:`spdc_modes.exports` and :mod:`spdc_modes.hologram`
-write, independently of the writers, so a test can check a file's content.
+The readers parse what :mod:`spdc_modes.exports` and
+:mod:`spdc_modes.hologram` write, independently of the writers, so a test
+can check a file's content. The Hermite-Gauss functions give the
+closed-form Schmidt modes of the double-Gaussian amplitude, and
+:func:`reconstruct_kernel` sums a decomposition back into a kernel.
 """
 
+import math
 import re
+import warnings
 from typing import List, Tuple
 
 import numpy as np
+
+from spdc_modes.optics import PumpWidths, WavevectorGrid
+from spdc_modes.schmidt import SchmidtDecomposition, analytic_double_gaussian
+
+# warn when the grid holds less than this much of a mode's continuum energy
+GRID_ENERGY_FLOOR = 1.0 - 1e-6
 
 
 def read_csv(path: str) -> Tuple[List[str], np.ndarray]:
@@ -30,3 +41,59 @@ def parse_pgm(data: bytes) -> np.ndarray:
     if len(payload) != w * h:
         raise ValueError(f"payload holds {len(payload)} bytes, expected {w * h}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
+
+
+def reconstruct_kernel(dec: SchmidtDecomposition) -> np.ndarray:
+    """Sum the truncated expansion back into an amplitude array."""
+    return (dec.signal_modes.T * dec.coefficients) @ dec.idler_modes
+
+
+def hermite_gauss(order: int, scale: float, grid: WavevectorGrid,
+                  center: float = 0.0) -> np.ndarray:
+    """Unit-quadrature-norm Hermite-Gauss function on a grid.
+
+    Continuum form: psi_n(k) = N_n H_n(xi) exp(-xi^2/2), xi = (k-center)/scale.
+    Built by the stable normalized recurrence; a grid that captures less
+    than GRID_ENERGY_FLOOR of the continuum mode energy triggers a warning.
+    The returned samples are renormalized to exactly unit quadrature norm.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    xi = (grid.points() - center) / scale
+    psi_prev = np.pi ** -0.25 * np.exp(-0.5 * xi ** 2)
+    if order == 0:
+        psi = psi_prev
+    else:
+        psi = math.sqrt(2.0) * xi * psi_prev
+        for n in range(2, order + 1):
+            psi, psi_prev = (math.sqrt(2.0 / n) * xi * psi
+                             - math.sqrt((n - 1) / n) * psi_prev), psi
+    # psi is unit-norm in xi over the real line, so the quadrature sum
+    # measures how much of the mode the grid actually holds
+    captured = np.sum(psi ** 2) * grid.spacing / scale
+    if captured < GRID_ENERGY_FLOOR:
+        warnings.warn(
+            f"grid holds only {captured:.8f} of Hermite-Gauss order {order}'s energy; "
+            "widen or refine it",
+            stacklevel=2,
+        )
+    norm = math.sqrt(np.sum(psi ** 2) * grid.spacing)
+    if norm == 0:
+        raise ValueError("mode vanished on this grid; widen it")
+    return psi / norm
+
+
+def double_gaussian_modes(widths: PumpWidths, m_max: int,
+                          grid: WavevectorGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """(signal, idler) closed-form Schmidt modes of the centered double
+    Gaussian: Hermite-Gauss functions of :func:`analytic_double_gaussian`'s
+    scale, one row per mode."""
+    scale = analytic_double_gaussian(widths).mode_scale
+    signal = np.stack([hermite_gauss(n, scale, grid) for n in range(m_max)])
+    # pair signs follow the sign of the Mehler parameter (a-b)/(a+b): for
+    # sigma_match > sigma_pump the idler set is the mirror image,
+    # psi_n(-k) = (-1)^n psi_n(k); otherwise it matches the signal set
+    signs = (-1.0) ** np.arange(m_max) if widths.sigma_match > widths.sigma_pump else np.ones(m_max)
+    return signal, signal * signs[:, None]

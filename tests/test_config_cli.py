@@ -55,7 +55,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.output_dir == "out"
     assert cfg.pump.n_peaks == 1
     assert cfg.pump.peak_spacing == 0.0
-    assert cfg.pump.side_amplitude is None
+    assert cfg.pump.amplitudes == (1.0,)
     assert cfg.pump.widths.sigma_match == phase_matching_width(cfg.phase_match)  # derived
     assert cfg.geometry.central_wavelength_nm == pytest.approx(810.0)
     assert cfg.geometry.filter_fwhm_nm == 10.0
@@ -82,33 +82,34 @@ def test_unknown_keys_rejected_with_dotted_paths():
 
 def test_length_spellings_are_exclusive():
     data = minimal()
-    data["phase_match"]["crystal_length_um"] = 3000.0
-    with pytest.raises(ConfigError, match="exactly one spelling"):
-        parse_config(data)
-    data = minimal()
     del data["phase_match"]["crystal_length_mm"]
-    with pytest.raises(ConfigError, match="crystal_length"):
+    with pytest.raises(ConfigError,
+                       match=r"^missing required key: phase_match\.crystal_length_mm$"):
         parse_config(data)
-
-
-def test_length_spellings_give_one_config():
-    lab = minimal()
-    canonical = minimal()
-    pm = canonical["phase_match"]
-    del pm["crystal_length_mm"], pm["pump_wavelength_nm"]
-    pm.update(crystal_length_um=3000.0, pump_wavelength_um=0.405)
-    assert parse_config(lab).phase_match == parse_config(canonical).phase_match
 
 
 def test_pump_width_spellings_are_exclusive():
     data = minimal()
-    data["pump"]["sigma_k_um_inv"] = 0.01
-    with pytest.raises(ConfigError, match="exactly one of"):
-        parse_config(data)
-    data = minimal()
     del data["pump"]["envelope_fwhm_um"]
-    with pytest.raises(ConfigError, match="exactly one of"):
+    with pytest.raises(ConfigError, match=r"^missing required key: pump\.envelope_fwhm_um$"):
         parse_config(data)
+
+
+@pytest.mark.parametrize("section, old, new, value", [
+    ("phase_match", "crystal_length_um", "crystal_length_mm", 3000.0),
+    ("phase_match", "pump_wavelength_um", "pump_wavelength_nm", 0.405),
+    ("pump", "sigma_k_um_inv", "envelope_fwhm_um", 0.0094),
+])
+def test_each_quantity_has_one_spelling(tmp_path, section, old, new, value):
+    # beside the one key, another unit spelling is an unknown key; in its
+    # place, the one key is missing
+    data = minimal()
+    data[section][old] = value
+    code, _out, err = run_config(tmp_path, data, "tpa")
+    assert (code, err) == (2, f"configuration error: unknown keys: {section}.{old}\n")
+    del data[section][new]
+    code, _out, err = run_config(tmp_path, data, "tpa")
+    assert (code, err) == (2, f"configuration error: missing required key: {section}.{new}\n")
 
 
 def test_indices_xor_sellmeier():
@@ -241,6 +242,36 @@ def test_shipped_provenance_is_pinned(path):
     assert "\n".join(lines) + "\n" == SHIPPED_PROVENANCE[path]
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_table_keys():
+    """``section.key`` for each backticked key in the first column of the
+    tables under README's "## Configuration", per ``### `section` `` heading."""
+    with open(README, "r", encoding="utf-8") as fh:
+        body = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    parts = re.split(r"^### `(\w+)`.*$", body, flags=re.M)
+    return {f"{section}.{key}"
+            for section, block in zip(parts[1::2], parts[2::2])
+            for first_cell in re.findall(r"^\|([^|]*)\|", block, flags=re.M)
+            for key in re.findall(r"`(\w+)`", first_cell)}
+
+
+def test_readme_config_tables_list_every_accepted_key():
+    # three_modes.yaml gives the sellmeier keys, its indices variant the
+    # others; a subsection's keys collapse to the subsection's row
+    variant = shipped(THREE)
+    del variant["phase_match"]["sellmeier"]
+    variant["phase_match"]["indices"] = minimal()["phase_match"]["indices"]
+    accepted = {".".join(path.split(".")[:2])
+                for cfg in (load_config(THREE), parse_config(variant))
+                for path, _value, _source in cfg.provenance}
+    documented = readme_table_keys()
+    assert "phase_match.sellmeier" in accepted and "phase_match.indices" in accepted
+    assert documented - accepted == set()
+    assert accepted - documented == set()
+
+
 def test_type_coercion_errors():
     data = minimal()
     data["grid"] = {"points": "many"}
@@ -304,8 +335,30 @@ def test_side_amplitude_needs_three_peaks():
     with pytest.raises(ConfigError, match="3-peak"):
         parse_config(data)
     data = minimal()
+    data["pump"].update({"peaks": 3, "peak_spacing_um_inv": 0.1, "side_amplitude": 1.5})
+    with pytest.raises(ConfigError, match=r"^side_amplitude must be in \(0, 1\], got 1\.5$"):
+        parse_config(data)
+    data = minimal()
     data["pump"]["peaks"] = 2
     with pytest.raises(ConfigError, match="peak_spacing_um_inv is required"):
+        parse_config(data)
+
+
+def test_side_amplitude_gives_one_amplitude_per_peak():
+    data = minimal()
+    data["pump"].update({"peaks": 3, "peak_spacing_um_inv": 0.1, "side_amplitude": 0.63})
+    assert parse_config(data).pump.amplitudes == (0.63, 1.0, 0.63)
+    del data["pump"]["side_amplitude"]
+    assert parse_config(data).pump.amplitudes == (1.0, 1.0, 1.0)
+    data["pump"]["peaks"] = 0
+    with pytest.raises(ConfigError, match="at least one peak"):
+        parse_config(data)
+    # refused without allocating: the tuple's size overflows before malloc
+    data["pump"]["peaks"] = 2 ** 62
+    with pytest.raises(ConfigError, match=r"^pump\.peaks = 4611686018427387904 is too many"):
+        parse_config(data)
+    data["pump"]["peaks"] = 10 ** 30
+    with pytest.raises(ConfigError, match="is too many"):
         parse_config(data)
 
 
@@ -475,7 +528,7 @@ def test_explicit_null_stands_for_a_null_default():
     data["phase_match"]["offset_override_um_inv"] = None
     data["pump"]["side_amplitude"] = None
     cfg = parse_config(data)
-    assert cfg.pump.side_amplitude is None
+    assert cfg.pump.amplitudes == (1.0,)
     assert cfg.emission_angle_rad is not None  # offset derived, not overridden
     assert parse_config(cfg.normalized()).normalized() == cfg.normalized()
 
@@ -637,6 +690,37 @@ def test_cli_unknown_key_is_exit_2(tmp_path, capsys):
     assert "grid.bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, path", [
+    ("  points: 512\n", "  points: 512\n  points: 16\n", "grid.points"),
+    ("ordinary: {a: 2.7359,", "ordinary: {a: 2.7359, a: 2.7,", "phase_match.sellmeier.ordinary.a"),
+], ids=["block", "flow"])
+def test_cli_repeated_key_is_exit_2(tmp_path, capsys, old, new, path):
+    # safe_load would keep the last value: the 16-point grid, or a = 2.7
+    with open(THREE, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    line = text[:text.index(new) + len(new)].count("\n") + (new[-1] != "\n")
+    config = tmp_path / "cfg.yaml"
+    config.write_text(text)
+    assert main(["tpa", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: repeated key: {path} (line {line})\n")
+    assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+
+def test_a_key_beside_a_merge_key_is_not_a_repeat(tmp_path):
+    # each key beside the merge overrides the merged one, as under yaml.safe_load
+    with open(THREE, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    old = "extraordinary: {a:"
+    assert text.count(old) == 1
+    text = text.replace("ordinary: {", "ordinary: &o {", 1).replace(old, "extraordinary: {<<: *o, a:")
+    config = tmp_path / "cfg.yaml"
+    config.write_text(text)
+    assert load_config(str(config)).provenance == load_config(THREE).provenance
+
+
 def test_cli_bad_grid_points_is_exit_2(tmp_path, capsys):
     assert main(["tpa", "--config", SINGLE, "--out", str(tmp_path),
                  "--grid-points", "8"]) == 2
@@ -722,6 +806,19 @@ def test_cli_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "4096 x 4096" in err and "lower grid.points" in err
+
+
+def test_cli_hologram_out_of_memory_names_the_raster(tmp_path, capsys, monkeypatch):
+    # hologram reads no grid: its raster is height_px x width_px bytes
+    def exhausted(cfg, args):
+        raise MemoryError()
+
+    help_text, _handler, extra = cli._COMMANDS["hologram"]
+    monkeypatch.setitem(cli._COMMANDS, "hologram", (help_text, exhausted, extra))
+    assert main(["hologram", "--config", HOLOGRAM, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "computation error: out of memory with a 1920 x 1080 px raster; "
+        "lower hologram.width_px or hologram.height_px\n")
 
 
 def test_cli_blocked_output_dir_is_exit_4(tmp_path, capsys):

@@ -44,7 +44,8 @@ from spdc_modes.optics import (
     noncollinear_offset,
     phase_matching_width,
 )
-from spdc_modes.schmidt import hermite_gauss
+
+from oracles import hermite_gauss
 
 GEOM = DetectionGeometry()
 THREE_MODES = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "three_modes.yaml")
@@ -57,7 +58,7 @@ N_PUMP = 1.6579880614409859
 def ratio_two_intensity(n=2001, span=6.0):
     widths = PumpWidths(1.0, 2.0)
     grid = WavevectorGrid.centered(0.0, span * 2.0, n)
-    return multipeak_intensity(MultiPeakParams(1, 0.0, 0.0, widths), grid)
+    return multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
 
 
 def joint(inten):
@@ -190,12 +191,12 @@ def test_conditional_narrower_and_fedorov_matches_schmidt_number():
 def test_fedorov_matched_widths_is_unity_with_real_slits():
     widths = PumpWidths(1.0, 1.0)
     grid = WavevectorGrid.centered(0.0, 6.0, 1001)
-    inten = multipeak_intensity(MultiPeakParams(1, 0.0, 0.0, widths), grid)
+    inten = multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
     # separable amplitude: conditioning cannot change the scanned profile
     assert fedorov_ratio(inten, GEOM, [0.0]) == pytest.approx(1.0, abs=1e-10)
     assert fedorov_ratio(inten, GEOM, [0.0], zero_width=True) == pytest.approx(1.0, abs=1e-10)
     # the same mode on both rings: two singles peaks, one measured
-    params = MultiPeakParams(1, 0.0, 20.0, widths, branch="both")
+    params = MultiPeakParams((1.0,), 0.0, 20.0, widths, branch="both")
     both = multipeak_intensity(params, *default_grids(params, 801, 6.0))
     for zero_width in (False, True):
         ratio = fedorov_ratio(both, GEOM, params.signal_centers(), zero_width=zero_width)
@@ -293,7 +294,7 @@ def three_peak_intensity():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams(3, 0.168, offset, widths, side_amplitude=0.63)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, widths)
     gs, gi = default_grids(params, 768, 6.0)
     return multipeak_intensity(params, gs, gi), params, cfg
 
@@ -316,7 +317,7 @@ def test_idler_between_two_modes_sees_both():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams(2, 0.168, offset, widths)
+    params = MultiPeakParams((1.0, 1.0), 0.168, offset, widths)
     gs, gi = default_grids(params, 769, 6.0)
     coinc = coincidence_scan(multipeak_intensity(params, gs, gi), GEOM, -offset / 2.0,
                              zero_width=True)
@@ -376,7 +377,7 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams(1, 0.0, offset, widths)
+    params = MultiPeakParams((1.0,), 0.0, offset, widths)
     gs, gi = default_grids(params, 512, 6.0)
     builder = make_builder(params, gs, gi)
 
@@ -390,7 +391,7 @@ def test_wavelength_average_broadens_monotonically():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams(1, 0.0, offset, widths)
+    params = MultiPeakParams((1.0,), 0.0, offset, widths)
     gs, gi = default_grids(params, 512, 6.0)
     builder = make_builder(params, gs, gi)
     window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
@@ -415,7 +416,7 @@ def test_wavelength_average_validation():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams(1, 0.0, offset, widths)
+    params = MultiPeakParams((1.0,), 0.0, offset, widths)
     gs, gi = default_grids(params, 512, 6.0)
     coarse_s, coarse_i = default_grids(params, 64, 6.0)
     with pytest.raises(ValueError, match="signal grid step .* cannot resolve"):
@@ -430,7 +431,7 @@ def three_peak_case(branch, n_points=128, span_sigmas=4.0, idler_drop=0):
     # a coarse grid that clips the union of the samples' supports on both axes
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    params = MultiPeakParams(3, 0.6, offset, PumpWidths(0.16, 0.2), side_amplitude=0.63,
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, offset, PumpWidths(0.16, 0.2),
                              branch=branch)
     gs, gi = default_grids(params, n_points, span_sigmas)
     # the same spacing on fewer idler points
@@ -491,7 +492,7 @@ def test_wavelength_average_equals_one_build_per_sample(case):
 def test_wavelength_average_needs_one_grid_spacing():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    params = MultiPeakParams(1, 0.0, offset, PumpWidths(0.16, 0.2))
+    params = MultiPeakParams((1.0,), 0.0, offset, PumpWidths(0.16, 0.2))
     gs, gi = default_grids(params, 128, 4.0)
     wider = WavevectorGrid(gi.k_min - 0.01, gi.k_max, gi.n_points)
     with pytest.raises(ValueError, match="spacings differ"):

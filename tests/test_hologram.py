@@ -39,9 +39,9 @@ def slm(width, height=1, period=PERIOD):
     return HologramSettings(width, height, PITCH, period)
 
 
-def comb_pump(n_peaks, spacing, sigma, side_amplitude=None):
+def comb_pump(amplitudes, spacing, sigma):
     """Collinear multi-peak pump; the hologram reads only the comb and sigma_pump."""
-    return MultiPeakParams(n_peaks, spacing, 0.0, PumpWidths(sigma, sigma), side_amplitude)
+    return MultiPeakParams(amplitudes, spacing, 0.0, PumpWidths(sigma, sigma))
 
 
 def flat_target(width_um=20000.0, value=1.0):
@@ -176,7 +176,7 @@ def test_envelope_fwhm_plain_gaussian():
 
 def test_envelope_fwhm_strips_comb_beating():
     sigma = GAUSSIAN_FWHM_FACTOR / 246.0
-    params = comb_pump(3, 0.168, sigma, side_amplitude=0.63)
+    params = comb_pump((0.63, 1.0, 0.63), 0.168, sigma)
     x = np.linspace(-4.5 / sigma, 4.5 / sigma, 4096)
     field = pump_field(params, x)
     got = envelope_fwhm(field, split_frequency=0.168)
@@ -198,11 +198,11 @@ def test_envelope_errors():
 def test_pump_field_profiles():
     sigma = 0.01
     x = np.linspace(-500.0, 500.0, 2001)
-    single = pump_field(comb_pump(1, 0.0, sigma), x)
+    single = pump_field(comb_pump((1.0,), 0.0, sigma), x)
     assert np.max(np.abs(np.abs(single.amplitude)
                          - np.exp(-(x ** 2) * sigma ** 2 / 2.0))) < 1e-12
 
-    comb = pump_field(comb_pump(3, 0.168, sigma, side_amplitude=0.63), x)
+    comb = pump_field(comb_pump((0.63, 1.0, 0.63), 0.168, sigma), x)
     assert np.abs(comb.amplitude).max() == pytest.approx(1.0)
     # check the sampled comb exactly on a node against the closed form
     i = int(np.argmin(np.abs(x - 9.5)))
@@ -214,7 +214,7 @@ def test_pump_field_profiles():
 
 def test_pump_field_spectral_weights():
     sigma = GAUSSIAN_FWHM_FACTOR / 246.0
-    params = comb_pump(3, 0.168, sigma, side_amplitude=0.63)
+    params = comb_pump((0.63, 1.0, 0.63), 0.168, sigma)
     # span chosen so the comb frequency 0.336 rad/um is exactly FFT bin 96
     n = 8192
     d = (2.0 * math.pi * 96.0 / 0.336) / n
@@ -228,13 +228,13 @@ def test_pump_field_spectral_weights():
 
 
 def test_pump_params_validation():
-    # peak count, spacing and side amplitude are checked with MultiPeakParams
-    # in test_kernel; the envelope width is checked by PumpWidths
+    # peak count and spacing are checked with MultiPeakParams in test_kernel,
+    # the side amplitude in test_config_cli; the envelope width by PumpWidths
     with pytest.raises(ValueError, match="sigma_pump"):
-        comb_pump(1, 0.0, -0.01)
+        comb_pump((1.0,), 0.0, -0.01)
     x_far = np.linspace(1e6, 1e6 + 10.0, 32)
     with pytest.raises(ValueError, match="vanished"):
-        pump_field(comb_pump(1, 0.0, 0.01), x_far)
+        pump_field(comb_pump((1.0,), 0.0, 0.01), x_far)
 
 
 def test_slm_settings_validation():

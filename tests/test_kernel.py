@@ -59,7 +59,7 @@ def test_matched_widths_kernel_is_separable():
 def test_single_peak_reduces_to_double_gaussian():
     widths = PumpWidths(SIGMA, 1.7 * SIGMA)
     grid = centered(5 * 1.7 * SIGMA, 200)
-    params = MultiPeakParams(1, 0.0, 0.0, widths)
+    params = MultiPeakParams((1.0,), 0.0, 0.0, widths)
     multi = build_multipeak(params, grid)
     ks = grid.points()[:, None]
     ki = grid.points()[None, :]
@@ -70,27 +70,26 @@ def test_single_peak_reduces_to_double_gaussian():
 
 
 def test_mode_offsets_centers_weights():
-    params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), side_amplitude=0.63)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
+    assert params.n_peaks == 3
     assert np.allclose(params.mode_offsets(), [0.168, 0.0, -0.168])
     assert np.allclose(params.pump_centers(), [0.336, 0.0, -0.336])
-    assert np.allclose(params.weights(), [0.315, 0.5, 0.315])
-    uniform = MultiPeakParams(4, 0.1, 0.0, PumpWidths(1.0, 1.0))
+    # each peak's Gaussian in the pump comb carries its own amplitude
+    assert params.pump_factor(params.pump_centers()) == pytest.approx([0.63, 1.0, 0.63],
+                                                                      rel=1e-12)
+    uniform = MultiPeakParams((1.0,) * 4, 0.1, 0.0, PumpWidths(1.0, 1.0))
+    assert uniform.n_peaks == 4
     assert np.allclose(uniform.mode_offsets(), [0.15, 0.05, -0.05, -0.15])
-    assert np.allclose(uniform.weights(), np.ones(4))
 
 
 def test_multipeak_param_validation():
     w = PumpWidths(1.0, 1.0)
     with pytest.raises(ValueError, match="at least one"):
-        MultiPeakParams(0, 0.1, 0.0, w)
+        MultiPeakParams((), 0.1, 0.0, w)
     with pytest.raises(ValueError, match="spacing"):
-        MultiPeakParams(2, 0.0, 0.0, w)
+        MultiPeakParams((1.0, 1.0), 0.0, 0.0, w)
     with pytest.raises(ValueError, match="branch sign"):
-        MultiPeakParams(1, 0.0, -1.0, w)
-    with pytest.raises(ValueError, match="3-peak"):
-        MultiPeakParams(2, 0.1, 0.0, w, side_amplitude=0.5)
-    with pytest.raises(ValueError, match="side_amplitude"):
-        MultiPeakParams(3, 0.1, 0.0, w, side_amplitude=1.5)
+        MultiPeakParams((1.0,), 0.0, -1.0, w)
 
 
 def test_resolution_refusal_names_point_count():
@@ -109,7 +108,7 @@ def test_coverage_warning_on_narrow_grid():
 
 def test_overlapping_peaks_warn_but_proceed():
     widths = PumpWidths(SIGMA, SIGMA)
-    params = MultiPeakParams(3, 3.0 * SIGMA, 0.0, widths)
+    params = MultiPeakParams((1.0, 1.0, 1.0), 3.0 * SIGMA, 0.0, widths)
     grid = centered(3.0 * SIGMA + 5 * SIGMA, 256)
     kernel = build_multipeak(params, grid)
     assert any("overlap" in w for w in kernel.warnings)
@@ -120,12 +119,12 @@ def test_default_grids_center_on_branch():
     def center(grid):
         return 0.5 * (grid.k_min + grid.k_max)
 
-    params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
+    params = MultiPeakParams((1.0, 1.0, 1.0), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
     gs, gi = default_grids(params, 128, 5.0)
     assert center(gs) == pytest.approx(1.347 / 2)
     assert center(gi) == pytest.approx(-1.347 / 2)
     assert gs.covers(1.347 / 2 - 0.168, 1.347 / 2 + 0.168)
-    both = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), branch="both")
+    both = MultiPeakParams((1.0,) * 3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), branch="both")
     gs_b, gi_b = default_grids(both, 128, 5.0)
     assert center(gs_b) == 0.0 and center(gi_b) == 0.0
     assert gs_b.covers(-1.347 / 2, 1.347 / 2)
@@ -139,7 +138,7 @@ def test_default_grids_center_on_branch():
 
 def test_both_branches_point_symmetric():
     widths = PumpWidths(SIGMA, SIGMA)
-    params = MultiPeakParams(1, 0.0, 0.2, widths, branch="both")
+    params = MultiPeakParams((1.0,), 0.0, 0.2, widths, branch="both")
     gs, gi = default_grids(params, 129, 5.0)
     kernel = build_multipeak(params, gs, gi)
     assert np.allclose(kernel.amplitude, kernel.amplitude[::-1, ::-1], rtol=1e-12, atol=0.0)
@@ -148,7 +147,7 @@ def test_both_branches_point_symmetric():
 def test_bad_branch_rejected():
     # the pump is the one place that checks its branch; the builders read it from there
     with pytest.raises(ValueError, match=r"^branch must be one of \('\+', 'both'\), got 'x'$"):
-        MultiPeakParams(1, 0.0, 0.2, PumpWidths(SIGMA, SIGMA), branch="x")
+        MultiPeakParams((1.0,), 0.0, 0.2, PumpWidths(SIGMA, SIGMA), branch="x")
 
 
 def test_from_profiles_validation():
@@ -189,14 +188,14 @@ def test_real_models_build_real_kernels():
     widths = PumpWidths(SIGMA, 1.7 * SIGMA)
     grid = centered(5 * 1.7 * SIGMA, 80)
     assert build_double_gaussian(widths, grid).amplitude.dtype == np.float64
-    params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), side_amplitude=0.63)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
     gs, gi = default_grids(params, 256, 5.0)
     assert build_multipeak(params, gs, gi).amplitude.dtype == np.float64
 
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
     tk = sum_coordinate_grid(grid, grid).points()
     chirped = np.exp(-tk ** 2 / (2 * SIGMA ** 2) + 30j * tk)
-    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
     kernel = build_from_pump(chirped, resolved, cfg, grid, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     assert np.abs(kernel.amplitude.imag).max() > 0
@@ -210,7 +209,7 @@ def test_real_pump_spectrum_builds_a_real_kernel(model):
     real = np.exp(-tk ** 2 / (2 * SIGMA ** 2))
     # the same samples held as complex, so the builder takes its complex path
     promoted = real.astype(complex)
-    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
     kernel = build_from_pump(real, resolved, cfg, grid, grid, model)
     reference = build_from_pump(promoted, resolved, cfg, grid, grid, model)
     assert kernel.amplitude.dtype == np.float64
@@ -236,7 +235,7 @@ def test_from_profiles_real_input_matches_its_complex_promotion():
 def test_marginal_intensity_integrates_to_one():
     widths = PumpWidths(SIGMA, 2 * SIGMA)
     grid = centered(10 * SIGMA, 256)
-    inten = multipeak_intensity(MultiPeakParams(1, 0.0, 0.0, widths), grid)
+    inten = multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
     k, m = marginal_intensity(inten, "signal")
     assert np.sum(m) * grid.spacing == pytest.approx(1.0, abs=1e-12)
     # marginal of the double Gaussian is Gaussian with variance (a^2+b^2)/8
@@ -267,15 +266,15 @@ def test_build_from_pump_matches_multipeak():
     widths = PumpWidths(SIGMA, 0.0031701009425325415)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
     offset = 8.679653687096893
-    params = MultiPeakParams(3, 0.168, offset, widths, side_amplitude=0.63)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, widths)
     gs, gi = default_grids(params, 640, 5.0)
     direct = build_multipeak(params, gs, gi)
 
     tk = sum_coordinate_grid(gs, gi).points()
     pump = np.zeros_like(tk)
-    for w, c in zip(params.weights(), params.pump_centers()):
-        pump += w * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
-    resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
+    for a, c in zip(params.amplitudes, params.pump_centers()):
+        pump += a * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
+    resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(SIGMA, widths.sigma_match))
     rebuilt = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian")
     assert np.max(np.abs(rebuilt.amplitude - direct.amplitude)) < 1e-10 * np.abs(direct.amplitude).max()
@@ -352,7 +351,7 @@ def test_sinc_vs_gaussian_noncollinear_fwhm():
         right = np.interp(half_max, prof[j + 1:j - 1:-1], delta[j + 1:j - 1:-1])
         return right - left
 
-    resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
+    resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(0.01, phase_matching_width(cfg)))
     gauss = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian")
     sinc = build_from_pump(pump, resolved, cfg, gs, gi, "sinc")
@@ -375,7 +374,7 @@ def test_sinc_collinear_matches_gaussian_fit_width():
     tk = sum_coordinate_grid(grid, grid).points()
     pump = np.exp(-(tk ** 2) / 2.0)
 
-    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)),
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)),
                                branch="both")
     gauss = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian")
     sinc = build_from_pump(pump, resolved, cfg, grid, grid, "sinc")
@@ -413,7 +412,7 @@ def test_build_from_pump_rejects_bad_model():
     grid = centered(1.0, 32)
     pump = np.exp(-sum_coordinate_grid(grid, grid).points() ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
-    resolved = MultiPeakParams(1, 0.0, noncollinear_offset(cfg).offset_um_inv,
+    resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(1.0, phase_matching_width(cfg)))
     with pytest.raises(ValueError, match="model"):
         build_from_pump(pump, resolved, cfg, grid, grid, "cosine")

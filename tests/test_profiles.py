@@ -83,7 +83,7 @@ def shipped_case(name, *flags):
 
 
 def three_peak_case(n_points, span_sigmas, idler_drop, branch="+"):
-    params = MultiPeakParams(3, 0.6, 1.347, PumpWidths(0.16, 0.2), side_amplitude=0.63,
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, PumpWidths(0.16, 0.2),
                              branch=branch)
     gs, gi = default_grids(params, n_points, span_sigmas)
     # the same spacing on fewer idler points

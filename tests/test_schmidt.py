@@ -22,11 +22,11 @@ from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
 from spdc_modes.schmidt import (
     SV_FLOOR,
     analytic_double_gaussian,
-    hermite_gauss,
-    reconstruct_kernel,
     schmidt_decompose,
     schmidt_number,
 )
+
+from oracles import double_gaussian_modes, hermite_gauss, reconstruct_kernel
 
 
 def grid_for(widths, n=161, span=5.0):
@@ -116,10 +116,10 @@ def test_modes_match_hermite_gauss_pairs():
     grid = grid_for(widths, n=321, span=6.0)
     kernel = build_double_gaussian(widths, grid)
     dec = schmidt_decompose(kernel)
-    analytic = analytic_double_gaussian(widths, m_max=6, grid=grid)
+    signal, idler = double_gaussian_modes(widths, 6, grid)
     for m in range(6):
-        s = quad_overlap(dec.signal_modes[m].real, analytic.signal_modes[m], grid.spacing)
-        i = quad_overlap(dec.idler_modes[m].real, analytic.idler_modes[m], grid.spacing)
+        s = quad_overlap(dec.signal_modes[m].real, signal[m], grid.spacing)
+        i = quad_overlap(dec.idler_modes[m].real, idler[m], grid.spacing)
         # each mode carries an arbitrary overall sign, but signal and idler
         # flip together, so the product is gauge independent
         assert abs(s) > 0.999
@@ -177,7 +177,7 @@ def test_rejects_unnormalized_kernel():
 def test_three_peak_modes_stay_in_their_windows():
     sigma = 0.009419280180123796
     spacing = 0.168
-    params = MultiPeakParams(3, spacing, 0.0, PumpWidths(sigma, sigma), side_amplitude=0.63,
+    params = MultiPeakParams((0.63, 1.0, 0.63), spacing, 0.0, PumpWidths(sigma, sigma),
                              branch="both")
     gs, gi = default_grids(params, 512, 6.0)
     kernel = build_multipeak(params, gs, gi)
@@ -210,8 +210,8 @@ def test_scale_invariant_spectrum():
 
 def three_mode_kernel():
     sigma_pump, sigma_match = 0.009572439207442883, 0.02041323652329383
-    params = MultiPeakParams(3, 0.168, 1.347, PumpWidths(sigma_pump, sigma_match),
-                             side_amplitude=0.63)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347,
+                             PumpWidths(sigma_pump, sigma_match))
     gs, gi = default_grids(params, 512, 6.0)
     return build_multipeak(params, gs, gi)
 
@@ -281,7 +281,7 @@ def chirped_kernel():
     tk = sum_coordinate_grid(grid, grid).points()
     pump = np.exp(-tk ** 2 / 2.0 + 0.3j * tk ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672, regime="collinear")
-    resolved = MultiPeakParams(1, 0.0, 0.0, PumpWidths(1.0, 2.0))
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(1.0, 2.0))
     kernel = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     return kernel
@@ -382,7 +382,7 @@ def test_three_modes_follow_the_per_peak_closed_form():
     params = cfg.pump
     dec = schmidt_decompose(cfg.build_kernel())
     analytic = analytic_double_gaussian(params.widths)
-    shares = params.weights() ** 2 / np.sum(params.weights() ** 2)
+    shares = np.square(params.amplitudes) / np.sum(np.square(params.amplitudes))
     # (weight, signal center, order), heaviest first; the side peaks' weights
     # are bitwise equal, so ties sort by position
     expected = sorted(((share * lam, center, m)
@@ -397,6 +397,27 @@ def test_three_modes_follow_the_per_peak_closed_form():
                                (dec.idler_modes, dec.grid_i, center - params.noncollinear_offset)):
             hg = hermite_gauss(m, analytic.mode_scale, grid, center=c)
             assert abs(np.sum(modes[j] * hg) * grid.spacing) >= 1.0 - 1e-12, (j, m, c)
+
+
+@pytest.mark.parametrize("sigma_match, n_modes", [(0.0096, 4), (0.0214, 29)],
+                         ids=["matched", "mismatched"])
+def test_each_peak_carries_its_amplitude_share(sigma_match, n_modes):
+    """Uneven peak amplitudes a_m: the modes on peak m carry a_m^2 / sum a^2 of
+    the weight. Matched widths give one mode per peak, with exactly that weight."""
+    params = MultiPeakParams((1.0, 0.5, 0.25, 0.8), 0.168, 1.347,
+                             PumpWidths(0.0096, sigma_match))
+    shares = np.square(params.amplitudes) / np.sum(np.square(params.amplitudes))
+    dec = schmidt_decompose(build_multipeak(params, *default_grids(params, 1024, 8.0)))
+    weights = dec.coefficients ** 2
+    assert dec.n_modes == n_modes
+    if n_modes == 4:
+        assert weights == pytest.approx(np.sort(shares)[::-1], abs=1e-12)
+    # each mode belongs to the peak nearest its signal-intensity centroid
+    intensity = np.abs(dec.signal_modes) ** 2
+    centroids = intensity @ dec.grid_s.points() / intensity.sum(axis=1)
+    peak = np.abs(centroids[:, None] - params.signal_centers()).argmin(axis=1)
+    per_peak = np.bincount(peak, weights=weights, minlength=params.n_peaks)
+    assert np.abs(per_peak - shares).max() <= max(dec.discarded_weight, 1e-12)
 
 
 def own_window_leaks(dec, centers, width, n):
