@@ -128,7 +128,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
     lines = []
 
     if args.wavelength_avg:
-        inten = detection.wavelength_average(cfg.phase_match, geom, cfg.pump, *cfg.grids())
+        inten = detection.wavelength_average(cfg.phase_match, geom, cfg.pump, cfg.grid())
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
@@ -173,10 +173,10 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
     if centers.size < 2:
         raise ValueError("crosstalk needs at least 2 modes; set pump.peaks >= 2 "
                          "or grid.both_branches on a noncollinear ring")
-    grid_s, _ = cfg.grids()
+    grid = cfg.grid()
     scale = schmidt.analytic_double_gaussian(params.widths).mode_scale
-    log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid_s)
-    matrix = detection.crosstalk_matrix(log_modes, grid_s, log_input=True)
+    log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid)
+    matrix = detection.crosstalk_matrix(log_modes, grid, log_input=True)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)
     return ["mode centers (1/um): " + ", ".join(f"{c:.6g}" for c in centers),
             f"fundamental mode scale = {scale:.10g} 1/um",

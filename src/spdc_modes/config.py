@@ -29,7 +29,7 @@ from .kernel import (
     MultiPeakParams,
     TpaKernel,
     build_multipeak,
-    default_grids,
+    default_grid,
     multipeak_intensity,
 )
 from .optics import (
@@ -38,6 +38,7 @@ from .optics import (
     PumpWidths,
     SellmeierAxis,
     SellmeierCoefficients,
+    WavevectorGrid,
     external_signal_angle,
     fwhm_to_sigma_k,
     noncollinear_offset,
@@ -183,17 +184,16 @@ class RunConfig:
     output_dir: str
     provenance: Tuple[tuple, ...] = field(default_factory=tuple)
 
-    def grids(self) -> tuple:
-        return default_grids(self.pump, self.grid_points, self.span_sigmas)
+    def grid(self) -> WavevectorGrid:
+        """The run's signal grid; the idler grid is its mirror."""
+        return default_grid(self.pump, self.grid_points, self.span_sigmas)
 
     def build_kernel(self) -> TpaKernel:
-        grid_s, grid_i = self.grids()
-        return build_multipeak(self.pump, grid_s, grid_i)
+        return build_multipeak(self.pump, self.grid())
 
     def intensity(self) -> JointIntensity:
         """|F|^2 of :meth:`build_kernel`, without the joint array."""
-        grid_s, grid_i = self.grids()
-        return multipeak_intensity(self.pump, grid_s, grid_i)
+        return multipeak_intensity(self.pump, self.grid())
 
     def normalized(self) -> dict:
         """Nested dict of every accepted key with its resolved value."""
@@ -375,8 +375,16 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+        # one line: the problem at its 1-based line and column, else the error's lines joined
+        mark = getattr(exc, "problem_mark", None)
+        problem = (f"{exc.problem} (line {mark.line + 1}, column {mark.column + 1})" if mark
+                   else "; ".join(line.strip() for line in str(exc).splitlines()))
+        raise ConfigError(f"config {path} is not valid YAML: {problem}") from exc
     if data is None:
         raise ConfigError(f"config {path} is empty")
     if not isinstance(data, dict):

@@ -316,7 +316,7 @@ def effective_offset(lambda_signal_um: float, offset: float,
 
 
 def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params: MultiPeakParams,
-                       grid_s: WavevectorGrid, grid_i: WavevectorGrid) -> JointIntensity:
+                       grid: WavevectorGrid) -> JointIntensity:
     """Joint intensity of a multi-peak pump averaged over the filter passband.
 
     Each spectral sample is the normalized intensity of
@@ -327,15 +327,15 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
     (incoherent sum). The coverage warnings are against the union of the
     samples' supports.
 
-    No kernel is built. On grids of one spacing h (others are refused) a
-    sample's intensity is P^2[i + j] M^2[i - j] / n: the pump comb P takes
+    No kernel is built. On a grid of spacing h and its mirror a sample's
+    intensity is P^2[i + j] M^2[i - j] / n: the pump comb P takes
     one value per sum ks + ki, the sample's matching factor M one per
     difference ks - ki, and the norm n = h^2 sum_d M^2[d] D[d], where D is
     the :func:`~spdc_modes.kernel.diagonal_sums` of P^2. The average is then
     P^2[i + j] g[i - j] with the 1D g = sum of (weight / n) M^2, and the
     result holds the pair (P^2, g).
     """
-    sums, delta = sum_difference_nodes(grid_s, grid_i)
+    sums, delta = sum_difference_nodes(grid)
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
@@ -347,7 +347,7 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
     samples = [dataclasses.replace(
         params, noncollinear_offset=effective_offset(lam, params.noncollinear_offset, config))
         for lam in lams]
-    warns = check_grids(samples, grid_s, grid_i)
+    warns = check_grids(samples, grid)
 
     pump = params.pump_factor(sums)
     match = np.array([p.matching_factor(delta) for p in samples])
@@ -355,16 +355,16 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
         raise ValueError("amplitude contains non-finite entries")
     pump2 = pump * pump
     match2 = match * match
-    diagonal = diagonal_sums(pump2, grid_s.n_points, grid_i.n_points)
+    diagonal = diagonal_sums(pump2, grid.n_points)
 
-    area = grid_s.spacing * grid_i.spacing
+    area = grid.spacing * grid.spacing
     norms = (match2 @ diagonal) * area
     if np.any(norms == 0.0):
         raise ValueError("amplitude is identically zero")
     g = (weights / norms) @ match2
     # renormalize like a kernel intensity: unit integral
     g /= (g @ diagonal) * area
-    return JointIntensity(grid_s, grid_i, pump2, g, tuple(warns))
+    return JointIntensity(grid, pump2, g, tuple(warns))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,10 @@ class WavevectorGrid:
     def spacing(self) -> float:
         return (self.k_max - self.k_min) / (self.n_points - 1)
 
+    def mirrored(self) -> "WavevectorGrid":
+        """The grid of the negated nodes: a signal grid's idler partner."""
+        return WavevectorGrid(-self.k_max, -self.k_min, self.n_points)
+
     def points(self) -> np.ndarray:
         return np.linspace(self.k_min, self.k_max, self.n_points)
 

@@ -1,11 +1,11 @@
 """Schmidt decomposition of sampled joint amplitudes.
 
 The discrete decomposition is an SVD of the amplitude matrix scaled by
-sqrt(dks * dki): singular values then coincide with the Schmidt
-coefficients (sum of squares = 1) and the singular vectors divided by
-sqrt(dk) are unit-norm mode functions under the same Riemann quadrature
-the kernels use. The scale is applied to the singular values, so the
-amplitude is decomposed in place, never copied.
+sqrt(dks * dki) = h, the spacing of the grid and its mirror: singular
+values then coincide with the Schmidt coefficients (sum of squares = 1)
+and the singular vectors divided by sqrt(h) are unit-norm mode functions
+under the quadrature the kernels use. The scale is applied to the
+singular values, so the amplitude is decomposed in place, never copied.
 
 Only the leading modes are ever kept, so the triplets come from a
 randomized range finder: a fixed-seed Gaussian sketch, one subspace
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import TpaKernel
+from .kernel import MirroredIdler, TpaKernel
 from .optics import PumpWidths, WavevectorGrid
 
 # keep modes until this much squared weight is captured, at most MAX_MODES
@@ -48,14 +48,13 @@ DEGENERATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
+class SchmidtDecomposition(MirroredIdler):
     """Truncated mode expansion F(ks,ki) = sum_m c_m u_m(ks) v_m(ki)."""
 
     coefficients: np.ndarray
     signal_modes: np.ndarray   # shape (n_modes, n_ks)
     idler_modes: np.ndarray    # shape (n_modes, n_ki)
     grid_s: WavevectorGrid
-    grid_i: WavevectorGrid
     discarded_weight: float
     warnings: tuple = ()
 
@@ -73,14 +72,14 @@ def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"kernel norm is {norm:.6g}, expected 1 within {NORM_TOLERANCE}")
 
-    dks = kernel.grid_s.spacing
-    dki = kernel.grid_i.spacing
-    u, s, vh = _leading_triplets(kernel.amplitude, math.sqrt(dks * dki))
+    h = kernel.grid_s.spacing
+    # sqrt(h * h), not h: the two can differ in the last bit, and the mode tables are hashed
+    u, s, vh = _leading_triplets(kernel.amplitude, math.sqrt(h * h))
     n = _mode_count(s)
 
     coeffs = s[:n]
-    signal = (u[:, :n] / math.sqrt(dks)).T.copy()
-    idler = vh[:n, :] / math.sqrt(dki)
+    signal = (u[:, :n] / math.sqrt(h)).T.copy()
+    idler = vh[:n, :] / math.sqrt(h)
     _localise_degenerate(coeffs, signal, idler, kernel.grid_s)
 
     # fix the SVD's arbitrary per-pair phase: the first (smallest-k) sample of
@@ -103,8 +102,7 @@ def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
             f"truncation to {n} modes discards squared weight {discarded:.3e}; "
             "the kept modes do not rebuild the kernel faithfully"
         )
-    return SchmidtDecomposition(coeffs, signal, idler, kernel.grid_s, kernel.grid_i,
-                                discarded, tuple(warns))
+    return SchmidtDecomposition(coeffs, signal, idler, kernel.grid_s, discarded, tuple(warns))
 
 
 def _localise_degenerate(coeffs: np.ndarray, signal: np.ndarray, idler: np.ndarray,

@@ -41,7 +41,7 @@ from spdc_modes.hologram import (
 from spdc_modes.kernel import (
     MultiPeakParams,
     build_double_gaussian,
-    default_grids,
+    default_grid,
     multipeak_intensity,
 )
 from spdc_modes.optics import (
@@ -146,7 +146,7 @@ def test_crosstalk_is_negligible_and_log_safe():
     with criterion("mode-crosstalk-bound"):
         cfg = load_config(CROSSTALK)
         params = cfg.pump
-        grid_s, _ = cfg.grids()
+        grid_s = cfg.grid()
         widths = params.widths
         scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
         centers = params.mode_offsets() + params.noncollinear_offset / 2.0
@@ -176,7 +176,7 @@ def test_crosstalk_matches_the_closed_form_gaussian_law():
         comb["grid"] = {"points": 2048, "span_sigmas": 8.0}
         for data in (shipped, comb):
             cfg = parse_config(data)
-            grid_s, _ = cfg.grids()
+            grid_s = cfg.grid()
             scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
             centers = cfg.pump.mode_offsets() + cfg.pump.noncollinear_offset / 2.0
             logs = gaussian_mode_log_intensities(centers, scale, grid_s)
@@ -191,11 +191,11 @@ def test_filter_bandwidth_broadens_the_singles(monkeypatch):
         offset = noncollinear_offset(pm).offset_um_inv
         widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(pm))
         params = MultiPeakParams((1.0,), 0.0, offset, widths)
-        gs, gi = default_grids(params, 512, 6.0)
+        grid = default_grid(params, 512, 6.0)
 
         def builder(off):
             return multipeak_intensity(dataclasses.replace(params, noncollinear_offset=off),
-                                       gs, gi)
+                                       grid)
 
         geom = load_config(SINGLE).geometry
         window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
@@ -205,9 +205,9 @@ def test_filter_bandwidth_broadens_the_singles(monkeypatch):
                            window=window)
 
         mono = signal_fwhm(builder(offset))
-        w21 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi))
+        w21 = signal_fwhm(wavelength_average(pm, geom, params, grid))
         monkeypatch.setattr(detection, "FILTER_SAMPLES", 42)
-        w42 = signal_fwhm(wavelength_average(pm, geom, params, gs, gi))
+        w42 = signal_fwhm(wavelength_average(pm, geom, params, grid))
         assert w21 > mono
         assert abs(w42 / w21 - 1.0) < 0.01
 

@@ -391,6 +391,43 @@ def test_load_config_errors(tmp_path):
     listy.write_text("- a\n- b\n")
     with pytest.raises(ConfigError, match="mapping at top level"):
         load_config(str(listy))
+    for name, (content, message) in BAD_FILES.items():
+        path = tmp_path / f"{name}.yaml"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == message.format(path=path)
+
+
+# config files that no YAML reader or parser accepts, with the one-line error
+# each gets: a problem with a mark is reported at its 1-based line and column
+BAD_FILES = {
+    "invalid-utf8": (b"a: \xc3\x28\n", "config {path} is not UTF-8 text: 'utf-8' codec can't "
+                     "decode byte 0xc3 in position 3: invalid continuation byte"),
+    "deep": (b"a: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+             "config {path} nests too deeply to parse"),
+    "unclosed": (b"a: [1\n", "config {path} is not valid YAML: expected ',' or ']', "
+                 "but got '<stream end>' (line 2, column 1)"),
+    "unhashable-key": (b"? [1, 2]\n: 3\n", "config {path} is not valid YAML: "
+                       "found unhashable key (line 1, column 3)"),
+    "unknown-tag": (b"a: !!python/object:os.system\n", "config {path} is not valid YAML: "
+                    "could not determine a constructor for the tag "
+                    "'tag:yaml.org,2002:python/object:os.system' (line 1, column 4)"),
+    # a reader error carries a position but no marked problem: its lines are joined
+    "nul-byte": (b"a: \x00\n", "config {path} is not valid YAML: unacceptable character "
+                 "#x0000: special characters are not allowed; in \"{path}\", position 3"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_FILES))
+def test_unreadable_config_is_one_stderr_line(tmp_path, capsys, name):
+    content, message = BAD_FILES[name]
+    path = tmp_path / f"{name}.yaml"
+    path.write_bytes(content)
+    assert main(["tpa", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message.format(path=path)}\n"
 
 
 def shipped(path):
@@ -967,9 +1004,9 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
 
     cfg = parse_config(data)
     avg, mono = (sum_difference_product(inten.at_sums, inten.at_differences,
-                                        inten.grid_i.n_points)
+                                        inten.grid_s.n_points)
                  for inten in (detection.wavelength_average(cfg.phase_match, cfg.geometry,
-                                                            cfg.pump, *cfg.grids()),
+                                                            cfg.pump, cfg.grid()),
                                cfg.intensity()))
     assert np.max(np.abs(avg - mono)) <= 1e-12 * mono.max()
 

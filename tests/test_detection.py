@@ -28,7 +28,7 @@ from spdc_modes.kernel import (
     MIN_COVER_SIGMAS,
     JointIntensity,
     MultiPeakParams,
-    default_grids,
+    default_grid,
     marginal_intensity,
     multipeak_intensity,
     sum_difference_product,
@@ -63,7 +63,7 @@ def ratio_two_intensity(n=2001, span=6.0):
 
 def joint(inten):
     """The joint array |F|^2[i, j] that the two profiles of ``inten`` stand for."""
-    return sum_difference_product(inten.at_sums, inten.at_differences, inten.grid_i.n_points)
+    return sum_difference_product(inten.at_sums, inten.at_differences, inten.grid_s.n_points)
 
 
 def test_slit_acceptance_matches_geometry():
@@ -100,19 +100,19 @@ def test_finite_slit_tophat_gives_trapezoid():
     # top-hat marginal of width 0.4 scanned with an r-wide slit: the matching
     # profile holds only ks - ki = 0, so the signal marginal at node i is the
     # pump at the sum node 2i, a top-hat over |ks| <= 0.2
-    gs = gi = WavevectorGrid.centered(0.0, 1.0, 2001)
+    gs = WavevectorGrid.centered(0.0, 1.0, 2001)
     w = 0.4
     pump = np.where(np.abs(np.arange(4001) - 2000) <= 400, 1.0, 0.0)
     match = np.zeros(4001)
-    match[gi.n_points - 1] = 1.0
-    inten = JointIntensity(gs, gi, pump, match)
+    match[gs.n_points - 1] = 1.0
+    inten = JointIntensity(gs, pump, match)
 
     geom = DetectionGeometry(slit_width_signal_mm=1.0)
     r = geom.slit_acceptance("signal")
     assert r < w
     scan = singles_scan(inten, geom, "signal")
     x = scan.positions
-    height = gi.spacing
+    height = gs.spacing
     oracle = height * r * np.clip((w / 2.0 + r / 2.0 - np.abs(x)) / r, 0.0, 1.0)
     assert np.max(np.abs(scan.rates - oracle)) < height * gs.spacing
     assert fwhm_of(scan) == pytest.approx(w, abs=2.0 * gs.spacing)
@@ -197,13 +197,13 @@ def test_fedorov_matched_widths_is_unity_with_real_slits():
     assert fedorov_ratio(inten, GEOM, [0.0], zero_width=True) == pytest.approx(1.0, abs=1e-10)
     # the same mode on both rings: two singles peaks, one measured
     params = MultiPeakParams((1.0,), 0.0, 20.0, widths, branch="both")
-    both = multipeak_intensity(params, *default_grids(params, 801, 6.0))
+    both = multipeak_intensity(params, default_grid(params, 801, 6.0))
     for zero_width in (False, True):
         ratio = fedorov_ratio(both, GEOM, params.signal_centers(), zero_width=zero_width)
         assert ratio == pytest.approx(1.0, abs=1e-10)
     # rings too close to split the singles peak: the merged peak is measured whole
     near = dataclasses.replace(params, noncollinear_offset=1.0)
-    merged = multipeak_intensity(near, *default_grids(near, 801, 6.0))
+    merged = multipeak_intensity(near, default_grid(near, 801, 6.0))
     assert near.signal_centers().size == 2 and fwhm_of(singles_scan(merged, GEOM, "signal")) > 1.0
     assert fedorov_ratio(merged, GEOM, near.signal_centers()) == fedorov_ratio(merged, GEOM, [0.5])
 
@@ -211,30 +211,30 @@ def test_fedorov_matched_widths_is_unity_with_real_slits():
 def two_block_intensity(far_scale=1.0):
     """Two idler columns with equal marginals but 3x different widths.
 
-    The pump holds a block of 21 sums (1, with 2 at its centre) and one of 7
-    (3, with 4 at its centre, times ``far_scale``); the matching holds the 21
-    differences ks - ki in [0.1, 0.3]. Idler column j then sees the sums
-    2j + 10 .. 2j + 30: column 30 (ki = 0.3) holds the first block whole,
-    columns 57..63 the second, and no column reaches both; small integers
-    keep the tie exact.
+    On the grid k = -0.9 + 0.01 i (its own mirror) the pump holds a block of
+    21 sums ks + ki in [0.2, 0.4] (1, with 2 at its centre) and one of 7 in
+    [0.87, 0.93] (3, with 4 at its centre, times ``far_scale``); the
+    matching holds the 21 differences ks - ki in [-0.4, -0.2]. Idler column
+    j then sees the sum nodes 2j - 40 .. 2j - 20: column 120 (ki = 0.3)
+    holds the first block whole, columns 147..153 the second, and no column
+    reaches both; small integers keep the tie exact.
     """
-    gs = WavevectorGrid.centered(0.0, 0.5, 101)
-    gi = WavevectorGrid(0.0, 0.9, 91)
-    pump = np.zeros(191)
-    pump[70:91] = 1.0
-    pump[80] = 2.0
-    pump[137:144] = 3.0
-    pump[140] = 4.0
-    pump[137:144] *= far_scale
-    match = np.zeros(191)
-    match[100:121] = 1.0
-    return JointIntensity(gs, gi, pump, match)
+    grid = WavevectorGrid.centered(0.0, 0.9, 181)
+    pump = np.zeros(361)
+    pump[200:221] = 1.0
+    pump[210] = 2.0
+    pump[267:274] = 3.0
+    pump[270] = 4.0
+    pump[267:274] *= far_scale
+    match = np.zeros(361)
+    match[140:161] = 1.0
+    return JointIntensity(grid, pump, match)
 
 
 def test_fedorov_tie_breaks_toward_smaller_k():
     inten = two_block_intensity()
-    j_near = 30   # ki = 0.3: 21 nodes around ks = 0
-    j_far = 60    # ki = 0.6: 7 nodes around ks = 0.3
+    j_near = 120  # ki = 0.3: 21 nodes around ks = 0
+    j_far = 150   # ki = 0.6: 7 nodes around ks = 0.3
 
     ki, mi = marginal_intensity(inten, "idler")
     assert mi[j_near] == mi[j_far] == mi.max()
@@ -245,8 +245,8 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     got = fedorov_ratio(inten, GEOM, [0.0, 0.3], zero_width=True)
     window = (-0.15, 0.15)
     singles = fwhm_of(singles_scan(inten, GEOM, "signal", zero_width=True), window)
-    near = fwhm_of(coincidence_scan(inten, GEOM, 0.3, zero_width=True), window)
-    far = fwhm_of(coincidence_scan(inten, GEOM, 0.6, zero_width=True))
+    near = fwhm_of(coincidence_scan(inten, GEOM, ki[j_near], zero_width=True), window)
+    far = fwhm_of(coincidence_scan(inten, GEOM, ki[j_far], zero_width=True))
     assert got == pytest.approx(singles / near, rel=1e-12)
     assert abs(got - singles / far) > 0.5
 
@@ -255,8 +255,8 @@ def test_idler_tie_within_rounding_breaks_toward_smaller_k():
     # the far block a relative 2^-50 up: a last-bit lead must not move the slit
     inten = two_block_intensity(far_scale=1.0 + 2.0 ** -50)
     ki, mi = marginal_intensity(inten, "idler")
-    assert mi[60] > mi[30] and mi[60] == mi.max()
-    assert idler_peak_center(inten) == ki[30]
+    assert mi[150] > mi[120] and mi[150] == mi.max()
+    assert idler_peak_center(inten) == ki[120]
 
 
 def test_mirror_ring_tie_parks_the_slit_on_the_negative_node():
@@ -295,8 +295,7 @@ def three_peak_intensity():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, widths)
-    gs, gi = default_grids(params, 768, 6.0)
-    return multipeak_intensity(params, gs, gi), params, cfg
+    return multipeak_intensity(params, default_grid(params, 768, 6.0)), params, cfg
 
 
 def test_fixed_idler_slit_selects_one_mode():
@@ -318,8 +317,8 @@ def test_idler_between_two_modes_sees_both():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((1.0, 1.0), 0.168, offset, widths)
-    gs, gi = default_grids(params, 769, 6.0)
-    coinc = coincidence_scan(multipeak_intensity(params, gs, gi), GEOM, -offset / 2.0,
+    gs = default_grid(params, 769, 6.0)
+    coinc = coincidence_scan(multipeak_intensity(params, gs), GEOM, -offset / 2.0,
                              zero_width=True)
     pos, height = find_peaks(coinc, min_height_frac=0.2)
     assert pos.size == 2
@@ -366,10 +365,9 @@ def test_effective_offset_anchored_at_design_wavelength():
     assert effective_offset(0.825, 0.0, cfg) == 0.0
 
 
-def make_builder(params, gs, gi):
+def make_builder(params, grid):
     def build(offset):
-        return multipeak_intensity(dataclasses.replace(params, noncollinear_offset=offset),
-                                   gs, gi)
+        return multipeak_intensity(dataclasses.replace(params, noncollinear_offset=offset), grid)
     return build
 
 
@@ -378,11 +376,11 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((1.0,), 0.0, offset, widths)
-    gs, gi = default_grids(params, 512, 6.0)
-    builder = make_builder(params, gs, gi)
+    grid = default_grid(params, 512, 6.0)
+    builder = make_builder(params, grid)
 
     tiny = dataclasses.replace(GEOM, filter_fwhm_nm=1e-6)
-    avg = wavelength_average(cfg, tiny, params, gs, gi)
+    avg = wavelength_average(cfg, tiny, params, grid)
     mono = joint(builder(offset))
     assert np.max(np.abs(joint(avg) - mono)) <= 1e-8 * mono.max()
 
@@ -392,8 +390,8 @@ def test_wavelength_average_broadens_monotonically():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((1.0,), 0.0, offset, widths)
-    gs, gi = default_grids(params, 512, 6.0)
-    builder = make_builder(params, gs, gi)
+    grid = default_grid(params, 512, 6.0)
+    builder = make_builder(params, grid)
     window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
 
     def signal_fwhm(source):
@@ -401,12 +399,12 @@ def test_wavelength_average_broadens_monotonically():
         return fwhm_of(scan, window=window)
 
     mono = signal_fwhm(builder(offset))
-    w10 = signal_fwhm(wavelength_average(cfg, GEOM, params, gs, gi))
+    w10 = signal_fwhm(wavelength_average(cfg, GEOM, params, grid))
     geom20 = dataclasses.replace(GEOM, filter_fwhm_nm=20.0)
-    w20 = signal_fwhm(wavelength_average(cfg, geom20, params, gs, gi))
+    w20 = signal_fwhm(wavelength_average(cfg, geom20, params, grid))
     assert mono < w10 < w20
 
-    avg = wavelength_average(cfg, GEOM, params, gs, gi)
+    avg = wavelength_average(cfg, GEOM, params, grid)
     scan = singles_scan(avg, GEOM, "signal", zero_width=True)
     pos, _ = find_peaks(scan, min_height_frac=0.5)
     assert pos[int(np.argmax(np.abs(pos)))] == pytest.approx(offset / 2.0, abs=1e-3)
@@ -417,31 +415,28 @@ def test_wavelength_average_validation():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((1.0,), 0.0, offset, widths)
-    gs, gi = default_grids(params, 512, 6.0)
-    coarse_s, coarse_i = default_grids(params, 64, 6.0)
+    grid = default_grid(params, 512, 6.0)
     with pytest.raises(ValueError, match="signal grid step .* cannot resolve"):
-        wavelength_average(cfg, GEOM, params, coarse_s, coarse_i)
-    # the pump comb underflows on every sum ks + ki of grids far off its peak
-    far_s, far_i = (WavevectorGrid(g.k_min + 50.0, g.k_max + 50.0, g.n_points) for g in (gs, gi))
+        wavelength_average(cfg, GEOM, params, default_grid(params, 64, 6.0))
+    # a grid 50 1/um off the ring and its mirror: every difference ks - ki
+    # lies near 100, where each sample's matching factor underflows
+    far = WavevectorGrid(grid.k_min + 50.0, grid.k_max + 50.0, grid.n_points)
     with pytest.raises(ValueError, match="amplitude is identically zero"):
-        wavelength_average(cfg, GEOM, params, far_s, far_i)
+        wavelength_average(cfg, GEOM, params, far)
 
 
-def three_peak_case(branch, n_points=128, span_sigmas=4.0, idler_drop=0):
+def three_peak_case(branch, n_points=128, span_sigmas=4.0):
     # a coarse grid that clips the union of the samples' supports on both axes
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, offset, PumpWidths(0.16, 0.2),
                              branch=branch)
-    gs, gi = default_grids(params, n_points, span_sigmas)
-    # the same spacing on fewer idler points
-    gi = WavevectorGrid(gi.k_min, gi.k_max - idler_drop * gi.spacing, n_points - idler_drop)
-    return (cfg, GEOM, params, gs, gi), 2
+    return (cfg, GEOM, params, default_grid(params, n_points, span_sigmas)), 2
 
 
 def shipped_three_modes_case():
     run = load_config(THREE_MODES)
-    return (run.phase_match, run.geometry, run.pump, *run.grids()), 0
+    return (run.phase_match, run.geometry, run.pump, run.grid()), 0
 
 
 @pytest.mark.parametrize("case", [
@@ -449,13 +444,14 @@ def shipped_three_modes_case():
     pytest.param(lambda: three_peak_case("both"), id="both"),
     # the amplitude is still 1e-3 of its peak at the corners, so every
     # diagonal of the joint grids counts
-    pytest.param(lambda: three_peak_case("+", 64, 1.5, idler_drop=8), id="tight"),
+    pytest.param(lambda: three_peak_case("+", 64, 1.5), id="tight"),
     pytest.param(shipped_three_modes_case, id="three_modes"),
 ])
 def test_wavelength_average_equals_one_build_per_sample(case):
     # reference: the joint intensity of each spectral sample formed on the
-    # joint grids, normalized, and summed incoherently
-    (cfg, geom, params, gs, gi), n_clips = case()
+    # grid and its mirror, normalized, and summed incoherently
+    (cfg, geom, params, gs), n_clips = case()
+    gi = gs.mirrored()
     lam_c = geom.central_wavelength_nm * 1e-3
     fwhm = geom.filter_fwhm_nm * 1e-3
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
@@ -472,45 +468,37 @@ def test_wavelength_average_equals_one_build_per_sample(case):
         sample = (p.pump_factor(ks + ki) * p.matching_factor(ks - ki)) ** 2
         total += w * sample / sample.sum()
     total /= total.sum() * gs.spacing * gi.spacing
-    # one clip warning per axis, against the union of the samples' supports
-    covers = [default_grids(p, gs.n_points, MIN_COVER_SIGMAS) for p in samples]
+    # one clip warning per axis, against the union of the samples' supports;
+    # the idler supports are the mirror images of the signal ones
+    covers = [default_grid(p, gs.n_points, MIN_COVER_SIGMAS) for p in samples]
     clips = []
-    for axis, (label, grid) in enumerate((("signal", gs), ("idler", gi))):
-        lo, hi = min(c[axis].k_min for c in covers), max(c[axis].k_max for c in covers)
+    for label, grid, sign in (("signal", gs, 1.0), ("idler", gi, -1.0)):
+        ends = [sign * k for c in covers for k in (c.k_min, c.k_max)]
+        lo, hi = min(ends), max(ends)
         if not grid.covers(lo, hi):
             clips.append(f"{label} grid [{grid.k_min:.4g}, {grid.k_max:.4g}] clips the amplitude "
                          f"support [{lo:.4g}, {hi:.4g}]; tails are truncated")
 
-    avg = wavelength_average(cfg, geom, params, gs, gi)
+    avg = wavelength_average(cfg, geom, params, gs)
     # the average sums in another order than the loop: equal to rounding
     assert np.max(np.abs(joint(avg) - total)) <= 1e-12 * total.max()
     assert len(clips) == n_clips
-    first = multipeak_intensity(samples[0], gs, gi).warnings
+    first = multipeak_intensity(samples[0], gs).warnings
     assert avg.warnings == tuple(w for w in first if "clips" not in w) + tuple(clips)
-
-
-def test_wavelength_average_needs_one_grid_spacing():
-    cfg = bbo_config()
-    offset = noncollinear_offset(cfg).offset_um_inv
-    params = MultiPeakParams((1.0,), 0.0, offset, PumpWidths(0.16, 0.2))
-    gs, gi = default_grids(params, 128, 4.0)
-    wider = WavevectorGrid(gi.k_min - 0.01, gi.k_max, gi.n_points)
-    with pytest.raises(ValueError, match="spacings differ"):
-        wavelength_average(cfg, GEOM, params, gs, wider)
 
 
 def test_wavelength_average_holds_one_joint_array():
     # a loop over per-sample kernels holds six joint-grid arrays at its peak
     run = load_config(THREE_MODES)
-    gs, gi = run.grids()
+    grid = run.grid()
     tracemalloc.start()
     try:
-        wavelength_average(run.phase_match, run.geometry, run.pump, gs, gi)
+        wavelength_average(run.phase_match, run.geometry, run.pump, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert gs.n_points == 512
-    assert peak <= 2 * gs.n_points * gi.n_points * 8
+    assert grid.n_points == 512
+    assert peak <= 2 * grid.n_points ** 2 * 8
 
 
 def test_crosstalk_identical_modes():

@@ -6,8 +6,10 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from spdc_modes import hologram
+from spdc_modes.cli import main
 from spdc_modes.config import load_config
 from spdc_modes.kernel import (
     JointIntensity,
@@ -16,7 +18,7 @@ from spdc_modes.kernel import (
     build_double_gaussian,
     build_from_pump,
     build_multipeak,
-    default_grids,
+    default_grid,
     marginal_intensity,
     multipeak_intensity,
     pump_spectrum_from_field,
@@ -120,13 +122,14 @@ def test_default_grids_center_on_branch():
         return 0.5 * (grid.k_min + grid.k_max)
 
     params = MultiPeakParams((1.0, 1.0, 1.0), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
-    gs, gi = default_grids(params, 128, 5.0)
+    gs = default_grid(params, 128, 5.0)
+    gi = gs.mirrored()
     assert center(gs) == pytest.approx(1.347 / 2)
     assert center(gi) == pytest.approx(-1.347 / 2)
     assert gs.covers(1.347 / 2 - 0.168, 1.347 / 2 + 0.168)
     both = MultiPeakParams((1.0,) * 3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), branch="both")
-    gs_b, gi_b = default_grids(both, 128, 5.0)
-    assert center(gs_b) == 0.0 and center(gi_b) == 0.0
+    gs_b = default_grid(both, 128, 5.0)
+    assert center(gs_b) == 0.0 and center(gs_b.mirrored()) == 0.0
     assert gs_b.covers(-1.347 / 2, 1.347 / 2)
     # one mode set per ring; at zero offset the rings coincide and hold one set
     assert both.signal_centers() == pytest.approx(
@@ -139,8 +142,7 @@ def test_default_grids_center_on_branch():
 def test_both_branches_point_symmetric():
     widths = PumpWidths(SIGMA, SIGMA)
     params = MultiPeakParams((1.0,), 0.0, 0.2, widths, branch="both")
-    gs, gi = default_grids(params, 129, 5.0)
-    kernel = build_multipeak(params, gs, gi)
+    kernel = build_multipeak(params, default_grid(params, 129, 5.0))
     assert np.allclose(kernel.amplitude, kernel.amplitude[::-1, ::-1], rtol=1e-12, atol=0.0)
 
 
@@ -157,29 +159,29 @@ def test_from_profiles_validation():
     bad[3] = np.nan
     for build in (TpaKernel.from_profiles, JointIntensity.from_profiles):
         with pytest.raises(ValueError, match="finite"):
-            build(grid, grid, bad, ones)
+            build(grid, bad, ones)
         with pytest.raises(ValueError, match="finite"):
-            build(grid, grid, ones, bad)
+            build(grid, ones, bad)
         with pytest.raises(ValueError, match="identically zero"):
-            build(grid, grid, np.zeros(63), ones)
+            build(grid, np.zeros(63), ones)
         # the pump only at ks + ki = its lowest node, the matching only at the
         # lowest ks - ki: no joint node holds both, so every product is zero
         pump, match = np.zeros(63), np.zeros(63)
         pump[0] = match[0] = 1.0
         with pytest.raises(ValueError, match="identically zero"):
-            build(grid, grid, pump, match)
+            build(grid, pump, match)
     with pytest.raises(ValueError, match="shape"):
-        TpaKernel(grid, grid, np.ones((32, 31)))
+        TpaKernel(grid, np.ones((32, 31)))
 
 
 def test_profiles_of_extreme_magnitude_normalize():
     # squares of these would overflow or underflow; the unit-peak scaling keeps them
     grid = centered(1.0, 32)
-    k = sum_coordinate_grid(grid, grid).points()
+    k = sum_coordinate_grid(grid).points()
     shape = np.exp(-k ** 2)
-    reference = TpaKernel.from_profiles(grid, grid, shape, shape)
+    reference = TpaKernel.from_profiles(grid, shape, shape)
     for scale in (1e200, 1e-200):
-        kernel = TpaKernel.from_profiles(grid, grid, scale * shape, scale * shape)
+        kernel = TpaKernel.from_profiles(grid, scale * shape, scale * shape)
         assert kernel.norm() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(kernel.amplitude, reference.amplitude, rtol=1e-14, atol=0.0)
 
@@ -189,14 +191,13 @@ def test_real_models_build_real_kernels():
     grid = centered(5 * 1.7 * SIGMA, 80)
     assert build_double_gaussian(widths, grid).amplitude.dtype == np.float64
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
-    gs, gi = default_grids(params, 256, 5.0)
-    assert build_multipeak(params, gs, gi).amplitude.dtype == np.float64
+    assert build_multipeak(params, default_grid(params, 256, 5.0)).amplitude.dtype == np.float64
 
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
-    tk = sum_coordinate_grid(grid, grid).points()
+    tk = sum_coordinate_grid(grid).points()
     chirped = np.exp(-tk ** 2 / (2 * SIGMA ** 2) + 30j * tk)
     resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
-    kernel = build_from_pump(chirped, resolved, cfg, grid, grid, "gaussian")
+    kernel = build_from_pump(chirped, resolved, cfg, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     assert np.abs(kernel.amplitude.imag).max() > 0
 
@@ -205,13 +206,13 @@ def test_real_models_build_real_kernels():
 def test_real_pump_spectrum_builds_a_real_kernel(model):
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
     grid = centered(5 * 1.7 * SIGMA, 80)
-    tk = sum_coordinate_grid(grid, grid).points()
+    tk = sum_coordinate_grid(grid).points()
     real = np.exp(-tk ** 2 / (2 * SIGMA ** 2))
     # the same samples held as complex, so the builder takes its complex path
     promoted = real.astype(complex)
     resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
-    kernel = build_from_pump(real, resolved, cfg, grid, grid, model)
-    reference = build_from_pump(promoted, resolved, cfg, grid, grid, model)
+    kernel = build_from_pump(real, resolved, cfg, grid, model)
+    reference = build_from_pump(promoted, resolved, cfg, grid, model)
     assert kernel.amplitude.dtype == np.float64
     assert reference.amplitude.dtype == np.complex128
     assert np.array_equal(kernel.amplitude, reference.amplitude.real)
@@ -219,15 +220,15 @@ def test_real_pump_spectrum_builds_a_real_kernel(model):
 
 def test_from_profiles_real_input_matches_its_complex_promotion():
     grid = centered(1.0, 48)
-    k = sum_coordinate_grid(grid, grid).points()
+    k = sum_coordinate_grid(grid).points()
     pump = np.exp(-k ** 2 / 0.1) * (1.0 + k)
     match = np.exp(-(k - 0.2) ** 2 / 0.3)
-    real = TpaKernel.from_profiles(grid, grid, pump, match)
-    promoted = TpaKernel.from_profiles(grid, grid, pump.astype(complex), match)
+    real = TpaKernel.from_profiles(grid, pump, match)
+    promoted = TpaKernel.from_profiles(grid, pump.astype(complex), match)
     assert real.amplitude.dtype == np.float64
     assert np.array_equal(real.amplitude, promoted.amplitude.real)
-    real_i = JointIntensity.from_profiles(grid, grid, pump, match)
-    promoted_i = JointIntensity.from_profiles(grid, grid, pump.astype(complex), match)
+    real_i = JointIntensity.from_profiles(grid, pump, match)
+    promoted_i = JointIntensity.from_profiles(grid, pump.astype(complex), match)
     assert np.array_equal(real_i.at_sums, promoted_i.at_sums)
     assert np.array_equal(real_i.at_differences, promoted_i.at_differences)
 
@@ -247,19 +248,18 @@ def test_marginal_intensity_integrates_to_one():
 
 def test_sum_coordinate_grid_nodes():
     gs = WavevectorGrid(0.1, 0.35, 26)
-    gi = WavevectorGrid(-0.4, -0.15, 26)
-    total = sum_coordinate_grid(gs, gi)
+    gi = gs.mirrored()
+    assert (gi.k_min, gi.k_max, gi.n_points) == (-0.35, -0.1, 26)
+    total = sum_coordinate_grid(gs)
     assert total.n_points == 51
     assert total.spacing == pytest.approx(gs.spacing, rel=1e-12)
-    assert total.k_min == pytest.approx(gs.k_min + gi.k_min)
-    assert total.k_max == pytest.approx(gs.k_max + gi.k_max)
+    # the endpoint sums of the grid and its mirror, to the bit
+    assert (total.k_min, total.k_max) == (gs.k_min + gi.k_min, gs.k_max + gi.k_max)
     # every pairwise sum lands on a node
     sums = gs.points()[:, None] + gi.points()[None, :]
     nodes = total.points()
     idx = np.rint((sums - total.k_min) / total.spacing).astype(int)
     assert np.allclose(nodes[idx], sums, atol=1e-12)
-    with pytest.raises(ValueError, match="spacing"):
-        sum_coordinate_grid(gs, WavevectorGrid(-0.4, -0.1, 26))
 
 
 def test_build_from_pump_matches_multipeak():
@@ -267,16 +267,16 @@ def test_build_from_pump_matches_multipeak():
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
     offset = 8.679653687096893
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, widths)
-    gs, gi = default_grids(params, 640, 5.0)
-    direct = build_multipeak(params, gs, gi)
+    grid = default_grid(params, 640, 5.0)
+    direct = build_multipeak(params, grid)
 
-    tk = sum_coordinate_grid(gs, gi).points()
+    tk = sum_coordinate_grid(grid).points()
     pump = np.zeros_like(tk)
     for a, c in zip(params.amplitudes, params.pump_centers()):
         pump += a * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
     resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(SIGMA, widths.sigma_match))
-    rebuilt = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian")
+    rebuilt = build_from_pump(pump, resolved, cfg, grid, "gaussian")
     assert np.max(np.abs(rebuilt.amplitude - direct.amplitude)) < 1e-10 * np.abs(direct.amplitude).max()
 
 
@@ -310,16 +310,16 @@ def test_pump_field_spectrum_rebuilds_the_kernel():
     cfg = load_config(THREE)
     span = 4.5 / cfg.pump.widths.sigma_pump
     field = hologram.pump_field(cfg.pump, np.linspace(-span, span, 4096))
-    gs, gi = cfg.grids()
+    grid = cfg.grid()
     spectrum = pump_spectrum_from_field(field.coordinates_um, field.amplitude,
-                                        sum_coordinate_grid(gs, gi))
-    kernel = build_from_pump(spectrum, cfg.pump, cfg.phase_match, gs, gi, "gaussian")
+                                        sum_coordinate_grid(grid))
+    kernel = build_from_pump(spectrum, cfg.pump, cfg.phase_match, grid, "gaussian")
     direct = cfg.build_kernel()
-    overlap = abs(np.vdot(kernel.amplitude, direct.amplitude)) * gs.spacing * gi.spacing
+    overlap = abs(np.vdot(kernel.amplitude, direct.amplitude)) * grid.spacing ** 2
     assert overlap >= 1.0 - 1e-9
     short = spectrum[1:]
     with pytest.raises(ValueError, match=rf"shape \({short.size},\); need {spectrum.size} samples"):
-        build_from_pump(short, cfg.pump, cfg.phase_match, gs, gi)
+        build_from_pump(short, cfg.pump, cfg.phase_match, grid)
 
 
 def test_sinc_vs_gaussian_noncollinear_fwhm():
@@ -336,9 +336,8 @@ def test_sinc_vs_gaussian_noncollinear_fwhm():
     half = 4.0 * sigma_match
     n = 1601
     gs = WavevectorGrid.centered(offset / 2.0, half, n)
-    gi = WavevectorGrid.centered(-offset / 2.0, half, n)
 
-    tk = sum_coordinate_grid(gs, gi).points()
+    tk = sum_coordinate_grid(gs).points()
     pump = np.exp(-(tk ** 2) / (2.0 * 0.01 ** 2))
 
     def antidiag_fwhm(kernel):
@@ -353,8 +352,8 @@ def test_sinc_vs_gaussian_noncollinear_fwhm():
 
     resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(0.01, phase_matching_width(cfg)))
-    gauss = build_from_pump(pump, resolved, cfg, gs, gi, "gaussian")
-    sinc = build_from_pump(pump, resolved, cfg, gs, gi, "sinc")
+    gauss = build_from_pump(pump, resolved, cfg, gs, "gaussian")
+    sinc = build_from_pump(pump, resolved, cfg, gs, "sinc")
     ratio = antidiag_fwhm(sinc) / antidiag_fwhm(gauss)
 
     slope = cfg.crystal_length_um * offset / (4.0 * cfg.signal_wavevector)
@@ -371,13 +370,13 @@ def test_sinc_collinear_matches_gaussian_fit_width():
 
     n = 1201
     grid = WavevectorGrid.centered(0.0, 4.0 * sigma_match, n)
-    tk = sum_coordinate_grid(grid, grid).points()
+    tk = sum_coordinate_grid(grid).points()
     pump = np.exp(-(tk ** 2) / 2.0)
 
     resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)),
                                branch="both")
-    gauss = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian")
-    sinc = build_from_pump(pump, resolved, cfg, grid, grid, "sinc")
+    gauss = build_from_pump(pump, resolved, cfg, grid, "gaussian")
+    sinc = build_from_pump(pump, resolved, cfg, grid, "sinc")
 
     def antidiag_fwhm(kernel):
         prof = np.abs(np.diagonal(kernel.amplitude[:, ::-1])) ** 2
@@ -398,21 +397,43 @@ def test_collinear_sinc_refuses_an_offset_ring():
     # kernel on a side lobe, at 1.182 where the Gaussian model peaks at 1.2
     run = load_config(SINGLE, {"phase_match.regime": "collinear",
                                "phase_match.offset_override_um_inv": 1.2})
-    gs, gi = run.grids()
-    tk = sum_coordinate_grid(gs, gi).points()
+    gs = run.grid()
+    gi = gs.mirrored()
+    tk = sum_coordinate_grid(gs).points()
     pump = np.exp(-(tk ** 2) / (2.0 * run.pump.widths.sigma_pump ** 2))
-    gauss = build_from_pump(pump, run.pump, run.phase_match, gs, gi, "gaussian")
+    gauss = build_from_pump(pump, run.pump, run.phase_match, gs, "gaussian")
     i, j = np.unravel_index(np.argmax(np.abs(gauss.amplitude)), gauss.amplitude.shape)
     assert gs.points()[i] - gi.points()[j] == pytest.approx(1.2, abs=2 * gs.spacing)
     with pytest.raises(ValueError, match="collinear sinc profile .* offset 1.2 1/um"):
-        build_from_pump(pump, run.pump, run.phase_match, gs, gi, "sinc")
+        build_from_pump(pump, run.pump, run.phase_match, gs, "sinc")
 
 
 def test_build_from_pump_rejects_bad_model():
     grid = centered(1.0, 32)
-    pump = np.exp(-sum_coordinate_grid(grid, grid).points() ** 2)
+    pump = np.exp(-sum_coordinate_grid(grid).points() ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
     resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
                                PumpWidths(1.0, phase_matching_width(cfg)))
     with pytest.raises(ValueError, match="model"):
-        build_from_pump(pump, resolved, cfg, grid, grid, "cosine")
+        build_from_pump(pump, resolved, cfg, grid, "cosine")
+
+
+@pytest.mark.parametrize("flags", [(), ("--grid-points", "841", "--both-branches")],
+                         ids=["three_modes", "three_modes-841-both"])
+def test_idler_grid_and_marginal_mirror_the_signal(tmp_path, capsys, flags):
+    # a run carries one grid: the idler grid is the signal grid negated, and
+    # with the shipped comb symmetric, P(-x) = P(x), the idler marginal read
+    # backwards is the signal marginal
+    assert main(["tpa", "--config", THREE, "--out", str(tmp_path), *flags]) == 0
+    capsys.readouterr()
+    meta = yaml.safe_load((tmp_path / "kernel.meta.yaml").read_text())
+    signal = meta["signal_grid"]
+    assert meta["idler_grid"] == {"k_min": -signal["k_max"], "k_max": -signal["k_min"],
+                                  "n_points": signal["n_points"]}
+
+    overrides = {"grid.points": 841, "grid.both_branches": True} if flags else {}
+    inten = load_config(THREE, overrides).intensity()
+    _, m_s = marginal_intensity(inten, "signal")
+    _, m_i = marginal_intensity(inten, "idler")
+    assert m_s.size == signal["n_points"]
+    assert np.max(np.abs(m_i[::-1] - m_s)) <= 1e-13 * m_s.max()

@@ -15,7 +15,7 @@ from spdc_modes.kernel import (
     build_double_gaussian,
     build_from_pump,
     build_multipeak,
-    default_grids,
+    default_grid,
     sum_coordinate_grid,
 )
 from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
@@ -147,7 +147,7 @@ def test_mode_cap_reports_discarded_weight(svd_shapes):
     # binds, and the kept modes do not fit a sketch block of half its size
     grid = WavevectorGrid.centered(0.0, 1.0, 160)
     noise = np.random.default_rng(0).standard_normal((160, 160))
-    kernel = TpaKernel(grid, grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
+    kernel = TpaKernel(grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
     dec = schmidt_decompose(kernel)
     assert svd_shapes[-1] == (160, 160)
     assert dec.n_modes == 64
@@ -164,12 +164,12 @@ def test_rejects_unnormalized_kernel():
     grid = WavevectorGrid.centered(0.0, 5.0, 64)
     k = grid.points()
     amp = np.exp(-np.add.outer(k ** 2, k ** 2))
-    raw = TpaKernel(grid, grid, amp.astype(complex))
+    raw = TpaKernel(grid, amp.astype(complex))
     with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(raw)
-    good = TpaKernel(grid, grid, amp / (math.sqrt(np.sum(amp ** 2)) * grid.spacing))
+    good = TpaKernel(grid, amp / (math.sqrt(np.sum(amp ** 2)) * grid.spacing))
     schmidt_decompose(good)
-    bad = TpaKernel(grid, grid, good.amplitude * 2.0)
+    bad = TpaKernel(grid, good.amplitude * 2.0)
     with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(bad)
 
@@ -179,9 +179,8 @@ def test_three_peak_modes_stay_in_their_windows():
     spacing = 0.168
     params = MultiPeakParams((0.63, 1.0, 0.63), spacing, 0.0, PumpWidths(sigma, sigma),
                              branch="both")
-    gs, gi = default_grids(params, 512, 6.0)
-    kernel = build_multipeak(params, gs, gi)
-    dec = schmidt_decompose(kernel)
+    gs = default_grid(params, 512, 6.0)
+    dec = schmidt_decompose(build_multipeak(params, gs))
     assert dec.n_modes == 3
 
     # separable per-peak factors: coefficients track the pump weights
@@ -212,8 +211,7 @@ def three_mode_kernel():
     sigma_pump, sigma_match = 0.009572439207442883, 0.02041323652329383
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347,
                              PumpWidths(sigma_pump, sigma_match))
-    gs, gi = default_grids(params, 512, 6.0)
-    return build_multipeak(params, gs, gi)
+    return build_multipeak(params, default_grid(params, 512, 6.0))
 
 
 def double_gaussian_kernel():
@@ -224,7 +222,7 @@ def double_gaussian_kernel():
 @pytest.mark.parametrize("build", [three_mode_kernel, double_gaussian_kernel])
 def test_real_kernel_decomposes_like_its_complex_copy(build):
     real = build()
-    promoted = TpaKernel(real.grid_s, real.grid_i, real.amplitude.astype(complex))
+    promoted = TpaKernel(real.grid_s, real.amplitude.astype(complex))
     dec_real = schmidt_decompose(real)
     dec_complex = schmidt_decompose(promoted)
     assert dec_real.signal_modes.dtype == np.float64
@@ -278,11 +276,11 @@ def chirped_kernel():
     """Complex kernel: a quadratic pump chirp that does not factor in ks, ki."""
     widths = PumpWidths(1.0, 2.0)
     grid = grid_for(widths, n=256, span=6.0)
-    tk = sum_coordinate_grid(grid, grid).points()
+    tk = sum_coordinate_grid(grid).points()
     pump = np.exp(-tk ** 2 / 2.0 + 0.3j * tk ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672, regime="collinear")
     resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(1.0, 2.0))
-    kernel = build_from_pump(pump, resolved, cfg, grid, grid, "gaussian")
+    kernel = build_from_pump(pump, resolved, cfg, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     return kernel
 
@@ -321,7 +319,7 @@ def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
 def test_high_rank_kernel_falls_back_to_dense(monkeypatch, svd_shapes):
     grid = WavevectorGrid.centered(0.0, 1.0, 64)
     noise = np.random.default_rng(0).standard_normal((64, 64))
-    kernel = TpaKernel(grid, grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
+    kernel = TpaKernel(grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
     dec = schmidt_decompose(kernel)
     assert svd_shapes[-1] == (64, 64)
     ref = dense_decompose(kernel, monkeypatch)
@@ -407,7 +405,7 @@ def test_each_peak_carries_its_amplitude_share(sigma_match, n_modes):
     params = MultiPeakParams((1.0, 0.5, 0.25, 0.8), 0.168, 1.347,
                              PumpWidths(0.0096, sigma_match))
     shares = np.square(params.amplitudes) / np.sum(np.square(params.amplitudes))
-    dec = schmidt_decompose(build_multipeak(params, *default_grids(params, 1024, 8.0)))
+    dec = schmidt_decompose(build_multipeak(params, default_grid(params, 1024, 8.0)))
     weights = dec.coefficients ** 2
     assert dec.n_modes == n_modes
     if n_modes == 4:
@@ -447,7 +445,7 @@ def test_window_leak_of_a_mode_split_between_two_windows():
     hg = hermite_gauss(0, 0.1, grid, center=-1.0)
     split = (hg + hermite_gauss(0, 0.1, grid, center=1.0)) / math.sqrt(2.0)
     modes = np.stack([hg, split])
-    dec = schmidt.SchmidtDecomposition(np.array([0.8, 0.6]), modes, modes, grid, grid, 0.0)
+    dec = schmidt.SchmidtDecomposition(np.array([0.8, 0.6]), modes, modes, grid, 0.0)
     assert schmidt.largest_window_leak(dec, [-1.0, 1.0], 2.0) == pytest.approx(0.5, rel=1e-12)
-    one = schmidt.SchmidtDecomposition(np.array([1.0]), modes[:1], modes[:1], grid, grid, 0.0)
+    one = schmidt.SchmidtDecomposition(np.array([1.0]), modes[:1], modes[:1], grid, 0.0)
     assert schmidt.largest_window_leak(one, [-1.0, 1.0], 2.0) <= 1e-15
