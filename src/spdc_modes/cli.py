@@ -110,10 +110,9 @@ def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
         f"discarded weight = {dec.discarded_weight:.3e}",
     ]
     # each mode's window is as wide as the closest spacing of two mode centers
-    centers = cfg.pump.signal_centers()
-    spacings = np.diff(np.unique(centers))
-    if spacings.size:
-        leak = schmidt.largest_window_leak(dec, centers, spacings.min())
+    spacing = cfg.pump.mode_spacing()
+    if spacing is not None:
+        leak = schmidt.largest_window_leak(dec, cfg.pump.signal_centers(), spacing)
         lines.append(f"largest mode share outside its peak window = {leak:.3e}")
     return lines, dec.warnings, {
         "schmidt_coefficients.csv": (exports.write_coefficients_csv, dec),
@@ -122,24 +121,28 @@ def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
     }
 
 
+def _slit_windows(cfg: RunConfig, args) -> tuple:
+    """(signal, idler) slit windows in 1/um; None for ``--zero-width-slits``."""
+    return (None, None) if args.zero_width_slits else cfg.geometry.slit_windows()
+
+
 def _cmd_scan(cfg: RunConfig, args) -> Outcome:
-    geom = cfg.geometry
-    zero = args.zero_width_slits
+    signal_window, idler_window = _slit_windows(cfg, args)
     lines = []
 
     if args.wavelength_avg:
-        inten = detection.wavelength_average(cfg.phase_match, geom, cfg.pump, cfg.grid())
+        inten = detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump, cfg.grid())
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
         inten = cfg.intensity()
 
-    singles_s = detection.singles_scan(inten, geom, "signal", zero_width=zero)
-    singles_i = detection.singles_scan(inten, geom, "idler", zero_width=zero)
+    singles_s = detection.singles_scan(inten, signal_window)
+    singles_i = detection.singles_scan(inten.swapped(), idler_window)
     center = args.idler_center
     if center is None:
         center = detection.idler_peak_center(inten)
-    coinc = detection.coincidence_scan(inten, geom, center, zero_width=zero)
+    coinc = detection.coincidence_scan(inten, center, signal_window, idler_window)
 
     lines.append(f"idler slit center = {center:.10g} 1/um")
     peaks, heights = detection.find_peaks(singles_s)
@@ -162,8 +165,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
 
 def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
     inten = cfg.intensity()
-    ratio = detection.fedorov_ratio(inten, cfg.geometry, cfg.pump.signal_centers(),
-                                    zero_width=args.zero_width_slits)
+    ratio = detection.fedorov_ratio(inten, _slit_windows(cfg, args), cfg.pump.mode_spacing())
     return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], inten.warnings, {}
 
 

@@ -251,8 +251,8 @@ def parse_config(data: dict) -> RunConfig:
 
     try:
         if sellmeier is not None:
-            n_signal, _ = refractive_indices(sellmeier, 2.0 * pump_um * 1e3)
-            _, n_pump = refractive_indices(sellmeier, pump_um * 1e3, cut_angle_rad)
+            n_signal, _ = refractive_indices(sellmeier, 2.0 * pump_um)
+            _, n_pump = refractive_indices(sellmeier, pump_um, cut_angle_rad)
         phase_match = PhaseMatchConfig(
             crystal_length_um=crystal_um,
             pump_wavelength_um=pump_um,

@@ -53,15 +53,10 @@ class DetectionGeometry:
         lam_um = self.central_wavelength_nm * 1e-3
         return 2.0 * math.pi * self.medium_index / lam_um * (x_mm / self.focal_length_mm)
 
-    def slit_acceptance(self, which: str = "signal") -> float:
-        """Wavevector window (1/um) admitted by one slit."""
-        if which == "signal":
-            w = self.slit_width_signal_mm
-        elif which == "idler":
-            w = self.slit_width_idler_mm
-        else:
-            raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
-        return self.position_to_wavevector(w)
+    def slit_windows(self) -> tuple:
+        """(signal, idler) wavevector windows (1/um) admitted by the two slits."""
+        return (self.position_to_wavevector(self.slit_width_signal_mm),
+                self.position_to_wavevector(self.slit_width_idler_mm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,23 +80,20 @@ def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
     return upper - lower
 
 
-def singles_scan(inten: JointIntensity, geom: DetectionGeometry,
-                 which: str = "signal", zero_width: bool = False) -> ScanSpectrum:
-    """Single-detector rate at every grid node: partner integrated out, slit window applied."""
-    k, marginal = marginal_intensity(inten, which)
-    if zero_width:
-        rates = marginal
-    else:
-        rates = _box_integral(k, marginal, k, geom.slit_acceptance(which))
-    return ScanSpectrum(k, rates)
+def singles_scan(inten: JointIntensity, window: Optional[float]) -> ScanSpectrum:
+    """Signal rate at every grid node, idler integrated out, through a slit ``window``
+    wide (1/um; None is the ideal zero-width slit). The idler's is that of ``inten.swapped()``."""
+    k, marginal = marginal_intensity(inten)
+    return ScanSpectrum(k, marginal if window is None else _box_integral(k, marginal, k, window))
 
 
-def coincidence_scan(inten: JointIntensity, geom: DetectionGeometry,
-                     fixed_center: float, zero_width: bool = False) -> ScanSpectrum:
+def coincidence_scan(inten: JointIntensity, fixed_center: float, signal_window: Optional[float],
+                     idler_window: Optional[float]) -> ScanSpectrum:
     """Two-detector rate at every signal-grid node, idler slit parked at ``fixed_center``.
 
-    Only the idler columns the slit reaches are read, each off the two
-    profiles of ``inten``.
+    Each window is its slit's width in 1/um, or None for the ideal
+    zero-width slit. Only the idler columns the slit reaches are read, each
+    off the two profiles of ``inten``.
     """
     kf = inten.grid_i.points()
     if not (kf[0] <= fixed_center <= kf[-1]):
@@ -110,33 +102,34 @@ def coincidence_scan(inten: JointIntensity, geom: DetectionGeometry,
             f"[{kf[0]:.4g}, {kf[-1]:.4g}]"
         )
 
-    ks = inten.grid_s.points()
-    if zero_width:
+    if idler_window is None:
         # exact slice: interpolate along the fixed axis
         j = np.searchsorted(kf, fixed_center)
         j = min(max(j, 1), kf.size - 1)
         t = (fixed_center - kf[j - 1]) / (kf[j] - kf[j - 1])
-        return ScanSpectrum(ks, inten.weighted_columns(j - 1, np.array([1.0 - t, t])))
-
-    # the slit integral is the cumulative trapezoid along the idler axis,
-    # interpolated linearly at the slit's fractional column edges lo and hi:
-    # segment k counts in full between them, and in part at either end
-    width = geom.slit_acceptance("idler")
-    columns = np.arange(kf.size, dtype=float)
-    j_lo, t_lo = _fractional_column(np.interp(fixed_center - width / 2.0, kf, columns), kf.size)
-    j_hi, t_hi = _fractional_column(np.interp(fixed_center + width / 2.0, kf, columns), kf.size)
-    k = np.arange(j_hi - j_lo + 1)
-    fraction = (k < j_hi - j_lo) + t_hi * (k == j_hi - j_lo) - t_lo * (k == 0)
-    half = 0.5 * fraction * np.diff(kf[j_lo:j_hi + 2])
-    # segment k weighs its two end columns k and k + 1 by half its share
-    weights = np.convolve(half, [1.0, 1.0])
+        j_lo, weights = j - 1, np.array([1.0 - t, t])
+    else:
+        # the slit integral is the cumulative trapezoid along the idler axis,
+        # interpolated linearly at the slit's fractional column edges lo and hi:
+        # segment k counts in full between them, and in part at either end
+        j_lo, t_lo = _fractional_column(fixed_center - idler_window / 2.0, kf)
+        j_hi, t_hi = _fractional_column(fixed_center + idler_window / 2.0, kf)
+        k = np.arange(j_hi - j_lo + 1)
+        fraction = (k < j_hi - j_lo) + t_hi * (k == j_hi - j_lo) - t_lo * (k == 0)
+        half = 0.5 * fraction * np.diff(kf[j_lo:j_hi + 2])
+        # segment k weighs its two end columns k and k + 1 by half its share
+        weights = np.convolve(half, [1.0, 1.0])
+    ks = inten.grid_s.points()
     conditional = inten.weighted_columns(j_lo, weights)
-    return ScanSpectrum(ks, _box_integral(ks, conditional, ks, geom.slit_acceptance("signal")))
+    return ScanSpectrum(ks, conditional if signal_window is None
+                        else _box_integral(ks, conditional, ks, signal_window))
 
 
-def _fractional_column(frac_index: float, n: int) -> tuple:
-    """(j, t) with frac_index = j + t and j clamped to a segment start, 0..n - 2."""
-    j = min(max(int(math.floor(frac_index)), 0), n - 2)
+def _fractional_column(k: float, kf: np.ndarray) -> tuple:
+    """(j, t) with k at the fractional column j + t of the nodes kf, linearly
+    interpolated, and j clamped to a segment start, 0..kf.size - 2."""
+    frac_index = np.interp(k, kf, np.arange(kf.size, dtype=float))
+    j = min(max(int(math.floor(frac_index)), 0), kf.size - 2)
     return j, frac_index - j
 
 
@@ -219,24 +212,22 @@ def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
     return right - left
 
 
-def fedorov_ratio(inten: JointIntensity, geom: DetectionGeometry, centers: Sequence[float],
-                  zero_width: bool = False) -> float:
+def fedorov_ratio(inten: JointIntensity, windows: tuple, spacing: Optional[float]) -> float:
     """Width of the signal singles peak over the conditional peak width.
 
-    The partner slit parks on :func:`idler_peak_center`. When the singles
-    scan splits into separate peaks above half height and the run has two
-    or more distinct signal-mode ``centers``, both widths are read within
-    half the smallest center spacing of the coincidence peak, so they are
-    the widths of that one mode. With zero-width slits on a double-Gaussian
-    amplitude this ratio equals the Schmidt number.
+    ``windows`` are the (signal, idler) slit windows of :func:`coincidence_scan`,
+    whose idler slit parks on :func:`idler_peak_center`. When the singles scan
+    splits into separate peaks above half height and the run has a mode
+    ``spacing``, both widths are read within half of it from the coincidence
+    peak, so they are the widths of that one mode. With zero-width slits on a
+    double-Gaussian amplitude this ratio equals the Schmidt number.
     """
     center = idler_peak_center(inten)
-    singles = singles_scan(inten, geom, "signal", zero_width=zero_width)
-    coinc = coincidence_scan(inten, geom, center, zero_width=zero_width)
-    spacings = np.diff(np.unique(centers))
+    singles = singles_scan(inten, windows[0])
+    coinc = coincidence_scan(inten, center, *windows)
     window = None
-    if spacings.size and _splits_at_half_max(singles.rates):
-        half = spacings.min() / 2.0
+    if spacing is not None and _splits_at_half_max(singles.rates):
+        half = spacing / 2.0
         peak = coinc.positions[np.argmax(coinc.rates)]
         window = (peak - half, peak + half)
     return fwhm_of(singles, window) / fwhm_of(coinc, window)
@@ -254,7 +245,7 @@ def idler_peak_center(inten: JointIntensity) -> float:
     order is rounding noise. Ties go to the smaller |k|, then to the
     negative k, which is the idler side of the ``+`` ring.
     """
-    ki, mi = marginal_intensity(inten, "idler")
+    ki, mi = marginal_intensity(inten.swapped())
     top = ki[mi >= (1.0 - PEAK_TIE_RTOL) * mi.max()]
     return float(top[np.abs(top) <= (1.0 + PEAK_TIE_RTOL) * np.abs(top).min()].min())
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -108,6 +108,11 @@ class JointIntensity(MirroredIdler):
             self.at_differences[n - start - width:2 * n - start - 1], width)[:, ::-1]
         return np.einsum("ic,ic,c->i", pump, match, weights)
 
+    def swapped(self) -> "JointIntensity":
+        """The photons exchanged, so every idler observable is the signal one of the
+        result: ki - ks reverses the difference nodes, and the grid is mirrored."""
+        return JointIntensity(self.grid_i, self.at_sums, self.at_differences[::-1], self.warnings)
+
 
 def diagonal_sums(at_sums: np.ndarray, n: int) -> np.ndarray:
     """D[m]: the sum of at_sums[i + j] over the joint nodes on the diagonal
@@ -192,6 +197,11 @@ class MultiPeakParams:
         if self.branch == "both" and self.noncollinear_offset > 0:
             centers = np.concatenate([centers, centers - self.noncollinear_offset])
         return centers
+
+    def mode_spacing(self) -> Optional[float]:
+        """Smallest gap between distinct :meth:`signal_centers`, or None for one mode."""
+        gaps = np.diff(np.unique(self.signal_centers()))
+        return float(gaps.min()) if gaps.size else None
 
     def pump_centers(self) -> np.ndarray:
         """Sum-coordinate (ks + ki) centers of the pump peaks: twice the offsets."""
@@ -399,18 +409,13 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
     return TpaKernel.from_profiles(grid, spectrum, match)
 
 
-def marginal_intensity(inten: JointIntensity, which: str = "signal") -> tuple:
-    """(k_points, intensity) of one photon with the partner integrated out.
+def marginal_intensity(inten: JointIntensity) -> tuple:
+    """(k_points, intensity) of the signal photon with the idler integrated out;
+    the idler's is that of ``inten.swapped()``.
 
-    The signal marginal at node i is the band sum over the idler nodes j of
+    The marginal at node i is the band sum over the idler nodes j of
     at_sums[i + j] * at_differences[i - j + n - 1]; only pairs whose
     partner lies on its grid count, as on the joint array.
     """
-    if which == "idler":
-        # the transpose: ki - ks = -(ks - ki) reverses the difference nodes,
-        # and the idler grid's mirror is the signal grid
-        inten = JointIntensity(inten.grid_i, inten.at_sums, inten.at_differences[::-1])
-    elif which != "signal":
-        raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
     band = inten.weighted_columns(0, np.ones(inten.grid_s.n_points))
     return inten.grid_s.points(), band * inten.grid_s.spacing

@@ -203,7 +203,7 @@ class SellmeierCoefficients:
             )
 
 
-def refractive_indices(coeffs: SellmeierCoefficients, wavelength_nm: float,
+def refractive_indices(coeffs: SellmeierCoefficients, wavelength_um: float,
                        angle_rad: float = 0.0) -> tuple:
     """(n_ordinary, n_extraordinary(angle)) at the given vacuum wavelength.
 
@@ -211,10 +211,9 @@ def refractive_indices(coeffs: SellmeierCoefficients, wavelength_nm: float,
     n(theta) = [cos^2/n_o^2 + sin^2/n_e^2]^(-1/2); at angle 0 it reduces to
     the ordinary principal value, at pi/2 to the extraordinary one.
     """
-    lam = wavelength_nm * 1e-3
-    coeffs.check_wavelength(lam)
-    n_o = coeffs.ordinary.index(lam)
-    n_e = coeffs.extraordinary.index(lam)
+    coeffs.check_wavelength(wavelength_um)
+    n_o = coeffs.ordinary.index(wavelength_um)
+    n_e = coeffs.extraordinary.index(wavelength_um)
     c, s = math.cos(angle_rad), math.sin(angle_rad)
     n_theta = 1.0 / math.sqrt(c * c / (n_o * n_o) + s * s / (n_e * n_e))
     return n_o, n_theta

@@ -942,7 +942,7 @@ def test_cli_scan_three_modes(tmp_path, capsys):
 
     # zero-width singles are exactly the kernel's signal marginal
     cfg = dataclasses.replace(load_config(THREE), grid_points=320)
-    k, marg = marginal_intensity(cfg.intensity(), "signal")
+    k, marg = marginal_intensity(cfg.intensity())
     _, table = read_csv(str(out / "singles_signal.csv"))
     assert np.array_equal(table[:, 0], k)
     assert np.array_equal(table[:, 1], marg)

@@ -1,0 +1,42 @@
+"""The declared runtime dependencies are exactly the third-party imports of the package."""
+
+import ast
+import os
+import re
+import sys
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "spdc_modes")
+# import name -> distribution name, where the two differ
+DISTRIBUTIONS = {"yaml": "PyYAML"}
+
+
+def canonical(name):
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def imported_distributions():
+    names = set()
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    third_party = names - set(sys.stdlib_module_names) - {"__future__", "spdc_modes"}
+    return {canonical(DISTRIBUTIONS.get(name, name)) for name in third_party}
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {canonical(re.match(r"[A-Za-z0-9._-]+", spec).group(0)) for spec in declared}
+    assert names == imported_distributions()

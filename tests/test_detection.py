@@ -48,6 +48,8 @@ from spdc_modes.optics import (
 from oracles import hermite_gauss
 
 GEOM = DetectionGeometry()
+WINDOWS = GEOM.slit_windows()
+IDEAL = (None, None)  # zero-width slits
 THREE_MODES = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "three_modes.yaml")
 
 # degenerate type-I cut, frozen from the Sellmeier data used in the configs
@@ -66,14 +68,15 @@ def joint(inten):
     return sum_difference_product(inten.at_sums, inten.at_differences, inten.grid_s.n_points)
 
 
-def test_slit_acceptance_matches_geometry():
-    r = GEOM.slit_acceptance("signal")
+def test_slit_windows_match_geometry():
+    r, r_idler = GEOM.slit_windows()
     assert r == pytest.approx(2.0 * math.pi / 0.81 * (0.2 / 100.0), rel=1e-12)
-    assert GEOM.slit_acceptance("idler") == pytest.approx(2.0 * r, rel=1e-12)
+    assert r_idler == pytest.approx(2.0 * r, rel=1e-12)
     assert GEOM.position_to_wavevector(1.0) == pytest.approx(
         2.0 * math.pi / 0.81 * (1.0 / 100.0), rel=1e-12)
-    with pytest.raises(ValueError, match="which"):
-        GEOM.slit_acceptance("pump")
+    # the medium index scales both windows
+    dense = dataclasses.replace(GEOM, medium_index=1.5)
+    assert dense.slit_windows() == pytest.approx((1.5 * r, 1.5 * r_idler), rel=1e-12)
 
 
 def test_geometry_validation():
@@ -87,12 +90,13 @@ def test_geometry_validation():
 
 def test_zero_width_singles_equals_marginal():
     inten = ratio_two_intensity(n=401)
-    scan = singles_scan(inten, GEOM, "signal", zero_width=True)
-    k, marg = marginal_intensity(inten, "signal")
+    scan = singles_scan(inten, None)
+    k, marg = marginal_intensity(inten)
     assert np.array_equal(scan.positions, k)
     assert np.array_equal(scan.rates, marg)
-    scan_i = singles_scan(inten, GEOM, "idler", zero_width=True)
-    _, marg_i = marginal_intensity(inten, "idler")
+    scan_i = singles_scan(inten.swapped(), None)
+    k_i, marg_i = marginal_intensity(inten.swapped())
+    assert np.array_equal(scan_i.positions, k_i)
     assert np.array_equal(scan_i.rates, marg_i)
 
 
@@ -108,9 +112,9 @@ def test_finite_slit_tophat_gives_trapezoid():
     inten = JointIntensity(gs, pump, match)
 
     geom = DetectionGeometry(slit_width_signal_mm=1.0)
-    r = geom.slit_acceptance("signal")
+    r, _ = geom.slit_windows()
     assert r < w
-    scan = singles_scan(inten, geom, "signal")
+    scan = singles_scan(inten, r)
     x = scan.positions
     height = gs.spacing
     oracle = height * r * np.clip((w / 2.0 + r / 2.0 - np.abs(x)) / r, 0.0, 1.0)
@@ -120,7 +124,7 @@ def test_finite_slit_tophat_gives_trapezoid():
 
 def test_fwhm_gaussian_interp_and_fit():
     inten = ratio_two_intensity(n=4001)
-    scan = singles_scan(inten, GEOM, "signal", zero_width=True)
+    scan = singles_scan(inten, None)
     sigma_marginal = math.sqrt((1.0 + 4.0) / 8.0)
     oracle = GAUSSIAN_FWHM_FACTOR * sigma_marginal
     assert fwhm_of(scan) == pytest.approx(oracle, rel=1e-4)
@@ -175,17 +179,17 @@ def test_find_peaks_plateau_and_size_guard():
 
 def test_coincidence_bounded_by_singles():
     inten = ratio_two_intensity(n=801)
-    singles = singles_scan(inten, GEOM, "signal")
-    coinc = coincidence_scan(inten, GEOM, 0.0)
+    singles = singles_scan(inten, WINDOWS[0])
+    coinc = coincidence_scan(inten, 0.0, *WINDOWS)
     assert np.all(coinc.rates <= singles.rates * (1.0 + 1e-12) + 1e-15)
 
 
 def test_conditional_narrower_and_fedorov_matches_schmidt_number():
     inten = ratio_two_intensity(n=2001)
-    singles = singles_scan(inten, GEOM, "signal", zero_width=True)
-    coinc = coincidence_scan(inten, GEOM, 0.0, zero_width=True)
+    singles = singles_scan(inten, None)
+    coinc = coincidence_scan(inten, 0.0, None, None)
     assert fwhm_of(coinc) < fwhm_of(singles)
-    assert fedorov_ratio(inten, GEOM, [0.0], zero_width=True) == pytest.approx(1.25, abs=2e-4)
+    assert fedorov_ratio(inten, IDEAL, None) == pytest.approx(1.25, abs=2e-4)
 
 
 def test_fedorov_matched_widths_is_unity_with_real_slits():
@@ -193,19 +197,20 @@ def test_fedorov_matched_widths_is_unity_with_real_slits():
     grid = WavevectorGrid.centered(0.0, 6.0, 1001)
     inten = multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
     # separable amplitude: conditioning cannot change the scanned profile
-    assert fedorov_ratio(inten, GEOM, [0.0]) == pytest.approx(1.0, abs=1e-10)
-    assert fedorov_ratio(inten, GEOM, [0.0], zero_width=True) == pytest.approx(1.0, abs=1e-10)
+    assert fedorov_ratio(inten, WINDOWS, None) == pytest.approx(1.0, abs=1e-10)
+    assert fedorov_ratio(inten, IDEAL, None) == pytest.approx(1.0, abs=1e-10)
     # the same mode on both rings: two singles peaks, one measured
     params = MultiPeakParams((1.0,), 0.0, 20.0, widths, branch="both")
     both = multipeak_intensity(params, default_grid(params, 801, 6.0))
-    for zero_width in (False, True):
-        ratio = fedorov_ratio(both, GEOM, params.signal_centers(), zero_width=zero_width)
+    for windows in (WINDOWS, IDEAL):
+        ratio = fedorov_ratio(both, windows, params.mode_spacing())
         assert ratio == pytest.approx(1.0, abs=1e-10)
     # rings too close to split the singles peak: the merged peak is measured whole
     near = dataclasses.replace(params, noncollinear_offset=1.0)
     merged = multipeak_intensity(near, default_grid(near, 801, 6.0))
-    assert near.signal_centers().size == 2 and fwhm_of(singles_scan(merged, GEOM, "signal")) > 1.0
-    assert fedorov_ratio(merged, GEOM, near.signal_centers()) == fedorov_ratio(merged, GEOM, [0.5])
+    assert near.mode_spacing() == 1.0 and fwhm_of(singles_scan(merged, WINDOWS[0])) > 1.0
+    assert fedorov_ratio(merged, WINDOWS, near.mode_spacing()) == fedorov_ratio(
+        merged, WINDOWS, None)
 
 
 def two_block_intensity(far_scale=1.0):
@@ -236,17 +241,17 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     j_near = 120  # ki = 0.3: 21 nodes around ks = 0
     j_far = 150   # ki = 0.6: 7 nodes around ks = 0.3
 
-    ki, mi = marginal_intensity(inten, "idler")
+    ki, mi = marginal_intensity(inten.swapped())
     assert mi[j_near] == mi[j_far] == mi.max()
     assert idler_peak_center(inten) == ki[j_near]
 
     # the singles hold one peak per block, so the widths are read within
     # half the spacing of the two blocks' centres
-    got = fedorov_ratio(inten, GEOM, [0.0, 0.3], zero_width=True)
+    got = fedorov_ratio(inten, IDEAL, 0.3)
     window = (-0.15, 0.15)
-    singles = fwhm_of(singles_scan(inten, GEOM, "signal", zero_width=True), window)
-    near = fwhm_of(coincidence_scan(inten, GEOM, ki[j_near], zero_width=True), window)
-    far = fwhm_of(coincidence_scan(inten, GEOM, ki[j_far], zero_width=True))
+    singles = fwhm_of(singles_scan(inten, None), window)
+    near = fwhm_of(coincidence_scan(inten, ki[j_near], *IDEAL), window)
+    far = fwhm_of(coincidence_scan(inten, ki[j_far], *IDEAL))
     assert got == pytest.approx(singles / near, rel=1e-12)
     assert abs(got - singles / far) > 0.5
 
@@ -254,7 +259,7 @@ def test_fedorov_tie_breaks_toward_smaller_k():
 def test_idler_tie_within_rounding_breaks_toward_smaller_k():
     # the far block a relative 2^-50 up: a last-bit lead must not move the slit
     inten = two_block_intensity(far_scale=1.0 + 2.0 ** -50)
-    ki, mi = marginal_intensity(inten, "idler")
+    ki, mi = marginal_intensity(inten.swapped())
     assert mi[150] > mi[120] and mi[150] == mi.max()
     assert idler_peak_center(inten) == ki[120]
 
@@ -264,7 +269,7 @@ def test_mirror_ring_tie_parks_the_slit_on_the_negative_node():
     # floating point either node can lead by a relative 1e-15
     run = load_config(THREE_MODES, {"grid.points": 841, "grid.both_branches": True})
     inten = run.intensity()
-    ki, mi = marginal_intensity(inten, "idler")
+    ki, mi = marginal_intensity(inten.swapped())
     ring = [int(np.argmin(np.abs(ki - k))) for k in (-0.6746527647, 0.6746527647)]
     assert np.all(mi[ring] >= (1.0 - 1e-12) * mi.max())
     assert idler_peak_center(inten) == ki[ring[0]]
@@ -272,17 +277,16 @@ def test_mirror_ring_tie_parks_the_slit_on_the_negative_node():
 
 def test_scan_position_filtering():
     inten = ratio_two_intensity(n=401)
-    with pytest.raises(ValueError, match="outside the grid"):
-        coincidence_scan(inten, GEOM, 999.0)
-    with pytest.raises(ValueError, match="which"):
-        singles_scan(inten, GEOM, "pump")
+    for windows in (WINDOWS, IDEAL):
+        with pytest.raises(ValueError, match="outside the grid"):
+            coincidence_scan(inten, 999.0, *windows)
 
 
 def test_wider_slit_never_loses_counts():
     inten = ratio_two_intensity(n=801)
-    narrow = singles_scan(inten, GEOM, "signal")
+    narrow = singles_scan(inten, WINDOWS[0])
     wide_geom = dataclasses.replace(GEOM, slit_width_signal_mm=0.4)
-    wide = singles_scan(inten, wide_geom, "signal")
+    wide = singles_scan(inten, wide_geom.slit_windows()[0])
     assert np.all(wide.rates >= narrow.rates - 1e-15)
 
 
@@ -301,7 +305,7 @@ def three_peak_intensity():
 def test_fixed_idler_slit_selects_one_mode():
     inten, params, cfg = three_peak_intensity()
     offset = params.noncollinear_offset
-    coinc = coincidence_scan(inten, GEOM, -offset / 2.0, zero_width=True)
+    coinc = coincidence_scan(inten, -offset / 2.0, *IDEAL)
     peak = coinc.rates.max()
     k = coinc.positions
     for other in (offset / 2.0 + 0.168, offset / 2.0 - 0.168):
@@ -318,8 +322,7 @@ def test_idler_between_two_modes_sees_both():
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((1.0, 1.0), 0.168, offset, widths)
     gs = default_grid(params, 769, 6.0)
-    coinc = coincidence_scan(multipeak_intensity(params, gs), GEOM, -offset / 2.0,
-                             zero_width=True)
+    coinc = coincidence_scan(multipeak_intensity(params, gs), -offset / 2.0, *IDEAL)
     pos, height = find_peaks(coinc, min_height_frac=0.2)
     assert pos.size == 2
     assert height[0] == pytest.approx(height[1], rel=1e-6)
@@ -395,8 +398,7 @@ def test_wavelength_average_broadens_monotonically():
     window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
 
     def signal_fwhm(source):
-        scan = singles_scan(source, GEOM, "signal", zero_width=True)
-        return fwhm_of(scan, window=window)
+        return fwhm_of(singles_scan(source, None), window=window)
 
     mono = signal_fwhm(builder(offset))
     w10 = signal_fwhm(wavelength_average(cfg, GEOM, params, grid))
@@ -405,7 +407,7 @@ def test_wavelength_average_broadens_monotonically():
     assert mono < w10 < w20
 
     avg = wavelength_average(cfg, GEOM, params, grid)
-    scan = singles_scan(avg, GEOM, "signal", zero_width=True)
+    scan = singles_scan(avg, None)
     pos, _ = find_peaks(scan, min_height_frac=0.5)
     assert pos[int(np.argmax(np.abs(pos)))] == pytest.approx(offset / 2.0, abs=1e-3)
 

@@ -41,6 +41,15 @@ RUNS = (
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("scan", "three_modes", ("--grid-points", "841", "--both-branches", "--wavelength-avg"),
      ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
+    ("fedorov", "three_modes", ("--zero-width-slits",), ()),
+    ("fedorov", "three_modes", ("--grid-points", "841", "--both-branches", "--zero-width-slits"),
+     ()),
+    ("scan", "three_modes", ("--idler-center", "-0.68"),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
+    ("scan", "three_modes", ("--idler-center", "-0.68", "--zero-width-slits"),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
+    ("scan", "three_modes", ("--wavelength-avg", "--zero-width-slits"),
+     ("singles_signal.csv", "singles_idler.csv", "coincidence_signal.csv")),
     ("pump", "three_modes", (), ("pump_field.csv",)),
     ("crosstalk", "crosstalk", (), ("crosstalk.csv",)),
     ("hologram", "hologram", (), ("hologram.pgm",)),
@@ -117,6 +126,24 @@ GOLDEN = {
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg "
         "coincidence_signal.csv":
             "60b716e6d00e035a561066a654f814ce4f11407169b349ddb4043443344ee2d4",
+        "scan three_modes --idler-center -0.68 singles_signal.csv":
+            "cd32b144f8dcbc78b5c7b9b649f76ca1752163c9b3a65a920a868dee50a22ae5",
+        "scan three_modes --idler-center -0.68 singles_idler.csv":
+            "a45efbc1e03ff944f53c1d55800074eb599469b5c80ff977babde20577cc5075",
+        "scan three_modes --idler-center -0.68 coincidence_signal.csv":
+            "0fd202c3bffdeb433d636aa3307a053dbd5443cc1ba2d1feed72f3945eb41061",
+        "scan three_modes --idler-center -0.68 --zero-width-slits singles_signal.csv":
+            "151278faf4a35c22ab61d3fd966a6584124e028839a9036af77d0881836dc711",
+        "scan three_modes --idler-center -0.68 --zero-width-slits singles_idler.csv":
+            "d21d1ec4ba13e563c97fc01463c8a2d9bd7e06b1c92930bfc5444166c3436e57",
+        "scan three_modes --idler-center -0.68 --zero-width-slits coincidence_signal.csv":
+            "a7a62ad1534b52df5128543932411592b1347f5eea24477416293c78e82a4152",
+        "scan three_modes --wavelength-avg --zero-width-slits singles_signal.csv":
+            "e59c164316ae525e4e16b6dd2d0bb2b2f17b8241369af5c5bf373e567354d047",
+        "scan three_modes --wavelength-avg --zero-width-slits singles_idler.csv":
+            "9cbccd5383911374519e7993e922a2fd3e2ae5155829ca413460bd13f6e1e091",
+        "scan three_modes --wavelength-avg --zero-width-slits coincidence_signal.csv":
+            "d6dcb55f23aa242b566071733842c305f00c7e2f9862a2299f35df21ed82995b",
         "pump three_modes pump_field.csv":
             "b67de4444d1c07a4a2a0e33bca851d8827bf5ca1b3fbdf6a48e0f9f88917cd94",
         "crosstalk crosstalk crosstalk.csv":
@@ -147,6 +174,16 @@ GOLDEN = {
             "e5aff850f99b19e879a65b65af7244a636b290aa192dcccfa101d4b8959d8612",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg stdout":
             "ea9cad4b845052d8ca8acedd0b493510472151ffa26deaf2e7108fe0f9c3e8b1",
+        "fedorov three_modes --zero-width-slits stdout":
+            "ba95b278c7d36f40e29c0f99b749c977534aa1ba22ddcd09d1af2bff5485f5cf",
+        "fedorov three_modes --grid-points 841 --both-branches --zero-width-slits stdout":
+            "0213f6226cdc9040a642e1ca63bd439707336b1e14803e381d45b51601ad5fb0",
+        "scan three_modes --idler-center -0.68 stdout":
+            "5ed5ab3117018c52a9ee6300a531a93b505e997bd3c13cfe62ba50066f57e0b5",
+        "scan three_modes --idler-center -0.68 --zero-width-slits stdout":
+            "c9007c8c81d8c44010addce91874ede90f48426484c793a278d529f7d725dc11",
+        "scan three_modes --wavelength-avg --zero-width-slits stdout":
+            "18c7298176494f9159e342e1d3f19043be510240f6e31478d81031df2ac22906",
         "pump three_modes stdout":
             "ef801ff0ff052ca1ec17ab6a934d8dc0a9c2a23ecab2c756016127164c68a3bd",
         "crosstalk crosstalk stdout":

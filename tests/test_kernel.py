@@ -23,6 +23,7 @@ from spdc_modes.kernel import (
     multipeak_intensity,
     pump_spectrum_from_field,
     sum_coordinate_grid,
+    sum_difference_product,
 )
 from spdc_modes.optics import (
     PhaseMatchConfig,
@@ -137,6 +138,13 @@ def test_default_grids_center_on_branch():
          -1.347 / 2 + 0.168, -1.347 / 2, -1.347 / 2 - 0.168])
     collinear = dataclasses.replace(both, noncollinear_offset=0.0)
     assert collinear.signal_centers() == pytest.approx([0.168, 0.0, -0.168])
+    # the smallest gap between distinct centers; a single mode has none
+    assert both.mode_spacing() == pytest.approx(0.168)
+    assert collinear.mode_spacing() == pytest.approx(0.168)
+    one = dataclasses.replace(both, amplitudes=(1.0,))
+    assert one.mode_spacing() == pytest.approx(1.347)
+    assert dataclasses.replace(one, branch="+").mode_spacing() is None
+    assert dataclasses.replace(one, noncollinear_offset=0.0).mode_spacing() is None
 
 
 def test_both_branches_point_symmetric():
@@ -237,13 +245,25 @@ def test_marginal_intensity_integrates_to_one():
     widths = PumpWidths(SIGMA, 2 * SIGMA)
     grid = centered(10 * SIGMA, 256)
     inten = multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
-    k, m = marginal_intensity(inten, "signal")
+    k, m = marginal_intensity(inten)
     assert np.sum(m) * grid.spacing == pytest.approx(1.0, abs=1e-12)
     # marginal of the double Gaussian is Gaussian with variance (a^2+b^2)/8
     var = np.sum(m * k ** 2) * grid.spacing
     assert var == pytest.approx((SIGMA ** 2 + 4 * SIGMA ** 2) / 8.0, rel=1e-9)
-    with pytest.raises(ValueError, match="which"):
-        marginal_intensity(inten, "pump")
+
+
+def test_swapped_intensity_is_the_transpose():
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, PumpWidths(0.16, 0.2))
+    inten = multipeak_intensity(params, default_grid(params, 96, 5.0))
+    swapped = inten.swapped()
+    assert swapped.grid_s == inten.grid_i and swapped.grid_i == inten.grid_s
+    n = inten.grid_s.n_points
+    joint = sum_difference_product(inten.at_sums, inten.at_differences, n)
+    assert np.array_equal(sum_difference_product(swapped.at_sums, swapped.at_differences, n),
+                          joint.T)
+    twice = swapped.swapped()
+    assert twice.grid_s == inten.grid_s
+    assert np.array_equal(twice.at_differences, inten.at_differences)
 
 
 def test_sum_coordinate_grid_nodes():
@@ -433,7 +453,7 @@ def test_idler_grid_and_marginal_mirror_the_signal(tmp_path, capsys, flags):
 
     overrides = {"grid.points": 841, "grid.both_branches": True} if flags else {}
     inten = load_config(THREE, overrides).intensity()
-    _, m_s = marginal_intensity(inten, "signal")
-    _, m_i = marginal_intensity(inten, "idler")
+    _, m_s = marginal_intensity(inten)
+    _, m_i = marginal_intensity(inten.swapped())
     assert m_s.size == signal["n_points"]
     assert np.max(np.abs(m_i[::-1] - m_s)) <= 1e-13 * m_s.max()

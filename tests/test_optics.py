@@ -118,15 +118,15 @@ def test_external_angle_rejects_total_internal_reflection():
 
 
 def test_bbo_external_angle_is_ten_degrees():
-    n_o, _ = refractive_indices(BBO, 810.0)
-    _, n_theta = refractive_indices(BBO, 405.0, math.radians(BBO_CUT_DEG))
+    n_o, _ = refractive_indices(BBO, 0.81)
+    _, n_theta = refractive_indices(BBO, 0.405, math.radians(BBO_CUT_DEG))
     cfg = PhaseMatchConfig(3000.0, 0.405, n_o, n_theta)
     assert math.degrees(external_signal_angle(cfg)) == pytest.approx(10.0, abs=1e-9)
     assert noncollinear_offset(cfg).offset_um_inv == pytest.approx(1.3469921957226902, rel=1e-12)
 
 
 def test_sellmeier_frozen_indices():
-    n_o, n_e_principal = refractive_indices(BBO, 810.0, math.pi / 2.0)
+    n_o, n_e_principal = refractive_indices(BBO, 0.81, math.pi / 2.0)
     assert n_o == pytest.approx(1.6602583173171748, rel=1e-14)
     # independent evaluation of the dispersion form at 0.81 um
     lam2 = 0.81 * 0.81
@@ -134,14 +134,14 @@ def test_sellmeier_frozen_indices():
         math.sqrt(2.7359 + 0.01878 / (lam2 - 0.01822) - 0.01354 * lam2), rel=1e-15)
     assert n_e_principal == pytest.approx(
         math.sqrt(2.3753 + 0.01224 / (lam2 - 0.01667) - 0.01516 * lam2), rel=1e-15)
-    _, n_pump = refractive_indices(BBO, 405.0, math.radians(BBO_CUT_DEG))
+    _, n_pump = refractive_indices(BBO, 0.405, math.radians(BBO_CUT_DEG))
     assert n_pump == pytest.approx(1.6579880614409859, rel=1e-14)
 
 
 def test_angle_tuned_index_limits():
-    n_o, n_at_zero = refractive_indices(BBO, 405.0, 0.0)
+    n_o, n_at_zero = refractive_indices(BBO, 0.405, 0.0)
     assert n_at_zero == pytest.approx(n_o, rel=1e-15)
-    n_o2, n_at_ninety = refractive_indices(BBO, 405.0, math.pi / 2.0)
+    n_o2, n_at_ninety = refractive_indices(BBO, 0.405, math.pi / 2.0)
     assert n_at_ninety == pytest.approx(BBO.extraordinary.index(0.405), rel=1e-15)
     assert n_at_ninety < n_o2  # negative uniaxial
 
@@ -150,7 +150,7 @@ def test_sellmeier_pole_and_window_errors():
     with pytest.raises(ValueError, match="pole"):
         BBO.ordinary.index(0.13)
     with pytest.raises(ValueError, match="validity window"):
-        refractive_indices(BBO, 1500.0)
+        refractive_indices(BBO, 1.5)
     with pytest.raises(ValueError, match="n\\^2"):
         SellmeierAxis(1.0, 0.001, 0.01822, 10.0).index(1.0)
 

@@ -46,26 +46,29 @@ def joint_amplitude(params, gs, gi):
     return amp / math.sqrt(np.sum(amp ** 2) * gs.spacing * gi.spacing)
 
 
-def coincidence_2d(values, gs, gi, geom, center, zero_width):
-    """The coincidence rates of a joint intensity array, as the 2D code read them."""
+def coincidence_2d(values, gs, gi, center, signal_window, idler_window):
+    """The coincidence rates of a joint intensity array, as the 2D code read them;
+    a window of None is the ideal zero-width slit."""
     kf = gi.points()
-    if zero_width:
+    if idler_window is None:
         j = min(max(int(np.searchsorted(kf, center)), 1), kf.size - 1)
         t = (center - kf[j - 1]) / (kf[j] - kf[j - 1])
-        return (1.0 - t) * values[:, j - 1] + t * values[:, j]
-    width = geom.slit_acceptance("idler")
-    seg = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(kf)
-    cum = np.concatenate((np.zeros((values.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
-    columns = np.arange(kf.size, dtype=float)
+        conditional = (1.0 - t) * values[:, j - 1] + t * values[:, j]
+    else:
+        seg = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(kf)
+        cum = np.concatenate((np.zeros((values.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
+        columns = np.arange(kf.size, dtype=float)
 
-    def at(frac):
-        j = min(max(int(math.floor(frac)), 0), kf.size - 2)
-        return (1.0 - (frac - j)) * cum[:, j] + (frac - j) * cum[:, j + 1]
+        def at(frac):
+            j = min(max(int(math.floor(frac)), 0), kf.size - 2)
+            return (1.0 - (frac - j)) * cum[:, j] + (frac - j) * cum[:, j + 1]
 
-    conditional = (at(np.interp(center + width / 2.0, kf, columns))
-                   - at(np.interp(center - width / 2.0, kf, columns)))
+        conditional = (at(np.interp(center + idler_window / 2.0, kf, columns))
+                       - at(np.interp(center - idler_window / 2.0, kf, columns)))
+    if signal_window is None:
+        return conditional
     ks = gs.points()
-    return _box_integral(ks, conditional, ks, geom.slit_acceptance("signal"))
+    return _box_integral(ks, conditional, ks, signal_window)
 
 
 def assert_close(got, want, peak=None):
@@ -122,30 +125,34 @@ def test_marginals_match_the_joint_sums(case):
     gi = gs.mirrored()
     values = joint_amplitude(params, gs, gi) ** 2
     inten = multipeak_intensity(params, gs)
-    k, signal = marginal_intensity(inten, "signal")
+    k, signal = marginal_intensity(inten)
     assert np.array_equal(k, gs.points())
     assert_close(signal, values.sum(axis=1) * gi.spacing)
-    k, idler = marginal_intensity(inten, "idler")
+    k, idler = marginal_intensity(inten.swapped())
     assert np.array_equal(k, gi.points())
     assert_close(idler, values.sum(axis=0) * gs.spacing)
 
 
-@pytest.mark.parametrize("zero_width", [True, False], ids=["zero-width", "finite"])
-def test_coincidence_scans_match_the_joint_columns(case, zero_width):
+SIGNAL_WINDOW, IDLER_WINDOW = DetectionGeometry().slit_windows()
+
+
+@pytest.mark.parametrize("windows", [(None, None), (SIGNAL_WINDOW, IDLER_WINDOW),
+                                     (None, IDLER_WINDOW), (SIGNAL_WINDOW, None)],
+                         ids=["zero-width", "finite", "finite-idler", "finite-signal"])
+def test_coincidence_scans_match_the_joint_columns(case, windows):
     params, gs = case
     gi = gs.mirrored()
     values = joint_amplitude(params, gs, gi) ** 2
     inten = multipeak_intensity(params, gs)
     kf = gi.points()
-    geom = DetectionGeometry()
     peak = None
     # the peak, a slit between nodes, and slits reaching past either end; the
     # off-peak scans are read against the peak scan's maximum, since the 2D
     # code's cumulative sums carry errors of the whole row's size
     for center in (idler_peak_center(inten), 0.37 * kf[3] + 0.63 * kf[4],
                    kf[0], kf[-2] + 0.5 * gi.spacing):
-        got = coincidence_scan(inten, geom, center, zero_width=zero_width)
-        want = coincidence_2d(values, gs, gi, geom, center, zero_width)
+        got = coincidence_scan(inten, center, *windows)
+        want = coincidence_2d(values, gs, gi, center, *windows)
         peak = np.max(want) if peak is None else peak
         assert np.array_equal(got.positions, gs.points())
         assert_close(got.rates, want, peak)
