@@ -178,7 +178,7 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
     grid = cfg.grid()
     scale = schmidt.analytic_double_gaussian(params.widths).mode_scale
     log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid)
-    matrix = detection.crosstalk_matrix(log_modes, grid, log_input=True)
+    matrix = detection.crosstalk_matrix(log_modes, grid)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)
     return ["mode centers (1/um): " + ", ".join(f"{c:.6g}" for c in centers),
             f"fundamental mode scale = {scale:.10g} 1/um",
@@ -305,9 +305,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         + [f"wrote {os.path.join(out_dir, name)}" for name in outputs]
                         + [f"warning: {m}"
                            for m in dict.fromkeys(str(w.message) for w in caught)])
+        flags = ((flag, getattr(args, flag[2:].replace("-", "_")))
+                 for flag, _options in _COMMANDS[args.command][2])
         log_lines = [f"command: {args.command}", f"config: {args.config}",
                      *(f"cli override: {key} = {'true' if value is True else value}"
                        for key, value in overrides.items()),
+                     *(f"cli flag: {flag}" if value is True else f"cli flag: {flag} {value}"
+                       for flag, value in flags if value is not None and value is not False),
                      "-- parameters (provenance) --", *cfg.provenance_lines(),
                      "-- results --", *result_lines, ""]
         exports.atomic_write_text(os.path.join(stage, f"{args.command}.log"),

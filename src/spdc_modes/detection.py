@@ -23,7 +23,6 @@ from .kernel import (
     MultiPeakParams,
     check_grids,
     diagonal_sums,
-    marginal_intensity,
     sum_difference_nodes,
 )
 from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid
@@ -83,7 +82,7 @@ def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
 def singles_scan(inten: JointIntensity, window: Optional[float]) -> ScanSpectrum:
     """Signal rate at every grid node, idler integrated out, through a slit ``window``
     wide (1/um; None is the ideal zero-width slit). The idler's is that of ``inten.swapped()``."""
-    k, marginal = marginal_intensity(inten)
+    k, marginal = inten.grid_s.points(), inten.marginal
     return ScanSpectrum(k, marginal if window is None else _box_integral(k, marginal, k, window))
 
 
@@ -245,7 +244,7 @@ def idler_peak_center(inten: JointIntensity) -> float:
     order is rounding noise. Ties go to the smaller |k|, then to the
     negative k, which is the idler side of the ``+`` ring.
     """
-    ki, mi = marginal_intensity(inten.swapped())
+    ki, mi = inten.grid_i.points(), inten.swapped().marginal
     top = ki[mi >= (1.0 - PEAK_TIE_RTOL) * mi.max()]
     return float(top[np.abs(top) <= (1.0 + PEAK_TIE_RTOL) * np.abs(top).min()].min())
 
@@ -391,45 +390,30 @@ def gaussian_mode_log_intensities(centers: Sequence[float], scale: float,
     return -((k - c) ** 2) / (scale * scale) - 0.5 * math.log(math.pi * scale * scale)
 
 
-def crosstalk_matrix(modes: np.ndarray, grid: WavevectorGrid,
-                     log_input: bool = False) -> CrosstalkMatrix:
-    """Normalized squared overlaps X_mn between mode profiles.
+def crosstalk_matrix(log_modes: np.ndarray, grid: WavevectorGrid) -> CrosstalkMatrix:
+    """Normalized squared intensity overlaps X_mn between mode profiles.
 
-    X_mn = |<u_m|u_n>|^2 / (<u_m|u_m> <u_n|u_n>) with <u|v> the integral of
-    u* v, so X_mm = 1 and X is symmetric. Rows of intensities give the
-    intensity overlap (integral I_m I_n)^2 / (integral I_m^2 integral I_n^2);
-    rows of (possibly complex) amplitudes give the amplitude overlap.
-    ``log_input`` treats rows as natural-log intensities and works entirely
-    in the log domain, which keeps vanishing overlaps meaningful far below
-    float underflow.
+    Each row of ``log_modes`` is a natural-log intensity profile I_m, and
+    X_mn = (integral I_m I_n)^2 / (integral I_m^2 integral I_n^2), so X_mm = 1
+    and X is symmetric. The whole computation runs in the log domain, which
+    keeps vanishing overlaps meaningful far below float underflow.
     """
-    modes = np.asarray(modes)
-    if modes.ndim != 2:
-        raise ValueError(f"modes must be 2D (n_modes, n_k), got shape {modes.shape}")
-    n, nk = modes.shape
+    log_modes = np.asarray(log_modes)
+    if log_modes.ndim != 2:
+        raise ValueError(f"modes must be 2D (n_modes, n_k), got shape {log_modes.shape}")
+    n, nk = log_modes.shape
     if grid.n_points != nk:
         raise ValueError(f"grid has {grid.n_points} points but modes have {nk}")
     w = np.full(nk, grid.spacing)
     w[0] = w[-1] = grid.spacing / 2.0
-
-    if log_input:
-        logw = np.log(w)
-        log_cross = np.empty((n, n))
-        # one row at a time: an (n, n, nk) broadcast costs n times the memory
-        for m in range(n):
-            row = logsumexp(modes[m] + modes[m:] + logw, axis=1)
-            log_cross[m, m:] = log_cross[m:, m] = row
-        diag = np.diag(log_cross)
-        log_x = 2.0 * log_cross - diag[:, None] - diag[None, :]
-        with np.errstate(under="ignore"):
-            values = np.exp(log_x)
-        return CrosstalkMatrix(values, log_x)
-
-    gram = (modes.conj() * w) @ modes.T
-    diag = np.real(np.diag(gram))
-    if np.any(diag <= 0):
-        raise ValueError("every mode needs positive norm")
-    x = np.abs(gram) ** 2 / (diag[:, None] * diag[None, :])
-    with np.errstate(divide="ignore"):
-        log_x = np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
-    return CrosstalkMatrix(x, log_x)
+    logw = np.log(w)
+    log_cross = np.empty((n, n))
+    # one row at a time: an (n, n, nk) broadcast costs n times the memory
+    for m in range(n):
+        row = logsumexp(log_modes[m] + log_modes[m:] + logw, axis=1)
+        log_cross[m, m:] = log_cross[m:, m] = row
+    diag = np.diag(log_cross)
+    log_x = 2.0 * log_cross - diag[:, None] - diag[None, :]
+    with np.errstate(under="ignore"):
+        values = np.exp(log_x)
+    return CrosstalkMatrix(values, log_x)

@@ -162,15 +162,13 @@ def encode_hologram(target: FieldProfile1D, settings: HologramSettings) -> Holog
 # replay
 # ---------------------------------------------------------------------------
 
-def first_order(phase: np.ndarray, settings: HologramSettings,
-                order_center: float = 1.0) -> FieldProfile1D:
+def first_order(phase: np.ndarray, settings: HologramSettings) -> FieldProfile1D:
     """Demodulated first diffraction order of one raster row's phase (radians).
 
     The phase drives a flat unit input beam; the spectral window
     spans half a grating frequency either side of the carrier, and the
     carrier is divided out so the result sits at baseband, comparable to
-    the encoding target. ``order_center`` picks a different diffraction
-    order (0 gives the undiffracted light) for negative controls.
+    the encoding target.
     """
     phase = np.asarray(phase, dtype=float)
     if phase.ndim != 1:
@@ -180,16 +178,15 @@ def first_order(phase: np.ndarray, settings: HologramSettings,
     spectrum = np.fft.fft(np.exp(1j * phase))
     freqs = np.fft.fftfreq(phase.size, d=pitch)
     grating_freq = 1.0 / (settings.grating_period_px * pitch)
-    center = order_center * grating_freq
-    window = (freqs > center - 0.5 * grating_freq) & (freqs < center + 0.5 * grating_freq)
+    window = (freqs > 0.5 * grating_freq) & (freqs < 1.5 * grating_freq)
     field = np.fft.ifft(spectrum * window)
-    return FieldProfile1D(x, field * np.exp(-2j * math.pi * center * x))
+    return FieldProfile1D(x, field * np.exp(-2j * math.pi * grating_freq * x))
 
 
-def simulate_first_order(holo: HologramImage, order_center: float = 1.0) -> FieldProfile1D:
+def simulate_first_order(holo: HologramImage) -> FieldProfile1D:
     """Field diffracted into the first order of the raster's first row."""
     phase = holo.phase_levels[0].astype(float) * (2.0 * math.pi / PHASE_LEVELS)
-    return first_order(phase, holo.settings, order_center)
+    return first_order(phase, holo.settings)
 
 
 def field_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:

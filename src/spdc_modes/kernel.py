@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,9 +109,24 @@ class JointIntensity(MirroredIdler):
             self.at_differences[n - start - width:2 * n - start - 1], width)[:, ::-1]
         return np.einsum("ic,ic,c->i", pump, match, weights)
 
+    @cached_property
+    def marginal(self) -> np.ndarray:
+        """Read-only signal intensity with the idler integrated out, one value per
+        signal node: the band sum over the idler nodes j of
+        at_sums[i + j] * at_differences[i - j + n - 1], so only pairs whose
+        partner lies on its grid count, as on the joint array. Formed once."""
+        band = self.weighted_columns(0, np.ones(self.grid_s.n_points)) * self.grid_s.spacing
+        band.flags.writeable = False
+        return band
+
     def swapped(self) -> "JointIntensity":
         """The photons exchanged, so every idler observable is the signal one of the
-        result: ki - ks reverses the difference nodes, and the grid is mirrored."""
+        result: ki - ks reverses the difference nodes, and the grid is mirrored.
+        Every call returns the same object, so the idler marginal is formed once."""
+        return self._swapped
+
+    @cached_property
+    def _swapped(self) -> "JointIntensity":
         return JointIntensity(self.grid_i, self.at_sums, self.at_differences[::-1], self.warnings)
 
 
@@ -342,30 +358,6 @@ def sum_difference_product(at_sums: np.ndarray, at_differences: np.ndarray, n: i
             * sliding_window_view(at_differences, n)[:, ::-1])
 
 
-def pump_spectrum_from_field(x_um: np.ndarray, field: np.ndarray,
-                             k_grid: WavevectorGrid) -> np.ndarray:
-    """Fourier transform of a crystal-plane field at ``k_grid``'s nodes.
-
-    Direct Riemann sum of E(x) exp(-i k x) dx (complex128); slow but free
-    of FFT gridding constraints, fine for the ~1e3-point profiles this
-    package deals in.
-    """
-    x = np.asarray(x_um, dtype=float)
-    e = np.asarray(field, dtype=complex)
-    if x.ndim != 1 or x.shape != e.shape:
-        raise ValueError("x_um and field must be matching 1D arrays")
-    dx = np.diff(x)
-    if not np.all(dx > 0):
-        raise ValueError("x_um must be strictly increasing")
-    phase = np.exp(-1j * np.outer(k_grid.points(), x))
-    # trapezoid weights keep the endpoints from being double-counted
-    w = np.empty_like(x)
-    w[1:-1] = 0.5 * (dx[:-1] + dx[1:])
-    w[0] = 0.5 * dx[0]
-    w[-1] = 0.5 * dx[-1]
-    return phase @ (e * w)
-
-
 def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: PhaseMatchConfig,
                     grid: WavevectorGrid, phasematch_model: str = "gaussian") -> TpaKernel:
     """Joint amplitude from a sampled pump spectrum and a matching profile.
@@ -407,15 +399,3 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
             match[delta < 0] = 0.0
 
     return TpaKernel.from_profiles(grid, spectrum, match)
-
-
-def marginal_intensity(inten: JointIntensity) -> tuple:
-    """(k_points, intensity) of the signal photon with the idler integrated out;
-    the idler's is that of ``inten.swapped()``.
-
-    The marginal at node i is the band sum over the idler nodes j of
-    at_sums[i + j] * at_differences[i - j + n - 1]; only pairs whose
-    partner lies on its grid count, as on the joint array.
-    """
-    band = inten.weighted_columns(0, np.ones(inten.grid_s.n_points))
-    return inten.grid_s.points(), band * inten.grid_s.spacing

@@ -214,16 +214,16 @@ class AnalyticModes:
     mode_scale: float             # Hermite-Gauss scale in 1/um
 
 
-def analytic_double_gaussian(widths: PumpWidths, m_max: int = 32) -> AnalyticModes:
+def analytic_double_gaussian(widths: PumpWidths) -> AnalyticModes:
     """Closed-form Schmidt data for the centered double-Gaussian amplitude.
 
-    With a = sigma_pump, b = sigma_match:
-    mu = ((b - a) / (b + a))^2, eigenvalues (1 - mu) mu^m, Schmidt number
-    (a^2 + b^2) / (2 a b), and modes are Hermite-Gauss with scale
+    With a = sigma_pump, b = sigma_match and mu = ((b - a) / (b + a))^2,
+    orders m < MAX_MODES have eigenvalues (1 - mu) mu^m, the Schmidt number
+    is (a^2 + b^2) / (2 a b), and modes are Hermite-Gauss with scale
     sqrt(a b / 2); the idler set is the mirror image of the signal set.
     """
     a, b = widths.sigma_pump, widths.sigma_match
     root = (b - a) / (b + a)
     mu = root * root
-    eigenvalues = (1.0 - mu) * mu ** np.arange(m_max)
+    eigenvalues = (1.0 - mu) * mu ** np.arange(MAX_MODES)
     return AnalyticModes((a * a + b * b) / (2.0 * a * b), eigenvalues, math.sqrt(a * b / 2.0))

@@ -5,6 +5,9 @@ The readers parse what :mod:`spdc_modes.exports` and
 can check a file's content. The Hermite-Gauss functions give the
 closed-form Schmidt modes of the double-Gaussian amplitude, and
 :func:`reconstruct_kernel` sums a decomposition back into a kernel.
+:func:`linear_crosstalk` is the direct overlap that the log-domain
+crosstalk is checked against, and :func:`pump_spectrum_from_field` turns a
+crystal-plane pump field into the sampled spectrum of ``build_from_pump``.
 """
 
 import math
@@ -97,3 +100,45 @@ def double_gaussian_modes(widths: PumpWidths, m_max: int,
     # psi_n(-k) = (-1)^n psi_n(k); otherwise it matches the signal set
     signs = (-1.0) ** np.arange(m_max) if widths.sigma_match > widths.sigma_pump else np.ones(m_max)
     return signal, signal * signs[:, None]
+
+
+def linear_crosstalk(modes: np.ndarray, grid: WavevectorGrid) -> np.ndarray:
+    """Normalized squared overlaps X_mn = |<u_m|u_n>|^2 / (<u_m|u_m> <u_n|u_n>),
+    with <u|v> the trapezoid integral of u* v, summed in the linear domain.
+
+    Rows of intensities give the intensity overlap that
+    ``detection.crosstalk_matrix`` computes from their logs; rows of
+    (possibly complex) amplitudes give the amplitude overlap.
+    """
+    modes = np.asarray(modes)
+    w = np.full(grid.n_points, grid.spacing)
+    w[0] = w[-1] = grid.spacing / 2.0
+    gram = (modes.conj() * w) @ modes.T
+    diag = np.real(np.diag(gram))
+    if np.any(diag <= 0):
+        raise ValueError("every mode needs positive norm")
+    return np.abs(gram) ** 2 / (diag[:, None] * diag[None, :])
+
+
+def pump_spectrum_from_field(x_um: np.ndarray, field: np.ndarray,
+                             k_grid: WavevectorGrid) -> np.ndarray:
+    """Fourier transform of a crystal-plane field at ``k_grid``'s nodes.
+
+    Direct Riemann sum of E(x) exp(-i k x) dx (complex128); slow but free
+    of FFT gridding constraints, fine for the ~1e3-point profiles this
+    package deals in.
+    """
+    x = np.asarray(x_um, dtype=float)
+    e = np.asarray(field, dtype=complex)
+    if x.ndim != 1 or x.shape != e.shape:
+        raise ValueError("x_um and field must be matching 1D arrays")
+    dx = np.diff(x)
+    if not np.all(dx > 0):
+        raise ValueError("x_um must be strictly increasing")
+    phase = np.exp(-1j * np.outer(k_grid.points(), x))
+    # trapezoid weights keep the endpoints from being double-counted
+    w = np.empty_like(x)
+    w[1:-1] = 0.5 * (dx[:-1] + dx[1:])
+    w[0] = 0.5 * dx[0]
+    w[-1] = 0.5 * dx[-1]
+    return phase @ (e * w)

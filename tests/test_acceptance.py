@@ -55,7 +55,7 @@ from spdc_modes.optics import (
 )
 from spdc_modes.schmidt import analytic_double_gaussian, schmidt_decompose, schmidt_number
 
-from oracles import double_gaussian_modes, reconstruct_kernel
+from oracles import double_gaussian_modes, linear_crosstalk, reconstruct_kernel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SINGLE = os.path.join(CONFIG_DIR, "single_mode.yaml")
@@ -151,7 +151,7 @@ def test_crosstalk_is_negligible_and_log_safe():
         scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
         centers = params.mode_offsets() + params.noncollinear_offset / 2.0
         logs = gaussian_mode_log_intensities(centers, scale, grid_s)
-        matrix = crosstalk_matrix(logs, grid_s, log_input=True)
+        matrix = crosstalk_matrix(logs, grid_s)
         off = ~np.eye(matrix.values.shape[0], dtype=bool)
         assert matrix.log10()[off].max() < -41.0
 
@@ -159,9 +159,9 @@ def test_crosstalk_is_negligible_and_log_safe():
         check = WavevectorGrid.centered(0.06, 0.5, 3001)
         s = 0.01
         logs4 = gaussian_mode_log_intensities([0.0, 4.0 * s], s, check)
-        via_log = crosstalk_matrix(logs4, check, log_input=True)
-        direct = crosstalk_matrix(np.exp(logs4), check)
-        assert via_log.values[0, 1] == pytest.approx(direct.values[0, 1], rel=1e-10)
+        via_log = crosstalk_matrix(logs4, check)
+        direct = linear_crosstalk(np.exp(logs4), check)
+        assert via_log.values[0, 1] == pytest.approx(direct[0, 1], rel=1e-10)
 
 
 def test_crosstalk_matches_the_closed_form_gaussian_law():
@@ -180,7 +180,7 @@ def test_crosstalk_matches_the_closed_form_gaussian_law():
             scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
             centers = cfg.pump.mode_offsets() + cfg.pump.noncollinear_offset / 2.0
             logs = gaussian_mode_log_intensities(centers, scale, grid_s)
-            matrix = crosstalk_matrix(logs, grid_s, log_input=True)
+            matrix = crosstalk_matrix(logs, grid_s)
             oracle = -((centers[:, None] - centers[None, :]) / scale) ** 2
             np.testing.assert_allclose(matrix.log_values, oracle, rtol=1e-12, atol=0.0)
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from spdc_modes import cli, detection, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
-from spdc_modes.kernel import marginal_intensity, sum_difference_product
+from spdc_modes.kernel import sum_difference_product
 from spdc_modes.optics import phase_matching_width
 
 from oracles import parse_pgm, read_csv
@@ -914,6 +914,26 @@ def test_cli_tpa_outputs_and_determinism(tmp_path, capsys):
     assert "-- parameters (provenance) --" in log
 
 
+@pytest.mark.parametrize("command, flags, logged", [
+    ("scan", (), []),
+    ("scan", ("--zero-width-slits", "--idler-center", "-0.68"),
+     ["cli flag: --idler-center -0.68", "cli flag: --zero-width-slits"]),
+    ("scan", ("--wavelength-avg",), ["cli flag: --wavelength-avg"]),
+    ("fedorov", (), []),
+    ("fedorov", ("--zero-width-slits",), ["cli flag: --zero-width-slits"]),
+])
+def test_cli_log_names_each_command_flag_set(tmp_path, capsys, command, flags, logged):
+    # one line per command flag set, after the overrides and only in the log
+    assert main([command, "--config", THREE, "--out", str(tmp_path),
+                 "--grid-points", "320", *flags]) == 0
+    assert "cli flag" not in capsys.readouterr().out
+    log = (tmp_path / f"{command}.log").read_text().splitlines()
+    provenance = log.index("-- parameters (provenance) --")
+    assert log[provenance - len(logged) - 1].startswith("cli override: ")
+    assert log[provenance - len(logged):provenance] == logged
+    assert [line for line in log if line.startswith("cli flag")] == logged
+
+
 def test_cli_schmidt_single_mode(tmp_path, capsys):
     out = tmp_path / "schmidt"
     assert main(["schmidt", "--config", SINGLE, "--out", str(out),
@@ -942,7 +962,8 @@ def test_cli_scan_three_modes(tmp_path, capsys):
 
     # zero-width singles are exactly the kernel's signal marginal
     cfg = dataclasses.replace(load_config(THREE), grid_points=320)
-    k, marg = marginal_intensity(cfg.intensity())
+    inten = cfg.intensity()
+    k, marg = inten.grid_s.points(), inten.marginal
     _, table = read_csv(str(out / "singles_signal.csv"))
     assert np.array_equal(table[:, 0], k)
     assert np.array_equal(table[:, 1], marg)

@@ -29,7 +29,6 @@ from spdc_modes.kernel import (
     JointIntensity,
     MultiPeakParams,
     default_grid,
-    marginal_intensity,
     multipeak_intensity,
     sum_difference_product,
 )
@@ -45,7 +44,7 @@ from spdc_modes.optics import (
     phase_matching_width,
 )
 
-from oracles import hermite_gauss
+from oracles import hermite_gauss, linear_crosstalk
 
 GEOM = DetectionGeometry()
 WINDOWS = GEOM.slit_windows()
@@ -91,11 +90,11 @@ def test_geometry_validation():
 def test_zero_width_singles_equals_marginal():
     inten = ratio_two_intensity(n=401)
     scan = singles_scan(inten, None)
-    k, marg = marginal_intensity(inten)
+    k, marg = inten.grid_s.points(), inten.marginal
     assert np.array_equal(scan.positions, k)
     assert np.array_equal(scan.rates, marg)
     scan_i = singles_scan(inten.swapped(), None)
-    k_i, marg_i = marginal_intensity(inten.swapped())
+    k_i, marg_i = inten.grid_i.points(), inten.swapped().marginal
     assert np.array_equal(scan_i.positions, k_i)
     assert np.array_equal(scan_i.rates, marg_i)
 
@@ -241,7 +240,7 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     j_near = 120  # ki = 0.3: 21 nodes around ks = 0
     j_far = 150   # ki = 0.6: 7 nodes around ks = 0.3
 
-    ki, mi = marginal_intensity(inten.swapped())
+    ki, mi = inten.grid_i.points(), inten.swapped().marginal
     assert mi[j_near] == mi[j_far] == mi.max()
     assert idler_peak_center(inten) == ki[j_near]
 
@@ -259,7 +258,7 @@ def test_fedorov_tie_breaks_toward_smaller_k():
 def test_idler_tie_within_rounding_breaks_toward_smaller_k():
     # the far block a relative 2^-50 up: a last-bit lead must not move the slit
     inten = two_block_intensity(far_scale=1.0 + 2.0 ** -50)
-    ki, mi = marginal_intensity(inten.swapped())
+    ki, mi = inten.grid_i.points(), inten.swapped().marginal
     assert mi[150] > mi[120] and mi[150] == mi.max()
     assert idler_peak_center(inten) == ki[120]
 
@@ -269,7 +268,7 @@ def test_mirror_ring_tie_parks_the_slit_on_the_negative_node():
     # floating point either node can lead by a relative 1e-15
     run = load_config(THREE_MODES, {"grid.points": 841, "grid.both_branches": True})
     inten = run.intensity()
-    ki, mi = marginal_intensity(inten.swapped())
+    ki, mi = inten.grid_i.points(), inten.swapped().marginal
     ring = [int(np.argmin(np.abs(ki - k))) for k in (-0.6746527647, 0.6746527647)]
     assert np.all(mi[ring] >= (1.0 - 1e-12) * mi.max())
     assert idler_peak_center(inten) == ki[ring[0]]
@@ -506,7 +505,7 @@ def test_wavelength_average_holds_one_joint_array():
 def test_crosstalk_identical_modes():
     grid = WavevectorGrid.centered(0.0, 1.0, 501)
     logs = gaussian_mode_log_intensities([0.0, 0.0], 0.05, grid)
-    x = crosstalk_matrix(logs, grid, log_input=True)
+    x = crosstalk_matrix(logs, grid)
     assert np.allclose(x.values, 1.0, atol=1e-12)
     assert np.max(np.abs(x.log_values)) < 1e-12
 
@@ -516,7 +515,7 @@ def test_crosstalk_gaussian_separation_law():
     s = 0.02
     d = 0.5
     logs = gaussian_mode_log_intensities([0.0, d, 2.0 * d], s, grid)
-    x = crosstalk_matrix(logs, grid, log_input=True)
+    x = crosstalk_matrix(logs, grid)
     assert x.log_values[0, 1] == pytest.approx(-d * d / (s * s), rel=1e-10)
     assert x.log_values[1, 2] == pytest.approx(x.log_values[0, 1], rel=1e-10)
     # twice the separation costs four times the exponent
@@ -531,19 +530,19 @@ def test_crosstalk_log_domain_agrees_with_direct():
     s = 0.01
     for d in (4.0 * s, 6.0 * s):
         logs = gaussian_mode_log_intensities([0.0, d], s, grid)
-        via_log = crosstalk_matrix(logs, grid, log_input=True)
-        direct = crosstalk_matrix(np.exp(logs), grid)
-        assert via_log.values[0, 1] == pytest.approx(direct.values[0, 1], rel=1e-10)
+        via_log = crosstalk_matrix(logs, grid)
+        direct = linear_crosstalk(np.exp(logs), grid)
+        assert via_log.values[0, 1] == pytest.approx(direct[0, 1], rel=1e-10)
 
 
 def test_crosstalk_amplitude_vs_intensity_overlap():
     grid = WavevectorGrid.centered(0.0, 8.0, 1601)
     psi0 = hermite_gauss(0, 1.0, grid)
     psi1 = hermite_gauss(1, 1.0, grid)
-    amp = crosstalk_matrix(np.stack([psi0, psi1]), grid)
-    assert amp.values[0, 1] < 1e-12  # orthogonal amplitudes
-    inten = crosstalk_matrix(np.stack([psi0 ** 2, psi1 ** 2]), grid)
-    assert inten.values[0, 1] > 0.1  # their intensities still overlap
+    amp = linear_crosstalk(np.stack([psi0, psi1]), grid)
+    assert amp[0, 1] < 1e-12  # orthogonal amplitudes
+    inten = linear_crosstalk(np.stack([psi0 ** 2, psi1 ** 2]), grid)
+    assert inten[0, 1] > 0.1  # their intensities still overlap
 
 
 def test_crosstalk_validation():
@@ -554,6 +553,6 @@ def test_crosstalk_validation():
     with pytest.raises(ValueError, match="64"):
         crosstalk_matrix(np.ones((2, 32)), grid)
     with pytest.raises(ValueError, match="positive norm"):
-        crosstalk_matrix(np.stack([np.zeros(64), np.ones(64)]), grid)
+        linear_crosstalk(np.stack([np.zeros(64), np.ones(64)]), grid)
     with pytest.raises(ValueError, match="scale"):
         gaussian_mode_log_intensities([0.0], -1.0, grid)

@@ -53,6 +53,8 @@ RUNS = (
     ("pump", "three_modes", (), ("pump_field.csv",)),
     ("crosstalk", "crosstalk", (), ("crosstalk.csv",)),
     ("hologram", "hologram", (), ("hologram.pgm",)),
+    ("crosstalk", "single_mode", ("--grid-points", "614", "--both-branches"), ("crosstalk.csv",)),
+    ("hologram", "single_mode", (), ("hologram.pgm",)),
 )
 
 
@@ -190,6 +192,14 @@ GOLDEN = {
             "b835cedc05c235009e9097834322a3ee12319909e0c7c110021e681c6890631c",
         "hologram hologram stdout":
             "9acff8fe3c4466c1613c1a4ecb701b6ff8831740520cdb3b5367ad89a9c6c37d",
+        "crosstalk single_mode --grid-points 614 --both-branches crosstalk.csv":
+            "7906ce11cc2ccd81ebdfaafc948ffa8f48eeafc8f65e98372689b285bbe770a8",
+        "crosstalk single_mode --grid-points 614 --both-branches stdout":
+            "d2668210bcf676c0768f84aad2cdbf273f1f2c2540f872ca5c9fdc3b8d342c0c",
+        "hologram single_mode hologram.pgm":
+            "2a9fb429d8e39519ddd74502872f941d9fe515f645bcda0115111cfbefaf4b69",
+        "hologram single_mode stdout":
+            "85933a5a4d96e24bb44eb07cbbd8c8af463b7f8241876b90b7f30769b3d7eaa2",
     },
 }
 

@@ -1,0 +1,77 @@
+"""Every function in ``src/spdc_modes`` is reached by a command.
+
+Each golden run, plus ``schmidt`` on two configs, runs under
+``sys.setprofile``; every ``def`` in the package, found with ``ast``, must
+have been called. Code that only tests call belongs in ``tests/oracles.py``.
+``UNREACHED`` names the exceptions, each with the reason it stays.
+"""
+
+import ast
+import os
+import sys
+
+import spdc_modes
+from spdc_modes.cli import main
+
+from test_golden import CONFIG_DIR, RUNS
+
+PACKAGE = os.path.dirname(os.path.abspath(spdc_modes.__file__))
+
+# qualified name -> why it stays in the package though no command calls it
+UNREACHED = {
+    "kernel.build_double_gaussian":
+        "the benchmark tracer's SPANS names it, and tests/test_spans.py checks that it exists",
+    "kernel.build_from_pump":
+        "the benchmark tracer's SPANS names it, and tests/test_spans.py checks that it exists",
+    "config.RunConfig.normalized": "the planned run record writes the normalized config",
+}
+
+
+def package_functions() -> dict:
+    """(file, first line of the code object) -> module-qualified name of every def."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(path, line)] = prefix + child.name
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            else:
+                walk(child, path, prefix)
+
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, "r", encoding="utf-8") as fh:
+                walk(ast.parse(fh.read()), path, f"{name[:-3]}.")
+    return found
+
+
+def test_every_function_is_reached_by_a_command(tmp_path, capsys):
+    runs = [(command, config, flags) for command, config, flags, _files in RUNS]
+    runs += [("schmidt", "single_mode", ()), ("schmidt", "three_modes", ())]
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    for i, (command, config, flags) in enumerate(runs):
+        argv = [command, "--config", os.path.join(CONFIG_DIR, f"{config}.yaml"),
+                "--out", str(tmp_path / str(i)), *flags]
+        sys.setprofile(profile)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, argv
+    capsys.readouterr()
+
+    defined = package_functions()
+    assert set(UNREACHED) <= set(defined.values())
+    unreached = sorted(name for key, name in defined.items() if key not in called)
+    assert unreached == sorted(UNREACHED)

@@ -348,7 +348,7 @@ def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
     cfg = many_mode_config()
     dec = schmidt_decompose(cfg.build_kernel())
     assert svd_shapes and all(shape[0] <= 795 / 2 for shape in svd_shapes)
-    analytic = analytic_double_gaussian(cfg.pump.widths, m_max=64)
+    analytic = analytic_double_gaussian(cfg.pump.widths)
     assert analytic.schmidt_number == pytest.approx(10.0, rel=0.05)
     assert dec.n_modes == 64
     assert np.abs(dec.coefficients ** 2 - analytic.eigenvalues).max() <= 1e-9
