@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import detection, exports, hologram, schmidt
+from . import detection, exports, hologram, kernel, schmidt
 from .config import ConfigError, RunConfig, load_config
 from .optics import sigma_k_to_fwhm
 
@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_IO = 4
+# most samples `pump` takes of the crystal-plane field: 64 per period of a
+# 3-peak comb at 0.168 1/um spacing reach this at an envelope FWHM of about 80 mm
+PUMP_MAX_SAMPLES = 2 ** 20
 
 _EPILOG = """\
 exit codes:
@@ -87,19 +90,18 @@ Outcome = Tuple[List[str], Sequence[str], Dict[str, tuple]]
 
 
 def _cmd_tpa(cfg: RunConfig, args) -> Outcome:
-    kernel = cfg.build_kernel()
+    tpa = kernel.build_multipeak(cfg.pump, cfg.grid)
     return [
-        f"signal grid: [{kernel.grid_s.k_min:.10g}, {kernel.grid_s.k_max:.10g}] "
-        f"x {kernel.grid_s.n_points}",
-        f"idler grid: [{kernel.grid_i.k_min:.10g}, {kernel.grid_i.k_max:.10g}] "
-        f"x {kernel.grid_i.n_points}",
-        f"norm check: {kernel.norm():.12f}",
-    ], kernel.warnings, {"kernel.csv": (exports.write_kernel_csv, kernel)}
+        f"signal grid: [{tpa.grid_s.k_min:.10g}, {tpa.grid_s.k_max:.10g}] "
+        f"x {tpa.grid_s.n_points}",
+        f"idler grid: [{tpa.grid_i.k_min:.10g}, {tpa.grid_i.k_max:.10g}] "
+        f"x {tpa.grid_i.n_points}",
+        f"norm check: {tpa.norm():.12f}",
+    ], tpa.warnings, {"kernel.csv": (exports.write_kernel_csv, tpa)}
 
 
 def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
-    kernel = cfg.build_kernel()
-    dec = schmidt.schmidt_decompose(kernel)
+    dec = schmidt.schmidt_decompose(kernel.build_multipeak(cfg.pump, cfg.grid))
     metrics = schmidt.schmidt_number(dec)
     lines = [
         f"modes kept: {dec.n_modes}",
@@ -131,11 +133,11 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
     lines = []
 
     if args.wavelength_avg:
-        inten = detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump, cfg.grid())
+        inten = detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump, cfg.grid)
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
-        inten = cfg.intensity()
+        inten = kernel.multipeak_intensity(cfg.pump, cfg.grid)
 
     singles_s = detection.singles_scan(inten, signal_window)
     singles_i = detection.singles_scan(inten.swapped(), idler_window)
@@ -164,7 +166,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
 
 
 def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
-    inten = cfg.intensity()
+    inten = kernel.multipeak_intensity(cfg.pump, cfg.grid)
     ratio = detection.fedorov_ratio(inten, _slit_windows(cfg, args), cfg.pump.mode_spacing())
     return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], inten.warnings, {}
 
@@ -175,10 +177,9 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
     if centers.size < 2:
         raise ValueError("crosstalk needs at least 2 modes; set pump.peaks >= 2 "
                          "or grid.both_branches on a noncollinear ring")
-    grid = cfg.grid()
     scale = schmidt.analytic_double_gaussian(params.widths).mode_scale
-    log_modes = detection.gaussian_mode_log_intensities(centers, scale, grid)
-    matrix = detection.crosstalk_matrix(log_modes, grid)
+    log_modes = detection.gaussian_mode_log_intensities(centers, scale, cfg.grid)
+    matrix = detection.crosstalk_matrix(log_modes, cfg.grid)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)
     return ["mode centers (1/um): " + ", ".join(f"{c:.6g}" for c in centers),
             f"fundamental mode scale = {scale:.10g} 1/um",
@@ -189,8 +190,13 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
 def _cmd_pump(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
     span = 4.5 / params.widths.sigma_pump
-    x = np.linspace(-span, span, 4096)
-    profile = hologram.pump_field(params, x)
+    # 64 samples per period 2*pi/c of the fastest comb line c, never fewer than 4096
+    # (max() keeps 4096 for the NaN of an infinite span times a lone line at c = 0)
+    samples = max(4096.0, 64.0 * span * float(np.max(np.abs(params.pump_centers()))) / math.pi)
+    if samples > PUMP_MAX_SAMPLES:
+        raise ValueError(f"the pump comb needs {samples:.6g} samples, more than "
+                         f"{PUMP_MAX_SAMPLES}; lower pump.envelope_fwhm_um or the peak spacing")
+    profile = hologram.pump_field(params, np.linspace(-span, span, math.ceil(samples)))
     split = params.peak_spacing if params.n_peaks > 1 else None
     lines = _widths(f"envelope FWHM = {hologram.envelope_fwhm(field, split):.10g} um"
                     for field in (profile,))
@@ -330,7 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             need = (f"a {hs.width_px} x {hs.height_px} px raster; "
                     "lower hologram.width_px or hologram.height_px")
         else:
-            need = f"{cfg.grid_points} x {cfg.grid_points} grid points; lower grid.points"
+            need = f"{cfg.grid.n_points} x {cfg.grid.n_points} grid points; lower grid.points"
         print(f"computation error: out of memory with {need}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:

@@ -7,9 +7,11 @@ so runs can echo exactly what they used. Each quantity has exactly one key.
 The crystal length (mm) and pump wavelength (nm) are converted here, once,
 to um, the pump envelope's real-space FWHM to its k-space sigma, and
 ``pump.peaks`` with ``pump.side_amplitude`` to one field amplitude per
-peak. The ``detection`` keys stay in mm and nm: :class:`DetectionGeometry`
-keeps them and converts them in ``position_to_wavevector``, and
-``detection.wavelength_average`` converts the filter's nm to um itself.
+peak. The run's grid is built once too, around the resolved pump; a grid
+that cannot be formed is a configuration error. The ``detection`` keys
+stay in mm and nm: :class:`DetectionGeometry` keeps them and converts them
+in ``position_to_wavevector``, and ``detection.wavelength_average``
+converts the filter's nm to um itself.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ import yaml
 
 from .detection import DetectionGeometry
 from .hologram import HologramSettings
-from .kernel import (
-    JointIntensity,
-    MultiPeakParams,
-    TpaKernel,
-    build_multipeak,
-    default_grid,
-    multipeak_intensity,
-)
+from .kernel import MultiPeakParams, default_grid
 from .optics import (
     MIN_GRID_POINTS,
     PhaseMatchConfig,
@@ -169,31 +164,20 @@ class RunConfig:
     """Fully validated run parameters in canonical units.
 
     ``pump`` is resolved at parse time: its peak amplitudes, offset, both
-    Gaussian widths and emission branch are final. ``emission_angle_rad``
-    is the internal emission angle when the offset was derived from a
-    noncollinear geometry, else None.
+    Gaussian widths and emission branch are final. So is ``grid``, the
+    run's signal grid built around that pump; the idler grid is its
+    mirror. ``emission_angle_rad`` is the internal emission angle when the
+    offset was derived from a noncollinear geometry, else None.
     """
 
     phase_match: PhaseMatchConfig
     pump: MultiPeakParams
     emission_angle_rad: Optional[float]
-    grid_points: int
-    span_sigmas: float
+    grid: WavevectorGrid
     geometry: DetectionGeometry
     hologram: HologramSettings
     output_dir: str
     provenance: Tuple[tuple, ...] = field(default_factory=tuple)
-
-    def grid(self) -> WavevectorGrid:
-        """The run's signal grid; the idler grid is its mirror."""
-        return default_grid(self.pump, self.grid_points, self.span_sigmas)
-
-    def build_kernel(self) -> TpaKernel:
-        return build_multipeak(self.pump, self.grid())
-
-    def intensity(self) -> JointIntensity:
-        """|F|^2 of :meth:`build_kernel`, without the joint array."""
-        return multipeak_intensity(self.pump, self.grid())
 
     def normalized(self) -> dict:
         """Nested dict of every accepted key with its resolved value."""
@@ -306,11 +290,11 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"explicit pump.matching_width must be positive, got {matching}")
     pump_sec.finish()
 
-    grid = root.section("grid")
-    grid_points = grid.take("points", default=512, kind=int)
-    span_sigmas = grid.take("span_sigmas", default=5.0, kind=float)
-    branch = "both" if grid.take("both_branches", default=False, kind=bool) else "+"
-    grid.finish()
+    grid_sec = root.section("grid")
+    grid_points = grid_sec.take("points", default=512, kind=int)
+    span_sigmas = grid_sec.take("span_sigmas", default=5.0, kind=float)
+    branch = "both" if grid_sec.take("both_branches", default=False, kind=bool) else "+"
+    grid_sec.finish()
     if grid_points < MIN_GRID_POINTS:
         raise ConfigError(f"grid.points must be at least {MIN_GRID_POINTS}, got {grid_points}")
     if span_sigmas <= 0:
@@ -333,8 +317,8 @@ def parse_config(data: dict) -> RunConfig:
 
     root.finish()
 
-    # resolve the pump last, so it fails fast on parameter combinations the
-    # builders would reject only after every key has been checked
+    # resolve the pump and its grid last, so they fail fast on parameter
+    # combinations the builders would reject only after every key has been checked
     try:
         angle = None
         if offset_override is not None:
@@ -351,6 +335,7 @@ def parse_config(data: dict) -> RunConfig:
             sigma_match = matching
         pump = MultiPeakParams(amplitudes, peak_spacing, offset,
                                PumpWidths(sigma_pump, sigma_match), branch)
+        grid = default_grid(pump, grid_points, span_sigmas)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -358,8 +343,7 @@ def parse_config(data: dict) -> RunConfig:
         phase_match=phase_match,
         pump=pump,
         emission_angle_rad=angle,
-        grid_points=grid_points,
-        span_sigmas=span_sigmas,
+        grid=grid,
         geometry=geometry,
         hologram=hologram,
         output_dir=output_dir,

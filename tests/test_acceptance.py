@@ -41,6 +41,7 @@ from spdc_modes.hologram import (
 from spdc_modes.kernel import (
     MultiPeakParams,
     build_double_gaussian,
+    build_multipeak,
     default_grid,
     multipeak_intensity,
 )
@@ -96,11 +97,12 @@ def test_schmidt_number_and_spectrum_match_closed_form():
 def test_matched_widths_give_a_single_mode():
     with criterion("single-mode-regime"):
         cfg = load_config(SINGLE)
-        kernel = cfg.build_kernel()
+        kernel = build_multipeak(cfg.pump, cfg.grid)
         dec = schmidt_decompose(kernel)
         assert dec.coefficients[0] ** 2 >= 0.9999
         # finite slits from the config, not the zero-width idealization
-        assert fedorov_ratio(cfg.intensity(), cfg.geometry.slit_windows(),
+        inten = multipeak_intensity(cfg.pump, cfg.grid)
+        assert fedorov_ratio(inten, cfg.geometry.slit_windows(),
                              cfg.pump.mode_spacing()) == pytest.approx(1.0, abs=0.02)
 
 
@@ -122,7 +124,7 @@ def test_modes_are_hermite_gauss():
 def test_three_peak_spectrum_and_slit_selection():
     with criterion("three-peak-correlations"):
         cfg = load_config(THREE)
-        inten = cfg.intensity()
+        inten = multipeak_intensity(cfg.pump, cfg.grid)
         step = inten.grid_s.spacing
         singles = singles_scan(inten, None)
         pos, height = find_peaks(singles, min_height_frac=0.05)
@@ -146,7 +148,7 @@ def test_crosstalk_is_negligible_and_log_safe():
     with criterion("mode-crosstalk-bound"):
         cfg = load_config(CROSSTALK)
         params = cfg.pump
-        grid_s = cfg.grid()
+        grid_s = cfg.grid
         widths = params.widths
         scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
         centers = params.mode_offsets() + params.noncollinear_offset / 2.0
@@ -176,7 +178,7 @@ def test_crosstalk_matches_the_closed_form_gaussian_law():
         comb["grid"] = {"points": 2048, "span_sigmas": 8.0}
         for data in (shipped, comb):
             cfg = parse_config(data)
-            grid_s = cfg.grid()
+            grid_s = cfg.grid
             scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
             centers = cfg.pump.mode_offsets() + cfg.pump.noncollinear_offset / 2.0
             logs = gaussian_mode_log_intensities(centers, scale, grid_s)

@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import math
 import os
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from spdc_modes import cli, detection, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
-from spdc_modes.kernel import sum_difference_product
+from spdc_modes.kernel import default_grid, multipeak_intensity, sum_difference_product
 from spdc_modes.optics import phase_matching_width
 
 from oracles import parse_pgm, read_csv
@@ -49,8 +48,7 @@ def minimal():
 
 def test_minimal_config_fills_defaults():
     cfg = parse_config(minimal())
-    assert cfg.grid_points == 512
-    assert cfg.span_sigmas == 5.0
+    assert cfg.grid == default_grid(cfg.pump, 512, 5.0)
     assert cfg.pump.branch == "+"
     assert cfg.output_dir == "out"
     assert cfg.pump.n_peaks == 1
@@ -167,7 +165,7 @@ def test_normalized_round_trips_to_a_fixed_point():
     cfg2 = parse_config(tree)
     assert cfg2.normalized() == tree
     assert cfg2.pump == cfg.pump
-    assert cfg2.grid_points == cfg.grid_points
+    assert cfg2.grid == cfg.grid
     assert any("[default]" in line for line in cfg.provenance_lines())
     assert any("[user]" in line for line in cfg.provenance_lines())
 
@@ -497,20 +495,34 @@ def test_non_finite_numbers_are_config_errors(tmp_path, path, value):
     assert err.count("\n") == 1
 
 
-OVERFLOWS = pytest.mark.parametrize("command, section, key, value", [
-    ("tpa", "grid", "span_sigmas", 1e308),
-    ("tpa", "pump", "envelope_fwhm_um", 2.5e-298),  # sigma^2 overflows a float
-    ("pump", "pump", "envelope_fwhm_um", 2.5e302),  # x^2 overflows: a NaN field
+OVERFLOWS = pytest.mark.parametrize("command, section, patch", [
+    ("tpa", "grid", {"span_sigmas": 1e308}),
+    ("tpa", "pump", {"envelope_fwhm_um": 2.5e-298}),  # sigma^2 overflows a float
+    # x^2 overflows: a NaN field; the matching width keeps the grid formable
+    ("pump", "pump", {"envelope_fwhm_um": 2.5e302, "matching_width": 0.05}),
 ], ids=["grid-span", "narrow-pump", "wide-pump"])
 
 
 @OVERFLOWS
-def test_overflows_are_computation_errors(tmp_path, command, section, key, value):
+def test_overflows_are_computation_errors(tmp_path, command, section, patch):
     data = shipped(SINGLE)
-    data[section][key] = value
+    data[section].update(patch)
     code, out, err = run_config(tmp_path, data, command)
     assert (code, out) == (3, "")
     assert err.startswith("computation error: ") and err.count("\n") == 1
+    if command == "pump":
+        assert "pump field is not finite" in err, err
+
+
+@pytest.mark.parametrize("command", ["pump", "hologram", "tpa"])
+def test_a_grid_that_cannot_be_formed_is_a_config_error(tmp_path, command):
+    # both widths ~1e-302 1/um: the span vanishes beside the ring offset, and
+    # every command refuses that grid at parse time, before its own computation
+    data = shipped(SINGLE)
+    data["pump"]["envelope_fwhm_um"] = 2.5e302
+    code, out, err = run_config(tmp_path, data, command)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: empty grid") and err.count("\n") == 1, err
 
 
 def test_resolution_refusal_reads_the_point_count_in_six_digits(tmp_path):
@@ -525,13 +537,13 @@ def test_resolution_refusal_reads_the_point_count_in_six_digits(tmp_path):
 
 
 @OVERFLOWS
-def test_overflow_warnings_stay_off_stderr(tmp_path, command, section, key, value):
+def test_overflow_warnings_stay_off_stderr(tmp_path, command, section, patch):
     # pytest captures warnings in-process, so only a separate process shows
     # whether numpy's floating-point warnings reach stderr
     import spdc_modes
 
     data = shipped(SINGLE)
-    data[section][key] = value
+    data[section].update(patch)
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(data))
     src = os.path.dirname(os.path.dirname(spdc_modes.__file__))
@@ -781,7 +793,7 @@ def test_flags_are_recorded_as_the_values_used(tmp_path, monkeypatch):
     assert main(["tpa", "--config", THREE, "--grid-points", "64", "--both-branches",
                  "--out", str(out)]) == 0
     (cfg,) = used
-    assert (cfg.grid_points, cfg.pump.branch, cfg.output_dir) == (64, "both", str(out))
+    assert (cfg.grid.n_points, cfg.pump.branch, cfg.output_dir) == (64, "both", str(out))
     tree = cfg.normalized()
     assert (tree["grid"]["points"], tree["grid"]["both_branches"]) == (64, True)
     assert tree["output"]["directory"] == str(out)
@@ -961,8 +973,8 @@ def test_cli_scan_three_modes(tmp_path, capsys):
     assert ratio == pytest.approx((1.0 / 0.63) ** 2, rel=0.05)
 
     # zero-width singles are exactly the kernel's signal marginal
-    cfg = dataclasses.replace(load_config(THREE), grid_points=320)
-    inten = cfg.intensity()
+    cfg = load_config(THREE, {"grid.points": 320})
+    inten = multipeak_intensity(cfg.pump, cfg.grid)
     k, marg = inten.grid_s.points(), inten.marginal
     _, table = read_csv(str(out / "singles_signal.csv"))
     assert np.array_equal(table[:, 0], k)
@@ -1027,8 +1039,8 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
     avg, mono = (sum_difference_product(inten.at_sums, inten.at_differences,
                                         inten.grid_s.n_points)
                  for inten in (detection.wavelength_average(cfg.phase_match, cfg.geometry,
-                                                            cfg.pump, cfg.grid()),
-                               cfg.intensity()))
+                                                            cfg.pump, cfg.grid),
+                               multipeak_intensity(cfg.pump, cfg.grid)))
     assert np.max(np.abs(avg - mono)) <= 1e-12 * mono.max()
 
 
@@ -1154,6 +1166,27 @@ def test_cli_pump_envelope(tmp_path, capsys):
     assert float(match.group(1)) == pytest.approx(246.0, rel=1e-3)
     header, _ = read_csv(str(out / "pump_field.csv"))
     assert header == ["x_um", "field_re", "field_im"]
+
+
+def test_cli_pump_samples_every_comb_period_of_a_wide_beam(tmp_path):
+    # 4096 samples over +-4.5/sigma leave ~8 per period of the outer comb
+    # lines of a 2460 um beam, and the envelope read 2431.29 um (-1.2%)
+    data = shipped(THREE)
+    data["pump"]["envelope_fwhm_um"] = 2460.0
+    code, out, err = run_config(tmp_path, data, "pump")
+    assert (code, err) == (0, "")
+    fwhm = float(re.search(r"envelope FWHM = ([0-9.]+) um", out).group(1))
+    assert fwhm == pytest.approx(2460.0, rel=1e-4)
+    _, table = read_csv(str(tmp_path / "out" / "pump_field.csv"))
+    assert table.shape[0] > 4096
+
+
+def test_cli_pump_refuses_a_comb_past_its_sample_ceiling(tmp_path):
+    data = shipped(THREE)
+    data["pump"]["envelope_fwhm_um"] = 1.0e6  # 1.3e7 samples
+    code, out, err = run_config(tmp_path, data, "pump")
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert err.startswith("computation error: the pump comb needs 1.30805e+07 samples"), err
 
 
 def test_cli_hologram(tmp_path, capsys):

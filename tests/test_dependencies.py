@@ -1,4 +1,5 @@
-"""The declared runtime dependencies are exactly the third-party imports of the package."""
+"""The declared runtime dependencies are exactly the third-party imports of the
+package, and each module uses every name it imports."""
 
 import ast
 import os
@@ -19,13 +20,17 @@ def canonical(name):
     return re.sub(r"[-_.]+", "-", name).lower()
 
 
+def module_trees():
+    """(file name, syntax tree) of each module of the package."""
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+                yield filename, ast.parse(fh.read(), filename)
+
+
 def imported_distributions():
     names = set()
-    for filename in sorted(os.listdir(PACKAGE)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename)
+    for _filename, tree in module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -40,3 +45,20 @@ def test_declared_dependencies_are_the_third_party_imports():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {canonical(re.match(r"[A-Za-z0-9._-]+", spec).group(0)) for spec in declared}
     assert names == imported_distributions()
+
+
+def test_every_imported_name_is_used():
+    # a name imported only to be forwarded, or left behind by a removal, is dead
+    # (a quoted annotation does not count; the modules import annotations from __future__)
+    unused = []
+    for filename, tree in module_trees():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{filename}: {bound}")
+    assert unused == []

@@ -330,11 +330,11 @@ def test_pump_field_spectrum_rebuilds_the_kernel():
     cfg = load_config(THREE)
     span = 4.5 / cfg.pump.widths.sigma_pump
     field = hologram.pump_field(cfg.pump, np.linspace(-span, span, 4096))
-    grid = cfg.grid()
+    grid = cfg.grid
     spectrum = pump_spectrum_from_field(field.coordinates_um, field.amplitude,
                                         sum_coordinate_grid(grid))
     kernel = build_from_pump(spectrum, cfg.pump, cfg.phase_match, grid, "gaussian")
-    direct = cfg.build_kernel()
+    direct = build_multipeak(cfg.pump, grid)
     overlap = abs(np.vdot(kernel.amplitude, direct.amplitude)) * grid.spacing ** 2
     assert overlap >= 1.0 - 1e-9
     short = spectrum[1:]
@@ -417,7 +417,7 @@ def test_collinear_sinc_refuses_an_offset_ring():
     # kernel on a side lobe, at 1.182 where the Gaussian model peaks at 1.2
     run = load_config(SINGLE, {"phase_match.regime": "collinear",
                                "phase_match.offset_override_um_inv": 1.2})
-    gs = run.grid()
+    gs = run.grid
     gi = gs.mirrored()
     tk = sum_coordinate_grid(gs).points()
     pump = np.exp(-(tk ** 2) / (2.0 * run.pump.widths.sigma_pump ** 2))
@@ -452,7 +452,8 @@ def test_idler_grid_and_marginal_mirror_the_signal(tmp_path, capsys, flags):
                                   "n_points": signal["n_points"]}
 
     overrides = {"grid.points": 841, "grid.both_branches": True} if flags else {}
-    inten = load_config(THREE, overrides).intensity()
+    cfg = load_config(THREE, overrides)
+    inten = multipeak_intensity(cfg.pump, cfg.grid)
     m_s, m_i = inten.marginal, inten.swapped().marginal
     assert m_s.size == signal["n_points"]
     assert np.max(np.abs(m_i[::-1] - m_s)) <= 1e-13 * m_s.max()

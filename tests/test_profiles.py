@@ -81,7 +81,7 @@ def shipped_case(name, *flags):
     if flags:
         overrides = {"grid.points": flags[0], "grid.both_branches": True}
     cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"), overrides)
-    return cfg.pump, cfg.grid()
+    return cfg.pump, cfg.grid
 
 
 def three_peak_case(n_points, span_sigmas, branch="+"):
@@ -177,8 +177,7 @@ def traced_peak(call):
 
 def test_build_multipeak_allocates_one_joint_array():
     cfg = load_config(THREE, {"grid.points": MEMORY_POINTS})
-    grid = cfg.grid()
-    kernel, peak = traced_peak(lambda: build_multipeak(cfg.pump, grid))
+    kernel, peak = traced_peak(lambda: build_multipeak(cfg.pump, cfg.grid))
     assert kernel.amplitude.nbytes == JOINT_BYTES
     assert peak <= 1.1 * JOINT_BYTES
 
@@ -198,7 +197,8 @@ def test_scan_and_fedorov_hold_no_joint_array(tmp_path, capsys, argv):
 
 
 def test_schmidt_decompose_copies_no_joint_array():
-    kernel = load_config(THREE, {"grid.points": MEMORY_POINTS}).build_kernel()
+    cfg = load_config(THREE, {"grid.points": MEMORY_POINTS})
+    kernel = build_multipeak(cfg.pump, cfg.grid)
     schmidt_decompose(kernel)
     dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
     assert dec.n_modes == 21

@@ -269,7 +269,8 @@ def svd_shapes(monkeypatch):
 
 
 def shipped_kernel(name):
-    return load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")).build_kernel()
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
+    return build_multipeak(cfg.pump, cfg.grid)
 
 
 def chirped_kernel():
@@ -346,7 +347,7 @@ def many_mode_config():
 def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
     """K ~ 10 keeps all 64 capped modes; the sketch alone must resolve them."""
     cfg = many_mode_config()
-    dec = schmidt_decompose(cfg.build_kernel())
+    dec = schmidt_decompose(build_multipeak(cfg.pump, cfg.grid))
     assert svd_shapes and all(shape[0] <= 795 / 2 for shape in svd_shapes)
     analytic = analytic_double_gaussian(cfg.pump.widths)
     assert analytic.schmidt_number == pytest.approx(10.0, rel=0.05)
@@ -357,7 +358,8 @@ def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
 def test_mode_signs_agree_between_sketch_and_dense_svd(monkeypatch):
     """Odd modes peak at mirror samples +-k that tie to rounding; the phase
     pivot must not choose between them, or signs ride on last-bit noise."""
-    kernel = many_mode_config().build_kernel()
+    cfg = many_mode_config()
+    kernel = build_multipeak(cfg.pump, cfg.grid)
     sketch = schmidt_decompose(kernel)
     dense = dense_decompose(kernel, monkeypatch)
     assert sketch.n_modes == dense.n_modes == 64
@@ -378,7 +380,7 @@ def test_three_modes_follow_the_per_peak_closed_form():
     Equal side peaks make degenerate pairs, which come out ordered by position."""
     cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
     params = cfg.pump
-    dec = schmidt_decompose(cfg.build_kernel())
+    dec = schmidt_decompose(build_multipeak(cfg.pump, cfg.grid))
     analytic = analytic_double_gaussian(params.widths)
     shares = np.square(params.amplitudes) / np.sum(np.square(params.amplitudes))
     # (weight, signal center, order), heaviest first; the side peaks' weights
@@ -430,7 +432,7 @@ def own_window_leaks(dec, centers, width, n):
 def test_three_modes_stay_in_their_own_peak_windows(dense, monkeypatch):
     cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
     params = cfg.pump
-    kernel = cfg.build_kernel()
+    kernel = build_multipeak(cfg.pump, cfg.grid)
     dec = dense_decompose(kernel, monkeypatch) if dense else schmidt_decompose(kernel)
     leaks = own_window_leaks(dec, params.signal_centers(), params.peak_spacing, 21)
     assert dec.n_modes == 21 and np.all(leaks <= 1e-12), leaks
@@ -449,3 +451,37 @@ def test_window_leak_of_a_mode_split_between_two_windows():
     assert schmidt.largest_window_leak(dec, [-1.0, 1.0], 2.0) == pytest.approx(0.5, rel=1e-12)
     one = schmidt.SchmidtDecomposition(np.array([1.0]), modes[:1], modes[:1], grid, 0.0)
     assert schmidt.largest_window_leak(one, [-1.0, 1.0], 2.0) <= 1e-15
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("single_mode", {}), ("three_modes", {}), ("crosstalk", {}), ("hologram", {}),
+    ("three_modes", {"grid.points": 2048}),
+    ("three_modes", {"grid.points": 841, "grid.both_branches": True}),
+    ("single_mode", {"grid.points": 614, "grid.both_branches": True}),
+], ids=["single_mode", "three_modes", "crosstalk", "hologram", "three_modes-2048",
+        "three_modes-841-both", "single_mode-614-both"])
+def test_idler_modes_are_the_signal_modes_under_exchange(name, overrides):
+    """On the mirrored grid, Gaussian matching makes F[i, j] = F[j, i]: the
+    sum i + j and the difference offset + (i - j) * h read the same either
+    way round. So each idler mode is +-its signal mode node for node, and a
+    degenerate cluster spans the same subspace on both photons. An oracle
+    only: a sinc matching profile breaks the symmetry."""
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"), overrides)
+    kernel = build_multipeak(cfg.pump, cfg.grid)
+    f = kernel.amplitude
+    assert np.max(np.abs(f - f.T)) <= 1e-12 * np.max(np.abs(f))
+
+    dec = schmidt_decompose(kernel)
+    c, u, v = dec.coefficients, dec.signal_modes, dec.idler_modes
+    start = 0
+    for end in range(1, c.size + 1):
+        if end < c.size and c[start] - c[end] <= schmidt.DEGENERATE_RTOL * c[start]:
+            continue
+        if end - start == 1:
+            sign = np.sign(np.dot(u[start], v[start]))
+            assert np.max(np.abs(v[start] - sign * u[start])) <= 1e-10 * np.max(np.abs(u[start]))
+        else:
+            # projectors onto the cluster, from unit vectors sqrt(h) * mode
+            proj_u, proj_v = (m[start:end].T @ m[start:end] * cfg.grid.spacing for m in (u, v))
+            assert np.max(np.abs(proj_u - proj_v)) <= 1e-10
+        start = end
