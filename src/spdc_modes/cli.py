@@ -177,7 +177,8 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
     if centers.size < 2:
         raise ValueError("crosstalk needs at least 2 modes; set pump.peaks >= 2 "
                          "or grid.both_branches on a noncollinear ring")
-    scale = schmidt.analytic_double_gaussian(params.widths).mode_scale
+    # the Hermite-Gauss scale of the double-Gaussian Schmidt modes
+    scale = math.sqrt(params.widths.sigma_pump * params.widths.sigma_match / 2.0)
     log_modes = detection.gaussian_mode_log_intensities(centers, scale, cfg.grid)
     matrix = detection.crosstalk_matrix(log_modes, cfg.grid)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)
@@ -206,9 +207,7 @@ def _cmd_pump(cfg: RunConfig, args) -> Outcome:
 def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
     hs = cfg.hologram
-    x_slm = hs.pixel_coordinates()
-    crystal = hologram.pump_field(params, x_slm / hs.magnification)
-    target = hologram.FieldProfile1D(x_slm, crystal.amplitude)
+    target = hologram.pump_field(params, hs.pixel_coordinates() / hs.magnification).amplitude
     holo = hologram.encode_hologram(target, hs)
 
     recovered = hologram.simulate_first_order(holo)
@@ -225,8 +224,8 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
         f"raster: {hs.width_px} x {hs.height_px} px at {hs.pixel_pitch_um} um pitch, "
         f"grating period {hs.grating_period_px} px",
         f"magnification crystal->SLM = {hs.magnification}",
-        f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered):.8f}",
-        f"complex field overlap = {hologram.field_overlap(target, recovered):.8f}",
+        f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered.amplitude):.8f}",
+        f"complex field overlap = {hologram.field_overlap(target, recovered.amplitude):.8f}",
         *_widths(recovered_widths()),
         f"target envelope FWHM (crystal plane) = {sigma_k_to_fwhm(params.widths.sigma_pump):.10g} um",
     ], (), {"hologram.pgm": (hologram.export_pgm, holo)}

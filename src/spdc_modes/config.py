@@ -150,11 +150,15 @@ def _take_fields(sec: _Section, cls, **defaults):
     """``cls`` built from one key per dataclass field, then the section closed.
 
     Each key takes its field's type and default; ``defaults`` overrides a
-    field's default, and a field with neither is required.
+    field's default, and a field with neither is required. A value ``cls``
+    refuses is a configuration error prefixed with the section's path.
     """
     kinds = get_type_hints(cls)
-    obj = cls(**{f.name: sec.take(f.name, defaults.get(f.name, f.default), kind=kinds[f.name])
-                 for f in fields(cls)})
+    try:
+        obj = cls(**{f.name: sec.take(f.name, defaults.get(f.name, f.default), kind=kinds[f.name])
+                     for f in fields(cls)})
+    except ValueError as exc:
+        raise ConfigError(f"{sec._path}: {exc}") from exc
     sec.finish()
     return obj
 
@@ -200,10 +204,19 @@ def parse_config(data: dict) -> RunConfig:
     root = _Section(data, "", prov)
 
     pm = root.section("phase_match", required=True)
-    crystal_um = pm.take("crystal_length_mm", kind=float) * 1e3
-    pump_um = pm.take("pump_wavelength_nm", kind=float) * 1e-3
+    crystal_mm = pm.take("crystal_length_mm", kind=float)
+    pump_nm = pm.take("pump_wavelength_nm", kind=float)
+    # refused before the units change and before a Sellmeier lookup could blame its window
+    for key, value in (("crystal_length_mm", crystal_mm), ("pump_wavelength_nm", pump_nm)):
+        if value <= 0:
+            raise ConfigError(f"phase_match.{key} must be positive, got {value}")
+    crystal_um = crystal_mm * 1e3
+    pump_um = pump_nm * 1e-3
     regime = pm.take("regime", default="noncollinear", kind=str)
     offset_override = pm.take("offset_override_um_inv", default=None, kind=float)
+    if offset_override is not None and offset_override < 0:
+        raise ConfigError("phase_match.offset_override_um_inv must be >= 0, got "
+                          f"{offset_override}; grid.both_branches adds the mirror ring")
 
     has_indices = pm.has("indices")
     has_sellmeier = pm.has("sellmeier")
@@ -227,6 +240,9 @@ def parse_config(data: dict) -> RunConfig:
         if not isinstance(valid, (list, tuple)) or len(valid) != 2:
             raise ConfigError("phase_match.sellmeier.valid_range_um must be [low, high]")
         valid = tuple(_coerce(v, float, "phase_match.sellmeier.valid_range_um") for v in valid)
+        if not valid[0] < valid[1]:
+            raise ConfigError(f"phase_match.sellmeier.valid_range_um = {list(valid)} is an "
+                              "empty validity window; need low < high")
         sellmeier = SellmeierCoefficients(ordinary, extraordinary, valid)
         cut_angle_rad = math.radians(sm.take("cut_angle_deg", kind=float))
         declared_external = sm.take("external_signal_angle_deg", default=None, kind=float)
@@ -258,6 +274,8 @@ def parse_config(data: dict) -> RunConfig:
 
     pump_sec = root.section("pump", required=True)
     n_peaks = pump_sec.take("peaks", default=1, kind=int)
+    if n_peaks < 1:
+        raise ConfigError(f"pump.peaks = {n_peaks}: need at least one peak")
     fwhm = pump_sec.take("envelope_fwhm_um", kind=float)
     if fwhm <= 0:
         raise ConfigError(f"pump.envelope_fwhm_um must be positive, got {fwhm}")
@@ -266,6 +284,8 @@ def parse_config(data: dict) -> RunConfig:
                                  default=None if n_peaks > 1 else 0.0, kind=float)
     if peak_spacing is None:
         raise ConfigError("pump.peak_spacing_um_inv is required when pump.peaks > 1")
+    if n_peaks > 1 and peak_spacing <= 0:
+        raise ConfigError(f"pump.peak_spacing_um_inv must be positive, got {peak_spacing}")
     side = pump_sec.take("side_amplitude", default=None, kind=float)
     if side is not None and n_peaks != 3:
         raise ConfigError("side_amplitude only applies to 3-peak pumps")
@@ -300,16 +320,10 @@ def parse_config(data: dict) -> RunConfig:
     if span_sigmas <= 0:
         raise ConfigError(f"grid.span_sigmas must be positive, got {span_sigmas}")
 
-    try:
-        # the filter sits on the degenerate wavelength unless the config says otherwise
-        geometry = _take_fields(root.section("detection"), DetectionGeometry,
-                                central_wavelength_nm=2.0 * pump_um * 1e3)
-    except ValueError as exc:
-        raise ConfigError(f"detection: {exc}") from exc
-    try:
-        hologram = _take_fields(root.section("hologram"), HologramSettings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # the filter sits on the degenerate wavelength unless the config says otherwise
+    geometry = _take_fields(root.section("detection"), DetectionGeometry,
+                            central_wavelength_nm=2.0 * pump_um * 1e3)
+    hologram = _take_fields(root.section("hologram"), HologramSettings)
 
     out = root.section("output")
     output_dir = out.take("directory", default="out", kind=str)

@@ -314,8 +314,9 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
     replaced by the sample's :func:`effective_offset`. The passband is
     Gaussian, sampled at FILTER_SAMPLES wavelengths uniformly over
     +-FILTER_SPAN_FWHM * FWHM, and the samples are weight-averaged
-    (incoherent sum). The coverage warnings are against the union of the
-    samples' supports.
+    (incoherent sum); a passband that reaches the pump wavelength, where no
+    signal photon can be, is refused. The coverage warnings are against the
+    union of the samples' supports.
 
     No kernel is built. On a grid of spacing h and its mirror a sample's
     intensity is P^2[i + j] M^2[i - j] / n: the pump comb P takes
@@ -331,6 +332,11 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
     sigma = fwhm / GAUSSIAN_FWHM_FACTOR
     lams = np.linspace(lam_c - FILTER_SPAN_FWHM * fwhm, lam_c + FILTER_SPAN_FWHM * fwhm,
                        FILTER_SAMPLES)
+    if lams[0] <= config.pump_wavelength_um:
+        raise ValueError(
+            f"the filter passband starts at {lams[0] * 1e3:.6g} nm, not above the pump's "
+            f"{config.pump_wavelength_um * 1e3:.6g} nm; narrow detection.filter_fwhm_nm or "
+            "raise detection.central_wavelength_nm")
     weights = np.exp(-((lams - lam_c) ** 2) / (2.0 * sigma * sigma))
     weights /= weights.sum()
 

@@ -84,8 +84,10 @@ class HologramSettings:
     magnification: float = 20.0
 
     def __post_init__(self):
-        if self.width_px < 16 or self.height_px < 1:
-            raise ValueError(f"raster {self.width_px}x{self.height_px} is too small")
+        for name, least in (("width_px", 16), ("height_px", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} = {getattr(self, name)} is too small for a raster; "
+                                 f"need at least {least}")
         if self.pixel_pitch_um <= 0:
             raise ValueError(f"pixel pitch must be positive, got {self.pixel_pitch_um}")
         if self.grating_period_px < MIN_GRATING_PERIOD_PX:
@@ -114,23 +116,17 @@ class HologramImage:
             raise ValueError(f"phase_levels must be a uint8 array of the raster shape {shape}")
 
 
-def _resample(field: FieldProfile1D, x_um: np.ndarray) -> np.ndarray:
-    """Complex-linear interpolation of ``field`` at ``x_um``, zero outside its support."""
-    xf = field.coordinates_um
-    return (np.interp(x_um, xf, field.amplitude.real, left=0.0, right=0.0)
-            + 1j * np.interp(x_um, xf, field.amplitude.imag, left=0.0, right=0.0))
-
-
-def phase_map(target: FieldProfile1D, settings: HologramSettings) -> np.ndarray:
+def phase_map(target: np.ndarray, settings: HologramSettings) -> np.ndarray:
     """Continuous encoding phase (radians in [0, 2 pi)) at every pixel column.
 
-    The target is resampled onto the pixel grid (complex-linear, zero
-    outside its support) and peak-normalized before encoding.
+    ``target`` is the complex field at :meth:`HologramSettings.pixel_coordinates`,
+    one sample per column; it is peak-normalized before encoding.
     """
+    field = np.asarray(target)
+    if field.shape != (settings.width_px,):
+        raise ValueError(f"target has shape {field.shape}, not one sample per pixel column "
+                         f"({settings.width_px},)")
     x_um = settings.pixel_coordinates()
-    if np.any(np.diff(target.coordinates_um) <= 0):
-        raise ValueError("target coordinates must be strictly increasing")
-    field = _resample(target, x_um)
     mag = np.abs(field)
     peak = mag.max()
     if peak == 0:
@@ -148,11 +144,9 @@ def quantize_phase(phase: np.ndarray) -> np.ndarray:
     return (levels.astype(np.int64) % PHASE_LEVELS).astype(np.uint8)
 
 
-def encode_hologram(target: FieldProfile1D, settings: HologramSettings) -> HologramImage:
-    """Raster a 1D target field into a full-frame phase hologram.
-
-    The profile runs along the width; every row repeats it.
-    """
+def encode_hologram(target: np.ndarray, settings: HologramSettings) -> HologramImage:
+    """Raster a target field, one sample per pixel column, into a full-frame
+    phase hologram; every row repeats it."""
     row = quantize_phase(phase_map(target, settings))
     levels = np.broadcast_to(row, (settings.height_px, settings.width_px)).copy()
     return HologramImage(levels, settings)
@@ -189,18 +183,17 @@ def simulate_first_order(holo: HologramImage) -> FieldProfile1D:
     return first_order(phase, holo.settings)
 
 
-def field_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:
-    """Normalized complex overlap |<a|b>| on a's coordinate grid, in [0, 1]."""
-    eb = _resample(b, a.coordinates_um)
-    na, nb = np.linalg.norm(a.amplitude), np.linalg.norm(eb)
+def field_overlap(a: np.ndarray, b: np.ndarray) -> float:
+    """Normalized complex overlap |<a|b>| of two fields on the same samples, in [0, 1]."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return 0.0
-    return float(abs(np.vdot(a.amplitude, eb)) / (na * nb))
+    return float(abs(np.vdot(a, b)) / (na * nb))
 
 
-def amplitude_overlap(a: FieldProfile1D, b: FieldProfile1D) -> float:
+def amplitude_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """:func:`field_overlap` of the |E| profiles, blind to phase."""
-    return field_overlap(*(FieldProfile1D(f.coordinates_um, np.abs(f.amplitude)) for f in (a, b)))
+    return field_overlap(np.abs(a), np.abs(b))
 
 
 def envelope_of(field: FieldProfile1D, split_frequency: float) -> FieldProfile1D:

@@ -13,11 +13,6 @@ iteration and Rayleigh-Ritz on the block, grown until the weight the
 block misses bounds every kept weight's error far below that weight. The
 dense SVD remains for a kernel whose kept modes do not fit a block of
 half its size. The fixed seed keeps reruns byte-identical.
-
-For the double-Gaussian amplitude the decomposition is known in closed
-form (Gaussian kernel diagonalized by Hermite-Gauss functions);
-:func:`analytic_double_gaussian` gives its weights, Schmidt number and
-mode scale.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import MirroredIdler, TpaKernel
-from .optics import PumpWidths, WavevectorGrid
+from .optics import WavevectorGrid
 
 # keep modes until this much squared weight is captured, at most MAX_MODES
 ENERGY = 1.0 - 1e-6
@@ -205,25 +200,3 @@ def largest_window_leak(dec: SchmidtDecomposition, centers: np.ndarray, width: f
     intensity = np.abs(dec.signal_modes) ** 2
     shares = (intensity @ outside.T) / intensity.sum(axis=1)[:, None]
     return float(shares.min(axis=1).max())
-
-
-@dataclass(frozen=True, eq=False)
-class AnalyticModes:
-    schmidt_number: float
-    eigenvalues: np.ndarray       # squared coefficients, descending
-    mode_scale: float             # Hermite-Gauss scale in 1/um
-
-
-def analytic_double_gaussian(widths: PumpWidths) -> AnalyticModes:
-    """Closed-form Schmidt data for the centered double-Gaussian amplitude.
-
-    With a = sigma_pump, b = sigma_match and mu = ((b - a) / (b + a))^2,
-    orders m < MAX_MODES have eigenvalues (1 - mu) mu^m, the Schmidt number
-    is (a^2 + b^2) / (2 a b), and modes are Hermite-Gauss with scale
-    sqrt(a b / 2); the idler set is the mirror image of the signal set.
-    """
-    a, b = widths.sigma_pump, widths.sigma_match
-    root = (b - a) / (b + a)
-    mu = root * root
-    eigenvalues = (1.0 - mu) * mu ** np.arange(MAX_MODES)
-    return AnalyticModes((a * a + b * b) / (2.0 * a * b), eigenvalues, math.sqrt(a * b / 2.0))

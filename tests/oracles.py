@@ -2,8 +2,9 @@
 
 The readers parse what :mod:`spdc_modes.exports` and
 :mod:`spdc_modes.hologram` write, independently of the writers, so a test
-can check a file's content. The Hermite-Gauss functions give the
-closed-form Schmidt modes of the double-Gaussian amplitude, and
+can check a file's content. :func:`analytic_double_gaussian` gives the
+closed-form Schmidt weights, Schmidt number and mode scale of the
+double-Gaussian amplitude, the Hermite-Gauss functions its modes, and
 :func:`reconstruct_kernel` sums a decomposition back into a kernel.
 :func:`linear_crosstalk` is the direct overlap that the log-domain
 crosstalk is checked against, and :func:`pump_spectrum_from_field` turns a
@@ -13,12 +14,13 @@ crystal-plane pump field into the sampled spectrum of ``build_from_pump``.
 import math
 import re
 import warnings
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from spdc_modes.optics import PumpWidths, WavevectorGrid
-from spdc_modes.schmidt import SchmidtDecomposition, analytic_double_gaussian
+from spdc_modes.schmidt import MAX_MODES, SchmidtDecomposition
 
 # warn when the grid holds less than this much of a mode's continuum energy
 GRID_ENERGY_FLOOR = 1.0 - 1e-6
@@ -44,6 +46,28 @@ def parse_pgm(data: bytes) -> np.ndarray:
     if len(payload) != w * h:
         raise ValueError(f"payload holds {len(payload)} bytes, expected {w * h}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
+
+
+@dataclass(frozen=True, eq=False)
+class AnalyticModes:
+    schmidt_number: float
+    eigenvalues: np.ndarray       # squared coefficients, descending
+    mode_scale: float             # Hermite-Gauss scale in 1/um
+
+
+def analytic_double_gaussian(widths: PumpWidths) -> AnalyticModes:
+    """Closed-form Schmidt data for the centered double-Gaussian amplitude.
+
+    With a = sigma_pump, b = sigma_match and mu = ((b - a) / (b + a))^2,
+    orders m < MAX_MODES have eigenvalues (1 - mu) mu^m, the Schmidt number
+    is (a^2 + b^2) / (2 a b), and modes are Hermite-Gauss with scale
+    sqrt(a b / 2); the idler set is the mirror image of the signal set.
+    """
+    a, b = widths.sigma_pump, widths.sigma_match
+    root = (b - a) / (b + a)
+    mu = root * root
+    eigenvalues = (1.0 - mu) * mu ** np.arange(MAX_MODES)
+    return AnalyticModes((a * a + b * b) / (2.0 * a * b), eigenvalues, math.sqrt(a * b / 2.0))
 
 
 def reconstruct_kernel(dec: SchmidtDecomposition) -> np.ndarray:

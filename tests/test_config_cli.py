@@ -17,13 +17,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_modes import cli, detection, hologram, schmidt
+from spdc_modes import cli, detection, hologram
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.kernel import default_grid, multipeak_intensity, sum_difference_product
 from spdc_modes.optics import phase_matching_width
 
-from oracles import parse_pgm, read_csv
+from oracles import analytic_double_gaussian, parse_pgm, read_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SINGLE = os.path.join(CONFIG_DIR, "single_mode.yaml")
@@ -460,6 +460,33 @@ def test_dispersion_failures_are_config_errors(tmp_path, patch, message):
     assert re.match(f"configuration error: phase_match: .*{message}", err)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("phase_match", "pump_wavelength_nm", -405,
+     r"phase_match\.pump_wavelength_nm must be positive, got -405\.0"),
+    ("phase_match", "crystal_length_mm", -3,
+     r"phase_match\.crystal_length_mm must be positive, got -3\.0"),
+    ("phase_match", "offset_override_um_inv", -1,
+     r"phase_match\.offset_override_um_inv must be >= 0, got -1\.0"),
+    ("phase_match.sellmeier", "valid_range_um", [1.1, 0.2],
+     r"phase_match\.sellmeier\.valid_range_um = \[1\.1, 0\.2\] is an empty validity window"),
+    ("pump", "peaks", 0, r"pump\.peaks = 0: need at least one peak"),
+    ("pump", "peaks", -4, r"pump\.peaks = -4: need at least one peak"),
+    ("pump", "peak_spacing_um_inv", -0.1,
+     r"pump\.peak_spacing_um_inv must be positive, got -0\.1"),
+    ("hologram", "width_px", 8, r"hologram: width_px = 8 is too small"),
+], ids=["pump-wavelength", "crystal-length", "negative-offset", "reversed-window", "no-peaks", "negative-peaks",
+        "negative-spacing", "narrow-raster"])
+def test_refusals_name_the_key_and_the_value_written(tmp_path, section, key, value, message):
+    data = shipped(THREE)
+    node = data
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = value
+    code, out, err = run_config(tmp_path, data, "tpa")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"configuration error: {message}[^\n]*\n", err), err
+
+
 @pytest.mark.parametrize("section, key, kind", [
     ("grid", "points", "an integer"),
     ("pump", "envelope_fwhm_um", "a number"),
@@ -818,7 +845,7 @@ def test_cli_grating_period_below_the_minimum_is_exit_2(tmp_path):
     data["hologram"]["grating_period_px"] = 2.5
     code, out, err = run_config(tmp_path, data, "hologram")
     assert (code, out) == (2, "")
-    assert err == ("configuration error: grating period 2.5 px is below 3 px; "
+    assert err == ("configuration error: hologram: grating period 2.5 px is below 3 px; "
                    "the first order would alias into its neighbours\n")
 
 
@@ -835,7 +862,7 @@ def test_cli_crosstalk_takes_the_modes_of_both_rings(tmp_path, capsys):
     cfg = load_config(SINGLE, {"grid.points": 614, "grid.both_branches": True})
     centers = cfg.pump.signal_centers()
     assert centers == pytest.approx([0.6735, -0.6735], abs=1e-4)
-    scale = schmidt.analytic_double_gaussian(cfg.pump.widths).mode_scale
+    scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
     header, table = read_csv(str(tmp_path / "crosstalk.csv"))
     log10 = table[:, header.index("log10_value")].reshape(2, 2)
     # Gaussian intensity modes exp(-(k - c)^2 / s^2): log X = -(c1 - c2)^2 / s^2
@@ -1044,6 +1071,22 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
     assert np.max(np.abs(avg - mono)) <= 1e-12 * mono.max()
 
 
+@pytest.mark.parametrize("regime, argv", [
+    ("noncollinear", ()),
+    # the collinear ring has no offset to move, so no sample's wavelength was ever read
+    ("collinear", ("--grid-points", "2700")),
+])
+def test_a_filter_passband_reaching_the_pump_wavelength_is_refused(tmp_path, regime, argv):
+    # +-1.5 FWHM of a 900 nm filter around 810 nm starts at -540 nm
+    data = shipped(THREE)
+    data["phase_match"]["regime"] = regime
+    data["detection"]["filter_fwhm_nm"] = 900.0
+    code, out, err = run_config(tmp_path, data, "scan", "--wavelength-avg", *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert "detection.filter_fwhm_nm" in err and "detection.central_wavelength_nm" in err
+
+
 def test_scan_and_fedorov_report_each_build_warning_once(tmp_path):
     data = shipped(THREE)
     data["grid"]["span_sigmas"] = 3.0  # the grid clips both axes' supports
@@ -1090,7 +1133,7 @@ def test_cli_fedorov_measures_one_mode_of_a_multi_mode_run(tmp_path, config, pum
         # ideal slits: the ratio of the per-peak double Gaussian is its Schmidt number
         widths = load_config(THREE).pump.widths
         assert ratio == pytest.approx(
-            schmidt.analytic_double_gaussian(widths).schmidt_number, rel=1e-2)
+            analytic_double_gaussian(widths).schmidt_number, rel=1e-2)
 
 
 def collinear(config):

@@ -3,10 +3,13 @@
 Each golden run, plus ``schmidt`` on two configs, runs under
 ``sys.setprofile``; every ``def`` in the package, found with ``ast``, must
 have been called. Code that only tests call belongs in ``tests/oracles.py``.
-``UNREACHED`` names the exceptions, each with the reason it stays.
+``UNREACHED`` names the exceptions, each with the reason it stays. An
+exception kept for the benchmark tracer stays only while the tracer's
+``SPANS`` names it; once it does not, the function belongs in the oracles.
 """
 
 import ast
+import importlib.util
 import os
 import sys
 
@@ -14,15 +17,15 @@ import spdc_modes
 from spdc_modes.cli import main
 
 from test_golden import CONFIG_DIR, RUNS
+from test_spans import TRACER
 
 PACKAGE = os.path.dirname(os.path.abspath(spdc_modes.__file__))
 
+TRACED = "the benchmark tracer's SPANS names it, and tests/test_spans.py checks that it exists"
 # qualified name -> why it stays in the package though no command calls it
 UNREACHED = {
-    "kernel.build_double_gaussian":
-        "the benchmark tracer's SPANS names it, and tests/test_spans.py checks that it exists",
-    "kernel.build_from_pump":
-        "the benchmark tracer's SPANS names it, and tests/test_spans.py checks that it exists",
+    "kernel.build_double_gaussian": TRACED,
+    "kernel.build_from_pump": TRACED,
     "config.RunConfig.normalized": "the planned run record writes the normalized config",
 }
 
@@ -75,3 +78,12 @@ def test_every_function_is_reached_by_a_command(tmp_path, capsys):
     assert set(UNREACHED) <= set(defined.values())
     unreached = sorted(name for key, name in defined.items() if key not in called)
     assert unreached == sorted(UNREACHED)
+
+
+def test_traced_exceptions_are_still_traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = {f"{module}.{name}" for module, name in tracer.SPANS}
+    stale = sorted(name for name, why in UNREACHED.items() if why == TRACED and name not in spans)
+    assert stale == [], f"no longer traced, so move to tests/oracles.py: {stale}"

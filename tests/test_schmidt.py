@@ -19,14 +19,14 @@ from spdc_modes.kernel import (
     sum_coordinate_grid,
 )
 from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
-from spdc_modes.schmidt import (
-    SV_FLOOR,
-    analytic_double_gaussian,
-    schmidt_decompose,
-    schmidt_number,
-)
+from spdc_modes.schmidt import SV_FLOOR, schmidt_decompose, schmidt_number
 
-from oracles import double_gaussian_modes, hermite_gauss, reconstruct_kernel
+from oracles import (
+    analytic_double_gaussian,
+    double_gaussian_modes,
+    hermite_gauss,
+    reconstruct_kernel,
+)
 
 
 def grid_for(widths, n=161, span=5.0):
