@@ -243,6 +243,13 @@ def parse_config(data: dict) -> RunConfig:
         if not valid[0] < valid[1]:
             raise ConfigError(f"phase_match.sellmeier.valid_range_um = {list(valid)} is an "
                               "empty validity window; need low < high")
+        # the model is read at the pump and at the degenerate signal; refuse either
+        # outside the window here, where the message can name the key written
+        for label, um in (("the pump", pump_um), ("the degenerate signal", 2.0 * pump_um)):
+            if not valid[0] <= um <= valid[1]:
+                raise ConfigError(
+                    f"phase_match.pump_wavelength_nm = {pump_nm} puts {label} at {um:.4f} um, "
+                    f"outside phase_match.sellmeier.valid_range_um = {list(valid)}")
         sellmeier = SellmeierCoefficients(ordinary, extraordinary, valid)
         cut_angle_rad = math.radians(sm.take("cut_angle_deg", kind=float))
         declared_external = sm.take("external_signal_angle_deg", default=None, kind=float)

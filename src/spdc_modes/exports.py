@@ -3,8 +3,8 @@
 Every writer goes through a temp file in the destination directory plus
 os.replace, so a crashed run never leaves a half-written table behind.
 Floats are printed with 17 significant digits (lossless for float64).
-Tables are formatted and written ROWS_PER_CHUNK rows at a time, so an
-export never holds the whole file's text in memory.
+Tables are formatted and written at most CHUNK_VALUES values at a time,
+so an export never holds the whole file's text in memory, however wide.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 import yaml
 
 FLOAT_FMT = "%.16e"
-ROWS_PER_CHUNK = 4096
+# values per formatted chunk: 4096 rows of a three-column table such as kernel.csv
+CHUNK_VALUES = 3 * 4096
 
 
 def atomic_write_bytes(path: str, data: Union[bytes, Iterable[bytes]]) -> None:
@@ -54,14 +55,16 @@ def atomic_write_text(path: str, text: str) -> None:
 def _table_chunks(header: Sequence[str],
                   columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """The CSV bytes np.savetxt(fmt=FLOAT_FMT, delimiter=",") would write,
-    in blocks of ROWS_PER_CHUNK rows, each formatted with one ``%``."""
+    in blocks of at most CHUNK_VALUES values (at least one row), each
+    formatted with one ``%``."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ValueError("table columns differ in length")
     yield (",".join(header) + "\n").encode("utf-8")
     row_fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
-    for start in range(0, cols[0].size, ROWS_PER_CHUNK):
-        block = np.column_stack([c[start:start + ROWS_PER_CHUNK] for c in cols])
+    rows = max(1, CHUNK_VALUES // len(cols))
+    for start in range(0, cols[0].size, rows):
+        block = np.column_stack([c[start:start + rows] for c in cols])
         text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
         yield text.encode("utf-8")
 

@@ -4,8 +4,10 @@ Every model here has the form F(ks, ki) = P(ks + ki) M(ks - ki): a pump
 profile P at the sums and a phase-matching profile M at the differences.
 On a signal grid and its mirror, the idler grid, both are 1D arrays on
 the nodes of :func:`sum_difference_nodes`, and every joint quantity is
-read off that pair. :class:`TpaKernel` holds F itself, with ks along axis
-0 and ki along axis 1, for the Schmidt decomposition and the kernel table;
+read off that pair. :class:`TpaKernel` holds the pair P, M and forms F,
+with ks along axis 0 and ki along axis 1, only in row blocks: the Schmidt
+decomposition reads it a block at a time and never holds it, and only the
+kernel table and the dense-SVD fallback form the whole array.
 :class:`JointIntensity` holds the pair |P|^2, |M|^2 for the slit scans,
 which never form the joint array. Builders cover the plain
 double-Gaussian case, the structured multi-peak pump, and a pump spectrum
@@ -48,18 +50,21 @@ class MirroredIdler:
 
 @dataclass(frozen=True, eq=False)
 class TpaKernel(MirroredIdler):
-    """Sampled joint amplitude with its grid and provenance warnings."""
+    """Sampled joint amplitude P[i + j] M[i - j + n - 1], held as its two 1D
+    profiles on the nodes of :func:`sum_difference_nodes`, with its grid and
+    provenance warnings."""
 
     grid_s: WavevectorGrid
-    amplitude: np.ndarray
+    at_sums: np.ndarray
+    at_differences: np.ndarray
     warnings: tuple = ()
 
     def __post_init__(self):
-        expected = (self.grid_s.n_points,) * 2
-        if self.amplitude.shape != expected:
-            raise ValueError(
-                f"amplitude shape {self.amplitude.shape} does not match grids {expected}"
-            )
+        expected = (2 * self.grid_s.n_points - 1,)
+        for profile in (self.at_sums, self.at_differences):
+            if np.shape(profile) != expected:
+                raise ValueError(f"profile shape {np.shape(profile)} does not match "
+                                 f"the grid's {expected} sum and difference nodes")
 
     @classmethod
     def from_profiles(cls, grid: WavevectorGrid, at_sums: np.ndarray, at_differences: np.ndarray,
@@ -68,12 +73,21 @@ class TpaKernel(MirroredIdler):
 
         A real pair gives a float64 kernel, a complex one complex128.
         """
-        pump, match = _unit_profiles(at_sums, at_differences, grid)
-        return cls(grid, sum_difference_product(pump, match, grid.n_points), tuple(warnings))
+        return cls(grid, *_unit_profiles(at_sums, at_differences, grid), tuple(warnings))
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` to ``stop`` of the joint amplitude, formed from the
+        profiles; as with a slice, a ``stop`` past the last row ends there."""
+        return sum_difference_product(self.at_sums, self.at_differences, self.grid_s.n_points,
+                                      start, stop)
+
+    @property
+    def amplitude(self) -> np.ndarray:
+        """The whole N x N joint amplitude, formed on each access."""
+        return self.rows(0, self.grid_s.n_points)
 
     def norm(self) -> float:
-        amp = self.amplitude
-        return math.sqrt(np.vdot(amp, amp).real * self.grid_s.spacing * self.grid_s.spacing)
+        return math.sqrt(_squared_norm(self.at_sums, self.at_differences, self.grid_s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +158,21 @@ def diagonal_sums(at_sums: np.ndarray, n: int) -> np.ndarray:
     return prefix[2 * n - e] - prefix[e]
 
 
+def _squared_norm(at_sums: np.ndarray, at_differences: np.ndarray,
+                  grid: WavevectorGrid) -> float:
+    """h^2 sum_m |M[m]|^2 D[m], with D the :func:`diagonal_sums` of |P|^2:
+    the squared norm of P[i + j] M[i - j + n - 1] on the grid and its mirror."""
+    h = grid.spacing
+    return float(np.abs(at_differences) ** 2 @ diagonal_sums(np.abs(at_sums) ** 2, grid.n_points)
+                 * h * h)
+
+
 def _unit_profiles(at_sums: np.ndarray, at_differences: np.ndarray,
                    grid: WavevectorGrid) -> tuple:
     """(P, M) rescaled so that P[i + j] M[i - j + n - 1] has unit norm.
 
-    The squared norm is h^2 sum_m |M[m]|^2 D[m], with D the
-    :func:`diagonal_sums` of |P|^2. Each profile is first scaled to a unit
-    peak, so no square overflows and every product stays finite.
+    Each profile is first scaled to a unit peak, so no square in
+    :func:`_squared_norm` overflows and every product stays finite.
     """
     pump = np.asarray(at_sums)
     match = np.asarray(at_differences)
@@ -163,8 +185,7 @@ def _unit_profiles(at_sums: np.ndarray, at_differences: np.ndarray,
     # form gives a real profile the same bits as its complex promotion
     pump = pump * (1.0 / peaks[0])
     match = match * (1.0 / peaks[1])
-    h = grid.spacing
-    norm2 = np.abs(match) ** 2 @ diagonal_sums(np.abs(pump) ** 2, grid.n_points) * h * h
+    norm2 = _squared_norm(pump, match, grid)
     if norm2 == 0.0:
         raise ValueError("amplitude is identically zero")
     return pump, match * (1.0 / math.sqrt(norm2))
@@ -351,11 +372,14 @@ def sum_difference_nodes(grid: WavevectorGrid) -> tuple:
     return sums, sums + (grid.k_min + grid.k_max)
 
 
-def sum_difference_product(at_sums: np.ndarray, at_differences: np.ndarray, n: int) -> np.ndarray:
-    """Joint array [i, j] -> at_sums[i + j] * at_differences[i - j + n - 1],
+def sum_difference_product(at_sums: np.ndarray, at_differences: np.ndarray, n: int,
+                           start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Rows ``start`` to ``stop`` (default: all n; clipped at n, as a slice
+    is) of the joint array [i, j] -> at_sums[i + j] * at_differences[i - j + n - 1],
     with both sampled at :func:`sum_difference_nodes`."""
-    return (sliding_window_view(at_sums, n)
-            * sliding_window_view(at_differences, n)[:, ::-1])
+    stop = n if stop is None else stop
+    return (sliding_window_view(at_sums[start:stop + n - 1], n)
+            * sliding_window_view(at_differences[start:stop + n - 1], n)[:, ::-1])
 
 
 def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: PhaseMatchConfig,

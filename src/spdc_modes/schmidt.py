@@ -5,14 +5,17 @@ sqrt(dks * dki) = h, the spacing of the grid and its mirror: singular
 values then coincide with the Schmidt coefficients (sum of squares = 1)
 and the singular vectors divided by sqrt(h) are unit-norm mode functions
 under the quadrature the kernels use. The scale is applied to the
-singular values, so the amplitude is decomposed in place, never copied.
+singular values, so no scaled copy of the amplitude is made.
 
-Only the leading modes are ever kept, so the triplets come from a
-randomized range finder: a fixed-seed Gaussian sketch, one subspace
-iteration and Rayleigh-Ritz on the block, grown until the weight the
-block misses bounds every kept weight's error far below that weight. The
-dense SVD remains for a kernel whose kept modes do not fit a block of
-half its size. The fixed seed keeps reruns byte-identical.
+Only the leading modes are ever kept, so the triplets come from an
+adaptive randomized range finder: fixed-seed Gaussian columns, one
+subspace iteration and Rayleigh-Ritz on the basis, which grows until the
+weight it misses bounds every kept weight's error far below that weight.
+The amplitude is read only through products with it, formed ROW_BLOCK
+rows at a time from the kernel's two profiles, so it is never held. The
+dense SVD, which forms the whole amplitude, remains for a kernel whose
+kept modes do not fit a basis of half its size. The fixed seed keeps
+reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ DISCARD_WARN = 1e-3
 SKETCH_BLOCK = 16
 SKETCH_OVERSAMPLE = 16
 SKETCH_RESIDUAL = 1e-3
+# rows of the amplitude formed at once by the range finder's products
+ROW_BLOCK = 128
 # coefficients within this relative distance of a cluster's first form one
 # degenerate cluster, whose modes the SVD leaves free to rotate among themselves
 DEGENERATE_RTOL = 1e-9
@@ -69,7 +74,7 @@ def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
 
     h = kernel.grid_s.spacing
     # sqrt(h * h), not h: the two can differ in the last bit, and the mode tables are hashed
-    u, s, vh = _leading_triplets(kernel.amplitude, math.sqrt(h * h))
+    u, s, vh = _leading_triplets(kernel, math.sqrt(h * h))
     n = _mode_count(s)
 
     coeffs = s[:n]
@@ -134,38 +139,80 @@ def _floored(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> tuple:
     return u[:, keep], s[keep], vh[keep, :]
 
 
-def _leading_triplets(a: np.ndarray, scale: float) -> tuple:
-    """Singular triplets of ``scale * a`` above the floor, as many as :func:`_mode_count` keeps.
+def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
+    """Singular triplets of ``scale * a``, with ``a`` the kernel's amplitude,
+    above the floor, as many as :func:`_mode_count` keeps.
 
-    A randomized range finder with one subspace iteration (Halko, Martinsson
-    & Tropp, SIAM Rev. 53, 217 (2011)) sketches ``a`` with a fixed-seed
-    Gaussian block; Rayleigh-Ritz on the block gives the triplets. A block
-    is accepted when it holds SKETCH_OVERSAMPLE more vectors than the modes
-    kept and the weight it misses, ||a||^2 - ||Q^H a||^2, is at most
+    The adaptive randomized range finder of Halko, Martinsson & Tropp (SIAM
+    Rev. 53, 217 (2011), section 4.4) keeps an orthonormal basis Q of the
+    range of ``a`` and B = Q^H a, and grows them: each step draws new
+    Gaussian columns from one fixed-seed stream, so the basis holds
+    SKETCH_BLOCK, then twice as many columns at every step. The new columns
+    get one subspace iteration on ``a`` with Q projected out, and their rows
+    of B are appended; the SVD of B then gives the triplets. The basis is
+    accepted when it holds SKETCH_OVERSAMPLE more vectors than the modes
+    kept and the weight it misses, ||a||^2 - ||B||^2, is at most
     SKETCH_RESIDUAL times the smallest kept weight; by Weyl's inequality
-    that weight bounds the error of every kept weight. Otherwise the block
-    doubles, restarting from the same seed, and past half the matrix size
-    the dense SVD runs instead. ``scale`` multiplies the singular values
-    only, before the energy target reads them.
+    that weight bounds the error of every kept weight. Past half the matrix
+    size the dense SVD runs instead. ``scale`` multiplies the singular
+    values only, before the energy target reads them.
     """
-    total = float(np.vdot(a, a).real) * scale * scale
-    block = SKETCH_BLOCK
-    while block <= min(a.shape) / 2:
-        omega = np.random.default_rng(0).standard_normal((a.shape[1], block))
-        q = np.linalg.qr(a @ omega)[0]
-        # a^H q, formed as (q^H a)^H so a complex a is never conjugated whole
-        q = np.linalg.qr((q.conj().T @ a).conj().T)[0]
-        q = np.linalg.qr(a @ q)[0]
-        ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
+    n = kernel.grid_s.n_points
+    total = kernel.norm() ** 2
+    rng = np.random.default_rng(0)
+    dtype = np.result_type(kernel.at_sums, kernel.at_differences)
+    # Q^T, the basis as rows, and B. Each step widens both once, before it forms
+    # any row block, and fills the new rows in place: stacking at the step's end
+    # would hold both copies beside its products
+    basis = b = np.empty((0, n), dtype)
+    width = SKETCH_BLOCK
+    while width <= n / 2:
+        done = b.shape[0]
+        basis, b = _grown(basis, width), _grown(b, width)
+        q = basis[:done].T
+        new = _orthonormal(_times(kernel, rng.standard_normal((n, width - done))), q)
+        # one subspace iteration; a^H new is formed as (new^H a)^H, never conjugating a
+        new = np.linalg.qr(_adjoint_times(kernel, new).conj().T)[0]
+        new = _orthonormal(_times(kernel, new), q)
+        basis[done:] = new.T
+        b[done:] = _adjoint_times(kernel, new)
+        ub, s, vh = np.linalg.svd(b, full_matrices=False)
         s *= scale
         residual = total - float(np.sum(s ** 2))
-        u, s, vh = _floored(q @ ub, s, vh)
-        n = _mode_count(s)
-        if n + SKETCH_OVERSAMPLE <= block and residual <= SKETCH_RESIDUAL * s[n - 1] ** 2:
-            return u, s, vh
-        block *= 2
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+        ub, s, vh = _floored(ub, s, vh)
+        kept = _mode_count(s)
+        if kept + SKETCH_OVERSAMPLE <= width and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2:
+            return basis.T @ ub, s, vh
+        width *= 2
+    u, s, vh = np.linalg.svd(kernel.amplitude, full_matrices=False)
     return _floored(u, s * scale, vh)
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` with unset rows appended, ``rows`` in all."""
+    out = np.empty((rows, a.shape[1]), a.dtype)
+    out[:a.shape[0]] = a
+    return out
+
+
+def _orthonormal(y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of y's columns with q's orthonormal columns
+    projected out, in two passes, so rounding leaves no part along q."""
+    for _ in range(2):
+        y = np.linalg.qr(y - q @ (q.conj().T @ y))[0]
+    return y
+
+
+def _times(kernel: TpaKernel, x: np.ndarray) -> np.ndarray:
+    """a @ x, with one block of ROW_BLOCK rows of ``a`` formed at a time."""
+    return np.concatenate([kernel.rows(start, start + ROW_BLOCK) @ x
+                           for start in range(0, kernel.grid_s.n_points, ROW_BLOCK)])
+
+
+def _adjoint_times(kernel: TpaKernel, y: np.ndarray) -> np.ndarray:
+    """y^H @ a, with one block of ROW_BLOCK rows of ``a`` formed at a time."""
+    return sum(y[start:start + ROW_BLOCK].conj().T @ kernel.rows(start, start + ROW_BLOCK)
+               for start in range(0, kernel.grid_s.n_points, ROW_BLOCK))
 
 
 @dataclass(frozen=True)

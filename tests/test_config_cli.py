@@ -445,11 +445,10 @@ def run_config(tmp_path, data, *argv):
 
 
 @pytest.mark.parametrize("patch, message", [
-    ({"valid_range_um": [0.2, 0.5]}, "validity window"),
     ({"ordinary": {"a": 2.7359, "b": 0.01878, "c": 0.9, "d": 0.01354}}, "resonance pole"),
     ({"ordinary": {"a": -5.0, "b": 0.01878, "c": 0.01822, "d": 0.01354}}, "n\\^2 = "),
     ({"cut_angle_deg": 89.0}, "critical angle"),
-], ids=["window", "pole", "negative-n2", "past-critical-angle"])
+], ids=["pole", "negative-n2", "past-critical-angle"])
 def test_dispersion_failures_are_config_errors(tmp_path, patch, message):
     data = shipped(SINGLE)
     data["phase_match"]["sellmeier"].update(patch)
@@ -469,13 +468,24 @@ def test_dispersion_failures_are_config_errors(tmp_path, patch, message):
      r"phase_match\.offset_override_um_inv must be >= 0, got -1\.0"),
     ("phase_match.sellmeier", "valid_range_um", [1.1, 0.2],
      r"phase_match\.sellmeier\.valid_range_um = \[1\.1, 0\.2\] is an empty validity window"),
+    # the model is read at the pump and at the degenerate signal, twice its wavelength
+    ("phase_match", "pump_wavelength_nm", 600,
+     r"phase_match\.pump_wavelength_nm = 600\.0 puts the degenerate signal at 1\.2000 um, "
+     r"outside phase_match\.sellmeier\.valid_range_um = \[0\.2, 1\.1\]"),
+    ("phase_match", "pump_wavelength_nm", 1.0,
+     r"phase_match\.pump_wavelength_nm = 1\.0 puts the pump at 0\.0010 um, "
+     r"outside phase_match\.sellmeier\.valid_range_um = \[0\.2, 1\.1\]"),
+    ("phase_match.sellmeier", "valid_range_um", [0.2, 0.5],
+     r"phase_match\.pump_wavelength_nm = 405\.0 puts the degenerate signal at 0\.8100 um, "
+     r"outside phase_match\.sellmeier\.valid_range_um = \[0\.2, 0\.5\]"),
     ("pump", "peaks", 0, r"pump\.peaks = 0: need at least one peak"),
     ("pump", "peaks", -4, r"pump\.peaks = -4: need at least one peak"),
     ("pump", "peak_spacing_um_inv", -0.1,
      r"pump\.peak_spacing_um_inv must be positive, got -0\.1"),
     ("hologram", "width_px", 8, r"hologram: width_px = 8 is too small"),
-], ids=["pump-wavelength", "crystal-length", "negative-offset", "reversed-window", "no-peaks", "negative-peaks",
-        "negative-spacing", "narrow-raster"])
+], ids=["pump-wavelength", "crystal-length", "negative-offset", "reversed-window",
+        "pump-wavelength-600", "pump-wavelength-1", "signal-outside-window", "no-peaks",
+        "negative-peaks", "negative-spacing", "narrow-raster"])
 def test_refusals_name_the_key_and_the_value_written(tmp_path, section, key, value, message):
     data = shipped(THREE)
     node = data

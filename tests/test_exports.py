@@ -9,8 +9,12 @@ import pytest
 
 from spdc_modes import exports
 from spdc_modes.cli import main
-from spdc_modes.exports import FLOAT_FMT, ROWS_PER_CHUNK, write_table_csv
+from spdc_modes.exports import CHUNK_VALUES, FLOAT_FMT, write_table_csv
 
+# rows per chunk of a three-column table, such as kernel.csv
+ROWS_PER_CHUNK = CHUNK_VALUES // 3
+# and of a 129-column one, such as a 64-mode table with its re/im pairs
+WIDE_ROWS = CHUNK_VALUES // 129
 SINGLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "single_mode.yaml")
 SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7e308, -1.7e308,
            1.0, -1.0 / 3.0, 2.0 ** -1074 * 3, 6.02214076e23, 1e-300]
@@ -43,6 +47,24 @@ def test_table_bytes_match_savetxt(tmp_path, rows, n_cols):
     path = tmp_path / "t.csv"
     write_table_csv(str(path), header, columns)
     assert path.read_bytes() == savetxt_bytes(header, columns)
+
+
+@pytest.mark.parametrize("rows", [1, WIDE_ROWS - 1, WIDE_ROWS, WIDE_ROWS + 1, 2 * WIDE_ROWS + 7])
+def test_wide_table_bytes_match_savetxt_across_chunks(tmp_path, rows):
+    header, columns = table(rows, 129, seed=rows)
+    path = tmp_path / "t.csv"
+    write_table_csv(str(path), header, columns)
+    assert path.read_bytes() == savetxt_bytes(header, columns)
+
+
+def test_a_wide_table_is_formatted_in_chunks_of_bounded_size():
+    header, columns = table(2 * WIDE_ROWS + 7, 129, seed=5)
+    chunks = list(exports._table_chunks(header, columns))
+    # the header, two full chunks and the ragged rest
+    assert [chunk.count(b"\n") for chunk in chunks] == [1, WIDE_ROWS, WIDE_ROWS, 7]
+    # one value too many for a whole row still formats a row at a time
+    header, columns = table(3, CHUNK_VALUES + 1, seed=6)
+    assert [chunk.count(b"\n") for chunk in exports._table_chunks(header, columns)] == [1, 1, 1, 1]
 
 
 def test_special_values_and_a_wide_table_match_savetxt(tmp_path):

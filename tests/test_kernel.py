@@ -178,8 +178,31 @@ def test_from_profiles_validation():
         pump[0] = match[0] = 1.0
         with pytest.raises(ValueError, match="identically zero"):
             build(grid, pump, match)
-    with pytest.raises(ValueError, match="shape"):
-        TpaKernel(grid, np.ones((32, 31)))
+    # each profile needs one sample per sum or difference node: 2 * 32 - 1
+    for pump, match in ((np.ones(63), np.ones(62)), (np.ones((32, 31)), np.ones(63))):
+        with pytest.raises(ValueError, match="shape"):
+            TpaKernel(grid, pump, match)
+
+
+@pytest.mark.parametrize("complex_pump", [False, True], ids=["real", "complex"])
+def test_kernel_rows_are_the_amplitude_rows(complex_pump):
+    grid = centered(1.0, 50)
+    n = grid.n_points
+    k = sum_coordinate_grid(grid).points()
+    pump = np.exp(-k ** 2 / 0.1) * (1.0 + k)
+    if complex_pump:
+        pump = pump * np.exp(3j * k ** 2)
+    kernel = TpaKernel.from_profiles(grid, pump, np.exp(-(k - 0.2) ** 2 / 0.3))
+    i, j = np.indices((n, n))
+    full = kernel.amplitude
+    assert full.dtype == (np.complex128 if complex_pump else np.float64)
+    assert np.array_equal(full, kernel.at_sums[i + j] * kernel.at_differences[i - j + n - 1])
+    # blocks of 16 rows leave a ragged last block of 2
+    for start in range(0, n, 16):
+        stop = min(start + 16, n)
+        assert np.array_equal(kernel.rows(start, stop), full[start:stop])
+    assert kernel.rows(7, 8).shape == (1, n)
+    assert np.array_equal(kernel.rows(n - 3, n), full[n - 3:])
 
 
 def test_profiles_of_extreme_magnitude_normalize():

@@ -161,6 +161,8 @@ def test_coincidence_scans_match_the_joint_columns(case, windows):
 
 MEMORY_POINTS = 1024
 JOINT_BYTES = 8 * MEMORY_POINTS ** 2
+# one float64 profile on the 2N - 1 sum or difference nodes
+PROFILE_BYTES = 8 * (2 * MEMORY_POINTS - 1)
 THREE = os.path.join(CONFIG_DIR, "three_modes.yaml")
 
 
@@ -175,11 +177,12 @@ def traced_peak(call):
     return result, peak
 
 
-def test_build_multipeak_allocates_one_joint_array():
+def test_build_multipeak_allocates_no_joint_array():
+    # the kernel is its two profiles; the N x N amplitude is formed only on request
     cfg = load_config(THREE, {"grid.points": MEMORY_POINTS})
     kernel, peak = traced_peak(lambda: build_multipeak(cfg.pump, cfg.grid))
     assert kernel.amplitude.nbytes == JOINT_BYTES
-    assert peak <= 1.1 * JOINT_BYTES
+    assert peak <= 16 * PROFILE_BYTES  # 1/32 of JOINT_BYTES at this size
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,4 +205,15 @@ def test_schmidt_decompose_copies_no_joint_array():
     schmidt_decompose(kernel)
     dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
     assert dec.n_modes == 21
+    assert peak < 0.5 * JOINT_BYTES
+
+
+def test_the_schmidt_command_holds_no_joint_array(tmp_path, capsys):
+    # the build, the decomposition and the mode tables together
+    run = ["schmidt", "--config", THREE, "--out", str(tmp_path),
+           "--grid-points", str(MEMORY_POINTS)]
+    assert main(run) == 0
+    code, peak = traced_peak(lambda: main(run))
+    assert "modes kept: 21" in capsys.readouterr().out
+    assert code == 0
     assert peak < 0.5 * JOINT_BYTES

@@ -17,6 +17,7 @@ from spdc_modes.kernel import (
     build_multipeak,
     default_grid,
     sum_coordinate_grid,
+    sum_difference_nodes,
 )
 from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
 from spdc_modes.schmidt import SV_FLOOR, schmidt_decompose, schmidt_number
@@ -142,18 +143,23 @@ def test_reconstruction_matches_kernel():
         dec.discarded_weight, abs=1e-12)
 
 
+def noise_kernel(n):
+    """A kernel of random profiles: its weight spreads over nearly every mode."""
+    grid = WavevectorGrid.centered(0.0, 1.0, n)
+    return TpaKernel.from_profiles(grid, *np.random.default_rng(0).standard_normal((2, 2 * n - 1)))
+
+
 def test_mode_cap_reports_discarded_weight(svd_shapes):
     # a noise kernel spreads its weight over every mode: the 64-mode cap
     # binds, and the kept modes do not fit a sketch block of half its size
-    grid = WavevectorGrid.centered(0.0, 1.0, 160)
-    noise = np.random.default_rng(0).standard_normal((160, 160))
-    kernel = TpaKernel(grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
+    kernel = noise_kernel(160)
+    grid = kernel.grid_s
     dec = schmidt_decompose(kernel)
     assert svd_shapes[-1] == (160, 160)
     assert dec.n_modes == 64
     s = np.linalg.svd(kernel.amplitude, compute_uv=False) * grid.spacing
     assert dec.discarded_weight == pytest.approx(1.0 - np.sum(s[:64] ** 2), abs=1e-15)
-    assert dec.discarded_weight == pytest.approx(0.18078, abs=1e-5)
+    assert dec.discarded_weight == pytest.approx(0.18508, abs=1e-5)
     assert reconstruction_error_squared(dec, kernel) == pytest.approx(
         dec.discarded_weight, abs=1e-12)
     warned = [w for w in dec.warnings if "discards" in w]
@@ -162,14 +168,15 @@ def test_mode_cap_reports_discarded_weight(svd_shapes):
 
 def test_rejects_unnormalized_kernel():
     grid = WavevectorGrid.centered(0.0, 5.0, 64)
-    k = grid.points()
-    amp = np.exp(-np.add.outer(k ** 2, k ** 2))
-    raw = TpaKernel(grid, amp.astype(complex))
+    # exp(-(ks^2 + ki^2)) = exp(-(ks + ki)^2 / 2) exp(-(ks - ki)^2 / 2)
+    sums, differences = sum_difference_nodes(grid)
+    pump, match = np.exp(-sums ** 2 / 2.0), np.exp(-differences ** 2 / 2.0)
+    raw = TpaKernel(grid, pump.astype(complex), match)
     with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(raw)
-    good = TpaKernel(grid, amp / (math.sqrt(np.sum(amp ** 2)) * grid.spacing))
+    good = TpaKernel.from_profiles(grid, pump, match)
     schmidt_decompose(good)
-    bad = TpaKernel(grid, good.amplitude * 2.0)
+    bad = TpaKernel(grid, good.at_sums * 2.0, good.at_differences)
     with pytest.raises(ValueError, match="norm is"):
         schmidt_decompose(bad)
 
@@ -222,7 +229,7 @@ def double_gaussian_kernel():
 @pytest.mark.parametrize("build", [three_mode_kernel, double_gaussian_kernel])
 def test_real_kernel_decomposes_like_its_complex_copy(build):
     real = build()
-    promoted = TpaKernel(real.grid_s, real.amplitude.astype(complex))
+    promoted = TpaKernel(real.grid_s, real.at_sums.astype(complex), real.at_differences)
     dec_real = schmidt_decompose(real)
     dec_complex = schmidt_decompose(promoted)
     assert dec_real.signal_modes.dtype == np.float64
@@ -241,8 +248,8 @@ def test_real_kernel_decomposes_like_its_complex_copy(build):
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def dense_triplets(a, scale):
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+def dense_triplets(kernel, scale):
+    u, s, vh = np.linalg.svd(kernel.amplitude, full_matrices=False)
     s = s * scale
     keep = s > SV_FLOOR * s[0]
     return u[:, keep], s[keep], vh[keep, :]
@@ -318,9 +325,7 @@ def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
 
 
 def test_high_rank_kernel_falls_back_to_dense(monkeypatch, svd_shapes):
-    grid = WavevectorGrid.centered(0.0, 1.0, 64)
-    noise = np.random.default_rng(0).standard_normal((64, 64))
-    kernel = TpaKernel(grid, noise / (math.sqrt(np.sum(noise ** 2)) * grid.spacing))
+    kernel = noise_kernel(64)
     dec = schmidt_decompose(kernel)
     assert svd_shapes[-1] == (64, 64)
     ref = dense_decompose(kernel, monkeypatch)
