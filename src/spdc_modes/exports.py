@@ -3,8 +3,9 @@
 Every writer goes through a temp file in the destination directory plus
 os.replace, so a crashed run never leaves a half-written table behind.
 Floats are printed with 17 significant digits (lossless for float64).
-Tables are formatted and written at most CHUNK_VALUES values at a time,
-so an export never holds the whole file's text in memory, however wide.
+Tables are formatted and written at most CHUNK_VALUES values at a time
+(kernel.csv at least one whole kernel row), so an export never holds the
+whole file's text in memory, however wide or long.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def atomic_write_bytes(path: str, data: Union[bytes, Iterable[bytes]]) -> None:
         with os.fdopen(fd, "wb") as fh:
             for chunk in (data,) if isinstance(data, bytes) else data:
                 fh.write(chunk)
+                del chunk  # so the next chunk is formed without this one
         # mkstemp creates 0600; give the file the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -78,22 +80,34 @@ def write_kernel_csv(path: str, kernel) -> None:
     """Flattened joint amplitude, one (ks, ki) sample per row, plus a sidecar.
 
     The table format holds real amplitudes only (every shipped model is
-    real); a kernel with meaningful imaginary content is refused rather
-    than silently truncated. The sidecar carries the grids and warnings
-    as YAML next to the table, named with a .meta.yaml suffix.
+    real); a kernel with meaningful imaginary content is refused, before
+    any byte is written, rather than silently truncated. A chunk holds
+    whole kernel rows, so past N = 4096 one row exceeds CHUNK_VALUES. The
+    sidecar carries the grids and warnings as YAML next to the table,
+    named with a .meta.yaml suffix.
     """
-    amp = kernel.amplitude
-    scale = np.abs(amp.real).max()
-    if scale == 0 or (np.iscomplexobj(amp) and np.abs(amp.imag).max() > 1e-9 * scale):
-        raise ValueError(
-            "kernel amplitude is not real-valued; this table format cannot hold it"
-        )
-    ks = kernel.grid_s.points()
-    ki = kernel.grid_i.points()
-    kk_s, kk_i = np.meshgrid(ks, ki, indexing="ij")
-    write_table_csv(path,
-                    ["ks", "ki", "amplitude"],
-                    [kk_s.ravel(), kk_i.ravel(), amp.real.ravel()])
+    n = kernel.grid_s.n_points
+    rows = max(1, CHUNK_VALUES // (3 * n))
+    peaks = np.zeros(2)  # max |re| and max |im|, one row block at a time
+    for start in range(0, n, rows):
+        block = kernel.rows(start, start + rows)
+        peaks = np.maximum(peaks, (np.abs(block.real).max(), np.abs(np.imag(block)).max()))
+    if peaks[0] == 0 or peaks[1] > 1e-9 * peaks[0]:
+        raise ValueError("kernel amplitude is not real-valued; this table format cannot hold it")
+    # the ki column repeats in every kernel row: format it once, as one row's
+    # template whose NUL bytes (in no float's text) take the row's ks text
+    fmt = FLOAT_FMT.encode("ascii")
+    row = b"".join(b"\0," + fmt % k + b"," + fmt + b"\n" for k in kernel.grid_i.points().tolist())
+    ks = kernel.grid_s.points().tolist()
+
+    def chunks() -> Iterator[bytes]:
+        yield b"ks,ki,amplitude\n"
+        for start in range(0, n, rows):
+            yield b"".join(row.replace(b"\0", fmt % k) % tuple(values.tolist())
+                           for k, values in zip(ks[start:start + rows],
+                                                kernel.rows(start, start + rows).real))
+
+    atomic_write_bytes(path, chunks())
     meta = {
         "signal_grid": {"k_min": float(kernel.grid_s.k_min),
                         "k_max": float(kernel.grid_s.k_max),

@@ -14,6 +14,7 @@ phase levels on a fixed pixel pitch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -105,7 +106,8 @@ class HologramSettings:
 
 @dataclass(frozen=True, eq=False)
 class HologramImage:
-    """8-bit phase raster plus the SLM settings needed to replay it."""
+    """8-bit phase raster plus the SLM settings needed to replay it; that of
+    :func:`encode_hologram` is one read-only row broadcast to the frame."""
 
     phase_levels: np.ndarray   # uint8, shape (height_px, width_px)
     settings: HologramSettings
@@ -146,10 +148,9 @@ def quantize_phase(phase: np.ndarray) -> np.ndarray:
 
 def encode_hologram(target: np.ndarray, settings: HologramSettings) -> HologramImage:
     """Raster a target field, one sample per pixel column, into a full-frame
-    phase hologram; every row repeats it."""
+    phase hologram; every row repeats it, as one read-only row broadcast."""
     row = quantize_phase(phase_map(target, settings))
-    levels = np.broadcast_to(row, (settings.height_px, settings.width_px)).copy()
-    return HologramImage(levels, settings)
+    return HologramImage(np.broadcast_to(row, (settings.height_px, settings.width_px)), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +227,9 @@ def envelope_fwhm(field: FieldProfile1D, split_frequency: Optional[float] = None
 # raster I/O
 # ---------------------------------------------------------------------------
 
-def pgm_bytes(holo: HologramImage) -> bytes:
-    """Binary PGM (P5, maxval 255) encoding of the phase raster."""
-    h, w = holo.phase_levels.shape
-    header = f"P5 {w} {h} 255\n".encode("ascii")
-    return header + holo.phase_levels.tobytes()
-
-
 def export_pgm(path: str, holo: HologramImage) -> None:
-    """Write the raster as binary PGM, atomically."""
-    exports.atomic_write_bytes(path, pgm_bytes(holo))
-
+    """Write the raster as binary PGM (P5, maxval 255), atomically, one row
+    at a time."""
+    h, w = holo.phase_levels.shape
+    exports.atomic_write_bytes(path, itertools.chain(
+        [f"P5 {w} {h} 255\n".encode("ascii")], (row.tobytes() for row in holo.phase_levels)))

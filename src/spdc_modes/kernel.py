@@ -6,8 +6,8 @@ On a signal grid and its mirror, the idler grid, both are 1D arrays on
 the nodes of :func:`sum_difference_nodes`, and every joint quantity is
 read off that pair. :class:`TpaKernel` holds the pair P, M and forms F,
 with ks along axis 0 and ki along axis 1, only in row blocks: the Schmidt
-decomposition reads it a block at a time and never holds it, and only the
-kernel table and the dense-SVD fallback form the whole array.
+decomposition and the kernel table read it a block at a time and never
+hold it, and only the dense-SVD fallback forms the whole array.
 :class:`JointIntensity` holds the pair |P|^2, |M|^2 for the slit scans,
 which never form the joint array. Builders cover the plain
 double-Gaussian case, the structured multi-peak pump, and a pump spectrum

@@ -2,7 +2,8 @@
 
 The readers parse what :mod:`spdc_modes.exports` and
 :mod:`spdc_modes.hologram` write, independently of the writers, so a test
-can check a file's content. :func:`analytic_double_gaussian` gives the
+can check a file's content; :func:`pgm_bytes` builds a whole PGM file in
+memory, the reference for the streamed ``export_pgm``. :func:`analytic_double_gaussian` gives the
 closed-form Schmidt weights, Schmidt number and mode scale of the
 double-Gaussian amplitude, the Hermite-Gauss functions its modes, and
 :func:`reconstruct_kernel` sums a decomposition back into a kernel.
@@ -34,8 +35,15 @@ def read_csv(path: str) -> Tuple[List[str], np.ndarray]:
     return header, data
 
 
+def pgm_bytes(levels: np.ndarray) -> bytes:
+    """Binary PGM (P5, maxval 255) encoding of a uint8 phase raster, built
+    whole: the bytes ``hologram.export_pgm`` streams row by row."""
+    h, w = levels.shape
+    return f"P5 {w} {h} 255\n".encode("ascii") + np.ascontiguousarray(levels).tobytes()
+
+
 def parse_pgm(data: bytes) -> np.ndarray:
-    """Levels array from a binary PGM produced by ``hologram.pgm_bytes``."""
+    """Levels array from a binary PGM such as :func:`pgm_bytes` builds."""
     m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
     if not m:
         raise ValueError("not a binary PGM header")

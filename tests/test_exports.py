@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spdc_modes import exports
+from spdc_modes import cli, exports
 from spdc_modes.cli import main
-from spdc_modes.exports import CHUNK_VALUES, FLOAT_FMT, write_table_csv
+from spdc_modes.exports import CHUNK_VALUES, FLOAT_FMT, write_kernel_csv, write_table_csv
+from spdc_modes.kernel import TpaKernel
+from spdc_modes.optics import WavevectorGrid
 
 # rows per chunk of a three-column table, such as kernel.csv
 ROWS_PER_CHUNK = CHUNK_VALUES // 3
@@ -85,6 +87,88 @@ def test_ragged_columns_are_refused_and_leave_no_file(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         write_table_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.zeros(3), np.zeros(4)])
     assert os.listdir(tmp_path) == []
+
+
+def profile_kernel(n: int, imag) -> TpaKernel:
+    """A kernel of seeded random profiles, with zeros in the pump so that
+    -0.0 occurs. For ``imag`` None it is real; otherwise complex, with an
+    imaginary part, ``imag`` times the largest |P| |M|, on its last row only
+    (0.0: a complex-promoted real kernel)."""
+    rng = np.random.default_rng(n)
+    pump, match = rng.standard_normal((2, 2 * n - 1))
+    pump[::7] = 0.0
+    match[n - 1] = np.abs(match).max()
+    if imag is not None:
+        # P[2n - 2] reaches only the last row's last column, F[n - 1, n - 1]
+        pump = pump.astype(complex)
+        pump[-1] = 1j * imag * np.abs(pump).max()
+    return TpaKernel.from_profiles(WavevectorGrid.centered(0.7, 0.3, n), pump, match)
+
+
+def imag_share(kernel) -> float:
+    """max |Im F| / max |Re F|, the ratio the kernel table holds below 1e-9."""
+    amp = kernel.amplitude
+    return np.abs(amp.imag).max() / np.abs(amp.real).max()
+
+
+def kernel_csv_oracle(kernel) -> bytes:
+    """kernel.csv as the whole-table writer formed it: the meshgrid ks and
+    ki columns beside the whole amplitude's real part."""
+    ks, ki = np.meshgrid(kernel.grid_s.points(), kernel.grid_i.points(), indexing="ij")
+    return savetxt_bytes(["ks", "ki", "amplitude"],
+                         [ks.ravel(), ki.ravel(), kernel.amplitude.real.ravel()])
+
+
+# 37 rows fit one chunk; 513 rows make chunks of 7 and a ragged last one of 2
+@pytest.mark.parametrize("n", [37, 513])
+@pytest.mark.parametrize("imag", [None, 0.0, 1e-10], ids=["real", "complex-promoted", "tiny-imag"])
+def test_kernel_csv_bytes_match_savetxt_of_the_whole_table(tmp_path, monkeypatch, n, imag):
+    kernel = profile_kernel(n, imag)
+    assert kernel.amplitude.dtype == (np.float64 if imag is None else np.complex128)
+    assert (0.0 < imag_share(kernel) < 1e-9) if imag else imag_share(kernel) == 0.0
+    lines = []
+
+    write = exports.atomic_write_bytes
+
+    def counting(path, data):
+        # count the lines of each chunk of the table; the sidecar is one bytes object
+        def chunks():
+            for chunk in data:
+                lines.append(chunk.count(b"\n"))
+                yield chunk
+        write(path, data if isinstance(data, bytes) else chunks())
+
+    monkeypatch.setattr(exports, "atomic_write_bytes", counting)
+    path = tmp_path / "kernel.csv"
+    write_kernel_csv(str(path), kernel)
+    data = path.read_bytes()
+    assert data == kernel_csv_oracle(kernel)
+    assert b"\n-0.0000000000000000e+00," not in data  # ks and ki hold no -0.0 ...
+    assert b",-0.0000000000000000e+00\n" in data     # ... but the amplitude does
+    rows = max(1, CHUNK_VALUES // (3 * n))
+    full, rest = divmod(n, rows)
+    assert lines == [1] + [rows * n] * full + ([rest * n] if rest else [])
+    assert (tmp_path / "kernel.meta.yaml").is_file()
+
+
+def test_a_kernel_with_imaginary_content_is_refused_and_leaves_no_file(tmp_path):
+    # the imaginary part sits on the last row, in the ragged last block
+    kernel = profile_kernel(513, 1e-8)
+    assert imag_share(kernel) > 1e-9
+    assert np.array_equal(np.nonzero(kernel.amplitude.imag), ([512], [512]))
+    with pytest.raises(ValueError, match="^kernel amplitude is not real-valued; "
+                                         "this table format cannot hold it$"):
+        write_kernel_csv(str(tmp_path / "kernel.csv"), kernel)
+    assert os.listdir(tmp_path) == []
+
+
+def test_tpa_refuses_a_complex_kernel_with_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.kernel, "build_multipeak", lambda pump, grid: profile_kernel(64, 0.5))
+    out = tmp_path / "out"
+    assert main(["tpa", "--config", SINGLE, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("computation error: kernel amplitude is not real-valued; "
+                                       "this table format cannot hold it\n")
+    assert os.listdir(out) == []
 
 
 def _peak_bytes(path, header, columns) -> int:

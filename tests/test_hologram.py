@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from spdc_modes.hologram import (
     field_overlap,
     first_order,
     inverse_sinc,
-    pgm_bytes,
     phase_map,
     pump_field,
     quantize_phase,
@@ -28,7 +28,7 @@ from spdc_modes.hologram import (
 from spdc_modes.kernel import MultiPeakParams
 from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR, PumpWidths
 
-from oracles import parse_pgm
+from oracles import parse_pgm, pgm_bytes
 
 HOLOGRAM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hologram.yaml")
 PITCH = 8.0
@@ -258,10 +258,13 @@ def test_slm_settings_validation():
         HologramSettings(pixel_pitch_um=0.0)
 
 
-def test_pgm_bytes_and_parse():
+def test_pgm_bytes_and_parse(tmp_path):
     levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
     holo = HologramImage(levels, slm(16, 16))
-    data = pgm_bytes(holo)
+    path = tmp_path / "raster.pgm"
+    export_pgm(str(path), holo)
+    data = path.read_bytes()
+    assert data == pgm_bytes(levels)
     assert data.startswith(b"P5 16 16 255\n")
     assert np.array_equal(parse_pgm(data), levels)
     with pytest.raises(ValueError, match="not a binary PGM"):
@@ -277,4 +280,37 @@ def test_pgm_file_round_trip(tmp_path):
     holo = HologramImage(levels, slm(48, 32))
     path = tmp_path / "raster.pgm"
     export_pgm(str(path), holo)
+    assert path.read_bytes() == pgm_bytes(levels)
     assert np.array_equal(parse_pgm(path.read_bytes()), levels)
+
+
+def test_an_encoded_raster_is_one_read_only_row(tmp_path):
+    settings = slm(240, 5)
+    holo = encode_hologram(flat_target(settings), settings)
+    levels = holo.phase_levels
+    assert levels.shape == (5, 240) and levels.size == 5 * 240
+    assert not levels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        levels[0, 0] = 1
+    path = tmp_path / "raster.pgm"
+    export_pgm(str(path), holo)
+    assert path.read_bytes() == pgm_bytes(np.array(levels))
+
+
+def test_encoding_and_export_hold_one_raster_row(tmp_path):
+    # a 1920 x 1080 frame is 2 MB of levels; the encoder keeps one row and
+    # the export streams it row by row
+    cfg = load_config(HOLOGRAM)
+    hs = cfg.hologram
+    target = pump_field(cfg.pump, hs.pixel_coordinates() / hs.magnification).amplitude
+    path = tmp_path / "hologram.pgm"
+    export_pgm(str(path), encode_hologram(target, hs))  # one-off costs outside the trace
+    tracemalloc.start()
+    try:
+        export_pgm(str(path), encode_hologram(target, hs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (hs.width_px, hs.height_px) == (1920, 1080)
+    assert peak < 0.25 * hs.width_px * hs.height_px
+    assert path.stat().st_size == len(f"P5 1920 1080 255\n") + 1920 * 1080

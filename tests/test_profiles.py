@@ -217,3 +217,16 @@ def test_the_schmidt_command_holds_no_joint_array(tmp_path, capsys):
     assert "modes kept: 21" in capsys.readouterr().out
     assert code == 0
     assert peak < 0.5 * JOINT_BYTES
+
+
+def test_the_tpa_command_holds_no_joint_array(tmp_path, capsys):
+    # the build and the 73 MB kernel.csv: the table is formed from row
+    # blocks, and its grid columns are formatted once
+    run = ["tpa", "--config", THREE, "--out", str(tmp_path),
+           "--grid-points", str(MEMORY_POINTS)]
+    assert main(run) == 0
+    code, peak = traced_peak(lambda: main(run))
+    capsys.readouterr()
+    assert code == 0
+    assert os.path.getsize(tmp_path / "kernel.csv") > 8 * JOINT_BYTES
+    assert peak < 0.1 * JOINT_BYTES

@@ -1,6 +1,7 @@
 """Every function in ``src/spdc_modes`` is reached by a command.
 
-Each golden run, plus ``schmidt`` on two configs, runs under
+Each golden run, plus ``schmidt`` on two configs and on a 48-point grid
+(whose decomposition takes the dense SVD), runs under
 ``sys.setprofile``; every ``def`` in the package, found with ``ast``, must
 have been called. Code that only tests call belongs in ``tests/oracles.py``.
 ``UNREACHED`` names the exceptions, each with the reason it stays. An
@@ -57,6 +58,8 @@ def package_functions() -> dict:
 def test_every_function_is_reached_by_a_command(tmp_path, capsys):
     runs = [(command, config, flags) for command, config, flags, _files in RUNS]
     runs += [("schmidt", "single_mode", ()), ("schmidt", "three_modes", ())]
+    # 41 to 63 points take the dense SVD, which reads TpaKernel.amplitude
+    runs += [("schmidt", "single_mode", ("--grid-points", "48"))]
     called = set()
 
     def profile(frame, event, _arg):
