@@ -6,8 +6,8 @@ On a signal grid and its mirror, the idler grid, both are 1D arrays on
 the nodes of :func:`sum_difference_nodes`, and every joint quantity is
 read off that pair. :class:`TpaKernel` holds the pair P, M and forms F,
 with ks along axis 0 and ki along axis 1, only in row blocks: the Schmidt
-decomposition and the kernel table read it a block at a time and never
-hold it, and only the dense-SVD fallback forms the whole array.
+decomposition and the kernel table read it a block at a time, and no
+command forms the whole array.
 :class:`JointIntensity` holds the pair |P|^2, |M|^2 for the slit scans,
 which never form the joint array. Builders cover the plain
 double-Gaussian case, the structured multi-peak pump, and a pump spectrum
@@ -83,7 +83,8 @@ class TpaKernel(MirroredIdler):
 
     @property
     def amplitude(self) -> np.ndarray:
-        """The whole N x N joint amplitude, formed on each access."""
+        """The whole N x N joint amplitude, formed on each access. No command
+        reads it: the tests and perfbench/tracer.py's kernel.amp_bytes do."""
         return self.rows(0, self.grid_s.n_points)
 
     def norm(self) -> float:

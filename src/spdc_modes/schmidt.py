@@ -10,11 +10,10 @@ singular values, so no scaled copy of the amplitude is made.
 Only the leading modes are ever kept, so the triplets come from an
 adaptive randomized range finder: fixed-seed Gaussian columns, one
 subspace iteration and Rayleigh-Ritz on the basis, which grows until the
-weight it misses bounds every kept weight's error far below that weight.
-The amplitude is read only through products with it, formed ROW_BLOCK
-rows at a time from the kernel's two profiles, so it is never held. The
-dense SVD, which forms the whole amplitude, remains for a kernel whose
-kept modes do not fit a basis of half its size. The fixed seed keeps
+weight it misses bounds every kept weight's error far below that weight,
+or until it spans every direction. The amplitude is read only through
+products with it, formed ROW_BLOCK rows at a time from the kernel's two
+profiles, so the N x N array is never formed. The fixed seed keeps
 reruns byte-identical.
 """
 
@@ -147,15 +146,15 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
     Rev. 53, 217 (2011), section 4.4) keeps an orthonormal basis Q of the
     range of ``a`` and B = Q^H a, and grows them: each step draws new
     Gaussian columns from one fixed-seed stream, so the basis holds
-    SKETCH_BLOCK, then twice as many columns at every step. The new columns
-    get one subspace iteration on ``a`` with Q projected out, and their rows
-    of B are appended; the SVD of B then gives the triplets. The basis is
-    accepted when it holds SKETCH_OVERSAMPLE more vectors than the modes
-    kept and the weight it misses, ||a||^2 - ||B||^2, is at most
+    SKETCH_BLOCK, then twice as many columns at every step, at most N. The
+    new columns get one subspace iteration on ``a`` with Q projected out,
+    and their rows of B are appended; the SVD of B then gives the triplets.
+    The basis is accepted when it holds SKETCH_OVERSAMPLE more vectors than
+    the modes kept and the weight it misses, ||a||^2 - ||B||^2, is at most
     SKETCH_RESIDUAL times the smallest kept weight; by Weyl's inequality
-    that weight bounds the error of every kept weight. Past half the matrix
-    size the dense SVD runs instead. ``scale`` multiplies the singular
-    values only, before the energy target reads them.
+    that weight bounds the error of every kept weight. At N columns, B is
+    all of ``a`` in a complete basis and is accepted as is. ``scale``
+    multiplies the singular values only, before the energy target reads them.
     """
     n = kernel.grid_s.n_points
     total = kernel.norm() ** 2
@@ -166,7 +165,7 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
     # would hold both copies beside its products
     basis = b = np.empty((0, n), dtype)
     width = SKETCH_BLOCK
-    while width <= n / 2:
+    while True:
         done = b.shape[0]
         basis, b = _grown(basis, width), _grown(b, width)
         q = basis[:done].T
@@ -181,11 +180,10 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
         residual = total - float(np.sum(s ** 2))
         ub, s, vh = _floored(ub, s, vh)
         kept = _mode_count(s)
-        if kept + SKETCH_OVERSAMPLE <= width and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2:
+        if width == n or (kept + SKETCH_OVERSAMPLE <= width
+                          and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2):
             return basis.T @ ub, s, vh
-        width *= 2
-    u, s, vh = np.linalg.svd(kernel.amplitude, full_matrices=False)
-    return _floored(u, s * scale, vh)
+        width = min(2 * width, n)
 
 
 def _grown(a: np.ndarray, rows: int) -> np.ndarray:

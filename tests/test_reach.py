@@ -1,18 +1,19 @@
 """Every function in ``src/spdc_modes`` is reached by a command.
 
-Each golden run, plus ``schmidt`` on two configs and on a 48-point grid
-(whose decomposition takes the dense SVD), runs under
+Each golden run, plus ``schmidt`` on two configs, runs under
 ``sys.setprofile``; every ``def`` in the package, found with ``ast``, must
 have been called. Code that only tests call belongs in ``tests/oracles.py``.
 ``UNREACHED`` names the exceptions, each with the reason it stays. An
 exception kept for the benchmark tracer stays only while the tracer's
-``SPANS`` names it; once it does not, the function belongs in the oracles.
+``SPANS`` names it, or its counter reads it; once it does not, the function
+belongs in the oracles.
 """
 
 import ast
 import importlib.util
 import os
 import sys
+import types
 
 import spdc_modes
 from spdc_modes.cli import main
@@ -23,11 +24,13 @@ from test_spans import TRACER
 PACKAGE = os.path.dirname(os.path.abspath(spdc_modes.__file__))
 
 TRACED = "the benchmark tracer's SPANS names it, and tests/test_spans.py checks that it exists"
+AMP_BYTES = "perfbench/tracer.py's kernel.amp_bytes counter reads it"
 # qualified name -> why it stays in the package though no command calls it
 UNREACHED = {
     "kernel.build_double_gaussian": TRACED,
     "kernel.build_from_pump": TRACED,
     "config.RunConfig.normalized": "the planned run record writes the normalized config",
+    "kernel.TpaKernel.amplitude": AMP_BYTES,
 }
 
 
@@ -58,8 +61,6 @@ def package_functions() -> dict:
 def test_every_function_is_reached_by_a_command(tmp_path, capsys):
     runs = [(command, config, flags) for command, config, flags, _files in RUNS]
     runs += [("schmidt", "single_mode", ()), ("schmidt", "three_modes", ())]
-    # 41 to 63 points take the dense SVD, which reads TpaKernel.amplitude
-    runs += [("schmidt", "single_mode", ("--grid-points", "48"))]
     called = set()
 
     def profile(frame, event, _arg):
@@ -89,4 +90,16 @@ def test_traced_exceptions_are_still_traced():
     spec.loader.exec_module(tracer)
     spans = {f"{module}.{name}" for module, name in tracer.SPANS}
     stale = sorted(name for name, why in UNREACHED.items() if why == TRACED and name not in spans)
+    # kernel.amp_bytes reads the amplitude of the kernel a builder returns
+    read = []
+
+    class Kernel:
+        @property
+        def amplitude(self):
+            read.append(True)
+            return types.SimpleNamespace(nbytes=0)
+
+    tracer._counters("kernel.build_multipeak", (), {}, Kernel())
+    if not read:
+        stale += sorted(name for name, why in UNREACHED.items() if why == AMP_BYTES)
     assert stale == [], f"no longer traced, so move to tests/oracles.py: {stale}"

@@ -151,7 +151,7 @@ def noise_kernel(n):
 
 def test_mode_cap_reports_discarded_weight(svd_shapes):
     # a noise kernel spreads its weight over every mode: the 64-mode cap
-    # binds, and the kept modes do not fit a sketch block of half its size
+    # binds, and the kept modes fit no basis short of all 160 columns
     kernel = noise_kernel(160)
     grid = kernel.grid_s
     dec = schmidt_decompose(kernel)
@@ -324,20 +324,40 @@ def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
     assert np.array_equal(again.idler_modes, dec.idler_modes)
 
 
-def test_high_rank_kernel_falls_back_to_dense(monkeypatch, svd_shapes):
-    kernel = noise_kernel(64)
+@pytest.mark.parametrize("n", [16, 20, 48, 64])
+def test_high_rank_kernel_grows_its_basis_to_full_width(n, monkeypatch, svd_shapes):
+    """A noise kernel's kept modes fit no basis short of its size, so the
+    basis grows to all n columns, where B is the whole kernel in it. At 16
+    points (the smallest grid) the first block is already full; at 20 the
+    last step is narrower than a doubling."""
+    kernel = noise_kernel(n)
     dec = schmidt_decompose(kernel)
-    assert svd_shapes[-1] == (64, 64)
+    assert svd_shapes[-1] == (n, n)
     ref = dense_decompose(kernel, monkeypatch)
-    assert np.array_equal(dec.coefficients, ref.coefficients)
-    assert np.array_equal(dec.signal_modes, ref.signal_modes)
-    # under a cap of one mode, that mode leaves room in a 32-wide block, but
-    # the weight the block misses is far above that mode's weight
+    assert dec.n_modes == ref.n_modes
+    assert np.abs(dec.coefficients - ref.coefficients).max() <= 2e-15
+    assert dec.discarded_weight == pytest.approx(ref.discarded_weight, abs=1e-15)
+    overlaps = np.sum(dec.signal_modes.conj() * ref.signal_modes, axis=1).real * kernel.grid_s.spacing
+    assert np.all(overlaps >= 1.0 - 1e-12), np.flatnonzero(overlaps < 1.0 - 1e-12)
+    # under a cap of one mode, a 32-wide block has room for that mode (48 and
+    # 64 points), but the weight it misses is far above that mode's weight
     svd_shapes.clear()
     monkeypatch.setattr(schmidt, "MAX_MODES", 1)
     one = schmidt_decompose(kernel)
-    assert svd_shapes[-1] == (64, 64)
-    assert np.array_equal(one.coefficients, ref.coefficients[:1])
+    assert svd_shapes[-1] == (n, n)
+    assert one.n_modes == 1
+    assert abs(one.coefficients[0] - ref.coefficients[0]) <= 2e-15
+
+
+@pytest.mark.parametrize("source", [16, 20, 48, 64, 160,
+                                    "single_mode", "three_modes", "crosstalk", "hologram"])
+def test_decomposition_never_forms_the_joint_array(source, monkeypatch):
+    def refuse(_kernel):
+        raise AssertionError("the N x N joint amplitude was formed")
+
+    monkeypatch.setattr(TpaKernel, "amplitude", property(refuse))
+    kernel = noise_kernel(source) if isinstance(source, int) else shipped_kernel(source)
+    assert schmidt_decompose(kernel).n_modes >= 1
 
 
 def many_mode_config():
