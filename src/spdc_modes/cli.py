@@ -330,10 +330,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               "the parameters are outside the model's numerical range", file=sys.stderr)
         return EXIT_COMPUTE
     except MemoryError:
-        if args.command == "hologram":  # the raster, not the grid, is what grows
-            hs = cfg.hologram
-            need = (f"a {hs.width_px} x {hs.height_px} px raster; "
-                    "lower hologram.width_px or hologram.height_px")
+        if args.command == "hologram":  # one raster row, not the grid, is what grows
+            need = f"a {cfg.hologram.width_px} px raster row; lower hologram.width_px"
         else:
             need = f"{cfg.grid.n_points} x {cfg.grid.n_points} grid points; lower grid.points"
         print(f"computation error: out of memory with {need}", file=sys.stderr)

@@ -1,7 +1,8 @@
-"""File outputs: plain CSV with full-precision floats, written atomically.
+"""File outputs: plain CSV with full-precision floats.
 
-Every writer goes through a temp file in the destination directory plus
-os.replace, so a crashed run never leaves a half-written table behind.
+Each writer writes the path it is given. The command line hands every
+writer a path in a stage directory and moves a run's files into place only
+once all of them are written, so a failed run leaves none of them behind.
 Floats are printed with 17 significant digits (lossless for float64).
 Tables are formatted and written at most CHUNK_VALUES values at a time
 (kernel.csv at least one whole kernel row), so an export never holds the
@@ -11,7 +12,6 @@ whole file's text in memory, however wide or long.
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -25,27 +25,17 @@ CHUNK_VALUES = 3 * 4096
 def atomic_write_bytes(path: str, data: Union[bytes, Iterable[bytes]]) -> None:
     """Write ``data`` (bytes, or an iterable of byte chunks) to ``path``.
 
-    The chunks go into a temp file that replaces ``path`` only once all of
-    them are written; on any failure the temp file is removed, and an OS
-    error that names no file is reported at ``path``.
+    An OS error that names no file is reported at ``path``. A failure can
+    leave a partial file at ``path``: the command line's stage directory,
+    not this function, makes a run's files all or none.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(path, "wb") as fh:
             for chunk in (data,) if isinstance(data, bytes) else data:
                 fh.write(chunk)
                 del chunk  # so the next chunk is formed without this one
-        # mkstemp creates 0600; give the file the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename is None:
+    except OSError as exc:
+        if exc.filename is None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
@@ -60,8 +50,6 @@ def _table_chunks(header: Sequence[str],
     in blocks of at most CHUNK_VALUES values (at least one row), each
     formatted with one ``%``."""
     cols = [np.asarray(c, dtype=float) for c in columns]
-    if len({len(c) for c in cols}) > 1:
-        raise ValueError("table columns differ in length")
     yield (",".join(header) + "\n").encode("utf-8")
     row_fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
     rows = max(1, CHUNK_VALUES // len(cols))
@@ -73,6 +61,8 @@ def _table_chunks(header: Sequence[str],
 
 def write_table_csv(path: str, header: Sequence[str],
                     columns: Sequence[np.ndarray]) -> None:
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("table columns differ in length")
     atomic_write_bytes(path, _table_chunks(header, columns))
 
 
@@ -80,20 +70,16 @@ def write_kernel_csv(path: str, kernel) -> None:
     """Flattened joint amplitude, one (ks, ki) sample per row, plus a sidecar.
 
     The table format holds real amplitudes only (every shipped model is
-    real); a kernel with meaningful imaginary content is refused, before
-    any byte is written, rather than silently truncated. A chunk holds
-    whole kernel rows, so past N = 4096 one row exceeds CHUNK_VALUES. The
-    sidecar carries the grids and warnings as YAML next to the table,
-    named with a .meta.yaml suffix.
+    real); a kernel with a complex profile is refused, before any byte is
+    written, rather than silently truncated. A chunk holds whole kernel
+    rows, so past N = 4096 one row exceeds CHUNK_VALUES. The sidecar
+    carries the grids and warnings as YAML next to the table, named with a
+    .meta.yaml suffix.
     """
+    if np.iscomplexobj(kernel.at_sums) or np.iscomplexobj(kernel.at_differences):
+        raise ValueError("kernel amplitude is not real-valued; this table format cannot hold it")
     n = kernel.grid_s.n_points
     rows = max(1, CHUNK_VALUES // (3 * n))
-    peaks = np.zeros(2)  # max |re| and max |im|, one row block at a time
-    for start in range(0, n, rows):
-        block = kernel.rows(start, start + rows)
-        peaks = np.maximum(peaks, (np.abs(block.real).max(), np.abs(np.imag(block)).max()))
-    if peaks[0] == 0 or peaks[1] > 1e-9 * peaks[0]:
-        raise ValueError("kernel amplitude is not real-valued; this table format cannot hold it")
     # the ki column repeats in every kernel row: format it once, as one row's
     # template whose NUL bytes (in no float's text) take the row's ks text
     fmt = FLOAT_FMT.encode("ascii")
@@ -105,7 +91,7 @@ def write_kernel_csv(path: str, kernel) -> None:
         for start in range(0, n, rows):
             yield b"".join(row.replace(b"\0", fmt % k) % tuple(values.tolist())
                            for k, values in zip(ks[start:start + rows],
-                                                kernel.rows(start, start + rows).real))
+                                                kernel.rows(start, start + rows)))
 
     atomic_write_bytes(path, chunks())
     meta = {
@@ -118,12 +104,8 @@ def write_kernel_csv(path: str, kernel) -> None:
         "normalized": True,
         "warnings": list(kernel.warnings),
     }
-    atomic_write_text(_sidecar_path(path), yaml.safe_dump(meta, sort_keys=True))
-
-
-def _sidecar_path(path: str) -> str:
-    base, ext = os.path.splitext(path)
-    return f"{base}.meta.yaml" if ext else f"{path}.meta.yaml"
+    atomic_write_text(os.path.splitext(path)[0] + ".meta.yaml",
+                      yaml.safe_dump(meta, sort_keys=True))
 
 
 def write_scan_csv(path: str, spectrum) -> None:

@@ -228,8 +228,7 @@ def envelope_fwhm(field: FieldProfile1D, split_frequency: Optional[float] = None
 # ---------------------------------------------------------------------------
 
 def export_pgm(path: str, holo: HologramImage) -> None:
-    """Write the raster as binary PGM (P5, maxval 255), atomically, one row
-    at a time."""
+    """Write the raster as binary PGM (P5, maxval 255), one row at a time."""
     h, w = holo.phase_levels.shape
     exports.atomic_write_bytes(path, itertools.chain(
         [f"P5 {w} {h} 255\n".encode("ascii")], (row.tobytes() for row in holo.phase_levels)))

@@ -895,7 +895,8 @@ def test_cli_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_hologram_out_of_memory_names_the_raster(tmp_path, capsys, monkeypatch):
-    # hologram reads no grid: its raster is height_px x width_px bytes
+    # hologram reads no grid, and its raster is one width_px-byte row
+    # broadcast to every line and streamed out: height_px costs no memory
     def exhausted(cfg, args):
         raise MemoryError()
 
@@ -903,8 +904,8 @@ def test_cli_hologram_out_of_memory_names_the_raster(tmp_path, capsys, monkeypat
     monkeypatch.setitem(cli._COMMANDS, "hologram", (help_text, exhausted, extra))
     assert main(["hologram", "--config", HOLOGRAM, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (
-        "computation error: out of memory with a 1920 x 1080 px raster; "
-        "lower hologram.width_px or hologram.height_px\n")
+        "computation error: out of memory with a 1920 px raster row; "
+        "lower hologram.width_px\n")
 
 
 def test_cli_blocked_output_dir_is_exit_4(tmp_path, capsys):
@@ -1415,7 +1416,9 @@ def test_fuzzed_configs_fail_with_one_line(data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = pathlib.Path(tmp)
         code, _out, err = run_config(tmp_path, config, *argv)
-        leftovers = [f for _, _, files in os.walk(tmp) for f in files if f.startswith(".tmp-")]
+        # whatever the exit code, no stage file or directory is left
+        leftovers = [name for _, dirs, files in os.walk(tmp) for name in dirs + files
+                     if name.startswith(".stage-")]
     assert code in (0, 2, 3, 4), (code, err)
     if code != 0:
         assert err.count("\n") == 1 and err.endswith("\n"), err

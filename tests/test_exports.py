@@ -106,7 +106,7 @@ def profile_kernel(n: int, imag) -> TpaKernel:
 
 
 def imag_share(kernel) -> float:
-    """max |Im F| / max |Re F|, the ratio the kernel table holds below 1e-9."""
+    """max |Im F| / max |Re F|."""
     amp = kernel.amplitude
     return np.abs(amp.imag).max() / np.abs(amp.real).max()
 
@@ -120,12 +120,10 @@ def kernel_csv_oracle(kernel) -> bytes:
 
 
 # 37 rows fit one chunk; 513 rows make chunks of 7 and a ragged last one of 2
-@pytest.mark.parametrize("n", [37, 513])
-@pytest.mark.parametrize("imag", [None, 0.0, 1e-10], ids=["real", "complex-promoted", "tiny-imag"])
-def test_kernel_csv_bytes_match_savetxt_of_the_whole_table(tmp_path, monkeypatch, n, imag):
-    kernel = profile_kernel(n, imag)
-    assert kernel.amplitude.dtype == (np.float64 if imag is None else np.complex128)
-    assert (0.0 < imag_share(kernel) < 1e-9) if imag else imag_share(kernel) == 0.0
+@pytest.mark.parametrize("n", [37, 513], ids=["real-37", "real-513"])
+def test_kernel_csv_bytes_match_savetxt_of_the_whole_table(tmp_path, monkeypatch, n):
+    kernel = profile_kernel(n, None)
+    assert kernel.amplitude.dtype == np.float64
     lines = []
 
     write = exports.atomic_write_bytes
@@ -156,6 +154,20 @@ def test_a_kernel_with_imaginary_content_is_refused_and_leaves_no_file(tmp_path)
     kernel = profile_kernel(513, 1e-8)
     assert imag_share(kernel) > 1e-9
     assert np.array_equal(np.nonzero(kernel.amplitude.imag), ([512], [512]))
+    with pytest.raises(ValueError, match="^kernel amplitude is not real-valued; "
+                                         "this table format cannot hold it$"):
+        write_kernel_csv(str(tmp_path / "kernel.csv"), kernel)
+    assert os.listdir(tmp_path) == []
+
+
+# a complex profile is refused by its dtype, whatever its imaginary share:
+# 0.0 (a complex-promoted real kernel) and 1e-10, on the last row, included
+@pytest.mark.parametrize("n", [37, 513])
+@pytest.mark.parametrize("imag", [0.0, 1e-10], ids=["complex-promoted", "tiny-imag"])
+def test_a_complex_kernel_is_refused_whatever_its_imaginary_share(tmp_path, n, imag):
+    kernel = profile_kernel(n, imag)
+    assert kernel.amplitude.dtype == np.complex128
+    assert imag_share(kernel) == pytest.approx(imag, rel=1e-9, abs=0.0)
     with pytest.raises(ValueError, match="^kernel amplitude is not real-valued; "
                                          "this table format cannot hold it$"):
         write_kernel_csv(str(tmp_path / "kernel.csv"), kernel)
@@ -196,7 +208,7 @@ def test_writer_peak_memory_does_not_grow_with_rows(tmp_path):
 
 
 class FullDiskAfterFirstChunk:
-    """A temp file whose second write fails as a full disk does."""
+    """A file whose second write fails as a full disk does."""
 
     def __init__(self, fh):
         self.fh, self.writes = fh, 0
@@ -217,20 +229,25 @@ class FullDiskAfterFirstChunk:
         return self.fh.write(chunk)
 
 
+def fill_disk_after_first_chunk(monkeypatch):
+    monkeypatch.setattr(exports, "open",
+                        lambda path, mode: FullDiskAfterFirstChunk(open(path, mode)),
+                        raising=False)
+
+
 @pytest.fixture
 def full_disk(monkeypatch):
-    real_fdopen = os.fdopen
-    monkeypatch.setattr(exports.os, "fdopen",
-                        lambda fd, mode: FullDiskAfterFirstChunk(real_fdopen(fd, mode)))
+    fill_disk_after_first_chunk(monkeypatch)
 
 
-def test_a_write_failing_mid_table_leaves_neither_temp_nor_target(tmp_path, full_disk):
+def test_a_write_failing_mid_table_names_the_target(tmp_path, full_disk):
+    # the writer leaves the partial file; the command's stage directory is
+    # what keeps it from a run's outputs
     header, columns = table(3 * ROWS_PER_CHUNK, 3, seed=3)
     target = tmp_path / "t.csv"
     with pytest.raises(OSError) as info:
         write_table_csv(str(target), header, columns)
     assert info.value.errno == 28 and info.value.filename == str(target)
-    assert os.listdir(tmp_path) == []
 
 
 def test_a_disk_filling_mid_table_is_reported_at_the_final_path(tmp_path, capsys, full_disk):
@@ -242,3 +259,17 @@ def test_a_disk_filling_mid_table_is_reported_at_the_final_path(tmp_path, capsys
     assert err == (f"output error: [Errno 28] No space left on device: "
                    f"'{tmp_path / 'kernel.csv'}'\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_rerun_leaves_the_previous_files_as_they_were(tmp_path, capsys, monkeypatch):
+    # the rerun asks for a finer grid, and its kernel.csv fails after the
+    # first chunk inside the stage; the first run's files stay untouched
+    assert main(["tpa", "--config", SINGLE, "--out", str(tmp_path), "--grid-points", "64"]) == 0
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert sorted(before) == ["kernel.csv", "kernel.meta.yaml", "tpa.log"]
+    fill_disk_after_first_chunk(monkeypatch)
+    assert main(["tpa", "--config", SINGLE, "--out", str(tmp_path), "--grid-points", "128"]) == 4
+    assert capsys.readouterr().err == (f"output error: [Errno 28] No space left on device: "
+                                       f"'{tmp_path / 'kernel.csv'}'\n")
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".stage-")]
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
