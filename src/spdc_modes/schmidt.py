@@ -11,10 +11,13 @@ Only the leading modes are ever kept, so the triplets come from an
 adaptive randomized range finder: fixed-seed Gaussian columns, one
 subspace iteration and Rayleigh-Ritz on the basis, which grows until the
 weight it misses bounds every kept weight's error far below that weight,
-or until it spans every direction. The amplitude is read only through
-products with it, formed ROW_BLOCK rows at a time from the kernel's two
-profiles, so the N x N array is never formed. The fixed seed keeps
-reruns byte-identical.
+or until it spans every direction. A kernel of a real pump and a
+palindromic difference profile (every Gaussian matching profile here is
+one) is Hermitian, and its Rayleigh-Ritz matrix is the w x w Q^H a Q of
+a w-column basis Q; any other kernel's is the w x N Q^H a. The amplitude
+is read only through products with it, formed ROW_BLOCK rows at a time
+from the kernel's two profiles, so the N x N array is never formed. The
+fixed seed keeps reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -34,13 +37,17 @@ MAX_MODES = 64
 SV_FLOOR = 1e-12
 NORM_TOLERANCE = 1e-8
 DISCARD_WARN = 1e-3
-# randomized range finder: first block size, block columns beyond the kept
-# modes, and the missed weight allowed per unit of the smallest kept weight
+# randomized range finder: block columns for the kept modes and beyond them
+# (the first block holds both), and the missed weight allowed per unit of the
+# smallest kept weight
 SKETCH_BLOCK = 16
 SKETCH_OVERSAMPLE = 16
 SKETCH_RESIDUAL = 1e-3
 # rows of the amplitude formed at once by the range finder's products
 ROW_BLOCK = 128
+# a difference profile this close to its conjugate mirror, relative to its
+# peak, makes a real-pump kernel Hermitian for the range finder
+HERMITIAN_RTOL = 1e-12
 # coefficients within this relative distance of a cluster's first form one
 # degenerate cluster, whose modes the SVD leaves free to rotate among themselves
 DEGENERATE_RTOL = 1e-9
@@ -144,52 +151,76 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
 
     The adaptive randomized range finder of Halko, Martinsson & Tropp (SIAM
     Rev. 53, 217 (2011), section 4.4) keeps an orthonormal basis Q of the
-    range of ``a`` and B = Q^H a, and grows them: each step draws new
-    Gaussian columns from one fixed-seed stream, so the basis holds
-    SKETCH_BLOCK, then twice as many columns at every step, at most N. The
-    new columns get one subspace iteration on ``a`` with Q projected out,
-    and their rows of B are appended; the SVD of B then gives the triplets.
-    The basis is accepted when it holds SKETCH_OVERSAMPLE more vectors than
-    the modes kept and the weight it misses, ||a||^2 - ||B||^2, is at most
-    SKETCH_RESIDUAL times the smallest kept weight; by Weyl's inequality
-    that weight bounds the error of every kept weight. At N columns, B is
-    all of ``a`` in a complete basis and is accepted as is. ``scale``
-    multiplies the singular values only, before the energy target reads them.
+    range of ``a`` and grows it: each step draws new Gaussian columns from
+    one fixed-seed stream, so the basis holds SKETCH_BLOCK + SKETCH_OVERSAMPLE
+    columns, then twice as many at every step, at most N. The new columns get
+    one subspace iteration on ``a`` with Q projected out, and their rows of
+    Q^H a are formed. A Hermitian ``a`` (a real pump and a difference profile
+    that is its own conjugate mirror, :func:`_is_hermitian`) has its row space
+    in its column space, so those rows are folded into the w x w matrix
+    T = Q^H a Q, whose mirror block is the conjugate transpose of the new
+    rows', and a ~ Q T Q^H; any other ``a`` keeps the w x N matrix B = Q^H a.
+    The SVD of T or B gives the triplets. The basis is accepted when it holds
+    SKETCH_OVERSAMPLE more vectors than the modes kept and the weight it
+    misses, ||a||^2 minus that of T or B, is at most SKETCH_RESIDUAL times
+    the smallest kept weight; by Weyl's inequality that weight bounds the
+    error of every kept weight. At N columns, Q spans every direction and
+    is accepted as is. ``scale`` multiplies the singular values only,
+    before the energy target reads them.
     """
     n = kernel.grid_s.n_points
     total = kernel.norm() ** 2
     rng = np.random.default_rng(0)
     dtype = np.result_type(kernel.at_sums, kernel.at_differences)
-    # Q^T, the basis as rows, and B. Each step widens both once, before it forms
-    # any row block, and fills the new rows in place: stacking at the step's end
-    # would hold both copies beside its products
-    basis = b = np.empty((0, n), dtype)
-    width = SKETCH_BLOCK
+    hermitian = _is_hermitian(kernel)
+    # Q^T, the basis as rows, and the reduced matrix, T (w x w) or B (w x N).
+    # Each step widens both once, before it forms any row block, and fills the
+    # new rows in place, the basis's at every stage of the subspace iteration:
+    # a copy held beside the step's products would raise the peak
+    basis = np.empty((0, n), dtype)
+    reduced = np.empty((0, 0 if hermitian else n), dtype)
+    # a first block of SKETCH_BLOCK columns could never be accepted: it has
+    # no room for SKETCH_OVERSAMPLE columns beyond even one kept mode
+    width = min(SKETCH_BLOCK + SKETCH_OVERSAMPLE, n)
     while True:
-        done = b.shape[0]
-        basis, b = _grown(basis, width), _grown(b, width)
-        q = basis[:done].T
-        new = _orthonormal(_times(kernel, rng.standard_normal((n, width - done))), q)
+        done = basis.shape[0]
+        basis = _grown(basis, width, n)
+        reduced = _grown(reduced, width, width if hermitian else n)
+        q, new = basis[:done].T, basis[done:].T
+        new[:] = _orthonormal(_times(kernel, rng.standard_normal((n, width - done))), q)
         # one subspace iteration; a^H new is formed as (new^H a)^H, never conjugating a
-        new = np.linalg.qr(_adjoint_times(kernel, new).conj().T)[0]
-        new = _orthonormal(_times(kernel, new), q)
-        basis[done:] = new.T
-        b[done:] = _adjoint_times(kernel, new)
-        ub, s, vh = np.linalg.svd(b, full_matrices=False)
+        new[:] = np.linalg.qr(_adjoint_times(kernel, new).conj().T)[0]
+        new[:] = _orthonormal(_times(kernel, new), q)
+        if hermitian:
+            reduced[done:] = _adjoint_times(kernel, new) @ basis.T
+            reduced[:done, done:] = reduced[done:, :done].conj().T
+        else:
+            reduced[done:] = _adjoint_times(kernel, new)
+        ur, s, vh = np.linalg.svd(reduced, full_matrices=False)
         s *= scale
         residual = total - float(np.sum(s ** 2))
-        ub, s, vh = _floored(ub, s, vh)
+        ur, s, vh = _floored(ur, s, vh)
         kept = _mode_count(s)
         if width == n or (kept + SKETCH_OVERSAMPLE <= width
                           and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2):
-            return basis.T @ ub, s, vh
+            vh = vh[:kept] @ basis.conj() if hermitian else vh[:kept]
+            return basis.T @ ur[:, :kept], s[:kept], vh
         width = min(2 * width, n)
 
 
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a`` with unset rows appended, ``rows`` in all."""
-    out = np.empty((rows, a.shape[1]), a.dtype)
-    out[:a.shape[0]] = a
+def _is_hermitian(kernel: TpaKernel) -> bool:
+    """Whether a[i, j] = P[i + j] M[i - j + n - 1] equals conj(a[j, i]): P is
+    real and M[m] = conj(M[2 n - 2 - m]), to HERMITIAN_RTOL of max |M|."""
+    match = kernel.at_differences
+    return bool(np.isrealobj(kernel.at_sums)
+                and np.abs(match - match[::-1].conj()).max()
+                <= HERMITIAN_RTOL * np.abs(match).max())
+
+
+def _grown(a: np.ndarray, rows: int, columns: int) -> np.ndarray:
+    """``a`` in the top-left corner of an unset ``rows`` x ``columns`` array."""
+    out = np.empty((rows, columns), a.dtype)
+    out[:a.shape[0], :a.shape[1]] = a
     return out
 
 

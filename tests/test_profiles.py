@@ -161,6 +161,8 @@ def test_coincidence_scans_match_the_joint_columns(case, windows):
 
 MEMORY_POINTS = 1024
 JOINT_BYTES = 8 * MEMORY_POINTS ** 2
+# one float64 row of the joint amplitude
+ROW_BYTES = 8 * MEMORY_POINTS
 # one float64 profile on the 2N - 1 sum or difference nodes
 PROFILE_BYTES = 8 * (2 * MEMORY_POINTS - 1)
 THREE = os.path.join(CONFIG_DIR, "three_modes.yaml")
@@ -206,6 +208,19 @@ def test_schmidt_decompose_copies_no_joint_array():
     dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
     assert dec.n_modes == 21
     assert peak < 0.5 * JOINT_BYTES
+
+
+def test_schmidt_of_a_hermitian_kernel_holds_no_rows_of_its_amplitude():
+    # the kernel is Hermitian, so the range finder keeps the 64 x 64 matrix
+    # Q^H a Q: the basis, one 128-row block and a step's products stay under
+    # 320 amplitude rows. Holding the 64 rows of Q^H a as well, with a growth
+    # copy and the 64 x N factor of their SVD, takes the peak to about 387
+    cfg = load_config(THREE, {"grid.points": MEMORY_POINTS})
+    kernel = build_multipeak(cfg.pump, cfg.grid)
+    schmidt_decompose(kernel)
+    dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
+    assert dec.n_modes == 21
+    assert peak < 320 * ROW_BYTES
 
 
 def test_the_schmidt_command_holds_no_joint_array(tmp_path, capsys):

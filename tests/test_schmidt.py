@@ -16,6 +16,7 @@ from spdc_modes.kernel import (
     build_from_pump,
     build_multipeak,
     default_grid,
+    multipeak_profiles,
     sum_coordinate_grid,
     sum_difference_nodes,
 )
@@ -293,18 +294,51 @@ def chirped_kernel():
     return kernel
 
 
-@pytest.mark.parametrize("build", [
-    lambda: shipped_kernel("single_mode"),
-    lambda: shipped_kernel("three_modes"),
-    lambda: shipped_kernel("crosstalk"),
-    lambda: shipped_kernel("hologram"),
-    chirped_kernel,
-], ids=["single_mode", "three_modes", "crosstalk", "hologram", "chirped"])
-def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
+def three_mode_profiles():
+    """The shipped three_modes grid and its (pump, matching) profile pair."""
+    cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
+    pump, match, _warnings = multipeak_profiles(cfg.pump, cfg.grid)
+    return cfg.grid, pump, match
+
+
+def shifted_match_kernel():
+    """Real but not Hermitian: three_modes with its matching profile moved one
+    difference node off its palindrome."""
+    grid, pump, match = three_mode_profiles()
+    kernel = TpaKernel.from_profiles(grid, pump, np.roll(match, 1))
+    assert not schmidt._is_hermitian(kernel)
+    return kernel
+
+
+def near_hermitian_kernel():
+    """three_modes with a 1e-13 relative asymmetry added to its matching
+    profile, inside HERMITIAN_RTOL: the Hermitian path takes it."""
+    grid, pump, match = three_mode_profiles()
+    ramp = np.linspace(-1.0, 1.0, match.size)
+    kernel = TpaKernel.from_profiles(grid, pump, match + 5e-14 * np.abs(match).max() * ramp)
+    m = kernel.at_differences
+    assert np.abs(m - m[::-1]).max() / np.abs(m).max() == pytest.approx(1e-13, rel=1e-2)
+    return kernel
+
+
+@pytest.mark.parametrize("build, hermitian", [
+    (lambda: shipped_kernel("single_mode"), True),
+    (lambda: shipped_kernel("three_modes"), True),
+    (lambda: shipped_kernel("crosstalk"), True),
+    (lambda: shipped_kernel("hologram"), True),
+    (chirped_kernel, False),
+    (shifted_match_kernel, False),
+    (near_hermitian_kernel, True),
+], ids=["single_mode", "three_modes", "crosstalk", "hologram", "chirped", "shifted-match",
+        "near-hermitian"])
+def test_sketch_matches_dense_svd(build, hermitian, monkeypatch, svd_shapes):
     kernel = build()
+    n = kernel.grid_s.n_points
     dec = schmidt_decompose(kernel)
-    # only blocks at most half the kernel's size were decomposed
-    assert svd_shapes and all(shape[0] <= min(kernel.amplitude.shape) / 2 for shape in svd_shapes)
+    # only blocks at most half the kernel's size were decomposed: the w x w
+    # Q^H a Q of a Hermitian kernel, the w x N Q^H a of any other
+    assert svd_shapes and all(w <= n / 2 and columns == (w if hermitian else n)
+                              for w, columns in svd_shapes)
     ref = dense_decompose(kernel, monkeypatch)
     assert dec.n_modes == ref.n_modes
     assert np.allclose(dec.coefficients, ref.coefficients, rtol=1e-9, atol=0.0)
@@ -328,8 +362,8 @@ def test_sketch_matches_dense_svd(build, monkeypatch, svd_shapes):
 def test_high_rank_kernel_grows_its_basis_to_full_width(n, monkeypatch, svd_shapes):
     """A noise kernel's kept modes fit no basis short of its size, so the
     basis grows to all n columns, where B is the whole kernel in it. At 16
-    points (the smallest grid) the first block is already full; at 20 the
-    last step is narrower than a doubling."""
+    points (the smallest grid) and 20 the first block is already full; at 48
+    the last step is narrower than a doubling."""
     kernel = noise_kernel(n)
     dec = schmidt_decompose(kernel)
     assert svd_shapes[-1] == (n, n)
@@ -347,6 +381,27 @@ def test_high_rank_kernel_grows_its_basis_to_full_width(n, monkeypatch, svd_shap
     assert svd_shapes[-1] == (n, n)
     assert one.n_modes == 1
     assert abs(one.coefficients[0] - ref.coefficients[0]) <= 2e-15
+
+
+def rank_one_kernel(n):
+    """exp(-(ks^2 + ki^2)) from its profiles on an n-point grid: Hermitian and
+    of rank one, built however coarse the grid."""
+    grid = WavevectorGrid.centered(0.0, 3.0, n)
+    sums, differences = sum_difference_nodes(grid)
+    return TpaKernel.from_profiles(grid, np.exp(-sums ** 2 / 2.0), np.exp(-differences ** 2 / 2.0))
+
+
+@pytest.mark.parametrize("build", [noise_kernel, rank_one_kernel], ids=["noise", "rank-one"])
+def test_a_20_point_kernel_takes_one_full_width_step(build, svd_shapes):
+    """The first block holds SKETCH_BLOCK + SKETCH_OVERSAMPLE columns, all 20
+    here: a first block of SKETCH_BLOCK columns leaves no room for the
+    oversampling beyond even one kept mode, so it would only cost a step."""
+    kernel = build(20)
+    dec = schmidt_decompose(kernel)
+    assert svd_shapes == [(20, 20)]
+    if build is rank_one_kernel:
+        assert dec.n_modes == 1
+        assert dec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("source", [16, 20, 48, 64, 160,
