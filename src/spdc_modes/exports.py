@@ -48,15 +48,18 @@ def _table_chunks(header: Sequence[str],
                   columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """The CSV bytes np.savetxt(fmt=FLOAT_FMT, delimiter=",") would write,
     in blocks of at most CHUNK_VALUES values (at least one row), each
-    formatted with one ``%``."""
+    formatted with one ``%``. A column of +0.0 only (the ``_im`` column of a
+    real mode) has its text formatted once, into the row template."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     yield (",".join(header) + "\n").encode("utf-8")
-    row_fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
+    zero = [not c.any() and not np.signbit(c).any() for c in cols]
+    row_fmt = ",".join(FLOAT_FMT % 0.0 if z else FLOAT_FMT for z in zero) + "\n"
+    live = [c for c, z in zip(cols, zero) if not z]
     rows = max(1, CHUNK_VALUES // len(cols))
     for start in range(0, cols[0].size, rows):
-        block = np.column_stack([c[start:start + rows] for c in cols])
-        text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
-        yield text.encode("utf-8")
+        count = min(rows, cols[0].size - start)
+        block = np.column_stack([c[start:start + rows] for c in live]) if live else ()
+        yield ((row_fmt * count) % tuple(np.ravel(block).tolist())).encode("utf-8")
 
 
 def write_table_csv(path: str, header: Sequence[str],

@@ -75,11 +75,12 @@ class TpaKernel(MirroredIdler):
         """
         return cls(grid, *_unit_profiles(at_sums, at_differences, grid), tuple(warnings))
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
+    def rows(self, start: int, stop: int, columns: Optional[Tuple[int, int]] = None) -> np.ndarray:
         """Rows ``start`` to ``stop`` of the joint amplitude, formed from the
-        profiles; as with a slice, a ``stop`` past the last row ends there."""
+        profiles, over ``columns`` = (j0, j1) only if given; as with a slice,
+        a ``stop`` past the last row ends there."""
         return sum_difference_product(self.at_sums, self.at_differences, self.grid_s.n_points,
-                                      start, stop)
+                                      start, stop, columns)
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -374,13 +375,17 @@ def sum_difference_nodes(grid: WavevectorGrid) -> tuple:
 
 
 def sum_difference_product(at_sums: np.ndarray, at_differences: np.ndarray, n: int,
-                           start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+                           start: int = 0, stop: Optional[int] = None,
+                           columns: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """Rows ``start`` to ``stop`` (default: all n; clipped at n, as a slice
-    is) of the joint array [i, j] -> at_sums[i + j] * at_differences[i - j + n - 1],
+    is) and columns j0 to j1 of ``columns`` = (j0, j1) (default: all n) of the
+    joint array [i, j] -> at_sums[i + j] * at_differences[i - j + n - 1],
     with both sampled at :func:`sum_difference_nodes`."""
-    stop = n if stop is None else stop
-    return (sliding_window_view(at_sums[start:stop + n - 1], n)
-            * sliding_window_view(at_differences[start:stop + n - 1], n)[:, ::-1])
+    stop = n if stop is None else min(stop, n)
+    j0, j1 = (0, n) if columns is None else columns
+    return (sliding_window_view(at_sums[start + j0:stop + j1 - 1], j1 - j0)
+            * sliding_window_view(at_differences[start + n - j1:stop + n - j0 - 1],
+                                  j1 - j0)[:, ::-1])
 
 
 def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: PhaseMatchConfig,

@@ -16,8 +16,10 @@ palindromic difference profile (every Gaussian matching profile here is
 one) is Hermitian, and its Rayleigh-Ritz matrix is the w x w Q^H a Q of
 a w-column basis Q; any other kernel's is the w x N Q^H a. The amplitude
 is read only through products with it, formed ROW_BLOCK rows at a time
-from the kernel's two profiles, so the N x N array is never formed. The
-fixed seed keeps reruns byte-identical.
+from the kernel's two profiles and over each block's support window only
+(:func:`_row_blocks`), so the N x N array is never formed, and the entries
+left out are within float64 rounding of the kernel. The fixed seed keeps
+reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -166,10 +168,12 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
     the smallest kept weight; by Weyl's inequality that weight bounds the
     error of every kept weight. At N columns, Q spans every direction and
     is accepted as is. ``scale`` multiplies the singular values only,
-    before the energy target reads them.
+    before the energy target reads them. Every product reads ``a`` through
+    the row blocks and column windows of :func:`_row_blocks`, found once.
     """
     n = kernel.grid_s.n_points
     total = kernel.norm() ** 2
+    blocks = _row_blocks(kernel)
     rng = np.random.default_rng(0)
     dtype = np.result_type(kernel.at_sums, kernel.at_differences)
     hermitian = _is_hermitian(kernel)
@@ -187,15 +191,15 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
         basis = _grown(basis, width, n)
         reduced = _grown(reduced, width, width if hermitian else n)
         q, new = basis[:done].T, basis[done:].T
-        new[:] = _orthonormal(_times(kernel, rng.standard_normal((n, width - done))), q)
+        new[:] = _orthonormal(_times(kernel, blocks, rng.standard_normal((n, width - done))), q)
         # one subspace iteration; a^H new is formed as (new^H a)^H, never conjugating a
-        new[:] = np.linalg.qr(_adjoint_times(kernel, new).conj().T)[0]
-        new[:] = _orthonormal(_times(kernel, new), q)
+        new[:] = np.linalg.qr(_adjoint_times(kernel, blocks, new).conj().T)[0]
+        new[:] = _orthonormal(_times(kernel, blocks, new), q)
         if hermitian:
-            reduced[done:] = _adjoint_times(kernel, new) @ basis.T
+            reduced[done:] = _adjoint_times(kernel, blocks, new) @ basis.T
             reduced[:done, done:] = reduced[done:, :done].conj().T
         else:
-            reduced[done:] = _adjoint_times(kernel, new)
+            reduced[done:] = _adjoint_times(kernel, blocks, new)
         ur, s, vh = np.linalg.svd(reduced, full_matrices=False)
         s *= scale
         residual = total - float(np.sum(s ** 2))
@@ -226,22 +230,65 @@ def _grown(a: np.ndarray, rows: int, columns: int) -> np.ndarray:
 
 def _orthonormal(y: np.ndarray, q: np.ndarray) -> np.ndarray:
     """An orthonormal basis of y's columns with q's orthonormal columns
-    projected out, in two passes, so rounding leaves no part along q."""
-    for _ in range(2):
+    projected out, in two passes, so rounding leaves no part along q; with
+    no q there is nothing to project out, and one pass is enough."""
+    for _ in range(2 if q.shape[1] else 1):
         y = np.linalg.qr(y - q @ (q.conj().T @ y))[0]
     return y
 
 
-def _times(kernel: TpaKernel, x: np.ndarray) -> np.ndarray:
-    """a @ x, with one block of ROW_BLOCK rows of ``a`` formed at a time."""
-    return np.concatenate([kernel.rows(start, start + ROW_BLOCK) @ x
-                           for start in range(0, kernel.grid_s.n_points, ROW_BLOCK)])
+def _row_blocks(kernel: TpaKernel) -> list:
+    """(start, stop, j0, j1) for each block of ROW_BLOCK rows of ``a`` that
+    meets the support of both profiles: columns j0 to j1 hold every entry of
+    rows start to stop whose i + j lies in the support of the sum profile P
+    and whose i - j + n - 1 lies in that of the difference profile M.
+
+    Each end of P is cut while its weight times ||M||^2 stays within
+    (u ||a||_F)^2 / 4, with u the unit roundoff and ||a||_F the kernel's
+    norm over h, and each end of M likewise. (i, j) -> (i + j, i - j) is
+    one to one, so the entries left out, E, have ||E||_F <= u ||a||_F, and
+    by Weyl's inequality no singular value of ``a`` moves by more than
+    u ||a||_F, the rounding of float64 itself. A block whose window is
+    empty has only zero rows of a @ x and is left out.
+    """
+    n = kernel.grid_s.n_points
+    pump, match = np.abs(kernel.at_sums) ** 2, np.abs(kernel.at_differences) ** 2
+    budget = (np.finfo(float).eps / 2 * kernel.norm() / kernel.grid_s.spacing) ** 2 / 4
+    p0, p1 = _support(pump, budget / match.sum())
+    m0, m1 = _support(match, budget / pump.sum())
+    blocks = []
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        j0 = max(0, p0 - (stop - 1), start + n - m1)
+        j1 = min(n, p1 - start, stop - 1 + n - m0)
+        if j0 < j1:
+            blocks.append((start, stop, j0, j1))
+    return blocks
 
 
-def _adjoint_times(kernel: TpaKernel, y: np.ndarray) -> np.ndarray:
-    """y^H @ a, with one block of ROW_BLOCK rows of ``a`` formed at a time."""
-    return sum(y[start:start + ROW_BLOCK].conj().T @ kernel.rows(start, start + ROW_BLOCK)
-               for start in range(0, kernel.grid_s.n_points, ROW_BLOCK))
+def _support(weights: np.ndarray, budget: float) -> tuple:
+    """[lo, hi): ``weights`` less its longest ends that each sum to at most ``budget``."""
+    lo = int(np.searchsorted(np.cumsum(weights), budget, side="right"))
+    return lo, weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), budget, side="right"))
+
+
+def _times(kernel: TpaKernel, blocks: list, x: np.ndarray) -> np.ndarray:
+    """a @ x, one row block of :func:`_row_blocks` formed at a time; rows
+    no block covers are zero."""
+    out = np.zeros((kernel.grid_s.n_points, x.shape[1]),
+                   np.result_type(kernel.at_sums, kernel.at_differences, x))
+    for start, stop, j0, j1 in blocks:
+        np.matmul(kernel.rows(start, stop, (j0, j1)), x[j0:j1], out=out[start:stop])
+    return out
+
+
+def _adjoint_times(kernel: TpaKernel, blocks: list, y: np.ndarray) -> np.ndarray:
+    """y^H @ a, one row block of :func:`_row_blocks` formed at a time."""
+    out = np.zeros((y.shape[1], kernel.grid_s.n_points),
+                   np.result_type(kernel.at_sums, kernel.at_differences, y))
+    for start, stop, j0, j1 in blocks:
+        out[:, j0:j1] += y[start:stop].conj().T @ kernel.rows(start, stop, (j0, j1))
+    return out
 
 
 @dataclass(frozen=True)

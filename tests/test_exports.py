@@ -69,6 +69,27 @@ def test_a_wide_table_is_formatted_in_chunks_of_bounded_size():
     assert [chunk.count(b"\n") for chunk in exports._table_chunks(header, columns)] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("rows", [0, 1, WIDE_ROWS + 1, 2 * WIDE_ROWS + 7])
+def test_zero_columns_formatted_once_match_savetxt(tmp_path, rows):
+    """A column of +0.0 is baked into the row template; -0.0, a lone
+    non-zero value and a column of zeros only are each formatted as before."""
+    header, columns = table(rows, 129, seed=rows + 11)
+    for j in range(2, 129, 2):  # the _im columns of 64 real modes
+        columns[j] = np.zeros(rows)
+    columns[3] = np.full(rows, -0.0)
+    columns[5] = np.zeros(rows)
+    columns[5][rows // 2:rows // 2 + 1] = -0.0
+    columns[7] = np.zeros(rows)
+    columns[7][-1:] = 1e-300
+    path = tmp_path / "t.csv"
+    write_table_csv(str(path), header, columns)
+    assert path.read_bytes() == savetxt_bytes(header, columns)
+    for n_cols in (1, 3):
+        only_zeros = [np.zeros(rows)] * n_cols
+        write_table_csv(str(path), header[:n_cols], only_zeros)
+        assert path.read_bytes() == savetxt_bytes(header[:n_cols], only_zeros)
+
+
 def test_special_values_and_a_wide_table_match_savetxt(tmp_path):
     # the many-modes mode tables are 129 columns wide; -0.0 must stay
     # distinct from 0.0, and int columns are written as floats

@@ -205,6 +205,23 @@ def test_kernel_rows_are_the_amplitude_rows(complex_pump):
     assert np.array_equal(kernel.rows(n - 3, n), full[n - 3:])
 
 
+@pytest.mark.parametrize("complex_pump", [False, True], ids=["real", "complex"])
+def test_windowed_rows_are_the_slice_of_the_full_rows(complex_pump):
+    grid = centered(1.0, 50)
+    n = grid.n_points
+    k = sum_coordinate_grid(grid).points()
+    pump = np.exp(-k ** 2 / 0.1) * (1.0 + k)
+    if complex_pump:
+        pump = pump * np.exp(3j * k ** 2)
+    kernel = TpaKernel.from_profiles(grid, pump, np.exp(-(k - 0.2) ** 2 / 0.3))
+    full = kernel.amplitude
+    for start, stop in ((0, 16), (16, 32), (48, 50), (7, 8), (40, 64)):
+        for j0, j1 in ((0, n), (0, 1), (n - 1, n), (3, 17), (20, 49), (25, 26)):
+            block = kernel.rows(start, stop, (j0, j1))
+            assert block.dtype == full.dtype
+            assert np.array_equal(block, full[start:stop, j0:j1])
+
+
 def test_profiles_of_extreme_magnitude_normalize():
     # squares of these would overflow or underflow; the unit-peak scaling keeps them
     grid = centered(1.0, 32)

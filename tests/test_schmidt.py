@@ -415,13 +415,19 @@ def test_decomposition_never_forms_the_joint_array(source, monkeypatch):
     assert schmidt_decompose(kernel).n_modes >= 1
 
 
-def many_mode_config():
-    """K ~ 10 double Gaussian: 64 capped modes on the coarsest grid the builder accepts."""
+def many_mode_config(points=795):
+    """K ~ 10 double Gaussian: 64 capped modes, by default on the coarsest
+    grid the builder accepts."""
     with open(os.path.join(CONFIG_DIR, "single_mode.yaml"), "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     data["pump"].update(envelope_fwhm_um=246.0, matching_width=0.19)
-    data["grid"]["points"] = 795
+    data["grid"]["points"] = points
     return parse_config(data)
+
+
+def many_mode_kernel(points):
+    cfg = many_mode_config(points)
+    return build_multipeak(cfg.pump, cfg.grid)
 
 
 def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
@@ -447,6 +453,76 @@ def test_mode_signs_agree_between_sketch_and_dense_svd(monkeypatch):
                        (sketch.idler_modes, dense.idler_modes, kernel.grid_i)):
         overlaps = np.sum(a * b, axis=1) * grid.spacing
         assert np.all(overlaps > 0), np.flatnonzero(overlaps <= 0)
+
+
+# ---------------------------------------------------------------------------
+# row blocks formed over the support of the two profiles only
+# ---------------------------------------------------------------------------
+
+WINDOWED = {
+    "single_mode": lambda: shipped_kernel("single_mode"),
+    "three_modes": lambda: shipped_kernel("three_modes"),
+    "crosstalk": lambda: shipped_kernel("crosstalk"),
+    "hologram": lambda: shipped_kernel("hologram"),
+    "chirped": chirped_kernel,
+    "many-modes-1024": lambda: many_mode_kernel(1024),
+}
+
+
+def outside_the_windows(kernel):
+    """The entries of the amplitude that no row block of the range finder forms."""
+    a = kernel.amplitude
+    formed = np.zeros(a.shape, bool)
+    for start, stop, j0, j1 in schmidt._row_blocks(kernel):
+        formed[start:stop, j0:j1] = True
+    return a[~formed]
+
+
+@pytest.mark.parametrize("name", WINDOWED)
+def test_the_windows_leave_out_at_most_the_unit_roundoff_of_the_kernel(name):
+    """||E||_F <= u ||a||_F for the entries E outside the windows, so by Weyl's
+    inequality no Schmidt coefficient moves by more than u = eps / 2."""
+    kernel = WINDOWED[name]()
+    left_out = np.linalg.norm(outside_the_windows(kernel))
+    assert left_out <= np.finfo(float).eps / 2 * np.linalg.norm(kernel.amplitude)
+
+
+@pytest.mark.parametrize("n", [20, 160, 300])
+def test_a_random_profile_kernel_keeps_its_full_window(n):
+    blocks = schmidt._row_blocks(noise_kernel(n))
+    assert blocks == [(start, min(start + schmidt.ROW_BLOCK, n), 0, n)
+                      for start in range(0, n, schmidt.ROW_BLOCK)]
+
+
+@pytest.mark.parametrize("name", WINDOWED)
+def test_windowed_coefficients_match_the_dense_svd(name, monkeypatch):
+    kernel = WINDOWED[name]()
+    dec = schmidt_decompose(kernel)
+    ref = dense_decompose(kernel, monkeypatch)
+    assert dec.n_modes == ref.n_modes
+    assert np.abs(dec.coefficients - ref.coefficients).max() <= 2e-15
+
+
+def test_the_many_mode_kernel_is_formed_over_its_band_only(monkeypatch):
+    """The K ~ 10 kernel at 2048 points lies in a narrow band around its
+    anti-diagonal: each pass of the range finder forms under a fifth of it."""
+    kernel = many_mode_kernel(2048)
+    n = kernel.grid_s.n_points
+    calls = []
+    rows = TpaKernel.rows
+
+    def recording(self, start, stop, columns=None):
+        block = rows(self, start, stop, columns)
+        calls.append((start, block.size))
+        return block
+
+    monkeypatch.setattr(TpaKernel, "rows", recording)
+    dec = schmidt_decompose(kernel)
+    assert dec.n_modes == 64
+    passes = sum(1 for start, _size in calls if start == calls[0][0])
+    assert sum(size for _start, size in calls) / (passes * n * n) < 0.2
+    analytic = analytic_double_gaussian(many_mode_config(2048).pump.widths)
+    assert np.abs(dec.coefficients ** 2 - analytic.eigenvalues).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
