@@ -7,12 +7,25 @@ Floats are printed with 17 significant digits (lossless for float64).
 Tables are formatted and written at most CHUNK_VALUES values at a time
 (kernel.csv at least one whole kernel row), so an export never holds the
 whole file's text in memory, however wide or long.
+
+A block of a table is formatted by numpy, not value by value, with the
+bytes FLOAT_FMT % would give. Each value's 17 digits are the rounding of
+y = |x| 10^(16 - e) for e = floor(log10 |x|), formed in long double from
+a table of correctly rounded powers of ten: y is off by at most two
+roundings of 2^-64, under 0.011, so unless y lies within TIE_MARGIN (0.022)
+of a half its rounding is the correctly rounded digit string. Those values
+(about 4% of random ones; exact ties, which % rounds half to even, among
+them), the few at or near a power of ten, whose e may be off by one, and
+inf and nan are formatted with FLOAT_FMT % in one call per _PIECE values.
+Where long double is float64 the margin exceeds a half, and every value
+takes that path.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 import yaml
@@ -20,6 +33,38 @@ import yaml
 FLOAT_FMT = "%.16e"
 # values per formatted chunk: 4096 rows of a three-column table such as kernel.csv
 CHUNK_VALUES = 3 * 4096
+
+# One value's FLOAT_FMT text in a table buffer: at most 24 bytes
+# (-1.7976931348623157e+308) in a fixed layout, NUL where the text has no
+# byte (a plus sign, the hundreds of a two-digit exponent, the tail of
+# "nan"), then its separator. "text" overlays the layout for the % path.
+_FIELD = np.dtype({"names": ["text", "sign", "lead", "point", "d0", "d1", "d2", "d3", "e",
+                             "exponent", "sep"],
+                   "formats": ["S24", "u1", "u1", "u1", "<u4", "<u4", "<u4", "<u4", "u1", "<u4",
+                               "u1"],
+                   "offsets": [0, 0, 1, 2, 3, 7, 11, 15, 19, 20, 24], "itemsize": 25})
+_RAW = np.dtype((np.void, _FIELD.itemsize))
+# y = |x| 10^(16 - e) carries two roundings of the long double's unit
+# roundoff (in 10^p and in the product), so it is within 1e17 * eps of the
+# exact value; twice that from a half (room for a power of ten off by a
+# whole unit), its rounding is the correctly rounded 17-digit integer. A
+# float64 long double makes it 44: every value then takes the % path.
+TIE_MARGIN = 2e17 * float(np.finfo(np.longdouble).eps)
+# values formatted at a time: the formatter's work arrays take about 45 B a value
+_PIECE = 4096
+_E_MIN, _E_MAX = -324, 308  # floor(log10 |x|) over the nonzero doubles
+# y + 1/2 for the 17-digit D strictly between 10^16 and 10^17
+_D_MIN, _D_END = np.longdouble(10 ** 16 + 1), np.longdouble(10 ** 17)
+# correctly rounded 10^(16 - e), parsed from strings, for e = _E_MAX down to _E_MIN
+_POW10 = np.array([f"1e{16 - e}" for e in range(_E_MAX, _E_MIN - 1, -1)]).astype(np.longdouble)
+# the four ASCII digits of 0 to 9999, first digit in the low byte, built
+# by copies of a table of two
+_DIGITS = np.array([b"%02d" % i for i in range(100)]).view("<u2")
+_DIGITS = np.stack([np.repeat(_DIGITS, 100), np.tile(_DIGITS, 100)], axis=1).view("<u4").ravel()
+# the exponent's sign and digits for e = _E_MIN to _E_MAX, a NUL for the
+# hundreds of a two-digit one
+_EXPONENTS = np.array([b"%+04d" % e if abs(e) >= 100 else b"%c\0%02d" % (b"+-"[e < 0], abs(e))
+                       for e in range(_E_MIN, _E_MAX + 1)]).view("<u4")
 
 
 def atomic_write_bytes(path: str, data: Union[bytes, Iterable[bytes]]) -> None:
@@ -44,22 +89,83 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _format_into(values: np.ndarray, fields: np.ndarray) -> None:
+    """Write the FLOAT_FMT text of each float64 in ``values`` into the
+    _FIELD record of the same index in ``fields``, about _PIECE values at a
+    time (whole leading-axis slices); separators are left as they are.
+
+    The 17 digits are D = floor(y + 1/2), y = |x| 10^(16 - e) in long
+    double, for the exponent guess e = floor(log10 |x|); a zero is D = 0,
+    e = 0. A value whose y is within TIE_MARGIN of a half (a tie, which %
+    rounds to even), whose D is not strictly between 10^16 and 10^17 (e
+    guessed off by one, or too close to a power of ten to tell), or that is
+    inf or nan is formatted with FLOAT_FMT % instead, all of a piece's in
+    one call.
+    """
+    step = max(1, _PIECE // values[0].size)
+    for start in range(0, len(values), step):
+        piece, out = values[start:start + step], fields[start:start + step]
+        a = np.abs(piece)
+        live = np.isfinite(a) & (a != 0.0)
+        e = np.where(live, a, 1.0)
+        del live
+        e = np.floor(np.log10(e, out=e), out=e).astype(np.intp)
+        out["exponent"] = _EXPONENTS[e - _E_MIN]
+        y = _POW10[_E_MAX - e]
+        del e
+        with np.errstate(invalid="ignore"):  # nan, and inf cast to an integer
+            y *= a
+            del a
+            y += 0.5
+            exact = ((y >= _D_MIN) & (y < _D_END)) | (piece == 0.0)
+            digits = y.astype(np.uint64)
+            y -= digits  # the fraction y + 1/2 - D
+            exact &= (y >= TIE_MARGIN) & (y <= 1.0 - TIE_MARGIN)
+        del y
+        out["sign"] = np.where(np.signbit(piece), np.uint8(ord("-")), np.uint8(0))
+        out["point"] = ord(".")
+        out["e"] = ord("e")
+        high = digits // 10 ** 8
+        digits -= high * 10 ** 8
+        lead = high // 10 ** 8
+        out["lead"] = lead + ord("0")
+        high -= lead * 10 ** 8
+        del lead
+        for first, second, eight in (("d0", "d1", high), ("d2", "d3", digits)):
+            four = eight // 10 ** 4
+            out[first] = _DIGITS[four]
+            eight -= four * 10 ** 4
+            out[second] = _DIGITS[eight]
+        rest = np.nonzero(~exact)
+        if rest[0].size:
+            text = (FLOAT_FMT + ",") * rest[0].size % tuple(piece[rest].tolist())
+            out["text"][rest] = text.encode("ascii").split(b",")[:-1]
+
+
+def _buffer(shape: Tuple[int, ...]) -> Tuple[bytearray, np.ndarray]:
+    """An all-NUL bytearray and its view as _FIELD records of ``shape``."""
+    buffer = bytearray(_FIELD.itemsize * math.prod(shape))
+    return buffer, np.frombuffer(buffer, _FIELD).reshape(shape)
+
+
 def _table_chunks(header: Sequence[str],
                   columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """The CSV bytes np.savetxt(fmt=FLOAT_FMT, delimiter=",") would write,
-    in blocks of at most CHUNK_VALUES values (at least one row), each
-    formatted with one ``%``. A column of +0.0 only (the ``_im`` column of a
-    real mode) has its text formatted once, into the row template."""
+    in blocks of at most CHUNK_VALUES values (at least one row). Every
+    block is formatted into one buffer of rows x columns records, whose
+    NUL bytes are dropped; the rows a ragged last block leaves are all NUL."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     yield (",".join(header) + "\n").encode("utf-8")
-    zero = [not c.any() and not np.signbit(c).any() for c in cols]
-    row_fmt = ",".join(FLOAT_FMT % 0.0 if z else FLOAT_FMT for z in zero) + "\n"
-    live = [c for c, z in zip(cols, zero) if not z]
-    rows = max(1, CHUNK_VALUES // len(cols))
-    for start in range(0, cols[0].size, rows):
-        count = min(rows, cols[0].size - start)
-        block = np.column_stack([c[start:start + rows] for c in live]) if live else ()
-        yield ((row_fmt * count) % tuple(np.ravel(block).tolist())).encode("utf-8")
+    size = cols[0].size
+    rows = max(1, min(size, CHUNK_VALUES // len(cols)))
+    buffer, fields = _buffer((rows, len(cols)))
+    fields["sep"] = ord(",")
+    fields["sep"][:, -1] = ord("\n")
+    for start in range(0, size, rows):
+        count = min(rows, size - start)
+        fields[count:].view(np.uint8)[...] = 0
+        _format_into(np.array([c[start:start + count] for c in cols]), fields[:count].T)
+        yield buffer.translate(None, b"\0")
 
 
 def write_table_csv(path: str, header: Sequence[str],
@@ -82,19 +188,29 @@ def write_kernel_csv(path: str, kernel) -> None:
     if np.iscomplexobj(kernel.at_sums) or np.iscomplexobj(kernel.at_differences):
         raise ValueError("kernel amplitude is not real-valued; this table format cannot hold it")
     n = kernel.grid_s.n_points
-    rows = max(1, CHUNK_VALUES // (3 * n))
-    # the ki column repeats in every kernel row: format it once, as one row's
-    # template whose NUL bytes (in no float's text) take the row's ks text
-    fmt = FLOAT_FMT.encode("ascii")
-    row = b"".join(b"\0," + fmt % k + b"," + fmt + b"\n" for k in kernel.grid_i.points().tolist())
-    ks = kernel.grid_s.points().tolist()
+    rows = min(n, max(1, CHUNK_VALUES // (3 * n)))
+    # one buffer of (kernel row, column, ks/ki/amplitude) records; the grid
+    # columns are formatted once: ki into every kernel row of the buffer, ks
+    # into records of its own, copied in per chunk
+    buffer, fields = _buffer((rows, n, 3))
+    fields["sep"] = ord(",")
+    fields["sep"][..., 2] = ord("\n")
+    _format_into(kernel.grid_i.points(), fields[0, :, 1])
+    ks = np.zeros(n, _FIELD)
+    ks["sep"] = ord(",")
+    _format_into(kernel.grid_s.points(), ks)
+    # whole records are copied as raw bytes, not field by field
+    raw, ks = fields.view(_RAW), ks.view(_RAW)
+    raw[1:, :, 1] = raw[0, :, 1]
 
     def chunks() -> Iterator[bytes]:
         yield b"ks,ki,amplitude\n"
         for start in range(0, n, rows):
-            yield b"".join(row.replace(b"\0", fmt % k) % tuple(values.tolist())
-                           for k, values in zip(ks[start:start + rows],
-                                                kernel.rows(start, start + rows)))
+            count = min(rows, n - start)
+            fields[count:].view(np.uint8)[...] = 0
+            raw[:count, :, 0] = ks[start:start + count, None]
+            _format_into(kernel.rows(start, start + count), fields[:count, :, 2])
+            yield buffer.translate(None, b"\0")
 
     atomic_write_bytes(path, chunks())
     meta = {

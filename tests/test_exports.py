@@ -22,11 +22,11 @@ SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7e308, -1.7e30
            1.0, -1.0 / 3.0, 2.0 ** -1074 * 3, 6.02214076e23, 1e-300]
 
 
-def savetxt_bytes(header, columns) -> bytes:
+def savetxt_bytes(header, columns, fmt=FLOAT_FMT) -> bytes:
     """The writer this module replaced, kept as the oracle of its bytes."""
     buf = io.StringIO()
     np.savetxt(buf, np.column_stack([np.asarray(c, dtype=float) for c in columns]),
-               fmt=FLOAT_FMT, delimiter=",", header=",".join(header), comments="")
+               fmt=fmt, delimiter=",", header=",".join(header), comments="")
     return buf.getvalue().encode("utf-8")
 
 
@@ -71,8 +71,9 @@ def test_a_wide_table_is_formatted_in_chunks_of_bounded_size():
 
 @pytest.mark.parametrize("rows", [0, 1, WIDE_ROWS + 1, 2 * WIDE_ROWS + 7])
 def test_zero_columns_formatted_once_match_savetxt(tmp_path, rows):
-    """A column of +0.0 is baked into the row template; -0.0, a lone
-    non-zero value and a column of zeros only are each formatted as before."""
+    """Columns of +0.0 (the _im columns of 64 real modes), of -0.0, of
+    zeros with one -0.0 or one non-zero value, and tables of zeros only
+    match savetxt; each zero's field is 0 x 10^0 with np.signbit's sign."""
     header, columns = table(rows, 129, seed=rows + 11)
     for j in range(2, 129, 2):  # the _im columns of 64 real modes
         columns[j] = np.zeros(rows)
@@ -102,6 +103,56 @@ def test_special_values_and_a_wide_table_match_savetxt(tmp_path):
     assert data == savetxt_bytes(header, columns)
     assert b"\n-0.0000000000000000e+00," in data and b"\nnan," in data
     assert b"\n4.9406564584124654e-324," in data and b"\n-inf," in data
+
+
+def fuzz_values(seed: int) -> np.ndarray:
+    """Doubles on which a shortcut to %.16e would slip: random bit patterns
+    (every exponent, subnormals, nan payloads), signed zeros and infinities,
+    powers of ten and their neighbours, and exact decimal ties, which %
+    rounds half to even."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # odd M / 4 has 18 significant digits ending in 5 for M in [4e15, 9e15]
+    ties = (rng.integers(2 * 10 ** 15, 45 * 10 ** 14, 20_000) * 2 + 1) / 4.0
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 0.1, 0.5]
+    values = np.concatenate([bits, powers, ties, specials])
+    return np.where(rng.random(values.size) < 0.5, values, -values)
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_the_vectorised_fields_match_percent_on_fuzzed_values(n_cols):
+    values = fuzz_values(seed=30 + n_cols)
+    values = values[:values.size // n_cols * n_cols]
+    columns = list(values.reshape(-1, n_cols).T)
+    data = b"".join(exports._table_chunks([f"c{j}" for j in range(n_cols)], columns))
+    assert data == savetxt_bytes([f"c{j}" for j in range(n_cols)], columns)
+
+
+def test_a_float64_long_double_sends_every_value_through_percent(monkeypatch):
+    # a long double no wider than float64 makes the margin 44, more than any
+    # fraction's distance from a half; FLOAT_FMT's capital E then marks each
+    # field that % wrote, and every field has it
+    monkeypatch.setattr(exports, "TIE_MARGIN", 2e17 * float(np.finfo(np.float64).eps))
+    monkeypatch.setattr(exports, "FLOAT_FMT", "%.16E")
+    header, columns = table(3 * ROWS_PER_CHUNK, 3, seed=9)
+    assert b"".join(exports._table_chunks(header, columns)) == savetxt_bytes(header, columns,
+                                                                             "%.16E")
+
+
+def test_the_long_double_formats_all_but_the_values_near_a_tie(monkeypatch):
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double is narrower than x87 extended here, "
+                    "so every value takes the % path")
+    monkeypatch.setattr(exports, "FLOAT_FMT", "%.16E")
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal(CHUNK_VALUES) * 10.0 ** rng.integers(-300, 300, CHUNK_VALUES)
+    data = b"".join(exports._table_chunks(["x"], [values]))
+    assert data.lower() == savetxt_bytes(["x"], [values])
+    # y within 0.022 of a half: about 4.4% of them
+    assert 0.0 < data.count(b"E") / CHUNK_VALUES < 0.06
 
 
 def test_ragged_columns_are_refused_and_leave_no_file(tmp_path):
@@ -211,12 +262,13 @@ def _peak_bytes(path, header, columns) -> int:
     return tracemalloc.get_traced_memory()[1] - base
 
 
-def test_writer_peak_memory_does_not_grow_with_rows(tmp_path):
-    # one kernel-shaped table at 4 and at 16 chunks: the formatted text of
-    # one chunk is the most the writer holds, whatever the row count (a
-    # whole-table writer holds the rows, the text and its bytes: ~3x the file)
-    small = table(4 * ROWS_PER_CHUNK, 3, seed=1)
-    large = table(16 * ROWS_PER_CHUNK, 3, seed=2)
+def assert_peak_does_not_grow_with_rows(tmp_path, rows_per_chunk, n_cols, seed):
+    """The table at 4 and at 16 chunks: one chunk's buffer and text, and the
+    formatter's work arrays, are the most the writer holds, whatever the row
+    count (a whole-table writer holds the rows, the text and its bytes:
+    ~3x the file)."""
+    small = table(4 * rows_per_chunk, n_cols, seed=seed)
+    large = table(16 * rows_per_chunk, n_cols, seed=seed + 1)
     tracemalloc.start()
     try:
         peak_small = _peak_bytes(str(tmp_path / "small.csv"), *small)
@@ -226,6 +278,16 @@ def test_writer_peak_memory_does_not_grow_with_rows(tmp_path):
     size_large = os.path.getsize(tmp_path / "large.csv")
     assert peak_large < 1.25 * peak_small
     assert peak_large < 0.5 * size_large
+
+
+def test_writer_peak_memory_does_not_grow_with_rows(tmp_path):
+    # a kernel-shaped table
+    assert_peak_does_not_grow_with_rows(tmp_path, ROWS_PER_CHUNK, 3, seed=1)
+
+
+def test_wide_writer_peak_memory_does_not_grow_with_rows(tmp_path):
+    # a 64-mode table with its re/im pairs, as many-modes writes two of
+    assert_peak_does_not_grow_with_rows(tmp_path, WIDE_ROWS, 129, seed=3)
 
 
 class FullDiskAfterFirstChunk:
