@@ -2,9 +2,18 @@
 
 Exit codes: 0 success, 2 configuration problem, 3 computation failure,
 4 output I/O failure. Outputs are deterministic: identical config and
-flags produce byte-identical files; run metadata (parameter provenance,
-derived constants, summary numbers) goes to <out>/<subcommand>.log, never
+flags produce byte-identical files on one numpy build and BLAS thread
+count; run metadata (parameter provenance, derived constants, summary
+numbers, the BLAS thread setting) goes to <out>/<subcommand>.log, never
 into the data files.
+
+The program runs one thread, so importing this module before numpy sets
+OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set: numpy's and scipy's OpenBLAS then start no idle
+worker pools, and the Schmidt tables, the only outputs whose bits the
+thread count reaches, do not depend on the host's core count. A user's own
+setting wins, and can move those tables' last bits; a caller that imported
+numpy first keeps the library default.
 """
 
 from __future__ import annotations
@@ -17,6 +26,19 @@ import sys
 import tempfile
 import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+# The BLAS thread setting and where it came from, for the log. It is decided
+# before the first numpy import, because each OpenBLAS sizes its pool as it
+# loads; the variables are listed in the order OpenBLAS reads them.
+_BLAS_USER = next((name for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                     "OMP_NUM_THREADS") if name in os.environ), None)
+if _BLAS_USER is not None:
+    _BLAS_THREADS = f"{os.environ[_BLAS_USER]} ({_BLAS_USER})"
+elif "numpy" in sys.modules:
+    _BLAS_THREADS = "library default (numpy was imported before spdc_modes.cli)"
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    _BLAS_THREADS = "1 (set by spdc-modes)"
 
 import numpy as np
 
@@ -313,6 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         flags = ((flag, getattr(args, flag[2:].replace("-", "_")))
                  for flag, _options in _COMMANDS[args.command][2])
         log_lines = [f"command: {args.command}", f"config: {args.config}",
+                     f"blas threads: {_BLAS_THREADS}",
                      *(f"cli override: {key} = {'true' if value is True else value}"
                        for key, value in overrides.items()),
                      *(f"cli flag: {flag}" if value is True else f"cli flag: {flag} {value}"

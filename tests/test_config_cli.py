@@ -1324,6 +1324,69 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert proc.stdout.strip() == "False"
 
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_env(**preset):
+    """This process's environment with no BLAS thread variable, ``src`` on
+    the import path and ``preset`` added."""
+    import spdc_modes
+
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    return dict(env, PYTHONPATH=os.path.dirname(os.path.dirname(spdc_modes.__file__)), **preset)
+
+
+def fresh_python(code, **preset):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=fresh_env(**preset), check=True)
+    return proc.stdout.strip()
+
+
+def test_cli_import_pins_one_blas_thread():
+    code = ("import os, spdc_modes.cli\n"
+            "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), None if tasks is None else len(tasks))")
+    setting, threads = fresh_python(code).split()
+    assert setting == "1"
+    assert threads in ("None", "1")
+
+
+@pytest.mark.parametrize("name", BLAS_VARIABLES)
+def test_cli_import_keeps_a_user_blas_setting(name):
+    code = ("import os; before = dict(os.environ)\n"
+            "import spdc_modes.cli\n"
+            "print(dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    expected = "2" if name == "OPENBLAS_NUM_THREADS" else "None"
+    assert fresh_python(code, **{name: "2"}) == f"True {expected}"
+
+
+def test_cli_import_after_numpy_leaves_the_environment_alone():
+    code = ("import os, numpy; before = dict(os.environ)\n"
+            "import spdc_modes.cli\n"
+            "print(dict(os.environ) == before)")
+    assert fresh_python(code) == "True"
+
+
+def test_cli_pinned_schmidt_tables_match_one_user_set_thread(tmp_path):
+    # the pin and the user's OPENBLAS_NUM_THREADS=1 are one setting, and only
+    # the log (never stdout) says which of the two set it
+    runs = {"pinned": ({}, "blas threads: 1 (set by spdc-modes)"),
+            "user": ({"OPENBLAS_NUM_THREADS": "1"}, "blas threads: 1 (OPENBLAS_NUM_THREADS)")}
+    tables = {}
+    for label, (preset, logged) in runs.items():
+        out = tmp_path / label
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdc_modes.cli", "schmidt", "--config", THREE,
+             "--out", str(out), "--grid-points", "320"],
+            capture_output=True, text=True, env=fresh_env(**preset), check=True)
+        assert "blas" not in proc.stdout
+        log = (out / "schmidt.log").read_text().splitlines()
+        assert log[2] == logged and log[3].startswith("cli override: ")
+        tables[label] = {name: (out / name).read_bytes() for name in
+                         ("schmidt_coefficients.csv", "signal_modes.csv", "idler_modes.csv")}
+    assert tables["pinned"] == tables["user"]
+
+
 # ---------------------------------------------------------------------------
 # fuzz: perturbed shipped configs through the whole command line
 # ---------------------------------------------------------------------------
