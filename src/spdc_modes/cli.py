@@ -44,7 +44,7 @@ import numpy as np
 
 from . import detection, exports, hologram, kernel, schmidt
 from .config import ConfigError, RunConfig, load_config
-from .optics import sigma_k_to_fwhm
+from .optics import fwhm_to_sigma_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -249,7 +249,7 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
         f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered.amplitude):.8f}",
         f"complex field overlap = {hologram.field_overlap(target, recovered.amplitude):.8f}",
         *_widths(recovered_widths()),
-        f"target envelope FWHM (crystal plane) = {sigma_k_to_fwhm(params.widths.sigma_pump):.10g} um",
+        f"target envelope FWHM (crystal plane) = {fwhm_to_sigma_k(params.widths.sigma_pump):.10g} um",
     ], (), {"hologram.pgm": (hologram.export_pgm, holo)}
 
 

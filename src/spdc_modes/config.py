@@ -335,6 +335,8 @@ def parse_config(data: dict) -> RunConfig:
     out = root.section("output")
     output_dir = out.take("directory", default="out", kind=str)
     out.finish()
+    if not output_dir:
+        raise ConfigError("output.directory must name a directory, got ''")
 
     root.finish()
 

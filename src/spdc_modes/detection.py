@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .kernel import (
-    JointIntensity,
-    MultiPeakParams,
-    check_grids,
-    diagonal_sums,
-    sum_difference_nodes,
-)
+from .kernel import JointIntensity, MultiPeakParams, check_grids, sum_difference_nodes
 from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid
 
 
@@ -316,15 +310,9 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
     +-FILTER_SPAN_FWHM * FWHM, and the samples are weight-averaged
     (incoherent sum); a passband that reaches the pump wavelength, where no
     signal photon can be, is refused. The coverage warnings are against the
-    union of the samples' supports.
-
-    No kernel is built. On a grid of spacing h and its mirror a sample's
-    intensity is P^2[i + j] M^2[i - j] / n: the pump comb P takes
-    one value per sum ks + ki, the sample's matching factor M one per
-    difference ks - ki, and the norm n = h^2 sum_d M^2[d] D[d], where D is
-    the :func:`~spdc_modes.kernel.diagonal_sums` of P^2. The average is then
-    P^2[i + j] g[i - j] with the 1D g = sum of (weight / n) M^2, and the
-    result holds the pair (P^2, g).
+    union of the samples' supports. No kernel is built: the average is
+    :meth:`~spdc_modes.kernel.JointIntensity.averaged` of the pump comb and
+    the samples' matching factors.
     """
     sums, delta = sum_difference_nodes(grid)
     lam_c = geom.central_wavelength_nm * 1e-3
@@ -345,22 +333,8 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
         for lam in lams]
     warns = check_grids(samples, grid)
 
-    pump = params.pump_factor(sums)
-    match = np.array([p.matching_factor(delta) for p in samples])
-    if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
-        raise ValueError("amplitude contains non-finite entries")
-    pump2 = pump * pump
-    match2 = match * match
-    diagonal = diagonal_sums(pump2, grid.n_points)
-
-    area = grid.spacing * grid.spacing
-    norms = (match2 @ diagonal) * area
-    if np.any(norms == 0.0):
-        raise ValueError("amplitude is identically zero")
-    g = (weights / norms) @ match2
-    # renormalize like a kernel intensity: unit integral
-    g /= (g @ diagonal) * area
-    return JointIntensity(grid, pump2, g, tuple(warns))
+    matches = np.array([p.matching_factor(delta) for p in samples])
+    return JointIntensity.averaged(grid, params.pump_factor(sums), matches, weights, warns)
 
 
 # ---------------------------------------------------------------------------

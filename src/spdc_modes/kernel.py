@@ -5,9 +5,11 @@ profile P at the sums and a phase-matching profile M at the differences.
 On a signal grid and its mirror, the idler grid, both are 1D arrays on
 the nodes of :func:`sum_difference_nodes`, and every joint quantity is
 read off that pair. :class:`TpaKernel` holds the pair P, M and forms F,
-with ks along axis 0 and ki along axis 1, only in row blocks: the Schmidt
-decomposition and the kernel table read it a block at a time, and no
-command forms the whole array.
+with ks along axis 0 and ki along axis 1, only in row blocks: the kernel
+table reads it through :meth:`TpaKernel.rows`, and the Schmidt
+decomposition through the products :meth:`TpaKernel.times` and
+:meth:`TpaKernel.adjoint_times`, which form each block over the
+profiles' support only. No command forms the whole array.
 :class:`JointIntensity` holds the pair |P|^2, |M|^2 for the slit scans,
 which never form the joint array. Builders cover the plain
 double-Gaussian case, the structured multi-peak pump, and a pump spectrum
@@ -36,6 +38,11 @@ from .optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
 MAX_STEP_FRACTION = 0.25
 # grids must cover the amplitude support out to this many widths
 MIN_COVER_SIGMAS = 4.0
+# rows of the amplitude formed at once by the kernel's products
+ROW_BLOCK = 128
+# a difference profile this close to its conjugate mirror, relative to its
+# peak, makes a real-pump kernel Hermitian
+HERMITIAN_RTOL = 1e-12
 
 BRANCHES = ("+", "both")
 
@@ -75,12 +82,73 @@ class TpaKernel(MirroredIdler):
         """
         return cls(grid, *_unit_profiles(at_sums, at_differences, grid), tuple(warnings))
 
-    def rows(self, start: int, stop: int, columns: Optional[Tuple[int, int]] = None) -> np.ndarray:
+    def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start`` to ``stop`` of the joint amplitude, formed from the
-        profiles, over ``columns`` = (j0, j1) only if given; as with a slice,
-        a ``stop`` past the last row ends there."""
+        profiles; as with a slice, a ``stop`` past the last row ends there."""
+        return self._block(start, stop, 0, self.grid_s.n_points)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The amplitude's dtype: float64 for a real profile pair, complex128 otherwise."""
+        return np.result_type(self.at_sums, self.at_differences)
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """Whether a[i, j] = P[i + j] M[i - j + n - 1] equals conj(a[j, i]): P is
+        real and M[m] = conj(M[2 n - 2 - m]), to HERMITIAN_RTOL of max |M|."""
+        match = self.at_differences
+        return bool(np.isrealobj(self.at_sums)
+                    and np.abs(match - match[::-1].conj()).max()
+                    <= HERMITIAN_RTOL * np.abs(match).max())
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """a @ x, one row block of :attr:`_row_blocks` formed at a time; rows
+        no block covers are zero."""
+        out = np.zeros((self.grid_s.n_points, x.shape[1]), np.result_type(self.dtype, x))
+        for start, stop, j0, j1 in self._row_blocks:
+            np.matmul(self._block(start, stop, j0, j1), x[j0:j1], out=out[start:stop])
+        return out
+
+    def adjoint_times(self, y: np.ndarray) -> np.ndarray:
+        """y^H @ a, one row block of :attr:`_row_blocks` formed at a time."""
+        out = np.zeros((y.shape[1], self.grid_s.n_points), np.result_type(self.dtype, y))
+        for start, stop, j0, j1 in self._row_blocks:
+            out[:, j0:j1] += y[start:stop].conj().T @ self._block(start, stop, j0, j1)
+        return out
+
+    def _block(self, start: int, stop: int, j0: int, j1: int) -> np.ndarray:
+        """Rows ``start`` to ``stop`` of the joint amplitude over columns j0 to j1 only."""
         return sum_difference_product(self.at_sums, self.at_differences, self.grid_s.n_points,
-                                      start, stop, columns)
+                                      start, stop, (j0, j1))
+
+    @cached_property
+    def _row_blocks(self) -> list:
+        """(start, stop, j0, j1) for each block of ROW_BLOCK rows of ``a`` that
+        meets the support of both profiles: columns j0 to j1 hold every entry of
+        rows start to stop whose i + j lies in the support of the sum profile P
+        and whose i - j + n - 1 lies in that of the difference profile M.
+
+        Each end of P is cut while its weight times ||M||^2 stays within
+        (u ||a||_F)^2 / 4, with u the unit roundoff and ||a||_F the kernel's
+        norm over h, and each end of M likewise. (i, j) -> (i + j, i - j) is
+        one to one, so the entries left out, E, have ||E||_F <= u ||a||_F, and
+        by Weyl's inequality no singular value of ``a`` moves by more than
+        u ||a||_F, the rounding of float64 itself. A block whose window is
+        empty has only zero rows of a @ x and is left out. Found once.
+        """
+        n = self.grid_s.n_points
+        pump, match = np.abs(self.at_sums) ** 2, np.abs(self.at_differences) ** 2
+        budget = (np.finfo(float).eps / 2 * self.norm() / self.grid_s.spacing) ** 2 / 4
+        p0, p1 = _support(pump, budget / match.sum())
+        m0, m1 = _support(match, budget / pump.sum())
+        blocks = []
+        for start in range(0, n, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, n)
+            j0 = max(0, p0 - (stop - 1), start + n - m1)
+            j1 = min(n, p1 - start, stop - 1 + n - m0)
+            if j0 < j1:
+                blocks.append((start, stop, j0, j1))
+        return blocks
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -112,6 +180,32 @@ class JointIntensity(MirroredIdler):
         """The intensity of :meth:`TpaKernel.from_profiles` of the same pair."""
         pump, match = _unit_profiles(at_sums, at_differences, grid)
         return cls(grid, np.abs(pump) ** 2, np.abs(match) ** 2, tuple(warnings))
+
+    @classmethod
+    def averaged(cls, grid: WavevectorGrid, pump: np.ndarray, matches: np.ndarray,
+                 weights: np.ndarray, warnings: Sequence[str] = ()) -> "JointIntensity":
+        """The ``weights``-average of the intensities of :meth:`from_profiles` of
+        the real ``pump`` with each row of the real ``matches``, renormalized.
+
+        The intensity of a pair (P, M) is P^2[i + j] M^2[i - j] / n, with the
+        norm n = h^2 sum_d M^2[d] D[d] on a grid of spacing h and its mirror,
+        where D is the :func:`diagonal_sums` of P^2. The average is then
+        P^2[i + j] g[i - j] with the 1D g = sum of (weight / n) M^2, and the
+        result holds the pair (P^2, g).
+        """
+        if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(matches))):
+            raise ValueError("amplitude contains non-finite entries")
+        pump2 = pump * pump
+        match2 = matches * matches
+        diagonal = diagonal_sums(pump2, grid.n_points)
+        area = grid.spacing * grid.spacing
+        norms = (match2 @ diagonal) * area
+        if np.any(norms == 0.0):
+            raise ValueError("amplitude is identically zero")
+        g = (weights / norms) @ match2
+        # renormalize like a kernel intensity: unit integral
+        g /= (g @ diagonal) * area
+        return cls(grid, pump2, g, tuple(warnings))
 
     def weighted_columns(self, start: int, weights: np.ndarray) -> np.ndarray:
         """sum_c weights[c] |F|^2[:, start + c], one value per signal node.
@@ -158,6 +252,12 @@ def diagonal_sums(at_sums: np.ndarray, n: int) -> np.ndarray:
     prefix[3::2] = np.cumsum(at_sums[1::2])
     e = np.abs(np.arange(at_sums.size) - (n - 1))
     return prefix[2 * n - e] - prefix[e]
+
+
+def _support(weights: np.ndarray, budget: float) -> tuple:
+    """[lo, hi): ``weights`` less its longest ends that each sum to at most ``budget``."""
+    lo = int(np.searchsorted(np.cumsum(weights), budget, side="right"))
+    return lo, weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), budget, side="right"))
 
 
 def _squared_norm(at_sums: np.ndarray, at_differences: np.ndarray,
@@ -249,21 +349,24 @@ class MultiPeakParams:
     def pump_factor(self, total: np.ndarray) -> np.ndarray:
         """Pump comb at sum coordinates ks + ki: a Gaussian at each of
         :meth:`pump_centers`, scaled by its amplitude."""
-        pump = np.zeros_like(total)
-        for a, c in zip(self.amplitudes, self.pump_centers()):
-            pump += a * np.exp(-((total - c) ** 2) / (2.0 * self.widths.sigma_pump ** 2))
-        return pump
+        return _gaussians(total, zip(self.amplitudes, self.pump_centers()), self.widths.sigma_pump)
 
     def matching_factor(self, delta: np.ndarray) -> np.ndarray:
         """Gaussian phase matching at differences ks - ki, centred at the offset.
 
         ``branch='both'`` adds the mirror Gaussian at minus the offset.
         """
-        offset, sigma = self.noncollinear_offset, self.widths.sigma_match
-        if self.branch == "+":
-            return np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
-        return (np.exp(-((delta - offset) ** 2) / (2.0 * sigma ** 2))
-                + np.exp(-((delta + offset) ** 2) / (2.0 * sigma ** 2)))
+        offset = self.noncollinear_offset
+        centers = (offset,) if self.branch == "+" else (offset, -offset)
+        return _gaussians(delta, [(1.0, c) for c in centers], self.widths.sigma_match)
+
+
+def _gaussians(x: np.ndarray, terms, sigma: float) -> np.ndarray:
+    """sum of a exp(-(x - c)^2 / (2 sigma^2)) over the (a, c) pairs of ``terms``."""
+    total = np.zeros_like(x)
+    for a, c in terms:
+        total += a * np.exp(-((x - c) ** 2) / (2.0 * sigma ** 2))
+    return total
 
 
 def default_grid(params: MultiPeakParams, n_points: int, span_sigmas: float) -> WavevectorGrid:

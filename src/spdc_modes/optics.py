@@ -40,18 +40,12 @@ def fwhm_to_sigma_k(fwhm_field_um: float) -> float:
 
     A crystal-plane field envelope exp(-x^2/(2 s_x^2)) has the angular
     spectrum exp(-k^2/(2 s_k^2)) with s_k = 1/s_x, so
-    s_k = 2*sqrt(2 ln 2) / fwhm.
+    s_k = 2*sqrt(2 ln 2) / fwhm. The map is its own inverse: it also gives
+    the field FWHM of an angular-spectrum width s_k.
     """
     if fwhm_field_um <= 0:
         raise ValueError(f"field FWHM must be positive, got {fwhm_field_um}")
     return GAUSSIAN_FWHM_FACTOR / fwhm_field_um
-
-
-def sigma_k_to_fwhm(sigma_k_um_inv: float) -> float:
-    """Inverse of :func:`fwhm_to_sigma_k` (the map is an involution)."""
-    if sigma_k_um_inv <= 0:
-        raise ValueError(f"sigma_k must be positive, got {sigma_k_um_inv}")
-    return GAUSSIAN_FWHM_FACTOR / sigma_k_um_inv
 
 
 @dataclass(frozen=True)

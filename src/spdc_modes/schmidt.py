@@ -11,15 +11,12 @@ Only the leading modes are ever kept, so the triplets come from an
 adaptive randomized range finder: fixed-seed Gaussian columns, one
 subspace iteration and Rayleigh-Ritz on the basis, which grows until the
 weight it misses bounds every kept weight's error far below that weight,
-or until it spans every direction. A kernel of a real pump and a
-palindromic difference profile (every Gaussian matching profile here is
-one) is Hermitian, and its Rayleigh-Ritz matrix is the w x w Q^H a Q of
-a w-column basis Q; any other kernel's is the w x N Q^H a. The amplitude
-is read only through products with it, formed ROW_BLOCK rows at a time
-from the kernel's two profiles and over each block's support window only
-(:func:`_row_blocks`), so the N x N array is never formed, and the entries
-left out are within float64 rounding of the kernel. The fixed seed keeps
-reruns byte-identical.
+or until it spans every direction. The Rayleigh-Ritz matrix of a
+w-column basis Q is the w x w Q^H a Q for a Hermitian kernel
+(:attr:`TpaKernel.hermitian`; every Gaussian-matching kernel here is one)
+and the w x N Q^H a for any other. The amplitude is read only through
+the products :meth:`TpaKernel.times` and :meth:`TpaKernel.adjoint_times`.
+The fixed seed keeps reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -45,11 +42,6 @@ DISCARD_WARN = 1e-3
 SKETCH_BLOCK = 16
 SKETCH_OVERSAMPLE = 16
 SKETCH_RESIDUAL = 1e-3
-# rows of the amplitude formed at once by the range finder's products
-ROW_BLOCK = 128
-# a difference profile this close to its conjugate mirror, relative to its
-# peak, makes a real-pump kernel Hermitian for the range finder
-HERMITIAN_RTOL = 1e-12
 # coefficients within this relative distance of a cluster's first form one
 # degenerate cluster, whose modes the SVD leaves free to rotate among themselves
 DEGENERATE_RTOL = 1e-9
@@ -157,49 +149,44 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
     one fixed-seed stream, so the basis holds SKETCH_BLOCK + SKETCH_OVERSAMPLE
     columns, then twice as many at every step, at most N. The new columns get
     one subspace iteration on ``a`` with Q projected out, and their rows of
-    Q^H a are formed. A Hermitian ``a`` (a real pump and a difference profile
-    that is its own conjugate mirror, :func:`_is_hermitian`) has its row space
-    in its column space, so those rows are folded into the w x w matrix
-    T = Q^H a Q, whose mirror block is the conjugate transpose of the new
-    rows', and a ~ Q T Q^H; any other ``a`` keeps the w x N matrix B = Q^H a.
+    Q^H a are formed. A Hermitian ``a`` has its row space in its column
+    space, so those rows are folded into the w x w matrix T = Q^H a Q, whose
+    mirror block is the conjugate transpose of the new rows', and
+    a ~ Q T Q^H; any other ``a`` keeps the w x N matrix B = Q^H a.
     The SVD of T or B gives the triplets. The basis is accepted when it holds
     SKETCH_OVERSAMPLE more vectors than the modes kept and the weight it
     misses, ||a||^2 minus that of T or B, is at most SKETCH_RESIDUAL times
     the smallest kept weight; by Weyl's inequality that weight bounds the
     error of every kept weight. At N columns, Q spans every direction and
     is accepted as is. ``scale`` multiplies the singular values only,
-    before the energy target reads them. Every product reads ``a`` through
-    the row blocks and column windows of :func:`_row_blocks`, found once.
+    before the energy target reads them.
     """
     n = kernel.grid_s.n_points
     total = kernel.norm() ** 2
-    blocks = _row_blocks(kernel)
     rng = np.random.default_rng(0)
-    dtype = np.result_type(kernel.at_sums, kernel.at_differences)
-    hermitian = _is_hermitian(kernel)
     # Q^T, the basis as rows, and the reduced matrix, T (w x w) or B (w x N).
     # Each step widens both once, before it forms any row block, and fills the
     # new rows in place, the basis's at every stage of the subspace iteration:
     # a copy held beside the step's products would raise the peak
-    basis = np.empty((0, n), dtype)
-    reduced = np.empty((0, 0 if hermitian else n), dtype)
+    basis = np.empty((0, n), kernel.dtype)
+    reduced = np.empty((0, 0 if kernel.hermitian else n), kernel.dtype)
     # a first block of SKETCH_BLOCK columns could never be accepted: it has
     # no room for SKETCH_OVERSAMPLE columns beyond even one kept mode
     width = min(SKETCH_BLOCK + SKETCH_OVERSAMPLE, n)
     while True:
         done = basis.shape[0]
         basis = _grown(basis, width, n)
-        reduced = _grown(reduced, width, width if hermitian else n)
+        reduced = _grown(reduced, width, width if kernel.hermitian else n)
         q, new = basis[:done].T, basis[done:].T
-        new[:] = _orthonormal(_times(kernel, blocks, rng.standard_normal((n, width - done))), q)
+        new[:] = _orthonormal(kernel.times(rng.standard_normal((n, width - done))), q)
         # one subspace iteration; a^H new is formed as (new^H a)^H, never conjugating a
-        new[:] = np.linalg.qr(_adjoint_times(kernel, blocks, new).conj().T)[0]
-        new[:] = _orthonormal(_times(kernel, blocks, new), q)
-        if hermitian:
-            reduced[done:] = _adjoint_times(kernel, blocks, new) @ basis.T
+        new[:] = np.linalg.qr(kernel.adjoint_times(new).conj().T)[0]
+        new[:] = _orthonormal(kernel.times(new), q)
+        if kernel.hermitian:
+            reduced[done:] = kernel.adjoint_times(new) @ basis.T
             reduced[:done, done:] = reduced[done:, :done].conj().T
         else:
-            reduced[done:] = _adjoint_times(kernel, blocks, new)
+            reduced[done:] = kernel.adjoint_times(new)
         ur, s, vh = np.linalg.svd(reduced, full_matrices=False)
         s *= scale
         residual = total - float(np.sum(s ** 2))
@@ -207,18 +194,9 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
         kept = _mode_count(s)
         if width == n or (kept + SKETCH_OVERSAMPLE <= width
                           and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2):
-            vh = vh[:kept] @ basis.conj() if hermitian else vh[:kept]
+            vh = vh[:kept] @ basis.conj() if kernel.hermitian else vh[:kept]
             return basis.T @ ur[:, :kept], s[:kept], vh
         width = min(2 * width, n)
-
-
-def _is_hermitian(kernel: TpaKernel) -> bool:
-    """Whether a[i, j] = P[i + j] M[i - j + n - 1] equals conj(a[j, i]): P is
-    real and M[m] = conj(M[2 n - 2 - m]), to HERMITIAN_RTOL of max |M|."""
-    match = kernel.at_differences
-    return bool(np.isrealobj(kernel.at_sums)
-                and np.abs(match - match[::-1].conj()).max()
-                <= HERMITIAN_RTOL * np.abs(match).max())
 
 
 def _grown(a: np.ndarray, rows: int, columns: int) -> np.ndarray:
@@ -235,60 +213,6 @@ def _orthonormal(y: np.ndarray, q: np.ndarray) -> np.ndarray:
     for _ in range(2 if q.shape[1] else 1):
         y = np.linalg.qr(y - q @ (q.conj().T @ y))[0]
     return y
-
-
-def _row_blocks(kernel: TpaKernel) -> list:
-    """(start, stop, j0, j1) for each block of ROW_BLOCK rows of ``a`` that
-    meets the support of both profiles: columns j0 to j1 hold every entry of
-    rows start to stop whose i + j lies in the support of the sum profile P
-    and whose i - j + n - 1 lies in that of the difference profile M.
-
-    Each end of P is cut while its weight times ||M||^2 stays within
-    (u ||a||_F)^2 / 4, with u the unit roundoff and ||a||_F the kernel's
-    norm over h, and each end of M likewise. (i, j) -> (i + j, i - j) is
-    one to one, so the entries left out, E, have ||E||_F <= u ||a||_F, and
-    by Weyl's inequality no singular value of ``a`` moves by more than
-    u ||a||_F, the rounding of float64 itself. A block whose window is
-    empty has only zero rows of a @ x and is left out.
-    """
-    n = kernel.grid_s.n_points
-    pump, match = np.abs(kernel.at_sums) ** 2, np.abs(kernel.at_differences) ** 2
-    budget = (np.finfo(float).eps / 2 * kernel.norm() / kernel.grid_s.spacing) ** 2 / 4
-    p0, p1 = _support(pump, budget / match.sum())
-    m0, m1 = _support(match, budget / pump.sum())
-    blocks = []
-    for start in range(0, n, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n)
-        j0 = max(0, p0 - (stop - 1), start + n - m1)
-        j1 = min(n, p1 - start, stop - 1 + n - m0)
-        if j0 < j1:
-            blocks.append((start, stop, j0, j1))
-    return blocks
-
-
-def _support(weights: np.ndarray, budget: float) -> tuple:
-    """[lo, hi): ``weights`` less its longest ends that each sum to at most ``budget``."""
-    lo = int(np.searchsorted(np.cumsum(weights), budget, side="right"))
-    return lo, weights.size - int(np.searchsorted(np.cumsum(weights[::-1]), budget, side="right"))
-
-
-def _times(kernel: TpaKernel, blocks: list, x: np.ndarray) -> np.ndarray:
-    """a @ x, one row block of :func:`_row_blocks` formed at a time; rows
-    no block covers are zero."""
-    out = np.zeros((kernel.grid_s.n_points, x.shape[1]),
-                   np.result_type(kernel.at_sums, kernel.at_differences, x))
-    for start, stop, j0, j1 in blocks:
-        np.matmul(kernel.rows(start, stop, (j0, j1)), x[j0:j1], out=out[start:stop])
-    return out
-
-
-def _adjoint_times(kernel: TpaKernel, blocks: list, y: np.ndarray) -> np.ndarray:
-    """y^H @ a, one row block of :func:`_row_blocks` formed at a time."""
-    out = np.zeros((y.shape[1], kernel.grid_s.n_points),
-                   np.result_type(kernel.at_sums, kernel.at_differences, y))
-    for start, stop, j0, j1 in blocks:
-        out[:, j0:j1] += y[start:stop].conj().T @ kernel.rows(start, stop, (j0, j1))
-    return out
 
 
 @dataclass(frozen=True)

@@ -916,6 +916,22 @@ def test_cli_blocked_output_dir_is_exit_4(tmp_path, capsys):
     assert "output error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [True, False], ids=["out-flag", "config-key"])
+def test_an_empty_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, flag):
+    # refused when the config is read, before any file or directory is made
+    monkeypatch.chdir(tmp_path)
+    data = shipped(SINGLE)
+    data["output"] = {"directory": "out" if flag else ""}
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(data))
+    argv = ["tpa", "--config", "cfg.yaml"] + (["--out", ""] if flag else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: output.directory must name a directory, "
+                            "got ''\n")
+    assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+
 def test_a_blocked_output_file_leaves_no_file_of_the_command(tmp_path, capsys):
     # the later signal_modes.csv cannot be written, so neither may the
     # coefficients that come before it; no stage directory is left behind

@@ -1,5 +1,6 @@
 """The declared runtime dependencies are exactly the third-party imports of the
-package, and each module uses every name it imports."""
+package, each module uses every name it imports, and only kernel.py reads the
+layout of a kernel's profiles."""
 
 import ast
 import os
@@ -62,3 +63,30 @@ def test_every_imported_name_is_used():
                     if bound not in used:
                         unused.append(f"{filename}: {bound}")
     assert unused == []
+
+
+# the profiles of a kernel or intensity, and the functions that index them
+PROFILE_ATTRIBUTES = {"at_sums", "at_differences"}
+PROFILE_FUNCTIONS = {"diagonal_sums", "sum_difference_product"}
+
+
+def test_only_the_kernel_module_reads_the_profile_layout():
+    # F[i, j] = P[i + j] M[i - j + n - 1] is spelled out in kernel.py alone, so
+    # a change to the profile pair edits one module; the others go through
+    # the kernel's methods
+    readers = []
+    for filename, tree in module_trees():
+        if filename == "kernel.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in PROFILE_ATTRIBUTES | PROFILE_FUNCTIONS:
+                readers.append(f"{filename}:{getattr(node, 'lineno', '')}: {name}")
+    assert readers == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from spdc_modes import kernel as kernel_module
 from spdc_modes import schmidt
 from spdc_modes.config import load_config, parse_config
 from spdc_modes.kernel import (
@@ -306,7 +307,7 @@ def shifted_match_kernel():
     difference node off its palindrome."""
     grid, pump, match = three_mode_profiles()
     kernel = TpaKernel.from_profiles(grid, pump, np.roll(match, 1))
-    assert not schmidt._is_hermitian(kernel)
+    assert not kernel.hermitian
     return kernel
 
 
@@ -473,7 +474,7 @@ def outside_the_windows(kernel):
     """The entries of the amplitude that no row block of the range finder forms."""
     a = kernel.amplitude
     formed = np.zeros(a.shape, bool)
-    for start, stop, j0, j1 in schmidt._row_blocks(kernel):
+    for start, stop, j0, j1 in kernel._row_blocks:
         formed[start:stop, j0:j1] = True
     return a[~formed]
 
@@ -489,9 +490,9 @@ def test_the_windows_leave_out_at_most_the_unit_roundoff_of_the_kernel(name):
 
 @pytest.mark.parametrize("n", [20, 160, 300])
 def test_a_random_profile_kernel_keeps_its_full_window(n):
-    blocks = schmidt._row_blocks(noise_kernel(n))
-    assert blocks == [(start, min(start + schmidt.ROW_BLOCK, n), 0, n)
-                      for start in range(0, n, schmidt.ROW_BLOCK)]
+    blocks = noise_kernel(n)._row_blocks
+    assert blocks == [(start, min(start + kernel_module.ROW_BLOCK, n), 0, n)
+                      for start in range(0, n, kernel_module.ROW_BLOCK)]
 
 
 @pytest.mark.parametrize("name", WINDOWED)
@@ -509,14 +510,14 @@ def test_the_many_mode_kernel_is_formed_over_its_band_only(monkeypatch):
     kernel = many_mode_kernel(2048)
     n = kernel.grid_s.n_points
     calls = []
-    rows = TpaKernel.rows
+    product = kernel_module.sum_difference_product
 
-    def recording(self, start, stop, columns=None):
-        block = rows(self, start, stop, columns)
+    def recording(at_sums, at_differences, points, start, stop, columns):
+        block = product(at_sums, at_differences, points, start, stop, columns)
         calls.append((start, block.size))
         return block
 
-    monkeypatch.setattr(TpaKernel, "rows", recording)
+    monkeypatch.setattr(kernel_module, "sum_difference_product", recording)
     dec = schmidt_decompose(kernel)
     assert dec.n_modes == 64
     passes = sum(1 for start, _size in calls if start == calls[0][0])
