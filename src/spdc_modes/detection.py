@@ -356,6 +356,10 @@ class CrosstalkMatrix:
         return self.log_values / math.log(10.0)
 
 
+# rows of products that crosstalk_matrix reduces in one logsumexp call
+CROSSTALK_ROWS = 8
+
+
 def gaussian_mode_log_intensities(centers: Sequence[float], scale: float,
                                   grid: WavevectorGrid) -> np.ndarray:
     """Natural-log intensity profiles of unit-norm Gaussian modes.
@@ -376,7 +380,10 @@ def crosstalk_matrix(log_modes: np.ndarray, grid: WavevectorGrid) -> CrosstalkMa
     Each row of ``log_modes`` is a natural-log intensity profile I_m, and
     X_mn = (integral I_m I_n)^2 / (integral I_m^2 integral I_n^2), so X_mm = 1
     and X is symmetric. The whole computation runs in the log domain, which
-    keeps vanishing overlaps meaningful far below float underflow.
+    keeps vanishing overlaps meaningful far below float underflow. The
+    products I_m I_n are summed CROSSTALK_ROWS rows at a time, so the work
+    arrays are that many rows, not n, and each row's sum is its own: the
+    result does not depend on the block size.
     """
     log_modes = np.asarray(log_modes)
     if log_modes.ndim != 2:
@@ -388,10 +395,11 @@ def crosstalk_matrix(log_modes: np.ndarray, grid: WavevectorGrid) -> CrosstalkMa
     w[0] = w[-1] = grid.spacing / 2.0
     logw = np.log(w)
     log_cross = np.empty((n, n))
-    # one row at a time: an (n, n, nk) broadcast costs n times the memory
     for m in range(n):
-        row = logsumexp(log_modes[m] + log_modes[m:] + logw, axis=1)
-        log_cross[m, m:] = log_cross[m:, m] = row
+        for start in range(m, n, CROSSTALK_ROWS):
+            rows = slice(start, start + CROSSTALK_ROWS)
+            log_cross[m, rows] = logsumexp(log_modes[m] + log_modes[rows] + logw, axis=1)
+        log_cross[m:, m] = log_cross[m, m:]
     diag = np.diag(log_cross)
     log_x = 2.0 * log_cross - diag[:, None] - diag[None, :]
     with np.errstate(under="ignore"):

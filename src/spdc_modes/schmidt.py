@@ -37,8 +37,8 @@ SV_FLOOR = 1e-12
 NORM_TOLERANCE = 1e-8
 DISCARD_WARN = 1e-3
 # randomized range finder: block columns for the kept modes and beyond them
-# (the first block holds both), and the missed weight allowed per unit of the
-# smallest kept weight
+# (the first block holds both; _orthonormal factorises blocks this wide), and
+# the missed weight allowed per unit of the smallest kept weight
 SKETCH_BLOCK = 16
 SKETCH_OVERSAMPLE = 16
 SKETCH_RESIDUAL = 1e-3
@@ -149,10 +149,13 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
     one fixed-seed stream, so the basis holds SKETCH_BLOCK + SKETCH_OVERSAMPLE
     columns, then twice as many at every step, at most N. The new columns get
     one subspace iteration on ``a`` with Q projected out, and their rows of
-    Q^H a are formed. A Hermitian ``a`` has its row space in its column
-    space, so those rows are folded into the w x w matrix T = Q^H a Q, whose
-    mirror block is the conjugate transpose of the new rows', and
-    a ~ Q T Q^H; any other ``a`` keeps the w x N matrix B = Q^H a.
+    Q^H a are formed. :func:`_orthonormal` works them in Q's own rows, one
+    SKETCH_BLOCK-column block at a time, so beside Q^T a step holds the
+    N x c product of ``a`` with its c new columns and one block's QR. A
+    Hermitian ``a`` has its row space in its column space, so those rows are
+    folded into the w x w matrix T = Q^H a Q, whose mirror block is the
+    conjugate transpose of the new rows', and a ~ Q T Q^H; any other ``a``
+    keeps the w x N matrix B = Q^H a.
     The SVD of T or B gives the triplets. The basis is accepted when it holds
     SKETCH_OVERSAMPLE more vectors than the modes kept and the weight it
     misses, ||a||^2 minus that of T or B, is at most SKETCH_RESIDUAL times
@@ -165,9 +168,9 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
     total = kernel.norm() ** 2
     rng = np.random.default_rng(0)
     # Q^T, the basis as rows, and the reduced matrix, T (w x w) or B (w x N).
-    # Each step widens both once, before it forms any row block, and fills the
-    # new rows in place, the basis's at every stage of the subspace iteration:
-    # a copy held beside the step's products would raise the peak
+    # Each step widens both once, before it forms any row block, and fills and
+    # orthonormalises the new rows in place at every stage of the subspace
+    # iteration: a copy held beside the step's products would raise the peak
     basis = np.empty((0, n), kernel.dtype)
     reduced = np.empty((0, 0 if kernel.hermitian else n), kernel.dtype)
     # a first block of SKETCH_BLOCK columns could never be accepted: it has
@@ -177,11 +180,15 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
         done = basis.shape[0]
         basis = _grown(basis, width, n)
         reduced = _grown(reduced, width, width if kernel.hermitian else n)
-        q, new = basis[:done].T, basis[done:].T
-        new[:] = _orthonormal(kernel.times(rng.standard_normal((n, width - done))), q)
-        # one subspace iteration; a^H new is formed as (new^H a)^H, never conjugating a
-        new[:] = np.linalg.qr(kernel.adjoint_times(new).conj().T)[0]
-        new[:] = _orthonormal(kernel.times(new), q)
+        new = basis[done:].T
+        new[:] = kernel.times(rng.standard_normal((n, width - done)))
+        _orthonormal(basis.T, done)
+        # one subspace iteration: the conjugate of a basis of (new^H a)^T spans
+        # a^H new, which is never formed, nor is a conjugated
+        new[:] = _orthonormal(kernel.adjoint_times(new).T, 0)
+        np.conjugate(new, out=new)
+        new[:] = kernel.times(new)
+        _orthonormal(basis.T, done)
         if kernel.hermitian:
             reduced[done:] = kernel.adjoint_times(new) @ basis.T
             reduced[:done, done:] = reduced[done:, :done].conj().T
@@ -206,12 +213,25 @@ def _grown(a: np.ndarray, rows: int, columns: int) -> np.ndarray:
     return out
 
 
-def _orthonormal(y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of y's columns with q's orthonormal columns
-    projected out, in two passes, so rounding leaves no part along q; with
-    no q there is nothing to project out, and one pass is enough."""
-    for _ in range(2 if q.shape[1] else 1):
-        y = np.linalg.qr(y - q @ (q.conj().T @ y))[0]
+def _orthonormal(y: np.ndarray, done: int) -> np.ndarray:
+    """y, its columns from ``done`` on overwritten by an orthonormal basis of
+    their span with the orthonormal columns before them projected out.
+
+    Reorthogonalised block classical Gram-Schmidt (BCGS2; Barlow &
+    Smoktunowicz, Numer. Math. 123, 395 (2013)): each block of SKETCH_BLOCK
+    columns has every column before it projected out in place, then is
+    replaced by the Q of its Householder QR, in two passes, so rounding
+    leaves no part along those columns; a first block with none before it
+    has nothing to project out, and one pass is enough. Two passes keep the
+    columns orthonormal to O(u) while y's condition number stays well below
+    1/u, with u the unit roundoff. Beside y, one block's QR is the most held
+    at a time.
+    """
+    for start in range(done, y.shape[1], SKETCH_BLOCK):
+        block, before = y[:, start:start + SKETCH_BLOCK], y[:, :start]
+        for _ in range(2 if start else 1):
+            block -= before @ (before.conj().T @ block)
+            block[:] = np.linalg.qr(block)[0]
     return y
 
 

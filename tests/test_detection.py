@@ -3,12 +3,13 @@
 import dataclasses
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
+from scipy.special import logsumexp
 
-from spdc_modes.config import load_config
+from spdc_modes.config import load_config, parse_config
 from spdc_modes.detection import (
     DetectionGeometry,
     ScanSpectrum,
@@ -45,11 +46,13 @@ from spdc_modes.optics import (
 )
 
 from oracles import hermite_gauss, linear_crosstalk
+from traced import traced_peak
 
 GEOM = DetectionGeometry()
 WINDOWS = GEOM.slit_windows()
 IDEAL = (None, None)  # zero-width slits
 THREE_MODES = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "three_modes.yaml")
+CROSSTALK = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "crosstalk.yaml")
 
 # degenerate type-I cut, frozen from the Sellmeier data used in the configs
 N_SIGNAL = 1.6602583173171748
@@ -492,12 +495,8 @@ def test_wavelength_average_holds_one_joint_array():
     # a loop over per-sample kernels holds six joint-grid arrays at its peak
     run = load_config(THREE_MODES)
     grid = run.grid
-    tracemalloc.start()
-    try:
-        wavelength_average(run.phase_match, run.geometry, run.pump, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: wavelength_average(run.phase_match, run.geometry,
+                                                     run.pump, grid))
     assert grid.n_points == 512
     assert peak <= 2 * grid.n_points ** 2 * 8
 
@@ -543,6 +542,47 @@ def test_crosstalk_amplitude_vs_intensity_overlap():
     assert amp[0, 1] < 1e-12  # orthogonal amplitudes
     inten = linear_crosstalk(np.stack([psi0 ** 2, psi1 ** 2]), grid)
     assert inten[0, 1] > 0.1  # their intensities still overlap
+
+
+def comb64_log_modes():
+    """The detection modes of a 64-peak comb at 2048 points, as the crosstalk
+    command forms them."""
+    with open(CROSSTALK, "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["pump"] = {"peaks": 64, "peak_spacing_um_inv": 0.12, "envelope_fwhm_um": 100.0,
+                    "matching_width": "derived"}
+    data["grid"]["points"] = 2048
+    run = parse_config(data)
+    widths = run.pump.widths
+    scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
+    return gaussian_mode_log_intensities(run.pump.signal_centers(), scale, run.grid), run.grid
+
+
+def one_call_per_row(log_modes, grid):
+    """Crosstalk values and logs with one logsumexp call per row over every later row."""
+    n = log_modes.shape[0]
+    w = np.full(grid.n_points, grid.spacing)
+    w[0] = w[-1] = grid.spacing / 2.0
+    log_cross = np.empty((n, n))
+    for m in range(n):
+        log_cross[m, m:] = log_cross[m:, m] = logsumexp(log_modes[m] + log_modes[m:] + np.log(w),
+                                                         axis=1)
+    diag = np.diag(log_cross)
+    log_x = 2.0 * log_cross - diag[:, None] - diag[None, :]
+    with np.errstate(under="ignore"):
+        return np.exp(log_x), log_x
+
+
+def test_crosstalk_sums_a_few_rows_at_a_time():
+    # a (64 - m) x N product per row holds ~6 log_modes-sized arrays at once;
+    # a few rows per call hold less than one, and each row's sum is unchanged
+    logs, grid = comb64_log_modes()
+    assert logs.shape == (64, 2048)
+    x, peak = traced_peak(lambda: crosstalk_matrix(logs, grid))
+    values, log_values = one_call_per_row(logs, grid)
+    assert np.array_equal(x.values, values)
+    assert np.array_equal(x.log_values, log_values)
+    assert peak <= logs.nbytes
 
 
 def test_crosstalk_validation():

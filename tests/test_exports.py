@@ -2,7 +2,6 @@
 
 import io
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from spdc_modes.cli import main
 from spdc_modes.exports import CHUNK_VALUES, FLOAT_FMT, write_kernel_csv, write_table_csv
 from spdc_modes.kernel import TpaKernel
 from spdc_modes.optics import WavevectorGrid
+
+from traced import traced_peak
 
 # rows per chunk of a three-column table, such as kernel.csv
 ROWS_PER_CHUNK = CHUNK_VALUES // 3
@@ -255,13 +256,6 @@ def test_tpa_refuses_a_complex_kernel_with_exit_3(tmp_path, capsys, monkeypatch)
     assert os.listdir(out) == []
 
 
-def _peak_bytes(path, header, columns) -> int:
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    write_table_csv(path, header, columns)
-    return tracemalloc.get_traced_memory()[1] - base
-
-
 def assert_peak_does_not_grow_with_rows(tmp_path, rows_per_chunk, n_cols, seed):
     """The table at 4 and at 16 chunks: one chunk's buffer and text, and the
     formatter's work arrays, are the most the writer holds, whatever the row
@@ -269,12 +263,8 @@ def assert_peak_does_not_grow_with_rows(tmp_path, rows_per_chunk, n_cols, seed):
     ~3x the file)."""
     small = table(4 * rows_per_chunk, n_cols, seed=seed)
     large = table(16 * rows_per_chunk, n_cols, seed=seed + 1)
-    tracemalloc.start()
-    try:
-        peak_small = _peak_bytes(str(tmp_path / "small.csv"), *small)
-        peak_large = _peak_bytes(str(tmp_path / "large.csv"), *large)
-    finally:
-        tracemalloc.stop()
+    _, peak_small = traced_peak(lambda: write_table_csv(str(tmp_path / "small.csv"), *small))
+    _, peak_large = traced_peak(lambda: write_table_csv(str(tmp_path / "large.csv"), *large))
     size_large = os.path.getsize(tmp_path / "large.csv")
     assert peak_large < 1.25 * peak_small
     assert peak_large < 0.5 * size_large

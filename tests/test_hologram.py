@@ -2,7 +2,6 @@
 
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from spdc_modes.kernel import MultiPeakParams
 from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR, PumpWidths
 
 from oracles import parse_pgm, pgm_bytes
+from traced import traced_peak
 
 HOLOGRAM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hologram.yaml")
 PITCH = 8.0
@@ -305,12 +305,7 @@ def test_encoding_and_export_hold_one_raster_row(tmp_path):
     target = pump_field(cfg.pump, hs.pixel_coordinates() / hs.magnification).amplitude
     path = tmp_path / "hologram.pgm"
     export_pgm(str(path), encode_hologram(target, hs))  # one-off costs outside the trace
-    tracemalloc.start()
-    try:
-        export_pgm(str(path), encode_hologram(target, hs))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: export_pgm(str(path), encode_hologram(target, hs)))
     assert (hs.width_px, hs.height_px) == (1920, 1080)
     assert peak < 0.25 * hs.width_px * hs.height_px
     assert path.stat().st_size == len(f"P5 1920 1080 255\n") + 1920 * 1080

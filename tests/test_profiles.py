@@ -11,7 +11,6 @@ paths allocate.
 
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ from spdc_modes.kernel import (
 )
 from spdc_modes.optics import PumpWidths
 from spdc_modes.schmidt import schmidt_decompose
+
+from traced import traced_peak
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 TOL = 1e-12
@@ -166,17 +167,6 @@ ROW_BYTES = 8 * MEMORY_POINTS
 # one float64 profile on the 2N - 1 sum or difference nodes
 PROFILE_BYTES = 8 * (2 * MEMORY_POINTS - 1)
 THREE = os.path.join(CONFIG_DIR, "three_modes.yaml")
-
-
-def traced_peak(call):
-    """(result, peak bytes allocated while ``call`` ran)."""
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def test_build_multipeak_allocates_no_joint_array():

@@ -30,6 +30,7 @@ from oracles import (
     hermite_gauss,
     reconstruct_kernel,
 )
+from traced import traced_peak
 
 
 def grid_for(widths, n=161, span=5.0):
@@ -440,6 +441,17 @@ def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
     assert analytic.schmidt_number == pytest.approx(10.0, rel=0.05)
     assert dec.n_modes == 64
     assert np.abs(dec.coefficients ** 2 - analytic.eigenvalues).max() <= 1e-9
+
+
+def test_decomposition_holds_at_most_2_75_final_bases(svd_shapes):
+    """Beside Q^T, the N x w basis, a step holds the kernel's N x c product
+    of its c = w / 2 new columns and one 16-column block's QR; a QR of the
+    whole N x c product holds about four copies of it."""
+    kernel = many_mode_kernel(1024)
+    dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
+    width = svd_shapes[-1][0]
+    assert dec.n_modes == 64
+    assert peak <= 2.75 * kernel.dtype.itemsize * kernel.grid_s.n_points * width
 
 
 def test_mode_signs_agree_between_sketch_and_dense_svd(monkeypatch):
