@@ -75,7 +75,7 @@ def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
 
 def singles_scan(inten: JointIntensity, window: Optional[float]) -> ScanSpectrum:
     """Signal rate at every grid node, idler integrated out, through a slit ``window``
-    wide (1/um; None is the ideal zero-width slit). The idler's is that of ``inten.swapped()``."""
+    wide (1/um; None is the ideal zero-width slit). The idler's is that of ``inten.swapped``."""
     k, marginal = inten.grid_s.points(), inten.marginal
     return ScanSpectrum(k, marginal if window is None else _box_integral(k, marginal, k, window))
 
@@ -238,7 +238,7 @@ def idler_peak_center(inten: JointIntensity) -> float:
     order is rounding noise. Ties go to the smaller |k|, then to the
     negative k, which is the idler side of the ``+`` ring.
     """
-    ki, mi = inten.grid_i.points(), inten.swapped().marginal
+    ki, mi = inten.grid_i.points(), inten.swapped.marginal
     top = ki[mi >= (1.0 - PEAK_TIE_RTOL) * mi.max()]
     return float(top[np.abs(top) <= (1.0 + PEAK_TIE_RTOL) * np.abs(top).min()].min())
 

@@ -229,14 +229,11 @@ class JointIntensity(MirroredIdler):
         band.flags.writeable = False
         return band
 
+    @cached_property
     def swapped(self) -> "JointIntensity":
         """The photons exchanged, so every idler observable is the signal one of the
         result: ki - ks reverses the difference nodes, and the grid is mirrored.
-        Every call returns the same object, so the idler marginal is formed once."""
-        return self._swapped
-
-    @cached_property
-    def _swapped(self) -> "JointIntensity":
+        Formed once, so the idler marginal is formed once."""
         return JointIntensity(self.grid_i, self.at_sums, self.at_differences[::-1], self.warnings)
 
 

@@ -64,42 +64,32 @@ class SchmidtDecomposition(MirroredIdler):
 
 
 def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
-    """Decompose a normalized kernel into its Schmidt modes.
-
-    Modes are kept up to cumulative weight ENERGY, at most MAX_MODES.
-    """
+    """Decompose a normalized kernel into the Schmidt modes :func:`_mode_count` keeps."""
     norm = kernel.norm()
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"kernel norm is {norm:.6g}, expected 1 within {NORM_TOLERANCE}")
 
-    h = kernel.grid_s.spacing
-    # sqrt(h * h), not h: the two can differ in the last bit, and the mode tables are hashed
-    u, s, vh = _leading_triplets(kernel, math.sqrt(h * h))
-    n = _mode_count(s)
-
-    coeffs = s[:n]
-    signal = (u[:, :n] / math.sqrt(h)).T.copy()
-    idler = vh[:n, :] / math.sqrt(h)
-    _localise_degenerate(coeffs, signal, idler, kernel.grid_s)
+    coeffs, signal, vh = _leading_triplets(kernel)
+    signal = signal.T.copy()
+    _localise_degenerate(coeffs, signal, vh, kernel.grid_s)
 
     # fix the SVD's arbitrary per-pair phase: the first (smallest-k) sample of
     # each signal mode reaching half its largest |value| is made real positive,
     # idler flipped in step; the largest |value| itself can tie between mirror
     # samples +-k to rounding, and a threshold well below it does not
-    for m in range(n):
-        mag = np.abs(signal[m])
-        j = int(np.argmax(mag >= 0.5 * mag.max()))
-        pivot = signal[m, j]
-        if pivot != 0:
-            phase = pivot / abs(pivot)
-            signal[m] /= phase
-            idler[m] *= phase
+    mag = np.abs(signal)
+    pivot = np.argmax(mag >= 0.5 * mag.max(axis=1, keepdims=True), axis=1)
+    phase = signal[np.arange(coeffs.size), pivot, None]
+    phase /= np.abs(phase)
+    signal /= phase
+    del mag  # the idler below takes its place, so the rows freed on return can shrink the heap
+    idler = vh * phase
 
     discarded = max(0.0, 1.0 - float(np.cumsum(coeffs ** 2)[-1]))
     warns = list(kernel.warnings)
     if discarded > DISCARD_WARN:
         warns.append(
-            f"truncation to {n} modes discards squared weight {discarded:.3e}; "
+            f"truncation to {coeffs.size} modes discards squared weight {discarded:.3e}; "
             "the kept modes do not rebuild the kernel faithfully"
         )
     return SchmidtDecomposition(coeffs, signal, idler, kernel.grid_s, discarded, tuple(warns))
@@ -129,19 +119,16 @@ def _localise_degenerate(coeffs: np.ndarray, signal: np.ndarray, idler: np.ndarr
 
 
 def _mode_count(s: np.ndarray) -> int:
-    """Modes kept from descending, floored singular values."""
+    """Modes kept from descending singular values: as many as reach squared weight
+    ENERGY, at most MAX_MODES, and none at or below SV_FLOOR times the largest."""
     n = int(np.searchsorted(np.cumsum(s ** 2), ENERGY) + 1)
-    return min(n, MAX_MODES, s.size)
+    return min(n, MAX_MODES, int(np.count_nonzero(s > SV_FLOOR * s[0])))
 
 
-def _floored(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> tuple:
-    keep = s > SV_FLOOR * s[0]
-    return u[:, keep], s[keep], vh[keep, :]
-
-
-def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
-    """Singular triplets of ``scale * a``, with ``a`` the kernel's amplitude,
-    above the floor, as many as :func:`_mode_count` keeps.
+def _leading_triplets(kernel: TpaKernel) -> tuple:
+    """(coefficients, signal modes as N x kept columns, idler modes as kept x N
+    rows) of the kernel's amplitude ``a``, the modes :func:`_mode_count` keeps:
+    the leading singular triplets of ``h * a``, singular vectors divided by sqrt(h).
 
     The adaptive randomized range finder of Halko, Martinsson & Tropp (SIAM
     Rev. 53, 217 (2011), section 4.4) keeps an orthonormal basis Q of the
@@ -161,10 +148,11 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
     misses, ||a||^2 minus that of T or B, is at most SKETCH_RESIDUAL times
     the smallest kept weight; by Weyl's inequality that weight bounds the
     error of every kept weight. At N columns, Q spans every direction and
-    is accepted as is. ``scale`` multiplies the singular values only,
-    before the energy target reads them.
+    is accepted as is.
     """
-    n = kernel.grid_s.n_points
+    n, h = kernel.grid_s.n_points, kernel.grid_s.spacing
+    # sqrt(h * h), not h: the two can differ in the last bit, and the mode tables are hashed
+    scale, root_h = math.sqrt(h * h), math.sqrt(h)
     total = kernel.norm() ** 2
     rng = np.random.default_rng(0)
     # Q^T, the basis as rows, and the reduced matrix, T (w x w) or B (w x N).
@@ -197,12 +185,15 @@ def _leading_triplets(kernel: TpaKernel, scale: float) -> tuple:
         ur, s, vh = np.linalg.svd(reduced, full_matrices=False)
         s *= scale
         residual = total - float(np.sum(s ** 2))
-        ur, s, vh = _floored(ur, s, vh)
         kept = _mode_count(s)
         if width == n or (kept + SKETCH_OVERSAMPLE <= width
                           and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2):
+            # divided in place: a divided copy beside the bases would raise the peak
+            u = basis.T @ ur[:, :kept]
             vh = vh[:kept] @ basis.conj() if kernel.hermitian else vh[:kept]
-            return basis.T @ ur[:, :kept], s[:kept], vh
+            u /= root_h
+            vh /= root_h
+            return s[:kept], u, vh
         width = min(2 * width, n)
 
 

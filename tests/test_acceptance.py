@@ -138,7 +138,7 @@ def test_three_peak_spectrum_and_slit_selection():
         # center field 1, side fields 0.63, heights are squared fields
         assert height[order[0]] / height[order[1]] == pytest.approx((1.0 / 0.63) ** 2, rel=0.05)
 
-        idler = singles_scan(inten.swapped(), None)
+        idler = singles_scan(inten.swapped, None)
         ipos, _ = find_peaks(idler, min_height_frac=0.05)
         assert ipos.size == 3
         for p in ipos:

@@ -1,6 +1,7 @@
 """The declared runtime dependencies are exactly the third-party imports of the
-package, each module uses every name it imports, and only kernel.py reads the
-layout of a kernel's profiles."""
+package, each module uses every name it imports, only kernel.py reads the
+layout of a kernel's profiles, and only schmidt._mode_count reads the rule
+that decides which Schmidt modes are kept."""
 
 import ast
 import os
@@ -90,3 +91,40 @@ def test_only_the_kernel_module_reads_the_profile_layout():
             if name in PROFILE_ATTRIBUTES | PROFILE_FUNCTIONS:
                 readers.append(f"{filename}:{getattr(node, 'lineno', '')}: {name}")
     assert readers == []
+
+
+# the constants of the truncation rule: weight target, mode cap, singular-value floor
+TRUNCATION_CONSTANTS = {"ENERGY", "MAX_MODES", "SV_FLOOR"}
+
+
+def reads(tree, names):
+    """(innermost enclosing def or class, name) of each read or import of ``names``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = None
+            if name in names:
+                found.add((scope, name))
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                      ast.ClassDef)) else scope)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_mode_count_reads_the_truncation_rule():
+    # which modes a decomposition keeps is one rule in one function, so the
+    # sketch, the decomposition and any later reader cannot cut differently
+    readers = set()
+    for filename, tree in module_trees():
+        readers |= {(filename, scope, name) for scope, name in reads(tree, TRUNCATION_CONSTANTS)}
+    assert readers == {("schmidt.py", "_mode_count", name) for name in TRUNCATION_CONSTANTS}

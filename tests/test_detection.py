@@ -96,8 +96,8 @@ def test_zero_width_singles_equals_marginal():
     k, marg = inten.grid_s.points(), inten.marginal
     assert np.array_equal(scan.positions, k)
     assert np.array_equal(scan.rates, marg)
-    scan_i = singles_scan(inten.swapped(), None)
-    k_i, marg_i = inten.grid_i.points(), inten.swapped().marginal
+    scan_i = singles_scan(inten.swapped, None)
+    k_i, marg_i = inten.grid_i.points(), inten.swapped.marginal
     assert np.array_equal(scan_i.positions, k_i)
     assert np.array_equal(scan_i.rates, marg_i)
 
@@ -243,7 +243,7 @@ def test_fedorov_tie_breaks_toward_smaller_k():
     j_near = 120  # ki = 0.3: 21 nodes around ks = 0
     j_far = 150   # ki = 0.6: 7 nodes around ks = 0.3
 
-    ki, mi = inten.grid_i.points(), inten.swapped().marginal
+    ki, mi = inten.grid_i.points(), inten.swapped.marginal
     assert mi[j_near] == mi[j_far] == mi.max()
     assert idler_peak_center(inten) == ki[j_near]
 
@@ -261,7 +261,7 @@ def test_fedorov_tie_breaks_toward_smaller_k():
 def test_idler_tie_within_rounding_breaks_toward_smaller_k():
     # the far block a relative 2^-50 up: a last-bit lead must not move the slit
     inten = two_block_intensity(far_scale=1.0 + 2.0 ** -50)
-    ki, mi = inten.grid_i.points(), inten.swapped().marginal
+    ki, mi = inten.grid_i.points(), inten.swapped.marginal
     assert mi[150] > mi[120] and mi[150] == mi.max()
     assert idler_peak_center(inten) == ki[120]
 
@@ -271,7 +271,7 @@ def test_mirror_ring_tie_parks_the_slit_on_the_negative_node():
     # floating point either node can lead by a relative 1e-15
     run = load_config(THREE_MODES, {"grid.points": 841, "grid.both_branches": True})
     inten = multipeak_intensity(run.pump, run.grid)
-    ki, mi = inten.grid_i.points(), inten.swapped().marginal
+    ki, mi = inten.grid_i.points(), inten.swapped.marginal
     ring = [int(np.argmin(np.abs(ki - k))) for k in (-0.6746527647, 0.6746527647)]
     assert np.all(mi[ring] >= (1.0 - 1e-12) * mi.max())
     assert idler_peak_center(inten) == ki[ring[0]]

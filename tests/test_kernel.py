@@ -296,13 +296,13 @@ def test_marginal_intensity_integrates_to_one():
 def test_swapped_intensity_is_the_transpose():
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, PumpWidths(0.16, 0.2))
     inten = multipeak_intensity(params, default_grid(params, 96, 5.0))
-    swapped = inten.swapped()
+    swapped = inten.swapped
     assert swapped.grid_s == inten.grid_i and swapped.grid_i == inten.grid_s
     n = inten.grid_s.n_points
     joint = sum_difference_product(inten.at_sums, inten.at_differences, n)
     assert np.array_equal(sum_difference_product(swapped.at_sums, swapped.at_differences, n),
                           joint.T)
-    twice = swapped.swapped()
+    twice = swapped.swapped
     assert twice.grid_s == inten.grid_s
     assert np.array_equal(twice.at_differences, inten.at_differences)
 
@@ -495,6 +495,6 @@ def test_idler_grid_and_marginal_mirror_the_signal(tmp_path, capsys, flags):
     overrides = {"grid.points": 841, "grid.both_branches": True} if flags else {}
     cfg = load_config(THREE, overrides)
     inten = multipeak_intensity(cfg.pump, cfg.grid)
-    m_s, m_i = inten.marginal, inten.swapped().marginal
+    m_s, m_i = inten.marginal, inten.swapped.marginal
     assert m_s.size == signal["n_points"]
     assert np.max(np.abs(m_i[::-1] - m_s)) <= 1e-13 * m_s.max()

@@ -126,7 +126,7 @@ def test_marginals_match_the_joint_sums(case):
     values = joint_amplitude(params, gs, gi) ** 2
     inten = multipeak_intensity(params, gs)
     assert_close(inten.marginal, values.sum(axis=1) * gi.spacing)
-    idler = inten.swapped()
+    idler = inten.swapped
     assert np.array_equal(idler.grid_s.points(), gi.points())
     assert_close(idler.marginal, values.sum(axis=0) * gs.spacing)
 

@@ -22,7 +22,7 @@ from spdc_modes.kernel import (
     sum_difference_nodes,
 )
 from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
-from spdc_modes.schmidt import SV_FLOOR, schmidt_decompose, schmidt_number
+from spdc_modes.schmidt import schmidt_decompose, schmidt_number
 
 from oracles import (
     analytic_double_gaussian,
@@ -169,6 +169,18 @@ def test_mode_cap_reports_discarded_weight(svd_shapes):
     assert len(warned) == 1 and "budget" not in warned[0]
 
 
+@pytest.mark.parametrize("s, kept", [
+    # the weight reaches 1 - 1e-6 at the 2nd value; 4 clear the floor
+    (np.sqrt([0.6, 0.4 - 2e-7, 1e-7, 1e-7]), 2),
+    # 100 equal weights: all clear the floor, and the target needs ~all of them
+    (np.full(100, 0.1), 64),
+    # a basis that misses weight: the target is never reached, 2 clear the floor
+    (np.array([0.8, 0.5, 4e-13, 0.0]), 2),
+], ids=["energy", "cap", "floor"])
+def test_mode_count_applies_each_clause_of_the_rule(s, kept):
+    assert schmidt._mode_count(s) == kept
+
+
 def test_rejects_unnormalized_kernel():
     grid = WavevectorGrid.centered(0.0, 5.0, 64)
     # exp(-(ks^2 + ki^2)) = exp(-(ks + ki)^2 / 2) exp(-(ks - ki)^2 / 2)
@@ -251,11 +263,14 @@ def test_real_kernel_decomposes_like_its_complex_copy(build):
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def dense_triplets(kernel, scale):
+def dense_triplets(kernel):
+    """_leading_triplets from the dense SVD of the whole amplitude, cut by the
+    same rule."""
+    h = kernel.grid_s.spacing
     u, s, vh = np.linalg.svd(kernel.amplitude, full_matrices=False)
-    s = s * scale
-    keep = s > SV_FLOOR * s[0]
-    return u[:, keep], s[keep], vh[keep, :]
+    s = s * math.sqrt(h * h)
+    n = schmidt._mode_count(s)
+    return s[:n], u[:, :n] / math.sqrt(h), vh[:n] / math.sqrt(h)
 
 
 def dense_decompose(kernel, monkeypatch):
