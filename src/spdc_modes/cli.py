@@ -162,7 +162,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
         lines.append("intensity averaged over the spectral filter passband "
                      f"({detection.FILTER_SAMPLES} samples)")
     else:
-        inten = kernel.multipeak_intensity(cfg.pump, cfg.grid)
+        inten = kernel.build_multipeak(cfg.pump, cfg.grid).intensity
 
     singles_s = detection.singles_scan(inten, signal_window)
     singles_i = detection.singles_scan(inten.swapped, idler_window)
@@ -191,7 +191,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
 
 
 def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
-    inten = kernel.multipeak_intensity(cfg.pump, cfg.grid)
+    inten = kernel.build_multipeak(cfg.pump, cfg.grid).intensity
     ratio = detection.fedorov_ratio(inten, _slit_windows(cfg, args), cfg.pump.mode_spacing())
     return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], inten.warnings, {}
 

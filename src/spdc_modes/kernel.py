@@ -9,9 +9,9 @@ with ks along axis 0 and ki along axis 1, only in row blocks: the kernel
 table reads it through :meth:`TpaKernel.rows`, and the Schmidt
 decomposition through the products :meth:`TpaKernel.times` and
 :meth:`TpaKernel.adjoint_times`, which form each block over the
-profiles' support only. No command forms the whole array.
-:class:`JointIntensity` holds the pair |P|^2, |M|^2 for the slit scans,
-which never form the joint array. Builders cover the plain
+profiles' support only. No command forms the whole array. Every kernel's
+:attr:`TpaKernel.intensity` is a :class:`JointIntensity`, the pair
+|P|^2, |M|^2 that the slit scans read. Builders cover the plain
 double-Gaussian case, the structured multi-peak pump, and a pump spectrum
 sampled on :func:`sum_coordinate_grid` combined with a gaussian or sinc
 phase-matching profile. The amplitude is real (float64) unless the pump
@@ -78,9 +78,25 @@ class TpaKernel(MirroredIdler):
                       warnings: Sequence[str] = ()) -> "TpaKernel":
         """The normalized kernel P[i + j] M[i - j + n - 1] of a profile pair.
 
-        A real pair gives a float64 kernel, a complex one complex128.
+        A real pair gives a float64 kernel, a complex one complex128. Each
+        profile is first scaled to a unit peak, so no square in
+        :func:`_squared_norm` overflows and every product stays finite.
         """
-        return cls(grid, *_unit_profiles(at_sums, at_differences, grid), tuple(warnings))
+        pump = np.asarray(at_sums)
+        match = np.asarray(at_differences)
+        if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
+            raise ValueError("amplitude contains non-finite entries")
+        peaks = np.abs(pump).max(), np.abs(match).max()
+        if min(peaks) == 0.0:
+            raise ValueError("amplitude is identically zero")
+        # numpy divides complex by real as a multiply by the reciprocal, so this
+        # form gives a real profile the same bits as its complex promotion
+        pump = pump * (1.0 / peaks[0])
+        match = match * (1.0 / peaks[1])
+        norm2 = _squared_norm(pump, match, grid)
+        if norm2 == 0.0:
+            raise ValueError("amplitude is identically zero")
+        return cls(grid, pump, match * (1.0 / math.sqrt(norm2)), tuple(warnings))
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start`` to ``stop`` of the joint amplitude, formed from the
@@ -159,6 +175,12 @@ class TpaKernel(MirroredIdler):
     def norm(self) -> float:
         return math.sqrt(_squared_norm(self.at_sums, self.at_differences, self.grid_s))
 
+    @cached_property
+    def intensity(self) -> "JointIntensity":
+        """|F|^2, held as the pair |P|^2, |M|^2 with no joint array formed. Formed once."""
+        return JointIntensity(self.grid_s, np.abs(self.at_sums) ** 2,
+                              np.abs(self.at_differences) ** 2, self.warnings)
+
 
 @dataclass(frozen=True, eq=False)
 class JointIntensity(MirroredIdler):
@@ -175,17 +197,10 @@ class JointIntensity(MirroredIdler):
     warnings: tuple = ()
 
     @classmethod
-    def from_profiles(cls, grid: WavevectorGrid, at_sums: np.ndarray, at_differences: np.ndarray,
-                      warnings: Sequence[str] = ()) -> "JointIntensity":
-        """The intensity of :meth:`TpaKernel.from_profiles` of the same pair."""
-        pump, match = _unit_profiles(at_sums, at_differences, grid)
-        return cls(grid, np.abs(pump) ** 2, np.abs(match) ** 2, tuple(warnings))
-
-    @classmethod
     def averaged(cls, grid: WavevectorGrid, pump: np.ndarray, matches: np.ndarray,
                  weights: np.ndarray, warnings: Sequence[str] = ()) -> "JointIntensity":
-        """The ``weights``-average of the intensities of :meth:`from_profiles` of
-        the real ``pump`` with each row of the real ``matches``, renormalized.
+        """The ``weights``-average of the :attr:`TpaKernel.intensity` of the real
+        ``pump`` paired with each row of the real ``matches``, renormalized.
 
         The intensity of a pair (P, M) is P^2[i + j] M^2[i - j] / n, with the
         norm n = h^2 sum_d M^2[d] D[d] on a grid of spacing h and its mirror,
@@ -264,30 +279,6 @@ def _squared_norm(at_sums: np.ndarray, at_differences: np.ndarray,
     h = grid.spacing
     return float(np.abs(at_differences) ** 2 @ diagonal_sums(np.abs(at_sums) ** 2, grid.n_points)
                  * h * h)
-
-
-def _unit_profiles(at_sums: np.ndarray, at_differences: np.ndarray,
-                   grid: WavevectorGrid) -> tuple:
-    """(P, M) rescaled so that P[i + j] M[i - j + n - 1] has unit norm.
-
-    Each profile is first scaled to a unit peak, so no square in
-    :func:`_squared_norm` overflows and every product stays finite.
-    """
-    pump = np.asarray(at_sums)
-    match = np.asarray(at_differences)
-    if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(match))):
-        raise ValueError("amplitude contains non-finite entries")
-    peaks = np.abs(pump).max(), np.abs(match).max()
-    if min(peaks) == 0.0:
-        raise ValueError("amplitude is identically zero")
-    # numpy divides complex by real as a multiply by the reciprocal, so this
-    # form gives a real profile the same bits as its complex promotion
-    pump = pump * (1.0 / peaks[0])
-    match = match * (1.0 / peaks[1])
-    norm2 = _squared_norm(pump, match, grid)
-    if norm2 == 0.0:
-        raise ValueError("amplitude is identically zero")
-    return pump, match * (1.0 / math.sqrt(norm2))
 
 
 @dataclass(frozen=True)
@@ -382,28 +373,18 @@ def default_grid(params: MultiPeakParams, n_points: int, span_sigmas: float) -> 
     return WavevectorGrid.centered(k0, half, n_points)
 
 
-def multipeak_profiles(params: MultiPeakParams, grid: WavevectorGrid) -> tuple:
-    """(pump factor, matching factor, build warnings) of a multi-peak pump.
+def build_multipeak(params: MultiPeakParams, grid: WavevectorGrid) -> TpaKernel:
+    """Joint amplitude of a multi-peak pump with Gaussian phase matching.
 
     Pump factor: sum of Gaussians in (ks + ki) at :meth:`pump_centers`.
     Matching factor: Gaussian in (ks - ki) centered at the offset on the
     chosen branch (or the sum of both branches). Both are sampled at
-    :func:`sum_difference_nodes`, unnormalized; the grid is checked first.
+    :func:`sum_difference_nodes`; the grid is checked first.
     """
     warns = check_grids([params], grid)
     sums, delta = sum_difference_nodes(grid)
-    return params.pump_factor(sums), params.matching_factor(delta), warns
-
-
-def build_multipeak(params: MultiPeakParams, grid: WavevectorGrid) -> TpaKernel:
-    """Joint amplitude of a multi-peak pump with Gaussian phase matching:
-    the kernel of :func:`multipeak_profiles`."""
-    return TpaKernel.from_profiles(grid, *multipeak_profiles(params, grid))
-
-
-def multipeak_intensity(params: MultiPeakParams, grid: WavevectorGrid) -> JointIntensity:
-    """|F|^2 of :func:`build_multipeak`, with no joint array formed."""
-    return JointIntensity.from_profiles(grid, *multipeak_profiles(params, grid))
+    return TpaKernel.from_profiles(grid, params.pump_factor(sums), params.matching_factor(delta),
+                                   warns)
 
 
 def build_double_gaussian(widths: PumpWidths, grid: WavevectorGrid) -> TpaKernel:

@@ -42,7 +42,6 @@ from spdc_modes.kernel import (
     build_double_gaussian,
     build_multipeak,
     default_grid,
-    multipeak_intensity,
 )
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
@@ -105,7 +104,7 @@ def test_matched_widths_give_a_single_mode():
         dec = schmidt_decompose(kernel)
         assert dec.coefficients[0] ** 2 >= 0.9999
         # finite slits from the config, not the zero-width idealization
-        inten = multipeak_intensity(cfg.pump, cfg.grid)
+        inten = kernel.intensity
         assert fedorov_ratio(inten, cfg.geometry.slit_windows(),
                              cfg.pump.mode_spacing()) == pytest.approx(1.0, abs=0.02)
 
@@ -128,7 +127,7 @@ def test_modes_are_hermite_gauss():
 def test_three_peak_spectrum_and_slit_selection():
     with criterion("three-peak-correlations"):
         cfg = load_config(THREE)
-        inten = multipeak_intensity(cfg.pump, cfg.grid)
+        inten = build_multipeak(cfg.pump, cfg.grid).intensity
         step = inten.grid_s.spacing
         singles = singles_scan(inten, None)
         pos, height = find_peaks(singles, min_height_frac=0.05)
@@ -200,8 +199,8 @@ def test_filter_bandwidth_broadens_the_singles(monkeypatch):
         grid = default_grid(params, 512, 6.0)
 
         def builder(off):
-            return multipeak_intensity(dataclasses.replace(params, noncollinear_offset=off),
-                                       grid)
+            return build_multipeak(dataclasses.replace(params, noncollinear_offset=off),
+                                   grid).intensity
 
         geom = load_config(SINGLE).geometry
         window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)

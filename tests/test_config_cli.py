@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from spdc_modes import cli, detection, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
-from spdc_modes.kernel import default_grid, multipeak_intensity, sum_difference_product
+from spdc_modes.kernel import build_multipeak, default_grid, sum_difference_product
 from spdc_modes.optics import phase_matching_width
 
 from oracles import analytic_double_gaussian, parse_pgm, read_csv
@@ -1028,7 +1028,7 @@ def test_cli_scan_three_modes(tmp_path, capsys):
 
     # zero-width singles are exactly the kernel's signal marginal
     cfg = load_config(THREE, {"grid.points": 320})
-    inten = multipeak_intensity(cfg.pump, cfg.grid)
+    inten = build_multipeak(cfg.pump, cfg.grid).intensity
     k, marg = inten.grid_s.points(), inten.marginal
     _, table = read_csv(str(out / "singles_signal.csv"))
     assert np.array_equal(table[:, 0], k)
@@ -1094,7 +1094,7 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
                                         inten.grid_s.n_points)
                  for inten in (detection.wavelength_average(cfg.phase_match, cfg.geometry,
                                                             cfg.pump, cfg.grid),
-                               multipeak_intensity(cfg.pump, cfg.grid)))
+                               build_multipeak(cfg.pump, cfg.grid).intensity))
     assert np.max(np.abs(avg - mono)) <= 1e-12 * mono.max()
 
 

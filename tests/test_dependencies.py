@@ -1,7 +1,8 @@
 """The declared runtime dependencies are exactly the third-party imports of the
 package, each module uses every name it imports, only kernel.py reads the
-layout of a kernel's profiles, and only schmidt._mode_count reads the rule
-that decides which Schmidt modes are kept."""
+layout of a kernel's profiles or builds a kernel or intensity from them, and
+only schmidt._mode_count reads the rule that decides which Schmidt modes are
+kept."""
 
 import ast
 import os
@@ -91,6 +92,28 @@ def test_only_the_kernel_module_reads_the_profile_layout():
             if name in PROFILE_ATTRIBUTES | PROFILE_FUNCTIONS:
                 readers.append(f"{filename}:{getattr(node, 'lineno', '')}: {name}")
     assert readers == []
+
+
+# the constructors of a kernel or intensity from a profile pair
+PROFILE_CONSTRUCTORS = {"TpaKernel", "JointIntensity"}
+
+
+def test_only_the_kernel_module_builds_kernels_and_intensities():
+    # a kernel comes from a kernel.py builder, and an intensity from a kernel's
+    # .intensity, an intensity's .swapped or JointIntensity.averaged, so every
+    # intensity a command reads is normalized the one way the kernel is
+    builds = []
+    for filename, tree in module_trees():
+        if filename == "kernel.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "from_profiles":
+                builds.append(f"{filename}:{node.lineno}: from_profiles")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in PROFILE_CONSTRUCTORS:
+                    builds.append(f"{filename}:{node.lineno}: {name}(...)")
+    assert builds == []
 
 
 # the constants of the truncation rule: weight target, mode cap, singular-value floor

@@ -29,8 +29,8 @@ from spdc_modes.kernel import (
     MIN_COVER_SIGMAS,
     JointIntensity,
     MultiPeakParams,
+    build_multipeak,
     default_grid,
-    multipeak_intensity,
     sum_difference_product,
 )
 from spdc_modes.optics import (
@@ -62,7 +62,7 @@ N_PUMP = 1.6579880614409859
 def ratio_two_intensity(n=2001, span=6.0):
     widths = PumpWidths(1.0, 2.0)
     grid = WavevectorGrid.centered(0.0, span * 2.0, n)
-    return multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
+    return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid).intensity
 
 
 def joint(inten):
@@ -197,19 +197,19 @@ def test_conditional_narrower_and_fedorov_matches_schmidt_number():
 def test_fedorov_matched_widths_is_unity_with_real_slits():
     widths = PumpWidths(1.0, 1.0)
     grid = WavevectorGrid.centered(0.0, 6.0, 1001)
-    inten = multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
+    inten = build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid).intensity
     # separable amplitude: conditioning cannot change the scanned profile
     assert fedorov_ratio(inten, WINDOWS, None) == pytest.approx(1.0, abs=1e-10)
     assert fedorov_ratio(inten, IDEAL, None) == pytest.approx(1.0, abs=1e-10)
     # the same mode on both rings: two singles peaks, one measured
     params = MultiPeakParams((1.0,), 0.0, 20.0, widths, branch="both")
-    both = multipeak_intensity(params, default_grid(params, 801, 6.0))
+    both = build_multipeak(params, default_grid(params, 801, 6.0)).intensity
     for windows in (WINDOWS, IDEAL):
         ratio = fedorov_ratio(both, windows, params.mode_spacing())
         assert ratio == pytest.approx(1.0, abs=1e-10)
     # rings too close to split the singles peak: the merged peak is measured whole
     near = dataclasses.replace(params, noncollinear_offset=1.0)
-    merged = multipeak_intensity(near, default_grid(near, 801, 6.0))
+    merged = build_multipeak(near, default_grid(near, 801, 6.0)).intensity
     assert near.mode_spacing() == 1.0 and fwhm_of(singles_scan(merged, WINDOWS[0])) > 1.0
     assert fedorov_ratio(merged, WINDOWS, near.mode_spacing()) == fedorov_ratio(
         merged, WINDOWS, None)
@@ -270,7 +270,7 @@ def test_mirror_ring_tie_parks_the_slit_on_the_negative_node():
     # the two rings of a grid centred on zero tie in exact arithmetic; in
     # floating point either node can lead by a relative 1e-15
     run = load_config(THREE_MODES, {"grid.points": 841, "grid.both_branches": True})
-    inten = multipeak_intensity(run.pump, run.grid)
+    inten = build_multipeak(run.pump, run.grid).intensity
     ki, mi = inten.grid_i.points(), inten.swapped.marginal
     ring = [int(np.argmin(np.abs(ki - k))) for k in (-0.6746527647, 0.6746527647)]
     assert np.all(mi[ring] >= (1.0 - 1e-12) * mi.max())
@@ -301,7 +301,7 @@ def three_peak_intensity():
     offset = noncollinear_offset(cfg).offset_um_inv
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, widths)
-    return multipeak_intensity(params, default_grid(params, 768, 6.0)), params, cfg
+    return build_multipeak(params, default_grid(params, 768, 6.0)).intensity, params, cfg
 
 
 def test_fixed_idler_slit_selects_one_mode():
@@ -324,7 +324,7 @@ def test_idler_between_two_modes_sees_both():
     widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
     params = MultiPeakParams((1.0, 1.0), 0.168, offset, widths)
     gs = default_grid(params, 769, 6.0)
-    coinc = coincidence_scan(multipeak_intensity(params, gs), -offset / 2.0, *IDEAL)
+    coinc = coincidence_scan(build_multipeak(params, gs).intensity, -offset / 2.0, *IDEAL)
     pos, height = find_peaks(coinc, min_height_frac=0.2)
     assert pos.size == 2
     assert height[0] == pytest.approx(height[1], rel=1e-6)
@@ -372,7 +372,7 @@ def test_effective_offset_anchored_at_design_wavelength():
 
 def make_builder(params, grid):
     def build(offset):
-        return multipeak_intensity(dataclasses.replace(params, noncollinear_offset=offset), grid)
+        return build_multipeak(dataclasses.replace(params, noncollinear_offset=offset), grid).intensity
     return build
 
 
@@ -487,7 +487,7 @@ def test_wavelength_average_equals_one_build_per_sample(case):
     # the average sums in another order than the loop: equal to rounding
     assert np.max(np.abs(joint(avg) - total)) <= 1e-12 * total.max()
     assert len(clips) == n_clips
-    first = multipeak_intensity(samples[0], gs).warnings
+    first = build_multipeak(samples[0], gs).warnings
     assert avg.warnings == tuple(w for w in first if "clips" not in w) + tuple(clips)
 
 

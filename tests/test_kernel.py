@@ -11,15 +11,19 @@ import yaml
 from spdc_modes import hologram
 from spdc_modes.cli import main
 from spdc_modes.config import load_config
+from spdc_modes.detection import (
+    DetectionGeometry,
+    coincidence_scan,
+    idler_peak_center,
+    singles_scan,
+)
 from spdc_modes.kernel import (
-    JointIntensity,
     MultiPeakParams,
     TpaKernel,
     build_double_gaussian,
     build_from_pump,
     build_multipeak,
     default_grid,
-    multipeak_intensity,
     sum_coordinate_grid,
     sum_difference_product,
 )
@@ -165,19 +169,18 @@ def test_from_profiles_validation():
     ones = np.ones(63)
     bad = ones.copy()
     bad[3] = np.nan
-    for build in (TpaKernel.from_profiles, JointIntensity.from_profiles):
-        with pytest.raises(ValueError, match="finite"):
-            build(grid, bad, ones)
-        with pytest.raises(ValueError, match="finite"):
-            build(grid, ones, bad)
-        with pytest.raises(ValueError, match="identically zero"):
-            build(grid, np.zeros(63), ones)
-        # the pump only at ks + ki = its lowest node, the matching only at the
-        # lowest ks - ki: no joint node holds both, so every product is zero
-        pump, match = np.zeros(63), np.zeros(63)
-        pump[0] = match[0] = 1.0
-        with pytest.raises(ValueError, match="identically zero"):
-            build(grid, pump, match)
+    with pytest.raises(ValueError, match="finite"):
+        TpaKernel.from_profiles(grid, bad, ones)
+    with pytest.raises(ValueError, match="finite"):
+        TpaKernel.from_profiles(grid, ones, bad)
+    with pytest.raises(ValueError, match="identically zero"):
+        TpaKernel.from_profiles(grid, np.zeros(63), ones)
+    # the pump only at ks + ki = its lowest node, the matching only at the
+    # lowest ks - ki: no joint node holds both, so every product is zero
+    pump, match = np.zeros(63), np.zeros(63)
+    pump[0] = match[0] = 1.0
+    with pytest.raises(ValueError, match="identically zero"):
+        TpaKernel.from_profiles(grid, pump, match)
     # each profile needs one sample per sum or difference node: 2 * 32 - 1
     for pump, match in ((np.ones(63), np.ones(62)), (np.ones((32, 31)), np.ones(63))):
         with pytest.raises(ValueError, match="shape"):
@@ -276,8 +279,7 @@ def test_from_profiles_real_input_matches_its_complex_promotion():
     promoted = TpaKernel.from_profiles(grid, pump.astype(complex), match)
     assert real.amplitude.dtype == np.float64
     assert np.array_equal(real.amplitude, promoted.amplitude.real)
-    real_i = JointIntensity.from_profiles(grid, pump, match)
-    promoted_i = JointIntensity.from_profiles(grid, pump.astype(complex), match)
+    real_i, promoted_i = real.intensity, promoted.intensity
     assert np.array_equal(real_i.at_sums, promoted_i.at_sums)
     assert np.array_equal(real_i.at_differences, promoted_i.at_differences)
 
@@ -285,7 +287,7 @@ def test_from_profiles_real_input_matches_its_complex_promotion():
 def test_marginal_intensity_integrates_to_one():
     widths = PumpWidths(SIGMA, 2 * SIGMA)
     grid = centered(10 * SIGMA, 256)
-    inten = multipeak_intensity(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
+    inten = build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid).intensity
     k, m = grid.points(), inten.marginal
     assert np.sum(m) * grid.spacing == pytest.approx(1.0, abs=1e-12)
     # marginal of the double Gaussian is Gaussian with variance (a^2+b^2)/8
@@ -295,7 +297,7 @@ def test_marginal_intensity_integrates_to_one():
 
 def test_swapped_intensity_is_the_transpose():
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, PumpWidths(0.16, 0.2))
-    inten = multipeak_intensity(params, default_grid(params, 96, 5.0))
+    inten = build_multipeak(params, default_grid(params, 96, 5.0)).intensity
     swapped = inten.swapped
     assert swapped.grid_s == inten.grid_i and swapped.grid_i == inten.grid_s
     n = inten.grid_s.n_points
@@ -323,12 +325,17 @@ def test_sum_coordinate_grid_nodes():
     assert np.allclose(nodes[idx], sums, atol=1e-12)
 
 
-def test_build_from_pump_matches_multipeak():
+def comb_params():
+    """The three-peak comb on its noncollinear ring, and a grid for it."""
     widths = PumpWidths(SIGMA, 0.0031701009425325415)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 8.679653687096893, widths)
+    return params, default_grid(params, 640, 5.0)
+
+
+def test_build_from_pump_matches_multipeak():
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
-    offset = 8.679653687096893
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, widths)
-    grid = default_grid(params, 640, 5.0)
+    params, grid = comb_params()
+    widths = params.widths
     direct = build_multipeak(params, grid)
 
     tk = sum_coordinate_grid(grid).points()
@@ -339,6 +346,49 @@ def test_build_from_pump_matches_multipeak():
                                PumpWidths(SIGMA, widths.sigma_match))
     rebuilt = build_from_pump(pump, resolved, cfg, grid, "gaussian")
     assert np.max(np.abs(rebuilt.amplitude - direct.amplitude)) < 1e-10 * np.abs(direct.amplitude).max()
+    # the scans read either kernel's intensity alike, through the bench slits
+    signal, idler = DetectionGeometry().slit_windows()
+    center = idler_peak_center(direct.intensity)
+    for scan in (lambda inten: singles_scan(inten, signal),
+                 lambda inten: singles_scan(inten.swapped, idler),
+                 lambda inten: coincidence_scan(inten, center, signal, idler)):
+        want, got = scan(direct.intensity).rates, scan(rebuilt.intensity).rates
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+def pump_kernel(chirp, model):
+    """build_from_pump of the comb's pump factor, times exp(i chirp (tk - mean tk)^2)."""
+    params, grid = comb_params()
+    tk = sum_coordinate_grid(grid).points()
+    pump = params.pump_factor(tk)
+    if chirp:
+        pump = pump * np.exp(1j * chirp * (tk - tk.mean()) ** 2)
+    cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
+    return build_from_pump(pump, params, cfg, grid, model)
+
+
+BUILDERS = {
+    "multipeak": lambda: build_multipeak(*comb_params()),
+    "double-gaussian": lambda: build_double_gaussian(PumpWidths(SIGMA, 1.7 * SIGMA),
+                                                     centered(5 * 1.7 * SIGMA, 200)),
+    "from-pump-comb": lambda: pump_kernel(0.0, "gaussian"),
+    "from-pump-sinc": lambda: pump_kernel(0.0, "sinc"),
+    "from-pump-chirp": lambda: pump_kernel(3e3, "gaussian"),
+}
+
+
+@pytest.mark.parametrize("build", list(BUILDERS.values()), ids=list(BUILDERS))
+def test_every_kernel_carries_its_intensity(build):
+    kernel = build()
+    inten = kernel.intensity
+    n = kernel.grid_s.n_points
+    expected = np.abs(kernel.amplitude) ** 2
+    joint = sum_difference_product(inten.at_sums, inten.at_differences, n)
+    assert joint.dtype == np.float64
+    assert np.max(np.abs(joint - expected)) <= 1e-15 * expected.max()
+    assert np.sum(inten.marginal) * kernel.grid_s.spacing == pytest.approx(1.0, abs=1e-12)
+    assert inten.grid_s == kernel.grid_s and inten.warnings == kernel.warnings
+    assert kernel.intensity is inten
 
 
 def test_pump_spectrum_from_field_gaussian():
@@ -494,7 +544,7 @@ def test_idler_grid_and_marginal_mirror_the_signal(tmp_path, capsys, flags):
 
     overrides = {"grid.points": 841, "grid.both_branches": True} if flags else {}
     cfg = load_config(THREE, overrides)
-    inten = multipeak_intensity(cfg.pump, cfg.grid)
+    inten = build_multipeak(cfg.pump, cfg.grid).intensity
     m_s, m_i = inten.marginal, inten.swapped.marginal
     assert m_s.size == signal["n_points"]
     assert np.max(np.abs(m_i[::-1] - m_s)) <= 1e-13 * m_s.max()

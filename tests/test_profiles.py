@@ -27,7 +27,6 @@ from spdc_modes.kernel import (
     MultiPeakParams,
     build_multipeak,
     default_grid,
-    multipeak_intensity,
 )
 from spdc_modes.optics import PumpWidths
 from spdc_modes.schmidt import schmidt_decompose
@@ -124,7 +123,7 @@ def test_marginals_match_the_joint_sums(case):
     params, gs = case
     gi = gs.mirrored()
     values = joint_amplitude(params, gs, gi) ** 2
-    inten = multipeak_intensity(params, gs)
+    inten = build_multipeak(params, gs).intensity
     assert_close(inten.marginal, values.sum(axis=1) * gi.spacing)
     idler = inten.swapped
     assert np.array_equal(idler.grid_s.points(), gi.points())
@@ -141,7 +140,7 @@ def test_coincidence_scans_match_the_joint_columns(case, windows):
     params, gs = case
     gi = gs.mirrored()
     values = joint_amplitude(params, gs, gi) ** 2
-    inten = multipeak_intensity(params, gs)
+    inten = build_multipeak(params, gs).intensity
     kf = gi.points()
     peak = None
     # the peak, a slit between nodes, and slits reaching past either end; the

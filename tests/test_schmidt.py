@@ -17,7 +17,6 @@ from spdc_modes.kernel import (
     build_from_pump,
     build_multipeak,
     default_grid,
-    multipeak_profiles,
     sum_coordinate_grid,
     sum_difference_nodes,
 )
@@ -312,10 +311,10 @@ def chirped_kernel():
 
 
 def three_mode_profiles():
-    """The shipped three_modes grid and its (pump, matching) profile pair."""
+    """The shipped three_modes grid and its kernel's (pump, matching) profile pair."""
     cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
-    pump, match, _warnings = multipeak_profiles(cfg.pump, cfg.grid)
-    return cfg.grid, pump, match
+    kernel = build_multipeak(cfg.pump, cfg.grid)
+    return cfg.grid, kernel.at_sums, kernel.at_differences
 
 
 def shifted_match_kernel():
