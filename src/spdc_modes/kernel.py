@@ -4,19 +4,22 @@ Every model here has the form F(ks, ki) = P(ks + ki) M(ks - ki): a pump
 profile P at the sums and a phase-matching profile M at the differences.
 On a signal grid and its mirror, the idler grid, both are 1D arrays on
 the nodes of :func:`sum_difference_nodes`, and every joint quantity is
-read off that pair. :class:`TpaKernel` holds the pair P, M and forms F,
-with ks along axis 0 and ki along axis 1, only in row blocks: the kernel
+read off that pair. A :class:`ProfilePair` holds it, and its one window
+rule reads any block of rows and columns of the joint array
+at_sums[i + j] * at_differences[i - j + n - 1] as the product of two
+sliding windows, so no command forms the whole array. :class:`TpaKernel`
+is the pair P, M, with ks along axis 0 and ki along axis 1: the kernel
 table reads it through :meth:`TpaKernel.rows`, and the Schmidt
 decomposition through the products :meth:`TpaKernel.times` and
 :meth:`TpaKernel.adjoint_times`, which form each block over the
-profiles' support only. No command forms the whole array. Every kernel's
-:attr:`TpaKernel.intensity` is a :class:`JointIntensity`, the pair
-|P|^2, |M|^2 that the slit scans read. Builders cover the plain
-double-Gaussian case, the structured multi-peak pump, and a pump spectrum
-sampled on :func:`sum_coordinate_grid` combined with a gaussian or sinc
-phase-matching profile. The amplitude is real (float64) unless the pump
-spectrum is complex: :func:`build_from_pump` builds a complex128 kernel
-from a complex sampled spectrum and a float64 one from a real spectrum.
+profiles' support only. Every kernel's :attr:`TpaKernel.intensity` is a
+:class:`JointIntensity`, the pair |P|^2, |M|^2 that the slit scans read.
+Builders cover the plain double-Gaussian case, the structured multi-peak
+pump, and a pump spectrum sampled on :func:`sum_coordinate_grid`
+combined with a gaussian or sinc phase-matching profile. The amplitude
+is real (float64) unless the pump spectrum is complex:
+:func:`build_from_pump` builds a complex128 kernel from a complex sampled
+spectrum and a float64 one from a real spectrum.
 
 Normalization is always the Riemann quadrature
 sum |F|^2 dks dki = 1 on the kernel's own grid and its mirror.
@@ -56,10 +59,10 @@ class MirroredIdler:
 
 
 @dataclass(frozen=True, eq=False)
-class TpaKernel(MirroredIdler):
-    """Sampled joint amplitude P[i + j] M[i - j + n - 1], held as its two 1D
-    profiles on the nodes of :func:`sum_difference_nodes`, with its grid and
-    provenance warnings."""
+class ProfilePair(MirroredIdler):
+    """The joint array at_sums[i + j] * at_differences[i - j + n - 1] on an
+    n-point grid, held as its two 1D profiles on the nodes of
+    :func:`sum_difference_nodes`, with its grid and provenance warnings."""
 
     grid_s: WavevectorGrid
     at_sums: np.ndarray
@@ -72,6 +75,18 @@ class TpaKernel(MirroredIdler):
             if np.shape(profile) != expected:
                 raise ValueError(f"profile shape {np.shape(profile)} does not match "
                                  f"the grid's {expected} sum and difference nodes")
+
+    def _windows(self, start: int, stop: int, j0: int, j1: int) -> tuple:
+        """Two sliding-window views of the profiles whose elementwise product
+        is rows ``start`` to ``stop`` and columns j0 to j1 of the joint array."""
+        n, width = self.grid_s.n_points, j1 - j0
+        return (sliding_window_view(self.at_sums[start + j0:stop + j1 - 1], width),
+                sliding_window_view(self.at_differences[start + n - j1:stop + n - j0 - 1],
+                                    width)[:, ::-1])
+
+
+class TpaKernel(ProfilePair):
+    """Sampled joint amplitude P[i + j] M[i - j + n - 1]: the pair P, M."""
 
     @classmethod
     def from_profiles(cls, grid: WavevectorGrid, at_sums: np.ndarray, at_differences: np.ndarray,
@@ -99,8 +114,7 @@ class TpaKernel(MirroredIdler):
         return cls(grid, pump, match * (1.0 / math.sqrt(norm2)), tuple(warnings))
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start`` to ``stop`` of the joint amplitude, formed from the
-        profiles; as with a slice, a ``stop`` past the last row ends there."""
+        """Rows ``start`` to ``stop`` of the joint amplitude, formed from the profiles."""
         return self._block(start, stop, 0, self.grid_s.n_points)
 
     @property
@@ -134,8 +148,7 @@ class TpaKernel(MirroredIdler):
 
     def _block(self, start: int, stop: int, j0: int, j1: int) -> np.ndarray:
         """Rows ``start`` to ``stop`` of the joint amplitude over columns j0 to j1 only."""
-        return sum_difference_product(self.at_sums, self.at_differences, self.grid_s.n_points,
-                                      start, stop, (j0, j1))
+        return np.multiply(*self._windows(start, stop, j0, j1))
 
     @cached_property
     def _row_blocks(self) -> list:
@@ -182,19 +195,9 @@ class TpaKernel(MirroredIdler):
                               np.abs(self.at_differences) ** 2, self.warnings)
 
 
-@dataclass(frozen=True, eq=False)
-class JointIntensity(MirroredIdler):
-    """|F|^2 of a kernel F = P M, held as its two 1D profiles.
-
-    ``at_sums`` is |P|^2 and ``at_differences`` |M|^2, both on the nodes
-    of :func:`sum_difference_nodes`, so the intensity at joint node (i, j)
-    is at_sums[i + j] * at_differences[i - j + n - 1] and integrates to 1.
-    """
-
-    grid_s: WavevectorGrid
-    at_sums: np.ndarray
-    at_differences: np.ndarray
-    warnings: tuple = ()
+class JointIntensity(ProfilePair):
+    """|F|^2 of a kernel F = P M: the pair |P|^2, |M|^2, whose joint array
+    integrates to 1."""
 
     @classmethod
     def averaged(cls, grid: WavevectorGrid, pump: np.ndarray, matches: np.ndarray,
@@ -225,14 +228,11 @@ class JointIntensity(MirroredIdler):
     def weighted_columns(self, start: int, weights: np.ndarray) -> np.ndarray:
         """sum_c weights[c] |F|^2[:, start + c], one value per signal node.
 
-        The columns are read off the two profiles through sliding windows,
-        so no block of the joint array is formed.
+        The columns are read off the two profiles' windows, so no block of
+        the joint array is formed.
         """
-        n, width = self.grid_s.n_points, len(weights)
-        pump = sliding_window_view(self.at_sums[start:start + n + width - 1], width)
-        match = sliding_window_view(
-            self.at_differences[n - start - width:2 * n - start - 1], width)[:, ::-1]
-        return np.einsum("ic,ic,c->i", pump, match, weights)
+        return np.einsum("ic,ic,c->i", *self._windows(0, self.grid_s.n_points, start,
+                                                        start + len(weights)), weights)
 
     @cached_property
     def marginal(self) -> np.ndarray:
@@ -448,25 +448,11 @@ def sum_coordinate_grid(grid: WavevectorGrid) -> WavevectorGrid:
 
 
 def sum_difference_nodes(grid: WavevectorGrid) -> tuple:
-    """The (ks + ki, ks - ki) values that :func:`sum_difference_product` reads:
+    """The (ks + ki, ks - ki) values of a :class:`ProfilePair`'s two profiles:
     node m of :func:`sum_coordinate_grid` is the sum at i + j = m and, shifted
     by the grid's k_min + k_max, the difference at i - j = m - (n - 1)."""
     sums = sum_coordinate_grid(grid).points()
     return sums, sums + (grid.k_min + grid.k_max)
-
-
-def sum_difference_product(at_sums: np.ndarray, at_differences: np.ndarray, n: int,
-                           start: int = 0, stop: Optional[int] = None,
-                           columns: Optional[Tuple[int, int]] = None) -> np.ndarray:
-    """Rows ``start`` to ``stop`` (default: all n; clipped at n, as a slice
-    is) and columns j0 to j1 of ``columns`` = (j0, j1) (default: all n) of the
-    joint array [i, j] -> at_sums[i + j] * at_differences[i - j + n - 1],
-    with both sampled at :func:`sum_difference_nodes`."""
-    stop = n if stop is None else min(stop, n)
-    j0, j1 = (0, n) if columns is None else columns
-    return (sliding_window_view(at_sums[start + j0:stop + j1 - 1], j1 - j0)
-            * sliding_window_view(at_differences[start + n - j1:stop + n - j0 - 1],
-                                  j1 - j0)[:, ::-1])
 
 
 def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: PhaseMatchConfig,

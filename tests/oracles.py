@@ -6,7 +6,10 @@ can check a file's content; :func:`pgm_bytes` builds a whole PGM file in
 memory, the reference for the streamed ``export_pgm``. :func:`analytic_double_gaussian` gives the
 closed-form Schmidt weights, Schmidt number and mode scale of the
 double-Gaussian amplitude, the Hermite-Gauss functions its modes, and
-:func:`reconstruct_kernel` sums a decomposition back into a kernel.
+:func:`reconstruct_kernel` sums a decomposition back into a kernel, and
+:func:`joint_array` builds the joint array of a kernel's or intensity's
+profile pair from its definition, the reference for the sliding windows
+that read it.
 :func:`linear_crosstalk` is the direct overlap that the log-domain
 crosstalk is checked against, and :func:`pump_spectrum_from_field` turns a
 crystal-plane pump field into the sampled spectrum of ``build_from_pump``.
@@ -20,6 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from spdc_modes.kernel import ProfilePair
 from spdc_modes.optics import PumpWidths, WavevectorGrid
 from spdc_modes.schmidt import MAX_MODES, SchmidtDecomposition
 
@@ -81,6 +85,14 @@ def analytic_double_gaussian(widths: PumpWidths) -> AnalyticModes:
 def reconstruct_kernel(dec: SchmidtDecomposition) -> np.ndarray:
     """Sum the truncated expansion back into an amplitude array."""
     return (dec.signal_modes.T * dec.coefficients) @ dec.idler_modes
+
+
+def joint_array(pair: ProfilePair) -> np.ndarray:
+    """The N x N array at_sums[i + j] * at_differences[i - j + N - 1] that the
+    two profiles of ``pair`` stand for, built by index arithmetic."""
+    n = pair.grid_s.n_points
+    i, j = np.indices((n, n))
+    return pair.at_sums[i + j] * pair.at_differences[i - j + n - 1]
 
 
 def hermite_gauss(order: int, scale: float, grid: WavevectorGrid,

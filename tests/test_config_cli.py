@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from spdc_modes import cli, detection, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
-from spdc_modes.kernel import build_multipeak, default_grid, sum_difference_product
+from spdc_modes.kernel import build_multipeak, default_grid
 from spdc_modes.optics import phase_matching_width
 
-from oracles import analytic_double_gaussian, parse_pgm, read_csv
+from oracles import analytic_double_gaussian, joint_array, parse_pgm, read_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SINGLE = os.path.join(CONFIG_DIR, "single_mode.yaml")
@@ -1090,11 +1090,9 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
     assert (code, err) == (0, "")
 
     cfg = parse_config(data)
-    avg, mono = (sum_difference_product(inten.at_sums, inten.at_differences,
-                                        inten.grid_s.n_points)
-                 for inten in (detection.wavelength_average(cfg.phase_match, cfg.geometry,
-                                                            cfg.pump, cfg.grid),
-                               build_multipeak(cfg.pump, cfg.grid).intensity))
+    avg, mono = (joint_array(inten) for inten in (
+        detection.wavelength_average(cfg.phase_match, cfg.geometry, cfg.pump, cfg.grid),
+        build_multipeak(cfg.pump, cfg.grid).intensity))
     assert np.max(np.abs(avg - mono)) <= 1e-12 * mono.max()
 
 

@@ -69,7 +69,7 @@ def test_every_imported_name_is_used():
 
 # the profiles of a kernel or intensity, and the functions that index them
 PROFILE_ATTRIBUTES = {"at_sums", "at_differences"}
-PROFILE_FUNCTIONS = {"diagonal_sums", "sum_difference_product"}
+PROFILE_FUNCTIONS = {"diagonal_sums", "_windows"}
 
 
 def test_only_the_kernel_module_reads_the_profile_layout():
@@ -95,7 +95,7 @@ def test_only_the_kernel_module_reads_the_profile_layout():
 
 
 # the constructors of a kernel or intensity from a profile pair
-PROFILE_CONSTRUCTORS = {"TpaKernel", "JointIntensity"}
+PROFILE_CONSTRUCTORS = {"ProfilePair", "TpaKernel", "JointIntensity"}
 
 
 def test_only_the_kernel_module_builds_kernels_and_intensities():

@@ -31,7 +31,6 @@ from spdc_modes.kernel import (
     MultiPeakParams,
     build_multipeak,
     default_grid,
-    sum_difference_product,
 )
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
@@ -45,7 +44,7 @@ from spdc_modes.optics import (
     phase_matching_width,
 )
 
-from oracles import hermite_gauss, linear_crosstalk
+from oracles import hermite_gauss, joint_array, linear_crosstalk
 from traced import traced_peak
 
 GEOM = DetectionGeometry()
@@ -63,11 +62,6 @@ def ratio_two_intensity(n=2001, span=6.0):
     widths = PumpWidths(1.0, 2.0)
     grid = WavevectorGrid.centered(0.0, span * 2.0, n)
     return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid).intensity
-
-
-def joint(inten):
-    """The joint array |F|^2[i, j] that the two profiles of ``inten`` stand for."""
-    return sum_difference_product(inten.at_sums, inten.at_differences, inten.grid_s.n_points)
 
 
 def test_slit_windows_match_geometry():
@@ -386,8 +380,8 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
 
     tiny = dataclasses.replace(GEOM, filter_fwhm_nm=1e-6)
     avg = wavelength_average(cfg, tiny, params, grid)
-    mono = joint(builder(offset))
-    assert np.max(np.abs(joint(avg) - mono)) <= 1e-8 * mono.max()
+    mono = joint_array(builder(offset))
+    assert np.max(np.abs(joint_array(avg) - mono)) <= 1e-8 * mono.max()
 
 
 def test_wavelength_average_broadens_monotonically():
@@ -485,7 +479,7 @@ def test_wavelength_average_equals_one_build_per_sample(case):
 
     avg = wavelength_average(cfg, geom, params, gs)
     # the average sums in another order than the loop: equal to rounding
-    assert np.max(np.abs(joint(avg) - total)) <= 1e-12 * total.max()
+    assert np.max(np.abs(joint_array(avg) - total)) <= 1e-12 * total.max()
     assert len(clips) == n_clips
     first = build_multipeak(samples[0], gs).warnings
     assert avg.warnings == tuple(w for w in first if "clips" not in w) + tuple(clips)

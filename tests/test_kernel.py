@@ -18,6 +18,7 @@ from spdc_modes.detection import (
     singles_scan,
 )
 from spdc_modes.kernel import (
+    JointIntensity,
     MultiPeakParams,
     TpaKernel,
     build_double_gaussian,
@@ -25,7 +26,6 @@ from spdc_modes.kernel import (
     build_multipeak,
     default_grid,
     sum_coordinate_grid,
-    sum_difference_product,
 )
 from spdc_modes.optics import (
     PhaseMatchConfig,
@@ -35,7 +35,7 @@ from spdc_modes.optics import (
     phase_matching_width,
 )
 
-from oracles import pump_spectrum_from_field
+from oracles import joint_array, pump_spectrum_from_field
 
 SIGMA = 0.009419280180123796  # 250 um envelope
 SINGLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "single_mode.yaml")
@@ -183,8 +183,9 @@ def test_from_profiles_validation():
         TpaKernel.from_profiles(grid, pump, match)
     # each profile needs one sample per sum or difference node: 2 * 32 - 1
     for pump, match in ((np.ones(63), np.ones(62)), (np.ones((32, 31)), np.ones(63))):
-        with pytest.raises(ValueError, match="shape"):
-            TpaKernel(grid, pump, match)
+        for pair in (TpaKernel, JointIntensity):
+            with pytest.raises(ValueError, match="shape"):
+                pair(grid, pump, match)
 
 
 @pytest.mark.parametrize("complex_pump", [False, True], ids=["real", "complex"])
@@ -196,10 +197,9 @@ def test_kernel_rows_are_the_amplitude_rows(complex_pump):
     if complex_pump:
         pump = pump * np.exp(3j * k ** 2)
     kernel = TpaKernel.from_profiles(grid, pump, np.exp(-(k - 0.2) ** 2 / 0.3))
-    i, j = np.indices((n, n))
     full = kernel.amplitude
     assert full.dtype == (np.complex128 if complex_pump else np.float64)
-    assert np.array_equal(full, kernel.at_sums[i + j] * kernel.at_differences[i - j + n - 1])
+    assert np.array_equal(full, joint_array(kernel))
     # blocks of 16 rows leave a ragged last block of 2
     for start in range(0, n, 16):
         stop = min(start + 16, n)
@@ -217,11 +217,10 @@ def test_windowed_rows_are_the_slice_of_the_full_rows(complex_pump):
     if complex_pump:
         pump = pump * np.exp(3j * k ** 2)
     kernel = TpaKernel.from_profiles(grid, pump, np.exp(-(k - 0.2) ** 2 / 0.3))
-    full = kernel.amplitude
-    for start, stop in ((0, 16), (16, 32), (48, 50), (7, 8), (40, 64)):
+    full = joint_array(kernel)
+    for start, stop in ((0, 16), (16, 32), (48, 50), (7, 8), (40, 50)):
         for j0, j1 in ((0, n), (0, 1), (n - 1, n), (3, 17), (20, 49), (25, 26)):
-            block = sum_difference_product(kernel.at_sums, kernel.at_differences, n,
-                                           start, stop, (j0, j1))
+            block = kernel._block(start, stop, j0, j1)
             assert block.dtype == full.dtype
             assert np.array_equal(block, full[start:stop, j0:j1])
 
@@ -300,10 +299,7 @@ def test_swapped_intensity_is_the_transpose():
     inten = build_multipeak(params, default_grid(params, 96, 5.0)).intensity
     swapped = inten.swapped
     assert swapped.grid_s == inten.grid_i and swapped.grid_i == inten.grid_s
-    n = inten.grid_s.n_points
-    joint = sum_difference_product(inten.at_sums, inten.at_differences, n)
-    assert np.array_equal(sum_difference_product(swapped.at_sums, swapped.at_differences, n),
-                          joint.T)
+    assert np.array_equal(joint_array(swapped), joint_array(inten).T)
     twice = swapped.swapped
     assert twice.grid_s == inten.grid_s
     assert np.array_equal(twice.at_differences, inten.at_differences)
@@ -381,9 +377,8 @@ BUILDERS = {
 def test_every_kernel_carries_its_intensity(build):
     kernel = build()
     inten = kernel.intensity
-    n = kernel.grid_s.n_points
     expected = np.abs(kernel.amplitude) ** 2
-    joint = sum_difference_product(inten.at_sums, inten.at_differences, n)
+    joint = joint_array(inten)
     assert joint.dtype == np.float64
     assert np.max(np.abs(joint - expected)) <= 1e-15 * expected.max()
     assert np.sum(inten.marginal) * kernel.grid_s.spacing == pytest.approx(1.0, abs=1e-12)

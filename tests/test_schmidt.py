@@ -292,8 +292,12 @@ def svd_shapes(monkeypatch):
     return shapes
 
 
+def shipped_config(name, overrides=None):
+    return load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"), overrides)
+
+
 def shipped_kernel(name):
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
+    cfg = shipped_config(name)
     return build_multipeak(cfg.pump, cfg.grid)
 
 
@@ -335,6 +339,37 @@ def near_hermitian_kernel():
     m = kernel.at_differences
     assert np.abs(m - m[::-1]).max() / np.abs(m).max() == pytest.approx(1e-13, rel=1e-2)
     return kernel
+
+
+def collinear_single_mode():
+    """single_mode on the collinear branch, which has no external signal angle."""
+    with open(os.path.join(CONFIG_DIR, "single_mode.yaml"), "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["phase_match"]["regime"] = "collinear"
+    del data["phase_match"]["sellmeier"]["external_signal_angle_deg"]
+    return parse_config(data)
+
+
+GAUSSIAN_MATCHED = {
+    "single_mode": lambda: shipped_config("single_mode"),
+    "three_modes": lambda: shipped_config("three_modes"),
+    "three_modes-841-both": lambda: shipped_config(
+        "three_modes", {"grid.points": 841, "grid.both_branches": True}),
+    "single_mode-614-both": lambda: shipped_config(
+        "single_mode", {"grid.points": 614, "grid.both_branches": True}),
+    "three_modes-offset-1.2": lambda: shipped_config(
+        "three_modes", {"phase_match.offset_override_um_inv": 1.2}),
+    "single_mode-collinear": collinear_single_mode,
+    "many-modes-2048": lambda: many_mode_config(2048),
+}
+
+
+@pytest.mark.parametrize("config", list(GAUSSIAN_MATCHED.values()), ids=list(GAUSSIAN_MATCHED))
+def test_every_gaussian_matched_kernel_takes_the_hermitian_path(config):
+    # a real comb pump and a Gaussian matching profile, on either branch, off
+    # any grid or offset: the w x w Rayleigh-Ritz path is the one commands take
+    cfg = config()
+    assert build_multipeak(cfg.pump, cfg.grid).hermitian
 
 
 @pytest.mark.parametrize("build, hermitian", [
@@ -536,14 +571,14 @@ def test_the_many_mode_kernel_is_formed_over_its_band_only(monkeypatch):
     kernel = many_mode_kernel(2048)
     n = kernel.grid_s.n_points
     calls = []
-    product = kernel_module.sum_difference_product
+    product = TpaKernel._block
 
-    def recording(at_sums, at_differences, points, start, stop, columns):
-        block = product(at_sums, at_differences, points, start, stop, columns)
+    def recording(self, start, stop, j0, j1):
+        block = product(self, start, stop, j0, j1)
         calls.append((start, block.size))
         return block
 
-    monkeypatch.setattr(kernel_module, "sum_difference_product", recording)
+    monkeypatch.setattr(TpaKernel, "_block", recording)
     dec = schmidt_decompose(kernel)
     assert dec.n_modes == 64
     passes = sum(1 for start, _size in calls if start == calls[0][0])
