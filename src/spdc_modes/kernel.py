@@ -42,7 +42,7 @@ MAX_STEP_FRACTION = 0.25
 # grids must cover the amplitude support out to this many widths
 MIN_COVER_SIGMAS = 4.0
 # rows of the amplitude formed at once by the kernel's products
-ROW_BLOCK = 128
+ROW_BLOCK = 32
 # a difference profile this close to its conjugate mirror, relative to its
 # peak, makes a real-pump kernel Hermitian
 HERMITIAN_RTOL = 1e-12
@@ -131,24 +131,51 @@ class TpaKernel(ProfilePair):
                     and np.abs(match - match[::-1].conj()).max()
                     <= HERMITIAN_RTOL * np.abs(match).max())
 
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """a @ x, one row block of :attr:`_row_blocks` formed at a time; rows
-        no block covers are zero."""
-        out = np.zeros((self.grid_s.n_points, x.shape[1]), np.result_type(self.dtype, x))
+    def times(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = (a x^T)^T: row k of ``out`` is a @ x[k], for c vectors held
+        as the rows of the c x N ``x``, the Schmidt basis's layout. The row
+        blocks of :attr:`_row_blocks` are formed one at a time into one buffer
+        and multiplied straight into their columns of ``out``; rows of ``a``
+        that no block covers give zeros."""
+        buffer = self._product_buffer(x, out)
         for start, stop, j0, j1 in self._row_blocks:
-            np.matmul(self._block(start, stop, j0, j1), x[j0:j1], out=out[start:stop])
+            np.matmul(x[:, j0:j1], self._block(start, stop, j0, j1, buffer).T,
+                      out=out[:, start:stop])
         return out
 
-    def adjoint_times(self, y: np.ndarray) -> np.ndarray:
-        """y^H @ a, one row block of :attr:`_row_blocks` formed at a time."""
-        out = np.zeros((y.shape[1], self.grid_s.n_points), np.result_type(self.dtype, y))
+    def adjoint_times(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = y^* a: row k of ``out`` is y[k]^H a, for the c x N ``y``.
+        Each row block is formed into one buffer and its c x (j1 - j0) product
+        added to its columns of ``out``."""
+        buffer = self._product_buffer(y, out)
         for start, stop, j0, j1 in self._row_blocks:
-            out[:, j0:j1] += y[start:stop].conj().T @ self._block(start, stop, j0, j1)
+            out[:, j0:j1] += y[:, start:stop].conj() @ self._block(start, stop, j0, j1, buffer)
         return out
 
-    def _block(self, start: int, stop: int, j0: int, j1: int) -> np.ndarray:
-        """Rows ``start`` to ``stop`` of the joint amplitude over columns j0 to j1 only."""
-        return np.multiply(*self._windows(start, stop, j0, j1))
+    def _product_buffer(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Zero ``out``, a product's c x N result for ``x``, and return a buffer
+        that holds the largest row block. ``out`` must have the product's shape
+        and dtype and share no memory with ``x``."""
+        if out.shape != x.shape or x.ndim != 2 or x.shape[1] != self.grid_s.n_points:
+            raise ValueError(f"product of shape {x.shape} into {out.shape}; need c x "
+                             f"{self.grid_s.n_points} for both")
+        if out.dtype != np.result_type(self.dtype, x):
+            raise TypeError(f"product out has dtype {out.dtype}; need "
+                            f"{np.result_type(self.dtype, x)}")
+        if np.may_share_memory(x, out):
+            raise ValueError("product out shares memory with its input")
+        out[...] = 0
+        largest = max(((stop - start) * (j1 - j0) for start, stop, j0, j1 in self._row_blocks),
+                      default=0)
+        return np.empty(largest, self.dtype)
+
+    def _block(self, start: int, stop: int, j0: int, j1: int,
+               buffer: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rows ``start`` to ``stop`` of the joint amplitude over columns j0 to j1
+        only, formed in the front of ``buffer`` when one is given."""
+        if buffer is not None:
+            buffer = buffer[:(stop - start) * (j1 - j0)].reshape(stop - start, j1 - j0)
+        return np.multiply(*self._windows(start, stop, j0, j1), out=buffer)
 
     @cached_property
     def _row_blocks(self) -> list:

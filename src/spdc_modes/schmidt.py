@@ -70,7 +70,6 @@ def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
         raise ValueError(f"kernel norm is {norm:.6g}, expected 1 within {NORM_TOLERANCE}")
 
     coeffs, signal, vh = _leading_triplets(kernel)
-    signal = signal.T.copy()
     _localise_degenerate(coeffs, signal, vh, kernel.grid_s)
 
     # fix the SVD's arbitrary per-pair phase: the first (smallest-k) sample of
@@ -126,7 +125,7 @@ def _mode_count(s: np.ndarray) -> int:
 
 
 def _leading_triplets(kernel: TpaKernel) -> tuple:
-    """(coefficients, signal modes as N x kept columns, idler modes as kept x N
+    """(coefficients, signal modes as kept x N rows, idler modes as kept x N
     rows) of the kernel's amplitude ``a``, the modes :func:`_mode_count` keeps:
     the leading singular triplets of ``h * a``, singular vectors divided by sqrt(h).
 
@@ -136,9 +135,11 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
     one fixed-seed stream, so the basis holds SKETCH_BLOCK + SKETCH_OVERSAMPLE
     columns, then twice as many at every step, at most N. The new columns get
     one subspace iteration on ``a`` with Q projected out, and their rows of
-    Q^H a are formed. :func:`_orthonormal` works them in Q's own rows, one
-    SKETCH_BLOCK-column block at a time, so beside Q^T a step holds the
-    N x c product of ``a`` with its c new columns and one block's QR. A
+    Q^H a are formed. Q is held as the rows of Q^T, and the kernel's products
+    write into those rows or into one c x N work buffer for the step's c new
+    columns, forming one row block of ``a`` at a time; :func:`_orthonormal`
+    works in the same rows, one SKETCH_BLOCK-column block at a time, so beside
+    Q^T a step holds the work buffer, one row block and one block's QR. A
     Hermitian ``a`` has its row space in its column space, so those rows are
     folded into the w x w matrix T = Q^H a Q, whose mirror block is the
     conjugate transpose of the new rows', and a ~ Q T Q^H; any other ``a``
@@ -148,7 +149,8 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
     misses, ||a||^2 minus that of T or B, is at most SKETCH_RESIDUAL times
     the smallest kept weight; by Weyl's inequality that weight bounds the
     error of every kept weight. At N columns, Q spans every direction and
-    is accepted as is.
+    is accepted as is. The signal modes are then formed in the first rows of
+    Q^T, which is cut down to them.
     """
     n, h = kernel.grid_s.n_points, kernel.grid_s.spacing
     # sqrt(h * h), not h: the two can differ in the last bit, and the mode tables are hashed
@@ -168,32 +170,44 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
         done = basis.shape[0]
         basis = _grown(basis, width, n)
         reduced = _grown(reduced, width, width if kernel.hermitian else n)
-        new = basis[done:].T
-        new[:] = kernel.times(rng.standard_normal((n, width - done)))
+        new, work = basis[done:], np.empty((width - done, n), kernel.dtype)
+        # the step's N x c float64 Gaussian columns, drawn into the work rows'
+        # memory, so a complex kernel draws the same ones as its real copy
+        gauss = work.view(np.float64).reshape(-1)[:work.size].reshape(n, width - done)
+        rng.standard_normal(out=gauss)
+        kernel.times(gauss.T, new)
         _orthonormal(basis.T, done)
-        # one subspace iteration: the conjugate of a basis of (new^H a)^T spans
-        # a^H new, which is never formed, nor is a conjugated
-        new[:] = _orthonormal(kernel.adjoint_times(new).T, 0)
-        np.conjugate(new, out=new)
-        new[:] = kernel.times(new)
+        # one subspace iteration: the conjugate of a basis of the rows of
+        # new^* a spans a^H new, which is never formed, nor is a conjugated
+        _orthonormal(kernel.adjoint_times(new, work).T, 0)
+        np.conjugate(work, out=work)
+        kernel.times(work, new)
         _orthonormal(basis.T, done)
         if kernel.hermitian:
-            reduced[done:] = kernel.adjoint_times(new) @ basis.T
+            np.matmul(kernel.adjoint_times(new, work), basis.T, out=reduced[done:])
             reduced[:done, done:] = reduced[done:, :done].conj().T
         else:
-            reduced[done:] = kernel.adjoint_times(new)
+            kernel.adjoint_times(new, reduced[done:])
+        # the work rows go before the SVD and before the next step widens the basis
+        del new, work, gauss
         ur, s, vh = np.linalg.svd(reduced, full_matrices=False)
         s *= scale
         residual = total - float(np.sum(s ** 2))
         kept = _mode_count(s)
         if width == n or (kept + SKETCH_OVERSAMPLE <= width
                           and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2):
-            # divided in place: a divided copy beside the bases would raise the peak
-            u = basis.T @ ur[:, :kept]
-            vh = vh[:kept] @ basis.conj() if kernel.hermitian else vh[:kept]
-            u /= root_h
-            vh /= root_h
-            return s[:kept], u, vh
+            idler = vh[:kept] @ basis.conj() if kernel.hermitian else vh[:kept]
+            # the signal modes (Q U)^T, formed in Q^T's own first rows one
+            # column block at a time; no view of Q^T is alive, so the rows
+            # beyond the modes are freed in place (a profiler's reference
+            # would fail resize's reference check)
+            for j in range(0, n, SKETCH_BLOCK):
+                basis[:kept, j:j + SKETCH_BLOCK] = ur[:, :kept].T @ basis[:, j:j + SKETCH_BLOCK]
+            basis.resize((kept, n), refcheck=False)
+            # divided in place: a divided copy beside the modes would raise the peak
+            basis /= root_h
+            idler /= root_h
+            return s[:kept], basis, idler
         width = min(2 * width, n)
 
 

@@ -386,6 +386,61 @@ def test_every_kernel_carries_its_intensity(build):
     assert kernel.intensity is inten
 
 
+def uncovered_rows_kernel():
+    """A pump at the low end of the sum grid: every row past the first block
+    has entries only below the windows' cut, so no row block covers it."""
+    grid = centered(1.0, 100)
+    k = sum_coordinate_grid(grid).points()
+    kernel = TpaKernel.from_profiles(grid, np.exp(-((k + 1.9) / 0.05) ** 2), np.exp(-k ** 2))
+    assert sum(stop - start for start, stop, _, _ in kernel._row_blocks) < grid.n_points
+    return kernel
+
+
+PRODUCT_KERNELS = {
+    "real": BUILDERS["multipeak"],
+    "chirped": BUILDERS["from-pump-chirp"],
+    "uncovered-rows": uncovered_rows_kernel,
+}
+
+
+@pytest.mark.parametrize("build", list(PRODUCT_KERNELS.values()), ids=list(PRODUCT_KERNELS))
+def test_products_write_the_definition_into_out(build):
+    """times and adjoint_times against the joint array's own products, with x
+    as c x N rows, C-ordered or a transposed N x c draw, and out filled with
+    NaN: every entry of out is written, rows that no block covers with zeros."""
+    kernel = build()
+    a = joint_array(kernel)
+    n = kernel.grid_s.n_points
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((3, n))
+    if np.iscomplexobj(a):
+        rows = rows + 1j * rng.standard_normal((3, n))
+    for x in (rows, np.asfortranarray(rows), rng.standard_normal((n, 3)).T):
+        for product, want in ((kernel.times, (a @ x.T).T), (kernel.adjoint_times, x.conj() @ a)):
+            out = np.full(x.shape, np.nan, np.result_type(kernel.dtype, x))
+            assert product(x, out) is out
+            assert not np.isnan(out).any()
+            assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("product", ["times", "adjoint_times"])
+def test_products_refuse_an_out_they_cannot_write(product):
+    real, chirped = BUILDERS["multipeak"](), BUILDERS["from-pump-chirp"]()
+    n = real.grid_s.n_points
+    x = np.random.default_rng(6).standard_normal((2, n))
+    with pytest.raises(ValueError, match="shares memory"):
+        getattr(real, product)(x, x)
+    rows = np.zeros((3, n))
+    with pytest.raises(ValueError, match="shares memory"):
+        getattr(real, product)(rows[:2], rows[1:])
+    for kernel, dtype in ((real, np.float32), (real, np.complex128), (chirped, np.float64)):
+        with pytest.raises(TypeError, match="dtype"):
+            getattr(kernel, product)(x, np.empty(x.shape, dtype))
+    for shape in ((3, n), (2, n - 1)):
+        with pytest.raises(ValueError, match="shape"):
+            getattr(real, product)(x, np.empty(shape))
+
+
 def test_pump_spectrum_from_field_gaussian():
     sigma_k = 0.02
     x = np.linspace(-8 / sigma_k, 8 / sigma_k, 4001)

@@ -269,7 +269,7 @@ def dense_triplets(kernel):
     u, s, vh = np.linalg.svd(kernel.amplitude, full_matrices=False)
     s = s * math.sqrt(h * h)
     n = schmidt._mode_count(s)
-    return s[:n], u[:, :n] / math.sqrt(h), vh[:n] / math.sqrt(h)
+    return s[:n], u[:, :n].T / math.sqrt(h), vh[:n] / math.sqrt(h)
 
 
 def dense_decompose(kernel, monkeypatch):
@@ -296,8 +296,8 @@ def shipped_config(name, overrides=None):
     return load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"), overrides)
 
 
-def shipped_kernel(name):
-    cfg = shipped_config(name)
+def shipped_kernel(name, overrides=None):
+    cfg = shipped_config(name, overrides)
     return build_multipeak(cfg.pump, cfg.grid)
 
 
@@ -503,6 +503,49 @@ def test_decomposition_holds_at_most_2_75_final_bases(svd_shapes):
     assert peak <= 2.75 * kernel.dtype.itemsize * kernel.grid_s.n_points * width
 
 
+def fine_grid_kernel():
+    return shipped_kernel("three_modes", {"grid.points": 2048})
+
+
+@pytest.mark.parametrize("build, modes, bound", [
+    (fine_grid_kernel, 21, 2.5),
+    (lambda: many_mode_kernel(1024), 64, 2.25),
+], ids=["three_modes-2048", "many-modes-1024"])
+def test_decomposition_holds_its_basis_one_work_buffer_and_one_block(build, modes, bound,
+                                                                     svd_shapes):
+    """Beside Q^T, a step holds one N x c work buffer (c <= w / 2), one row
+    block of ROW_BLOCK rows and one 16-column block's QR, and the signal modes
+    are formed in Q^T's own rows: about 8 N (w + c + ROW_BLOCK) bytes and a QR.
+    A product allocated beside the Gaussian draw and Q^T, and a transposed
+    copy of the modes, would read 3.4 and 2.54 final bases on these kernels."""
+    kernel = build()
+    dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
+    width = svd_shapes[-1][0]
+    assert dec.n_modes == modes
+    assert peak <= bound * kernel.dtype.itemsize * kernel.grid_s.n_points * width
+
+
+def test_each_product_forms_its_row_blocks_in_one_buffer(monkeypatch):
+    """Every block the products form has at most ROW_BLOCK rows and is written
+    into the buffer the product passes, so no block is a fresh allocation."""
+    kernel = fine_grid_kernel()
+    blocks = []
+    product = TpaKernel._block
+
+    def recording(self, start, stop, j0, j1, buffer=None):
+        assert buffer is not None
+        block = product(self, start, stop, j0, j1, buffer)
+        assert np.shares_memory(block, buffer)
+        blocks.append((stop - start, block.nbytes))
+        return block
+
+    monkeypatch.setattr(TpaKernel, "_block", recording)
+    assert schmidt_decompose(kernel).n_modes == 21
+    assert blocks and max(rows for rows, _ in blocks) <= kernel_module.ROW_BLOCK
+    # the widest block of this kernel is 0.27 MiB; at 128 rows it would take 1.2 MiB
+    assert max(nbytes for _, nbytes in blocks) <= 0.35 * 2 ** 20
+
+
 def test_mode_signs_agree_between_sketch_and_dense_svd(monkeypatch):
     """Odd modes peak at mirror samples +-k that tie to rounding; the phase
     pivot must not choose between them, or signs ride on last-bit noise."""
@@ -573,8 +616,8 @@ def test_the_many_mode_kernel_is_formed_over_its_band_only(monkeypatch):
     calls = []
     product = TpaKernel._block
 
-    def recording(self, start, stop, j0, j1):
-        block = product(self, start, stop, j0, j1)
+    def recording(self, start, stop, j0, j1, buffer=None):
+        block = product(self, start, stop, j0, j1, buffer)
         calls.append((start, block.size))
         return block
 
