@@ -7,12 +7,13 @@ the nodes of :func:`sum_difference_nodes`, and every joint quantity is
 read off that pair. A :class:`ProfilePair` holds it, and its one window
 rule reads any block of rows and columns of the joint array
 at_sums[i + j] * at_differences[i - j + n - 1] as the product of two
-sliding windows, so no command forms the whole array. :class:`TpaKernel`
+sliding windows, so no command forms the whole array, and its
+:attr:`ProfilePair.swapped` exchanges the photons. :class:`TpaKernel`
 is the pair P, M, with ks along axis 0 and ki along axis 1: the kernel
 table reads it through :meth:`TpaKernel.rows`, and the Schmidt
-decomposition through the products :meth:`TpaKernel.times` and
-:meth:`TpaKernel.adjoint_times`, which form each block over the
-profiles' support only. Every kernel's :attr:`TpaKernel.intensity` is a
+decomposition through its one product :meth:`TpaKernel.times`, which
+forms each block over the profiles' support only; a kernel's swap is
+its adjoint. Every kernel's :attr:`TpaKernel.intensity` is a
 :class:`JointIntensity`, the pair |P|^2, |M|^2 that the slit scans read.
 Builders cover the plain double-Gaussian case, the structured multi-peak
 pump, and a pump spectrum sampled on :func:`sum_coordinate_grid`
@@ -76,6 +77,15 @@ class ProfilePair(MirroredIdler):
                 raise ValueError(f"profile shape {np.shape(profile)} does not match "
                                  f"the grid's {expected} sum and difference nodes")
 
+    @cached_property
+    def swapped(self) -> "ProfilePair":
+        """The photons exchanged: the pair of the joint array's conjugate
+        transpose on the mirrored grid, ki - ks reversing the difference nodes.
+        An intensity's idler observables are the signal ones of its swap, and a
+        kernel's swap is its adjoint; a real pair's swap holds views. Formed once."""
+        return type(self)(self.grid_i, self.at_sums.conj(), self.at_differences[::-1].conj(),
+                          self.warnings)
+
     def _windows(self, start: int, stop: int, j0: int, j1: int) -> tuple:
         """Two sliding-window views of the profiles whose elementwise product
         is rows ``start`` to ``stop`` and columns j0 to j1 of the joint array."""
@@ -124,38 +134,20 @@ class TpaKernel(ProfilePair):
 
     @cached_property
     def hermitian(self) -> bool:
-        """Whether a[i, j] = P[i + j] M[i - j + n - 1] equals conj(a[j, i]): P is
-        real and M[m] = conj(M[2 n - 2 - m]), to HERMITIAN_RTOL of max |M|."""
+        """Whether the kernel equals its :attr:`swapped`: P is real and M is
+        within HERMITIAN_RTOL of max |M| of the swap's conj(M[2 n - 2 - m])."""
         match = self.at_differences
         return bool(np.isrealobj(self.at_sums)
-                    and np.abs(match - match[::-1].conj()).max()
+                    and np.abs(match - self.swapped.at_differences).max()
                     <= HERMITIAN_RTOL * np.abs(match).max())
 
     def times(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out`` = (a x^T)^T: row k of ``out`` is a @ x[k], for c vectors held
-        as the rows of the c x N ``x``, the Schmidt basis's layout. The row
-        blocks of :attr:`_row_blocks` are formed one at a time into one buffer
-        and multiplied straight into their columns of ``out``; rows of ``a``
-        that no block covers give zeros."""
-        buffer = self._product_buffer(x, out)
-        for start, stop, j0, j1 in self._row_blocks:
-            np.matmul(x[:, j0:j1], self._block(start, stop, j0, j1, buffer).T,
-                      out=out[:, start:stop])
-        return out
-
-    def adjoint_times(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` = y^* a: row k of ``out`` is y[k]^H a, for the c x N ``y``.
-        Each row block is formed into one buffer and its c x (j1 - j0) product
-        added to its columns of ``out``."""
-        buffer = self._product_buffer(y, out)
-        for start, stop, j0, j1 in self._row_blocks:
-            out[:, j0:j1] += y[:, start:stop].conj() @ self._block(start, stop, j0, j1, buffer)
-        return out
-
-    def _product_buffer(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Zero ``out``, a product's c x N result for ``x``, and return a buffer
-        that holds the largest row block. ``out`` must have the product's shape
-        and dtype and share no memory with ``x``."""
+        as the rows of the c x N ``x``, the Schmidt basis's layout; ``out`` must
+        have its shape and dtype and share no memory with ``x``. The row blocks
+        of :attr:`_row_blocks` are formed one at a time into one buffer and
+        multiplied straight into their columns of ``out``; rows of ``a`` that
+        no block covers give zeros."""
         if out.shape != x.shape or x.ndim != 2 or x.shape[1] != self.grid_s.n_points:
             raise ValueError(f"product of shape {x.shape} into {out.shape}; need c x "
                              f"{self.grid_s.n_points} for both")
@@ -167,7 +159,11 @@ class TpaKernel(ProfilePair):
         out[...] = 0
         largest = max(((stop - start) * (j1 - j0) for start, stop, j0, j1 in self._row_blocks),
                       default=0)
-        return np.empty(largest, self.dtype)
+        buffer = np.empty(largest, self.dtype)
+        for start, stop, j0, j1 in self._row_blocks:
+            np.matmul(x[:, j0:j1], self._block(start, stop, j0, j1, buffer).T,
+                      out=out[:, start:stop])
+        return out
 
     def _block(self, start: int, stop: int, j0: int, j1: int,
                buffer: Optional[np.ndarray] = None) -> np.ndarray:
@@ -270,13 +266,6 @@ class JointIntensity(ProfilePair):
         band = self.weighted_columns(0, np.ones(self.grid_s.n_points)) * self.grid_s.spacing
         band.flags.writeable = False
         return band
-
-    @cached_property
-    def swapped(self) -> "JointIntensity":
-        """The photons exchanged, so every idler observable is the signal one of the
-        result: ki - ks reverses the difference nodes, and the grid is mirrored.
-        Formed once, so the idler marginal is formed once."""
-        return JointIntensity(self.grid_i, self.at_sums, self.at_differences[::-1], self.warnings)
 
 
 def diagonal_sums(at_sums: np.ndarray, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ or until it spans every direction. The Rayleigh-Ritz matrix of a
 w-column basis Q is the w x w Q^H a Q for a Hermitian kernel
 (:attr:`TpaKernel.hermitian`; every Gaussian-matching kernel here is one)
 and the w x N Q^H a for any other. The amplitude is read only through
-the products :meth:`TpaKernel.times` and :meth:`TpaKernel.adjoint_times`.
+:meth:`TpaKernel.times`, of the kernel and of its swap, the adjoint.
 The fixed seed keeps reruns byte-identical.
 """
 
@@ -135,9 +135,9 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
     one fixed-seed stream, so the basis holds SKETCH_BLOCK + SKETCH_OVERSAMPLE
     columns, then twice as many at every step, at most N. The new columns get
     one subspace iteration on ``a`` with Q projected out, and their rows of
-    Q^H a are formed. Q is held as the rows of Q^T, and the kernel's products
-    write into those rows or into one c x N work buffer for the step's c new
-    columns, forming one row block of ``a`` at a time; :func:`_orthonormal`
+    Q^H a are formed. Q is held as the rows of Q^T, and the products of ``a``
+    and of its swap a^H write into those rows or into one c x N work buffer
+    for the step's c new columns, one row block at a time; :func:`_orthonormal`
     works in the same rows, one SKETCH_BLOCK-column block at a time, so beside
     Q^T a step holds the work buffer, one row block and one block's QR. A
     Hermitian ``a`` has its row space in its column space, so those rows are
@@ -177,17 +177,17 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
         rng.standard_normal(out=gauss)
         kernel.times(gauss.T, new)
         _orthonormal(basis.T, done)
-        # one subspace iteration: the conjugate of a basis of the rows of
-        # new^* a spans a^H new, which is never formed, nor is a conjugated
-        _orthonormal(kernel.adjoint_times(new, work).T, 0)
-        np.conjugate(work, out=work)
+        # one subspace iteration: a^H new, the swap's product, then a times its basis
+        _orthonormal(kernel.swapped.times(new, work).T, 0)
         kernel.times(work, new)
         _orthonormal(basis.T, done)
+        # the new rows of Q^H a: the conjugates of those of a^H Q, in place
         if kernel.hermitian:
-            np.matmul(kernel.adjoint_times(new, work), basis.T, out=reduced[done:])
+            np.conjugate(kernel.swapped.times(new, work), out=work)
+            np.matmul(work, basis.T, out=reduced[done:])
             reduced[:done, done:] = reduced[done:, :done].conj().T
         else:
-            kernel.adjoint_times(new, reduced[done:])
+            np.conjugate(kernel.swapped.times(new, reduced[done:]), out=reduced[done:])
         # the work rows go before the SVD and before the next step widens the basis
         del new, work, gauss
         ur, s, vh = np.linalg.svd(reduced, full_matrices=False)

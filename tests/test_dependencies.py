@@ -1,8 +1,8 @@
 """The declared runtime dependencies are exactly the third-party imports of the
 package, each module uses every name it imports, only kernel.py reads the
-layout of a kernel's profiles or builds a kernel or intensity from them, and
+layout of a kernel's profiles or builds a kernel or intensity from them,
 only schmidt._mode_count reads the rule that decides which Schmidt modes are
-kept."""
+kept, and the decomposition reads its kernel through one product."""
 
 import ast
 import os
@@ -151,3 +151,19 @@ def test_only_the_mode_count_reads_the_truncation_rule():
     for filename, tree in module_trees():
         readers |= {(filename, scope, name) for scope, name in reads(tree, TRUNCATION_CONSTANTS)}
     assert readers == {("schmidt.py", "_mode_count", name) for name in TRUNCATION_CONSTANTS}
+
+
+# what the decomposition reads of its kernel: one product, of the kernel and of
+# its swap (the adjoint), and the kernel's plain properties
+SCHMIDT_KERNEL_ATTRIBUTES = {"times", "swapped", "hermitian", "dtype", "norm", "grid_s",
+                             "warnings"}
+
+
+def test_the_decomposition_reads_its_kernel_through_one_product():
+    # a second product path beside times would be a second place where a block
+    # of the amplitude is formed and held
+    tree = dict(module_trees())["schmidt.py"]
+    attributes = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "kernel"}
+    assert "times" in attributes and attributes <= SCHMIDT_KERNEL_ATTRIBUTES

@@ -405,9 +405,10 @@ PRODUCT_KERNELS = {
 
 @pytest.mark.parametrize("build", list(PRODUCT_KERNELS.values()), ids=list(PRODUCT_KERNELS))
 def test_products_write_the_definition_into_out(build):
-    """times and adjoint_times against the joint array's own products, with x
-    as c x N rows, C-ordered or a transposed N x c draw, and out filled with
-    NaN: every entry of out is written, rows that no block covers with zeros."""
+    """times of a kernel and of its swap, the adjoint, against the joint
+    array's own products, with x as c x N rows, C-ordered or a transposed
+    N x c draw, and out filled with NaN: every entry of out is written, rows
+    that no block covers with zeros."""
     kernel = build()
     a = joint_array(kernel)
     n = kernel.grid_s.n_points
@@ -416,29 +417,53 @@ def test_products_write_the_definition_into_out(build):
     if np.iscomplexobj(a):
         rows = rows + 1j * rng.standard_normal((3, n))
     for x in (rows, np.asfortranarray(rows), rng.standard_normal((n, 3)).T):
-        for product, want in ((kernel.times, (a @ x.T).T), (kernel.adjoint_times, x.conj() @ a)):
+        for product, want in ((kernel.times, (a @ x.T).T),
+                              (kernel.swapped.times, (a.conj().T @ x.T).T)):
             out = np.full(x.shape, np.nan, np.result_type(kernel.dtype, x))
             assert product(x, out) is out
             assert not np.isnan(out).any()
             assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("name", list(PRODUCT_KERNELS))
+def test_a_kernels_swap_is_its_adjoint(name):
+    """A kernel's photon exchange is its conjugate transpose F^H on the mirrored
+    grid, a kernel itself, formed once; a real kernel's swap holds views of its
+    profiles. Only the chirped kernel differs from its swap."""
+    kernel = PRODUCT_KERNELS[name]()
+    swap = kernel.swapped
+    assert np.array_equal(joint_array(swap), joint_array(kernel).conj().T)
+    assert swap.grid_s == kernel.grid_i
+    assert kernel.swapped is swap and type(swap) is TpaKernel
+    twice = swap.swapped
+    assert twice.grid_s == kernel.grid_s
+    assert np.array_equal(twice.at_sums, kernel.at_sums)
+    assert np.array_equal(twice.at_differences, kernel.at_differences)
+    if kernel.dtype == np.float64:
+        assert np.shares_memory(swap.at_sums, kernel.at_sums)
+        assert np.shares_memory(swap.at_differences, kernel.at_differences)
+    assert kernel.hermitian == (name != "chirped")
+
+
 @pytest.mark.parametrize("product", ["times", "adjoint_times"])
 def test_products_refuse_an_out_they_cannot_write(product):
+    """The one product refuses alike on a kernel and, for the adjoint, on its swap."""
     real, chirped = BUILDERS["multipeak"](), BUILDERS["from-pump-chirp"]()
+    if product == "adjoint_times":
+        real, chirped = real.swapped, chirped.swapped
     n = real.grid_s.n_points
     x = np.random.default_rng(6).standard_normal((2, n))
     with pytest.raises(ValueError, match="shares memory"):
-        getattr(real, product)(x, x)
+        real.times(x, x)
     rows = np.zeros((3, n))
     with pytest.raises(ValueError, match="shares memory"):
-        getattr(real, product)(rows[:2], rows[1:])
+        real.times(rows[:2], rows[1:])
     for kernel, dtype in ((real, np.float32), (real, np.complex128), (chirped, np.float64)):
         with pytest.raises(TypeError, match="dtype"):
-            getattr(kernel, product)(x, np.empty(x.shape, dtype))
+            kernel.times(x, np.empty(x.shape, dtype))
     for shape in ((3, n), (2, n - 1)):
         with pytest.raises(ValueError, match="shape"):
-            getattr(real, product)(x, np.empty(shape))
+            real.times(x, np.empty(shape))
 
 
 def test_pump_spectrum_from_field_gaussian():

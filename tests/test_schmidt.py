@@ -508,7 +508,7 @@ def fine_grid_kernel():
 
 
 @pytest.mark.parametrize("build, modes, bound", [
-    (fine_grid_kernel, 21, 2.5),
+    (fine_grid_kernel, 21, 2.15),
     (lambda: many_mode_kernel(1024), 64, 2.25),
 ], ids=["three_modes-2048", "many-modes-1024"])
 def test_decomposition_holds_its_basis_one_work_buffer_and_one_block(build, modes, bound,
@@ -516,8 +516,10 @@ def test_decomposition_holds_its_basis_one_work_buffer_and_one_block(build, mode
     """Beside Q^T, a step holds one N x c work buffer (c <= w / 2), one row
     block of ROW_BLOCK rows and one 16-column block's QR, and the signal modes
     are formed in Q^T's own rows: about 8 N (w + c + ROW_BLOCK) bytes and a QR.
-    A product allocated beside the Gaussian draw and Q^T, and a transposed
-    copy of the modes, would read 3.4 and 2.54 final bases on these kernels."""
+    No product holds a per-block temporary: an adjoint product that adds a
+    c x (j1 - j0) product per block reads 2.27 final bases on the 2048-point
+    kernel. A product allocated beside the Gaussian draw and Q^T, and a
+    transposed copy of the modes, would read 3.4 and 2.54 on these kernels."""
     kernel = build()
     dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
     width = svd_shapes[-1][0]
