@@ -44,9 +44,9 @@ MAX_STEP_FRACTION = 0.25
 MIN_COVER_SIGMAS = 4.0
 # rows of the amplitude formed at once by the kernel's products
 ROW_BLOCK = 32
-# a difference profile this close to its conjugate mirror, relative to its
-# peak, makes a real-pump kernel Hermitian
-HERMITIAN_RTOL = 1e-12
+# a difference profile this close to its mirror, relative to its peak, makes
+# the kernel symmetric under photon exchange
+SYMMETRIC_RTOL = 1e-12
 
 BRANCHES = ("+", "both")
 
@@ -133,13 +133,11 @@ class TpaKernel(ProfilePair):
         return np.result_type(self.at_sums, self.at_differences)
 
     @cached_property
-    def hermitian(self) -> bool:
-        """Whether the kernel equals its :attr:`swapped`: P is real and M is
-        within HERMITIAN_RTOL of max |M| of the swap's conj(M[2 n - 2 - m])."""
+    def symmetric(self) -> bool:
+        """Whether F[i, j] = F[j, i], the photons exchanged: M is within
+        SYMMETRIC_RTOL of max |M| of its reverse M[2 n - 2 - m], whatever P."""
         match = self.at_differences
-        return bool(np.isrealobj(self.at_sums)
-                    and np.abs(match - self.swapped.at_differences).max()
-                    <= HERMITIAN_RTOL * np.abs(match).max())
+        return bool(np.abs(match - match[::-1]).max() <= SYMMETRIC_RTOL * np.abs(match).max())
 
     def times(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out`` = (a x^T)^T: row k of ``out`` is a @ x[k], for c vectors held

@@ -12,11 +12,12 @@ adaptive randomized range finder: fixed-seed Gaussian columns, one
 subspace iteration and Rayleigh-Ritz on the basis, which grows until the
 weight it misses bounds every kept weight's error far below that weight,
 or until it spans every direction. The Rayleigh-Ritz matrix of a
-w-column basis Q is the w x w Q^H a Q for a Hermitian kernel
-(:attr:`TpaKernel.hermitian`; every Gaussian-matching kernel here is one)
-and the w x N Q^H a for any other. The amplitude is read only through
-:meth:`TpaKernel.times`, of the kernel and of its swap, the adjoint.
-The fixed seed keeps reruns byte-identical.
+w-column basis Q is the w x w Q^H a conj(Q) for a kernel symmetric under
+photon exchange (:attr:`TpaKernel.symmetric`; every Gaussian-matching
+kernel here is one, whatever its pump's phases) and the w x N Q^H a for
+any other. The amplitude is read only through :meth:`TpaKernel.times`,
+of the kernel and of its swap, the adjoint. The fixed seed keeps reruns
+byte-identical.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
     for the step's c new columns, one row block at a time; :func:`_orthonormal`
     works in the same rows, one SKETCH_BLOCK-column block at a time, so beside
     Q^T a step holds the work buffer, one row block and one block's QR. A
-    Hermitian ``a`` has its row space in its column space, so those rows are
-    folded into the w x w matrix T = Q^H a Q, whose mirror block is the
-    conjugate transpose of the new rows', and a ~ Q T Q^H; any other ``a``
+    symmetric ``a`` = a^T has its rows in the span of its columns, so those
+    rows are folded into the w x w Takagi form T = Q^H a conj(Q), whose mirror
+    block is the transpose of the new rows', and a ~ Q T Q^T; any other ``a``
     keeps the w x N matrix B = Q^H a.
     The SVD of T or B gives the triplets. The basis is accepted when it holds
     SKETCH_OVERSAMPLE more vectors than the modes kept and the weight it
@@ -162,14 +163,14 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
     # orthonormalises the new rows in place at every stage of the subspace
     # iteration: a copy held beside the step's products would raise the peak
     basis = np.empty((0, n), kernel.dtype)
-    reduced = np.empty((0, 0 if kernel.hermitian else n), kernel.dtype)
+    reduced = np.empty((0, 0 if kernel.symmetric else n), kernel.dtype)
     # a first block of SKETCH_BLOCK columns could never be accepted: it has
     # no room for SKETCH_OVERSAMPLE columns beyond even one kept mode
     width = min(SKETCH_BLOCK + SKETCH_OVERSAMPLE, n)
     while True:
         done = basis.shape[0]
         basis = _grown(basis, width, n)
-        reduced = _grown(reduced, width, width if kernel.hermitian else n)
+        reduced = _grown(reduced, width, width if kernel.symmetric else n)
         new, work = basis[done:], np.empty((width - done, n), kernel.dtype)
         # the step's N x c float64 Gaussian columns, drawn into the work rows'
         # memory, so a complex kernel draws the same ones as its real copy
@@ -181,11 +182,11 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
         _orthonormal(kernel.swapped.times(new, work).T, 0)
         kernel.times(work, new)
         _orthonormal(basis.T, done)
-        # the new rows of Q^H a: the conjugates of those of a^H Q, in place
-        if kernel.hermitian:
-            np.conjugate(kernel.swapped.times(new, work), out=work)
-            np.matmul(work, basis.T, out=reduced[done:])
-            reduced[:done, done:] = reduced[done:, :done].conj().T
+        # the new rows of B = Q^H a, or of T = B conj(Q), from a^H Q conjugated in place
+        if kernel.symmetric:
+            np.matmul(kernel.swapped.times(new, work), basis.T, out=reduced[done:])
+            np.conjugate(reduced[done:], out=reduced[done:])
+            reduced[:done, done:] = reduced[done:, :done].T
         else:
             np.conjugate(kernel.swapped.times(new, reduced[done:]), out=reduced[done:])
         # the work rows go before the SVD and before the next step widens the basis
@@ -196,7 +197,7 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
         kept = _mode_count(s)
         if width == n or (kept + SKETCH_OVERSAMPLE <= width
                           and residual <= SKETCH_RESIDUAL * s[kept - 1] ** 2):
-            idler = vh[:kept] @ basis.conj() if kernel.hermitian else vh[:kept]
+            idler = vh[:kept] @ basis if kernel.symmetric else vh[:kept]
             # the signal modes (Q U)^T, formed in Q^T's own first rows one
             # column block at a time; no view of Q^T is alive, so the rows
             # beyond the modes are freed in place (a profiler's reference

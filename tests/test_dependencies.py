@@ -155,7 +155,7 @@ def test_only_the_mode_count_reads_the_truncation_rule():
 
 # what the decomposition reads of its kernel: one product, of the kernel and of
 # its swap (the adjoint), and the kernel's plain properties
-SCHMIDT_KERNEL_ATTRIBUTES = {"times", "swapped", "hermitian", "dtype", "norm", "grid_s",
+SCHMIDT_KERNEL_ATTRIBUTES = {"times", "swapped", "symmetric", "dtype", "norm", "grid_s",
                              "warnings"}
 
 

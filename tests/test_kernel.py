@@ -429,7 +429,8 @@ def test_products_write_the_definition_into_out(build):
 def test_a_kernels_swap_is_its_adjoint(name):
     """A kernel's photon exchange is its conjugate transpose F^H on the mirrored
     grid, a kernel itself, formed once; a real kernel's swap holds views of its
-    profiles. Only the chirped kernel differs from its swap."""
+    profiles. Only the chirped kernel differs from its swap, but all three are
+    symmetric, F = F^T: each matching profile is a palindrome."""
     kernel = PRODUCT_KERNELS[name]()
     swap = kernel.swapped
     assert np.array_equal(joint_array(swap), joint_array(kernel).conj().T)
@@ -442,7 +443,7 @@ def test_a_kernels_swap_is_its_adjoint(name):
     if kernel.dtype == np.float64:
         assert np.shares_memory(swap.at_sums, kernel.at_sums)
         assert np.shares_memory(swap.at_differences, kernel.at_differences)
-    assert kernel.hermitian == (name != "chirped")
+    assert kernel.symmetric
 
 
 @pytest.mark.parametrize("product", ["times", "adjoint_times"])

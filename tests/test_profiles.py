@@ -200,13 +200,14 @@ def test_schmidt_decompose_copies_no_joint_array():
 
 
 def test_schmidt_of_a_hermitian_kernel_holds_no_rows_of_its_amplitude():
-    # the kernel is Hermitian, so the range finder keeps the 64 x 64 matrix
-    # Q^H a Q: the basis, one 128-row block and a step's products stay under
-    # 320 amplitude rows. Holding the 64 rows of Q^H a as well, with a growth
-    # copy and the 64 x N factor of their SVD, takes the peak to about 387.
-    # Each block is formed over its support window only and each product is
-    # written into one output, so the peak is about 234 rows; full-width
-    # blocks whose products are stacked at the end take it to about 276
+    # the kernel is symmetric, so the range finder keeps the 64 x 64 matrix
+    # T = Q^H a conj(Q). Beside the 64 rows of Q^T, the last step holds one
+    # 32-row work buffer, one ROW_BLOCK = 32-row block formed over its support
+    # window only and one 16-column block's QR: the peak is about 136 rows.
+    # Holding the 64 rows of B = Q^H a as well, with a growth copy and the
+    # 64 x N factor of its SVD, takes it to about 230, still under both
+    # bounds; the SVD shapes of test_schmidt.py::test_sketch_matches_dense_svd
+    # pin the path
     cfg = load_config(THREE, {"grid.points": MEMORY_POINTS})
     kernel = build_multipeak(cfg.pump, cfg.grid)
     schmidt_decompose(kernel)

@@ -322,17 +322,44 @@ def three_mode_profiles():
 
 
 def shifted_match_kernel():
-    """Real but not Hermitian: three_modes with its matching profile moved one
+    """Real but not symmetric: three_modes with its matching profile moved one
     difference node off its palindrome."""
     grid, pump, match = three_mode_profiles()
     kernel = TpaKernel.from_profiles(grid, pump, np.roll(match, 1))
-    assert not kernel.hermitian
+    assert not kernel.symmetric
     return kernel
 
 
-def near_hermitian_kernel():
+def chirped_shifted_match_kernel():
+    """Complex and not symmetric: the chirped kernel with its matching profile
+    moved one difference node off its palindrome."""
+    chirped = chirped_kernel()
+    kernel = TpaKernel.from_profiles(chirped.grid_s, chirped.at_sums,
+                                     np.roll(chirped.at_differences, 1))
+    assert kernel.dtype == np.complex128 and not kernel.symmetric
+    return kernel
+
+
+# one phase per three_modes pump peak, in mode_offsets order
+PEAK_PHASES = (1.0, 1j, -1.0)
+
+
+def phased_kernel(points=512):
+    """three_modes with peak phases (1, i, -1): P is complex and M a real
+    palindromic Gaussian, so the kernel is symmetric but not Hermitian."""
+    cfg = shipped_config("three_modes", {"grid.points": points})
+    params = cfg.pump
+    sums, differences = sum_difference_nodes(cfg.grid)
+    pump = sum(phase * a * np.exp(-(sums - c) ** 2 / (2.0 * params.widths.sigma_pump ** 2))
+               for phase, a, c in zip(PEAK_PHASES, params.amplitudes, params.pump_centers()))
+    kernel = TpaKernel.from_profiles(cfg.grid, pump, params.matching_factor(differences))
+    assert kernel.dtype == np.complex128 and kernel.symmetric
+    return kernel
+
+
+def near_symmetric_kernel():
     """three_modes with a 1e-13 relative asymmetry added to its matching
-    profile, inside HERMITIAN_RTOL: the Hermitian path takes it."""
+    profile, inside SYMMETRIC_RTOL: the w x w path takes it."""
     grid, pump, match = three_mode_profiles()
     ramp = np.linspace(-1.0, 1.0, match.size)
     kernel = TpaKernel.from_profiles(grid, pump, match + 5e-14 * np.abs(match).max() * ramp)
@@ -366,29 +393,31 @@ GAUSSIAN_MATCHED = {
 
 @pytest.mark.parametrize("config", list(GAUSSIAN_MATCHED.values()), ids=list(GAUSSIAN_MATCHED))
 def test_every_gaussian_matched_kernel_takes_the_hermitian_path(config):
-    # a real comb pump and a Gaussian matching profile, on either branch, off
-    # any grid or offset: the w x w Rayleigh-Ritz path is the one commands take
+    # a comb pump and a Gaussian matching profile, on either branch, off any
+    # grid or offset: the w x w Rayleigh-Ritz path is the one commands take
     cfg = config()
-    assert build_multipeak(cfg.pump, cfg.grid).hermitian
+    assert build_multipeak(cfg.pump, cfg.grid).symmetric
 
 
-@pytest.mark.parametrize("build, hermitian", [
+@pytest.mark.parametrize("build, symmetric", [
     (lambda: shipped_kernel("single_mode"), True),
     (lambda: shipped_kernel("three_modes"), True),
     (lambda: shipped_kernel("crosstalk"), True),
     (lambda: shipped_kernel("hologram"), True),
-    (chirped_kernel, False),
+    (chirped_kernel, True),
     (shifted_match_kernel, False),
-    (near_hermitian_kernel, True),
+    (near_symmetric_kernel, True),
+    (chirped_shifted_match_kernel, False),
+    (phased_kernel, True),
 ], ids=["single_mode", "three_modes", "crosstalk", "hologram", "chirped", "shifted-match",
-        "near-hermitian"])
-def test_sketch_matches_dense_svd(build, hermitian, monkeypatch, svd_shapes):
+        "near-hermitian", "chirped-shifted-match", "three_modes-phased"])
+def test_sketch_matches_dense_svd(build, symmetric, monkeypatch, svd_shapes):
     kernel = build()
     n = kernel.grid_s.n_points
     dec = schmidt_decompose(kernel)
     # only blocks at most half the kernel's size were decomposed: the w x w
-    # Q^H a Q of a Hermitian kernel, the w x N Q^H a of any other
-    assert svd_shapes and all(w <= n / 2 and columns == (w if hermitian else n)
+    # Q^H a conj(Q) of a symmetric kernel, the w x N Q^H a of any other
+    assert svd_shapes and all(w <= n / 2 and columns == (w if symmetric else n)
                               for w, columns in svd_shapes)
     ref = dense_decompose(kernel, monkeypatch)
     assert dec.n_modes == ref.n_modes
@@ -435,7 +464,7 @@ def test_high_rank_kernel_grows_its_basis_to_full_width(n, monkeypatch, svd_shap
 
 
 def rank_one_kernel(n):
-    """exp(-(ks^2 + ki^2)) from its profiles on an n-point grid: Hermitian and
+    """exp(-(ks^2 + ki^2)) from its profiles on an n-point grid: symmetric and
     of rank one, built however coarse the grid."""
     grid = WavevectorGrid.centered(0.0, 3.0, n)
     sums, differences = sum_difference_nodes(grid)
@@ -510,19 +539,24 @@ def fine_grid_kernel():
 @pytest.mark.parametrize("build, modes, bound", [
     (fine_grid_kernel, 21, 2.15),
     (lambda: many_mode_kernel(1024), 64, 2.25),
-], ids=["three_modes-2048", "many-modes-1024"])
+    (lambda: phased_kernel(1024), 21, 2.6),
+], ids=["three_modes-2048", "many-modes-1024", "three_modes-phased-1024"])
 def test_decomposition_holds_its_basis_one_work_buffer_and_one_block(build, modes, bound,
                                                                      svd_shapes):
     """Beside Q^T, a step holds one N x c work buffer (c <= w / 2), one row
     block of ROW_BLOCK rows and one 16-column block's QR, and the signal modes
-    are formed in Q^T's own rows: about 8 N (w + c + ROW_BLOCK) bytes and a QR.
+    are formed in Q^T's own rows: about N (w + c + ROW_BLOCK) values and a QR.
     No product holds a per-block temporary: an adjoint product that adds a
     c x (j1 - j0) product per block reads 2.27 final bases on the 2048-point
     kernel. A product allocated beside the Gaussian draw and Q^T, and a
-    transposed copy of the modes, would read 3.4 and 2.54 on these kernels."""
+    transposed copy of the modes, would read 3.4 and 2.54 on the real kernels.
+    Each kernel is symmetric, the complex one of a phased pump included, so it
+    keeps the w x w matrix T; holding the w x N B = Q^H a instead, with its
+    growth copy and the N x w factor of its SVD, reads 3.8 on that kernel."""
     kernel = build()
     dec, peak = traced_peak(lambda: schmidt_decompose(kernel))
     width = svd_shapes[-1][0]
+    assert all(w == columns for w, columns in svd_shapes)
     assert dec.n_modes == modes
     assert peak <= bound * kernel.dtype.itemsize * kernel.grid_s.n_points * width
 
@@ -716,21 +750,23 @@ def test_window_leak_of_a_mode_split_between_two_windows():
     assert schmidt.largest_window_leak(one, [-1.0, 1.0], 2.0) <= 1e-15
 
 
-@pytest.mark.parametrize("name, overrides", [
-    ("single_mode", {}), ("three_modes", {}), ("crosstalk", {}), ("hologram", {}),
-    ("three_modes", {"grid.points": 2048}),
-    ("three_modes", {"grid.points": 841, "grid.both_branches": True}),
-    ("single_mode", {"grid.points": 614, "grid.both_branches": True}),
+@pytest.mark.parametrize("build", [
+    lambda: shipped_kernel("single_mode"), lambda: shipped_kernel("three_modes"),
+    lambda: shipped_kernel("crosstalk"), lambda: shipped_kernel("hologram"),
+    lambda: shipped_kernel("three_modes", {"grid.points": 2048}),
+    lambda: shipped_kernel("three_modes", {"grid.points": 841, "grid.both_branches": True}),
+    lambda: shipped_kernel("single_mode", {"grid.points": 614, "grid.both_branches": True}),
+    phased_kernel,
 ], ids=["single_mode", "three_modes", "crosstalk", "hologram", "three_modes-2048",
-        "three_modes-841-both", "single_mode-614-both"])
-def test_idler_modes_are_the_signal_modes_under_exchange(name, overrides):
+        "three_modes-841-both", "single_mode-614-both", "three_modes-phased"])
+def test_idler_modes_are_the_signal_modes_under_exchange(build):
     """On the mirrored grid, Gaussian matching makes F[i, j] = F[j, i]: the
     sum i + j and the difference offset + (i - j) * h read the same either
-    way round. So each idler mode is +-its signal mode node for node, and a
-    degenerate cluster spans the same subspace on both photons. An oracle
-    only: a sinc matching profile breaks the symmetry."""
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"), overrides)
-    kernel = build_multipeak(cfg.pump, cfg.grid)
+    way round, whatever the pump's phases. So each idler mode is a unit phase
+    times its signal mode node for node, and a degenerate cluster spans the
+    same subspace on both photons. Only a :attr:`TpaKernel.symmetric` kernel
+    has this: a one-sided sinc matching profile breaks it."""
+    kernel = build()
     f = kernel.amplitude
     assert np.max(np.abs(f - f.T)) <= 1e-12 * np.max(np.abs(f))
 
@@ -741,10 +777,12 @@ def test_idler_modes_are_the_signal_modes_under_exchange(name, overrides):
         if end < c.size and c[start] - c[end] <= schmidt.DEGENERATE_RTOL * c[start]:
             continue
         if end - start == 1:
-            sign = np.sign(np.dot(u[start], v[start]))
-            assert np.max(np.abs(v[start] - sign * u[start])) <= 1e-10 * np.max(np.abs(u[start]))
+            overlap = np.vdot(u[start], v[start])
+            phase = overlap / abs(overlap)
+            assert np.max(np.abs(v[start] - phase * u[start])) <= 1e-10 * np.max(np.abs(u[start]))
         else:
             # projectors onto the cluster, from unit vectors sqrt(h) * mode
-            proj_u, proj_v = (m[start:end].T @ m[start:end] * cfg.grid.spacing for m in (u, v))
+            proj_u, proj_v = (m[start:end].T @ m[start:end].conj() * kernel.grid_s.spacing
+                              for m in (u, v))
             assert np.max(np.abs(proj_u - proj_v)) <= 1e-10
         start = end
