@@ -3,9 +3,11 @@
 Each writer writes the path it is given. The command line hands every
 writer a path in a stage directory and moves a run's files into place only
 once all of them are written, so a failed run leaves none of them behind.
-Floats are printed with 17 significant digits (lossless for float64).
-Tables are formatted and written at most CHUNK_VALUES values at a time
-(kernel.csv at least one whole kernel row), so an export never holds the
+Floats are printed with 17 significant digits (lossless for float64). A
+real column is written as itself and a complex one as its <name>_re,
+<name>_im pair, by its dtype. Every table goes through one chunk loop,
+which formats and writes at most CHUNK_VALUES values at a time (at least
+one row, and kernel.csv whole kernel rows), so an export never holds the
 whole file's text in memory, however wide or long.
 
 A block of a table is formatted by numpy, not value by value, with the
@@ -16,7 +18,7 @@ roundings of 2^-64, under 0.011, so unless y lies within TIE_MARGIN (0.022)
 of a half its rounding is the correctly rounded digit string. Those values
 (about 4% of random ones; exact ties, which % rounds half to even, among
 them), the few at or near a power of ten, whose e may be off by one, and
-inf and nan are formatted with FLOAT_FMT % in one call per _PIECE values.
+inf and nan are formatted with FLOAT_FMT % in one call per chunk.
 Where long double is float64 the margin exceeds a half, and every value
 takes that path.
 """
@@ -25,33 +27,31 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 import yaml
 
 FLOAT_FMT = "%.16e"
-# values per formatted chunk: 4096 rows of a three-column table such as kernel.csv
-CHUNK_VALUES = 3 * 4096
+# values formatted per chunk: the formatter's work arrays take about 45 B a value
+CHUNK_VALUES = 4096
 
 # One value's FLOAT_FMT text in a table buffer: at most 24 bytes
 # (-1.7976931348623157e+308) in a fixed layout, NUL where the text has no
 # byte (a plus sign, the hundreds of a two-digit exponent, the tail of
-# "nan"), then its separator. "text" overlays the layout for the % path.
+# "nan"), then its separator. "text" overlays the layout: the % path
+# writes it, and kernel.csv copies its grid columns' text through it.
 _FIELD = np.dtype({"names": ["text", "sign", "lead", "point", "d0", "d1", "d2", "d3", "e",
                              "exponent", "sep"],
                    "formats": ["S24", "u1", "u1", "u1", "<u4", "<u4", "<u4", "<u4", "u1", "<u4",
                                "u1"],
                    "offsets": [0, 0, 1, 2, 3, 7, 11, 15, 19, 20, 24], "itemsize": 25})
-_RAW = np.dtype((np.void, _FIELD.itemsize))
 # y = |x| 10^(16 - e) carries two roundings of the long double's unit
 # roundoff (in 10^p and in the product), so it is within 1e17 * eps of the
 # exact value; twice that from a half (room for a power of ten off by a
 # whole unit), its rounding is the correctly rounded 17-digit integer. A
 # float64 long double makes it 44: every value then takes the % path.
 TIE_MARGIN = 2e17 * float(np.finfo(np.longdouble).eps)
-# values formatted at a time: the formatter's work arrays take about 45 B a value
-_PIECE = 4096
 _E_MIN, _E_MAX = -324, 308  # floor(log10 |x|) over the nonzero doubles
 # y + 1/2 for the 17-digit D strictly between 10^16 and 10^17
 _D_MIN, _D_END = np.longdouble(10 ** 16 + 1), np.longdouble(10 ** 17)
@@ -91,55 +91,52 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _format_into(values: np.ndarray, fields: np.ndarray) -> None:
     """Write the FLOAT_FMT text of each float64 in ``values`` into the
-    _FIELD record of the same index in ``fields``, about _PIECE values at a
-    time (whole leading-axis slices); separators are left as they are.
+    _FIELD record of the same index in ``fields``; separators are left as
+    they are.
 
     The 17 digits are D = floor(y + 1/2), y = |x| 10^(16 - e) in long
     double, for the exponent guess e = floor(log10 |x|); a zero is D = 0,
     e = 0. A value whose y is within TIE_MARGIN of a half (a tie, which %
     rounds to even), whose D is not strictly between 10^16 and 10^17 (e
     guessed off by one, or too close to a power of ten to tell), or that is
-    inf or nan is formatted with FLOAT_FMT % instead, all of a piece's in
-    one call.
+    inf or nan is formatted with FLOAT_FMT % instead, all of them in one
+    call.
     """
-    step = max(1, _PIECE // values[0].size)
-    for start in range(0, len(values), step):
-        piece, out = values[start:start + step], fields[start:start + step]
-        a = np.abs(piece)
-        live = np.isfinite(a) & (a != 0.0)
-        e = np.where(live, a, 1.0)
-        del live
-        e = np.floor(np.log10(e, out=e), out=e).astype(np.intp)
-        out["exponent"] = _EXPONENTS[e - _E_MIN]
-        y = _POW10[_E_MAX - e]
-        del e
-        with np.errstate(invalid="ignore"):  # nan, and inf cast to an integer
-            y *= a
-            del a
-            y += 0.5
-            exact = ((y >= _D_MIN) & (y < _D_END)) | (piece == 0.0)
-            digits = y.astype(np.uint64)
-            y -= digits  # the fraction y + 1/2 - D
-            exact &= (y >= TIE_MARGIN) & (y <= 1.0 - TIE_MARGIN)
-        del y
-        out["sign"] = np.where(np.signbit(piece), np.uint8(ord("-")), np.uint8(0))
-        out["point"] = ord(".")
-        out["e"] = ord("e")
-        high = digits // 10 ** 8
-        digits -= high * 10 ** 8
-        lead = high // 10 ** 8
-        out["lead"] = lead + ord("0")
-        high -= lead * 10 ** 8
-        del lead
-        for first, second, eight in (("d0", "d1", high), ("d2", "d3", digits)):
-            four = eight // 10 ** 4
-            out[first] = _DIGITS[four]
-            eight -= four * 10 ** 4
-            out[second] = _DIGITS[eight]
-        rest = np.nonzero(~exact)
-        if rest[0].size:
-            text = (FLOAT_FMT + ",") * rest[0].size % tuple(piece[rest].tolist())
-            out["text"][rest] = text.encode("ascii").split(b",")[:-1]
+    a = np.abs(values)
+    live = np.isfinite(a) & (a != 0.0)
+    e = np.where(live, a, 1.0)
+    del live
+    e = np.floor(np.log10(e, out=e), out=e).astype(np.intp)
+    fields["exponent"] = _EXPONENTS[e - _E_MIN]
+    y = _POW10[_E_MAX - e]
+    del e
+    with np.errstate(invalid="ignore"):  # nan, and inf cast to an integer
+        y *= a
+        del a
+        y += 0.5
+        exact = ((y >= _D_MIN) & (y < _D_END)) | (values == 0.0)
+        digits = y.astype(np.uint64)
+        y -= digits  # the fraction y + 1/2 - D
+        exact &= (y >= TIE_MARGIN) & (y <= 1.0 - TIE_MARGIN)
+    del y
+    fields["sign"] = np.where(np.signbit(values), np.uint8(ord("-")), np.uint8(0))
+    fields["point"] = ord(".")
+    fields["e"] = ord("e")
+    high = digits // 10 ** 8
+    digits -= high * 10 ** 8
+    lead = high // 10 ** 8
+    fields["lead"] = lead + ord("0")
+    high -= lead * 10 ** 8
+    del lead
+    for first, second, eight in (("d0", "d1", high), ("d2", "d3", digits)):
+        four = eight // 10 ** 4
+        fields[first] = _DIGITS[four]
+        eight -= four * 10 ** 4
+        fields[second] = _DIGITS[eight]
+    rest = np.nonzero(~exact)
+    if rest[0].size:
+        text = (FLOAT_FMT + ",") * rest[0].size % tuple(values[rest].tolist())
+        fields["text"][rest] = text.encode("ascii").split(b",")[:-1]
 
 
 def _buffer(shape: Tuple[int, ...]) -> Tuple[bytearray, np.ndarray]:
@@ -148,24 +145,45 @@ def _buffer(shape: Tuple[int, ...]) -> Tuple[bytearray, np.ndarray]:
     return buffer, np.frombuffer(buffer, _FIELD).reshape(shape)
 
 
+def _parts(name: str, values: np.ndarray) -> List[Tuple[str, np.ndarray]]:
+    """The (header name, real values) columns of ``values``: itself if its
+    dtype is real, its <name>_re and <name>_im parts if complex."""
+    if np.iscomplexobj(values):
+        return [(f"{name}_re", values.real), (f"{name}_im", values.imag)]
+    return [(name, values)]
+
+
+def _chunks(header: Sequence[str], shape: Tuple[int, ...], per_row: int,
+            fill: Callable[[np.ndarray, int], None]) -> Iterator[bytes]:
+    """The header line, then a table of ``shape`` _FIELD records (rows
+    first, columns last) in blocks of CHUNK_VALUES // per_row rows, at least
+    one, for ``per_row`` values formatted a row. ``fill(fields, start)``
+    fills a block's records, separators set, from row ``start`` on; its NUL
+    bytes are dropped, and the rows a ragged last block leaves are all NUL."""
+    yield (",".join(header) + "\n").encode("utf-8")
+    rows = max(1, min(shape[0], CHUNK_VALUES // per_row))
+    buffer, fields = _buffer((rows,) + tuple(shape[1:]))
+    fields["sep"] = ord(",")
+    fields["sep"][..., -1] = ord("\n")
+    for start in range(0, shape[0], rows):
+        count = min(rows, shape[0] - start)
+        fields[count:].view(np.uint8)[...] = 0
+        fill(fields[:count], start)
+        yield buffer.translate(None, b"\0")
+
+
 def _table_chunks(header: Sequence[str],
                   columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """The CSV bytes np.savetxt(fmt=FLOAT_FMT, delimiter=",") would write,
-    in blocks of at most CHUNK_VALUES values (at least one row). Every
-    block is formatted into one buffer of rows x columns records, whose
-    NUL bytes are dropped; the rows a ragged last block leaves are all NUL."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    yield (",".join(header) + "\n").encode("utf-8")
-    size = cols[0].size
-    rows = max(1, min(size, CHUNK_VALUES // len(cols)))
-    buffer, fields = _buffer((rows, len(cols)))
-    fields["sep"] = ord(",")
-    fields["sep"][:, -1] = ord("\n")
-    for start in range(0, size, rows):
-        count = min(rows, size - start)
-        fields[count:].view(np.uint8)[...] = 0
-        _format_into(np.array([c[start:start + count] for c in cols]), fields[:count].T)
-        yield buffer.translate(None, b"\0")
+    """The CSV bytes np.savetxt(fmt=FLOAT_FMT, delimiter=",") would write
+    for the real columns the _parts of ``columns`` give."""
+    parts = [part for name, column in zip(header, columns, strict=True)
+             for part in _parts(name, column)]
+    cols = [np.asarray(column, dtype=float) for _, column in parts]
+
+    def fill(fields: np.ndarray, start: int) -> None:
+        _format_into(np.array([c[start:start + len(fields)] for c in cols]), fields.T)
+
+    return _chunks([name for name, _ in parts], (cols[0].size, len(cols)), len(cols), fill)
 
 
 def write_table_csv(path: str, header: Sequence[str],
@@ -178,41 +196,28 @@ def write_table_csv(path: str, header: Sequence[str],
 def write_kernel_csv(path: str, kernel) -> None:
     """Flattened joint amplitude, one (ks, ki) sample per row, plus a sidecar.
 
-    The table format holds real amplitudes only (every shipped model is
-    real); a kernel with a complex profile is refused, before any byte is
-    written, rather than silently truncated. A chunk holds whole kernel
-    rows, so past N = 4096 one row exceeds CHUNK_VALUES. The sidecar
-    carries the grids and warnings as YAML next to the table, named with a
-    .meta.yaml suffix.
+    The columns are ks, ki and the amplitude, which _parts writes as
+    amplitude_re, amplitude_im for a kernel with a complex profile. A chunk
+    holds CHUNK_VALUES // N whole kernel rows, // 2N if complex (at least
+    one); the ks and ki text is formatted once and copied into each. The
+    sidecar carries the grids and warnings as YAML next to the table, named
+    with a .meta.yaml suffix.
     """
-    if np.issubdtype(kernel.dtype, np.complexfloating):
-        raise ValueError("kernel amplitude is not real-valued; this table format cannot hold it")
     n = kernel.grid_s.n_points
-    rows = min(n, max(1, CHUNK_VALUES // (3 * n)))
-    # one buffer of (kernel row, column, ks/ki/amplitude) records; the grid
-    # columns are formatted once: ki into every kernel row of the buffer, ks
-    # into records of its own, copied in per chunk
-    buffer, fields = _buffer((rows, n, 3))
-    fields["sep"] = ord(",")
-    fields["sep"][..., 2] = ord("\n")
-    _format_into(kernel.grid_i.points(), fields[0, :, 1])
-    ks = np.zeros(n, _FIELD)
-    ks["sep"] = ord(",")
-    _format_into(kernel.grid_s.points(), ks)
-    # whole records are copied as raw bytes, not field by field
-    raw, ks = fields.view(_RAW), ks.view(_RAW)
-    raw[1:, :, 1] = raw[0, :, 1]
+    names = [name for name, _ in _parts("amplitude", np.empty(0, kernel.dtype))]
+    grids = np.zeros((2, n), _FIELD)
+    _format_into(np.array([kernel.grid_s.points(), kernel.grid_i.points()]), grids)
+    ks, ki = grids["text"]
 
-    def chunks() -> Iterator[bytes]:
-        yield b"ks,ki,amplitude\n"
-        for start in range(0, n, rows):
-            count = min(rows, n - start)
-            fields[count:].view(np.uint8)[...] = 0
-            raw[:count, :, 0] = ks[start:start + count, None]
-            _format_into(kernel.rows(start, start + count), fields[:count, :, 2])
-            yield buffer.translate(None, b"\0")
+    def fill(fields: np.ndarray, start: int) -> None:
+        fields["text"][:, :, 0] = ks[start:start + len(fields), None]
+        fields["text"][:, :, 1] = ki
+        block = kernel.rows(start, start + len(fields))
+        for column, (_, values) in enumerate(_parts("amplitude", block), 2):
+            _format_into(values, fields[:, :, column])
 
-    atomic_write_bytes(path, chunks())
+    atomic_write_bytes(path, _chunks(["ks", "ki"] + names, (n, n, 2 + len(names)),
+                                     n * len(names), fill))
     meta = {
         "signal_grid": {"k_min": float(kernel.grid_s.k_min),
                         "k_max": float(kernel.grid_s.k_max),
@@ -239,13 +244,9 @@ def write_coefficients_csv(path: str, decomposition) -> None:
 
 
 def write_modes_csv(path: str, k_points: np.ndarray, modes: np.ndarray) -> None:
-    """Mode functions as columns; complex values split into re/im pairs."""
-    header = ["k_um_inv"]
-    columns = [k_points]
-    for m in range(modes.shape[0]):
-        header += [f"mode{m:02d}_re", f"mode{m:02d}_im"]
-        columns += [modes[m].real, np.imag(modes[m])]
-    write_table_csv(path, header, columns)
+    """Mode functions as columns mode00, mode01, ... (re/im pairs if complex)."""
+    write_table_csv(path, ["k_um_inv"] + [f"mode{m:02d}" for m in range(len(modes))],
+                    [k_points, *modes])
 
 
 def write_crosstalk_csv(path: str, matrix) -> None:
@@ -257,6 +258,4 @@ def write_crosstalk_csv(path: str, matrix) -> None:
 
 
 def write_field_csv(path: str, profile) -> None:
-    write_table_csv(path, ["x_um", "field_re", "field_im"],
-                    [profile.coordinates_um,
-                     profile.amplitude.real, np.imag(profile.amplitude)])
+    write_table_csv(path, ["x_um", "field"], [profile.coordinates_um, profile.amplitude])

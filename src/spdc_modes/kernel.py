@@ -364,11 +364,9 @@ class MultiPeakParams:
 
 
 def _gaussians(x: np.ndarray, terms, sigma: float) -> np.ndarray:
-    """sum of a exp(-(x - c)^2 / (2 sigma^2)) over the (a, c) pairs of ``terms``."""
-    total = np.zeros_like(x)
-    for a, c in terms:
-        total += a * np.exp(-((x - c) ** 2) / (2.0 * sigma ** 2))
-    return total
+    """sum of a exp(-(x - c)^2 / (2 sigma^2)) over the (a, c) pairs of ``terms``,
+    complex if an amplitude a is."""
+    return sum(a * np.exp(-((x - c) ** 2) / (2.0 * sigma ** 2)) for a, c in terms)
 
 
 def default_grid(params: MultiPeakParams, n_points: int, span_sigmas: float) -> WavevectorGrid:

@@ -2,7 +2,8 @@
 package, each module uses every name it imports, only kernel.py reads the
 layout of a kernel's profiles or builds a kernel or intensity from them,
 only schmidt._mode_count reads the rule that decides which Schmidt modes are
-kept, and the decomposition reads its kernel through one product."""
+kept, the decomposition reads its kernel through one product, and every
+exported table goes through one chunk loop and one re/im rule."""
 
 import ast
 import os
@@ -167,3 +168,18 @@ def test_the_decomposition_reads_its_kernel_through_one_product():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id == "kernel"}
     assert "times" in attributes and attributes <= SCHMIDT_KERNEL_ATTRIBUTES
+
+
+# the names of exports.py that only one function may read: the chunk buffer,
+# which only the chunk loop allocates, and the parts and tests of a complex
+# value, which only the re/im rule takes
+EXPORT_READERS = {"_buffer": "_chunks", "real": "_parts", "imag": "_parts",
+                  "iscomplexobj": "_parts"}
+
+
+def test_every_table_goes_through_one_chunk_loop_and_one_complex_rule():
+    # a writer with its own buffer would be a second chunk loop, and one that
+    # splits or refuses a complex value by hand a second rule for its columns
+    tree = dict(module_trees())["exports.py"]
+    readers = reads(tree, set(EXPORT_READERS))
+    assert readers == {(scope, name) for name, scope in EXPORT_READERS.items()}

@@ -2,23 +2,31 @@
 
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from spdc_modes import cli, exports
 from spdc_modes.cli import main
-from spdc_modes.exports import CHUNK_VALUES, FLOAT_FMT, write_kernel_csv, write_table_csv
-from spdc_modes.kernel import TpaKernel
+from spdc_modes.config import load_config
+from spdc_modes.exports import (CHUNK_VALUES, FLOAT_FMT, write_kernel_csv, write_modes_csv,
+                                write_table_csv)
+from spdc_modes.kernel import TpaKernel, build_multipeak
 from spdc_modes.optics import WavevectorGrid
+from spdc_modes.schmidt import schmidt_decompose
 
+from oracles import read_csv
+from test_schmidt import phased_kernel
 from traced import traced_peak
 
-# rows per chunk of a three-column table, such as kernel.csv
-ROWS_PER_CHUNK = CHUNK_VALUES // 3
-# and of a 129-column one, such as a 64-mode table with its re/im pairs
+# rows per chunk of a one-column table; a three-column one, such as
+# kernel.csv, holds a third of them, so 4095 rows are three whole chunks
+ROWS_PER_CHUNK = CHUNK_VALUES
+# and of a 129-column one, such as a table of 64 complex modes with their re/im pairs
 WIDE_ROWS = CHUNK_VALUES // 129
 SINGLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "single_mode.yaml")
+THREE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "three_modes.yaml")
 SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7e308, -1.7e308,
            1.0, -1.0 / 3.0, 2.0 ** -1074 * 3, 6.02214076e23, 1e-300]
 
@@ -52,7 +60,10 @@ def test_table_bytes_match_savetxt(tmp_path, rows, n_cols):
     assert path.read_bytes() == savetxt_bytes(header, columns)
 
 
-@pytest.mark.parametrize("rows", [1, WIDE_ROWS - 1, WIDE_ROWS, WIDE_ROWS + 1, 2 * WIDE_ROWS + 7])
+# one row, either side of one chunk's end, and ragged last chunks of 7, 1 to 3 and 11 rows
+@pytest.mark.parametrize("rows", [1, WIDE_ROWS - 1, WIDE_ROWS, WIDE_ROWS + 1, 2 * WIDE_ROWS + 7,
+                                  3 * WIDE_ROWS + 1, 3 * WIDE_ROWS + 2, 3 * WIDE_ROWS + 3,
+                                  6 * WIDE_ROWS + 11])
 def test_wide_table_bytes_match_savetxt_across_chunks(tmp_path, rows):
     header, columns = table(rows, 129, seed=rows)
     path = tmp_path / "t.csv"
@@ -70,13 +81,15 @@ def test_a_wide_table_is_formatted_in_chunks_of_bounded_size():
     assert [chunk.count(b"\n") for chunk in exports._table_chunks(header, columns)] == [1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("rows", [0, 1, WIDE_ROWS + 1, 2 * WIDE_ROWS + 7])
+@pytest.mark.parametrize("rows", [0, 1, WIDE_ROWS + 1, 2 * WIDE_ROWS + 7, 3 * WIDE_ROWS + 3,
+                                  6 * WIDE_ROWS + 11])
 def test_zero_columns_formatted_once_match_savetxt(tmp_path, rows):
-    """Columns of +0.0 (the _im columns of 64 real modes), of -0.0, of
-    zeros with one -0.0 or one non-zero value, and tables of zeros only
-    match savetxt; each zero's field is 0 x 10^0 with np.signbit's sign."""
+    """Columns of +0.0 (the _im columns of 64 complex modes with no
+    imaginary part), of -0.0, of zeros with one -0.0 or one non-zero value,
+    and tables of zeros only match savetxt; each zero's field is 0 x 10^0
+    with np.signbit's sign."""
     header, columns = table(rows, 129, seed=rows + 11)
-    for j in range(2, 129, 2):  # the _im columns of 64 real modes
+    for j in range(2, 129, 2):  # the _im columns of 64 modes with no imaginary part
         columns[j] = np.zeros(rows)
     columns[3] = np.full(rows, -0.0)
     columns[5] = np.zeros(rows)
@@ -156,9 +169,29 @@ def test_the_long_double_formats_all_but_the_values_near_a_tie(monkeypatch):
     assert 0.0 < data.count(b"E") / CHUNK_VALUES < 0.06
 
 
+def test_a_complex_column_is_written_as_its_re_im_pair(tmp_path):
+    # by its dtype, with no ComplexWarning: a cast to float would write the
+    # real part alone
+    header, columns = table(ROWS_PER_CHUNK + 1, 3, seed=12)
+    z = np.empty(ROWS_PER_CHUNK + 1, complex)
+    z.real, z.imag = columns[1], columns[2]
+    z[0] = 1 + 2j
+    path = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_table_csv(str(path), ["x", "z"], [columns[0], z])
+    data = path.read_bytes()
+    assert data == savetxt_bytes(["x", "z_re", "z_im"], [columns[0], z.real, z.imag])
+    assert b",1.0000000000000000e+00,2.0000000000000000e+00\n" in data
+
+
 def test_ragged_columns_are_refused_and_leave_no_file(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         write_table_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.zeros(3), np.zeros(4)])
+    # a header that names more or fewer columns than it is given
+    for header in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="zip"):
+            write_table_csv(str(tmp_path / "t.csv"), header, [np.zeros(3), np.zeros(3)])
     assert os.listdir(tmp_path) == []
 
 
@@ -186,19 +219,18 @@ def imag_share(kernel) -> float:
 
 def kernel_csv_oracle(kernel) -> bytes:
     """kernel.csv as the whole-table writer formed it: the meshgrid ks and
-    ki columns beside the whole amplitude's real part."""
+    ki columns beside the whole amplitude, or its real and imaginary parts."""
     ks, ki = np.meshgrid(kernel.grid_s.points(), kernel.grid_i.points(), indexing="ij")
-    return savetxt_bytes(["ks", "ki", "amplitude"],
-                         [ks.ravel(), ki.ravel(), kernel.amplitude.real.ravel()])
+    amp = kernel.amplitude.ravel()
+    if np.iscomplexobj(amp):
+        return savetxt_bytes(["ks", "ki", "amplitude_re", "amplitude_im"],
+                             [ks.ravel(), ki.ravel(), amp.real, amp.imag])
+    return savetxt_bytes(["ks", "ki", "amplitude"], [ks.ravel(), ki.ravel(), amp])
 
 
-# 37 rows fit one chunk; 513 rows make chunks of 7 and a ragged last one of 2
-@pytest.mark.parametrize("n", [37, 513], ids=["real-37", "real-513"])
-def test_kernel_csv_bytes_match_savetxt_of_the_whole_table(tmp_path, monkeypatch, n):
-    kernel = profile_kernel(n, None)
-    assert kernel.amplitude.dtype == np.float64
+def write_counting_chunks(monkeypatch, path, kernel):
+    """Write ``kernel``'s kernel.csv at ``path``; the line count of each chunk."""
     lines = []
-
     write = exports.atomic_write_bytes
 
     def counting(path, data):
@@ -210,50 +242,98 @@ def test_kernel_csv_bytes_match_savetxt_of_the_whole_table(tmp_path, monkeypatch
         write(path, data if isinstance(data, bytes) else chunks())
 
     monkeypatch.setattr(exports, "atomic_write_bytes", counting)
-    path = tmp_path / "kernel.csv"
     write_kernel_csv(str(path), kernel)
+    return lines
+
+
+def chunk_lines(n: int, rows: int):
+    """The header, then ``rows`` kernel rows of ``n`` lines a chunk and the ragged rest."""
+    full, rest = divmod(n, rows)
+    return [1] + [rows * n] * full + ([rest * n] if rest else [])
+
+
+# 37 rows fit one chunk; 513 rows make chunks of 7 and a ragged last one of 2
+@pytest.mark.parametrize("n", [37, 513], ids=["real-37", "real-513"])
+def test_kernel_csv_bytes_match_savetxt_of_the_whole_table(tmp_path, monkeypatch, n):
+    kernel = profile_kernel(n, None)
+    assert kernel.amplitude.dtype == np.float64
+    path = tmp_path / "kernel.csv"
+    lines = write_counting_chunks(monkeypatch, path, kernel)
     data = path.read_bytes()
     assert data == kernel_csv_oracle(kernel)
     assert b"\n-0.0000000000000000e+00," not in data  # ks and ki hold no -0.0 ...
     assert b",-0.0000000000000000e+00\n" in data     # ... but the amplitude does
-    rows = max(1, CHUNK_VALUES // (3 * n))
-    full, rest = divmod(n, rows)
-    assert lines == [1] + [rows * n] * full + ([rest * n] if rest else [])
+    assert lines == chunk_lines(n, max(1, CHUNK_VALUES // n))
     assert (tmp_path / "kernel.meta.yaml").is_file()
 
 
-def test_a_kernel_with_imaginary_content_is_refused_and_leaves_no_file(tmp_path):
-    # the imaginary part sits on the last row, in the ragged last block
-    kernel = profile_kernel(513, 1e-8)
-    assert imag_share(kernel) > 1e-9
-    assert np.array_equal(np.nonzero(kernel.amplitude.imag), ([512], [512]))
-    with pytest.raises(ValueError, match="^kernel amplitude is not real-valued; "
-                                         "this table format cannot hold it$"):
-        write_kernel_csv(str(tmp_path / "kernel.csv"), kernel)
-    assert os.listdir(tmp_path) == []
-
-
-# a complex profile is refused by its dtype, whatever its imaginary share:
-# 0.0 (a complex-promoted real kernel) and 1e-10, on the last row, included
-@pytest.mark.parametrize("n", [37, 513])
+# a complex profile is written as its re/im pair by its dtype, whatever its
+# imaginary share: 0.0 (a complex-promoted real kernel, whose amplitude_im
+# holds only zeros) and 1e-10, on the last row, included. A chunk formats
+# CHUNK_VALUES // (2 n) kernel rows of two parts each: 37 rows fit one, and
+# 514 make chunks of 3 and a ragged last one of 1, the row with the imaginary part
+@pytest.mark.parametrize("n", [37, 514])
 @pytest.mark.parametrize("imag", [0.0, 1e-10], ids=["complex-promoted", "tiny-imag"])
-def test_a_complex_kernel_is_refused_whatever_its_imaginary_share(tmp_path, n, imag):
+def test_a_complex_kernel_csv_is_its_re_im_pair_whatever_its_imaginary_share(
+        tmp_path, monkeypatch, n, imag):
     kernel = profile_kernel(n, imag)
     assert kernel.amplitude.dtype == np.complex128
     assert imag_share(kernel) == pytest.approx(imag, rel=1e-9, abs=0.0)
-    with pytest.raises(ValueError, match="^kernel amplitude is not real-valued; "
-                                         "this table format cannot hold it$"):
-        write_kernel_csv(str(tmp_path / "kernel.csv"), kernel)
-    assert os.listdir(tmp_path) == []
+    path = tmp_path / "kernel.csv"
+    lines = write_counting_chunks(monkeypatch, path, kernel)
+    data = path.read_bytes()
+    assert data.startswith(b"ks,ki,amplitude_re,amplitude_im\n")
+    assert data == kernel_csv_oracle(kernel)
+    assert lines == chunk_lines(n, max(1, CHUNK_VALUES // (2 * n)))
 
 
-def test_tpa_refuses_a_complex_kernel_with_exit_3(tmp_path, capsys, monkeypatch):
+def as_complex(parts: np.ndarray) -> np.ndarray:
+    """The complex128 values of a table's adjacent _re, _im column pairs."""
+    return np.ascontiguousarray(parts).view(np.complex128)
+
+
+def test_a_phased_pump_kernel_and_its_mode_tables_round_trip_bit_for_bit(tmp_path):
+    kernel = phased_kernel(320)
+    n = kernel.grid_s.n_points
+    write_kernel_csv(str(tmp_path / "kernel.csv"), kernel)
+    header, table = read_csv(str(tmp_path / "kernel.csv"))
+    assert header == ["ks", "ki", "amplitude_re", "amplitude_im"]
+    assert as_complex(table[:, 2:]).tobytes() == kernel.rows(0, n).tobytes()
+    ks, ki = np.meshgrid(kernel.grid_s.points(), kernel.grid_i.points(), indexing="ij")
+    assert table[:, :2].tobytes() == np.column_stack([ks.ravel(), ki.ravel()]).tobytes()
+
+    dec = schmidt_decompose(kernel)
+    assert dec.signal_modes.dtype == np.complex128
+    for name, grid, modes in (("signal", dec.grid_s, dec.signal_modes),
+                              ("idler", dec.grid_i, dec.idler_modes)):
+        path = str(tmp_path / f"{name}_modes.csv")
+        write_modes_csv(path, grid.points(), modes)
+        header, table = read_csv(path)
+        assert header == ["k_um_inv"] + [f"mode{m:02d}_{part}" for m in range(dec.n_modes)
+                                         for part in ("re", "im")]
+        assert table[:, 0].tobytes() == grid.points().tobytes()
+        assert as_complex(table[:, 1:]).T.tobytes() == modes.tobytes()
+
+
+def test_real_mode_tables_hold_one_column_per_mode(tmp_path, capsys):
+    # a real kernel's modes are real: one column each, and no all-zero _im
+    assert main(["schmidt", "--config", THREE, "--out", str(tmp_path)]) == 0
+    assert "modes kept: 21" in capsys.readouterr().out
+    cfg = load_config(THREE)
+    dec = schmidt_decompose(build_multipeak(cfg.pump, cfg.grid))
+    assert dec.signal_modes.dtype == np.float64
+    for name, modes in (("signal", dec.signal_modes), ("idler", dec.idler_modes)):
+        header, table = read_csv(str(tmp_path / f"{name}_modes.csv"))
+        assert header == ["k_um_inv"] + [f"mode{m:02d}" for m in range(21)]
+        assert table[:, 1:].T.tobytes() == modes.tobytes()
+
+
+def test_tpa_writes_a_complex_kernel_as_its_re_im_pair(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.kernel, "build_multipeak", lambda pump, grid: profile_kernel(64, 0.5))
     out = tmp_path / "out"
-    assert main(["tpa", "--config", SINGLE, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("computation error: kernel amplitude is not real-valued; "
-                                       "this table format cannot hold it\n")
-    assert os.listdir(out) == []
+    assert main(["tpa", "--config", SINGLE, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "kernel.csv").read_bytes() == kernel_csv_oracle(profile_kernel(64, 0.5))
 
 
 def assert_peak_does_not_grow_with_rows(tmp_path, rows_per_chunk, n_cols, seed):
@@ -272,11 +352,12 @@ def assert_peak_does_not_grow_with_rows(tmp_path, rows_per_chunk, n_cols, seed):
 
 def test_writer_peak_memory_does_not_grow_with_rows(tmp_path):
     # a kernel-shaped table
-    assert_peak_does_not_grow_with_rows(tmp_path, ROWS_PER_CHUNK, 3, seed=1)
+    assert_peak_does_not_grow_with_rows(tmp_path, CHUNK_VALUES // 3, 3, seed=1)
 
 
 def test_wide_writer_peak_memory_does_not_grow_with_rows(tmp_path):
-    # a 64-mode table with its re/im pairs, as many-modes writes two of
+    # a table of 64 complex modes with their re/im pairs; the 64 real modes
+    # of many-modes write 65 columns
     assert_peak_does_not_grow_with_rows(tmp_path, WIDE_ROWS, 129, seed=3)
 
 

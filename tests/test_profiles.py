@@ -203,11 +203,11 @@ def test_schmidt_of_a_hermitian_kernel_holds_no_rows_of_its_amplitude():
     # the kernel is symmetric, so the range finder keeps the 64 x 64 matrix
     # T = Q^H a conj(Q). Beside the 64 rows of Q^T, the last step holds one
     # 32-row work buffer, one ROW_BLOCK = 32-row block formed over its support
-    # window only and one 16-column block's QR: the peak is about 136 rows.
+    # window only and one 16-column block's QR: the peak is about 139 rows.
     # Holding the 64 rows of B = Q^H a as well, with a growth copy and the
-    # 64 x N factor of its SVD, takes it to about 230, still under both
-    # bounds; the SVD shapes of test_schmidt.py::test_sketch_matches_dense_svd
-    # pin the path
+    # 64 x N factor of its SVD, takes it to about 232, which the last bound
+    # refuses; the SVD shapes of test_schmidt.py::test_sketch_matches_dense_svd
+    # pin the path as well
     cfg = load_config(THREE, {"grid.points": MEMORY_POINTS})
     kernel = build_multipeak(cfg.pump, cfg.grid)
     schmidt_decompose(kernel)
@@ -215,6 +215,7 @@ def test_schmidt_of_a_hermitian_kernel_holds_no_rows_of_its_amplitude():
     assert dec.n_modes == 21
     assert peak < 320 * ROW_BYTES
     assert peak < 256 * ROW_BYTES
+    assert peak < 170 * ROW_BYTES
 
 
 def test_the_schmidt_command_holds_no_joint_array(tmp_path, capsys):

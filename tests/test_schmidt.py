@@ -1,5 +1,6 @@
 """Mode decomposition against the closed-form double-Gaussian answer."""
 
+import dataclasses
 import math
 import os
 
@@ -348,13 +349,25 @@ def phased_kernel(points=512):
     """three_modes with peak phases (1, i, -1): P is complex and M a real
     palindromic Gaussian, so the kernel is symmetric but not Hermitian."""
     cfg = shipped_config("three_modes", {"grid.points": points})
+    amplitudes = tuple(phase * a for phase, a in zip(PEAK_PHASES, cfg.pump.amplitudes))
+    kernel = build_multipeak(dataclasses.replace(cfg.pump, amplitudes=amplitudes), cfg.grid)
+    assert kernel.dtype == np.complex128 and kernel.symmetric
+    return kernel
+
+
+@pytest.mark.parametrize("points", [512, 1024])
+def test_a_phased_comb_builds_like_its_hand_written_pump(points):
+    # complex peak amplitudes give a complex pump profile: to the bit, the
+    # comb summed by hand with the phases on its Gaussians
+    cfg = shipped_config("three_modes", {"grid.points": points})
     params = cfg.pump
     sums, differences = sum_difference_nodes(cfg.grid)
     pump = sum(phase * a * np.exp(-(sums - c) ** 2 / (2.0 * params.widths.sigma_pump ** 2))
                for phase, a, c in zip(PEAK_PHASES, params.amplitudes, params.pump_centers()))
-    kernel = TpaKernel.from_profiles(cfg.grid, pump, params.matching_factor(differences))
-    assert kernel.dtype == np.complex128 and kernel.symmetric
-    return kernel
+    oracle = TpaKernel.from_profiles(cfg.grid, pump, params.matching_factor(differences))
+    kernel = phased_kernel(points)
+    assert kernel.at_sums.tobytes() == oracle.at_sums.tobytes()
+    assert kernel.at_differences.tobytes() == oracle.at_differences.tobytes()
 
 
 def near_symmetric_kernel():
