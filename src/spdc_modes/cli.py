@@ -9,11 +9,11 @@ into the data files.
 
 The program runs one thread, so importing this module before numpy sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set: numpy's and scipy's OpenBLAS then start no idle
-worker pools, and the Schmidt tables, the only outputs whose bits the
-thread count reaches, do not depend on the host's core count. A user's own
-setting wins, and can move those tables' last bits; a caller that imported
-numpy first keeps the library default.
+OMP_NUM_THREADS is set: numpy's OpenBLAS, and scipy's, which only
+`crosstalk` loads, then start no idle worker pools, and the Schmidt tables,
+the only outputs whose bits the thread count reaches, do not depend on the
+host's core count. A user's own setting wins, and can move those tables'
+last bits; a caller that imported numpy first keeps the library default.
 """
 
 from __future__ import annotations

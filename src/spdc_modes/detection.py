@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+# scipy's package loads scipy.special on first access, so only crosstalk pays for it
+import scipy
 
 from .kernel import JointIntensity, MultiPeakParams, check_grids, sum_difference_nodes
 from .optics import GAUSSIAN_FWHM_FACTOR, PhaseMatchConfig, WavevectorGrid
@@ -398,7 +399,8 @@ def crosstalk_matrix(log_modes: np.ndarray, grid: WavevectorGrid) -> CrosstalkMa
     for m in range(n):
         for start in range(m, n, CROSSTALK_ROWS):
             rows = slice(start, start + CROSSTALK_ROWS)
-            log_cross[m, rows] = logsumexp(log_modes[m] + log_modes[rows] + logw, axis=1)
+            log_cross[m, rows] = scipy.special.logsumexp(log_modes[m] + log_modes[rows] + logw,
+                                                         axis=1)
         log_cross[m:, m] = log_cross[m, m:]
     diag = np.diag(log_cross)
     log_x = 2.0 * log_cross - diag[:, None] - diag[None, :]

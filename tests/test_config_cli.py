@@ -1334,14 +1334,9 @@ def test_cli_outputs_get_the_umask_mode(tmp_path, capsys, umask):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    import spdc_modes
-
-    src = os.path.dirname(os.path.dirname(spdc_modes.__file__))
-    code = "import sys, spdc_modes.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert proc.stdout.strip() == "False"
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_cli_import_leaves_scipy_submodule_out(module):
+    assert fresh_python(f"import sys, spdc_modes.cli; print({module!r} in sys.modules)") == "False"
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -1369,6 +1364,26 @@ def test_cli_import_pins_one_blas_thread():
     setting, threads = fresh_python(code).split()
     assert setting == "1"
     assert threads in ("None", "1")
+
+
+def test_only_crosstalk_loads_scipy_special(tmp_path):
+    # every other subcommand runs in one fresh interpreter without it; crosstalk
+    # then loads it, and with it scipy's own OpenBLAS, which the pin also reaches
+    runs = [("tpa", SINGLE), ("schmidt", SINGLE), ("scan", THREE, "--zero-width-slits"),
+            ("scan", THREE, "--wavelength-avg"), ("fedorov", SINGLE, "--zero-width-slits"),
+            ("pump", THREE), ("hologram", HOLOGRAM), ("crosstalk", CROSSTALK)]
+    argvs = [[sub, "--config", config, "--out", str(tmp_path / str(i)), "--grid-points", "320",
+              *flags] for i, (sub, config, *flags) in enumerate(runs)]
+    code = ("import contextlib, io, os, sys\n"
+            "from spdc_modes import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(argv[0], code, 'scipy.special' in sys.modules)\n"
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
+    *lines, threads = fresh_python(code).splitlines()
+    assert lines == [f"{sub} 0 {sub == 'crosstalk'}" for sub, *_ in runs]
+    assert threads == "1"
 
 
 @pytest.mark.parametrize("name", BLAS_VARIABLES)
