@@ -223,8 +223,7 @@ def _cmd_pump(cfg: RunConfig, args) -> Outcome:
         raise ValueError(f"the pump comb needs {samples:.6g} samples, more than "
                          f"{PUMP_MAX_SAMPLES}; lower pump.envelope_fwhm_um or the peak spacing")
     profile = hologram.pump_field(params, np.linspace(-span, span, math.ceil(samples)))
-    split = params.peak_spacing if params.n_peaks > 1 else None
-    lines = _widths(f"envelope FWHM = {hologram.envelope_fwhm(field, split):.10g} um"
+    lines = _widths(f"envelope FWHM = {hologram.envelope_fwhm(field, params.peak_spacing):.10g} um"
                     for field in (profile,))
     return lines, (), {"pump_field.csv": (exports.write_field_csv, profile)}
 
@@ -236,9 +235,9 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
     holo = hologram.encode_hologram(target, hs)
 
     recovered = hologram.simulate_first_order(holo)
-    # comb lines sit at multiples of 2*spacing in the crystal plane; demagnified
-    # onto the SLM the first one lands at 2*spacing/mag, so split halfway below it
-    split = params.peak_spacing / hs.magnification if params.n_peaks > 1 else None
+    # comb lines sit at multiples of 2*spacing in the crystal plane, the first at
+    # 2*spacing/mag on the SLM: split halfway below it (one peak: spacing 0, no split)
+    split = params.peak_spacing / hs.magnification
 
     def recovered_widths():
         env_slm = hologram.envelope_fwhm(recovered, split)

@@ -167,9 +167,9 @@ def _take_fields(sec: _Section, cls, **defaults):
 class RunConfig:
     """Fully validated run parameters in canonical units.
 
-    ``pump`` is resolved at parse time: its peak amplitudes, offset, both
-    Gaussian widths and emission branch are final. So is ``grid``, the
-    run's signal grid built around that pump; the idler grid is its
+    ``pump`` is resolved at parse time: its peak amplitudes, spacing (0 for
+    one peak), offset, Gaussian widths and rings are final. So is ``grid``,
+    the run's signal grid built around that pump; the idler grid is its
     mirror. ``emission_angle_rad`` is the internal emission angle when the
     offset was derived from a noncollinear geometry, else None.
     """
@@ -293,6 +293,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("pump.peak_spacing_um_inv is required when pump.peaks > 1")
     if n_peaks > 1 and peak_spacing <= 0:
         raise ConfigError(f"pump.peak_spacing_um_inv must be positive, got {peak_spacing}")
+    if n_peaks == 1:
+        peak_spacing = 0.0  # a single peak has no spacing; the provenance keeps the file's value
     side = pump_sec.take("side_amplitude", default=None, kind=float)
     if side is not None and n_peaks != 3:
         raise ConfigError("side_amplitude only applies to 3-peak pumps")
@@ -320,7 +322,7 @@ def parse_config(data: dict) -> RunConfig:
     grid_sec = root.section("grid")
     grid_points = grid_sec.take("points", default=512, kind=int)
     span_sigmas = grid_sec.take("span_sigmas", default=5.0, kind=float)
-    branch = "both" if grid_sec.take("both_branches", default=False, kind=bool) else "+"
+    both_branches = grid_sec.take("both_branches", default=False, kind=bool)
     grid_sec.finish()
     if grid_points < MIN_GRID_POINTS:
         raise ConfigError(f"grid.points must be at least {MIN_GRID_POINTS}, got {grid_points}")
@@ -357,7 +359,7 @@ def parse_config(data: dict) -> RunConfig:
         else:
             sigma_match = matching
         pump = MultiPeakParams(amplitudes, peak_spacing, offset,
-                               PumpWidths(sigma_pump, sigma_match), branch)
+                               PumpWidths(sigma_pump, sigma_match), both_branches)
         grid = default_grid(pump, grid_points, span_sigmas)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

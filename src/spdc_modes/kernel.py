@@ -48,8 +48,6 @@ ROW_BLOCK = 32
 # the kernel symmetric under photon exchange
 SYMMETRIC_RTOL = 1e-12
 
-BRANCHES = ("+", "both")
-
 
 class MirroredIdler:
     """Base of the objects on one grid, ``grid_s``, whose mirror is the idler grid."""
@@ -301,25 +299,26 @@ class MultiPeakParams:
 
     ``amplitudes`` holds each peak's field amplitude, in :meth:`mode_offsets`
     order; ``peak_spacing`` is the far-field distance between adjacent
-    signal peaks (1/um). ``branch`` picks the emission rings: ``"+"`` holds
-    the ring at +offset, ``"both"`` adds its mirror at -offset.
+    signal peaks (1/um), positive for several peaks and 0 for one, which has
+    no spacing. The emission ring sits at +offset; ``both_branches`` adds
+    its mirror at -offset.
     """
 
     amplitudes: Tuple[float, ...]
     peak_spacing: float
     noncollinear_offset: float
     widths: PumpWidths
-    branch: str = "+"
+    both_branches: bool = False
 
     def __post_init__(self):
         if not self.amplitudes:
             raise ValueError("need at least one peak")
         if self.n_peaks > 1 and self.peak_spacing <= 0:
             raise ValueError(f"peak spacing must be positive, got {self.peak_spacing}")
+        if self.n_peaks == 1 and self.peak_spacing != 0:
+            raise ValueError(f"a single peak has no spacing, got {self.peak_spacing}")
         if self.noncollinear_offset < 0:
-            raise ValueError("offset must be >= 0; the branch sign comes from branch")
-        if self.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
+            raise ValueError("offset must be >= 0; both_branches adds the mirror ring")
 
     @property
     def n_peaks(self) -> int:
@@ -332,10 +331,10 @@ class MultiPeakParams:
 
     def signal_centers(self) -> np.ndarray:
         """Signal-mode centers: the offsets shifted by half the ring offset, then,
-        for ``branch='both'`` off a nonzero offset, the same centers on the
+        with ``both_branches`` off a nonzero offset, the same centers on the
         mirror ring (at zero offset the two rings coincide)."""
         centers = self.mode_offsets() + self.noncollinear_offset / 2.0
-        if self.branch == "both" and self.noncollinear_offset > 0:
+        if self.both_branches and self.noncollinear_offset > 0:
             centers = np.concatenate([centers, centers - self.noncollinear_offset])
         return centers
 
@@ -356,10 +355,10 @@ class MultiPeakParams:
     def matching_factor(self, delta: np.ndarray) -> np.ndarray:
         """Gaussian phase matching at differences ks - ki, centred at the offset.
 
-        ``branch='both'`` adds the mirror Gaussian at minus the offset.
+        ``both_branches`` adds the mirror Gaussian at minus the offset.
         """
         offset = self.noncollinear_offset
-        centers = (offset,) if self.branch == "+" else (offset, -offset)
+        centers = (offset, -offset) if self.both_branches else (offset,)
         return _gaussians(delta, [(1.0, c) for c in centers], self.widths.sigma_match)
 
 
@@ -373,14 +372,13 @@ def default_grid(params: MultiPeakParams, n_points: int, span_sigmas: float) -> 
     """Signal grid centered on the emission branch; the idler grid is its mirror.
 
     The span covers every pump peak plus ``span_sigmas`` of the widest
-    Gaussian on each side. ``branch='+'`` centers the grid at +offset/2,
-    so the idler grid sits at -offset/2; ``branch='both'`` centers it at
-    zero and widens the span to reach both rings.
+    Gaussian on each side. One ring centers the grid at +offset/2, so the
+    idler grid sits at -offset/2; ``both_branches`` centers it at zero and
+    widens the span to reach both rings.
     """
-    extent = float(np.max(np.abs(params.mode_offsets()))) if params.n_peaks > 1 else 0.0
-    half = extent + span_sigmas * params.widths.widest
+    half = float(np.max(np.abs(params.mode_offsets()))) + span_sigmas * params.widths.widest
     k0 = params.noncollinear_offset / 2.0
-    if params.branch == "both":
+    if params.both_branches:
         return WavevectorGrid.centered(0.0, half + k0, n_points)
     return WavevectorGrid.centered(k0, half, n_points)
 
@@ -427,7 +425,7 @@ def check_grids(samples: Sequence[MultiPeakParams], grid: WavevectorGrid) -> lis
         )
 
     warns = []
-    if params.n_peaks > 1 and params.peak_spacing <= 4.0 * widths.widest:
+    if 0 < params.peak_spacing <= 4.0 * widths.widest:
         warns.append(
             f"peak spacing {params.peak_spacing:.4g} is within 4 widths "
             f"({4.0 * widths.widest:.4g}) of the peaks; modes overlap and the "
@@ -472,16 +470,16 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
     """Joint amplitude from a sampled pump spectrum and a matching profile.
 
     ``spectrum`` holds the pump at the nodes of ``sum_coordinate_grid(grid)``.
-    The offset K, the matching width sigma_match and the branch are the
+    The offset K, the matching width sigma_match and the rings are the
     run's resolved ones, read from ``params``; ``config`` supplies only the
     crystal constants of the sinc profile. ``phasematch_model`` picks the
     profile at the differences ks - ki:
 
     * ``"gaussian"``: exp(-(delta - K)^2 / (2 sigma_match^2)), plus its
-      mirror at -K for ``branch='both'``,
+      mirror at -K with ``both_branches``,
     * ``"sinc"``: the longitudinal mismatch profile itself,
       sinc[(L/4) (delta^2 - K^2) / (2 k_s)] (noncollinear; delta >= 0 only
-      for ``branch='+'``) or sinc[(L/4) delta^2 / (2 k_p)] (collinear; a
+      without ``both_branches``) or sinc[(L/4) delta^2 / (2 k_p)] (collinear; a
       non-zero resolved offset is refused, as this profile peaks at 0).
     """
     if phasematch_model not in ("gaussian", "sinc"):
@@ -504,7 +502,7 @@ def build_from_pump(spectrum: np.ndarray, params: MultiPeakParams, config: Phase
         else:
             arg = (length / 4.0) * (delta ** 2 - offset ** 2) / (2.0 * config.signal_wavevector)
         match = np.sinc(arg / math.pi)
-        if config.regime != "collinear" and params.branch == "+":
+        if config.regime != "collinear" and not params.both_branches:
             match[delta < 0] = 0.0
 
     return TpaKernel.from_profiles(grid, spectrum, match)

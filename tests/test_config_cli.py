@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from spdc_modes import cli, detection, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
-from spdc_modes.kernel import build_multipeak, default_grid
-from spdc_modes.optics import phase_matching_width
+from spdc_modes.kernel import MultiPeakParams, build_multipeak, default_grid
+from spdc_modes.optics import PumpWidths, phase_matching_width
 
 from oracles import analytic_double_gaussian, joint_array, parse_pgm, read_csv
 
@@ -49,7 +49,7 @@ def minimal():
 def test_minimal_config_fills_defaults():
     cfg = parse_config(minimal())
     assert cfg.grid == default_grid(cfg.pump, 512, 5.0)
-    assert cfg.pump.branch == "+"
+    assert cfg.pump.both_branches is False
     assert cfg.output_dir == "out"
     assert cfg.pump.n_peaks == 1
     assert cfg.pump.peak_spacing == 0.0
@@ -358,6 +358,33 @@ def test_side_amplitude_gives_one_amplitude_per_peak():
     data["pump"]["peaks"] = 10 ** 30
     with pytest.raises(ConfigError, match="is too many"):
         parse_config(data)
+
+
+def test_a_single_peak_has_no_spacing(tmp_path, capsys):
+    # single_mode's one peak resolves to spacing 0 whatever the file says, the
+    # provenance keeps the file's value, and no command's output reads it
+    cases = {"none": shipped(SINGLE)}
+    for spacing in (0.168, -0.1):
+        cases[spacing] = copy.deepcopy(cases["none"])
+        cases[spacing]["pump"]["peak_spacing_um_inv"] = spacing
+    cfgs = {name: parse_config(data) for name, data in cases.items()}
+    assert cfgs[0.168].pump == cfgs[-0.1].pump == cfgs["none"].pump
+    assert cfgs["none"].pump.peak_spacing == 0.0
+    assert ("pump.peak_spacing_um_inv", -0.1, "user") in cfgs[-0.1].provenance
+    for command in ("tpa", "scan", "pump", "hologram"):
+        runs = []
+        for name, data in cases.items():
+            run = tmp_path / f"{command}-{name}"
+            run.mkdir()
+            (run / "cfg.yaml").write_text(yaml.safe_dump(data))
+            assert main([command, "--config", str(run / "cfg.yaml"), "--out", str(run / "out"),
+                         "--grid-points", "64"]) == 0
+            runs.append((capsys.readouterr().out.replace(str(run), "<run>"),
+                         {path.name: path.read_bytes() for path in (run / "out").iterdir()
+                          if path.suffix != ".log"}))
+        assert runs[0][1] and runs[1] == runs[0] and runs[2] == runs[0], command
+    with pytest.raises(ValueError, match="^a single peak has no spacing, got 0.168$"):
+        MultiPeakParams((1.0,), 0.168, 0.0, PumpWidths(1.0, 1.0))
 
 
 def test_hologram_settings_validation():
@@ -830,7 +857,7 @@ def test_flags_are_recorded_as_the_values_used(tmp_path, monkeypatch):
     assert main(["tpa", "--config", THREE, "--grid-points", "64", "--both-branches",
                  "--out", str(out)]) == 0
     (cfg,) = used
-    assert (cfg.grid.n_points, cfg.pump.branch, cfg.output_dir) == (64, "both", str(out))
+    assert (cfg.grid.n_points, cfg.pump.both_branches, cfg.output_dir) == (64, True, str(out))
     tree = cfg.normalized()
     assert (tree["grid"]["points"], tree["grid"]["both_branches"]) == (64, True)
     assert tree["output"]["directory"] == str(out)

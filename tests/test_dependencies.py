@@ -2,8 +2,9 @@
 package, each module uses every name it imports, only kernel.py reads the
 layout of a kernel's profiles or builds a kernel or intensity from them,
 only schmidt._mode_count reads the rule that decides which Schmidt modes are
-kept, the decomposition reads its kernel through one product, and every
-exported table goes through one chunk loop and one re/im rule."""
+kept, the decomposition reads its kernel through one product, every
+exported table goes through one chunk loop and one re/im rule, and the
+resolved pump's rings and comb are read as it states them."""
 
 import ast
 import os
@@ -183,3 +184,24 @@ def test_every_table_goes_through_one_chunk_loop_and_one_complex_rule():
     tree = dict(module_trees())["exports.py"]
     readers = reads(tree, set(EXPORT_READERS))
     assert readers == {(scope, name) for name, scope in EXPORT_READERS.items()}
+
+
+# names of the emission rings; the pump holds its ring choice as the bool both_branches
+RING_NAMES = {"+", "both"}
+
+
+def test_the_resolved_pump_states_its_rings_and_its_comb_once():
+    # the rings are one bool and a single peak's spacing is 0, so no reader
+    # re-derives either: only kernel.py counts the peaks, and no module tests
+    # a value against the name of a ring
+    found = []
+    for filename, tree in module_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "n_peaks"
+                    and isinstance(node.ctx, ast.Load) and filename != "kernel.py"):
+                found.append(f"{filename}:{node.lineno}: .n_peaks")
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value in RING_NAMES
+                    for side in (node.left, *node.comparators)):
+                found.append(f"{filename}:{node.lineno}: compared with a ring name")
+    assert found == []

@@ -196,7 +196,7 @@ def test_fedorov_matched_widths_is_unity_with_real_slits():
     assert fedorov_ratio(inten, WINDOWS, None) == pytest.approx(1.0, abs=1e-10)
     assert fedorov_ratio(inten, IDEAL, None) == pytest.approx(1.0, abs=1e-10)
     # the same mode on both rings: two singles peaks, one measured
-    params = MultiPeakParams((1.0,), 0.0, 20.0, widths, branch="both")
+    params = MultiPeakParams((1.0,), 0.0, 20.0, widths, both_branches=True)
     both = build_multipeak(params, default_grid(params, 801, 6.0)).intensity
     for windows in (WINDOWS, IDEAL):
         ratio = fedorov_ratio(both, windows, params.mode_spacing())
@@ -423,12 +423,12 @@ def test_wavelength_average_validation():
         wavelength_average(cfg, GEOM, params, far)
 
 
-def three_peak_case(branch, n_points=128, span_sigmas=4.0):
+def three_peak_case(both_branches, n_points=128, span_sigmas=4.0):
     # a coarse grid that clips the union of the samples' supports on both axes
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, offset, PumpWidths(0.16, 0.2),
-                             branch=branch)
+                             both_branches=both_branches)
     return (cfg, GEOM, params, default_grid(params, n_points, span_sigmas)), 2
 
 
@@ -438,11 +438,11 @@ def shipped_three_modes_case():
 
 
 @pytest.mark.parametrize("case", [
-    pytest.param(lambda: three_peak_case("+"), id="+"),
-    pytest.param(lambda: three_peak_case("both"), id="both"),
+    pytest.param(lambda: three_peak_case(False), id="+"),
+    pytest.param(lambda: three_peak_case(True), id="both"),
     # the amplitude is still 1e-3 of its peak at the corners, so every
     # diagonal of the joint grids counts
-    pytest.param(lambda: three_peak_case("+", 64, 1.5), id="tight"),
+    pytest.param(lambda: three_peak_case(False, 64, 1.5), id="tight"),
     pytest.param(shipped_three_modes_case, id="three_modes"),
 ])
 def test_wavelength_average_equals_one_build_per_sample(case):

@@ -95,7 +95,7 @@ def test_multipeak_param_validation():
         MultiPeakParams((), 0.1, 0.0, w)
     with pytest.raises(ValueError, match="spacing"):
         MultiPeakParams((1.0, 1.0), 0.0, 0.0, w)
-    with pytest.raises(ValueError, match="branch sign"):
+    with pytest.raises(ValueError, match="both_branches adds the mirror ring"):
         MultiPeakParams((1.0,), 0.0, -1.0, w)
 
 
@@ -132,7 +132,8 @@ def test_default_grids_center_on_branch():
     assert center(gs) == pytest.approx(1.347 / 2)
     assert center(gi) == pytest.approx(-1.347 / 2)
     assert gs.covers(1.347 / 2 - 0.168, 1.347 / 2 + 0.168)
-    both = MultiPeakParams((1.0,) * 3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA), branch="both")
+    both = MultiPeakParams((1.0,) * 3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA),
+                           both_branches=True)
     gs_b = default_grid(both, 128, 5.0)
     assert center(gs_b) == 0.0 and center(gs_b.mirrored()) == 0.0
     assert gs_b.covers(-1.347 / 2, 1.347 / 2)
@@ -145,23 +146,18 @@ def test_default_grids_center_on_branch():
     # the smallest gap between distinct centers; a single mode has none
     assert both.mode_spacing() == pytest.approx(0.168)
     assert collinear.mode_spacing() == pytest.approx(0.168)
-    one = dataclasses.replace(both, amplitudes=(1.0,))
+    one = dataclasses.replace(both, amplitudes=(1.0,), peak_spacing=0.0)
     assert one.mode_spacing() == pytest.approx(1.347)
-    assert dataclasses.replace(one, branch="+").mode_spacing() is None
+    assert dataclasses.replace(one, both_branches=False).mode_spacing() is None
     assert dataclasses.replace(one, noncollinear_offset=0.0).mode_spacing() is None
 
 
 def test_both_branches_point_symmetric():
     widths = PumpWidths(SIGMA, SIGMA)
-    params = MultiPeakParams((1.0,), 0.0, 0.2, widths, branch="both")
+    params = MultiPeakParams((1.0,), 0.0, 0.2, widths, both_branches=True)
     kernel = build_multipeak(params, default_grid(params, 129, 5.0))
     assert np.allclose(kernel.amplitude, kernel.amplitude[::-1, ::-1], rtol=1e-12, atol=0.0)
 
-
-def test_bad_branch_rejected():
-    # the pump is the one place that checks its branch; the builders read it from there
-    with pytest.raises(ValueError, match=r"^branch must be one of \('\+', 'both'\), got 'x'$"):
-        MultiPeakParams((1.0,), 0.0, 0.2, PumpWidths(SIGMA, SIGMA), branch="x")
 
 
 def test_from_profiles_validation():
@@ -561,7 +557,7 @@ def test_sinc_collinear_matches_gaussian_fit_width():
     pump = np.exp(-(tk ** 2) / 2.0)
 
     resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)),
-                               branch="both")
+                               both_branches=True)
     gauss = build_from_pump(pump, resolved, cfg, grid, "gaussian")
     sinc = build_from_pump(pump, resolved, cfg, grid, "sinc")
 

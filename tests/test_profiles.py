@@ -84,9 +84,9 @@ def shipped_case(name, *flags):
     return cfg.pump, cfg.grid
 
 
-def three_peak_case(n_points, span_sigmas, branch="+"):
+def three_peak_case(n_points, span_sigmas, both_branches=False):
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, PumpWidths(0.16, 0.2),
-                             branch=branch)
+                             both_branches=both_branches)
     return params, default_grid(params, n_points, span_sigmas)
 
 
@@ -101,7 +101,7 @@ CASES = {
     "hologram-both": lambda: shipped_case("hologram", 841),
     # a small grid of an even point count, on either ring choice
     "three-peak": lambda: three_peak_case(160, 5.0),
-    "three-peak-both": lambda: three_peak_case(160, 5.0, branch="both"),
+    "three-peak-both": lambda: three_peak_case(160, 5.0, both_branches=True),
     # the amplitude is still 1e-3 of its peak at the corners: pairs whose
     # partner falls off the grid must not count
     "clipped": lambda: three_peak_case(64, 1.5),
