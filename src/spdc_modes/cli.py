@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 configuration problem, 3 computation failure,
 4 output I/O failure. Outputs are deterministic: identical config and
 flags produce byte-identical files on one numpy build and BLAS thread
 count; run metadata (parameter provenance, derived constants, summary
-numbers, the BLAS thread setting) goes to <out>/<subcommand>.log, never
-into the data files.
+numbers, every warning, the BLAS thread setting) goes to
+<out>/<subcommand>.log, never into the data files.
 
 The program runs one thread, so importing this module before numpy sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -25,7 +25,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 # The BLAS thread setting and where it came from, for the log. It is decided
 # before the first numpy import, because each OpenBLAS sizes its pool as it
@@ -105,10 +105,10 @@ def _widths(lines: Iterable[str]) -> List[str]:
     return kept
 
 
-# Each handler computes and returns (result lines, the computed object's
-# warnings, {file name: (writer, *data)}); main writes the files, all or
-# none, and only once the handler has returned.
-Outcome = Tuple[List[str], Sequence[str], Dict[str, tuple]]
+# Each handler computes and returns (result lines, {file name: (writer, *data)});
+# main writes the files, all or none, and only once the handler has returned.
+# A caveat leaves the model as a Python warning, which main collects.
+Outcome = Tuple[List[str], Dict[str, tuple]]
 
 
 def _cmd_tpa(cfg: RunConfig, args) -> Outcome:
@@ -119,7 +119,7 @@ def _cmd_tpa(cfg: RunConfig, args) -> Outcome:
         f"idler grid: [{tpa.grid_i.k_min:.10g}, {tpa.grid_i.k_max:.10g}] "
         f"x {tpa.grid_i.n_points}",
         f"norm check: {tpa.norm():.12f}",
-    ], tpa.warnings, {"kernel.csv": (exports.write_kernel_csv, tpa)}
+    ], {"kernel.csv": (exports.write_kernel_csv, tpa)}
 
 
 def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
@@ -141,7 +141,7 @@ def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
         # move between equally valid decompositions
         shown = "< 1e-15" if leak < 1e-15 else f"= {leak:.3e}"
         lines.append(f"largest mode share outside its peak window {shown}")
-    return lines, dec.warnings, {
+    return lines, {
         "schmidt_coefficients.csv": (exports.write_coefficients_csv, dec),
         "signal_modes.csv": (exports.write_modes_csv, dec.grid_s.points(), dec.signal_modes),
         "idler_modes.csv": (exports.write_modes_csv, dec.grid_i.points(), dec.idler_modes),
@@ -183,7 +183,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
     else:
         lines += _widths(f"{label} FWHM = {detection.fwhm_of(scan):.10g} 1/um"
                          for label, scan in (("signal singles", singles_s), ("coincidence", coinc)))
-    return lines, inten.warnings, {
+    return lines, {
         f"{name}.csv": (exports.write_scan_csv, spectrum)
         for name, spectrum in (("singles_signal", singles_s), ("singles_idler", singles_i),
                                ("coincidence_signal", coinc))
@@ -193,7 +193,7 @@ def _cmd_scan(cfg: RunConfig, args) -> Outcome:
 def _cmd_fedorov(cfg: RunConfig, args) -> Outcome:
     inten = kernel.build_multipeak(cfg.pump, cfg.grid).intensity
     ratio = detection.fedorov_ratio(inten, _slit_windows(cfg, args), cfg.pump.mode_spacing())
-    return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], inten.warnings, {}
+    return [f"width ratio (unconditional / conditional) = {ratio:.10f}"], {}
 
 
 def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
@@ -210,7 +210,7 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
     return ["mode centers (1/um): " + ", ".join(f"{c:.6g}" for c in centers),
             f"fundamental mode scale = {scale:.10g} 1/um",
             f"largest off-diagonal log10 = {matrix.log10()[off].max():.6g}",
-            ], (), {"crosstalk.csv": (exports.write_crosstalk_csv, matrix)}
+            ], {"crosstalk.csv": (exports.write_crosstalk_csv, matrix)}
 
 
 def _cmd_pump(cfg: RunConfig, args) -> Outcome:
@@ -225,7 +225,7 @@ def _cmd_pump(cfg: RunConfig, args) -> Outcome:
     profile = hologram.pump_field(params, np.linspace(-span, span, math.ceil(samples)))
     lines = _widths(f"envelope FWHM = {hologram.envelope_fwhm(field, params.peak_spacing):.10g} um"
                     for field in (profile,))
-    return lines, (), {"pump_field.csv": (exports.write_field_csv, profile)}
+    return lines, {"pump_field.csv": (exports.write_field_csv, profile)}
 
 
 def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
@@ -252,7 +252,7 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
         f"complex field overlap = {hologram.field_overlap(target, recovered.amplitude):.8f}",
         *_widths(recovered_widths()),
         f"target envelope FWHM (crystal plane) = {fwhm_to_sigma_k(params.widths.sigma_pump):.10g} um",
-    ], (), {"hologram.pgm": (hologram.export_pgm, holo)}
+    ], {"hologram.pgm": (hologram.export_pgm, holo)}
 
 
 _ZERO_WIDTH = ("--zero-width-slits", dict(
@@ -318,22 +318,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"output error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    # numpy floating-point warnings would reach stderr ahead of the one-line
-    # error; record them instead, and report them as result lines on success.
-    # Every file is written into a stage directory first and moved into place
-    # only once all of them are written, so a failed command leaves none.
+    # every warning, the model's caveats and numpy's, is recorded whatever the
+    # user's filters, so none reaches stderr or becomes a traceback; each distinct
+    # one is reported once, in arrival order, on success. Every file is staged
+    # and moved into place only once all are written, so a failed command leaves none.
     stage = None
     try:
         with warnings.catch_warnings(record=True) as caught:
-            lines, warns, outputs = _COMMANDS[args.command][1](cfg, args)
+            warnings.simplefilter("always")
+            lines, outputs = _COMMANDS[args.command][1](cfg, args)
             stage = tempfile.mkdtemp(dir=out_dir, prefix=".stage-")
             for name, (writer, *data) in outputs.items():
                 writer(os.path.join(stage, name), *data)
         result_lines = (_constants_lines(cfg) + lines
-                        + [f"warning: {w}" for w in warns]
-                        + [f"wrote {os.path.join(out_dir, name)}" for name in outputs]
-                        + [f"warning: {m}"
-                           for m in dict.fromkeys(str(w.message) for w in caught)])
+                        + [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)]
+                        + [f"wrote {os.path.join(out_dir, name)}" for name in outputs])
         flags = ((flag, getattr(args, flag[2:].replace("-", "_")))
                  for flag, _options in _COMMANDS[args.command][2])
         log_lines = [f"command: {args.command}", f"config: {args.config}",

@@ -332,10 +332,10 @@ def wavelength_average(config: PhaseMatchConfig, geom: DetectionGeometry, params
     samples = [dataclasses.replace(
         params, noncollinear_offset=effective_offset(lam, params.noncollinear_offset, config))
         for lam in lams]
-    warns = check_grids(samples, grid)
+    check_grids(samples, grid)
 
     matches = np.array([p.matching_factor(delta) for p in samples])
-    return JointIntensity.averaged(grid, params.pump_factor(sums), matches, weights, warns)
+    return JointIntensity.averaged(grid, params.pump_factor(sums), matches, weights)
 
 
 # ---------------------------------------------------------------------------

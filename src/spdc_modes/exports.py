@@ -200,8 +200,8 @@ def write_kernel_csv(path: str, kernel) -> None:
     amplitude_re, amplitude_im for a kernel with a complex profile. A chunk
     holds CHUNK_VALUES // N whole kernel rows, // 2N if complex (at least
     one); the ks and ki text is formatted once and copied into each. The
-    sidecar carries the grids and warnings as YAML next to the table, named
-    with a .meta.yaml suffix.
+    sidecar carries the two grids and ``normalized`` as YAML next to the
+    table, named with a .meta.yaml suffix.
     """
     n = kernel.grid_s.n_points
     names = [name for name, _ in _parts("amplitude", np.empty(0, kernel.dtype))]
@@ -226,7 +226,6 @@ def write_kernel_csv(path: str, kernel) -> None:
                        "k_max": float(kernel.grid_i.k_max),
                        "n_points": int(kernel.grid_i.n_points)},
         "normalized": True,
-        "warnings": list(kernel.warnings),
     }
     atomic_write_text(os.path.splitext(path)[0] + ".meta.yaml",
                       yaml.safe_dump(meta, sort_keys=True))

@@ -29,6 +29,7 @@ sum |F|^2 dks dki = 1 on the kernel's own grid and its mirror.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -61,12 +62,12 @@ class MirroredIdler:
 class ProfilePair(MirroredIdler):
     """The joint array at_sums[i + j] * at_differences[i - j + n - 1] on an
     n-point grid, held as its two 1D profiles on the nodes of
-    :func:`sum_difference_nodes`, with its grid and provenance warnings."""
+    :func:`sum_difference_nodes`, with its grid. A caveat about the pair,
+    such as a grid that clips it, is a ``UserWarning`` of its builder."""
 
     grid_s: WavevectorGrid
     at_sums: np.ndarray
     at_differences: np.ndarray
-    warnings: tuple = ()
 
     def __post_init__(self):
         expected = (2 * self.grid_s.n_points - 1,)
@@ -81,8 +82,7 @@ class ProfilePair(MirroredIdler):
         transpose on the mirrored grid, ki - ks reversing the difference nodes.
         An intensity's idler observables are the signal ones of its swap, and a
         kernel's swap is its adjoint; a real pair's swap holds views. Formed once."""
-        return type(self)(self.grid_i, self.at_sums.conj(), self.at_differences[::-1].conj(),
-                          self.warnings)
+        return type(self)(self.grid_i, self.at_sums.conj(), self.at_differences[::-1].conj())
 
     def _windows(self, start: int, stop: int, j0: int, j1: int) -> tuple:
         """Two sliding-window views of the profiles whose elementwise product
@@ -97,8 +97,8 @@ class TpaKernel(ProfilePair):
     """Sampled joint amplitude P[i + j] M[i - j + n - 1]: the pair P, M."""
 
     @classmethod
-    def from_profiles(cls, grid: WavevectorGrid, at_sums: np.ndarray, at_differences: np.ndarray,
-                      warnings: Sequence[str] = ()) -> "TpaKernel":
+    def from_profiles(cls, grid: WavevectorGrid, at_sums: np.ndarray,
+                      at_differences: np.ndarray) -> "TpaKernel":
         """The normalized kernel P[i + j] M[i - j + n - 1] of a profile pair.
 
         A real pair gives a float64 kernel, a complex one complex128. Each
@@ -119,7 +119,7 @@ class TpaKernel(ProfilePair):
         norm2 = _squared_norm(pump, match, grid)
         if norm2 == 0.0:
             raise ValueError("amplitude is identically zero")
-        return cls(grid, pump, match * (1.0 / math.sqrt(norm2)), tuple(warnings))
+        return cls(grid, pump, match * (1.0 / math.sqrt(norm2)))
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start`` to ``stop`` of the joint amplitude, formed from the profiles."""
@@ -211,7 +211,7 @@ class TpaKernel(ProfilePair):
     def intensity(self) -> "JointIntensity":
         """|F|^2, held as the pair |P|^2, |M|^2 with no joint array formed. Formed once."""
         return JointIntensity(self.grid_s, np.abs(self.at_sums) ** 2,
-                              np.abs(self.at_differences) ** 2, self.warnings)
+                              np.abs(self.at_differences) ** 2)
 
 
 class JointIntensity(ProfilePair):
@@ -220,7 +220,7 @@ class JointIntensity(ProfilePair):
 
     @classmethod
     def averaged(cls, grid: WavevectorGrid, pump: np.ndarray, matches: np.ndarray,
-                 weights: np.ndarray, warnings: Sequence[str] = ()) -> "JointIntensity":
+                 weights: np.ndarray) -> "JointIntensity":
         """The ``weights``-average of the :attr:`TpaKernel.intensity` of the real
         ``pump`` paired with each row of the real ``matches``, renormalized.
 
@@ -242,7 +242,7 @@ class JointIntensity(ProfilePair):
         g = (weights / norms) @ match2
         # renormalize like a kernel intensity: unit integral
         g /= (g @ diagonal) * area
-        return cls(grid, pump2, g, tuple(warnings))
+        return cls(grid, pump2, g)
 
     def weighted_columns(self, start: int, weights: np.ndarray) -> np.ndarray:
         """sum_c weights[c] |F|^2[:, start + c], one value per signal node.
@@ -391,10 +391,9 @@ def build_multipeak(params: MultiPeakParams, grid: WavevectorGrid) -> TpaKernel:
     chosen branch (or the sum of both branches). Both are sampled at
     :func:`sum_difference_nodes`; the grid is checked first.
     """
-    warns = check_grids([params], grid)
+    check_grids([params], grid)
     sums, delta = sum_difference_nodes(grid)
-    return TpaKernel.from_profiles(grid, params.pump_factor(sums), params.matching_factor(delta),
-                                   warns)
+    return TpaKernel.from_profiles(grid, params.pump_factor(sums), params.matching_factor(delta))
 
 
 def build_double_gaussian(widths: PumpWidths, grid: WavevectorGrid) -> TpaKernel:
@@ -407,12 +406,13 @@ def build_double_gaussian(widths: PumpWidths, grid: WavevectorGrid) -> TpaKernel
     return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
 
 
-def check_grids(samples: Sequence[MultiPeakParams], grid: WavevectorGrid) -> list:
-    """Build warnings of multi-peak pumps on a signal grid and its mirror.
+def check_grids(samples: Sequence[MultiPeakParams], grid: WavevectorGrid) -> None:
+    """Check multi-peak pumps on a signal grid and its mirror.
 
-    Raises ValueError when the grid cannot resolve the narrowest width. The
-    samples differ only in their offset; a grid that clips the union of
-    their amplitude supports gets one warning, and its mirror another.
+    Raises ValueError when the grid cannot resolve the narrowest width, and
+    warns (UserWarning) when the peaks overlap. The samples differ only in
+    their offset; a grid that clips the union of their amplitude supports
+    gets one warning, and its mirror another.
     """
     params = samples[0]
     widths = params.widths
@@ -424,9 +424,8 @@ def check_grids(samples: Sequence[MultiPeakParams], grid: WavevectorGrid) -> lis
             f"(>= {np.ceil((grid.k_max - grid.k_min) / step) + 1:.6g} points)"
         )
 
-    warns = []
     if 0 < params.peak_spacing <= 4.0 * widths.widest:
-        warns.append(
+        warnings.warn(
             f"peak spacing {params.peak_spacing:.4g} is within 4 widths "
             f"({4.0 * widths.widest:.4g}) of the peaks; modes overlap and the "
             "per-peak factorization is invalid"
@@ -436,11 +435,9 @@ def check_grids(samples: Sequence[MultiPeakParams], grid: WavevectorGrid) -> lis
     cover = WavevectorGrid(min(c.k_min for c in covers), max(c.k_max for c in covers),
                            grid.n_points)
     if not grid.covers(cover.k_min, cover.k_max):
-        warns += [f"{label} grid [{g.k_min:.4g}, {g.k_max:.4g}] clips the amplitude "
-                  f"support [{c.k_min:.4g}, {c.k_max:.4g}]; tails are truncated"
-                  for label, g, c in (("signal", grid, cover),
-                                      ("idler", grid.mirrored(), cover.mirrored()))]
-    return warns
+        for label, g, c in (("signal", grid, cover), ("idler", grid.mirrored(), cover.mirrored())):
+            warnings.warn(f"{label} grid [{g.k_min:.4g}, {g.k_max:.4g}] clips the amplitude "
+                          f"support [{c.k_min:.4g}, {c.k_max:.4g}]; tails are truncated")
 
 
 # ---------------------------------------------------------------------------

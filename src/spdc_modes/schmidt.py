@@ -23,6 +23,7 @@ byte-identical.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,6 @@ class SchmidtDecomposition(MirroredIdler):
     idler_modes: np.ndarray    # shape (n_modes, n_ki)
     grid_s: WavevectorGrid
     discarded_weight: float
-    warnings: tuple = ()
 
     @property
     def n_modes(self) -> int:
@@ -65,7 +65,8 @@ class SchmidtDecomposition(MirroredIdler):
 
 
 def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
-    """Decompose a normalized kernel into the Schmidt modes :func:`_mode_count` keeps."""
+    """Decompose a normalized kernel into the Schmidt modes :func:`_mode_count` keeps;
+    a truncation that discards more than DISCARD_WARN of the weight warns (UserWarning)."""
     norm = kernel.norm()
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"kernel norm is {norm:.6g}, expected 1 within {NORM_TOLERANCE}")
@@ -86,13 +87,12 @@ def schmidt_decompose(kernel: TpaKernel) -> SchmidtDecomposition:
     idler = vh * phase
 
     discarded = max(0.0, 1.0 - float(np.cumsum(coeffs ** 2)[-1]))
-    warns = list(kernel.warnings)
     if discarded > DISCARD_WARN:
-        warns.append(
+        warnings.warn(
             f"truncation to {coeffs.size} modes discards squared weight {discarded:.3e}; "
             "the kept modes do not rebuild the kernel faithfully"
         )
-    return SchmidtDecomposition(coeffs, signal, idler, kernel.grid_s, discarded, tuple(warns))
+    return SchmidtDecomposition(coeffs, signal, idler, kernel.grid_s, discarded)
 
 
 def _localise_degenerate(coeffs: np.ndarray, signal: np.ndarray, idler: np.ndarray,

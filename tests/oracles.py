@@ -13,6 +13,8 @@ that read it.
 :func:`linear_crosstalk` is the direct overlap that the log-domain
 crosstalk is checked against, and :func:`pump_spectrum_from_field` turns a
 crystal-plane pump field into the sampled spectrum of ``build_from_pump``.
+:func:`recorded` returns a call's result with the messages of every
+warning it raised.
 """
 
 import math
@@ -29,6 +31,15 @@ from spdc_modes.schmidt import MAX_MODES, SchmidtDecomposition
 
 # warn when the grid holds less than this much of a mode's continuum energy
 GRID_ENERGY_FLOOR = 1.0 - 1e-6
+
+
+def recorded(call, *args):
+    """(call(*args), the message of each warning it raised, in order), whatever
+    the warning filters."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [str(w.message) for w in caught]
 
 
 def read_csv(path: str) -> Tuple[List[str], np.ndarray]:

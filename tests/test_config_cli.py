@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_modes import cli, detection, hologram, schmidt
+from spdc_modes import cli, detection, exports, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.kernel import MultiPeakParams, build_multipeak, default_grid
@@ -603,7 +603,8 @@ def test_resolution_refusal_reads_the_point_count_in_six_digits(tmp_path):
 @OVERFLOWS
 def test_overflow_warnings_stay_off_stderr(tmp_path, command, section, patch):
     # pytest captures warnings in-process, so only a separate process shows
-    # whether numpy's floating-point warnings reach stderr
+    # whether numpy's floating-point warnings reach stderr; the user's warning
+    # filters, unset, raising or silencing, change nothing
     import spdc_modes
 
     data = shipped(SINGLE)
@@ -611,20 +612,24 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, command, section, patch):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(data))
     src = os.path.dirname(os.path.dirname(spdc_modes.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spdc_modes.cli", command, "--config", str(path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr.startswith("computation error: ") and proc.stderr.count("\n") == 1, \
-        proc.stderr
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    for filters in ({}, {"PYTHONWARNINGS": "error"}, {"PYTHONWARNINGS": "ignore"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdc_modes.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(env, PYTHONPATH=src, **filters))
+        assert (proc.returncode, proc.stdout) == (3, ""), filters
+        assert proc.stderr.startswith("computation error: ") and proc.stderr.count("\n") == 1, \
+            (filters, proc.stderr)
 
 
 def test_cli_reports_each_distinct_warning_once(tmp_path, capsys, monkeypatch):
+    outputs = {}
+
     def noisy(cfg, args):
         for _ in range(2):
             np.exp(np.array([1e3]))
-        return ["done"], (), {}
+        return ["done"], dict(outputs)
 
     help_text, _handler, extra = cli._COMMANDS["tpa"]
     monkeypatch.setitem(cli._COMMANDS, "tpa", (help_text, noisy, extra))
@@ -634,6 +639,16 @@ def test_cli_reports_each_distinct_warning_once(tmp_path, capsys, monkeypatch):
     expected = "done\nwarning: overflow encountered in exp\n"
     assert expected in captured.out
     assert expected in (tmp_path / "tpa.log").read_text()
+
+    # the warning comes before the line naming a file the command wrote
+    outputs["note.txt"] = (exports.atomic_write_text, "note\n")
+    out = tmp_path / "with-file"
+    assert main(["tpa", "--config", SINGLE, "--out", str(out)]) == 0
+    for text in (capsys.readouterr().out, (out / "tpa.log").read_text()):
+        lines = text.splitlines()
+        assert lines.count("warning: overflow encountered in exp") == 1
+        assert (lines.index("warning: overflow encountered in exp")
+                < lines.index(f"wrote {out / 'note.txt'}")), text
 
 
 def test_explicit_null_stands_for_a_null_default():
@@ -852,7 +867,7 @@ def test_flags_are_recorded_as_the_values_used(tmp_path, monkeypatch):
     used = []
     help_text, _handler, extra = cli._COMMANDS["tpa"]
     monkeypatch.setitem(cli._COMMANDS, "tpa", (
-        help_text, lambda cfg, args: used.append(cfg) or ([], (), {}), extra))
+        help_text, lambda cfg, args: used.append(cfg) or ([], {}), extra))
     out = tmp_path / "D"
     assert main(["tpa", "--config", THREE, "--grid-points", "64", "--both-branches",
                  "--out", str(out)]) == 0

@@ -3,8 +3,9 @@ package, each module uses every name it imports, only kernel.py reads the
 layout of a kernel's profiles or builds a kernel or intensity from them,
 only schmidt._mode_count reads the rule that decides which Schmidt modes are
 kept, the decomposition reads its kernel through one product, every
-exported table goes through one chunk loop and one re/im rule, and the
-resolved pump's rings and comb are read as it states them."""
+exported table goes through one chunk loop and one re/im rule, the
+resolved pump's rings and comb are read as it states them, and every
+caveat leaves the model as a Python warning that only cli.py collects."""
 
 import ast
 import os
@@ -157,8 +158,7 @@ def test_only_the_mode_count_reads_the_truncation_rule():
 
 # what the decomposition reads of its kernel: one product, of the kernel and of
 # its swap (the adjoint), and the kernel's plain properties
-SCHMIDT_KERNEL_ATTRIBUTES = {"times", "swapped", "symmetric", "dtype", "norm", "grid_s",
-                             "warnings"}
+SCHMIDT_KERNEL_ATTRIBUTES = {"times", "swapped", "symmetric", "dtype", "norm", "grid_s"}
 
 
 def test_the_decomposition_reads_its_kernel_through_one_product():
@@ -204,4 +204,31 @@ def test_the_resolved_pump_states_its_rings_and_its_comb_once():
                     isinstance(side, ast.Constant) and side.value in RING_NAMES
                     for side in (node.left, *node.comparators)):
                 found.append(f"{filename}:{node.lineno}: compared with a ring name")
+    assert found == []
+
+
+# what the package calls of the standard warnings module
+WARNINGS_FUNCTIONS = {"warn", "catch_warnings", "simplefilter"}
+
+
+def test_every_caveat_is_a_warning_that_only_the_cli_collects():
+    # a caveat goes out through warnings.warn and main's one catch_warnings
+    # collects it, so no object carries a warnings field, no function takes a
+    # warnings parameter, and no second place records what was raised
+    found = []
+    for filename, tree in module_trees():
+        module_uses = {id(node.value) for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr in WARNINGS_FUNCTIONS
+                       and isinstance(node.value, ast.Name) and node.value.id == "warnings"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "warnings":
+                found.append(f"{filename}:{node.lineno}: .warnings")
+            elif (isinstance(node, ast.Name) and node.id == "warnings"
+                  and id(node) not in module_uses):
+                found.append(f"{filename}:{node.lineno}: warnings")
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == "warnings":
+                found.append(f"{filename}:{node.lineno}: warnings parameter")
+            elif (isinstance(node, ast.Attribute) and node.attr == "catch_warnings"
+                  and filename != "cli.py"):
+                found.append(f"{filename}:{node.lineno}: catch_warnings")
     assert found == []

@@ -75,11 +75,11 @@ GOLDEN = {
         "tpa single_mode kernel.csv":
             "9d5e968c6edc0eb6c4543ec04041da60943cd666b4bf2858ca87e803b4fa3258",
         "tpa single_mode kernel.meta.yaml":
-            "3d0221f133b9ca5f8fd586813e20885c33d8ed1c599f97b0ed34371faaa1b981",
+            "02f96008ca8fbf74529b96f2df2ce3f3353d5b9c0d7f6f7a632cf34606f50d8c",
         "tpa three_modes kernel.csv":
             "858eab8b13eca83d536474b7dc316cb593317a3525bc5084d36bc76344857a43",
         "tpa three_modes kernel.meta.yaml":
-            "6f51c5bd0ecdcae3b04128e7e172377afb5b26edcfbe98a2f0de5d543e6ab247",
+            "f8e2c515b260990a4b982341cd91f4bda884087bac804001537472aa4ac8cae6",
         "scan three_modes singles_signal.csv":
             "cd32b144f8dcbc78b5c7b9b649f76ca1752163c9b3a65a920a868dee50a22ae5",
         "scan three_modes singles_idler.csv":
