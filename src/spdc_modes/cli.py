@@ -231,6 +231,16 @@ def _cmd_pump(cfg: RunConfig, args) -> Outcome:
 def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
     hs = cfg.hologram
+    # the first-order band reaches 2 pi magnification times its half width (1/um) in the
+    # crystal plane; the outermost comb line and MIN_COVER_SIGMAS pump widths must fit
+    reach = (float(np.max(np.abs(params.pump_centers())))
+             + kernel.MIN_COVER_SIGMAS * params.widths.sigma_pump)
+    window = 2.0 * math.pi * hs.magnification * hs.first_order_band()[1]
+    if reach > window:
+        raise ValueError(f"the pump comb reaches {reach:.4g} 1/um, past the first-order window "
+                         f"+-{window:.4g} 1/um, pi * hologram.magnification / (hologram."
+                         "grating_period_px * hologram.pixel_pitch_um); lower pump.peaks "
+                         "or pump.peak_spacing_um_inv")
     target = hologram.pump_field(params, hs.pixel_coordinates() / hs.magnification).amplitude
     holo = hologram.encode_hologram(target, hs)
 

@@ -34,7 +34,6 @@ from .optics import (
     SellmeierAxis,
     SellmeierCoefficients,
     WavevectorGrid,
-    external_signal_angle,
     fwhm_to_sigma_k,
     noncollinear_offset,
     phase_matching_width,
@@ -42,8 +41,6 @@ from .optics import (
 )
 
 MATCHING_WIDTH_MODES = ("derived", "equal")
-# largest relative difference allowed between the derived and a declared external angle
-ANGLE_CHECK_RTOL = 0.01
 
 
 class ConfigError(Exception):
@@ -170,8 +167,9 @@ class RunConfig:
     ``pump`` is resolved at parse time: its peak amplitudes, spacing (0 for
     one peak), offset, Gaussian widths and rings are final. So is ``grid``,
     the run's signal grid built around that pump; the idler grid is its
-    mirror. ``emission_angle_rad`` is the internal emission angle when the
-    offset was derived from a noncollinear geometry, else None.
+    mirror. ``emission_angle_rad`` is the signal's internal emission angle,
+    asin(K / (2 k_s)), when the offset was derived from a noncollinear
+    geometry, else None.
     """
 
     phase_match: PhaseMatchConfig
@@ -226,7 +224,6 @@ def parse_config(data: dict) -> RunConfig:
         )
 
     sellmeier = None
-    declared_external = None
     if has_indices:
         idx = pm.section("indices", required=True)
         n_signal = idx.take("signal", kind=float)
@@ -252,7 +249,6 @@ def parse_config(data: dict) -> RunConfig:
                     f"outside phase_match.sellmeier.valid_range_um = {list(valid)}")
         sellmeier = SellmeierCoefficients(ordinary, extraordinary, valid)
         cut_angle_rad = math.radians(sm.take("cut_angle_deg", kind=float))
-        declared_external = sm.take("external_signal_angle_deg", default=None, kind=float)
         sm.finish()
     pm.finish()
 
@@ -268,14 +264,6 @@ def parse_config(data: dict) -> RunConfig:
             regime=regime,
             dispersion=sellmeier,
         )
-        if declared_external is not None:
-            derived = math.degrees(external_signal_angle(phase_match))
-            if abs(derived - declared_external) > ANGLE_CHECK_RTOL * abs(declared_external):
-                raise ConfigError(
-                    f"dispersion data yields an external emission angle of {derived:.3f} deg, "
-                    f"but the config declares {declared_external:.3f} deg; "
-                    "fix the cut angle or the declared angle"
-                )
     except ValueError as exc:
         raise ConfigError(f"phase_match: {exc}") from exc
 

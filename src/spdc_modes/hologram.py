@@ -103,6 +103,12 @@ class HologramSettings:
         """Centered x coordinate (um) of every pixel column."""
         return (np.arange(self.width_px) - (self.width_px - 1) / 2.0) * self.pixel_pitch_um
 
+    def first_order_band(self) -> tuple:
+        """(carrier, half width) in SLM cycles/um of the band :func:`first_order`
+        keeps: the blazed carrier, and half a carrier frequency either side."""
+        carrier = 1.0 / (self.grating_period_px * self.pixel_pitch_um)
+        return carrier, 0.5 * carrier
+
 
 @dataclass(frozen=True, eq=False)
 class HologramImage:
@@ -160,22 +166,19 @@ def encode_hologram(target: np.ndarray, settings: HologramSettings) -> HologramI
 def first_order(phase: np.ndarray, settings: HologramSettings) -> FieldProfile1D:
     """Demodulated first diffraction order of one raster row's phase (radians).
 
-    The phase drives a flat unit input beam; the spectral window
-    spans half a grating frequency either side of the carrier, and the
-    carrier is divided out so the result sits at baseband, comparable to
-    the encoding target.
+    The phase drives a flat unit input beam; the spectral window is
+    :meth:`HologramSettings.first_order_band`, and the carrier is divided
+    out so the result sits at baseband, comparable to the encoding target.
     """
     phase = np.asarray(phase, dtype=float)
     if phase.ndim != 1:
         raise ValueError("phase must be a 1D profile")
-    pitch = settings.pixel_pitch_um
     x = settings.pixel_coordinates()
     spectrum = np.fft.fft(np.exp(1j * phase))
-    freqs = np.fft.fftfreq(phase.size, d=pitch)
-    grating_freq = 1.0 / (settings.grating_period_px * pitch)
-    window = (freqs > 0.5 * grating_freq) & (freqs < 1.5 * grating_freq)
-    field = np.fft.ifft(spectrum * window)
-    return FieldProfile1D(x, field * np.exp(-2j * math.pi * grating_freq * x))
+    freqs = np.fft.fftfreq(phase.size, d=settings.pixel_pitch_um)
+    carrier, half = settings.first_order_band()
+    field = np.fft.ifft(spectrum * ((freqs > carrier - half) & (freqs < carrier + half)))
+    return FieldProfile1D(x, field * np.exp(-2j * math.pi * carrier * x))
 
 
 def simulate_first_order(holo: HologramImage) -> FieldProfile1D:

@@ -128,10 +128,11 @@ class OffsetAngle(NamedTuple):
 
 
 def noncollinear_offset(config: PhaseMatchConfig) -> OffsetAngle:
-    """Transverse offset K (1/um) of the ks - ki coordinate and the emission angle.
+    """Transverse offset K (1/um) of the ks - ki coordinate and the signal's emission angle.
 
-    K = 2 pi sqrt(2 n_s (n_s - n_p)) / lambda_pump. The internal emission
-    angle follows from K = k_s sin(theta); degenerate indices give K = 0.
+    K = 2 pi sqrt(2 n_s (n_s - n_p)) / lambda_pump. The kernel puts the
+    signal at +K/2, so its internal emission angle follows from
+    K / 2 = k_s sin(theta); degenerate indices give K = 0.
     Raises when n_signal < n_pump (negative radicand: geometry unmatched).
     """
     dn = config.n_signal - config.n_pump
@@ -142,19 +143,10 @@ def noncollinear_offset(config: PhaseMatchConfig) -> OffsetAngle:
             "need n_signal >= n_pump"
         )
     offset = 2.0 * math.pi * math.sqrt(radicand) / config.pump_wavelength_um
-    ratio = offset / config.signal_wavevector
+    ratio = offset / (2.0 * config.signal_wavevector)
     if ratio > 1.0:
-        raise ValueError(f"offset/k_signal = {ratio:.3f} exceeds 1; no real emission angle")
+        raise ValueError(f"offset/(2 k_signal) = {ratio:.3f} exceeds 1; no real emission angle")
     return OffsetAngle(offset, math.asin(ratio))
-
-
-def external_signal_angle(config: PhaseMatchConfig) -> float:
-    """Emission angle (rad) outside the crystal, refracted at a flat face."""
-    internal = noncollinear_offset(config).signal_angle_rad
-    s = config.n_signal * math.sin(internal)
-    if s > 1.0:
-        raise ValueError("internal angle exceeds the critical angle; no refracted ray")
-    return math.asin(s)
 
 
 # ---------------------------------------------------------------------------

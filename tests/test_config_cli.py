@@ -149,13 +149,20 @@ def test_sellmeier_config_derivations():
     assert widths.sigma_match == widths.sigma_pump  # matching_width: equal
 
 
-def test_declared_angle_cross_check():
-    with open(SINGLE, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    parse_config(copy.deepcopy(data))  # 10 degrees as shipped: fine
-    data["phase_match"]["sellmeier"]["external_signal_angle_deg"] = 12.0
-    with pytest.raises(ConfigError, match="external emission angle"):
-        parse_config(data)
+def test_the_cut_angle_is_the_only_geometry_input(tmp_path):
+    # a declared external angle would only restate the cut's geometry: it is an unknown key
+    data = shipped(SINGLE)
+    data["phase_match"]["sellmeier"]["external_signal_angle_deg"] = 10.0
+    code, out, err = run_config(tmp_path, data, "tpa")
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: unknown keys: "
+                   "phase_match.sellmeier.external_signal_angle_deg\n")
+    # so a steep cut resolves to its own ring, whatever angle it leaves the crystal at
+    del data["phase_match"]["sellmeier"]["external_signal_angle_deg"]
+    data["phase_match"]["sellmeier"]["cut_angle_deg"] = 89.0
+    cfg = parse_config(data)
+    assert cfg.pump.noncollinear_offset == pytest.approx(8.626, abs=5e-4)
+    assert math.degrees(cfg.emission_angle_rad) == pytest.approx(19.57, abs=5e-3)
 
 
 def test_normalized_round_trips_to_a_fixed_point():
@@ -186,7 +193,6 @@ phase_match.sellmeier.extraordinary.c = 0.01667  [user]
 phase_match.sellmeier.extraordinary.d = 0.01516  [user]
 phase_match.sellmeier.valid_range_um = [0.2, 1.1]  [user]
 phase_match.sellmeier.cut_angle_deg = 29.967519622236345  [user]
-phase_match.sellmeier.external_signal_angle_deg = 10.0  [user]
 """
 THREE_PEAK_PUMP = """\
 pump.peaks = 3  [user]
@@ -474,8 +480,7 @@ def run_config(tmp_path, data, *argv):
 @pytest.mark.parametrize("patch, message", [
     ({"ordinary": {"a": 2.7359, "b": 0.01878, "c": 0.9, "d": 0.01354}}, "resonance pole"),
     ({"ordinary": {"a": -5.0, "b": 0.01878, "c": 0.01822, "d": 0.01354}}, "n\\^2 = "),
-    ({"cut_angle_deg": 89.0}, "critical angle"),
-], ids=["pole", "negative-n2", "past-critical-angle"])
+], ids=["pole", "negative-n2"])
 def test_dispersion_failures_are_config_errors(tmp_path, patch, message):
     data = shipped(SINGLE)
     data["phase_match"]["sellmeier"].update(patch)
@@ -1124,7 +1129,6 @@ def test_collinear_filter_average_is_the_monochromatic_intensity(tmp_path, patch
     data = shipped(SINGLE)
     pm = data["phase_match"]
     pm["regime"] = "collinear"
-    del pm["sellmeier"]["external_signal_angle_deg"]
     if patch:
         del pm["sellmeier"]
         pm.update(patch)
@@ -1207,7 +1211,6 @@ def collinear(config):
     """A shipped config moved to the collinear regime: one ring, at zero offset."""
     data = shipped(config)
     data["phase_match"]["regime"] = "collinear"
-    del data["phase_match"]["sellmeier"]["external_signal_angle_deg"]
     return data
 
 
@@ -1309,6 +1312,36 @@ def test_cli_hologram(tmp_path, capsys):
     levels = parse_pgm((out / "hologram.pgm").read_bytes())
     assert levels.shape == (1080, 1920)
     assert "hologram.log" in stdout
+
+
+def test_cli_hologram_refuses_a_comb_past_its_first_order_window(tmp_path):
+    data = shipped(HOLOGRAM)
+    del data["pump"]["side_amplitude"]
+    # eight lines reach 1.214 1/um of the +-1.309 1/um window: the raster is the encoder's
+    data["pump"]["peaks"] = 8
+    assert run_config(tmp_path, data, "hologram")[0::2] == (0, "")
+    cfg = parse_config(data)
+    hs = cfg.hologram
+    target = hologram.pump_field(cfg.pump, hs.pixel_coordinates() / hs.magnification).amplitude
+    direct = tmp_path / "direct.pgm"
+    hologram.export_pgm(str(direct), hologram.encode_hologram(target, hs))
+    assert (tmp_path / "out" / "hologram.pgm").read_bytes() == direct.read_bytes()
+    # nine reach 1.382 1/um: the first order would drop the outer lines
+    data["pump"]["peaks"] = 9
+    assert run_config(tmp_path, data, "hologram") == (
+        3, "", "computation error: the pump comb reaches 1.382 1/um, past the first-order "
+        "window +-1.309 1/um, pi * hologram.magnification / (hologram.grating_period_px * "
+        "hologram.pixel_pitch_um); lower pump.peaks or pump.peak_spacing_um_inv\n")
+
+
+def test_the_copied_configs_carry_the_three_modes_physics():
+    # crosstalk.yaml and hologram.yaml restate three_modes.yaml's crystal, pump and grid,
+    # so an edit to one must reach the other two
+    three = shipped(THREE)
+    for path in (CROSSTALK, HOLOGRAM):
+        copied = shipped(path)
+        for section in ("phase_match", "pump", "grid"):
+            assert copied[section] == three[section], (path, section)
 
 
 @pytest.mark.parametrize("command, config, spacing, data_file, reason", [

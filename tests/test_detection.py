@@ -9,6 +9,7 @@ import pytest
 import yaml
 from scipy.special import logsumexp
 
+from spdc_modes.cli import main
 from spdc_modes.config import load_config, parse_config
 from spdc_modes.detection import (
     DetectionGeometry,
@@ -351,17 +352,27 @@ def test_ring_wavevector_against_offset():
         ring_wavevector(0.68, dataclasses.replace(cfg, dispersion=starved))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 21")
-@pytest.mark.parametrize("name", ["single_mode", "three_modes", "crosstalk", "hologram"])
-def test_the_emission_angle_is_the_signals_own(name):
-    # the kernel puts the signal at +K/2, so the reported internal angle should
-    # satisfy k_s sin(theta) = the signal's ring wavevector; asin(K / k_s)
-    # gives about twice that, and asin(K / (2 k_s)) agrees to 3.4e-4
-    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                                   f"{name}.yaml"))
+@pytest.mark.parametrize("name", ["single_mode", "three_modes", "crosstalk", "hologram", "indices"])
+def test_the_emission_angle_is_the_signals_own(tmp_path, capsys, name):
+    # the kernel puts the signal at +K/2, so the reported internal angle satisfies
+    # k_s sin(theta) = the signal's ring wavevector, to the few 1e-4 by which the
+    # exact ring differs from K/2, sqrt((n_s + n_p) / (2 n_s))
+    base = "three_modes" if name == "indices" else name
+    with open(os.path.join(os.path.dirname(THREE_MODES), f"{base}.yaml"), encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    if name == "indices":  # a noncollinear geometry stated by its two indices
+        del data["phase_match"]["sellmeier"]
+        data["phase_match"]["indices"] = {"signal": 1.60, "pump": 1.597}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    cfg = load_config(str(path))
     pm = cfg.phase_match
     assert math.sin(cfg.emission_angle_rad) * pm.signal_wavevector == pytest.approx(
         ring_wavevector(pm.signal_wavelength_um, pm), rel=1e-3)
+    # and the run prints that angle
+    assert main(["pump", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (f"derived: internal emission angle = {math.degrees(cfg.emission_angle_rad):.6g} deg"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_effective_offset_anchored_at_design_wavelength():

@@ -153,53 +153,53 @@ GOLDEN = {
         "hologram hologram hologram.pgm":
             "e027f7e1e16d1216945385b0944fd92692d48977c41910dda207de6b6558254e",
         "fedorov single_mode stdout":
-            "17bb9065c70457254c2a3cc35640e3e1d2c2db0b8c4448797ee47ae52acdafe4",
+            "d05bd17e0ea4fae5032acf1129cb0b5869bf956a68e621f6f96eb18fbbdefaa8",
         "fedorov single_mode --zero-width-slits stdout":
-            "17bb9065c70457254c2a3cc35640e3e1d2c2db0b8c4448797ee47ae52acdafe4",
+            "d05bd17e0ea4fae5032acf1129cb0b5869bf956a68e621f6f96eb18fbbdefaa8",
         "fedorov three_modes stdout":
-            "2147d90221f9517756a4301ff5757f0c5a0d3f130e6fe2c53a0ebc589c78dda1",
+            "631afdfd8fe95e30f9fbad64e0460e0c9a7bbf7e4f2b1e64eb3e98de15d1ca5e",
         "scan three_modes stdout":
-            "6bb1eb0041b651c98ef82b84e2f7298c4b521e3c37f1dbd779e9ecd04140cd67",
+            "129346ca773e4f97da127e58d745d38a0d4da52a28bf8d4c1aeeba336b4e7817",
         "scan single_mode --wavelength-avg stdout":
-            "80342ede2b113a334acefc7cbbd190a7dc4f777a79059a7e4581cc5ede5c6d13",
+            "1c92ba825bc8c55b55511c746b3532bebe091ab12a2d92c4cd01b9d031da7a8d",
         "tpa single_mode stdout":
-            "a151d682cf093bb6047ca7c4b3fab7a8f6b2fae0a11047aae6c0a45e4494f27c",
+            "908bd5b5908f485646692362b1f092368579a2aae57a8c7ea3445d97eaaebe7e",
         "tpa three_modes stdout":
-            "665d29238a4a08a7e1fe46706c8589bcc8eef43f73ac552b8556290fccd1b199",
+            "8bfa87785dcfdda5331cc34fb45814067437c084b7532b74914b61e17a87ee1a",
         "scan three_modes --zero-width-slits stdout":
-            "e1464ea69884e80e9c1b01f062f5c5162e0b393f19e8f63ba2cb808b91ca138f",
+            "08ff7dc349ebf431a7eebd203171eee2ef79fd66e7ef9967eea2339d30bd444f",
         "scan three_modes --wavelength-avg stdout":
-            "99fb1dd843321928540fbdec996ec613dbc6a53b7d1b1c5479f42fec527ce8e2",
+            "ae57cfcf11aa665e38fe83d2ac58db1a62b6c992e8ae9b142b908f8223f0198c",
         "scan three_modes --grid-points 841 --both-branches --zero-width-slits stdout":
-            "37c2d2e2b713dbab6763ab124b2d3db169c76453a3cbe877016731c622618c96",
+            "7040671db45648d186e214117e48bd3af96e8953a7cd2c57d91f4b9557532b50",
         "scan single_mode --grid-points 614 --both-branches stdout":
-            "e5aff850f99b19e879a65b65af7244a636b290aa192dcccfa101d4b8959d8612",
+            "2be2f17c276ef41eb3e2857e64f6fd84660e2d0297a2765a7041474d3ff7ee7d",
         "scan three_modes --grid-points 841 --both-branches --wavelength-avg stdout":
-            "ea9cad4b845052d8ca8acedd0b493510472151ffa26deaf2e7108fe0f9c3e8b1",
+            "6f5a752353184350f8a392c86fa16ad31df2b61d33be60494957b097e6a312ee",
         "fedorov three_modes --zero-width-slits stdout":
-            "ba95b278c7d36f40e29c0f99b749c977534aa1ba22ddcd09d1af2bff5485f5cf",
+            "3d82ecce2d04a856a3565706a61cc85d3b6a7ca2b06e1632069300fe1417dc82",
         "fedorov three_modes --grid-points 841 --both-branches --zero-width-slits stdout":
-            "0213f6226cdc9040a642e1ca63bd439707336b1e14803e381d45b51601ad5fb0",
+            "c8de4636e4fceb353916b0f69e40e864a533762ceed60354c2790639e67b085f",
         "scan three_modes --idler-center -0.68 stdout":
-            "5ed5ab3117018c52a9ee6300a531a93b505e997bd3c13cfe62ba50066f57e0b5",
+            "bde63e16095d604d52ebc7202b8b04d2fecc73154c0df9581d9b30092c77f770",
         "scan three_modes --idler-center -0.68 --zero-width-slits stdout":
-            "c9007c8c81d8c44010addce91874ede90f48426484c793a278d529f7d725dc11",
+            "89355b2f77e4747b2a708bcab5159d763731f53728c70e2922ac8bd785291a31",
         "scan three_modes --wavelength-avg --zero-width-slits stdout":
-            "18c7298176494f9159e342e1d3f19043be510240f6e31478d81031df2ac22906",
+            "0eebad9da4443a877a5043db9038d946e4090dd7adcc17fd809d3d0bc272b401",
         "pump three_modes stdout":
-            "ef801ff0ff052ca1ec17ab6a934d8dc0a9c2a23ecab2c756016127164c68a3bd",
+            "df12ade165d1ac4f51aa541658d44594d30f252197eaac86e0f213146fff5c21",
         "crosstalk crosstalk stdout":
-            "b835cedc05c235009e9097834322a3ee12319909e0c7c110021e681c6890631c",
+            "a9e5d8aac5da99d3324d3817eca6869ce42a0a62c72f888c74625c30ccc4b5dc",
         "hologram hologram stdout":
-            "9acff8fe3c4466c1613c1a4ecb701b6ff8831740520cdb3b5367ad89a9c6c37d",
+            "35b5362538f6687574775cb3877dc67a807a76ab1c3a8f5e3497c7b36838f1be",
         "crosstalk single_mode --grid-points 614 --both-branches crosstalk.csv":
             "7906ce11cc2ccd81ebdfaafc948ffa8f48eeafc8f65e98372689b285bbe770a8",
         "crosstalk single_mode --grid-points 614 --both-branches stdout":
-            "d2668210bcf676c0768f84aad2cdbf273f1f2c2540f872ca5c9fdc3b8d342c0c",
+            "b881cbb39c3df28ecab636c0abca6ca466bdce7a000f2437d91c7656886b7bd2",
         "hologram single_mode hologram.pgm":
             "2a9fb429d8e39519ddd74502872f941d9fe515f645bcda0115111cfbefaf4b69",
         "hologram single_mode stdout":
-            "85933a5a4d96e24bb44eb07cbbd8c8af463b7f8241876b90b7f30769b3d7eaa2",
+            "1d84ed7634762f80ce696922d784e8b9fa71f626f2e08300f6580c870ae989e8",
     },
 }
 

@@ -12,7 +12,6 @@ from spdc_modes.optics import (
     SellmeierAxis,
     SellmeierCoefficients,
     WavevectorGrid,
-    external_signal_angle,
     fwhm_to_sigma_k,
     noncollinear_offset,
     phase_matching_width,
@@ -78,8 +77,9 @@ def test_offset_example_frozen():
     assert off.offset_um_inv == pytest.approx(8.679653687096893, rel=1e-14)
     oracle = 2.0 * math.pi * math.sqrt(2.0 * 1.6614 * (1.6614 - 1.5672)) / 0.405
     assert off.offset_um_inv == pytest.approx(oracle, rel=1e-15)
+    # the signal sits at +K/2: K / 2 = k_s sin(theta)
     assert off.signal_angle_rad == pytest.approx(
-        math.asin(off.offset_um_inv / cfg.signal_wavevector), rel=1e-15)
+        math.asin(off.offset_um_inv / (2.0 * cfg.signal_wavevector)), rel=1e-15)
 
 
 def test_offset_vanishes_for_matched_indices():
@@ -101,26 +101,14 @@ def test_offset_rejects_unreachable_angle():
         noncollinear_offset(cfg)
 
 
-def test_external_angle_snell():
-    cfg = PhaseMatchConfig(3000.0, 0.405, 1.661, 1.659)
-    internal = noncollinear_offset(cfg).signal_angle_rad
-    assert external_signal_angle(cfg) == pytest.approx(
-        math.asin(1.661 * math.sin(internal)), rel=1e-15)
-
-
-def test_external_angle_rejects_total_internal_reflection():
-    # a large index contrast puts the internal ray past the critical angle
-    cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
-    with pytest.raises(ValueError, match="critical angle"):
-        external_signal_angle(cfg)
-
-
-def test_bbo_external_angle_is_ten_degrees():
+def test_bbo_internal_emission_angle():
+    # the shipped cut puts the signal 2.99768 deg off the pump inside the crystal
     n_o, _ = refractive_indices(BBO, 0.81)
     _, n_theta = refractive_indices(BBO, 0.405, math.radians(BBO_CUT_DEG))
     cfg = PhaseMatchConfig(3000.0, 0.405, n_o, n_theta)
-    assert math.degrees(external_signal_angle(cfg)) == pytest.approx(10.0, abs=1e-9)
-    assert noncollinear_offset(cfg).offset_um_inv == pytest.approx(1.3469921957226902, rel=1e-12)
+    off = noncollinear_offset(cfg)
+    assert math.degrees(off.signal_angle_rad) == pytest.approx(2.997680577307489, rel=1e-12)
+    assert off.offset_um_inv == pytest.approx(1.3469921957226902, rel=1e-12)
 
 
 def test_sellmeier_frozen_indices():

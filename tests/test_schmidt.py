@@ -384,11 +384,10 @@ def near_symmetric_kernel():
 
 
 def collinear_single_mode():
-    """single_mode on the collinear branch, which has no external signal angle."""
+    """single_mode on the collinear branch."""
     with open(os.path.join(CONFIG_DIR, "single_mode.yaml"), "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     data["phase_match"]["regime"] = "collinear"
-    del data["phase_match"]["sellmeier"]["external_signal_angle_deg"]
     return parse_config(data)
 
 
