@@ -122,6 +122,12 @@ def _cmd_tpa(cfg: RunConfig, args) -> Outcome:
     ], {"kernel.csv": (exports.write_kernel_csv, tpa)}
 
 
+def _above_rounding(value: float) -> str:
+    """``= value``, or ``< 1e-15`` below that: there the figure is the rounding
+    of the Schmidt triplets, whose digits move between equally valid decompositions."""
+    return "< 1e-15" if value < 1e-15 else f"= {value:.3e}"
+
+
 def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
     dec = schmidt.schmidt_decompose(kernel.build_multipeak(cfg.pump, cfg.grid))
     metrics = schmidt.schmidt_number(dec)
@@ -131,16 +137,13 @@ def _cmd_schmidt(cfg: RunConfig, args) -> Outcome:
         f"mode count (participation) = {metrics.schmidt_number:.10f}",
         f"purity = {metrics.purity:.10f}",
         f"entropy = {metrics.entropy_bits:.10f} bits",
-        f"discarded weight = {dec.discarded_weight:.3e}",
+        f"discarded weight {_above_rounding(dec.discarded_weight)}",
     ]
     # each mode's window is as wide as the closest spacing of two mode centers
     spacing = cfg.pump.mode_spacing()
     if spacing is not None:
         leak = schmidt.largest_window_leak(dec, cfg.pump.signal_centers(), spacing)
-        # below 1e-15 the share is the rounding of the mode values, whose digits
-        # move between equally valid decompositions
-        shown = "< 1e-15" if leak < 1e-15 else f"= {leak:.3e}"
-        lines.append(f"largest mode share outside its peak window {shown}")
+        lines.append(f"largest mode share outside its peak window {_above_rounding(leak)}")
     return lines, {
         "schmidt_coefficients.csv": (exports.write_coefficients_csv, dec),
         "signal_modes.csv": (exports.write_modes_csv, dec.grid_s.points(), dec.signal_modes),

@@ -1387,6 +1387,15 @@ def test_cli_schmidt_prints_a_leak_above_the_rounding_floor_in_full(tmp_path, ca
     assert "\nlargest mode share outside its peak window = 2.500e-03\n" in capsys.readouterr().out
 
 
+def test_cli_schmidt_prints_a_discarded_weight_at_the_rounding_floor_as_such(tmp_path, capsys):
+    # one mode keeps all the weight; what is left is rounding, 0 or a few 1e-16
+    # depending on the sketch's test vectors and on how the products round
+    assert main(["schmidt", "--config", SINGLE, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "modes kept: 1\n" in out
+    assert "\ndiscarded weight < 1e-15\n" in out
+
+
 def test_cli_schmidt_reports_the_window_leak_of_modes_on_two_rings(tmp_path, capsys):
     # one pump peak on both rings: two modes 1.347 1/um apart, each window that wide
     assert main(["schmidt", "--config", SINGLE, "--out", str(tmp_path),
@@ -1443,7 +1452,9 @@ def test_cli_import_pins_one_blas_thread():
 
 def test_only_crosstalk_loads_scipy_special(tmp_path):
     # every other subcommand runs in one fresh interpreter without it; crosstalk
-    # then loads it, and with it scipy's own OpenBLAS, which the pin also reaches
+    # then loads it, and with it scipy's own OpenBLAS, which the pin also reaches,
+    # and numpy.random, which scipy.special imports: the Schmidt sketch draws
+    # from the standard library's stream, so no other subcommand loads numpy.random
     runs = [("tpa", SINGLE), ("schmidt", SINGLE), ("scan", THREE, "--zero-width-slits"),
             ("scan", THREE, "--wavelength-avg"), ("fedorov", SINGLE, "--zero-width-slits"),
             ("pump", THREE), ("hologram", HOLOGRAM), ("crosstalk", CROSSTALK)]
@@ -1454,10 +1465,11 @@ def test_only_crosstalk_loads_scipy_special(tmp_path):
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = cli.main(argv)\n"
-            "    print(argv[0], code, 'scipy.special' in sys.modules)\n"
+            "    print(argv[0], code, 'scipy.special' in sys.modules,\n"
+            "          'numpy.random' in sys.modules)\n"
             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
     *lines, threads = fresh_python(code).splitlines()
-    assert lines == [f"{sub} 0 {sub == 'crosstalk'}" for sub, *_ in runs]
+    assert lines == [f"{sub} 0 {sub == 'crosstalk'} {sub == 'crosstalk'}" for sub, *_ in runs]
     assert threads == "1"
 
 

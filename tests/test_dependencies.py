@@ -4,8 +4,9 @@ layout of a kernel's profiles or builds a kernel or intensity from them,
 only schmidt._mode_count reads the rule that decides which Schmidt modes are
 kept, the decomposition reads its kernel through one product, every
 exported table goes through one chunk loop and one re/im rule, the
-resolved pump's rings and comb are read as it states them, and every
-caveat leaves the model as a Python warning that only cli.py collects."""
+resolved pump's rings and comb are read as it states them, every
+caveat leaves the model as a Python warning that only cli.py collects, and
+no module names numpy.random."""
 
 import ast
 import os
@@ -231,4 +232,25 @@ def test_every_caveat_is_a_warning_that_only_the_cli_collects():
             elif (isinstance(node, ast.Attribute) and node.attr == "catch_warnings"
                   and filename != "cli.py"):
                 found.append(f"{filename}:{node.lineno}: catch_warnings")
+    assert found == []
+
+
+def test_no_module_names_numpy_random():
+    # numpy loads numpy.random (about 6 MB of resident memory with what it imports)
+    # on the first access to np.random, not at import, so a fresh-interpreter
+    # import test cannot see it come back; the Schmidt sketch draws from the
+    # standard library's stream instead
+    found = []
+    for filename, tree in module_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{filename}:{node.lineno}: {node.value.id}.random")
+            elif isinstance(node, ast.Import):
+                found += [f"{filename}:{node.lineno}: import {alias.name}"
+                          for alias in node.names if alias.name.startswith("numpy.random")]
+            elif isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.startswith("numpy.random")
+                    or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+                found.append(f"{filename}:{node.lineno}: from {node.module} import")
     assert found == []

@@ -6,8 +6,10 @@ ratio, peak positions, widths) are pinned as well. Refactors must leave
 all of these byte-identical. Floating-point results
 depend on the numpy build and on the SIMD kernels it dispatches to, so the
 recorded hashes are keyed to both; on any other build the test skips and
-says why. Schmidt outputs come from an SVD and are compared with tolerances
-elsewhere, so they are not hashed here.
+says why. Schmidt tables come from an SVD and are compared with tolerances
+elsewhere, so they are not hashed here; the stdout of ``schmidt`` is, since
+every figure it prints (modes kept, c1, K, purity, entropy, discarded weight,
+window leak) is rounded far above the tables' rounding or floored at 1e-15.
 """
 
 import hashlib
@@ -55,6 +57,8 @@ RUNS = (
     ("hologram", "hologram", (), ("hologram.pgm",)),
     ("crosstalk", "single_mode", ("--grid-points", "614", "--both-branches"), ("crosstalk.csv",)),
     ("hologram", "single_mode", (), ("hologram.pgm",)),
+    ("schmidt", "single_mode", (), ()),
+    ("schmidt", "three_modes", (), ()),
 )
 
 
@@ -200,6 +204,10 @@ GOLDEN = {
             "2a9fb429d8e39519ddd74502872f941d9fe515f645bcda0115111cfbefaf4b69",
         "hologram single_mode stdout":
             "1d84ed7634762f80ce696922d784e8b9fa71f626f2e08300f6580c870ae989e8",
+        "schmidt single_mode stdout":
+            "c560c6bb5070653184aac1b2b565231fab0ff5daebb03ce9a6e6097cc54ee8a8",
+        "schmidt three_modes stdout":
+            "23a55506862f69f26bd9f06f8945a3433e77f3702a73a4cf3d439854a53975d2",
     },
 }
 

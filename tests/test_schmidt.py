@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -496,6 +497,51 @@ def test_a_20_point_kernel_takes_one_full_width_step(build, svd_shapes):
     if build is rank_one_kernel:
         assert dec.n_modes == 1
         assert dec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def sketch_draw(size, *splits):
+    """``size`` values of a fresh sketch stream, drawn in calls that end at ``splits``."""
+    out, stream = np.empty(size), random.Random(0)
+    for start, stop in zip((0, *splits), (*splits, size)):
+        schmidt._standard_normals(stream, out[start:stop])
+    return out
+
+
+def test_the_sketch_stream_does_not_depend_on_how_it_is_drawn():
+    """The sketch draws each step's columns as the next values of one stream,
+    4096 at a time: a draw split at odd counts, so that its later calls cross
+    the 4096-value chunks of one call at other places, gives the same bits as
+    one call, and so does a second fresh stream."""
+    whole = sketch_draw(10_000).tobytes()
+    assert sketch_draw(10_000, 4097).tobytes() == whole
+    assert sketch_draw(10_000, 3, 4096, 8191).tobytes() == whole
+    assert sketch_draw(10_000).tobytes() == whole
+
+
+def test_the_sketch_stream_is_standard_normal():
+    values = np.empty(100_000)
+    schmidt._standard_normals(random.Random(0), values)
+    assert np.isfinite(values).all()
+    assert abs(values.mean()) < 0.02
+    assert abs(values.var() - 1.0) < 0.02
+
+
+class RepeatedByte:
+    """A stream whose every byte is ``byte``, for the extreme 32-bit words."""
+
+    def __init__(self, byte):
+        self.byte = byte
+
+    def randbytes(self, n):
+        return bytes([self.byte]) * n
+
+
+@pytest.mark.parametrize("byte, value", [(0x00, math.sqrt(64.0 * math.log(2.0))), (0xFF, 0.0)])
+def test_the_extreme_words_give_finite_normals(byte, value):
+    # u = (word + 1) / 2^32 is never 0, so the logarithm is finite at every word
+    values = np.empty(5)
+    schmidt._standard_normals(RepeatedByte(byte), values)
+    assert values == pytest.approx(np.full(5, value), abs=1e-8)
 
 
 @pytest.mark.parametrize("source", [16, 20, 48, 64, 160,
