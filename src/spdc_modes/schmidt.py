@@ -8,7 +8,7 @@ under the quadrature the kernels use. The scale is applied to the
 singular values, so no scaled copy of the amplitude is made.
 
 Only the leading modes are ever kept, so the triplets come from an
-adaptive randomized range finder: fixed-seed Gaussian columns, one
+adaptive randomized range finder: fixed-seed random columns, one
 subspace iteration and Rayleigh-Ritz on the basis, which grows until the
 weight it misses bounds every kept weight's error far below that weight,
 or until it spans every direction. The Rayleigh-Ritz matrix of a
@@ -16,11 +16,10 @@ w-column basis Q is the w x w Q^H a conj(Q) for a kernel symmetric under
 photon exchange (:attr:`TpaKernel.symmetric`; every Gaussian-matching
 kernel here is one, whatever its pump's phases) and the w x N Q^H a for
 any other. The amplitude is read only through :meth:`TpaKernel.times`,
-of the kernel and of its swap, the adjoint. The Gaussian columns are
-Box-Muller normals of the words of the standard library's
-``random.Random(0)``, so a decomposition never loads ``numpy.random``.
-The fixed seed keeps reruns byte-identical, and no result rests on the
-generator: the acceptance test checks the basis, whatever columns built it.
+of the kernel and of its swap, the adjoint. The test columns are the
+signed 32-bit words of ``random.Random(0)``, not ``numpy.random``: the
+fixed seed keeps reruns byte-identical, and no result rests on their
+distribution, as the acceptance test checks the basis that they build.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from .optics import WavevectorGrid
 # keep modes until this much squared weight is captured, at most MAX_MODES
 ENERGY = 1.0 - 1e-6
 MAX_MODES = 64
-# singular values below this fraction of the largest are numerical noise
-SV_FLOOR = 1e-12
 NORM_TOLERANCE = 1e-8
 DISCARD_WARN = 1e-3
 # randomized range finder: block columns for the kept modes and beyond them
@@ -48,9 +45,6 @@ DISCARD_WARN = 1e-3
 SKETCH_BLOCK = 16
 SKETCH_OVERSAMPLE = 16
 SKETCH_RESIDUAL = 1e-3
-# coefficients within this relative distance of a cluster's first form one
-# degenerate cluster, whose modes the SVD leaves free to rotate among themselves
-DEGENERATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,13 +99,14 @@ def _localise_degenerate(coeffs: np.ndarray, signal: np.ndarray, idler: np.ndarr
 
     Any rotation of a cluster is an equally valid SVD output. The one that
     diagonalises Q = <u_m|k|u_n> gives modes of definite position, so modes
-    on separate pump peaks come out separated, ordered by position. The
-    idler takes the inverse rotation, which leaves F unchanged up to the
-    coefficients' spread within the cluster (at most DEGENERATE_RTOL).
+    on separate pump peaks come out separated, ordered by position; the
+    idler takes the inverse rotation.
     """
     start = 0
     for end in range(1, coeffs.size + 1):
-        if end < coeffs.size and coeffs[start] - coeffs[end] <= DEGENERATE_RTOL * coeffs[start]:
+        # neighbours within (1 - ENERGY) c_0 join, so a near-degenerate band is one cluster:
+        # rotating it moves the rebuilt kernel by about its spread, far inside the dropped weight
+        if end < coeffs.size and coeffs[end - 1] - coeffs[end] <= (1.0 - ENERGY) * coeffs[0]:
             continue
         if end - start > 1:
             block = signal[start:end]
@@ -123,10 +118,10 @@ def _localise_degenerate(coeffs: np.ndarray, signal: np.ndarray, idler: np.ndarr
 
 
 def _mode_count(s: np.ndarray) -> int:
-    """Modes kept from descending singular values: as many as reach squared weight
-    ENERGY, at most MAX_MODES, and none at or below SV_FLOOR times the largest."""
+    """Modes kept from descending singular values: as many as reach squared
+    weight ENERGY, or all of them, and at most MAX_MODES."""
     n = int(np.searchsorted(np.cumsum(s ** 2), ENERGY) + 1)
-    return min(n, MAX_MODES, int(np.count_nonzero(s > SV_FLOOR * s[0])))
+    return min(n, MAX_MODES, s.size)
 
 
 def _leading_triplets(kernel: TpaKernel) -> tuple:
@@ -136,8 +131,8 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
 
     The adaptive randomized range finder of Halko, Martinsson & Tropp (SIAM
     Rev. 53, 217 (2011), section 4.4) keeps an orthonormal basis Q of the
-    range of ``a`` and grows it: each step draws new Gaussian columns as the
-    next values of one fixed-seed stream (:func:`_standard_normals` of
+    range of ``a`` and grows it: each step draws new random columns as the
+    next words of one fixed-seed stream (:func:`_next_words` of
     ``random.Random(0)``), so the basis holds SKETCH_BLOCK + SKETCH_OVERSAMPLE
     columns, then twice as many at every step, at most N. The new columns get
     one subspace iteration on ``a`` with Q projected out, and their rows of
@@ -177,11 +172,11 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
         basis = _grown(basis, width, n)
         reduced = _grown(reduced, width, width if kernel.symmetric else n)
         new, work = basis[done:], np.empty((width - done, n), kernel.dtype)
-        # the step's N x c float64 Gaussian columns, drawn into the work rows'
+        # the step's N x c float64 random columns, drawn into the work rows'
         # memory, so a complex kernel draws the same ones as its real copy
-        gauss = work.view(np.float64).reshape(-1)[:work.size]
-        _standard_normals(stream, gauss)
-        kernel.times(gauss.reshape(n, width - done).T, new)
+        draw = work.view(np.float64).reshape(-1)[:work.size]
+        _next_words(stream, draw)
+        kernel.times(draw.reshape(n, width - done).T, new)
         _orthonormal(basis.T, done)
         # one subspace iteration: a^H new, the swap's product, then a times its basis
         _orthonormal(kernel.swapped.times(new, work).T, 0)
@@ -195,7 +190,7 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
         else:
             np.conjugate(kernel.swapped.times(new, reduced[done:]), out=reduced[done:])
         # the work rows go before the SVD and before the next step widens the basis
-        del new, work, gauss
+        del new, work, draw
         ur, s, vh = np.linalg.svd(reduced, full_matrices=False)
         s *= scale
         residual = total - float(np.sum(s ** 2))
@@ -217,15 +212,11 @@ def _leading_triplets(kernel: TpaKernel) -> tuple:
         width = min(2 * width, n)
 
 
-def _standard_normals(stream: random.Random, out: np.ndarray) -> None:
-    """Fill the 1-D float64 ``out`` with the stream's next standard normals, 4096
-    at a time: Box-Muller sqrt(-2 ln u) cos(2 pi v) of one pair of little-endian
-    32-bit words per value, u = (word + 1) / 2^32 in (0, 1] and v = word / 2^32."""
+def _next_words(stream: random.Random, out: np.ndarray) -> None:
+    """Fill the 1-D ``out`` with the stream's next signed 32-bit words, 4096 at a time."""
     for start in range(0, out.size, 4096):
         part = out[start:start + 4096]
-        words = np.frombuffer(stream.randbytes(8 * part.size), "<u4").reshape(-1, 2)
-        np.sqrt(-2.0 * np.log((words[:, 0] + 1.0) * 2.0 ** -32), out=part)
-        part *= np.cos(words[:, 1] * (2.0 * math.pi * 2.0 ** -32))
+        part[:] = np.frombuffer(stream.randbytes(4 * part.size), "<i4")
 
 
 def _grown(a: np.ndarray, rows: int, columns: int) -> np.ndarray:

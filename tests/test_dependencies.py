@@ -120,8 +120,8 @@ def test_only_the_kernel_module_builds_kernels_and_intensities():
     assert builds == []
 
 
-# the constants of the truncation rule: weight target, mode cap, singular-value floor
-TRUNCATION_CONSTANTS = {"ENERGY", "MAX_MODES", "SV_FLOOR"}
+# the constants of the truncation rule: weight target and mode cap
+TRUNCATION_CONSTANTS = {"ENERGY", "MAX_MODES"}
 
 
 def reads(tree, names):
@@ -150,11 +150,14 @@ def reads(tree, names):
 
 def test_only_the_mode_count_reads_the_truncation_rule():
     # which modes a decomposition keeps is one rule in one function, so the
-    # sketch, the decomposition and any later reader cannot cut differently
+    # sketch, the decomposition and any later reader cannot cut differently;
+    # the cluster rule reads the weight the truncation drops, 1 - ENERGY, as
+    # the gap a rotation within a cluster may cost
     readers = set()
     for filename, tree in module_trees():
         readers |= {(filename, scope, name) for scope, name in reads(tree, TRUNCATION_CONSTANTS)}
-    assert readers == {("schmidt.py", "_mode_count", name) for name in TRUNCATION_CONSTANTS}
+    assert readers == {("schmidt.py", "_mode_count", name) for name in TRUNCATION_CONSTANTS} | {
+        ("schmidt.py", "_localise_degenerate", "ENERGY")}
 
 
 # what the decomposition reads of its kernel: one product, of the kernel and of
