@@ -244,7 +244,7 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
                          f"+-{window:.4g} 1/um, pi * hologram.magnification / (hologram."
                          "grating_period_px * hologram.pixel_pitch_um); lower pump.peaks "
                          "or pump.peak_spacing_um_inv")
-    target = hologram.pump_field(params, hs.pixel_coordinates() / hs.magnification).amplitude
+    target = hologram.pump_field(params, hs.pixel_coordinates() / hs.magnification).values
     holo = hologram.encode_hologram(target, hs)
 
     recovered = hologram.simulate_first_order(holo)
@@ -261,8 +261,8 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
         f"raster: {hs.width_px} x {hs.height_px} px at {hs.pixel_pitch_um} um pitch, "
         f"grating period {hs.grating_period_px} px",
         f"magnification crystal->SLM = {hs.magnification}",
-        f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered.amplitude):.8f}",
-        f"complex field overlap = {hologram.field_overlap(target, recovered.amplitude):.8f}",
+        f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered.values):.8f}",
+        f"complex field overlap = {hologram.field_overlap(target, recovered.values):.8f}",
         *_widths(recovered_widths()),
         f"target envelope FWHM (crystal plane) = {fwhm_to_sigma_k(params.widths.sigma_pump):.10g} um",
     ], {"hologram.pgm": (hologram.export_pgm, holo)}

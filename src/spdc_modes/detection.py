@@ -53,14 +53,6 @@ class DetectionGeometry:
                 self.position_to_wavevector(self.slit_width_idler_mm))
 
 
-@dataclass(frozen=True, eq=False)
-class ScanSpectrum:
-    """Count rate versus slit-center wavevector."""
-
-    positions: np.ndarray
-    rates: np.ndarray
-
-
 def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
                   width: float) -> np.ndarray:
     """Integral of y over [c - width/2, c + width/2] for each center.
@@ -74,15 +66,15 @@ def _box_integral(x: np.ndarray, y: np.ndarray, centers: np.ndarray,
     return upper - lower
 
 
-def singles_scan(inten: JointIntensity, window: Optional[float]) -> ScanSpectrum:
+def singles_scan(inten: JointIntensity, window: Optional[float]) -> Profile1D:
     """Signal rate at every grid node, idler integrated out, through a slit ``window``
     wide (1/um; None is the ideal zero-width slit). The idler's is that of ``inten.swapped``."""
     k, marginal = inten.grid_s.points(), inten.marginal
-    return ScanSpectrum(k, marginal if window is None else _box_integral(k, marginal, k, window))
+    return Profile1D(k, marginal if window is None else _box_integral(k, marginal, k, window))
 
 
 def coincidence_scan(inten: JointIntensity, fixed_center: float, signal_window: Optional[float],
-                     idler_window: Optional[float]) -> ScanSpectrum:
+                     idler_window: Optional[float]) -> Profile1D:
     """Two-detector rate at every signal-grid node, idler slit parked at ``fixed_center``.
 
     Each window is its slit's width in 1/um, or None for the ideal
@@ -115,8 +107,8 @@ def coincidence_scan(inten: JointIntensity, fixed_center: float, signal_window: 
         weights = np.convolve(half, [1.0, 1.0])
     ks = inten.grid_s.points()
     conditional = inten.weighted_columns(j_lo, weights)
-    return ScanSpectrum(ks, conditional if signal_window is None
-                        else _box_integral(ks, conditional, ks, signal_window))
+    return Profile1D(ks, conditional if signal_window is None
+                     else _box_integral(ks, conditional, ks, signal_window))
 
 
 def _fractional_column(k: float, kf: np.ndarray) -> tuple:
@@ -131,6 +123,19 @@ def _fractional_column(k: float, kf: np.ndarray) -> tuple:
 # peak and width extraction
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Profile1D:
+    """Values sampled on a 1-D axis: a scan's rate versus slit-center
+    wavevector (1/um), or a complex field versus transverse position (um)."""
+
+    x: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.x.ndim != 1 or self.x.shape != self.values.shape:
+            raise ValueError("x and values must be matching 1D arrays")
+
+
 def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple:
     """Vertex of the parabola through points i-1, i, i+1 (uniform grids only)."""
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
@@ -141,13 +146,13 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple:
     return x[i] + shift * h, y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
 
 
-def find_peaks(spectrum: ScanSpectrum, min_height_frac: float = 0.2) -> tuple:
+def find_peaks(profile: Profile1D, min_height_frac: float = 0.2) -> tuple:
     """(positions, heights) of local maxima, parabolic sub-grid refinement.
 
     Keeps maxima at least ``min_height_frac`` of the global maximum; plateau
     points count once at their left edge.
     """
-    x, y = spectrum.positions, spectrum.rates
+    x, y = profile.x, profile.values
     if y.size < 3:
         raise ValueError("need at least 3 samples to locate peaks")
     threshold = min_height_frac * y.max()
@@ -171,14 +176,14 @@ def _splits_at_half_max(y: np.ndarray) -> bool:
     return bool(np.any(np.diff(np.flatnonzero(y >= y.max() / 2.0)) > 1))
 
 
-def fwhm_of(spectrum: ScanSpectrum, window: Optional[tuple] = None) -> float:
-    """Full width at half maximum of a single-peaked scan.
+def fwhm_of(profile: Profile1D, window: Optional[tuple] = None) -> float:
+    """Full width at half maximum of a single-peaked real profile.
 
     ``window=(lo, hi)`` restricts the analysis first. The half-max crossings
     are walked with linear interpolation, and the above-half region must be
     contiguous.
     """
-    x, y = spectrum.positions, spectrum.rates
+    x, y = profile.x, profile.values
     if window is not None:
         lo, hi = window
         sel = (x >= lo) & (x <= hi)
@@ -220,9 +225,9 @@ def fedorov_ratio(inten: JointIntensity, windows: tuple, spacing: Optional[float
     singles = singles_scan(inten, windows[0])
     coinc = coincidence_scan(inten, center, *windows)
     window = None
-    if spacing is not None and _splits_at_half_max(singles.rates):
+    if spacing is not None and _splits_at_half_max(singles.values):
         half = spacing / 2.0
-        peak = coinc.positions[np.argmax(coinc.rates)]
+        peak = coinc.x[np.argmax(coinc.values)]
         window = (peak - half, peak + half)
     return fwhm_of(singles, window) / fwhm_of(coinc, window)
 

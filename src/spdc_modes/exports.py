@@ -231,9 +231,8 @@ def write_kernel_csv(path: str, kernel) -> None:
                       yaml.safe_dump(meta, sort_keys=True))
 
 
-def write_scan_csv(path: str, spectrum) -> None:
-    write_table_csv(path, ["position_um_inv", "rate"],
-                    [spectrum.positions, spectrum.rates])
+def write_scan_csv(path: str, profile) -> None:
+    write_table_csv(path, ["position_um_inv", "rate"], [profile.x, profile.values])
 
 
 def write_coefficients_csv(path: str, decomposition) -> None:
@@ -257,4 +256,4 @@ def write_crosstalk_csv(path: str, matrix) -> None:
 
 
 def write_field_csv(path: str, profile) -> None:
-    write_table_csv(path, ["x_um", "field"], [profile.coordinates_um, profile.amplitude])
+    write_table_csv(path, ["x_um", "field"], [profile.x, profile.values])

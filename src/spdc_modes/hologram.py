@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import exports
-from .detection import ScanSpectrum, fwhm_of
+from .detection import Profile1D, fwhm_of
 from .kernel import MultiPeakParams
 
 PHASE_LEVELS = 256
@@ -39,19 +39,7 @@ def inverse_sinc(a: np.ndarray) -> np.ndarray:
     return np.interp(a, _ASINC_A, _ASINC_Y)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldProfile1D:
-    """Complex field sampled on a transverse coordinate axis (um)."""
-
-    coordinates_um: np.ndarray
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        if self.coordinates_um.ndim != 1 or self.coordinates_um.shape != self.amplitude.shape:
-            raise ValueError("coordinates and amplitude must be matching 1D arrays")
-
-
-def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> FieldProfile1D:
+def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> Profile1D:
     """Crystal-plane pump field, peak-normalized to max |E| = 1.
 
     A Gaussian envelope of angular-spectrum width ``widths.sigma_pump`` times
@@ -67,7 +55,7 @@ def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> FieldProfile1D:
         raise ValueError("pump field vanished; check the parameters")
     if not np.isfinite(peak):
         raise ValueError("pump field is not finite; check the parameters")
-    return FieldProfile1D(x, field / peak)
+    return Profile1D(x, field / peak)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +151,7 @@ def encode_hologram(target: np.ndarray, settings: HologramSettings) -> HologramI
 # replay
 # ---------------------------------------------------------------------------
 
-def first_order(phase: np.ndarray, settings: HologramSettings) -> FieldProfile1D:
+def first_order(phase: np.ndarray, settings: HologramSettings) -> Profile1D:
     """Demodulated first diffraction order of one raster row's phase (radians).
 
     The phase drives a flat unit input beam; the spectral window is
@@ -178,10 +166,10 @@ def first_order(phase: np.ndarray, settings: HologramSettings) -> FieldProfile1D
     freqs = np.fft.fftfreq(phase.size, d=settings.pixel_pitch_um)
     carrier, half = settings.first_order_band()
     field = np.fft.ifft(spectrum * ((freqs > carrier - half) & (freqs < carrier + half)))
-    return FieldProfile1D(x, field * np.exp(-2j * math.pi * carrier * x))
+    return Profile1D(x, field * np.exp(-2j * math.pi * carrier * x))
 
 
-def simulate_first_order(holo: HologramImage) -> FieldProfile1D:
+def simulate_first_order(holo: HologramImage) -> Profile1D:
     """Field diffracted into the first order of the raster's first row."""
     phase = holo.phase_levels[0].astype(float) * (2.0 * math.pi / PHASE_LEVELS)
     return first_order(phase, holo.settings)
@@ -200,30 +188,30 @@ def amplitude_overlap(a: np.ndarray, b: np.ndarray) -> float:
     return field_overlap(np.abs(a), np.abs(b))
 
 
-def envelope_of(field: FieldProfile1D, split_frequency: float) -> FieldProfile1D:
+def envelope_of(field: Profile1D, split_frequency: float) -> Profile1D:
     """Low-pass magnitude envelope: keep content strictly below split_frequency (1/um).
 
     ``split_frequency`` is in angular units (rad/um) to match wavevector
     conventions elsewhere; pass half the comb frequency to strip the
     multi-peak beating and keep the envelope.
     """
-    x = field.coordinates_um
+    x = field.x
     n = x.size
     d = np.diff(x)
     if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
         raise ValueError("envelope extraction needs a uniform coordinate grid")
     # rectify before filtering: |E| is immune to any residual phase ripple,
     # and its beating harmonics stay at multiples of the comb frequency
-    spectrum = np.fft.fft(np.abs(field.amplitude))
+    spectrum = np.fft.fft(np.abs(field.values))
     freqs = np.fft.fftfreq(n, d=d[0]) * 2.0 * math.pi
     spectrum[np.abs(freqs) >= split_frequency] = 0.0
-    return FieldProfile1D(x, np.fft.ifft(spectrum))
+    return Profile1D(x, np.fft.ifft(spectrum))
 
 
-def envelope_fwhm(field: FieldProfile1D, split_frequency: Optional[float] = None) -> float:
+def envelope_fwhm(field: Profile1D, split_frequency: Optional[float] = None) -> float:
     """FWHM (um) of the magnitude envelope of a (possibly modulated) field."""
     env = envelope_of(field, split_frequency) if split_frequency else field
-    return fwhm_of(ScanSpectrum(env.coordinates_um, np.abs(env.amplitude)))
+    return fwhm_of(Profile1D(env.x, np.abs(env.values)))
 
 
 # ---------------------------------------------------------------------------

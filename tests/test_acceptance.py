@@ -223,10 +223,10 @@ def test_hologram_round_trip_recovers_the_pump():
         slm = HologramSettings(width, 8, 8.0, 6.0, mag)
         sigma = GAUSSIAN_FWHM_FACTOR / 246.0
         params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 0.0, PumpWidths(sigma, sigma))
-        target = pump_field(params, slm.pixel_coordinates() / mag).amplitude
+        target = pump_field(params, slm.pixel_coordinates() / mag).values
         holo = encode_hologram(target, slm)
         replay = simulate_first_order(holo)
-        assert amplitude_overlap(replay.amplitude, target) > 0.99
+        assert amplitude_overlap(replay.values, target) > 0.99
         recovered = envelope_fwhm(replay, split_frequency=0.168 / mag) / mag
         assert recovered == pytest.approx(246.0, rel=0.02)
 

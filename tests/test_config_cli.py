@@ -1223,12 +1223,28 @@ def test_cli_fedorov_on_coincident_rings(tmp_path):
 
 
 def test_cli_crosstalk_on_coincident_rings_lists_each_mode_once(tmp_path):
-    runs = [run_config(tmp_path, collinear(THREE), "crosstalk", "--grid-points", "841", *flag)
+    # 2623 points is the smallest grid that resolves the collinear three-peak pump
+    runs = [run_config(tmp_path, collinear(THREE), "crosstalk", "--grid-points", "2623", *flag)
             for flag in ((), ("--both-branches",))]
     assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
     (_, plus, _), (_, both, _) = runs
     assert both == plus
     assert "mode centers (1/um): 0.168, 0, -0.168\n" in both
+
+
+# crosstalk.yaml's 512 points cannot resolve an 8-peak comb: every command that
+# reads the grid refuses it with the same message
+@pytest.mark.parametrize("command", ["tpa", "schmidt", "scan", "fedorov", pytest.param(
+    "crosstalk", marks=pytest.mark.xfail(strict=True, reason=(
+        "FOUND 90 in CHANGES.md: crosstalk never calls kernel.check_grids; the one-line "
+        "fix waits on perfbench's 320-point comb64 smoke grid (ROADMAP item 17)")))])
+def test_every_grid_command_refuses_a_comb_its_grid_cannot_resolve(tmp_path, command):
+    data = shipped(CROSSTALK)
+    data["pump"]["peaks"] = 8
+    del data["pump"]["side_amplitude"]
+    code, out, err = run_config(tmp_path, data, command, "--grid-points", "512")
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert err.endswith("need step <= 0.002393 (>= 629 points)\n"), err
 
 
 # every analysis command on both emission rings, at the shipped configs' smallest
@@ -1322,7 +1338,7 @@ def test_cli_hologram_refuses_a_comb_past_its_first_order_window(tmp_path):
     assert run_config(tmp_path, data, "hologram")[0::2] == (0, "")
     cfg = parse_config(data)
     hs = cfg.hologram
-    target = hologram.pump_field(cfg.pump, hs.pixel_coordinates() / hs.magnification).amplitude
+    target = hologram.pump_field(cfg.pump, hs.pixel_coordinates() / hs.magnification).values
     direct = tmp_path / "direct.pgm"
     hologram.export_pgm(str(direct), hologram.encode_hologram(target, hs))
     assert (tmp_path / "out" / "hologram.pgm").read_bytes() == direct.read_bytes()

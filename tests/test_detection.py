@@ -13,7 +13,7 @@ from spdc_modes.cli import main
 from spdc_modes.config import load_config, parse_config
 from spdc_modes.detection import (
     DetectionGeometry,
-    ScanSpectrum,
+    Profile1D,
     coincidence_scan,
     crosstalk_matrix,
     effective_offset,
@@ -89,12 +89,12 @@ def test_zero_width_singles_equals_marginal():
     inten = ratio_two_intensity(n=401)
     scan = singles_scan(inten, None)
     k, marg = inten.grid_s.points(), inten.marginal
-    assert np.array_equal(scan.positions, k)
-    assert np.array_equal(scan.rates, marg)
+    assert np.array_equal(scan.x, k)
+    assert np.array_equal(scan.values, marg)
     scan_i = singles_scan(inten.swapped, None)
     k_i, marg_i = inten.grid_i.points(), inten.swapped.marginal
-    assert np.array_equal(scan_i.positions, k_i)
-    assert np.array_equal(scan_i.rates, marg_i)
+    assert np.array_equal(scan_i.x, k_i)
+    assert np.array_equal(scan_i.values, marg_i)
 
 
 def test_finite_slit_tophat_gives_trapezoid():
@@ -112,10 +112,10 @@ def test_finite_slit_tophat_gives_trapezoid():
     r, _ = geom.slit_windows()
     assert r < w
     scan = singles_scan(inten, r)
-    x = scan.positions
+    x = scan.x
     height = gs.spacing
     oracle = height * r * np.clip((w / 2.0 + r / 2.0 - np.abs(x)) / r, 0.0, 1.0)
-    assert np.max(np.abs(scan.rates - oracle)) < height * gs.spacing
+    assert np.max(np.abs(scan.values - oracle)) < height * gs.spacing
     assert fwhm_of(scan) == pytest.approx(w, abs=2.0 * gs.spacing)
 
 
@@ -130,7 +130,7 @@ def test_fwhm_gaussian_interp_and_fit():
 def test_fwhm_disjoint_peaks_need_window():
     x = np.linspace(-6.0, 6.0, 1201)
     rates = np.exp(-((x - 2.0) ** 2) / 0.5) + np.exp(-((x + 2.0) ** 2) / 0.5)
-    scan = ScanSpectrum(x, rates)
+    scan = Profile1D(x, rates)
     with pytest.raises(ValueError, match="disjoint"):
         fwhm_of(scan)
     width = fwhm_of(scan, window=(0.0, 6.0))
@@ -141,10 +141,10 @@ def test_fwhm_disjoint_peaks_need_window():
 
 def test_fwhm_cut_off_peak_rejected():
     x = np.linspace(0.0, 1.0, 101)
-    scan = ScanSpectrum(x, np.exp(-x ** 2))
+    scan = Profile1D(x, np.exp(-x ** 2))
     with pytest.raises(ValueError, match="cut off"):
         fwhm_of(scan)
-    empty = ScanSpectrum(x, np.zeros_like(x))
+    empty = Profile1D(x, np.zeros_like(x))
     with pytest.raises(ValueError, match="empty"):
         fwhm_of(empty)
 
@@ -154,31 +154,31 @@ def test_find_peaks_subgrid_refinement():
     centers = (-0.50132, 0.00117, 0.49779)
     heights = (0.6, 1.0, 0.8)
     rates = sum(h * np.exp(-((x - c) ** 2) / (2 * 0.03 ** 2)) for c, h in zip(centers, heights))
-    pos, height = find_peaks(ScanSpectrum(x, rates))
+    pos, height = find_peaks(Profile1D(x, rates))
     assert pos.size == 3
     assert np.allclose(pos, centers, atol=1e-4)
     assert np.allclose(height, heights, rtol=1e-3)
     # threshold hides the weakest peak
-    pos_hi, _ = find_peaks(ScanSpectrum(x, rates), min_height_frac=0.7)
+    pos_hi, _ = find_peaks(Profile1D(x, rates), min_height_frac=0.7)
     assert pos_hi.size == 2
 
 
 def test_find_peaks_plateau_and_size_guard():
     y = np.array([0.0, 1.0, 1.0, 0.0, 2.0, 0.0])
-    pos, height = find_peaks(ScanSpectrum(np.arange(6.0), y))
+    pos, height = find_peaks(Profile1D(np.arange(6.0), y))
     assert pos.size == 2  # plateau counted once
     rising = np.array([0.0, 1.0, 1.0, 2.0, 0.0])
-    pos_r, _ = find_peaks(ScanSpectrum(np.arange(5.0), rising))
+    pos_r, _ = find_peaks(Profile1D(np.arange(5.0), rising))
     assert pos_r.size == 1  # plateau that keeps climbing is not a peak
     with pytest.raises(ValueError, match="at least 3"):
-        find_peaks(ScanSpectrum(np.arange(2.0), np.ones(2)))
+        find_peaks(Profile1D(np.arange(2.0), np.ones(2)))
 
 
 def test_coincidence_bounded_by_singles():
     inten = ratio_two_intensity(n=801)
     singles = singles_scan(inten, WINDOWS[0])
     coinc = coincidence_scan(inten, 0.0, *WINDOWS)
-    assert np.all(coinc.rates <= singles.rates * (1.0 + 1e-12) + 1e-15)
+    assert np.all(coinc.values <= singles.values * (1.0 + 1e-12) + 1e-15)
 
 
 def test_conditional_narrower_and_fedorov_matches_schmidt_number():
@@ -284,7 +284,7 @@ def test_wider_slit_never_loses_counts():
     narrow = singles_scan(inten, WINDOWS[0])
     wide_geom = dataclasses.replace(GEOM, slit_width_signal_mm=0.4)
     wide = singles_scan(inten, wide_geom.slit_windows()[0])
-    assert np.all(wide.rates >= narrow.rates - 1e-15)
+    assert np.all(wide.values >= narrow.values - 1e-15)
 
 
 def bbo_config():
@@ -303,11 +303,11 @@ def test_fixed_idler_slit_selects_one_mode():
     inten, params, cfg = three_peak_intensity()
     offset = params.noncollinear_offset
     coinc = coincidence_scan(inten, -offset / 2.0, *IDEAL)
-    peak = coinc.rates.max()
-    k = coinc.positions
+    peak = coinc.values.max()
+    k = coinc.x
     for other in (offset / 2.0 + 0.168, offset / 2.0 - 0.168):
         i = int(np.argmin(np.abs(k - other)))
-        assert coinc.rates[i] <= 1e-30 * peak
+        assert coinc.values[i] <= 1e-30 * peak
     pos, _ = find_peaks(coinc, min_height_frac=0.05)
     assert pos.size == 1
     assert pos[0] == pytest.approx(offset / 2.0, abs=inten.grid_s.spacing)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from spdc_modes.config import load_config
+from spdc_modes.detection import Profile1D
 from spdc_modes.hologram import (
-    FieldProfile1D,
     HologramImage,
     HologramSettings,
     amplitude_overlap,
@@ -121,7 +121,7 @@ def test_gaussian_target_round_trip():
     target = gaussian(settings.pixel_coordinates(), 4920.0)
     holo = encode_hologram(target, settings)
     replay = simulate_first_order(holo)
-    assert amplitude_overlap(replay.amplitude, target) > 0.995
+    assert amplitude_overlap(replay.values, target) > 0.995
 
 
 def test_quantization_penalty_is_tiny():
@@ -129,8 +129,8 @@ def test_quantization_penalty_is_tiny():
     target = gaussian(settings.pixel_coordinates(), 4920.0)
     continuous = first_order(phase_map(target, settings), settings)
     quantized = simulate_first_order(encode_hologram(target, settings))
-    ov_cont = amplitude_overlap(continuous.amplitude, target)
-    ov_quant = amplitude_overlap(quantized.amplitude, target)
+    ov_cont = amplitude_overlap(continuous.values, target)
+    ov_quant = amplitude_overlap(quantized.values, target)
     assert abs(ov_cont - ov_quant) < 1e-3
 
 
@@ -150,12 +150,12 @@ def test_replay_carries_the_target_phase():
     # the first order's phase follows arg E only if the encoder subtracts pi * depth
     settings = slm(1920)
     single = gaussian(settings.pixel_coordinates(), 4920.0)
-    replay = simulate_first_order(encode_hologram(single, settings)).amplitude
+    replay = simulate_first_order(encode_hologram(single, settings)).values
     assert field_overlap(single, replay) >= 0.99
     cfg = load_config(HOLOGRAM)
     x = cfg.hologram.pixel_coordinates()
-    comb = pump_field(cfg.pump, x / cfg.hologram.magnification).amplitude
-    replay = simulate_first_order(encode_hologram(comb, cfg.hologram)).amplitude
+    comb = pump_field(cfg.pump, x / cfg.hologram.magnification).values
+    replay = simulate_first_order(encode_hologram(comb, cfg.hologram)).values
     assert field_overlap(comb, replay) >= 0.98
 
 
@@ -184,7 +184,7 @@ def test_aliasing_guards():
 
 def test_envelope_fwhm_plain_gaussian():
     x = np.linspace(-800.0, 800.0, 8192)
-    field = FieldProfile1D(x, gaussian(x, 246.0))
+    field = Profile1D(x, gaussian(x, 246.0))
     assert envelope_fwhm(field) == pytest.approx(246.0, rel=1e-5)
 
 
@@ -199,31 +199,31 @@ def test_envelope_fwhm_strips_comb_beating():
 
 def test_envelope_errors():
     x = np.linspace(-10.0, 10.0, 512)
-    wide = FieldProfile1D(x, gaussian(x, 500.0))
+    wide = Profile1D(x, gaussian(x, 500.0))
     with pytest.raises(ValueError, match="cut off"):
         envelope_fwhm(wide)
-    uneven = FieldProfile1D(np.cumsum(np.linspace(1.0, 2.0, 64)), np.ones(64, dtype=complex))
+    uneven = Profile1D(np.cumsum(np.linspace(1.0, 2.0, 64)), np.ones(64, dtype=complex))
     with pytest.raises(ValueError, match="uniform coordinate grid"):
         envelope_of(uneven, 1.0)
     with pytest.raises(ValueError, match="matching 1D"):
-        FieldProfile1D(x, np.ones(511, dtype=complex))
+        Profile1D(x, np.ones(511, dtype=complex))
 
 
 def test_pump_field_profiles():
     sigma = 0.01
     x = np.linspace(-500.0, 500.0, 2001)
     single = pump_field(comb_pump((1.0,), 0.0, sigma), x)
-    assert np.max(np.abs(np.abs(single.amplitude)
+    assert np.max(np.abs(np.abs(single.values)
                          - np.exp(-(x ** 2) * sigma ** 2 / 2.0))) < 1e-12
 
     comb = pump_field(comb_pump((0.63, 1.0, 0.63), 0.168, sigma), x)
-    assert np.abs(comb.amplitude).max() == pytest.approx(1.0)
+    assert np.abs(comb.values).max() == pytest.approx(1.0)
     # check the sampled comb exactly on a node against the closed form
     i = int(np.argmin(np.abs(x - 9.5)))
     assert x[i] == 9.5
     envelope = math.exp(-(x[i] ** 2) * sigma ** 2 / 2.0)
     expected = abs(0.5 + 0.63 * math.cos(0.336 * x[i])) * envelope / (0.5 + 0.63)
-    assert np.abs(comb.amplitude[i]) == pytest.approx(expected, rel=1e-12)
+    assert np.abs(comb.values[i]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pump_field_spectral_weights():
@@ -234,7 +234,7 @@ def test_pump_field_spectral_weights():
     d = (2.0 * math.pi * 96.0 / 0.336) / n
     x = (np.arange(n) - n / 2.0) * d
     field = pump_field(params, x)
-    spectrum = np.abs(np.fft.fft(field.amplitude))
+    spectrum = np.abs(np.fft.fft(field.values))
     freqs = np.fft.fftfreq(n, d=d) * 2.0 * math.pi
     center = spectrum[np.abs(freqs) < 0.168].max()
     side = spectrum[np.abs(freqs - 0.336) < 0.168].max()
@@ -302,7 +302,7 @@ def test_encoding_and_export_hold_one_raster_row(tmp_path):
     # the export streams it row by row
     cfg = load_config(HOLOGRAM)
     hs = cfg.hologram
-    target = pump_field(cfg.pump, hs.pixel_coordinates() / hs.magnification).amplitude
+    target = pump_field(cfg.pump, hs.pixel_coordinates() / hs.magnification).values
     path = tmp_path / "hologram.pgm"
     export_pgm(str(path), encode_hologram(target, hs))  # one-off costs outside the trace
     _, peak = traced_peak(lambda: export_pgm(str(path), encode_hologram(target, hs)))

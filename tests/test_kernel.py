@@ -343,7 +343,7 @@ def test_build_from_pump_matches_multipeak():
     for scan in (lambda inten: singles_scan(inten, signal),
                  lambda inten: singles_scan(inten.swapped, idler),
                  lambda inten: coincidence_scan(inten, center, signal, idler)):
-        want, got = scan(direct.intensity).rates, scan(rebuilt.intensity).rates
+        want, got = scan(direct.intensity).values, scan(rebuilt.intensity).values
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
@@ -493,7 +493,7 @@ def test_pump_field_spectrum_rebuilds_the_kernel():
     span = 4.5 / cfg.pump.widths.sigma_pump
     field = hologram.pump_field(cfg.pump, np.linspace(-span, span, 4096))
     grid = cfg.grid
-    spectrum = pump_spectrum_from_field(field.coordinates_um, field.amplitude,
+    spectrum = pump_spectrum_from_field(field.x, field.values,
                                         sum_coordinate_grid(grid))
     kernel = build_from_pump(spectrum, cfg.pump, cfg.phase_match, grid, "gaussian")
     direct = build_multipeak(cfg.pump, grid)

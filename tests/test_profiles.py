@@ -151,8 +151,8 @@ def test_coincidence_scans_match_the_joint_columns(case, windows):
         got = coincidence_scan(inten, center, *windows)
         want = coincidence_2d(values, gs, gi, center, *windows)
         peak = np.max(want) if peak is None else peak
-        assert np.array_equal(got.positions, gs.points())
-        assert_close(got.rates, want, peak)
+        assert np.array_equal(got.x, gs.points())
+        assert_close(got.values, want, peak)
 
 
 # ---------------------------------------------------------------------------
