@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _constants_lines(cfg: RunConfig) -> List[str]:
     pump = cfg.pump
     lines = [
-        f"derived: pump angular-spectrum width sigma = {pump.widths.sigma_pump:.10g} 1/um",
-        f"derived: phase-matching width sigma' = {pump.widths.sigma_match:.10g} 1/um",
+        f"derived: pump angular-spectrum width sigma = {pump.sigma_pump:.10g} 1/um",
+        f"derived: phase-matching width sigma' = {pump.sigma_match:.10g} 1/um",
         f"derived: branch offset = {pump.noncollinear_offset:.10g} 1/um",
     ]
     if cfg.emission_angle_rad is not None:
@@ -206,7 +206,7 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
         raise ValueError("crosstalk needs at least 2 modes; set pump.peaks >= 2 "
                          "or grid.both_branches on a noncollinear ring")
     # the Hermite-Gauss scale of the double-Gaussian Schmidt modes
-    scale = math.sqrt(params.widths.sigma_pump * params.widths.sigma_match / 2.0)
+    scale = math.sqrt(params.sigma_pump * params.sigma_match / 2.0)
     log_modes = detection.gaussian_mode_log_intensities(centers, scale, cfg.grid)
     matrix = detection.crosstalk_matrix(log_modes, cfg.grid)
     off = ~np.eye(matrix.values.shape[0], dtype=bool)
@@ -218,7 +218,7 @@ def _cmd_crosstalk(cfg: RunConfig, args) -> Outcome:
 
 def _cmd_pump(cfg: RunConfig, args) -> Outcome:
     params = cfg.pump
-    span = 4.5 / params.widths.sigma_pump
+    span = 4.5 / params.sigma_pump
     # 64 samples per period 2*pi/c of the fastest comb line c, never fewer than 4096
     # (max() keeps 4096 for the NaN of an infinite span times a lone line at c = 0)
     samples = max(4096.0, 64.0 * span * float(np.max(np.abs(params.pump_centers()))) / math.pi)
@@ -237,7 +237,7 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
     # the first-order band reaches 2 pi magnification times its half width (1/um) in the
     # crystal plane; the outermost comb line and MIN_COVER_SIGMAS pump widths must fit
     reach = (float(np.max(np.abs(params.pump_centers())))
-             + kernel.MIN_COVER_SIGMAS * params.widths.sigma_pump)
+             + kernel.MIN_COVER_SIGMAS * params.sigma_pump)
     window = 2.0 * math.pi * hs.magnification * hs.first_order_band()[1]
     if reach > window:
         raise ValueError(f"the pump comb reaches {reach:.4g} 1/um, past the first-order window "
@@ -264,7 +264,7 @@ def _cmd_hologram(cfg: RunConfig, args) -> Outcome:
         f"round-trip amplitude overlap = {hologram.amplitude_overlap(target, recovered.values):.8f}",
         f"complex field overlap = {hologram.field_overlap(target, recovered.values):.8f}",
         *_widths(recovered_widths()),
-        f"target envelope FWHM (crystal plane) = {fwhm_to_sigma_k(params.widths.sigma_pump):.10g} um",
+        f"target envelope FWHM (crystal plane) = {fwhm_to_sigma_k(params.sigma_pump):.10g} um",
     ], {"hologram.pgm": (hologram.export_pgm, holo)}
 
 

@@ -30,7 +30,6 @@ from .kernel import MultiPeakParams, default_grid
 from .optics import (
     MIN_GRID_POINTS,
     PhaseMatchConfig,
-    PumpWidths,
     SellmeierAxis,
     SellmeierCoefficients,
     WavevectorGrid,
@@ -346,8 +345,8 @@ def parse_config(data: dict) -> RunConfig:
             sigma_match = phase_matching_width(phase_match)
         else:
             sigma_match = matching
-        pump = MultiPeakParams(amplitudes, peak_spacing, offset,
-                               PumpWidths(sigma_pump, sigma_match), both_branches)
+        pump = MultiPeakParams(amplitudes, peak_spacing, offset, sigma_pump, sigma_match,
+                               both_branches)
         grid = default_grid(pump, grid_points, span_sigmas)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -42,14 +42,14 @@ def inverse_sinc(a: np.ndarray) -> np.ndarray:
 def pump_field(params: MultiPeakParams, x_um: np.ndarray) -> Profile1D:
     """Crystal-plane pump field, peak-normalized to max |E| = 1.
 
-    A Gaussian envelope of angular-spectrum width ``widths.sigma_pump`` times
+    A Gaussian envelope of angular-spectrum width ``params.sigma_pump`` times
     a comb oscillating at the pump peaks' sum-coordinate centers.
     """
     x = np.asarray(x_um, dtype=float)
     comb = np.zeros(x.shape, dtype=complex)
     for a, f in zip(params.amplitudes, params.pump_centers()):
         comb += a * np.exp(1j * f * x)
-    field = comb * np.exp(-(x ** 2) * params.widths.sigma_pump ** 2 / 2.0)
+    field = comb * np.exp(-(x ** 2) * params.sigma_pump ** 2 / 2.0)
     peak = np.abs(field).max()
     if peak == 0:
         raise ValueError("pump field vanished; check the parameters")

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
+from .optics import PhaseMatchConfig, WavevectorGrid
 
 # grids must resolve the narrowest feature; refuse anything coarser
 MAX_STEP_FRACTION = 0.25
@@ -301,13 +301,16 @@ class MultiPeakParams:
     order; ``peak_spacing`` is the far-field distance between adjacent
     signal peaks (1/um), positive for several peaks and 0 for one, which has
     no spacing. The emission ring sits at +offset; ``both_branches`` adds
-    its mirror at -offset.
+    its mirror at -offset. ``sigma_pump`` is the pump angular-spectrum width
+    (sum coordinate), ``sigma_match`` the phase-matching width (difference
+    coordinate), both in 1/um.
     """
 
     amplitudes: Tuple[float, ...]
     peak_spacing: float
     noncollinear_offset: float
-    widths: PumpWidths
+    sigma_pump: float
+    sigma_match: float
     both_branches: bool = False
 
     def __post_init__(self):
@@ -319,10 +322,23 @@ class MultiPeakParams:
             raise ValueError(f"a single peak has no spacing, got {self.peak_spacing}")
         if self.noncollinear_offset < 0:
             raise ValueError("offset must be >= 0; both_branches adds the mirror ring")
+        if self.sigma_pump <= 0 or self.sigma_match <= 0:
+            raise ValueError(
+                f"widths must be positive, got sigma_pump={self.sigma_pump}, "
+                f"sigma_match={self.sigma_match}"
+            )
 
     @property
     def n_peaks(self) -> int:
         return len(self.amplitudes)
+
+    @property
+    def widest(self) -> float:
+        return max(self.sigma_pump, self.sigma_match)
+
+    @property
+    def narrowest(self) -> float:
+        return min(self.sigma_pump, self.sigma_match)
 
     def mode_offsets(self) -> np.ndarray:
         """Far-field signal-mode centers, symmetric around 0, spaced by peak_spacing."""
@@ -340,7 +356,9 @@ class MultiPeakParams:
 
     def mode_spacing(self) -> Optional[float]:
         """Smallest gap between distinct :meth:`signal_centers`, or None for one mode."""
-        gaps = np.diff(np.unique(self.signal_centers()))
+        # sorted positive gaps, not np.unique, whose numpy 2.4 code imports numpy.ma
+        gaps = np.diff(np.sort(self.signal_centers()))
+        gaps = gaps[gaps > 0]
         return float(gaps.min()) if gaps.size else None
 
     def pump_centers(self) -> np.ndarray:
@@ -350,7 +368,7 @@ class MultiPeakParams:
     def pump_factor(self, total: np.ndarray) -> np.ndarray:
         """Pump comb at sum coordinates ks + ki: a Gaussian at each of
         :meth:`pump_centers`, scaled by its amplitude."""
-        return _gaussians(total, zip(self.amplitudes, self.pump_centers()), self.widths.sigma_pump)
+        return _gaussians(total, zip(self.amplitudes, self.pump_centers()), self.sigma_pump)
 
     def matching_factor(self, delta: np.ndarray) -> np.ndarray:
         """Gaussian phase matching at differences ks - ki, centred at the offset.
@@ -359,7 +377,7 @@ class MultiPeakParams:
         """
         offset = self.noncollinear_offset
         centers = (offset, -offset) if self.both_branches else (offset,)
-        return _gaussians(delta, [(1.0, c) for c in centers], self.widths.sigma_match)
+        return _gaussians(delta, [(1.0, c) for c in centers], self.sigma_match)
 
 
 def _gaussians(x: np.ndarray, terms, sigma: float) -> np.ndarray:
@@ -376,7 +394,7 @@ def default_grid(params: MultiPeakParams, n_points: int, span_sigmas: float) -> 
     idler grid sits at -offset/2; ``both_branches`` centers it at zero and
     widens the span to reach both rings.
     """
-    half = float(np.max(np.abs(params.mode_offsets()))) + span_sigmas * params.widths.widest
+    half = float(np.max(np.abs(params.mode_offsets()))) + span_sigmas * params.widest
     k0 = params.noncollinear_offset / 2.0
     if params.both_branches:
         return WavevectorGrid.centered(0.0, half + k0, n_points)
@@ -396,14 +414,15 @@ def build_multipeak(params: MultiPeakParams, grid: WavevectorGrid) -> TpaKernel:
     return TpaKernel.from_profiles(grid, params.pump_factor(sums), params.matching_factor(delta))
 
 
-def build_double_gaussian(widths: PumpWidths, grid: WavevectorGrid) -> TpaKernel:
+def build_double_gaussian(sigma_pump: float, sigma_match: float,
+                          grid: WavevectorGrid) -> TpaKernel:
     """Gaussian-pump, gaussian-phase-matching joint amplitude around k = 0.
 
     F(ks, ki) = exp(-(ks+ki)^2 / (2 sigma_pump^2))
               * exp(-(ks-ki)^2 / (2 sigma_match^2)), normalized: the
     single-peak, zero-offset case of :func:`build_multipeak`.
     """
-    return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid)
+    return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, sigma_pump, sigma_match), grid)
 
 
 def check_grids(samples: Sequence[MultiPeakParams], grid: WavevectorGrid) -> None:
@@ -415,19 +434,18 @@ def check_grids(samples: Sequence[MultiPeakParams], grid: WavevectorGrid) -> Non
     gets one warning, and its mirror another.
     """
     params = samples[0]
-    widths = params.widths
-    step = MAX_STEP_FRACTION * widths.narrowest
+    step = MAX_STEP_FRACTION * params.narrowest
     if grid.spacing > step:
         raise ValueError(
             f"signal grid step {grid.spacing:.4g} cannot resolve the narrowest "
-            f"width {widths.narrowest:.4g}; need step <= {step:.4g} "
+            f"width {params.narrowest:.4g}; need step <= {step:.4g} "
             f"(>= {np.ceil((grid.k_max - grid.k_min) / step) + 1:.6g} points)"
         )
 
-    if 0 < params.peak_spacing <= 4.0 * widths.widest:
+    if 0 < params.peak_spacing <= 4.0 * params.widest:
         warnings.warn(
             f"peak spacing {params.peak_spacing:.4g} is within 4 widths "
-            f"({4.0 * widths.widest:.4g}) of the peaks; modes overlap and the "
+            f"({4.0 * params.widest:.4g}) of the peaks; modes overlap and the "
             "per-peak factorization is invalid"
         )
 

@@ -242,30 +242,3 @@ class WavevectorGrid:
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.k_min <= lo and self.k_max >= hi
-
-
-@dataclass(frozen=True)
-class PumpWidths:
-    """Widths of the two Gaussian factors of the joint amplitude (1/um).
-
-    ``sigma_pump`` is the pump angular-spectrum width (sum coordinate),
-    ``sigma_match`` the phase-matching width (difference coordinate).
-    """
-
-    sigma_pump: float
-    sigma_match: float
-
-    def __post_init__(self):
-        if self.sigma_pump <= 0 or self.sigma_match <= 0:
-            raise ValueError(
-                f"widths must be positive, got sigma_pump={self.sigma_pump}, "
-                f"sigma_match={self.sigma_match}"
-            )
-
-    @property
-    def widest(self) -> float:
-        return max(self.sigma_pump, self.sigma_match)
-
-    @property
-    def narrowest(self) -> float:
-        return min(self.sigma_pump, self.sigma_match)

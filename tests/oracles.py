@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from spdc_modes.kernel import ProfilePair
-from spdc_modes.optics import PumpWidths, WavevectorGrid
+from spdc_modes.optics import WavevectorGrid
 from spdc_modes.schmidt import MAX_MODES, SchmidtDecomposition
 
 # warn when the grid holds less than this much of a mode's continuum energy
@@ -78,7 +78,7 @@ class AnalyticModes:
     mode_scale: float             # Hermite-Gauss scale in 1/um
 
 
-def analytic_double_gaussian(widths: PumpWidths) -> AnalyticModes:
+def analytic_double_gaussian(sigma_pump: float, sigma_match: float) -> AnalyticModes:
     """Closed-form Schmidt data for the centered double-Gaussian amplitude.
 
     With a = sigma_pump, b = sigma_match and mu = ((b - a) / (b + a))^2,
@@ -86,7 +86,7 @@ def analytic_double_gaussian(widths: PumpWidths) -> AnalyticModes:
     is (a^2 + b^2) / (2 a b), and modes are Hermite-Gauss with scale
     sqrt(a b / 2); the idler set is the mirror image of the signal set.
     """
-    a, b = widths.sigma_pump, widths.sigma_match
+    a, b = sigma_pump, sigma_match
     root = (b - a) / (b + a)
     mu = root * root
     eigenvalues = (1.0 - mu) * mu ** np.arange(MAX_MODES)
@@ -143,17 +143,17 @@ def hermite_gauss(order: int, scale: float, grid: WavevectorGrid,
     return psi / norm
 
 
-def double_gaussian_modes(widths: PumpWidths, m_max: int,
+def double_gaussian_modes(sigma_pump: float, sigma_match: float, m_max: int,
                           grid: WavevectorGrid) -> Tuple[np.ndarray, np.ndarray]:
     """(signal, idler) closed-form Schmidt modes of the centered double
     Gaussian: Hermite-Gauss functions of :func:`analytic_double_gaussian`'s
     scale, one row per mode."""
-    scale = analytic_double_gaussian(widths).mode_scale
+    scale = analytic_double_gaussian(sigma_pump, sigma_match).mode_scale
     signal = np.stack([hermite_gauss(n, scale, grid) for n in range(m_max)])
     # pair signs follow the sign of the Mehler parameter (a-b)/(a+b): for
     # sigma_match > sigma_pump the idler set is the mirror image,
     # psi_n(-k) = (-1)^n psi_n(k); otherwise it matches the signal set
-    signs = (-1.0) ** np.arange(m_max) if widths.sigma_match > widths.sigma_pump else np.ones(m_max)
+    signs = (-1.0) ** np.arange(m_max) if sigma_match > sigma_pump else np.ones(m_max)
     return signal, signal * signs[:, None]
 
 

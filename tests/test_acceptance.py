@@ -46,7 +46,6 @@ from spdc_modes.kernel import (
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
     PhaseMatchConfig,
-    PumpWidths,
     WavevectorGrid,
     fwhm_to_sigma_k,
     noncollinear_offset,
@@ -84,9 +83,8 @@ def test_schmidt_number_and_spectrum_match_closed_form():
     with criterion("schmidt-number-closed-form"):
         for ratio in (1.0, 1.5, 2.0, 5.0, 10.0):
             a, b = SIGMA, ratio * SIGMA
-            widths = PumpWidths(a, b)
             grid = WavevectorGrid.centered(0.0, 5.0 * max(a, b), 512)
-            dec = schmidt_decompose(build_double_gaussian(widths, grid))
+            dec = schmidt_decompose(build_double_gaussian(a, b, grid))
             got_k = schmidt_number(dec).schmidt_number
             expected_k = (a * a + b * b) / (2.0 * a * b)
             assert got_k == pytest.approx(expected_k, rel=1e-3)
@@ -112,10 +110,9 @@ def test_matched_widths_give_a_single_mode():
 def test_modes_are_hermite_gauss():
     with criterion("hermite-gauss-mode-shapes"):
         a, b = SIGMA, 2.0 * SIGMA
-        widths = PumpWidths(a, b)
         grid = WavevectorGrid.centered(0.0, 6.0 * b, 512)
-        dec = schmidt_decompose(build_double_gaussian(widths, grid))
-        signal, idler = double_gaussian_modes(widths, 6, grid)
+        dec = schmidt_decompose(build_double_gaussian(a, b, grid))
+        signal, idler = double_gaussian_modes(a, b, 6, grid)
         for m in range(6):
             s = float(np.sum(dec.signal_modes[m].real * signal[m]) * grid.spacing)
             i = float(np.sum(dec.idler_modes[m].real * idler[m]) * grid.spacing)
@@ -152,8 +149,7 @@ def test_crosstalk_is_negligible_and_log_safe():
         cfg = load_config(CROSSTALK)
         params = cfg.pump
         grid_s = cfg.grid
-        widths = params.widths
-        scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
+        scale = math.sqrt(params.sigma_pump * params.sigma_match / 2.0)
         centers = params.mode_offsets() + params.noncollinear_offset / 2.0
         logs = gaussian_mode_log_intensities(centers, scale, grid_s)
         matrix = crosstalk_matrix(logs, grid_s)
@@ -182,7 +178,7 @@ def test_crosstalk_matches_the_closed_form_gaussian_law():
         for data in (shipped, comb):
             cfg = parse_config(data)
             grid_s = cfg.grid
-            scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
+            scale = analytic_double_gaussian(cfg.pump.sigma_pump, cfg.pump.sigma_match).mode_scale
             centers = cfg.pump.mode_offsets() + cfg.pump.noncollinear_offset / 2.0
             logs = gaussian_mode_log_intensities(centers, scale, grid_s)
             matrix = crosstalk_matrix(logs, grid_s)
@@ -194,8 +190,8 @@ def test_filter_bandwidth_broadens_the_singles(monkeypatch):
     with criterion("filter-bandwidth-broadening"):
         pm = PhaseMatchConfig(3000.0, 0.405, 1.6602583173171748, 1.6579880614409859)
         offset = noncollinear_offset(pm).offset_um_inv
-        widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(pm))
-        params = MultiPeakParams((1.0,), 0.0, offset, widths)
+        params = MultiPeakParams((1.0,), 0.0, offset, fwhm_to_sigma_k(246.0),
+                                 phase_matching_width(pm))
         grid = default_grid(params, 512, 6.0)
 
         def builder(off):
@@ -222,7 +218,7 @@ def test_hologram_round_trip_recovers_the_pump():
         width = 1920
         slm = HologramSettings(width, 8, 8.0, 6.0, mag)
         sigma = GAUSSIAN_FWHM_FACTOR / 246.0
-        params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 0.0, PumpWidths(sigma, sigma))
+        params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 0.0, sigma, sigma)
         target = pump_field(params, slm.pixel_coordinates() / mag).values
         holo = encode_hologram(target, slm)
         replay = simulate_first_order(holo)
@@ -238,12 +234,12 @@ def test_hologram_round_trip_recovers_the_pump():
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(a=st.floats(0.5, 2.0), ratio=st.floats(0.25, 4.0))
 def _norm_and_orthogonality(a, ratio):
-    widths = PumpWidths(a, a * ratio)
-    wide = max(widths.sigma_pump, widths.sigma_match)
+    b = a * ratio
+    wide = max(a, b)
 
     def solve(n):
         grid = WavevectorGrid.centered(0.0, 5.0 * wide, n)
-        kernel = build_double_gaussian(widths, grid)
+        kernel = build_double_gaussian(a, b, grid)
         norm = np.sum(np.abs(kernel.amplitude) ** 2) * grid.spacing ** 2
         return kernel, grid, norm
 

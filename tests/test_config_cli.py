@@ -21,7 +21,7 @@ from spdc_modes import cli, detection, exports, hologram, schmidt
 from spdc_modes.cli import build_parser, main
 from spdc_modes.config import ConfigError, load_config, parse_config
 from spdc_modes.kernel import MultiPeakParams, build_multipeak, default_grid
-from spdc_modes.optics import PumpWidths, phase_matching_width
+from spdc_modes.optics import phase_matching_width
 
 from oracles import analytic_double_gaussian, joint_array, parse_pgm, read_csv
 
@@ -54,11 +54,11 @@ def test_minimal_config_fills_defaults():
     assert cfg.pump.n_peaks == 1
     assert cfg.pump.peak_spacing == 0.0
     assert cfg.pump.amplitudes == (1.0,)
-    assert cfg.pump.widths.sigma_match == phase_matching_width(cfg.phase_match)  # derived
+    assert cfg.pump.sigma_match == phase_matching_width(cfg.phase_match)  # derived
     assert cfg.geometry.central_wavelength_nm == pytest.approx(810.0)
     assert cfg.geometry.filter_fwhm_nm == 10.0
     assert cfg.hologram.width_px == 1920
-    assert cfg.pump.widths.sigma_pump == pytest.approx(0.009419280180123796, rel=1e-14)
+    assert cfg.pump.sigma_pump == pytest.approx(0.009419280180123796, rel=1e-14)
     assert cfg.phase_match.dispersion is None
     assert cfg.phase_match.downconverted_index(1.0) == cfg.phase_match.n_signal
 
@@ -135,7 +135,7 @@ def test_sellmeier_config_derivations():
     assert cfg.pump.noncollinear_offset == pytest.approx(1.3469921957226902, rel=1e-12)
     ns, np_ = N_SIGNAL, N_PUMP
     expected_width = math.sqrt(ns) / (3000.0 * math.sqrt((ns - np_) * 0.195))
-    sigma_match = cfg.pump.widths.sigma_match
+    sigma_match = cfg.pump.sigma_match
     assert sigma_match == pytest.approx(expected_width, rel=1e-12)
     assert sigma_match == pytest.approx(phase_matching_width(cfg.phase_match), rel=0)
 
@@ -145,8 +145,7 @@ def test_sellmeier_config_derivations():
         index(2.0)
 
     single = load_config(SINGLE)
-    widths = single.pump.widths
-    assert widths.sigma_match == widths.sigma_pump  # matching_width: equal
+    assert single.pump.sigma_match == single.pump.sigma_pump  # matching_width: equal
 
 
 def test_the_cut_angle_is_the_only_geometry_input(tmp_path):
@@ -321,7 +320,7 @@ def test_grid_and_width_bounds():
 def test_matching_width_forms():
     data = minimal()
     data["pump"]["matching_width"] = 0.0211
-    assert parse_config(data).pump.widths.sigma_match == pytest.approx(0.0211)
+    assert parse_config(data).pump.sigma_match == pytest.approx(0.0211)
     data["pump"]["matching_width"] = "auto"
     with pytest.raises(ConfigError, match="matching_width"):
         parse_config(data)
@@ -390,7 +389,7 @@ def test_a_single_peak_has_no_spacing(tmp_path, capsys):
                           if path.suffix != ".log"}))
         assert runs[0][1] and runs[1] == runs[0] and runs[2] == runs[0], command
     with pytest.raises(ValueError, match="^a single peak has no spacing, got 0.168$"):
-        MultiPeakParams((1.0,), 0.168, 0.0, PumpWidths(1.0, 1.0))
+        MultiPeakParams((1.0,), 0.168, 0.0, 1.0, 1.0)
 
 
 def test_hologram_settings_validation():
@@ -919,7 +918,7 @@ def test_cli_crosstalk_takes_the_modes_of_both_rings(tmp_path, capsys):
     cfg = load_config(SINGLE, {"grid.points": 614, "grid.both_branches": True})
     centers = cfg.pump.signal_centers()
     assert centers == pytest.approx([0.6735, -0.6735], abs=1e-4)
-    scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
+    scale = analytic_double_gaussian(cfg.pump.sigma_pump, cfg.pump.sigma_match).mode_scale
     header, table = read_csv(str(tmp_path / "crosstalk.csv"))
     log10 = table[:, header.index("log10_value")].reshape(2, 2)
     # Gaussian intensity modes exp(-(k - c)^2 / s^2): log X = -(c1 - c2)^2 / s^2
@@ -1202,9 +1201,10 @@ def test_cli_fedorov_measures_one_mode_of_a_multi_mode_run(tmp_path, config, pum
     assert ratio == pytest.approx(expected, rel=rel)
     if config == THREE and zero_width:
         # ideal slits: the ratio of the per-peak double Gaussian is its Schmidt number
-        widths = load_config(THREE).pump.widths
+        params = load_config(THREE).pump
         assert ratio == pytest.approx(
-            analytic_double_gaussian(widths).schmidt_number, rel=1e-2)
+            analytic_double_gaussian(params.sigma_pump, params.sigma_match).schmidt_number,
+            rel=1e-2)
 
 
 def collinear(config):
@@ -1469,8 +1469,9 @@ def test_cli_import_pins_one_blas_thread():
 def test_only_crosstalk_loads_scipy_special(tmp_path):
     # every other subcommand runs in one fresh interpreter without it; crosstalk
     # then loads it, and with it scipy's own OpenBLAS, which the pin also reaches,
-    # and numpy.random, which scipy.special imports: the Schmidt sketch draws
-    # from the standard library's stream, so no other subcommand loads numpy.random
+    # and numpy.random and numpy.ma, which scipy.special imports: the Schmidt sketch
+    # draws from the standard library's stream, and the mode spacing sorts its
+    # centres without np.unique, so no other subcommand loads either
     runs = [("tpa", SINGLE), ("schmidt", SINGLE), ("scan", THREE, "--zero-width-slits"),
             ("scan", THREE, "--wavelength-avg"), ("fedorov", SINGLE, "--zero-width-slits"),
             ("pump", THREE), ("hologram", HOLOGRAM), ("crosstalk", CROSSTALK)]
@@ -1482,10 +1483,10 @@ def test_only_crosstalk_loads_scipy_special(tmp_path):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = cli.main(argv)\n"
             "    print(argv[0], code, 'scipy.special' in sys.modules,\n"
-            "          'numpy.random' in sys.modules)\n"
+            "          'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
     *lines, threads = fresh_python(code).splitlines()
-    assert lines == [f"{sub} 0 {sub == 'crosstalk'} {sub == 'crosstalk'}" for sub, *_ in runs]
+    assert lines == [f"{sub} 0" + f" {sub == 'crosstalk'}" * 3 for sub, *_ in runs]
     assert threads == "1"
 
 

@@ -36,7 +36,6 @@ from spdc_modes.kernel import (
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
     PhaseMatchConfig,
-    PumpWidths,
     SellmeierAxis,
     SellmeierCoefficients,
     WavevectorGrid,
@@ -60,9 +59,8 @@ N_PUMP = 1.6579880614409859
 
 
 def ratio_two_intensity(n=2001, span=6.0):
-    widths = PumpWidths(1.0, 2.0)
     grid = WavevectorGrid.centered(0.0, span * 2.0, n)
-    return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid).intensity
+    return build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, 1.0, 2.0), grid).intensity
 
 
 def test_slit_windows_match_geometry():
@@ -190,14 +188,13 @@ def test_conditional_narrower_and_fedorov_matches_schmidt_number():
 
 
 def test_fedorov_matched_widths_is_unity_with_real_slits():
-    widths = PumpWidths(1.0, 1.0)
     grid = WavevectorGrid.centered(0.0, 6.0, 1001)
-    inten = build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid).intensity
+    inten = build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, 1.0, 1.0), grid).intensity
     # separable amplitude: conditioning cannot change the scanned profile
     assert fedorov_ratio(inten, WINDOWS, None) == pytest.approx(1.0, abs=1e-10)
     assert fedorov_ratio(inten, IDEAL, None) == pytest.approx(1.0, abs=1e-10)
     # the same mode on both rings: two singles peaks, one measured
-    params = MultiPeakParams((1.0,), 0.0, 20.0, widths, both_branches=True)
+    params = MultiPeakParams((1.0,), 0.0, 20.0, 1.0, 1.0, both_branches=True)
     both = build_multipeak(params, default_grid(params, 801, 6.0)).intensity
     for windows in (WINDOWS, IDEAL):
         ratio = fedorov_ratio(both, windows, params.mode_spacing())
@@ -294,8 +291,8 @@ def bbo_config():
 def three_peak_intensity():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, widths)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, offset, fwhm_to_sigma_k(246.0),
+                             phase_matching_width(cfg))
     return build_multipeak(params, default_grid(params, 768, 6.0)).intensity, params, cfg
 
 
@@ -316,8 +313,8 @@ def test_fixed_idler_slit_selects_one_mode():
 def test_idler_between_two_modes_sees_both():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams((1.0, 1.0), 0.168, offset, widths)
+    params = MultiPeakParams((1.0, 1.0), 0.168, offset, fwhm_to_sigma_k(246.0),
+                             phase_matching_width(cfg))
     gs = default_grid(params, 769, 6.0)
     coinc = coincidence_scan(build_multipeak(params, gs).intensity, -offset / 2.0, *IDEAL)
     pos, height = find_peaks(coinc, min_height_frac=0.2)
@@ -326,8 +323,8 @@ def test_idler_between_two_modes_sees_both():
     # conditioning midway: each mode's conditional is the product of a pump
     # factor at offset/2 +- 0.168 and a matching factor at offset/2, so the
     # peaks sit at the inverse-variance-weighted centers
-    sp2 = widths.sigma_pump ** 2
-    sm2 = widths.sigma_match ** 2
+    sp2 = params.sigma_pump ** 2
+    sm2 = params.sigma_match ** 2
     shift = 0.168 * sm2 / (sp2 + sm2)
     assert np.allclose(sorted(pos), [offset / 2.0 - shift, offset / 2.0 + shift],
                        atol=gs.spacing)
@@ -397,8 +394,8 @@ def make_builder(params, grid):
 def test_wavelength_average_reduces_to_mono_for_narrow_filter():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams((1.0,), 0.0, offset, widths)
+    params = MultiPeakParams((1.0,), 0.0, offset, fwhm_to_sigma_k(246.0),
+                             phase_matching_width(cfg))
     grid = default_grid(params, 512, 6.0)
     builder = make_builder(params, grid)
 
@@ -411,8 +408,8 @@ def test_wavelength_average_reduces_to_mono_for_narrow_filter():
 def test_wavelength_average_broadens_monotonically():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams((1.0,), 0.0, offset, widths)
+    params = MultiPeakParams((1.0,), 0.0, offset, fwhm_to_sigma_k(246.0),
+                             phase_matching_width(cfg))
     grid = default_grid(params, 512, 6.0)
     builder = make_builder(params, grid)
     window = (offset / 2.0 - 0.06, offset / 2.0 + 0.06)
@@ -435,8 +432,8 @@ def test_wavelength_average_broadens_monotonically():
 def test_wavelength_average_validation():
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    widths = PumpWidths(fwhm_to_sigma_k(246.0), phase_matching_width(cfg))
-    params = MultiPeakParams((1.0,), 0.0, offset, widths)
+    params = MultiPeakParams((1.0,), 0.0, offset, fwhm_to_sigma_k(246.0),
+                             phase_matching_width(cfg))
     grid = default_grid(params, 512, 6.0)
     with pytest.raises(ValueError, match="signal grid step .* cannot resolve"):
         wavelength_average(cfg, GEOM, params, default_grid(params, 64, 6.0))
@@ -451,7 +448,7 @@ def three_peak_case(both_branches, n_points=128, span_sigmas=4.0):
     # a coarse grid that clips the union of the samples' supports on both axes
     cfg = bbo_config()
     offset = noncollinear_offset(cfg).offset_um_inv
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, offset, PumpWidths(0.16, 0.2),
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, offset, 0.16, 0.2,
                              both_branches=both_branches)
     return (cfg, GEOM, params, default_grid(params, n_points, span_sigmas)), 2
 
@@ -571,8 +568,7 @@ def comb64_log_modes():
                     "matching_width": "derived"}
     data["grid"]["points"] = 2048
     run = parse_config(data)
-    widths = run.pump.widths
-    scale = math.sqrt(widths.sigma_pump * widths.sigma_match / 2.0)
+    scale = math.sqrt(run.pump.sigma_pump * run.pump.sigma_match / 2.0)
     return gaussian_mode_log_intensities(run.pump.signal_centers(), scale, run.grid), run.grid
 
 

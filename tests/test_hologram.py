@@ -25,7 +25,7 @@ from spdc_modes.hologram import (
     simulate_first_order,
 )
 from spdc_modes.kernel import MultiPeakParams
-from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR, PumpWidths
+from spdc_modes.optics import GAUSSIAN_FWHM_FACTOR
 
 from oracles import parse_pgm, pgm_bytes
 from traced import traced_peak
@@ -41,7 +41,7 @@ def slm(width, height=1, period=PERIOD):
 
 def comb_pump(amplitudes, spacing, sigma):
     """Collinear multi-peak pump; the hologram reads only the comb and sigma_pump."""
-    return MultiPeakParams(amplitudes, spacing, 0.0, PumpWidths(sigma, sigma))
+    return MultiPeakParams(amplitudes, spacing, 0.0, sigma, sigma)
 
 
 def flat_target(settings, value=1.0):
@@ -242,8 +242,8 @@ def test_pump_field_spectral_weights():
 
 
 def test_pump_params_validation():
-    # peak count and spacing are checked with MultiPeakParams in test_kernel,
-    # the side amplitude in test_config_cli; the envelope width by PumpWidths
+    # peak count, spacing and widths are checked with MultiPeakParams in
+    # test_kernel, the side amplitude in test_config_cli
     with pytest.raises(ValueError, match="sigma_pump"):
         comb_pump((1.0,), 0.0, -0.01)
     x_far = np.linspace(1e6, 1e6 + 10.0, 32)

@@ -29,7 +29,6 @@ from spdc_modes.kernel import (
 )
 from spdc_modes.optics import (
     PhaseMatchConfig,
-    PumpWidths,
     WavevectorGrid,
     noncollinear_offset,
     phase_matching_width,
@@ -47,16 +46,14 @@ def centered(half, n=256):
 
 
 def test_normalization_unit_integral():
-    widths = PumpWidths(SIGMA, 2.0 * SIGMA)
-    kernel = build_double_gaussian(widths, centered(5 * 2 * SIGMA, 256))
+    kernel = build_double_gaussian(SIGMA, 2.0 * SIGMA, centered(5 * 2 * SIGMA, 256))
     total = np.sum(np.abs(kernel.amplitude) ** 2) * kernel.grid_s.spacing * kernel.grid_i.spacing
     assert total == pytest.approx(1.0, abs=1e-12)
     assert kernel.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matched_widths_kernel_is_separable():
-    widths = PumpWidths(SIGMA, SIGMA)
-    kernel = build_double_gaussian(widths, centered(5 * SIGMA, 128))
+    kernel = build_double_gaussian(SIGMA, SIGMA, centered(5 * SIGMA, 128))
     amp = kernel.amplitude
     i0 = amp.shape[0] // 2
     outer = np.outer(amp[:, i0], amp[i0, :]) / amp[i0, i0]
@@ -64,57 +61,61 @@ def test_matched_widths_kernel_is_separable():
 
 
 def test_single_peak_reduces_to_double_gaussian():
-    widths = PumpWidths(SIGMA, 1.7 * SIGMA)
     grid = centered(5 * 1.7 * SIGMA, 200)
-    params = MultiPeakParams((1.0,), 0.0, 0.0, widths)
+    params = MultiPeakParams((1.0,), 0.0, 0.0, SIGMA, 1.7 * SIGMA)
     multi = build_multipeak(params, grid)
     ks = grid.points()[:, None]
     ki = grid.points()[None, :]
-    closed = np.exp(-((ks + ki) ** 2) / (2.0 * widths.sigma_pump ** 2)
-                    - ((ks - ki) ** 2) / (2.0 * widths.sigma_match ** 2))
+    closed = np.exp(-((ks + ki) ** 2) / (2.0 * params.sigma_pump ** 2)
+                    - ((ks - ki) ** 2) / (2.0 * params.sigma_match ** 2))
     closed /= np.sqrt(np.sum(closed ** 2) * grid.spacing ** 2)
     assert np.allclose(multi.amplitude, closed, rtol=1e-12, atol=0.0)
 
 
 def test_mode_offsets_centers_weights():
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347, SIGMA, SIGMA)
     assert params.n_peaks == 3
     assert np.allclose(params.mode_offsets(), [0.168, 0.0, -0.168])
     assert np.allclose(params.pump_centers(), [0.336, 0.0, -0.336])
     # each peak's Gaussian in the pump comb carries its own amplitude
     assert params.pump_factor(params.pump_centers()) == pytest.approx([0.63, 1.0, 0.63],
                                                                       rel=1e-12)
-    uniform = MultiPeakParams((1.0,) * 4, 0.1, 0.0, PumpWidths(1.0, 1.0))
+    uniform = MultiPeakParams((1.0,) * 4, 0.1, 0.0, 1.0, 1.0)
     assert uniform.n_peaks == 4
     assert np.allclose(uniform.mode_offsets(), [0.15, 0.05, -0.05, -0.15])
 
 
 def test_multipeak_param_validation():
-    w = PumpWidths(1.0, 1.0)
     with pytest.raises(ValueError, match="at least one"):
-        MultiPeakParams((), 0.1, 0.0, w)
+        MultiPeakParams((), 0.1, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="spacing"):
-        MultiPeakParams((1.0, 1.0), 0.0, 0.0, w)
+        MultiPeakParams((1.0, 1.0), 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="both_branches adds the mirror ring"):
-        MultiPeakParams((1.0,), 0.0, -1.0, w)
+        MultiPeakParams((1.0,), 0.0, -1.0, 1.0, 1.0)
+
+
+def test_multipeak_widths():
+    params = MultiPeakParams((1.0,), 0.0, 0.0, 1.0, 2.0)
+    assert params.widest == 2.0
+    assert params.narrowest == 1.0
+    for sigma_pump, sigma_match in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="widths must be positive"):
+            MultiPeakParams((1.0,), 0.0, 0.0, sigma_pump, sigma_match)
 
 
 def test_resolution_refusal_names_point_count():
-    widths = PumpWidths(SIGMA, SIGMA)
     with pytest.raises(ValueError, match="points"):
-        build_double_gaussian(widths, WavevectorGrid.centered(0.0, 50 * SIGMA, 16))
+        build_double_gaussian(SIGMA, SIGMA, WavevectorGrid.centered(0.0, 50 * SIGMA, 16))
 
 
 def test_coverage_warning_on_narrow_grid():
-    widths = PumpWidths(SIGMA, SIGMA)
     with pytest.warns(UserWarning, match="clips"):
-        build_double_gaussian(widths, centered(2 * SIGMA, 64))
-    assert recorded(build_double_gaussian, widths, centered(6 * SIGMA, 64))[1] == []
+        build_double_gaussian(SIGMA, SIGMA, centered(2 * SIGMA, 64))
+    assert recorded(build_double_gaussian, SIGMA, SIGMA, centered(6 * SIGMA, 64))[1] == []
 
 
 def test_overlapping_peaks_warn_but_proceed():
-    widths = PumpWidths(SIGMA, SIGMA)
-    params = MultiPeakParams((1.0, 1.0, 1.0), 3.0 * SIGMA, 0.0, widths)
+    params = MultiPeakParams((1.0, 1.0, 1.0), 3.0 * SIGMA, 0.0, SIGMA, SIGMA)
     grid = centered(3.0 * SIGMA + 5 * SIGMA, 256)
     with pytest.warns(UserWarning, match="overlap"):
         kernel = build_multipeak(params, grid)
@@ -125,13 +126,13 @@ def test_default_grids_center_on_branch():
     def center(grid):
         return 0.5 * (grid.k_min + grid.k_max)
 
-    params = MultiPeakParams((1.0, 1.0, 1.0), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
+    params = MultiPeakParams((1.0, 1.0, 1.0), 0.168, 1.347, SIGMA, SIGMA)
     gs = default_grid(params, 128, 5.0)
     gi = gs.mirrored()
     assert center(gs) == pytest.approx(1.347 / 2)
     assert center(gi) == pytest.approx(-1.347 / 2)
     assert gs.covers(1.347 / 2 - 0.168, 1.347 / 2 + 0.168)
-    both = MultiPeakParams((1.0,) * 3, 0.168, 1.347, PumpWidths(SIGMA, SIGMA),
+    both = MultiPeakParams((1.0,) * 3, 0.168, 1.347, SIGMA, SIGMA,
                            both_branches=True)
     gs_b = default_grid(both, 128, 5.0)
     assert center(gs_b) == 0.0 and center(gs_b.mirrored()) == 0.0
@@ -142,18 +143,32 @@ def test_default_grids_center_on_branch():
          -1.347 / 2 + 0.168, -1.347 / 2, -1.347 / 2 - 0.168])
     collinear = dataclasses.replace(both, noncollinear_offset=0.0)
     assert collinear.signal_centers() == pytest.approx([0.168, 0.0, -0.168])
-    # the smallest gap between distinct centers; a single mode has none
-    assert both.mode_spacing() == pytest.approx(0.168)
-    assert collinear.mode_spacing() == pytest.approx(0.168)
+
+
+def test_mode_spacing_is_the_smallest_gap_between_distinct_centers():
+    # to the bit the smallest gap between np.unique's sorted centers
+    def unique_gap(params):
+        gaps = np.diff(np.unique(params.signal_centers()))
+        return float(gaps.min()) if gaps.size else None
+
+    both = MultiPeakParams((1.0,) * 3, 0.168, 1.347, SIGMA, SIGMA, both_branches=True)
     one = dataclasses.replace(both, amplitudes=(1.0,), peak_spacing=0.0)
-    assert one.mode_spacing() == pytest.approx(1.347)
-    assert dataclasses.replace(one, both_branches=False).mode_spacing() is None
-    assert dataclasses.replace(one, noncollinear_offset=0.0).mode_spacing() is None
+    # two rings whose centers 1, 0.5, 0, 0, -0.5, -1 share a node at 0
+    rings = MultiPeakParams((1.0,) * 3, 0.5, 1.0, SIGMA, SIGMA, both_branches=True)
+    assert rings.signal_centers().tolist() == [1.0, 0.5, 0.0, 0.0, -0.5, -1.0]
+    for params, expected in ((load_config(THREE).pump, 0.168), (both, 0.168),
+                             (dataclasses.replace(both, noncollinear_offset=0.0), 0.168),
+                             (one, 1.347), (rings, 0.5)):
+        assert type(params.mode_spacing()) is float
+        assert params.mode_spacing() == unique_gap(params) == pytest.approx(expected)
+    # a single mode has no spacing
+    for params in (dataclasses.replace(one, both_branches=False),
+                   dataclasses.replace(one, noncollinear_offset=0.0)):
+        assert params.mode_spacing() is unique_gap(params) is None
 
 
 def test_both_branches_point_symmetric():
-    widths = PumpWidths(SIGMA, SIGMA)
-    params = MultiPeakParams((1.0,), 0.0, 0.2, widths, both_branches=True)
+    params = MultiPeakParams((1.0,), 0.0, 0.2, SIGMA, SIGMA, both_branches=True)
     kernel = build_multipeak(params, default_grid(params, 129, 5.0))
     assert np.allclose(kernel.amplitude, kernel.amplitude[::-1, ::-1], rtol=1e-12, atol=0.0)
 
@@ -233,16 +248,15 @@ def test_profiles_of_extreme_magnitude_normalize():
 
 
 def test_real_models_build_real_kernels():
-    widths = PumpWidths(SIGMA, 1.7 * SIGMA)
     grid = centered(5 * 1.7 * SIGMA, 80)
-    assert build_double_gaussian(widths, grid).amplitude.dtype == np.float64
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347, PumpWidths(SIGMA, SIGMA))
+    assert build_double_gaussian(SIGMA, 1.7 * SIGMA, grid).amplitude.dtype == np.float64
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347, SIGMA, SIGMA)
     assert build_multipeak(params, default_grid(params, 256, 5.0)).amplitude.dtype == np.float64
 
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.6614, regime="collinear")
     tk = sum_coordinate_grid(grid).points()
     chirped = np.exp(-tk ** 2 / (2 * SIGMA ** 2) + 30j * tk)
-    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, SIGMA, 1.7 * SIGMA)
     kernel = build_from_pump(chirped, resolved, cfg, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     assert np.abs(kernel.amplitude.imag).max() > 0
@@ -256,7 +270,7 @@ def test_real_pump_spectrum_builds_a_real_kernel(model):
     real = np.exp(-tk ** 2 / (2 * SIGMA ** 2))
     # the same samples held as complex, so the builder takes its complex path
     promoted = real.astype(complex)
-    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(SIGMA, 1.7 * SIGMA))
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, SIGMA, 1.7 * SIGMA)
     kernel = build_from_pump(real, resolved, cfg, grid, model)
     reference = build_from_pump(promoted, resolved, cfg, grid, model)
     assert kernel.amplitude.dtype == np.float64
@@ -279,9 +293,8 @@ def test_from_profiles_real_input_matches_its_complex_promotion():
 
 
 def test_marginal_intensity_integrates_to_one():
-    widths = PumpWidths(SIGMA, 2 * SIGMA)
     grid = centered(10 * SIGMA, 256)
-    inten = build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, widths), grid).intensity
+    inten = build_multipeak(MultiPeakParams((1.0,), 0.0, 0.0, SIGMA, 2 * SIGMA), grid).intensity
     k, m = grid.points(), inten.marginal
     assert np.sum(m) * grid.spacing == pytest.approx(1.0, abs=1e-12)
     # marginal of the double Gaussian is Gaussian with variance (a^2+b^2)/8
@@ -290,7 +303,7 @@ def test_marginal_intensity_integrates_to_one():
 
 
 def test_swapped_intensity_is_the_transpose():
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, PumpWidths(0.16, 0.2))
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, 0.16, 0.2)
     inten = build_multipeak(params, default_grid(params, 96, 5.0)).intensity
     swapped = inten.swapped
     assert swapped.grid_s == inten.grid_i and swapped.grid_i == inten.grid_s
@@ -318,23 +331,22 @@ def test_sum_coordinate_grid_nodes():
 
 def comb_params():
     """The three-peak comb on its noncollinear ring, and a grid for it."""
-    widths = PumpWidths(SIGMA, 0.0031701009425325415)
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 8.679653687096893, widths)
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 8.679653687096893,
+                             SIGMA, 0.0031701009425325415)
     return params, default_grid(params, 640, 5.0)
 
 
 def test_build_from_pump_matches_multipeak():
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
     params, grid = comb_params()
-    widths = params.widths
     direct = build_multipeak(params, grid)
 
     tk = sum_coordinate_grid(grid).points()
     pump = np.zeros_like(tk)
     for a, c in zip(params.amplitudes, params.pump_centers()):
-        pump += a * np.exp(-((tk - c) ** 2) / (2.0 * widths.sigma_pump ** 2))
+        pump += a * np.exp(-((tk - c) ** 2) / (2.0 * params.sigma_pump ** 2))
     resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
-                               PumpWidths(SIGMA, widths.sigma_match))
+                               SIGMA, params.sigma_match)
     rebuilt = build_from_pump(pump, resolved, cfg, grid, "gaussian")
     assert np.max(np.abs(rebuilt.amplitude - direct.amplitude)) < 1e-10 * np.abs(direct.amplitude).max()
     # the scans read either kernel's intensity alike, through the bench slits
@@ -360,7 +372,7 @@ def pump_kernel(chirp, model):
 
 BUILDERS = {
     "multipeak": lambda: build_multipeak(*comb_params()),
-    "double-gaussian": lambda: build_double_gaussian(PumpWidths(SIGMA, 1.7 * SIGMA),
+    "double-gaussian": lambda: build_double_gaussian(SIGMA, 1.7 * SIGMA,
                                                      centered(5 * 1.7 * SIGMA, 200)),
     "from-pump-comb": lambda: pump_kernel(0.0, "gaussian"),
     "from-pump-sinc": lambda: pump_kernel(0.0, "sinc"),
@@ -490,7 +502,7 @@ def test_pump_field_spectrum_rebuilds_the_kernel():
     # crystal-plane field -> spectrum on the sum nodes -> kernel, against the
     # closed-form multi-peak build of the same run
     cfg = load_config(THREE)
-    span = 4.5 / cfg.pump.widths.sigma_pump
+    span = 4.5 / cfg.pump.sigma_pump
     field = hologram.pump_field(cfg.pump, np.linspace(-span, span, 4096))
     grid = cfg.grid
     spectrum = pump_spectrum_from_field(field.x, field.values,
@@ -533,7 +545,7 @@ def test_sinc_vs_gaussian_noncollinear_fwhm():
         return right - left
 
     resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
-                               PumpWidths(0.01, phase_matching_width(cfg)))
+                               0.01, phase_matching_width(cfg))
     gauss = build_from_pump(pump, resolved, cfg, gs, "gaussian")
     sinc = build_from_pump(pump, resolved, cfg, gs, "sinc")
     ratio = antidiag_fwhm(sinc) / antidiag_fwhm(gauss)
@@ -555,7 +567,7 @@ def test_sinc_collinear_matches_gaussian_fit_width():
     tk = sum_coordinate_grid(grid).points()
     pump = np.exp(-(tk ** 2) / 2.0)
 
-    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(1.0, phase_matching_width(cfg)),
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, 1.0, phase_matching_width(cfg),
                                both_branches=True)
     gauss = build_from_pump(pump, resolved, cfg, grid, "gaussian")
     sinc = build_from_pump(pump, resolved, cfg, grid, "sinc")
@@ -582,7 +594,7 @@ def test_collinear_sinc_refuses_an_offset_ring():
     gs = run.grid
     gi = gs.mirrored()
     tk = sum_coordinate_grid(gs).points()
-    pump = np.exp(-(tk ** 2) / (2.0 * run.pump.widths.sigma_pump ** 2))
+    pump = np.exp(-(tk ** 2) / (2.0 * run.pump.sigma_pump ** 2))
     gauss = build_from_pump(pump, run.pump, run.phase_match, gs, "gaussian")
     i, j = np.unravel_index(np.argmax(np.abs(gauss.amplitude)), gauss.amplitude.shape)
     assert gs.points()[i] - gi.points()[j] == pytest.approx(1.2, abs=2 * gs.spacing)
@@ -595,7 +607,7 @@ def test_build_from_pump_rejects_bad_model():
     pump = np.exp(-sum_coordinate_grid(grid).points() ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672)
     resolved = MultiPeakParams((1.0,), 0.0, noncollinear_offset(cfg).offset_um_inv,
-                               PumpWidths(1.0, phase_matching_width(cfg)))
+                               1.0, phase_matching_width(cfg))
     with pytest.raises(ValueError, match="model"):
         build_from_pump(pump, resolved, cfg, grid, "cosine")
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from spdc_modes.optics import (
     GAUSSIAN_FWHM_FACTOR,
     PhaseMatchConfig,
-    PumpWidths,
     SellmeierAxis,
     SellmeierCoefficients,
     WavevectorGrid,
@@ -159,16 +158,6 @@ def test_grid_validation():
         WavevectorGrid(0.0, 1.0, 8)
     with pytest.raises(ValueError, match="empty"):
         WavevectorGrid(1.0, 1.0, 32)
-
-
-def test_pump_widths():
-    w = PumpWidths(1.0, 2.0)
-    assert w.widest == 2.0
-    assert w.narrowest == 1.0
-    with pytest.raises(ValueError):
-        PumpWidths(0.0, 1.0)
-    with pytest.raises(ValueError):
-        PumpWidths(1.0, -2.0)
 
 
 def test_config_validation_errors():

@@ -28,7 +28,6 @@ from spdc_modes.kernel import (
     build_multipeak,
     default_grid,
 )
-from spdc_modes.optics import PumpWidths
 from spdc_modes.schmidt import schmidt_decompose
 
 from traced import traced_peak
@@ -85,7 +84,7 @@ def shipped_case(name, *flags):
 
 
 def three_peak_case(n_points, span_sigmas, both_branches=False):
-    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, PumpWidths(0.16, 0.2),
+    params = MultiPeakParams((0.63, 1.0, 0.63), 0.6, 1.347, 0.16, 0.2,
                              both_branches=both_branches)
     return params, default_grid(params, n_points, span_sigmas)
 

@@ -22,7 +22,7 @@ from spdc_modes.kernel import (
     sum_coordinate_grid,
     sum_difference_nodes,
 )
-from spdc_modes.optics import PhaseMatchConfig, PumpWidths, WavevectorGrid
+from spdc_modes.optics import PhaseMatchConfig, WavevectorGrid
 from spdc_modes.schmidt import schmidt_decompose, schmidt_number
 
 from oracles import (
@@ -36,7 +36,7 @@ from traced import traced_peak
 
 
 def grid_for(widths, n=161, span=5.0):
-    half = span * max(widths.sigma_pump, widths.sigma_match)
+    half = span * max(widths)
     return WavevectorGrid.centered(0.0, half, n)
 
 
@@ -45,8 +45,8 @@ def quad_overlap(f, g, spacing):
 
 
 def test_matched_widths_single_mode():
-    widths = PumpWidths(1.0, 1.0)
-    kernel = build_double_gaussian(widths, grid_for(widths))
+    widths = (1.0, 1.0)
+    kernel = build_double_gaussian(*widths, grid_for(widths))
     dec = schmidt_decompose(kernel)
     assert dec.n_modes == 1
     assert dec.coefficients[0] == pytest.approx(1.0, abs=1e-10)
@@ -58,8 +58,8 @@ def test_matched_widths_single_mode():
 
 
 def test_width_ratio_two_matches_closed_form():
-    widths = PumpWidths(1.0, 2.0)
-    kernel = build_double_gaussian(widths, grid_for(widths, n=321, span=6.0))
+    widths = (1.0, 2.0)
+    kernel = build_double_gaussian(*widths, grid_for(widths, n=321, span=6.0))
     dec = schmidt_decompose(kernel)
     mu = 1.0 / 9.0
     expected = (1.0 - mu) * mu ** np.arange(6)
@@ -71,15 +71,15 @@ def test_width_ratio_two_matches_closed_form():
     # every mode: K from all singular values of the kernel
     lam_all = (np.linalg.svd(kernel.amplitude, compute_uv=False) * kernel.grid_s.spacing) ** 2
     assert lam_all.sum() ** 2 / np.sum(lam_all ** 2) == pytest.approx(1.25, rel=1e-12)
-    analytic = analytic_double_gaussian(widths)
+    analytic = analytic_double_gaussian(*widths)
     assert analytic.schmidt_number == pytest.approx(1.25, rel=1e-15)
     assert np.allclose(analytic.eigenvalues[:6], expected, rtol=1e-13)
     assert analytic.mode_scale == pytest.approx(1.0)
 
 
 def test_purity_is_inverse_schmidt_number():
-    widths = PumpWidths(1.0, 2.0)
-    kernel = build_double_gaussian(widths, grid_for(widths, n=321, span=6.0))
+    widths = (1.0, 2.0)
+    kernel = build_double_gaussian(*widths, grid_for(widths, n=321, span=6.0))
     metrics = schmidt_number(schmidt_decompose(kernel))
     assert metrics.purity * metrics.schmidt_number == pytest.approx(1.0, abs=1e-12)
 
@@ -118,11 +118,11 @@ def test_hermite_gauss_validation():
 
 
 def test_modes_match_hermite_gauss_pairs():
-    widths = PumpWidths(1.0, 2.0)
+    widths = (1.0, 2.0)
     grid = grid_for(widths, n=321, span=6.0)
-    kernel = build_double_gaussian(widths, grid)
+    kernel = build_double_gaussian(*widths, grid)
     dec = schmidt_decompose(kernel)
-    signal, idler = double_gaussian_modes(widths, 6, grid)
+    signal, idler = double_gaussian_modes(*widths, 6, grid)
     for m in range(6):
         s = quad_overlap(dec.signal_modes[m].real, signal[m], grid.spacing)
         i = quad_overlap(dec.idler_modes[m].real, idler[m], grid.spacing)
@@ -139,8 +139,8 @@ def reconstruction_error_squared(dec, kernel):
 
 
 def test_reconstruction_matches_kernel():
-    widths = PumpWidths(1.0, 2.0)
-    kernel = build_double_gaussian(widths, grid_for(widths, n=321, span=6.0))
+    widths = (1.0, 2.0)
+    kernel = build_double_gaussian(*widths, grid_for(widths, n=321, span=6.0))
     dec = schmidt_decompose(kernel)
     # the kept modes rebuild the kernel up to exactly the weight they discard
     assert dec.discarded_weight <= 1e-6
@@ -202,7 +202,7 @@ def test_rejects_unnormalized_kernel():
 def test_three_peak_modes_stay_in_their_windows():
     sigma = 0.009419280180123796
     spacing = 0.168
-    params = MultiPeakParams((0.63, 1.0, 0.63), spacing, 0.0, PumpWidths(sigma, sigma),
+    params = MultiPeakParams((0.63, 1.0, 0.63), spacing, 0.0, sigma, sigma,
                              both_branches=True)
     gs = default_grid(params, 512, 6.0)
     dec = schmidt_decompose(build_multipeak(params, gs))
@@ -223,11 +223,11 @@ def test_three_peak_modes_stay_in_their_windows():
 
 
 def test_scale_invariant_spectrum():
-    small = PumpWidths(1.0, 2.0)
-    big = PumpWidths(10.0, 20.0)
-    dec_small = schmidt_decompose(build_double_gaussian(small, grid_for(small, n=321, span=6.0)))
+    small = (1.0, 2.0)
+    big = (10.0, 20.0)
+    dec_small = schmidt_decompose(build_double_gaussian(*small, grid_for(small, n=321, span=6.0)))
     grid_big = WavevectorGrid.centered(0.0, 6.0 * 20.0, 321)
-    dec_big = schmidt_decompose(build_double_gaussian(big, grid_big))
+    dec_big = schmidt_decompose(build_double_gaussian(*big, grid_big))
     n = min(dec_small.n_modes, dec_big.n_modes)
     assert np.allclose(dec_small.coefficients[:n], dec_big.coefficients[:n], atol=1e-12)
 
@@ -235,13 +235,13 @@ def test_scale_invariant_spectrum():
 def three_mode_kernel():
     sigma_pump, sigma_match = 0.009572439207442883, 0.02041323652329383
     params = MultiPeakParams((0.63, 1.0, 0.63), 0.168, 1.347,
-                             PumpWidths(sigma_pump, sigma_match))
+                             sigma_pump, sigma_match)
     return build_multipeak(params, default_grid(params, 512, 6.0))
 
 
 def double_gaussian_kernel():
-    widths = PumpWidths(1.0, 2.0)
-    return build_double_gaussian(widths, grid_for(widths, n=321, span=6.0))
+    widths = (1.0, 2.0)
+    return build_double_gaussian(*widths, grid_for(widths, n=321, span=6.0))
 
 
 @pytest.mark.parametrize("build", [three_mode_kernel, double_gaussian_kernel])
@@ -307,12 +307,11 @@ def shipped_kernel(name, overrides=None):
 
 def chirped_kernel():
     """Complex kernel: a quadratic pump chirp that does not factor in ks, ki."""
-    widths = PumpWidths(1.0, 2.0)
-    grid = grid_for(widths, n=256, span=6.0)
+    grid = grid_for((1.0, 2.0), n=256, span=6.0)
     tk = sum_coordinate_grid(grid).points()
     pump = np.exp(-tk ** 2 / 2.0 + 0.3j * tk ** 2)
     cfg = PhaseMatchConfig(3000.0, 0.405, 1.6614, 1.5672, regime="collinear")
-    resolved = MultiPeakParams((1.0,), 0.0, 0.0, PumpWidths(1.0, 2.0))
+    resolved = MultiPeakParams((1.0,), 0.0, 0.0, 1.0, 2.0)
     kernel = build_from_pump(pump, resolved, cfg, grid, "gaussian")
     assert kernel.amplitude.dtype == np.complex128
     return kernel
@@ -365,7 +364,7 @@ def test_a_phased_comb_builds_like_its_hand_written_pump(points):
     cfg = shipped_config("three_modes", {"grid.points": points})
     params = cfg.pump
     sums, differences = sum_difference_nodes(cfg.grid)
-    pump = sum(phase * a * np.exp(-(sums - c) ** 2 / (2.0 * params.widths.sigma_pump ** 2))
+    pump = sum(phase * a * np.exp(-(sums - c) ** 2 / (2.0 * params.sigma_pump ** 2))
                for phase, a, c in zip(PEAK_PHASES, params.amplitudes, params.pump_centers()))
     oracle = TpaKernel.from_profiles(cfg.grid, pump, params.matching_factor(differences))
     kernel = phased_kernel(points)
@@ -550,7 +549,7 @@ def test_capped_many_mode_spectrum_matches_closed_form(svd_shapes):
     cfg = many_mode_config()
     dec = schmidt_decompose(build_multipeak(cfg.pump, cfg.grid))
     assert svd_shapes and all(shape[0] <= 795 / 2 for shape in svd_shapes)
-    analytic = analytic_double_gaussian(cfg.pump.widths)
+    analytic = analytic_double_gaussian(cfg.pump.sigma_pump, cfg.pump.sigma_match)
     assert analytic.schmidt_number == pytest.approx(10.0, rel=0.05)
     assert dec.n_modes == 64
     assert np.abs(dec.coefficients ** 2 - analytic.eigenvalues).max() <= 1e-9
@@ -697,7 +696,8 @@ def test_the_many_mode_kernel_is_formed_over_its_band_only(monkeypatch):
     assert dec.n_modes == 64
     passes = sum(1 for start, _size in calls if start == calls[0][0])
     assert sum(size for _start, size in calls) / (passes * n * n) < 0.2
-    analytic = analytic_double_gaussian(many_mode_config(2048).pump.widths)
+    pump = many_mode_config(2048).pump
+    analytic = analytic_double_gaussian(pump.sigma_pump, pump.sigma_match)
     assert np.abs(dec.coefficients ** 2 - analytic.eigenvalues).max() <= 1e-9
 
 
@@ -713,7 +713,7 @@ def test_three_modes_follow_the_per_peak_closed_form():
     cfg = load_config(os.path.join(CONFIG_DIR, "three_modes.yaml"))
     params = cfg.pump
     dec = schmidt_decompose(build_multipeak(cfg.pump, cfg.grid))
-    analytic = analytic_double_gaussian(params.widths)
+    analytic = analytic_double_gaussian(params.sigma_pump, params.sigma_match)
     shares = np.square(params.amplitudes) / np.sum(np.square(params.amplitudes))
     # (weight, signal center, order), heaviest first; the side peaks' weights
     # are bitwise equal, so ties sort by position
@@ -737,7 +737,7 @@ def test_each_peak_carries_its_amplitude_share(sigma_match, n_modes):
     """Uneven peak amplitudes a_m: the modes on peak m carry a_m^2 / sum a^2 of
     the weight. Matched widths give one mode per peak, with exactly that weight."""
     params = MultiPeakParams((1.0, 0.5, 0.25, 0.8), 0.168, 1.347,
-                             PumpWidths(0.0096, sigma_match))
+                             0.0096, sigma_match)
     shares = np.square(params.amplitudes) / np.sum(np.square(params.amplitudes))
     dec = schmidt_decompose(build_multipeak(params, default_grid(params, 1024, 8.0)))
     weights = dec.coefficients ** 2
@@ -811,7 +811,7 @@ def test_an_equal_weight_comb_localises_its_modes_at_the_runs_accuracy(monkeypat
     outside = np.abs(dec.grid_s.points() - centers[:, None]) > width / 2.0
     shares = np.abs(dec.signal_modes) ** 2 @ outside.T * dec.grid_s.spacing
     own = shares.argmin(axis=1)
-    scale = analytic_double_gaussian(cfg.pump.widths).mode_scale
+    scale = analytic_double_gaussian(cfg.pump.sigma_pump, cfg.pump.sigma_match).mode_scale
     isolated = np.array([hermite_gauss(m // 8, scale, dec.grid_s, center=centers[w]) ** 2
                          @ outside[w] * dec.grid_s.spacing for m, w in enumerate(own)])
     assert np.all(shares.min(axis=1) <= 2.0 * isolated), shares.min(axis=1) / isolated
